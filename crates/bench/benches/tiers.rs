@@ -1,11 +1,12 @@
 //! Criterion micro-benchmarks of the multi-tier topology hot path: the
 //! per-round `TraceCollector` aggregation and the critical-path budget
-//! split, compared against the FastCap greedy at the same fan-out.
+//! split, compared against the FastCap and SLA-aware quantum greedies at
+//! the same fan-out.
 //!
 //! Both run once per coordination round, so they must stay far below the
 //! round length even at cluster scale (~1024 children).
 
-use cluster::{split_caps, split_caps_critical, CapSplit, ServerDemand};
+use cluster::{split_caps, split_caps_critical, split_caps_sla, CapSplit, ServerDemand, SlaSignal};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use topology::TraceCollector;
@@ -86,6 +87,27 @@ fn bench_splits(c: &mut Criterion) {
     });
     group.bench_function("fastcap", |b| {
         b.iter(|| black_box(split_caps(CapSplit::FastCap, black_box(budget_w), &ds, 1.0)))
+    });
+    // The quantum `fleet_flat` and the `fleet-scale` experiment run at.
+    group.bench_function("fastcap_20mw", |b| {
+        b.iter(|| {
+            black_box(split_caps(
+                CapSplit::FastCap,
+                black_box(budget_w),
+                &ds,
+                0.02,
+            ))
+        })
+    });
+    // A third of the children violating, a third meeting, a third unknown.
+    let sla: Vec<SlaSignal> = (0..n)
+        .map(|i| SlaSignal {
+            p99_s: [2e-3, 0.5e-3, 0.0][i % 3],
+            target_s: 1e-3,
+        })
+        .collect();
+    group.bench_function("sla_aware", |b| {
+        b.iter(|| black_box(split_caps_sla(black_box(budget_w), &ds, &sla, 1.0)))
     });
     group.finish();
 }

@@ -1216,9 +1216,12 @@ pub fn closed_loop_balancing(ctx: &mut Ctx) {
 ///   *physics* — per-server makespans, energies, violation counts — are
 ///   required to stay identical; only the bookkept mean cap may drift.
 ///
-/// The headline is the last row's speedup: with coordination (not cycle
-/// simulation) dominating a mostly-idle fleet's round cost, skipping the
-/// re-split is worth well over 5x at a thousand servers.
+/// With the split on a bid heap, a 1024-server round costs about as much
+/// in stepping as in coordination, so skipping quiesced servers and
+/// skipping re-splits each buy a modest factor: about 1.6x for the exact
+/// event engine and 1.9x with the dead-band at 256 and 1024 servers (a
+/// 2-vCPU Xeon guest). Under the old per-quantum scan the split dominated
+/// and the dead-band was worth 5.6x at 1024 servers.
 pub fn fleet_scale(ctx: &mut Ctx) {
     use cluster::{run_cluster, synthetic_fleet, CapSplit, ClusterConfig, EngineKind};
     use std::time::Instant;

@@ -18,6 +18,10 @@
 //!
 //! All three are deterministic: ties break toward the lowest server index.
 //!
+//! The quantum greedy keeps every bidding server's marginal gain in a
+//! max-heap, so a split costs `O(n + quanta · log n)` rather than a scan
+//! of all `n` servers per quantum (`grant_quanta`).
+//!
 //! Two signal-driven disciplines build on the same machinery: **SLA-aware**
 //! (see [`split_caps_sla`]) bids tail-latency violators to full demand, and
 //! **critical-path** (see [`split_caps_critical`]) shifts budget toward the
@@ -25,6 +29,8 @@
 //! signal-free disciplines above when their telemetry is absent.
 
 use crate::CapSplit;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// What the coordinator knows about one server at a round boundary.
 #[derive(Clone, Copy, Debug)]
@@ -322,58 +328,19 @@ fn sla_core(
         .collect();
     let mut spare = global_cap_w - caps.iter().sum::<f64>();
     let mut clipped = vec![false; demands.len()];
-    // Two passes: violators first, then everyone still below desire.
+    // Two passes: violators first, then everyone still below desire. A
+    // server at its desire never bids, so once every server saturates the
+    // leftover pass starts with an empty heap and grants nothing.
     for violators_only in [true, false] {
-        // Short-circuit once the unclipped set is empty: when every active
-        // server already sits at its desire (the degenerate all-violators
-        // case saturates them all in the first pass), the leftover
-        // redistribution pass has no one to serve — without this the loop
-        // used to keep scanning servers clipped at demand, burning a
-        // sub-nanowatt grant per iteration until `spare` drained.
-        if demands
-            .iter()
-            .enumerate()
-            .all(|(i, d)| !d.active || clipped[i] || desired[i] - caps[i] <= CLIP_EPS_W)
-        {
-            break;
-        }
-        while spare > 1e-9 {
-            let q = quantum_w.min(spare);
-            let mut best: Option<(usize, f64)> = None;
-            for (i, d) in demands.iter().enumerate() {
-                // Within a clip epsilon of the desire counts as saturated:
-                // granting the remaining sliver cannot change the
-                // allocation but would keep the server in every scan.
-                if !d.active || clipped[i] || desired[i] - caps[i] <= CLIP_EPS_W {
-                    continue;
-                }
-                if violators_only && !sla[i].violating() {
-                    continue;
-                }
-                let gain = utility_at(d, caps[i] + q) - utility_at(d, caps[i]);
-                if gain > 0.0 && best.is_none_or(|(_, g)| gain > g) {
-                    best = Some((i, gain));
-                }
-            }
-            match best {
-                Some((i, _)) => {
-                    // Never exceed the desire: the final quantum is clipped.
-                    let grant = q.min(desired[i] - caps[i]);
-                    let before = caps[i];
-                    caps[i] += grant;
-                    if caps[i] == before {
-                        // The grant is below this cap's float resolution;
-                        // no further quantum can land here either. Count
-                        // the server as clipped instead of re-granting it
-                        // nothing forever.
-                        clipped[i] = true;
-                    } else {
-                        spare -= grant;
-                    }
-                }
-                None => break,
-            }
-        }
+        grant_quanta(
+            demands,
+            Ceiling::Clip(&desired),
+            |i| !violators_only || sla[i].violating(),
+            quantum_w,
+            &mut caps,
+            &mut clipped,
+            &mut spare,
+        );
     }
     Ok(caps)
 }
@@ -382,6 +349,119 @@ fn sla_core(
 /// the residual is smaller than the budget-exhaustion threshold, so
 /// spending quanta on it cannot meaningfully move the allocation.
 const CLIP_EPS_W: f64 = 1e-9;
+
+/// Where a quantum greedy stops granting a server.
+#[derive(Clone, Copy)]
+enum Ceiling<'a> {
+    /// FastCap with leftover parking: every grant is a whole quantum (the
+    /// last may overshoot demand) and a server bids while its cap is below
+    /// its demand.
+    Demand,
+    /// Grants are clipped at the per-server ceiling, and a server within
+    /// [`CLIP_EPS_W`] of it is saturated: granting the remaining sliver
+    /// cannot change the allocation.
+    Clip(&'a [f64]),
+}
+
+/// One server's bid for the next quantum. Ordered by gain, ties toward the
+/// lower server index, so the heap's maximum is exactly the server a
+/// linear `gain > best` scan in index order would pick.
+#[derive(Clone, Copy, Debug)]
+struct Bid {
+    gain: f64,
+    server: usize,
+}
+
+impl Ord for Bid {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.gain
+            .total_cmp(&other.gain)
+            .then_with(|| other.server.cmp(&self.server))
+    }
+}
+
+impl PartialOrd for Bid {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Bid {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Bid {}
+
+/// The quantum greedy behind the FastCap and SLA-aware splits: while more
+/// than a nanowatt of `spare` remains, grant `q = quantum_w.min(spare)` to
+/// the active, unsaturated server admitted by `bids` whose predicted
+/// utility gains most from it, ties toward the lowest index.
+///
+/// Bids live in a max-heap. A grant changes only the granted server's cap
+/// and `clipped` flag, so it pops that server and re-pushes its new gain;
+/// every other bid is still exact. Only a change of `q` (the final partial
+/// quantum, or a clipped grant in that tail) moves every gain, and then
+/// the heap is rebuilt. Each grant costs `O(log n)`.
+///
+/// Returns `true` when it stopped because no server bids any more, with
+/// budget left; `false` when the budget ran out.
+fn grant_quanta(
+    demands: &[ServerDemand],
+    ceiling: Ceiling<'_>,
+    bids: impl Fn(usize) -> bool,
+    quantum_w: f64,
+    caps: &mut [f64],
+    clipped: &mut [bool],
+    spare: &mut f64,
+) -> bool {
+    let bid = |i: usize, cap: f64, clipped: bool, q: f64| -> Option<Bid> {
+        let d = &demands[i];
+        let saturated = clipped
+            || match ceiling {
+                Ceiling::Demand => cap >= d.demand_w,
+                Ceiling::Clip(ceil) => ceil[i] - cap <= CLIP_EPS_W,
+            };
+        if !d.active || saturated || !bids(i) {
+            return None;
+        }
+        let gain = utility_at(d, cap + q) - utility_at(d, cap);
+        (gain > 0.0).then_some(Bid { gain, server: i })
+    };
+    let mut heap: BinaryHeap<Bid> = BinaryHeap::new();
+    let mut heap_q: Option<f64> = None;
+    while *spare > 1e-9 {
+        let q = quantum_w.min(*spare);
+        if heap_q.map(f64::to_bits) != Some(q.to_bits()) {
+            // Rebuild in the old heap's buffer, so a split allocates it once.
+            let mut entries = std::mem::take(&mut heap).into_vec();
+            entries.clear();
+            entries.extend((0..demands.len()).filter_map(|i| bid(i, caps[i], clipped[i], q)));
+            heap = BinaryHeap::from(entries);
+            heap_q = Some(q);
+        }
+        let Some(Bid { server: i, .. }) = heap.pop() else {
+            return true;
+        };
+        let grant = match ceiling {
+            Ceiling::Demand => q,
+            Ceiling::Clip(ceil) => q.min(ceil[i] - caps[i]),
+        };
+        let before = caps[i];
+        caps[i] += grant;
+        if caps[i] == before {
+            // The grant is below this cap's float resolution; no further
+            // quantum can land here either. Count the server as clipped
+            // instead of re-granting it nothing forever.
+            clipped[i] = true;
+        } else {
+            *spare -= grant;
+            heap.extend(bid(i, caps[i], clipped[i], q));
+        }
+    }
+    false
+}
 
 /// Per-server power floors: each active server's all-minimum power, scaled
 /// down proportionally when the budget cannot cover them all.
@@ -485,59 +565,29 @@ fn fastcap_core(
     let mut caps = checked_floors(global_cap_w, demands, floor_w)?;
     let mut spare = global_cap_w - caps.iter().sum::<f64>();
     let mut clipped = vec![false; demands.len()];
-    // Grant quanta while any server still gains from them.
-    while spare > 1e-9 {
-        let q = quantum_w.min(spare);
-        let mut best: Option<(usize, f64)> = None;
-        for (i, d) in demands.iter().enumerate() {
-            // The non-parking variant clips grants at demand, so (like the
-            // SLA split) a server within the clip epsilon of demand is
-            // saturated — scanning it forever for sliver grants is the
-            // degenerate loop `split_caps_sla` also guards against. The
-            // parking variant grants whole quanta and may overshoot, so it
-            // keeps the original strict comparison.
-            let saturated = if park_leftover {
-                clipped[i] || caps[i] >= d.demand_w
-            } else {
-                clipped[i] || d.demand_w - caps[i] <= CLIP_EPS_W
-            };
-            if !d.active || saturated {
-                continue;
-            }
-            let gain = utility_at(d, caps[i] + q) - utility_at(d, caps[i]);
-            if gain > 0.0 && best.is_none_or(|(_, g)| gain > g) {
-                best = Some((i, gain));
-            }
-        }
-        match best {
-            Some((i, _)) => {
-                // The non-parking variant promises `cap ≤ demand`: clip the
-                // final quantum instead of overshooting it.
-                let grant = if park_leftover {
-                    q
-                } else {
-                    q.min(demands[i].demand_w - caps[i])
-                };
-                let before = caps[i];
-                caps[i] += grant;
-                if caps[i] == before {
-                    // Below float resolution at this magnitude: the server
-                    // can never absorb another grant.
-                    clipped[i] = true;
-                } else {
-                    spare -= grant;
-                }
-            }
-            None => {
-                if park_leftover {
-                    let n_active = demands.iter().filter(|d| d.active).count() as f64;
-                    for (cap, d) in caps.iter_mut().zip(demands) {
-                        if d.active {
-                            *cap += spare / n_active;
-                        }
-                    }
-                }
-                break;
+    // The non-parking variant promises `cap ≤ demand`, so it clips the
+    // final quantum at demand instead of overshooting it.
+    let demand_w: Vec<f64>;
+    let ceiling = if park_leftover {
+        Ceiling::Demand
+    } else {
+        demand_w = demands.iter().map(|d| d.demand_w).collect();
+        Ceiling::Clip(&demand_w)
+    };
+    let all_saturated = grant_quanta(
+        demands,
+        ceiling,
+        |_| true,
+        quantum_w,
+        &mut caps,
+        &mut clipped,
+        &mut spare,
+    );
+    if all_saturated && park_leftover {
+        let n_active = demands.iter().filter(|d| d.active).count() as f64;
+        for (cap, d) in caps.iter_mut().zip(demands) {
+            if d.active {
+                *cap += spare / n_active;
             }
         }
     }

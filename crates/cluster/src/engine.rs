@@ -303,17 +303,18 @@ impl CapCache {
     }
 }
 
-/// [`split_caps`] restricted to the active servers: the discipline's hot
-/// loops (FastCap's per-quantum scan above all) run over a compacted
-/// active-only slice and the results scatter back to fleet positions.
+/// [`split_caps`] restricted to the active servers: the discipline runs
+/// over a compacted active-only slice and the results scatter back to fleet
+/// positions.
 ///
 /// Bit-identical to `split_caps` over the full slice: inactive servers take
-/// no part in any discipline's arithmetic (every sum, scan and tie-break
+/// no part in any discipline's arithmetic (every sum, bid and tie-break
 /// filters on `active`, and compaction preserves relative order, so
 /// "lowest index" ties resolve to the same server), they simply receive a
-/// zero cap — which is exactly what the scatter leaves behind. On a
-/// 90%-idle fleet this turns an `O(fleet)` per-quantum scan into
-/// `O(active)`.
+/// zero cap — which is exactly what the scatter leaves behind. The
+/// quantum greedies already cost `O(log active)` per quantum, so on a
+/// 90%-idle fleet compaction mostly saves the `O(fleet)` passes that build
+/// floors and the bid heap.
 pub fn split_caps_active(
     split: CapSplit,
     global_cap_w: f64,
