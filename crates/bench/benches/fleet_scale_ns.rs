@@ -1,12 +1,12 @@
-//! `fleet-scale-ns`: nanoseconds per server-epoch for the event engine on
-//! a 90%-idle synthetic fleet at 1k / 8k / 32k servers, with a regression
+//! `fleet-scale-ns`: nanoseconds per server-epoch for the fleet loop on a
+//! 90%-idle synthetic fleet at 1k / 8k / 32k servers, with a regression
 //! gate against a committed baseline.
 //!
-//! The configuration is the scaling shape the engine is built for: a
+//! The configuration is the scaling shape the loop is built for: a
 //! uniform root over FastCap racks of 64 (so split cost stays linear in
 //! fleet size instead of quadratic), a 5 W telemetry dead-band feeding the
-//! hierarchical replay cache, sharded wake queues, a four-epoch
-//! coordination cadence, and the cap timeline recording turned off. Every
+//! hierarchical replay cache, a four-epoch coordination cadence, and the
+//! cap timeline recording turned off. Every
 //! size runs the *same* shortened per-server workload and the metric
 //! normalizes by the server-epochs actually executed, so the idle/busy
 //! epoch mix — and therefore the figure itself — is directly comparable
@@ -14,7 +14,7 @@
 //! working set cannot stay cache-resident between wakes the way a
 //! 1k-server fleet's can, so stepping several epochs per wake amortizes
 //! the unavoidable cold re-touch of each server's state and keeps the
-//! ratio measuring the *engine* rather than the LLC size. Worker threads
+//! ratio measuring the *loop* rather than the LLC size. Worker threads
 //! match the machine (`available_parallelism`), keeping the bench
 //! meaningful on small CI runners.
 //!
@@ -36,9 +36,7 @@
 //! `FLEET_SCALE_SKIP=1` skips measurement entirely (used by
 //! `scripts/check.sh` runs that only want the cheap steps).
 
-use cluster::{
-    synthetic_fleet, BudgetNode, BudgetTree, CapSplit, ClusterConfig, ClusterSim, EngineKind,
-};
+use cluster::{synthetic_fleet, BudgetNode, BudgetTree, CapSplit, ClusterConfig, ClusterSim};
 use criterion::Criterion;
 use std::time::Instant;
 
@@ -63,13 +61,13 @@ const THRESHOLD: f64 = 1.5;
 /// per-server workload (divisor 4 — busy servers finish in ~14 epochs,
 /// i.e. a few coordination rounds), so the idle/busy epoch mix is
 /// identical across sizes and the ns-per-server-epoch figures are
-/// directly comparable: any ratio growth is engine scaling, not
+/// directly comparable: any ratio growth is loop scaling, not
 /// workload-composition drift. The divisor also bounds the horizon well
 /// under the `max_epochs` panic guard.
 const SIZES: [(usize, u64); 3] = [(1024, 4), (8192, 4), (32768, 4)];
 
 /// The benchmark fleet: `n` servers, 90% idle, uniform root over FastCap
-/// racks of 64, dead-banded event engine with sharded wake queues.
+/// racks of 64, 5 W dead-band.
 fn fleet_config(n: usize, target_divisor: u64) -> ClusterConfig {
     let mut fleet = synthetic_fleet(n, 0.9);
     for s in &mut fleet {
@@ -89,11 +87,9 @@ fn fleet_config(n: usize, target_divisor: u64) -> ClusterConfig {
     let tree = BudgetTree::new(BudgetNode::group("fleet", CapSplit::Uniform, racks));
     let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut c = ClusterConfig::new(fleet, 100.0 * n as f64, CapSplit::FastCap)
-        .with_engine(EngineKind::Event)
         .with_epochs_per_round(4)
         .with_dead_band(5.0)
         .with_threads(threads)
-        .with_wake_shards(8)
         .with_record_timeline(false)
         .with_topology(tree);
     c.quantum_w = 1.0;
@@ -150,7 +146,7 @@ fn main() {
     for (n, divisor) in SIZES {
         // Best-of-two everywhere: the first run at each size pays
         // allocator warm-up and first-touch page faults that the second
-        // run does not, and the gate is about engine scaling, not the
+        // run does not, and the gate is about loop scaling, not the
         // OS's lazy-zeroing throughput.
         let ns = measure(n, divisor, 2);
         println!("fleet_scale_ns/{n}: {ns:10.1} ns/server-epoch");

@@ -1199,31 +1199,22 @@ pub fn closed_loop_balancing(ctx: &mut Ctx) {
     ctx.emit(&t, "closed_loop_balancing.tsv");
 }
 
-/// The event-driven coordinator at datacenter scale: a mostly-idle
-/// synthetic fleet (90% of the servers finish their short workloads early
-/// and quiesce) run to completion under both fleet engines. Three rows per
-/// fleet size:
+/// The fleet loop at datacenter scale: a mostly-idle synthetic fleet (90%
+/// of the servers finish their short workloads early and drop out of the
+/// active list) run to completion. Two rows per fleet size:
 ///
-/// * `round` — the reference loop, re-splitting the full budget over every
-///   server every round, finished or not.
-/// * `event` — the wake queue at a zero dead-band: quiesced servers drop
-///   out of the barrier and flat splits run over the compacted active set.
-///   Required to be **bit-identical** to the reference (digest equality).
-/// * `event +db` — the same engine with a 5 W telemetry dead-band, so the
-///   cap cache replays the previous split while no server's demand moved
-///   more than that. Replayed caps can lag a little, but the budget here
-///   leaves every server ample headroom, so caps never bind and the
-///   *physics* — per-server makespans, energies, violation counts — are
-///   required to stay identical; only the bookkept mean cap may drift.
+/// * `exact` — the default zero dead-band: every barrier re-splits the
+///   budget unless the telemetry is bit-identical to the last split's.
+/// * `+5 W` — the coordinator replays the previous split while no
+///   server's demand moved more than 5 W. Replayed caps can lag a little,
+///   but the budget here leaves every server ample headroom, so caps
+///   never bind and the *physics* — per-server makespans, energies,
+///   violation counts — are required to stay identical; only the
+///   bookkept mean cap may drift.
 ///
-/// With the split on a bid heap, a 1024-server round costs about as much
-/// in stepping as in coordination, so skipping quiesced servers and
-/// skipping re-splits each buy a modest factor: about 1.6x for the exact
-/// event engine and 1.9x with the dead-band at 256 and 1024 servers (a
-/// 2-vCPU Xeon guest). Under the old per-quantum scan the split dominated
-/// and the dead-band was worth 5.6x at 1024 servers.
+/// The speedup column is the dead-band's gain over the exact run.
 pub fn fleet_scale(ctx: &mut Ctx) {
-    use cluster::{run_cluster, synthetic_fleet, CapSplit, ClusterConfig, EngineKind};
+    use cluster::{run_cluster, synthetic_fleet, CapSplit, ClusterConfig};
     use std::time::Instant;
 
     let sizes: &[usize] = if ctx.opts.quick {
@@ -1233,10 +1224,10 @@ pub fn fleet_scale(ctx: &mut Ctx) {
     };
     let idle_fraction = 0.9;
     let mut t = Table::new(
-        "Fleet scale — event vs round engine, 90% idle fleet, FastCap split (20 mW quanta)",
+        "Fleet scale — exact vs dead-banded splits, 90% idle fleet, FastCap split (20 mW quanta)",
         &[
             "servers",
-            "engine",
+            "dead-band",
             "wall (s)",
             "speedup",
             "energy (J)",
@@ -1245,7 +1236,7 @@ pub fn fleet_scale(ctx: &mut Ctx) {
         ],
     );
     for &n in sizes {
-        let config = |engine: EngineKind, dead_band_w: f64| {
+        let run = |dead_band_w: f64| {
             let mut c = ClusterConfig::new(
                 synthetic_fleet(n, idle_fraction),
                 100.0 * n as f64,
@@ -1253,70 +1244,41 @@ pub fn fleet_scale(ctx: &mut Ctx) {
             )
             .with_epochs_per_round(1)
             .with_threads(8)
-            .with_engine(engine)
             .with_dead_band(dead_band_w);
             c.quantum_w = 0.02;
-            c
-        };
-        let runs = [
-            ("round", EngineKind::Round, 0.0),
-            ("event", EngineKind::Event, 0.0),
-            ("event +db", EngineKind::Event, 5.0),
-        ];
-        let mut reference: Option<cluster::ClusterResult> = None;
-        let mut base_wall = 0.0_f64;
-        for (label, engine, dead_band_w) in runs {
-            eprintln!("  running fleet-scale [{n} servers, {label}] ...");
+            eprintln!("  running fleet-scale [{n} servers, dead-band {dead_band_w} W] ...");
             let start = Instant::now();
-            let r = run_cluster(config(engine, dead_band_w));
-            let wall = start.elapsed().as_secs_f64();
-            let (speedup, equivalence) = match &reference {
-                None => {
-                    base_wall = wall;
-                    ("1.00x".to_string(), "reference".to_string())
-                }
-                Some(base) => {
-                    let eq = if dead_band_w == 0.0 {
-                        assert_eq!(
-                            base.digest(),
-                            r.digest(),
-                            "fleet-scale digests diverged at {n} servers"
-                        );
-                        "digest match"
-                    } else {
-                        for (a, b) in base.outcomes.iter().zip(&r.outcomes) {
-                            assert_eq!(
-                                (a.name.as_str(), a.result.makespan, a.violation_rounds),
-                                (b.name.as_str(), b.result.makespan, b.violation_rounds),
-                                "dead-band run changed the physics at {n} servers"
-                            );
-                            assert_eq!(
-                                a.result.total_energy_j().to_bits(),
-                                b.result.total_energy_j().to_bits(),
-                                "dead-band run changed {}'s energy at {n} servers",
-                                a.name
-                            );
-                        }
-                        "physics match"
-                    };
-                    (
-                        format!("{:.2}x", base_wall / wall.max(1e-9)),
-                        eq.to_string(),
-                    )
-                }
-            };
+            let r = run_cluster(c);
+            (r, start.elapsed().as_secs_f64())
+        };
+        let (exact, exact_wall) = run(0.0);
+        let (banded, banded_wall) = run(5.0);
+        for (a, b) in exact.outcomes.iter().zip(&banded.outcomes) {
+            assert_eq!(
+                (a.name.as_str(), a.result.makespan, a.violation_rounds),
+                (b.name.as_str(), b.result.makespan, b.violation_rounds),
+                "dead-band run changed the physics at {n} servers"
+            );
+            assert_eq!(
+                a.result.total_energy_j().to_bits(),
+                b.result.total_energy_j().to_bits(),
+                "dead-band run changed {}'s energy at {n} servers",
+                a.name
+            );
+        }
+        for (label, r, wall, equivalence) in [
+            ("exact", &exact, exact_wall, "reference"),
+            ("+5 W", &banded, banded_wall, "physics match"),
+        ] {
             t.row(vec![
                 format!("{n}"),
                 label.to_string(),
                 format!("{wall:.2}"),
-                speedup,
+                format!("{:.2}x", exact_wall / wall.max(1e-9)),
                 format!("{:.2}", r.total_energy_j()),
                 format!("{}", r.rounds),
-                equivalence,
+                equivalence.to_string(),
             ]);
-            if reference.is_none() {
-                reference = Some(r);
-            }
         }
     }
     ctx.emit(&t, "fleet_scale.tsv");
@@ -1358,8 +1320,7 @@ pub fn fleet_scale(ctx: &mut Ctx) {
 /// Asserted per round before the table is written.
 pub fn control_plane(ctx: &mut Ctx) {
     use cluster::{
-        run_cluster, CapSplit, ClusterConfig, ClusterResult, EngineKind, PartitionSpec, RpcConfig,
-        ServerSpec,
+        run_cluster, CapSplit, ClusterConfig, ClusterResult, PartitionSpec, RpcConfig, ServerSpec,
     };
 
     let budget = 120.0;
@@ -1465,9 +1426,7 @@ pub fn control_plane(ctx: &mut Ctx) {
         ],
         ..RpcConfig::default()
     };
-    let cfg = ClusterConfig::new(fleet(90), budget, CapSplit::FastCap)
-        .with_engine(EngineKind::Event)
-        .with_rpc(rpc.clone());
+    let cfg = ClusterConfig::new(fleet(90), budget, CapSplit::FastCap).with_rpc(rpc.clone());
     let lease = rpc.lease_rounds;
     let r: ClusterResult = run_cluster(cfg);
     assert!(
@@ -1520,7 +1479,7 @@ pub fn control_plane(ctx: &mut Ctx) {
 
     let mut t = Table::new(
         "Control plane — coordinator failover, then a 50-round rack partition \
-         (4×MID1, 120 W FastCap, event engine, 8-round leases, 6 W floor)",
+         (4×MID1, 120 W FastCap, 8-round leases, 6 W floor)",
         &[
             "phase",
             "rounds",
@@ -1651,10 +1610,9 @@ pub fn control_plane(ctx: &mut Ctx) {
 /// Asserted in-run: only the critical-path split meets the 4 ms
 /// end-to-end p99 at this budget — each static split misses the SLO or
 /// spends measurably more energy — and the critical-path run is
-/// bit-identical across 1/2/4/8 worker threads and between the round and
-/// event engines at a zero dead-band.
+/// bit-identical across 1/2/4/8 worker threads.
 pub fn multi_tier(ctx: &mut Ctx) {
-    use cluster::{BalancePolicy, EngineKind};
+    use cluster::BalancePolicy;
     use service::{
         run_service, CapSplit, ClosedLoopConfig, ServiceConfig, ServiceServerSpec, TierConfig,
         TierGraph,
@@ -1663,7 +1621,7 @@ pub fn multi_tier(ctx: &mut Ctx) {
 
     let budget_w = 220.0;
     let rounds = 24;
-    let config = |tier_split: CapSplit, threads: usize, engine: EngineKind| -> ServiceConfig {
+    let config = |tier_split: CapSplit, threads: usize| -> ServiceConfig {
         let graph: TierGraph = "fe[2] -> st[2]*2@4".parse().unwrap();
         let fleet: Vec<ServiceServerSpec> = graph
             .server_names()
@@ -1681,7 +1639,6 @@ pub fn multi_tier(ctx: &mut Ctx) {
         ServiceConfig::new(fleet, budget_w, CapSplit::FastCap)
             .with_rounds(rounds)
             .with_threads(threads)
-            .with_engine(engine)
             .with_closed_loop(
                 ClosedLoopConfig::new(96, Ps::from_us(100), BalancePolicy::LeastQueue)
                     .with_mean_request_instrs(60_000.0),
@@ -1717,7 +1674,7 @@ pub fn multi_tier(ctx: &mut Ctx) {
         CapSplit::CriticalPath,
     ] {
         eprintln!("  running multi-tier [{tier_split}] ...");
-        let r = run_service(config(tier_split, 4, EngineKind::Round));
+        let r = run_service(config(tier_split, 4));
         let tiers = r.tiers.as_ref().expect("tier summary");
         let st_frac = |caps: &[f64]| (caps[2] + caps[3]) / caps.iter().sum::<f64>();
         t.row(vec![
@@ -1745,20 +1702,18 @@ pub fn multi_tier(ctx: &mut Ctx) {
     }
 
     // Determinism: the critical-path run is bit-identical for any worker
-    // thread count and across engines at a zero dead-band.
-    let reference = run_service(config(CapSplit::CriticalPath, 1, EngineKind::Round)).digest();
+    // thread count.
+    let reference = run_service(config(CapSplit::CriticalPath, 1)).digest();
     for threads in [2, 4, 8] {
-        let d = run_service(config(CapSplit::CriticalPath, threads, EngineKind::Round)).digest();
+        let d = run_service(config(CapSplit::CriticalPath, threads)).digest();
         assert_eq!(
             reference, d,
             "multi-tier digest drifted at {threads} threads"
         );
     }
-    let event = run_service(config(CapSplit::CriticalPath, 4, EngineKind::Event)).digest();
-    assert_eq!(reference, event, "multi-tier digest drifted round vs event");
     t.row(vec![
         "determinism".into(),
-        "bit-identical 1/2/4/8 threads + round/event".into(),
+        "bit-identical 1/2/4/8 threads".into(),
         String::new(),
         String::new(),
         String::new(),
@@ -1785,17 +1740,17 @@ pub fn multi_tier(ctx: &mut Ctx) {
 ///   modulated day/night ([`service::ClosedLoopConfig::with_think_diurnal`]),
 ///   swept over modulation depths. Request conservation
 ///   (`generated = completed + shed + abandoned`, population constant) is
-///   asserted in-run at every depth, and the deepest sweep is run again on
-///   the event engine at a different thread count and required to produce
-///   a bit-identical digest.
+///   asserted in-run at every depth, and the deepest sweep is run again at
+///   a different thread count and required to produce a bit-identical
+///   digest.
 ///
 /// The wall-clock column is the point: per-round cost scales with *issued
 /// requests*, not population, so a million clients cost seconds.
 pub fn fluid_clients(ctx: &mut Ctx) {
     use cluster::BalancePolicy;
     use service::{
-        run_service, CapSplit, ClientModel, ClosedLoopConfig, EngineKind, ServiceConfig,
-        ServiceResult, ServiceServerSpec,
+        run_service, CapSplit, ClientModel, ClosedLoopConfig, ServiceConfig, ServiceResult,
+        ServiceServerSpec,
     };
 
     let fleet = |seed: u64| -> Vec<ServiceServerSpec> {
@@ -1886,11 +1841,10 @@ pub fn fluid_clients(ctx: &mut Ctx) {
     // --- Part 2: million-client diurnal sweep ----------------------------
     let clients = 1_000_000;
     let rounds = if ctx.opts.quick { 12 } else { 40 };
-    let mk = |depth: f64, threads: usize, engine: EngineKind| {
+    let mk = |depth: f64, threads: usize| {
         ServiceConfig::new(fleet(9), 300.0, CapSplit::FastCap)
             .with_rounds(rounds)
             .with_threads(threads)
-            .with_engine(engine)
             .with_closed_loop(
                 ClosedLoopConfig::new(clients, Ps::from_ms(500), BalancePolicy::LeastQueue)
                     .with_seed(9)
@@ -1915,7 +1869,7 @@ pub fn fluid_clients(ctx: &mut Ctx) {
     for depth in [0.0, 0.5, 0.9] {
         eprintln!("  running fluid diurnal [depth {depth}] ...");
         let start = Instant::now();
-        let r = run_service(mk(depth, 4, EngineKind::Round));
+        let r = run_service(mk(depth, 4));
         let wall = start.elapsed().as_secs_f64();
         assert_conserved(&r, clients, &format!("diurnal depth={depth}"));
         let cl = r.closed_loop.as_ref().unwrap();
@@ -1933,12 +1887,12 @@ pub fn fluid_clients(ctx: &mut Ctx) {
             format!("{wall:.2}"),
         ]);
     }
-    eprintln!("  re-running depth 0.9 on the event engine (digest check) ...");
-    let event = run_service(mk(0.9, 8, EngineKind::Event));
+    eprintln!("  re-running depth 0.9 on 8 threads (digest check) ...");
+    let wide = run_service(mk(0.9, 8));
     assert_eq!(
         deep_digest,
-        event.digest(),
-        "million-client fluid digest diverged across engines/threads"
+        wide.digest(),
+        "million-client fluid digest diverged across thread counts"
     );
     ctx.emit(&t, "fluid_clients_diurnal.tsv");
 }

@@ -2,7 +2,6 @@
 //! and how the coordinator splits it.
 
 use crate::ctrlplane::RpcConfig;
-use crate::engine::EngineKind;
 use crate::tree::BudgetTree;
 use coscale::SimConfig;
 use simkernel::Ps;
@@ -170,6 +169,11 @@ impl<S> ChurnSchedule<S> {
         self.events.len()
     }
 
+    /// The events not yet drained, in application order.
+    pub fn events(&self) -> &[ChurnEvent<S>] {
+        &self.events
+    }
+
     /// Removes and returns the actions due at or before `round`, in order.
     pub fn drain_due(&mut self, round: usize) -> Vec<ChurnAction<S>> {
         let n_due = self.events.iter().take_while(|e| e.round <= round).count();
@@ -298,31 +302,18 @@ pub struct ClusterConfig {
     pub threads: usize,
     /// FastCap grant granularity, watts per quantum.
     pub quantum_w: f64,
-    /// Which coordination engine drives the fleet: the legacy round-barrier
-    /// reference loop, or the event-driven wake-queue engine. Both produce
-    /// identical digests (see `tests/engine_equivalence.rs`); the event
-    /// engine is the one that scales to 1000-server fleets.
-    pub engine: EngineKind,
-    /// Telemetry dead-band for the event engine's incremental re-split,
-    /// watts. A server whose demand moved by no more than this since the
-    /// last split is not considered dirty, and if no server is dirty the
-    /// cached caps are replayed instead of recomputed. `0.0` (the default)
-    /// means "dirty iff the bits changed", which keeps the event engine
-    /// bit-identical to the round engine; positive values trade fidelity
-    /// for fewer re-splits. Ignored by the round engine.
+    /// Telemetry dead-band for the coordinator's cap-split replay, watts.
+    /// A server whose demand moved by no more than this since the last
+    /// split is not considered dirty, and if no server is dirty the cached
+    /// caps are replayed instead of recomputed. `0.0` (the default) means
+    /// "dirty iff the bits changed", so a replay is exactly a recompute;
+    /// positive values trade fidelity for fewer re-splits.
     pub dead_band_w: f64,
     /// Control-plane (coordinator ↔ server RPC) configuration. The default
     /// is the loopback plane — zero latency, no loss, no failover — under
-    /// which both engines are bit-identical to the pre-plane direct-call
+    /// which runs are bit-identical to the pre-plane direct-call
     /// coordinator. See [`RpcConfig`](crate::ctrlplane::RpcConfig).
     pub rpc: RpcConfig,
-    /// Wake-queue shards for the event engine. `0` (the default) means
-    /// "one shard per worker thread". Any shard count produces identical
-    /// results — the sharded queue merges due wakes back into the global
-    /// sequence order (see
-    /// [`ShardedWakeQueue`](crate::engine::ShardedWakeQueue)) — so this is
-    /// purely a scaling knob. Ignored by the round engine.
-    pub wake_shards: usize,
     /// Whether to record the full per-round cap timeline in the result.
     /// The timeline is what the digests and differential tests compare,
     /// so it defaults to `true`; scale benches over tens of thousands of
@@ -344,20 +335,10 @@ impl ClusterConfig {
             epochs_per_round: 5,
             threads: 1,
             quantum_w: 1.0,
-            engine: EngineKind::Round,
             dead_band_w: 0.0,
             rpc: RpcConfig::default(),
-            wake_shards: 0,
             record_timeline: true,
         }
-    }
-
-    /// Sets the event engine's wake-queue shard count (see the
-    /// `wake_shards` field; `0` = one shard per worker thread).
-    #[must_use]
-    pub fn with_wake_shards(mut self, wake_shards: usize) -> ClusterConfig {
-        self.wake_shards = wake_shards;
-        self
     }
 
     /// Enables or disables per-round cap-timeline recording (see the
@@ -389,14 +370,7 @@ impl ClusterConfig {
         epoch_s * self.epochs_per_round as f64
     }
 
-    /// Selects the coordination engine (see [`EngineKind`]).
-    #[must_use]
-    pub fn with_engine(mut self, engine: EngineKind) -> ClusterConfig {
-        self.engine = engine;
-        self
-    }
-
-    /// Sets the event engine's telemetry dead-band in watts (see the
+    /// Sets the coordinator's telemetry dead-band in watts (see the
     /// `dead_band_w` field).
     #[must_use]
     pub fn with_dead_band(mut self, dead_band_w: f64) -> ClusterConfig {

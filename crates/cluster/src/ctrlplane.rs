@@ -8,7 +8,7 @@
 //! measure) delay, loss, duplication, and partitions:
 //!
 //! * **Telemetry** — each server reports its [`ServerDemand`] to the leader
-//!   it last heard from, every barrier it is awake. Telemetry doubles as the
+//!   it last heard from, every barrier. Telemetry doubles as the
 //!   server's liveness signal: a leader that hasn't heard from a server for
 //!   `suspect_after` barriers stops granting to it (its share is
 //!   redistributed once its lease expires, never before).
@@ -62,15 +62,15 @@
 //! every message sent at a barrier is delivered and answered within that
 //! same barrier, the reconcile loop below converges to the exact
 //! (bit-identical) caps of the direct [`split_caps_active`] /
-//! [`BudgetTree`](crate::BudgetTree) computation, and both engines
-//! reproduce their pre-plane digests exactly — proven in
+//! [`BudgetTree`](crate::BudgetTree) computation, and the fleet loop
+//! reproduces its pre-plane digests exactly — proven in
 //! `tests/engine_equivalence.rs`. With failover on, the leader also
 //! heartbeats *between* reconcile passes, so at zero latency each pass's
 //! freed watts are confirmed by the standby within the barrier and the
 //! caps still match the direct computation bit for bit.
 
 use crate::coordinator::ServerDemand;
-use crate::engine::{split_caps_active, CapCache, EngineKind};
+use crate::engine::{split_caps_active, CapCache};
 use crate::hiercache::HierSplitter;
 use crate::ClusterConfig;
 use netsim::{Envelope, LinkConfig, MsgPlane, NodeId, PlaneStats};
@@ -886,8 +886,8 @@ impl Coordinator {
     }
 }
 
-/// The control plane an engine drives: the message plane, the
-/// coordinator(s), and one [`LeaseClient`] per server. Engines call
+/// The control plane the fleet loop drives: the message plane, the
+/// coordinator(s), and one [`LeaseClient`] per server. The loop calls
 /// [`ControlPlane::barrier`] once per coordination round with the
 /// telemetry that round produced and apply the returned effective caps.
 pub struct ControlPlane {
@@ -936,21 +936,13 @@ impl ControlPlane {
         let primary = NodeId(n);
         let standby = NodeId(n + 1);
         let initial = config.global_cap_w / n as f64;
-        // The round engine recomputes every barrier today; pinning its
-        // coordinator cache to a zero dead-band keeps any replay
-        // bit-identical to that recompute. The event engine keeps its
-        // configured dead-band semantics.
-        let dead_band = match config.engine {
-            EngineKind::Round => 0.0,
-            EngineKind::Event => config.dead_band_w,
-        };
         // Hierarchical runs compile the tree once; every coordinator gets
         // its own (initially cold) per-node replay cache over the shared
         // compiled structure.
         let hier = config
             .topology
             .as_ref()
-            .map(|t| HierSplitter::compile(t, &names, dead_band));
+            .map(|t| HierSplitter::compile(t, &names, config.dead_band_w));
         let coords = (0..coords_n)
             .map(|c| {
                 let (node, peer) = if c == 0 {
@@ -965,7 +957,7 @@ impl ControlPlane {
                     n,
                     initial,
                     rpc.lease_rounds,
-                    dead_band,
+                    config.dead_band_w,
                     hier.clone(),
                 )
             })
@@ -1017,9 +1009,10 @@ impl ControlPlane {
     /// lease has expired).
     ///
     /// `reports` carries `(server index, telemetry)` for every server with
-    /// something to say this barrier — all servers under the round engine,
-    /// the awake set plus one final inactive "goodbye" report per freshly
-    /// finished server under the event engine.
+    /// something to say this barrier. The fleet loop sends every server,
+    /// finished ones included (as inactive), in index order: the plane
+    /// draws each message's fate from its send order, so who reports
+    /// decides a lossy run's outcome.
     pub fn barrier(
         &mut self,
         round: u64,
@@ -1334,7 +1327,7 @@ impl ControlPlane {
             }
             co.granted_this_barrier.clear();
             co.granted_this_barrier.resize(n, None);
-            if let Some(caps) = co.cache.lookup(&co.live, None, None) {
+            if let Some(caps) = co.cache.lookup(&co.live) {
                 caps
             } else {
                 // Hierarchical splits go through the compiled per-node
@@ -1355,7 +1348,7 @@ impl ControlPlane {
                         config.quantum_w,
                     ),
                 };
-                co.cache.store(&co.live, None, None, &caps);
+                co.cache.store(&co.live, &caps);
                 caps
             }
         };
@@ -1488,8 +1481,8 @@ impl ControlPlane {
                 continue;
             }
             if !co.view[i].active {
-                // Finished: one release-to-zero so both engines record the
-                // same zeroed cap the direct split used to produce.
+                // Finished: one release-to-zero, the same zeroed cap the
+                // direct split used to produce.
                 if co.granted_this_barrier[i].is_none()
                     && co.ledger.last_sent_cap(i).to_bits() != 0.0f64.to_bits()
                 {

@@ -1,96 +1,37 @@
-//! The coordination-engine abstraction: how a fleet's round barriers are
-//! driven and how the per-round work is scheduled onto OS threads.
+//! How a fleet's round work reaches OS threads, and the coordinator's
+//! whole-split replay cache.
 //!
-//! Two engines implement [`FleetEngine`]:
-//!
-//! * **Round** (the reference): the original loop — every round touches
-//!   every server, workers are scoped threads spawned afresh per round.
-//!   Simple, obviously correct, and the semantics the digests pin.
-//! * **Event**: a picosecond-ordered wake queue (the `simkernel`
-//!   [`EventQueue`](simkernel::EventQueue) kernel) where servers schedule
-//!   their own next coordination wake. Quiesced servers never wake again,
-//!   so per-barrier cost scales with the *active* set; stepping runs on a
-//!   persistent [`WorkerPool`] instead of per-round thread spawns; and the
-//!   coordinator re-splits the budget only when the dirty set (telemetry
-//!   deltas above [`CapCache`]'s dead-band) is non-empty, falling back to
-//!   a full recursion whenever membership or the budget changes.
-//!
-//! The two are **bit-identical** at the default zero dead-band: every cap
-//! split is a pure function of `(budget, membership, telemetry)`, inactive
-//! servers take no part in any discipline's arithmetic, and with a zero
-//! dead-band the cache only replays an allocation whose inputs match the
-//! previous barrier's bit for bit. `tests/engine_equivalence.rs` proves the
-//! equivalence differentially across the config space.
+//! Both fleet layers step their servers on one persistent [`WorkerPool`]
+//! at every barrier. The control plane's coordinator replays its previous
+//! flat split through [`CapCache`] while no server's telemetry moved beyond
+//! the configured dead-band; at the default zero band a replay happens only
+//! when the inputs match the previous barrier's bit for bit, so it is
+//! indistinguishable from a recompute.
 
-use crate::coordinator::{split_caps, ServerDemand, SlaSignal};
+use crate::coordinator::{split_caps, ServerDemand};
 use crate::CapSplit;
-use simkernel::Ps;
-use std::collections::BinaryHeap;
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
-/// Which coordination engine drives the fleet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum EngineKind {
-    /// The reference round-barrier loop: every round touches every server.
-    Round,
-    /// The wake-queue engine: done servers skip barriers entirely, caps are
-    /// re-split only when telemetry moved, stepping uses a persistent
-    /// worker pool.
-    Event,
-}
-
-impl std::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            EngineKind::Round => "round",
-            EngineKind::Event => "event",
-        };
-        write!(f, "{s}")
-    }
-}
-
-impl std::str::FromStr for EngineKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<EngineKind, String> {
-        match s {
-            "round" => Ok(EngineKind::Round),
-            "event" => Ok(EngineKind::Event),
-            other => Err(format!("unknown engine '{other}' (known: round, event)")),
-        }
-    }
-}
-
-/// A coordination engine: consumes a fully built simulation and produces
-/// its result. Both the batch-cluster and serving-fleet layers expose one
-/// reference [`EngineKind::Round`] implementation and one
-/// [`EngineKind::Event`] implementation behind this trait; the differential
-/// harness runs the same configuration through both and compares digests.
-pub trait FleetEngine {
-    /// The layer's result type (`ClusterResult`, `ServiceResult`, …).
-    type Output;
-
-    /// Which engine this is.
-    fn kind(&self) -> EngineKind;
-
-    /// Runs the simulation to completion.
-    fn run(self) -> Self::Output;
-}
+/// What a worker sends back: the stepped job, or the payload of the panic
+/// that interrupted it.
+type Outcome<T> = (usize, Result<T, Box<dyn Any + Send>>);
 
 /// A persistent pool of worker threads stepping simulation objects.
 ///
-/// The round engines spawn scoped threads afresh at every barrier; at
-/// thousand-server scale that spawn/join churn is pure overhead. A
-/// `WorkerPool` spawns its threads once and then moves `(index, T)` jobs
+/// A `WorkerPool` spawns its threads once and then moves `(index, T)` jobs
 /// through channels: the coordinator sends the servers due this barrier,
-/// workers step them with the fixed `step` closure, and
-/// [`WorkerPool::run`] reinstalls each result by index. Determinism is
-/// untouched — servers are stepped independently and only re-joined at the
-/// barrier, exactly like the scoped fan-out.
+/// each idle worker takes the next job, steps it with the fixed `step`
+/// closure, and [`WorkerPool::run`] reinstalls each result by index.
+/// Because workers pull jobs one at a time, a few slow servers spread over
+/// all threads instead of landing in one thread's contiguous chunk.
+/// Determinism is untouched: servers are stepped independently and only
+/// re-joined at the barrier.
 pub struct WorkerPool<T: Send + 'static> {
     injector: Option<mpsc::Sender<(usize, T)>>,
-    results: mpsc::Receiver<(usize, T)>,
+    results: mpsc::Receiver<Outcome<T>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -115,14 +56,13 @@ impl<T: Send + 'static> WorkerPool<T> {
                     // Hold the lock only to receive: the next idle worker
                     // takes it while this one steps its job.
                     let job = job_rx.lock().expect("pool lock poisoned").recv();
-                    match job {
-                        Ok((i, mut t)) => {
-                            step(&mut t);
-                            if done_tx.send((i, t)).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => break,
+                    let Ok((i, mut t)) = job else { break };
+                    // A panicking step must reach the caller, not strand it
+                    // waiting for a result that never comes.
+                    let outcome =
+                        panic::catch_unwind(AssertUnwindSafe(|| step(&mut t))).map(|()| t);
+                    if done_tx.send((i, outcome)).is_err() {
+                        break;
                     }
                 })
             })
@@ -137,15 +77,28 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// Runs one barrier's batch: sends every `(index, item)` job, then
     /// receives exactly that many results (in completion order) and hands
     /// each to `reinstall`. Returns when the whole batch is done.
+    ///
+    /// # Panics
+    ///
+    /// If any step panicked, re-raises the first such panic once the rest
+    /// of the batch is back, so the pool stays usable.
     pub fn run(&self, jobs: Vec<(usize, T)>, mut reinstall: impl FnMut(usize, T)) {
         let n = jobs.len();
         let injector = self.injector.as_ref().expect("pool already shut down");
         for job in jobs {
             injector.send(job).expect("worker pool hung up");
         }
+        let mut panicked = None;
         for _ in 0..n {
-            let (i, t) = self.results.recv().expect("worker thread died");
-            reinstall(i, t);
+            match self.results.recv().expect("worker thread died") {
+                (i, Ok(t)) => reinstall(i, t),
+                (_, Err(payload)) => {
+                    panicked.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = panicked {
+            panic::resume_unwind(payload);
         }
     }
 }
@@ -160,7 +113,7 @@ impl<T: Send + 'static> Drop for WorkerPool<T> {
     }
 }
 
-/// The event engine's incremental cap-split cache.
+/// The coordinator's whole-split replay cache.
 ///
 /// A cap split is a pure function of the budget, the fleet membership and
 /// the per-server telemetry, so when none of those inputs moved between two
@@ -176,19 +129,15 @@ impl<T: Send + 'static> Drop for WorkerPool<T> {
 /// At the default `dead_band_w == 0.0` a server is dirty unless its
 /// telemetry matches the reference **bit for bit** (comparison is on the
 /// raw f64 bits, so NaNs and signed zeros conservatively recompute), which
-/// is what makes the event engine digest-identical to the round engine. A
-/// positive dead-band trades that exactness for fewer re-splits on fleets
-/// with jittery-but-stable telemetry.
+/// makes a replay identical to a recompute. A positive dead-band trades
+/// that exactness for fewer re-splits on fleets with jittery-but-stable
+/// telemetry.
 #[derive(Clone, Debug)]
 pub struct CapCache {
     dead_band_w: f64,
     reference: Vec<ServerDemand>,
-    reference_sla: Vec<SlaSignal>,
-    reference_crit: Vec<f64>,
     caps: Vec<f64>,
     valid: bool,
-    hits: u64,
-    misses: u64,
 }
 
 impl CapCache {
@@ -201,12 +150,8 @@ impl CapCache {
         CapCache {
             dead_band_w,
             reference: Vec::new(),
-            reference_sla: Vec::new(),
-            reference_crit: Vec::new(),
             caps: Vec::new(),
             valid: false,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -217,38 +162,10 @@ impl CapCache {
     }
 
     /// Replays the cached allocation if the dirty set is empty, else
-    /// `None`. Counts a hit or miss either way.
-    pub fn lookup(
-        &mut self,
-        demands: &[ServerDemand],
-        sla: Option<&[SlaSignal]>,
-        crit: Option<&[f64]>,
-    ) -> Option<Vec<f64>> {
-        if self.lookup_clean(demands, sla, crit) {
-            self.hits += 1;
-            Some(self.caps.clone())
-        } else {
-            self.misses += 1;
-            None
-        }
-    }
-
-    fn lookup_clean(
-        &self,
-        demands: &[ServerDemand],
-        sla: Option<&[SlaSignal]>,
-        crit: Option<&[f64]>,
-    ) -> bool {
+    /// `None`.
+    pub fn lookup(&self, demands: &[ServerDemand]) -> Option<Vec<f64>> {
         if !self.valid || demands.len() != self.reference.len() {
-            return false;
-        }
-        let sla = sla.unwrap_or(&[]);
-        if sla.len() != self.reference_sla.len() {
-            return false;
-        }
-        let crit = crit.unwrap_or(&[]);
-        if crit.len() != self.reference_crit.len() {
-            return false;
+            return None;
         }
         let clean = |a: f64, b: f64| {
             if self.dead_band_w == 0.0 {
@@ -257,49 +174,23 @@ impl CapCache {
                 (a - b).abs() <= self.dead_band_w
             }
         };
-        // Critical-path shares are dimensionless fractions, not watts — a
-        // watt-denominated dead band has no business blurring them, so any
-        // bit-level movement in the trace signal recomputes the split.
-        demands.iter().zip(&self.reference).all(|(d, r)| {
-            d.active == r.active && clean(d.demand_w, r.demand_w) && clean(d.min_w, r.min_w)
-        }) && sla
+        demands
             .iter()
-            .zip(&self.reference_sla)
-            .all(|(s, r)| clean(s.p99_s, r.p99_s) && clean(s.target_s, r.target_s))
-            && crit
-                .iter()
-                .zip(&self.reference_crit)
-                .all(|(c, r)| c.to_bits() == r.to_bits())
+            .zip(&self.reference)
+            .all(|(d, r)| {
+                d.active == r.active && clean(d.demand_w, r.demand_w) && clean(d.min_w, r.min_w)
+            })
+            .then(|| self.caps.clone())
     }
 
     /// Records a freshly computed allocation and the telemetry it came
     /// from.
-    pub fn store(
-        &mut self,
-        demands: &[ServerDemand],
-        sla: Option<&[SlaSignal]>,
-        crit: Option<&[f64]>,
-        caps: &[f64],
-    ) {
+    pub fn store(&mut self, demands: &[ServerDemand], caps: &[f64]) {
         self.reference.clear();
         self.reference.extend_from_slice(demands);
-        self.reference_sla.clear();
-        self.reference_sla.extend_from_slice(sla.unwrap_or(&[]));
-        self.reference_crit.clear();
-        self.reference_crit.extend_from_slice(crit.unwrap_or(&[]));
         self.caps.clear();
         self.caps.extend_from_slice(caps);
         self.valid = true;
-    }
-
-    /// Barriers whose allocation was replayed from cache.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Barriers that recomputed the split.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 }
 
@@ -338,131 +229,9 @@ pub fn split_caps_active(
     caps
 }
 
-/// One scheduled wake in a [`ShardedWakeQueue`] shard.
-///
-/// Ordered like `simkernel::EventQueue` entries — earliest time first,
-/// FIFO (global sequence) among equal times — via the reversed comparison
-/// that turns `BinaryHeap`'s max-heap into a min-heap.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct ShardEntry {
-    time: Ps,
-    seq: u64,
-    server: usize,
-}
-
-impl Ord for ShardEntry {
-    fn cmp(&self, other: &ShardEntry) -> std::cmp::Ordering {
-        other.time.cmp(&self.time).then(other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for ShardEntry {
-    fn partial_cmp(&self, other: &ShardEntry) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The event engine's wake queue, sharded so each worker-sized slice of
-/// the fleet owns a local picosecond heap.
-///
-/// A single global [`EventQueue`](simkernel::EventQueue) serializes every
-/// push and pop through one `O(log fleet)` heap; at 100k servers that heap
-/// is the barrier's contention point. `ShardedWakeQueue` routes each
-/// server's wakes to the shard `server % shards`, so pushes touch an
-/// `O(log (fleet / shards))` local heap and only the *due* entries cross
-/// shards at a barrier.
-///
-/// Determinism is preserved exactly: every push is stamped with a single
-/// global sequence number (never reset, exactly like the kernel queue's),
-/// and [`ShardedWakeQueue::pop_due`] merges the due entries of all shards
-/// in ascending sequence order — which reproduces, bit for bit, the pop
-/// order the global queue would have produced for the same pushes, since
-/// entries due at one barrier share the same time and the kernel orders
-/// equal-time entries FIFO by sequence.
-#[derive(Debug)]
-pub struct ShardedWakeQueue {
-    shards: Vec<BinaryHeap<ShardEntry>>,
-    next_seq: u64,
-    len: usize,
-    due: Vec<(u64, usize)>,
-}
-
-impl ShardedWakeQueue {
-    /// An empty queue with `shards` shards (clamped to at least one).
-    pub fn new(shards: usize) -> ShardedWakeQueue {
-        ShardedWakeQueue {
-            shards: (0..shards.max(1)).map(|_| BinaryHeap::new()).collect(),
-            next_seq: 0,
-            len: 0,
-            due: Vec::new(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Pending wakes across all shards.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no wakes are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Schedules `server` to wake at `time`.
-    pub fn push(&mut self, time: Ps, server: usize) {
-        let shard = server % self.shards.len();
-        self.shards[shard].push(ShardEntry {
-            time,
-            seq: self.next_seq,
-            server,
-        });
-        self.next_seq += 1;
-        self.len += 1;
-    }
-
-    /// The earliest pending wake time, if any.
-    pub fn peek_time(&self) -> Option<Ps> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.peek().map(|e| e.time))
-            .min()
-    }
-
-    /// Pops every wake scheduled exactly at `now` and appends the woken
-    /// servers to `out` in global FIFO-of-equal-time order.
-    pub fn pop_due(&mut self, now: Ps, out: &mut Vec<usize>) {
-        self.due.clear();
-        for shard in &mut self.shards {
-            while shard.peek().is_some_and(|e| e.time == now) {
-                let e = shard.pop().expect("peeked entry present");
-                self.due.push((e.seq, e.server));
-                self.len -= 1;
-            }
-        }
-        // Per-shard pops are already seq-ascending (same time ⇒ FIFO), so
-        // this sort is a merge of sorted runs; it restores the exact order
-        // a single global heap would have popped.
-        self.due.sort_unstable();
-        out.extend(self.due.iter().map(|&(_, server)| server));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn engine_kind_parse_display_round_trip() {
-        for k in [EngineKind::Round, EngineKind::Event] {
-            assert_eq!(k.to_string().parse::<EngineKind>().unwrap(), k);
-        }
-        assert!("async".parse::<EngineKind>().is_err());
-    }
 
     #[test]
     fn worker_pool_returns_every_job_by_index() {
@@ -475,6 +244,36 @@ mod tests {
                 assert_eq!(x, 2 * (i as u64 + 1));
             }
         }
+    }
+
+    #[test]
+    fn worker_pool_reraises_a_panicking_step() {
+        // Driven from a helper thread behind a watchdog, so a pool that
+        // strands its caller fails this test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            let pool: WorkerPool<u64> = WorkerPool::new(2, |x| {
+                assert_ne!(*x, 3, "step refused job 3");
+                *x *= 2;
+            });
+            let jobs: Vec<(usize, u64)> = (0..6).map(|i| (i, i as u64)).collect();
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| pool.run(jobs, |_, _| {})));
+            let message = caught
+                .err()
+                .and_then(|p| p.downcast::<String>().ok())
+                .map(|m| *m);
+            // The pool survives the panic and steps the next batch.
+            let mut out = vec![0u64; 2];
+            pool.run(vec![(0, 4), (1, 5)], |i, x| out[i] = x);
+            tx.send((message, out)).expect("watchdog listening");
+        });
+        let (message, out) = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("WorkerPool::run hung after a step panicked");
+        caller.join().expect("caller thread finished cleanly");
+        let message = message.expect("the step's panic reached the caller");
+        assert!(message.contains("step refused job 3"), "{message}");
+        assert_eq!(out, vec![8, 10]);
     }
 
     fn d(demand_w: f64, min_w: f64, active: bool) -> ServerDemand {
@@ -517,88 +316,29 @@ mod tests {
     fn cap_cache_replays_only_on_clean_telemetry() {
         let mut cache = CapCache::new(0.0);
         let demands = vec![d(100.0, 30.0, true), d(80.0, 25.0, true)];
-        assert!(
-            cache.lookup(&demands, None, None).is_none(),
-            "cold cache misses"
-        );
-        cache.store(&demands, None, None, &[60.0, 40.0]);
-        assert_eq!(cache.lookup(&demands, None, None), Some(vec![60.0, 40.0]));
+        assert!(cache.lookup(&demands).is_none(), "cold cache misses");
+        cache.store(&demands, &[60.0, 40.0]);
+        assert_eq!(cache.lookup(&demands), Some(vec![60.0, 40.0]));
 
         // Any bit of telemetry movement is a dirty server at dead-band 0.
         let mut moved = demands.clone();
         moved[1].demand_w += 1e-12;
-        assert!(cache.lookup(&moved, None, None).is_none());
+        assert!(cache.lookup(&moved).is_none());
 
         // An activity flip is a membership change even at a wide dead-band.
         let mut cache = CapCache::new(5.0);
-        cache.store(&demands, None, None, &[60.0, 40.0]);
+        cache.store(&demands, &[60.0, 40.0]);
         let mut jitter = demands.clone();
         jitter[0].demand_w += 3.0;
-        assert!(
-            cache.lookup(&jitter, None, None).is_some(),
-            "within dead-band"
-        );
+        assert!(cache.lookup(&jitter).is_some(), "within dead-band");
         let mut idled = demands.clone();
         idled[1].active = false;
-        assert!(cache.lookup(&idled, None, None).is_none());
+        assert!(cache.lookup(&idled).is_none());
 
         // Explicit invalidation always recomputes.
         let mut cache = CapCache::new(0.0);
-        cache.store(&demands, None, None, &[60.0, 40.0]);
+        cache.store(&demands, &[60.0, 40.0]);
         cache.invalidate();
-        assert!(cache.lookup(&demands, None, None).is_none());
-    }
-
-    #[test]
-    fn sharded_wake_queue_matches_global_queue_pop_order() {
-        // Drive both queues through an interleaved schedule and require the
-        // sharded merge to reproduce the kernel queue's order exactly.
-        for shards in [1usize, 2, 3, 8] {
-            let mut sharded = ShardedWakeQueue::new(shards);
-            let mut global: simkernel::EventQueue<usize> = simkernel::EventQueue::new();
-            let mut rng = simkernel::SimRng::new(42);
-            let mut pushed = 0usize;
-            for wave in 0..6u64 {
-                let now = Ps::new(wave * 10);
-                for _ in 0..10 {
-                    let server = (rng.next_u64() % 23) as usize;
-                    let when = Ps::new(now.as_ps() + 10 * (1 + rng.next_u64() % 3));
-                    sharded.push(when, server);
-                    global.push(when, server);
-                    pushed += 1;
-                }
-                let due = Ps::new((wave + 1) * 10);
-                let mut got = Vec::new();
-                sharded.pop_due(due, &mut got);
-                let mut want = Vec::new();
-                while global.peek_time() == Some(due) {
-                    want.push(global.pop().expect("peeked entry present").1);
-                }
-                assert_eq!(got, want, "wave {wave} shards {shards}");
-                pushed -= got.len();
-                assert_eq!(sharded.len(), pushed);
-                assert_eq!(sharded.peek_time(), global.peek_time());
-            }
-        }
-    }
-
-    #[test]
-    fn cap_cache_tracks_sla_signals() {
-        let mut cache = CapCache::new(0.0);
-        let demands = vec![d(100.0, 30.0, true)];
-        let sla = vec![SlaSignal {
-            p99_s: 0.8e-3,
-            target_s: 1e-3,
-        }];
-        cache.store(&demands, Some(&sla), None, &[70.0]);
-        assert!(cache.lookup(&demands, Some(&sla), None).is_some());
-        let hot = vec![SlaSignal {
-            p99_s: 1.2e-3,
-            target_s: 1e-3,
-        }];
-        assert!(cache.lookup(&demands, Some(&hot), None).is_none());
-        // Presenting signals to a cache stored without them (or vice
-        // versa) can never replay.
-        assert!(cache.lookup(&demands, None, None).is_none());
+        assert!(cache.lookup(&demands).is_none());
     }
 }

@@ -22,9 +22,10 @@
 //!    profiling/decision/execution engine with `PowerCapPolicy` reading
 //!    its (freshly rewritten) cap.
 //!
-//! Servers only exchange state at round barriers, so rounds fan out across
-//! `std::thread` scoped workers with **bit-identical results for any
-//! thread count** — see `ClusterResult::digest`.
+//! Servers only exchange state at round barriers, so each round's
+//! unfinished servers are stepped on a persistent [`WorkerPool`] with
+//! **bit-identical results for any thread count** — see
+//! `ClusterResult::digest`.
 //!
 //! Budgets can also be split **hierarchically** (fleet → pod → rack →
 //! server) through a [`BudgetTree`]: each interior node runs its own split
@@ -70,7 +71,6 @@ pub mod engine;
 pub mod hiercache;
 mod server;
 mod sim;
-pub mod telemetry;
 pub mod tree;
 
 pub use balance::{BalancePolicy, LoadBalancer, ServerLoad};
@@ -85,12 +85,9 @@ pub use ctrlplane::{
     CapGrant, ControlPlane, ControlStats, CtrlMsg, GrantOutcome, GrantRecord, Heartbeat,
     LeaseClient, LeaseEntry, LeaseLedger, PartitionSpec, ReplState, ResolvedRpc, RpcConfig,
 };
-pub use engine::{
-    split_caps_active, CapCache, EngineKind, FleetEngine, ShardedWakeQueue, WorkerPool,
-};
+pub use engine::{split_caps_active, CapCache, WorkerPool};
 pub use hiercache::{HierSplitter, TracedSplit};
 pub use netsim::{LinkConfig, NodeId, PlaneStats};
 pub use server::{CappedPolicy, Server, ServerStatus, SharedCap};
 pub use sim::{run_cluster, ClusterResult, ClusterSim, ServerOutcome};
-pub use telemetry::TelemetrySlab;
 pub use tree::{BudgetNode, BudgetTree, GroupShare, TreeSignals};

@@ -1,17 +1,15 @@
 //! The cluster simulation loop: rounds of (collect telemetry → split the
-//! budget → run every server a few epochs in parallel), repeated until
-//! every server's workload completes.
+//! budget → run every unfinished server a few epochs in parallel),
+//! repeated until every server's workload completes.
 //!
-//! Two [`FleetEngine`]s drive the loop (selected by
-//! [`ClusterConfig::engine`]): the reference [`RoundEngine`] touches every
-//! server every round on freshly spawned scoped threads; the
-//! [`EventEngine`] runs a wake queue where completed servers never wake
-//! again, steps servers on a persistent [`WorkerPool`], and replays the
-//! previous cap split whenever no server's telemetry moved. Their results
-//! are digest-identical — see `tests/engine_equivalence.rs`.
+//! One loop drives every run. It keeps an ascending list of unfinished
+//! servers, steps exactly those on a persistent [`WorkerPool`] at each
+//! barrier, and trims the list after the step. Every server, finished
+//! ones included, reports at every barrier in index order, because a
+//! lossy plane draws each message's fate from its send order.
 //!
 //! Telemetry and caps flow through the [`ControlPlane`]: each barrier the
-//! engine hands the round's reports to [`ControlPlane::barrier`] and
+//! loop hands the round's reports to [`ControlPlane::barrier`] and
 //! applies the effective (leased) caps it returns. Under the default
 //! loopback [`RpcConfig`](crate::RpcConfig) the leases converge to the
 //! direct split bit-for-bit, so the pinned digests are unchanged; under a
@@ -19,9 +17,8 @@
 
 use crate::coordinator::{jain_index, ServerDemand};
 use crate::ctrlplane::{ControlPlane, ControlStats};
-use crate::engine::{EngineKind, FleetEngine, ShardedWakeQueue, WorkerPool};
-use crate::server::{Server, ServerStatus};
-use crate::telemetry::TelemetrySlab;
+use crate::engine::WorkerPool;
+use crate::server::Server;
 use crate::{CapSplit, ClusterConfig};
 use coscale::RunResult;
 use simkernel::Ps;
@@ -237,42 +234,61 @@ impl ClusterSim {
         ClusterSim { config, servers }
     }
 
-    /// Runs rounds until every server completes, then aggregates,
-    /// dispatching to the engine named by [`ClusterConfig::engine`].
+    /// Runs rounds until every server completes, then aggregates.
     ///
-    /// Within a round servers are advanced on up to `config.threads`
-    /// worker threads. Servers exchange state with the coordinator only at
-    /// round barriers, so results are bit-identical for every thread
-    /// count — and for either engine.
+    /// Within a round the unfinished servers are advanced on
+    /// `config.threads` pool workers. Servers exchange state with the
+    /// coordinator only at round barriers, so results are bit-identical
+    /// for every thread count.
     pub fn run(self) -> ClusterResult {
-        match self.config.engine {
-            EngineKind::Round => RoundEngine(self).run(),
-            EngineKind::Event => EventEngine(self).run(),
-        }
-    }
+        let ClusterSim { config, servers } = self;
+        let names: Vec<&str> = config.servers.iter().map(|s| s.name.as_str()).collect();
+        let epochs = config.epochs_per_round;
+        let pool = WorkerPool::new(config.threads, move |s: &mut Server| s.step_round(epochs));
+        let mut plane = ControlPlane::new(&config);
+        // Servers live in takeable slots so they can cross the pool by
+        // value; every slot is full again by the end of each barrier.
+        let mut slots: Vec<Option<Server>> = servers.into_iter().map(Some).collect();
+        let done = |slot: &Option<Server>| slot.as_ref().expect("server in its slot").is_done();
+        let mut awake: Vec<usize> = (0..slots.len()).filter(|&i| !done(&slots[i])).collect();
+        let mut reports: Vec<(usize, ServerDemand)> = Vec::with_capacity(slots.len());
+        let mut cap_timeline: Vec<Vec<f64>> = Vec::new();
+        let mut rounds = 0usize;
+        while !awake.is_empty() {
+            // --- coordinate: telemetry in, leased caps out ---
+            reports.clear();
+            reports.extend(slots.iter_mut().enumerate().map(|(i, slot)| {
+                let s = slot.as_mut().expect("server in its slot");
+                (i, s.status().demand)
+            }));
+            let caps = plane.barrier(rounds as u64, &reports, &config, &names);
+            for (slot, &cap) in slots.iter_mut().zip(&caps) {
+                slot.as_mut().expect("server in its slot").set_cap(cap);
+            }
+            if config.record_timeline {
+                cap_timeline.push(caps);
+            }
 
-    /// Final aggregation, shared by both engines.
-    fn finish(
-        config: ClusterConfig,
-        servers: Vec<Server>,
-        rounds: usize,
-        cap_timeline: Vec<Vec<f64>>,
-        control: ControlStats,
-    ) -> ClusterResult {
-        let outcomes = servers
+            // --- advance the unfinished servers one coordination period ---
+            let jobs = awake
+                .iter()
+                .map(|&i| (i, slots[i].take().expect("server in its slot")))
+                .collect();
+            pool.run(jobs, |i, s| slots[i] = Some(s));
+            awake.retain(|&i| !done(&slots[i]));
+            rounds += 1;
+        }
+        let control = plane.finish();
+        let outcomes = slots
             .into_iter()
-            .map(|server| {
-                let name = server.name.clone();
-                let mean_cap_w = server.mean_cap_w();
-                let final_cap_w = server.cap_w();
-                let violation_rounds = server.violations();
-                let total_target_instrs = server.total_target_instrs();
+            .map(|slot| {
+                let server = slot.expect("server in its slot");
                 ServerOutcome {
-                    name,
-                    mean_cap_w,
-                    final_cap_w,
-                    violation_rounds,
-                    total_target_instrs,
+                    name: server.name.clone(),
+                    mean_cap_w: server.mean_cap_w(),
+                    final_cap_w: server.cap_w(),
+                    violation_rounds: server.violations(),
+                    total_target_instrs: server.total_target_instrs(),
                     result: server.finalize(),
                 }
             })
@@ -286,216 +302,6 @@ impl ClusterSim {
             cap_timeline,
             control,
         }
-    }
-}
-
-/// The reference engine: the original round loop, every round touching
-/// every server (done servers report inactive telemetry and no-op their
-/// step), workers spawned as scoped threads afresh per round.
-pub struct RoundEngine(pub ClusterSim);
-
-impl FleetEngine for RoundEngine {
-    type Output = ClusterResult;
-
-    fn kind(&self) -> EngineKind {
-        EngineKind::Round
-    }
-
-    fn run(self) -> ClusterResult {
-        let ClusterSim {
-            config,
-            mut servers,
-        } = self.0;
-        let names: Vec<&str> = config.servers.iter().map(|s| s.name.as_str()).collect();
-        let mut plane = ControlPlane::new(&config);
-        let mut cap_timeline: Vec<Vec<f64>> = Vec::new();
-        let mut rounds = 0usize;
-        while servers.iter().any(|s| !s.is_done()) {
-            // --- coordinate: telemetry in, leased caps out ---
-            let statuses: Vec<ServerStatus> = servers.iter_mut().map(Server::status).collect();
-            let reports: Vec<(usize, ServerDemand)> = statuses
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (i, s.demand))
-                .collect();
-            let caps = plane.barrier(rounds as u64, &reports, &config, &names);
-            for (server, &cap) in servers.iter_mut().zip(&caps) {
-                server.set_cap(cap);
-            }
-            if config.record_timeline {
-                cap_timeline.push(caps);
-            }
-
-            // --- advance every server one coordination period ---
-            let epochs = config.epochs_per_round;
-            if config.threads == 1 {
-                for server in &mut servers {
-                    server.step_round(epochs);
-                }
-            } else {
-                let chunk = servers.len().div_ceil(config.threads);
-                std::thread::scope(|scope| {
-                    for servers in servers.chunks_mut(chunk) {
-                        scope.spawn(move || {
-                            for server in servers {
-                                server.step_round(epochs);
-                            }
-                        });
-                    }
-                });
-            }
-            rounds += 1;
-        }
-        let control = plane.finish();
-        ClusterSim::finish(config, servers, rounds, cap_timeline, control)
-    }
-}
-
-/// The wake-queue engine: each server schedules its own next coordination
-/// wake in a picosecond-ordered [`EventQueue`]; a server whose workload
-/// completes simply never re-enqueues, so barrier cost scales with the
-/// *active* fleet. Stepping runs on a persistent [`WorkerPool`] (no
-/// per-round thread spawns). The plane's coordinator routes flat splits
-/// over the compacted active set
-/// ([`split_caps_active`](crate::split_caps_active)) and skips the split
-/// outright — replaying the cached allocation — when no server's telemetry
-/// moved beyond the [`ClusterConfig::dead_band_w`] dead-band
-/// ([`CapCache`](crate::CapCache)).
-///
-/// At the default zero dead-band the result is bit-identical to
-/// [`RoundEngine`]: a barrier exists exactly when some server is unfinished
-/// (the round loop's `while` condition), awake servers see the same caps
-/// (splits are pure functions that ignore inactive telemetry), and a
-/// finished server's accumulators stop moving in both engines (its
-/// `step_round` is a no-op and splits grant it a zero cap).
-pub struct EventEngine(pub ClusterSim);
-
-impl FleetEngine for EventEngine {
-    type Output = ClusterResult;
-
-    fn kind(&self) -> EngineKind {
-        EngineKind::Event
-    }
-
-    fn run(self) -> ClusterResult {
-        let ClusterSim { config, servers } = self.0;
-        let n = servers.len();
-        let epochs = config.epochs_per_round;
-        let names: Vec<String> = servers.iter().map(|s| s.name.clone()).collect();
-        let names: Vec<&str> = names.iter().map(String::as_str).collect();
-        // Servers live in takeable slots so they can round-trip through
-        // the worker pool by value.
-        let mut slots: Vec<Option<Server>> = servers.into_iter().map(Some).collect();
-        let pool = (config.threads > 1)
-            .then(|| WorkerPool::new(config.threads, move |s: &mut Server| s.step_round(epochs)));
-
-        // Every server schedules its first wake at barrier 0; wake times
-        // are barrier indices (the fleet shares one coordination clock).
-        // The queue is sharded (default: one shard per worker) so pushes
-        // stay local; pop order is the global sequence order regardless of
-        // the shard count.
-        let shard_n = if config.wake_shards == 0 {
-            config.threads.max(1)
-        } else {
-            config.wake_shards
-        };
-        let mut queue = ShardedWakeQueue::new(shard_n);
-        for i in 0..n {
-            queue.push(Ps::ZERO, i);
-        }
-        // Fleet-wide telemetry in struct-of-arrays columns. A sleeping
-        // (finished) server's columns stay frozen at its final goodbye
-        // report with `active: false` — split disciplines never read
-        // inactive demand values.
-        let mut telemetry = TelemetrySlab::new(n);
-        let mut plane = ControlPlane::new(&config);
-        let mut cap_timeline: Vec<Vec<f64>> = Vec::new();
-        let mut rounds = 0usize;
-        let mut awake: Vec<usize> = Vec::new();
-        let mut just_finished: Vec<usize> = Vec::new();
-        let mut reports: Vec<(usize, ServerDemand)> = Vec::new();
-
-        while let Some(now) = queue.peek_time() {
-            awake.clear();
-            reports.clear();
-            queue.pop_due(now, &mut awake);
-
-            // A server that completed during the previous barrier's step
-            // leaves the membership here with one final inactive "goodbye"
-            // report: the coordinator returns its share to the pool and
-            // releases it to a zero cap, exactly as the round engine's
-            // next split would have.
-            for &i in &just_finished {
-                telemetry.deactivate(i);
-                reports.push((i, telemetry.demand(i)));
-            }
-
-            // --- coordinate: telemetry in (awake servers only), caps out ---
-            for &i in &awake {
-                let d = slots[i]
-                    .as_mut()
-                    .expect("server in pool at barrier")
-                    .status()
-                    .demand;
-                telemetry.set(i, d);
-                reports.push((i, d));
-            }
-            let caps = plane.barrier(rounds as u64, &reports, &config, &names);
-            for &i in &just_finished {
-                slots[i]
-                    .as_mut()
-                    .expect("server in pool at barrier")
-                    .set_cap(caps[i]);
-            }
-            just_finished.clear();
-            for &i in &awake {
-                slots[i]
-                    .as_mut()
-                    .expect("server in pool at barrier")
-                    .set_cap(caps[i]);
-            }
-            if config.record_timeline {
-                cap_timeline.push(caps);
-            }
-            telemetry.clear_dirty();
-
-            // --- advance the awake servers one coordination period ---
-            match &pool {
-                Some(pool) => {
-                    let jobs: Vec<(usize, Server)> = awake
-                        .iter()
-                        .map(|&i| (i, slots[i].take().expect("server in pool at barrier")))
-                        .collect();
-                    pool.run(jobs, |i, s| slots[i] = Some(s));
-                }
-                None => {
-                    for &i in &awake {
-                        slots[i]
-                            .as_mut()
-                            .expect("server in pool at barrier")
-                            .step_round(epochs);
-                    }
-                }
-            }
-
-            // --- each server schedules its own next wake (or sleeps) ---
-            let next = Ps::new(now.as_ps() + 1);
-            for &i in &awake {
-                if slots[i].as_ref().expect("server stepped").is_done() {
-                    just_finished.push(i);
-                } else {
-                    queue.push(next, i);
-                }
-            }
-            rounds += 1;
-        }
-
-        let servers: Vec<Server> = slots
-            .into_iter()
-            .map(|s| s.expect("server returned to pool"))
-            .collect();
-        let control = plane.finish();
-        ClusterSim::finish(config, servers, rounds, cap_timeline, control)
     }
 }
 

@@ -2,7 +2,7 @@
 //! configuration.
 
 use crate::arrivals::ArrivalKind;
-use cluster::{BalancePolicy, BudgetTree, CapSplit, ChurnSchedule, EngineKind};
+use cluster::{BalancePolicy, BudgetTree, CapSplit, ChurnAction, ChurnSchedule};
 use coscale::SimConfig;
 use simkernel::Ps;
 use topology::TierGraph;
@@ -321,17 +321,6 @@ pub struct ServiceConfig {
     /// streams when set: a client population issues requests at round
     /// barriers and a front-end balancer routes them across the fleet.
     pub closed_loop: Option<ClosedLoopConfig>,
-    /// Which coordination engine drives the horizon: the reference
-    /// round-barrier loop, or the wake-driven engine (persistent worker
-    /// pool, cap-split replay when telemetry holds still). Digest-identical
-    /// — see `tests/engine_equivalence.rs`.
-    pub engine: EngineKind,
-    /// Telemetry dead-band for the event engine's cap-split replay, watts
-    /// (and, for SLA signals, seconds). `0.0` (the default) replays only
-    /// bit-identical telemetry, keeping the engines digest-equal; positive
-    /// values trade fidelity for fewer re-splits. Ignored by the round
-    /// engine.
-    pub dead_band_w: f64,
 }
 
 impl ServiceConfig {
@@ -356,24 +345,7 @@ impl ServiceConfig {
             sla_window_rounds: 4,
             churn: ChurnSchedule::new(),
             closed_loop: None,
-            engine: EngineKind::Round,
-            dead_band_w: 0.0,
         }
-    }
-
-    /// Selects the coordination engine (see [`EngineKind`]).
-    #[must_use]
-    pub fn with_engine(mut self, engine: EngineKind) -> ServiceConfig {
-        self.engine = engine;
-        self
-    }
-
-    /// Sets the event engine's telemetry dead-band (see the `dead_band_w`
-    /// field).
-    #[must_use]
-    pub fn with_dead_band(mut self, dead_band_w: f64) -> ServiceConfig {
-        self.dead_band_w = dead_band_w;
-        self
     }
 
     /// Switches the fleet to a closed-loop workload (see
@@ -442,12 +414,6 @@ impl ServiceConfig {
         }
         if self.sla_window_rounds == 0 {
             return Err("sla_window_rounds must be positive".into());
-        }
-        if self.dead_band_w.is_nan() || self.dead_band_w < 0.0 {
-            return Err(format!(
-                "dead band {} must be finite and non-negative",
-                self.dead_band_w
-            ));
         }
         for s in &self.servers {
             Self::validate_spec(s)?;
@@ -554,11 +520,45 @@ impl ServiceConfig {
                 }
             }
         }
+        for event in self.churn.events() {
+            let ChurnAction::Join(spec) = &event.action else {
+                continue;
+            };
+            let fail =
+                |e: String| format!("churn join {} at round {}: {e}", spec.name, event.round);
+            if event.round >= self.rounds {
+                return Err(fail(format!(
+                    "at or past the {}-round horizon, so it would never fire",
+                    self.rounds
+                )));
+            }
+            Self::validate_spec(spec).map_err(fail)?;
+            let left = (self.rounds - event.round).saturating_mul(self.epochs_per_round);
+            if left > spec.config.max_epochs {
+                return Err(fail(format!(
+                    "{left} remaining epochs exceed max_epochs {}",
+                    spec.config.max_epochs
+                )));
+            }
+            if let Some(tc) = &self.tiers {
+                if tc.graph.tier_of(&spec.name).is_none() {
+                    return Err(fail(format!("name matches no tier of {}", tc.graph)));
+                }
+            }
+            if let (Some(_), Some(first)) = (&self.closed_loop, self.servers.first()) {
+                if spec.config.epoch != first.config.epoch {
+                    return Err(fail(format!(
+                        "epoch {} differs from {} epoch {} \
+                         (the fleet-global clock needs uniform rounds)",
+                        spec.config.epoch, first.name, first.config.epoch
+                    )));
+                }
+            }
+        }
         Ok(())
     }
 
-    /// Validates one serving spec (also applied to churn joiners at the
-    /// round they join).
+    /// Validates one serving spec (also applied to every churn joiner).
     pub(crate) fn validate_spec(s: &ServiceServerSpec) -> Result<(), String> {
         s.config
             .validate()
@@ -608,13 +608,98 @@ mod tests {
         c.servers[0].p99_target_s = 0.0;
         assert!(c.validate().is_err());
 
-        let mut c = ok.clone();
-        c.dead_band_w = f64::NAN;
-        assert!(c.validate().is_err());
-
         let mut c = ok;
         c.rounds = 2_000_000;
         assert!(c.validate().is_err());
+    }
+
+    /// Validates `base` with one join of `joiner` scheduled at `round`.
+    fn join_error(
+        base: ServiceConfig,
+        round: usize,
+        joiner: ServiceServerSpec,
+    ) -> Result<(), String> {
+        let mut churn = ChurnSchedule::new();
+        churn.join(round, &joiner.name.clone(), joiner).unwrap();
+        base.with_churn(churn).validate()
+    }
+
+    fn open_loop_base() -> ServiceConfig {
+        ServiceConfig::new(
+            vec![ServiceServerSpec::small("s0", "MID1", 1, 1000.0)],
+            100.0,
+            CapSplit::Uniform,
+        )
+    }
+
+    #[test]
+    fn validation_rejects_churn_joins_past_the_horizon() {
+        let late = || ServiceServerSpec::small("late", "ILP1", 2, 1000.0);
+        assert!(join_error(open_loop_base(), 39, late()).is_ok());
+        for round in [40, 41, 1000] {
+            let err = join_error(open_loop_base(), round, late()).unwrap_err();
+            assert!(err.contains("late") && err.contains("horizon"), "{err}");
+        }
+    }
+
+    #[test]
+    fn validation_rejects_invalid_churn_join_specs() {
+        let mut bad = ServiceServerSpec::small("late", "ILP1", 2, 1000.0);
+        bad.queue_capacity = 0;
+        let err = join_error(open_loop_base(), 3, bad).unwrap_err();
+        assert!(err.contains("queue capacity"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_churn_joins_beyond_max_epochs() {
+        let mut short = ServiceServerSpec::small("late", "ILP1", 2, 1000.0);
+        short.config.max_epochs = 10;
+        // Joining at round 38 leaves 2 × 4 = 8 epochs: fine. At round 20
+        // it would need 80.
+        assert!(join_error(open_loop_base(), 38, short.clone()).is_ok());
+        let err = join_error(open_loop_base(), 20, short).unwrap_err();
+        assert!(err.contains("80 remaining epochs"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_churn_joins_outside_every_tier() {
+        use cluster::BalancePolicy;
+        let graph: TierGraph = "fe[1] -> st[2]*2".parse().unwrap();
+        let base = ServiceConfig::new(
+            ["fe0", "st0", "st1"]
+                .iter()
+                .enumerate()
+                .map(|(i, n)| ServiceServerSpec::small(n, "MID1", i as u64, 1000.0))
+                .collect(),
+            180.0,
+            CapSplit::FastCap,
+        )
+        .with_closed_loop(ClosedLoopConfig::new(
+            8,
+            Ps::from_us(200),
+            BalancePolicy::LeastQueue,
+        ))
+        .with_tiers(TierConfig::new(graph));
+        let joiner = |name: &str| ServiceServerSpec::small(name, "MEM1", 9, 0.0);
+        assert!(join_error(base.clone(), 4, joiner("st2")).is_ok());
+        let err = join_error(base, 4, joiner("cache0")).unwrap_err();
+        assert!(err.contains("cache0") && err.contains("no tier"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_churn_joins_with_a_foreign_epoch() {
+        use cluster::BalancePolicy;
+        let closed = open_loop_base().with_closed_loop(ClosedLoopConfig::new(
+            8,
+            Ps::from_us(200),
+            BalancePolicy::RoundRobin,
+        ));
+        let mut skewed = ServiceServerSpec::small("late", "ILP1", 2, 0.0);
+        skewed.config.epoch = Ps::from_us(125);
+        // Open loop has no fleet-global clock, so any epoch may join.
+        assert!(join_error(open_loop_base(), 3, skewed.clone()).is_ok());
+        let err = join_error(closed, 3, skewed).unwrap_err();
+        assert!(err.contains("epoch"), "{err}");
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! every discipline runs unchanged. A round costs `O(issued)` instead of
 //! `O(population)`, and the single RNG stream plus the order-independent
 //! delivery accounting keep runs bit-identical for any worker thread
-//! count and either fleet engine — pinned by `tests/client_equivalence.rs`
+//! count — pinned by `tests/client_equivalence.rs`
 //! and the fluid golden digests in `tests/invariants.rs`.
 
 use crate::clients::ClientPool;

@@ -2,24 +2,22 @@
 //! power and latency telemetry → split the budget → serve a coordination
 //! period in parallel), for a fixed horizon.
 //!
-//! Two [`FleetEngine`]s drive the horizon (selected by
-//! [`ServiceConfig::engine`]): the reference [`ServiceRoundEngine`] loops
-//! over round indices with scoped threads spawned afresh per round; the
-//! [`ServiceEventEngine`] pulls barriers off a picosecond-ordered wake
-//! queue, steps the fleet on a persistent [`WorkerPool`], and replays the
-//! previous cap split whenever no server's telemetry moved. Their results
-//! are digest-identical — see `tests/engine_equivalence.rs`.
+//! One loop drives every run: [`FleetRun::barrier`] runs the per-round
+//! pipeline and steps the whole fleet on a persistent [`WorkerPool`].
+//! Serving servers never finish, so the fleet itself is the active list.
+//! Hierarchical budgets split through the compiled per-node
+//! [`HierSplitter`](cluster::HierSplitter) at a zero dead-band, which is
+//! bit-identical to walking the tree.
 
 use crate::config::{ClientModel, ServiceConfig};
 use crate::fluid::ClientEngine;
 use crate::queue::{ClientEvent, Request, Resolution};
 use crate::server::ServiceServer;
 use cluster::{
-    split_caps, split_caps_sla, BalancePolicy, BudgetNode, BudgetTree, CapCache, CapSplit,
-    ChurnAction, EngineKind, FleetEngine, LoadBalancer, ServerDemand, ServerLoad, SlaSignal,
-    TreeSignals, WorkerPool,
+    split_caps, split_caps_sla, BalancePolicy, BudgetNode, BudgetTree, CapSplit, ChurnAction,
+    HierSplitter, LoadBalancer, ServerDemand, ServerLoad, SlaSignal, TreeSignals, WorkerPool,
 };
-use simkernel::{stats::Histogram, EventQueue, Ps};
+use simkernel::{stats::Histogram, Ps};
 use topology::{DagTracker, TierGraph, TraceCollector, TraceStats};
 
 /// One server's final accounting (final fleet members and churn departures
@@ -371,33 +369,28 @@ impl ServiceSim {
     }
 
     /// Runs the configured number of rounds, applying churn at round
-    /// boundaries, and aggregates, dispatching to the engine named by
-    /// [`ServiceConfig::engine`].
+    /// boundaries, and aggregates.
     ///
-    /// Within a round servers are advanced on up to `config.threads`
-    /// worker threads. Servers exchange state with the coordinator only at
-    /// round barriers, so results are bit-identical for every thread
-    /// count — and for either engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a churn join carries an invalid spec, or a joiner's
-    /// remaining epochs exceed its `max_epochs`.
+    /// Within a round servers are advanced on `config.threads` pool
+    /// workers. Servers exchange state with the coordinator only at round
+    /// barriers, so results are bit-identical for every thread count.
     pub fn run(self) -> ServiceResult {
-        match self.config.engine {
-            EngineKind::Round => ServiceRoundEngine(self).run(),
-            EngineKind::Event => ServiceEventEngine(self).run(),
+        let rounds = self.config.rounds;
+        let mut run = FleetRun::new(self);
+        for round in 0..rounds {
+            run.barrier(round);
         }
+        run.finish()
     }
 }
 
-/// The whole moving state of one serving run, shared by both engines: the
-/// per-barrier pipeline (churn → telemetry → split → issue → serve →
-/// deliver) lives in [`FleetRun::barrier`]; the engines differ only in how
-/// barriers are scheduled and how the fleet is stepped.
+/// The whole moving state of one serving run. The per-barrier pipeline
+/// (churn → telemetry → split → issue → serve → deliver) lives in
+/// [`FleetRun::barrier`].
 struct FleetRun {
     config: ServiceConfig,
     servers: Vec<ServiceServer>,
+    workers: WorkerPool<ServiceServer>,
     churn: cluster::ChurnSchedule<crate::config::ServiceServerSpec>,
     topology: Option<cluster::BudgetTree>,
     topology_spec: Option<String>,
@@ -411,12 +404,10 @@ struct FleetRun {
     pool: Option<ClientEngine>,
     balancer: Option<LoadBalancer>,
     round_d: Ps,
-    // The event engine's cap-split replay; `None` under the round engine.
-    cache: Option<CapCache>,
-    // The event engine's per-node hierarchical replay cache; `None` under
-    // the round engine or without a topology. Rebound (not discarded) on
-    // churn, so sibling subtrees keep their cached allocations.
-    hier: Option<cluster::HierSplitter>,
+    // The compiled budget tree with its per-node replay cache; `None`
+    // without a topology. Rebound (not discarded) on churn, so sibling
+    // subtrees keep their cached allocations.
+    hier: Option<HierSplitter>,
     // The multi-tier runtime: request DAGs, trace aggregation, the
     // end-to-end histogram. `None` without a tier topology.
     tiers: Option<TierRuntime>,
@@ -469,8 +460,12 @@ fn tier_members(graph: &TierGraph, servers: &[ServiceServer], tier: usize) -> Ve
 }
 
 impl FleetRun {
-    fn new(sim: ServiceSim, cache: Option<CapCache>) -> FleetRun {
+    fn new(sim: ServiceSim) -> FleetRun {
         let ServiceSim { config, servers } = sim;
+        let epochs = config.epochs_per_round;
+        let workers = WorkerPool::new(config.threads, move |s: &mut ServiceServer| {
+            s.step_round(epochs)
+        });
         let churn = config.churn.clone();
         let tiers = config.tiers.as_ref().map(|tc| {
             let seed = config
@@ -517,20 +512,14 @@ impl FleetRun {
             .first()
             .map(|s| s.config.epoch * config.epochs_per_round as u64)
             .unwrap_or(Ps::ZERO);
-        let hier = match (&cache, &topology) {
-            (Some(_), Some(tree)) => {
-                let names: Vec<&str> = servers.iter().map(|s| s.name.as_str()).collect();
-                Some(cluster::HierSplitter::compile(
-                    tree,
-                    &names,
-                    config.dead_band_w,
-                ))
-            }
-            _ => None,
-        };
+        let hier = topology.as_ref().map(|tree| {
+            let names: Vec<&str> = servers.iter().map(|s| s.name.as_str()).collect();
+            HierSplitter::compile(tree, &names, 0.0)
+        });
         FleetRun {
             config,
             servers,
+            workers,
             churn,
             topology,
             topology_spec,
@@ -540,7 +529,6 @@ impl FleetRun {
             pool,
             balancer,
             round_d,
-            cache,
             hier,
             tiers,
         }
@@ -551,23 +539,18 @@ impl FleetRun {
     }
 
     /// One coordination barrier: churn, telemetry, cap split, closed-loop
-    /// issue, one serving period (via `step_fleet`), response delivery.
-    fn barrier(&mut self, round: usize, step_fleet: &mut dyn FnMut(&mut Vec<ServiceServer>)) {
+    /// issue, one serving period on the worker pool, response delivery.
+    fn barrier(&mut self, round: usize) {
         // --- churn: apply fleet changes due at this boundary ---
         let mut churned = false;
         for action in self.churn.drain_due(round) {
             churned = true;
             match action {
                 ChurnAction::Join(spec) => {
-                    if let Err(e) = ServiceConfig::validate_spec(&spec) {
-                        panic!("churn join: {e}");
-                    }
-                    let left = (self.config.rounds - round) * self.config.epochs_per_round;
-                    assert!(
-                        left <= spec.config.max_epochs,
-                        "churn join {}: {left} remaining epochs exceed max_epochs",
-                        spec.name
-                    );
+                    // `ServiceConfig::validate` vetted every join: its
+                    // spec, its epochs to the horizon, its tier and, under
+                    // a closed loop, its epoch length.
+                    //
                     // Joiners enter with a zero cap but participate in
                     // this same round's split, which grants their
                     // share immediately. Under a topology they attach
@@ -577,12 +560,10 @@ impl FleetRun {
                     if let Some(tree) = &mut self.topology {
                         let group = match &self.tiers {
                             Some(t) => {
-                                let ti = t.graph.tier_of(&spec.name).unwrap_or_else(|| {
-                                    panic!(
-                                        "churn join {}: name does not match any tier of {}",
-                                        spec.name, t.graph
-                                    )
-                                });
+                                let ti = t
+                                    .graph
+                                    .tier_of(&spec.name)
+                                    .expect("validated: churn joiners name a tier");
                                 Some(t.graph.tiers()[ti].name.clone())
                             }
                             None => None,
@@ -593,13 +574,6 @@ impl FleetRun {
                     }
                     let mut server = ServiceServer::new(&spec, 0.0, self.config.sla_window_rounds);
                     if self.pool.is_some() {
-                        assert_eq!(
-                            spec.config.epoch * self.config.epochs_per_round as u64,
-                            self.round_d,
-                            "churn join {}: round duration differs from the fleet's \
-                             (the closed-loop clock needs uniform rounds)",
-                            spec.name
-                        );
                         server.set_closed_loop(self.global_time(round));
                     }
                     self.servers.push(server);
@@ -636,11 +610,6 @@ impl FleetRun {
             }
         }
         if churned {
-            // Membership (and possibly tree shape) changed: any cached
-            // whole-fleet allocation is for a different fleet.
-            if let Some(cache) = self.cache.as_mut() {
-                cache.invalidate();
-            }
             // The hierarchical cache is *rebound*, not discarded: groups
             // structurally untouched by the churn (sibling racks/tiers)
             // carry their cached allocations across the membership change.
@@ -679,64 +648,39 @@ impl FleetRun {
                 .collect()
         });
         let tier_floor_frac = self.tiers.as_ref().map_or(0.0, |t| t.floor_frac);
-        let cached = self
-            .cache
-            .as_mut()
-            .and_then(|c| c.lookup(&demands, signals.as_deref(), crit.as_deref()));
-        let caps = cached.unwrap_or_else(|| {
-            let caps = match (&self.topology, self.config.split) {
-                (Some(tree), _) => {
-                    // Hierarchical: the budget flows down the tree with
-                    // power, latency and critical-path telemetry, so
-                    // SLA-aware interior nodes react to their subtree's
-                    // worst violation ratio and critical-path nodes shift
-                    // budget toward the slowest tier. The event engine
-                    // routes this through the compiled per-node replay
-                    // cache (bit-identical at a zero dead-band).
-                    let sig = TreeSignals {
-                        sla: signals.as_deref(),
-                        crit: crit.as_deref(),
-                        tier_floor_frac,
-                    };
-                    match self.hier.as_mut() {
-                        Some(h) => h.split_signals(
-                            self.config.global_cap_w,
-                            &demands,
-                            &sig,
-                            self.config.quantum_w,
-                        ),
-                        None => {
-                            let names: Vec<&str> =
-                                self.servers.iter().map(|s| s.name.as_str()).collect();
-                            tree.split_signals(
-                                self.config.global_cap_w,
-                                &names,
-                                &demands,
-                                &sig,
-                                self.config.quantum_w,
-                            )
-                        }
-                    }
-                    .unwrap_or_else(|e| panic!("budget tree split: {e}"))
-                }
-                (None, CapSplit::SlaAware) => split_caps_sla(
+        let caps = match (self.hier.as_mut(), self.config.split) {
+            (Some(h), _) => {
+                // Hierarchical: the budget flows down the tree with power,
+                // latency and critical-path telemetry, so SLA-aware
+                // interior nodes react to their subtree's worst violation
+                // ratio and critical-path nodes shift budget toward the
+                // slowest tier.
+                let sig = TreeSignals {
+                    sla: signals.as_deref(),
+                    crit: crit.as_deref(),
+                    tier_floor_frac,
+                };
+                h.split_signals(
                     self.config.global_cap_w,
                     &demands,
-                    signals.as_deref().expect("SlaAware computes signals"),
+                    &sig,
                     self.config.quantum_w,
-                ),
-                (None, split) => split_caps(
-                    split,
-                    self.config.global_cap_w,
-                    &demands,
-                    self.config.quantum_w,
-                ),
-            };
-            if let Some(cache) = self.cache.as_mut() {
-                cache.store(&demands, signals.as_deref(), crit.as_deref(), &caps);
+                )
+                .unwrap_or_else(|e| panic!("budget tree split: {e}"))
             }
-            caps
-        });
+            (None, CapSplit::SlaAware) => split_caps_sla(
+                self.config.global_cap_w,
+                &demands,
+                signals.as_deref().expect("SlaAware computes signals"),
+                self.config.quantum_w,
+            ),
+            (None, split) => split_caps(
+                split,
+                self.config.global_cap_w,
+                &demands,
+                self.config.quantum_w,
+            ),
+        };
         for (server, &cap) in self.servers.iter_mut().zip(&caps) {
             server.set_cap(cap);
         }
@@ -798,7 +742,20 @@ impl FleetRun {
         self.cap_timeline.push(caps);
 
         // --- serve one coordination period ---
-        step_fleet(&mut self.servers);
+        // The fleet crosses the pool by value; positions are restored by
+        // index, so churn (which only happens between barriers) never sees
+        // a hole.
+        let mut slots: Vec<Option<ServiceServer>> = (0..self.servers.len()).map(|_| None).collect();
+        let jobs = std::mem::take(&mut self.servers)
+            .into_iter()
+            .enumerate()
+            .collect();
+        self.workers.run(jobs, |i, s| slots[i] = Some(s));
+        self.servers.extend(
+            slots
+                .into_iter()
+                .map(|s| s.expect("server back from the pool")),
+        );
 
         // --- closed loop: deliver the round's responses ---
         // Fleet order then event order — but each client draws from
@@ -921,112 +878,6 @@ impl FleetRun {
             closed_loop,
             tiers,
         }
-    }
-}
-
-/// The reference engine: a plain loop over round indices, scoped worker
-/// threads spawned afresh each round.
-pub struct ServiceRoundEngine(pub ServiceSim);
-
-impl FleetEngine for ServiceRoundEngine {
-    type Output = ServiceResult;
-
-    fn kind(&self) -> EngineKind {
-        EngineKind::Round
-    }
-
-    fn run(self) -> ServiceResult {
-        let epochs = self.0.config.epochs_per_round;
-        let threads = self.0.config.threads;
-        let rounds = self.0.config.rounds;
-        let mut run = FleetRun::new(self.0, None);
-        let mut step = |servers: &mut Vec<ServiceServer>| {
-            if threads == 1 {
-                for server in servers.iter_mut() {
-                    server.step_round(epochs);
-                }
-            } else {
-                let chunk = servers.len().div_ceil(threads);
-                std::thread::scope(|scope| {
-                    for servers in servers.chunks_mut(chunk) {
-                        scope.spawn(move || {
-                            for server in servers {
-                                server.step_round(epochs);
-                            }
-                        });
-                    }
-                });
-            }
-        };
-        for round in 0..rounds {
-            run.barrier(round, &mut step);
-        }
-        run.finish()
-    }
-}
-
-/// The wake-driven engine: barriers are events on a picosecond-ordered
-/// [`EventQueue`] keyed by the fleet clock (each barrier schedules its
-/// successor until the horizon), the fleet steps on a persistent
-/// [`WorkerPool`], and the cap split is replayed from [`CapCache`] whenever
-/// no telemetry moved beyond [`ServiceConfig::dead_band_w`]. Unlike the
-/// batch cluster, serving servers never finish — the wins here are the
-/// pool (no per-round thread spawns) and the replay; at the default zero
-/// dead-band the digest is identical to [`ServiceRoundEngine`]'s.
-pub struct ServiceEventEngine(pub ServiceSim);
-
-impl FleetEngine for ServiceEventEngine {
-    type Output = ServiceResult;
-
-    fn kind(&self) -> EngineKind {
-        EngineKind::Event
-    }
-
-    fn run(self) -> ServiceResult {
-        let epochs = self.0.config.epochs_per_round;
-        let threads = self.0.config.threads;
-        let rounds = self.0.config.rounds;
-        let cache = CapCache::new(self.0.config.dead_band_w);
-        let mut run = FleetRun::new(self.0, Some(cache));
-        let pool = (threads > 1)
-            .then(|| WorkerPool::new(threads, move |s: &mut ServiceServer| s.step_round(epochs)));
-        let mut step = |servers: &mut Vec<ServiceServer>| match &pool {
-            Some(pool) => {
-                // Round-trip the fleet through the persistent pool by
-                // value; positions are restored by index, so churn (which
-                // only happens between barriers) never sees a hole.
-                let n = servers.len();
-                let jobs: Vec<(usize, ServiceServer)> =
-                    std::mem::take(servers).into_iter().enumerate().collect();
-                let mut slots: Vec<Option<ServiceServer>> = (0..n).map(|_| None).collect();
-                pool.run(jobs, |i, s| slots[i] = Some(s));
-                servers.extend(
-                    slots
-                        .into_iter()
-                        .map(|s| s.expect("server returned to fleet")),
-                );
-            }
-            None => {
-                for server in servers.iter_mut() {
-                    server.step_round(epochs);
-                }
-            }
-        };
-        // The wake queue: barrier `r` fires at the fleet clock `r·D` and
-        // schedules barrier `r+1` — wake-driven, but with the exact round
-        // semantics of the reference loop (barriers fire even for an
-        // empty fleet, which may refill through churn).
-        let mut queue: EventQueue<usize> = EventQueue::new();
-        if rounds > 0 {
-            queue.push(Ps::ZERO, 0);
-        }
-        while let Some((_, round)) = queue.pop() {
-            run.barrier(round, &mut step);
-            if round + 1 < rounds {
-                queue.push(run.global_time(round + 1), round + 1);
-            }
-        }
-        run.finish()
     }
 }
 

@@ -4,7 +4,7 @@
 
 use service::{
     run_service, ArrivalKind, BalancePolicy, BudgetTree, CapSplit, ChurnSchedule, ClosedLoopConfig,
-    EngineKind, ServiceConfig, ServiceServerSpec, TierConfig,
+    ServiceConfig, ServiceServerSpec, TierConfig,
 };
 use simkernel::Ps;
 
@@ -351,7 +351,7 @@ fn tier_fleet(names: &[&str], mixes: &[&str]) -> Vec<ServiceServerSpec> {
         .collect()
 }
 
-fn tier_config(threads: usize, engine: EngineKind) -> ServiceConfig {
+fn tier_config(threads: usize) -> ServiceConfig {
     let fleet = tier_fleet(
         &["fe0", "app0", "app1", "st0", "st1"],
         &["ILP1", "MID1", "MID2", "MEM1", "MEM2"],
@@ -360,7 +360,6 @@ fn tier_config(threads: usize, engine: EngineKind) -> ServiceConfig {
     ServiceConfig::new(fleet, 260.0, CapSplit::FastCap)
         .with_rounds(12)
         .with_threads(threads)
-        .with_engine(engine)
         .with_closed_loop(ClosedLoopConfig::new(
             48,
             Ps::from_us(150),
@@ -372,11 +371,10 @@ fn tier_config(threads: usize, engine: EngineKind) -> ServiceConfig {
 /// Multi-tier DAG bookkeeping conserves spans end to end — every completed
 /// parent spawns exactly its fan-out of children, every span terminates or
 /// stays counted as open, the end-to-end sojourn dominates every child's —
-/// and the whole run is bit-identical for any worker thread count and for
-/// both engines.
+/// and the whole run is bit-identical for any worker thread count.
 #[test]
 fn multi_tier_run_conserves_dags_and_is_deterministic() {
-    let r = run_service(tier_config(1, EngineKind::Round));
+    let r = run_service(tier_config(1));
     let t = r.tiers.as_ref().expect("tier summary");
     let s = &t.stats;
     assert!(s.roots_opened > 0, "no DAGs opened");
@@ -400,12 +398,10 @@ fn multi_tier_run_conserves_dags_and_is_deterministic() {
         .digest()
         .contains("tiers graph=fe[1] -> app[2]*2 -> st[2]"));
 
-    for threads in [2, 8] {
-        let d = run_service(tier_config(threads, EngineKind::Round)).digest();
+    for threads in [2, 4, 8] {
+        let d = run_service(tier_config(threads)).digest();
         assert_eq!(r.digest(), d, "1 vs {threads} threads");
     }
-    let ev = run_service(tier_config(4, EngineKind::Event)).digest();
-    assert_eq!(r.digest(), ev, "round vs event engine");
 }
 
 /// With a storage tier doing 4× the work at 2× the fan-out, critical-path
@@ -459,9 +455,7 @@ fn tier_churn_fails_orphaned_dags_and_stays_deterministic() {
         churn
             .join(8, "st2", ServiceServerSpec::small("st2", "MEM1", 99, 0.0))
             .unwrap();
-        tier_config(threads, EngineKind::Round)
-            .with_churn(churn)
-            .with_rounds(14)
+        tier_config(threads).with_churn(churn).with_rounds(14)
     };
     let r = run_service(build(1));
     let t = r.tiers.as_ref().unwrap();

@@ -23,9 +23,6 @@
 //!   --fleet-size N      synthetic N-server batch fleet instead of --servers
 //!   --idle-fraction F   share of the synthetic fleet that is near-idle
 //!                       (default 0.9)
-//!   --engine NAME       coordination engine: round|event (default round;
-//!                       event = wake queue + persistent worker pool,
-//!                       digest-identical, built for 1000-server fleets)
 //!   --cap WATTS         global power budget (default 280)
 //!   --split NAME        uniform|demand-proportional|fastcap|sla-aware|
 //!                       critical-path (default fastcap; sla-aware needs
@@ -145,13 +142,11 @@ struct ClusterArgs {
     idle_fraction: f64,
     cap: Option<f64>,
     quantum: f64,
-    dead_band: f64,
+    dead_band: Option<f64>,
     epochs_per_round: usize,
     split: CapSplit,
     topology: Option<BudgetTree>,
     threads: usize,
-    engine: EngineKind,
-    wake_shards: usize,
     serve: bool,
     rounds: usize,
     rate: f64,
@@ -176,8 +171,7 @@ fn cluster_usage() -> ! {
     eprintln!(
         "usage: coscale-sim cluster [--servers LIST] [--fleet-size N] [--idle-fraction F] \
          [--cap WATTS] [--quantum W] [--dead-band W] [--epochs-per-round N] [--split NAME] \
-         [--topology SPEC] [--threads N] [--engine NAME] [--wake-shards N] \
-         [--serve] [--rounds N] [--rate HZ] \
+         [--topology SPEC] [--threads N] [--serve] [--rounds N] [--rate HZ] \
          [--p99-target MS] [--seed N] [--join R:SPEC]... [--leave R:NAME]... \
          [--clients N] [--think-ms F] [--client-model NAME] [--think-diurnal P:D] \
          [--balance NAME] \
@@ -191,13 +185,9 @@ fn cluster_usage() -> ! {
          \x20   the default budget scales to 100 W per server (named fleets default to 280 W)\n\
          \x20 splits: uniform demand-proportional fastcap sla-aware critical-path\n\
          \x20   (sla-aware needs --serve; critical-path needs --tiers)\n\
-         \x20 --engine picks the coordination engine: round (reference) or event\n\
-         \x20   (wake queue + worker pool; digest-identical, scales to 1000+ servers)\n\
-         \x20 --dead-band W lets the event engine replay the cached cap split while no\n\
-         \x20   server's telemetry moved more than W watts (0, the default, re-splits\n\
-         \x20   whenever any telemetry bit changes and stays digest-identical)\n\
-         \x20 --wake-shards N shards the event engine's wake queue N ways (0, the\n\
-         \x20   default, is one shard per worker thread; any count is digest-identical)\n\
+         \x20 --dead-band W lets the coordinator replay the cached cap split while no\n\
+         \x20   server's telemetry moved more than W watts (batch only; 0, the default,\n\
+         \x20   re-splits whenever any telemetry bit changes, so results are exact)\n\
          \x20 --topology splits the budget down a tree instead of flat, e.g.\n\
          \x20   dc:uniform[rack:sla-aware[heavy,light0],pod:fastcap[light1,light2]]\n\
          \x20 --join/--leave change the fleet at round boundaries (--serve only)\n\
@@ -323,13 +313,11 @@ fn parse_cluster_args() -> ClusterArgs {
         idle_fraction: 0.9,
         cap: None,
         quantum: 1.0,
-        dead_band: 0.0,
+        dead_band: None,
         epochs_per_round: 0,
         split: CapSplit::FastCap,
         topology: None,
         threads: 4,
-        engine: EngineKind::Round,
-        wake_shards: 0,
         serve: false,
         rounds: 40,
         rate: 30_000.0,
@@ -363,9 +351,11 @@ fn parse_cluster_args() -> ClusterArgs {
             "--cap" => a.cap = Some(val("--cap").parse().unwrap_or_else(|_| cluster_usage())),
             "--quantum" => a.quantum = val("--quantum").parse().unwrap_or_else(|_| cluster_usage()),
             "--dead-band" => {
-                a.dead_band = val("--dead-band")
-                    .parse()
-                    .unwrap_or_else(|_| cluster_usage())
+                a.dead_band = Some(
+                    val("--dead-band")
+                        .parse()
+                        .unwrap_or_else(|_| cluster_usage()),
+                )
             }
             "--epochs-per-round" => {
                 a.epochs_per_round = val("--epochs-per-round")
@@ -387,16 +377,6 @@ fn parse_cluster_args() -> ClusterArgs {
                 a.topology = Some(BudgetTree::parse(&spec).unwrap_or_else(|e| cluster_fail(&e)));
             }
             "--threads" => a.threads = val("--threads").parse().unwrap_or_else(|_| cluster_usage()),
-            "--engine" => {
-                a.engine = val("--engine")
-                    .parse::<EngineKind>()
-                    .unwrap_or_else(|e: String| cluster_fail(&e))
-            }
-            "--wake-shards" => {
-                a.wake_shards = val("--wake-shards")
-                    .parse()
-                    .unwrap_or_else(|_| cluster_usage())
-            }
             "--fleet-size" => {
                 a.fleet_size = val("--fleet-size")
                     .parse()
@@ -531,6 +511,11 @@ fn parse_cluster_args() -> ClusterArgs {
              message plane yet",
         );
     }
+    if a.serve && a.dead_band.is_some() {
+        cluster_fail(
+            "--dead-band applies to batch cluster runs; serving fleets always split exactly",
+        );
+    }
     if !a.serve && (!a.joins.is_empty() || !a.leaves.is_empty()) {
         cluster_fail("--join/--leave require --serve (batch fleets run to completion)");
     }
@@ -595,9 +580,7 @@ fn cluster_batch_main(args: &ClusterArgs) {
     };
     let mut cfg = ClusterConfig::new(fleet, cap, args.split)
         .with_threads(args.threads)
-        .with_engine(args.engine)
-        .with_dead_band(args.dead_band)
-        .with_wake_shards(args.wake_shards);
+        .with_dead_band(args.dead_band.unwrap_or(0.0));
     cfg.quantum_w = args.quantum;
     if args.epochs_per_round > 0 {
         cfg = cfg.with_epochs_per_round(args.epochs_per_round);
@@ -609,11 +592,10 @@ fn cluster_batch_main(args: &ClusterArgs) {
     }
 
     eprintln!(
-        "running {}-server batch fleet / {} @ {} W ({} engine) ...",
+        "running {}-server batch fleet / {} @ {} W ...",
         cfg.servers.len(),
         args.split,
         cap,
-        args.engine,
     );
     let r = run_cluster(cfg);
 
@@ -766,7 +748,6 @@ fn cluster_serve_main(args: &ClusterArgs) {
     let mut cfg = ServiceConfig::new(fleet, cap, args.split)
         .with_rounds(args.rounds)
         .with_threads(args.threads)
-        .with_engine(args.engine)
         .with_churn(churn);
     if args.clients > 0 {
         let mut closed = ClosedLoopConfig::new(

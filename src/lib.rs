@@ -51,8 +51,8 @@ pub use workloads;
 pub mod prelude {
     pub use cluster::{
         run_cluster, synthetic_fleet, BalancePolicy, BudgetNode, BudgetTree, CapSplit,
-        ChurnSchedule, ClusterConfig, ClusterResult, ClusterSim, ControlStats, EngineKind,
-        FleetEngine, LoadBalancer, PartitionSpec, RpcConfig, ServerLoad, ServerSpec,
+        ChurnSchedule, ClusterConfig, ClusterResult, ClusterSim, ControlStats, LoadBalancer,
+        PartitionSpec, RpcConfig, ServerLoad, ServerSpec,
     };
     pub use coscale::{
         run_policy, CoScalePolicy, Model, Plan, Policy, PolicyKind, RunResult, Runner, SimConfig,

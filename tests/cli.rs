@@ -1,0 +1,60 @@
+//! Front-door checks for `coscale-sim cluster`: a flag that would do
+//! nothing, or a configuration that could only fail mid-run, exits 2 with
+//! a message before any simulation starts.
+
+use std::process::{Command, Output};
+
+fn cluster(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_coscale-sim"))
+        .arg("cluster")
+        .args(args)
+        .output()
+        .expect("coscale-sim runs")
+}
+
+/// Asserts exit status 2 and a stderr line containing `needle`.
+fn assert_rejected(args: &[&str], needle: &str) {
+    let out = cluster(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains(needle),
+        "{args:?}: no '{needle}' in:\n{stderr}"
+    );
+}
+
+#[test]
+fn removed_engine_flags_are_unknown() {
+    assert_rejected(&["--engine", "event"], "unknown flag --engine");
+    assert_rejected(&["--wake-shards", "3"], "unknown flag --wake-shards");
+}
+
+#[test]
+fn serving_rejects_a_dead_band() {
+    assert_rejected(&["--serve", "--dead-band", "5"], "--dead-band");
+}
+
+#[test]
+fn batch_rejects_a_negative_dead_band() {
+    assert_rejected(&["--dead-band", "-1"], "dead band -1");
+}
+
+#[test]
+fn serving_rejects_a_join_past_the_horizon() {
+    assert_rejected(
+        &["--serve", "--rounds", "4", "--join", "9:late=ILP1"],
+        "churn join late at round 9",
+    );
+}
+
+#[test]
+fn a_tiny_batch_run_succeeds() {
+    let out = cluster(&["--servers", "a=ILP1:2", "--cap", "60", "--threads", "2"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("fleet energy"), "{stdout}");
+}

@@ -2,7 +2,7 @@
 //! against the exact per-client pool, at the scales where both are
 //! tractable (10²–10⁴ clients).
 //!
-//! This is the same credibility play that made the event engine
+//! This is the same credibility play that makes the fleet loop
 //! trustworthy (`tests/engine_equivalence.rs`): the fast path is only
 //! allowed to exist because it is continuously proven against the exact
 //! reference where they overlap. The fluid model is *statistically*
@@ -25,11 +25,11 @@
 //! Exact-match properties hold with no tolerance at all: request
 //! conservation (generated = completed + shed + abandoned, population
 //! constant under churn) and bit-identical fluid digests across worker
-//! thread counts and both fleet engines.
+//! thread counts.
 
 use proptest::prelude::*;
 use service::{
-    run_service, BalancePolicy, CapSplit, ChurnSchedule, ClientModel, ClosedLoopConfig, EngineKind,
+    run_service, BalancePolicy, CapSplit, ChurnSchedule, ClientModel, ClosedLoopConfig,
     ServiceConfig, ServiceResult, ServiceServerSpec,
 };
 use simkernel::Ps;
@@ -68,7 +68,6 @@ fn fleet(seed: u64) -> Vec<ServiceServerSpec> {
     ]
 }
 
-#[allow(clippy::too_many_arguments)]
 fn config(
     model: ClientModel,
     clients: usize,
@@ -77,12 +76,10 @@ fn config(
     split: CapSplit,
     balance: BalancePolicy,
     threads: usize,
-    engine: EngineKind,
 ) -> ServiceConfig {
     ServiceConfig::new(fleet(seed), 150.0, split)
         .with_rounds(12)
         .with_threads(threads)
-        .with_engine(engine)
         .with_closed_loop(
             ClosedLoopConfig::new(clients, Ps::from_us(think_us), balance)
                 .with_seed(seed)
@@ -170,7 +167,6 @@ fn fluid_matches_exact_across_scales_and_splits() {
                     split,
                     BalancePolicy::LeastQueue,
                     4,
-                    EngineKind::Round,
                 ))
             };
             let exact = run(ClientModel::Exact);
@@ -235,13 +231,13 @@ fn fluid_matches_exact_across_scales_and_splits() {
 }
 
 /// The fluid path keeps the serving layer's bedrock determinism: one
-/// configuration, bit-identical digests at 1/2/4/8 worker threads and
-/// between the round and event engines — the single-RNG cohort sampling
-/// and order-independent delivery accounting cannot leak scheduling.
+/// configuration, bit-identical digests at 1/2/4/8 worker threads — the
+/// single-RNG cohort sampling and order-independent delivery accounting
+/// cannot leak scheduling.
 #[test]
-fn fluid_digests_are_thread_and_engine_invariant() {
+fn fluid_digests_are_thread_invariant() {
     for balance in [BalancePolicy::PowerHeadroom, BalancePolicy::LeastQueue] {
-        let mk = |threads, engine| {
+        let mk = |threads| {
             run_service(config(
                 ClientModel::Fluid,
                 2_000,
@@ -250,23 +246,17 @@ fn fluid_digests_are_thread_and_engine_invariant() {
                 CapSplit::FastCap,
                 balance,
                 threads,
-                engine,
             ))
             .digest()
         };
-        let d1 = mk(1, EngineKind::Round);
+        let d1 = mk(1);
         for threads in [2, 4, 8] {
             assert_eq!(
                 d1,
-                mk(threads, EngineKind::Round),
+                mk(threads),
                 "[{balance}] fluid digest differs at {threads} threads"
             );
         }
-        assert_eq!(
-            d1,
-            mk(4, EngineKind::Event),
-            "[{balance}] fluid digest differs between engines"
-        );
         assert!(
             d1.contains("closed fluid "),
             "fluid runs must be marked in the digest:\n{d1}"
@@ -292,7 +282,6 @@ fn churn_leave_recredits_the_fluid_think_pool() {
             CapSplit::FastCap,
             BalancePolicy::RoundRobin,
             2,
-            EngineKind::Round,
         );
         let mut sched = ChurnSchedule::new();
         sched.leave(3, "e1").unwrap();
@@ -331,8 +320,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Randomized fluid-path conservation and determinism: any population,
-    /// think time, balancer, split, engine, and thread count — requests
-    /// conserve exactly and the digest is independent of the thread count.
+    /// think time, balancer and split — requests conserve exactly and the
+    /// digest is independent of the thread count.
     #[test]
     fn fluid_conserves_and_stays_deterministic(
         seed in any::<u64>(),
@@ -340,7 +329,6 @@ proptest! {
         think_us in 0u64..2_000,
         policy in 0u8..3,
         split in 0u8..3,
-        event_engine in any::<bool>(),
     ) {
         let balance = [
             BalancePolicy::RoundRobin,
@@ -348,10 +336,9 @@ proptest! {
             BalancePolicy::PowerHeadroom,
         ][policy as usize];
         let split = [CapSplit::Uniform, CapSplit::FastCap, CapSplit::SlaAware][split as usize];
-        let engine = if event_engine { EngineKind::Event } else { EngineKind::Round };
         let mk = |threads| {
             run_service(config(
-                ClientModel::Fluid, clients, think_us, seed, split, balance, threads, engine,
+                ClientModel::Fluid, clients, think_us, seed, split, balance, threads,
             ))
         };
         let r = mk(3);
@@ -362,19 +349,18 @@ proptest! {
 }
 
 /// Nightly 10⁶-client smoke: the fluid model carries a million-client
-/// population with diurnal think modulation through both engines —
-/// conservation exact, digests bit-identical across thread counts and
-/// engines, at a per-round cost that scales with issued requests. Run
+/// population with diurnal think modulation — conservation exact, digests
+/// bit-identical across thread counts, at a per-round cost that scales
+/// with issued requests. Run
 /// via `cargo test --release -- --ignored`.
 #[test]
 #[ignore = "million-client fluid smoke; run via cargo test --release -- --ignored"]
 fn million_client_fluid_smoke() {
     let clients = 1_000_000;
-    let mk = |threads, engine| {
+    let mk = |threads| {
         let mut cfg = ServiceConfig::new(fleet(41), 150.0, CapSplit::FastCap)
             .with_rounds(10)
             .with_threads(threads)
-            .with_engine(engine)
             .with_closed_loop(
                 ClosedLoopConfig::new(clients, Ps::from_ms(100), BalancePolicy::LeastQueue)
                     .with_seed(41)
@@ -385,7 +371,7 @@ fn million_client_fluid_smoke() {
         cfg
     };
     let start = std::time::Instant::now();
-    let r = run_service(mk(4, EngineKind::Round));
+    let r = run_service(mk(4));
     let elapsed = start.elapsed();
     assert_conserved(&r, clients, "million-client fluid");
     let cl = r.closed_loop.as_ref().unwrap();
@@ -393,11 +379,11 @@ fn million_client_fluid_smoke() {
         cl.generated >= clients as u64,
         "round 0 issues the whole ready population"
     );
-    let event = run_service(mk(8, EngineKind::Event));
+    let wide = run_service(mk(8));
     assert_eq!(
         r.digest(),
-        event.digest(),
-        "million-client fluid digests diverged across threads/engines"
+        wide.digest(),
+        "million-client fluid digests diverged across thread counts"
     );
     println!(
         "million-client fluid smoke: {} generated, {} responses, {:.2}s/run",

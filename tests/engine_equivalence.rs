@@ -1,25 +1,28 @@
-//! Differential harness for the two fleet engines: the event-driven
-//! coordinator (persistent worker pool, wake queue, dirty-set cap replay)
-//! must be **bit-identical** to the legacy round engine — same energies,
-//! caps, queue counters, latency buckets, and client summaries — for every
-//! configuration, at every worker-thread count.
+//! Differential harness for the fleet loops: the batch loop (active
+//! list, persistent worker pool) must be **bit-identical** to the serial
+//! reference loop in [`oracle`] — same energies, caps, makespans and
+//! control-plane outcome — for every configuration, at every worker-thread
+//! count, and the serving loop must give the same digest at every thread
+//! count.
 //!
 //! Four layers of evidence:
 //! 1. property tests sweeping fleet size, cap split, churn, topology,
-//!    balancer, and open/closed loop, asserting digest equality between
-//!    `--engine round` and `--engine event` at 1, 2, 4, and 8 threads;
+//!    balancer, and open/closed loop, asserting digest equality with the
+//!    oracle (batch) or across 1, 2, 4 and 8 threads (serving);
 //! 2. property tests pinning the hierarchical cap cache (`HierSplitter`)
 //!    to `BudgetTree`: bit-identical caps and `GroupShare` transcripts at
 //!    a zero dead-band, and dirty-subtree recompute blended with clean
 //!    replay matching a full recompute at any band;
 //! 3. pinned golden digests for the four fleet-level bench experiments
 //!    (cluster capping, serving SLOs, hierarchical budgets, closed-loop
-//!    balancing), so a drift in *either* engine is loud;
+//!    balancing), so a drift in the loop *or* the oracle is loud;
 //! 4. `#[ignore]`d 1024- and 16384-server / 90%-idle differential smokes
 //!    for the nightly `--release -- --ignored` job.
 
+mod oracle;
+
 use cluster::{
-    run_cluster, synthetic_fleet, BudgetNode, BudgetTree, ClusterConfig, EngineKind, GroupShare,
+    run_cluster, synthetic_fleet, BudgetNode, BudgetTree, ClusterConfig, ClusterResult, GroupShare,
     HierSplitter, PartitionSpec, RpcConfig, ServerDemand, ServerSpec, SlaSignal, TreeSignals,
 };
 use proptest::prelude::*;
@@ -42,31 +45,25 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-/// Runs `make()` under the round engine at one thread (the reference
-/// semantics), then under the event engine across the thread sweep and the
-/// round engine at four threads, asserting every digest matches. Returns
-/// the reference digest for optional pinning.
-fn assert_cluster_engines_agree(label: &str, make: &dyn Fn() -> ClusterConfig) -> String {
-    let reference = run_cluster(make().with_engine(EngineKind::Round).with_threads(1)).digest();
-    let round4 = run_cluster(make().with_engine(EngineKind::Round).with_threads(4)).digest();
-    assert_eq!(reference, round4, "[{label}] round@1 vs round@4");
+/// Runs `make()` through the serial oracle, then through the fleet loop
+/// across the thread sweep, asserting every digest matches. Returns the
+/// oracle's digest for optional pinning.
+fn assert_cluster_matches_oracle(label: &str, make: &dyn Fn() -> ClusterConfig) -> String {
+    let reference = oracle::run(&make()).digest();
     for threads in THREAD_SWEEP {
-        let event =
-            run_cluster(make().with_engine(EngineKind::Event).with_threads(threads)).digest();
-        assert_eq!(reference, event, "[{label}] round@1 vs event@{threads}");
+        let got = run_cluster(make().with_threads(threads)).digest();
+        assert_eq!(reference, got, "[{label}] oracle vs fleet loop @{threads}");
     }
     reference
 }
 
-/// The serving-layer twin of [`assert_cluster_engines_agree`].
-fn assert_service_engines_agree(label: &str, make: &dyn Fn() -> ServiceConfig) -> String {
-    let reference = run_service(make().with_engine(EngineKind::Round).with_threads(1)).digest();
-    let round4 = run_service(make().with_engine(EngineKind::Round).with_threads(4)).digest();
-    assert_eq!(reference, round4, "[{label}] round@1 vs round@4");
-    for threads in THREAD_SWEEP {
-        let event =
-            run_service(make().with_engine(EngineKind::Event).with_threads(threads)).digest();
-        assert_eq!(reference, event, "[{label}] round@1 vs event@{threads}");
+/// Runs `make()` at every thread count of the sweep, asserting every
+/// digest matches the one-thread run's. Returns that digest.
+fn assert_service_thread_invariant(label: &str, make: &dyn Fn() -> ServiceConfig) -> String {
+    let reference = run_service(make().with_threads(1)).digest();
+    for threads in &THREAD_SWEEP[1..] {
+        let got = run_service(make().with_threads(*threads)).digest();
+        assert_eq!(reference, got, "[{label}] 1 vs {threads} threads");
     }
     reference
 }
@@ -75,8 +72,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Batch fleets: any synthetic fleet (size, idle mix), any split, flat
-    /// or tree-shaped budgets, any epochs-per-round — both engines produce
-    /// the same digest at every thread count.
+    /// or tree-shaped budgets, any epochs-per-round — the fleet loop
+    /// reproduces the oracle's digest at every thread count.
     #[test]
     fn batch_engines_agree_for_any_fleet(
         n in 2usize..5,
@@ -105,12 +102,12 @@ proptest! {
             }
             cfg
         };
-        assert_cluster_engines_agree("batch-prop", &make);
+        assert_cluster_matches_oracle("batch-prop", &make);
     }
 
     /// Serving fleets: open- or closed-loop arrivals, every balancer and
-    /// split, with and without churn and hierarchical budgets — digest
-    /// equality again, at every thread count.
+    /// split, with and without churn and hierarchical budgets — the same
+    /// digest at every thread count.
     #[test]
     fn serving_engines_agree_for_any_fleet(
         seed in any::<u64>(),
@@ -160,14 +157,14 @@ proptest! {
             }
             cfg
         };
-        assert_service_engines_agree("serve-prop", &make);
+        assert_service_thread_invariant("serve-prop", &make);
     }
 }
 
-/// The event engine's empty-barrier path: churn drains the whole fleet
-/// mid-run, leaves it empty for two rounds, then refills it. Barriers must
-/// keep firing over the empty fleet (the round engine's loop does) so the
-/// late joiner is admitted on schedule.
+/// The empty-barrier path: churn drains the whole fleet mid-run, leaves it
+/// empty for two rounds, then refills it. Barriers must keep firing over
+/// the empty fleet so the late joiner is admitted on schedule, and an
+/// empty pool batch must not disturb the digest at any thread count.
 #[test]
 fn engines_agree_when_churn_empties_the_fleet() {
     let make = || {
@@ -189,7 +186,11 @@ fn engines_agree_when_churn_empties_the_fleet() {
             .with_rounds(8)
             .with_churn(sched)
     };
-    assert_service_engines_agree("empty-fleet", &make);
+    let d = assert_service_thread_invariant("empty-fleet", &make);
+    assert!(
+        d.contains("late departed=false"),
+        "the late joiner never ran:\n{d}"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -202,7 +203,7 @@ fn engines_agree_when_churn_empties_the_fleet() {
 /// A standby coordinator at loopback is a pure observer: with `failover`
 /// on but no partition, heartbeats replicate state every barrier, no
 /// election ever fires, and the digest is bit-identical to the
-/// failover-less run — under both engines, at every thread count.
+/// failover-less run — in the oracle and the fleet loop alike.
 #[test]
 fn loopback_standby_is_a_pure_observer() {
     let fleet = |rpc: RpcConfig| {
@@ -220,7 +221,7 @@ fn loopback_standby_is_a_pure_observer() {
         failover: true,
         ..RpcConfig::default()
     });
-    let reference = run_cluster(watched.clone());
+    let reference = oracle::run(&watched);
     assert_eq!(
         plain.digest(),
         reference.digest(),
@@ -228,17 +229,14 @@ fn loopback_standby_is_a_pure_observer() {
     );
     assert_eq!(reference.control.elections, 0);
     assert_eq!(reference.control.terms, vec![0, 0]);
-    for (engine, threads) in [
-        (EngineKind::Round, 4),
-        (EngineKind::Event, 1),
-        (EngineKind::Event, 8),
-    ] {
-        let d = run_cluster(watched.clone().with_engine(engine).with_threads(threads));
+    for threads in [1, 4, 8] {
+        let d = run_cluster(watched.clone().with_threads(threads));
         assert_eq!(
             reference.digest(),
             d.digest(),
-            "standby loopback: round@1 vs {engine:?}@{threads}"
+            "standby loopback: oracle vs fleet loop @{threads}"
         );
+        assert_eq!(d.control.elections, 0);
     }
 }
 
@@ -247,7 +245,7 @@ fn loopback_standby_is_a_pure_observer() {
 /// empty (each heartbeat reflects its entire barrier, acks included), so
 /// the in-force caps conserve the budget **strictly** through the
 /// partition, the takeover, and the primary's post-heal step-down — and
-/// the whole run stays bit-identical across engines and thread counts.
+/// the fleet loop reproduces the oracle at every thread count.
 #[test]
 fn loopback_failover_conserves_strictly_and_is_deterministic() {
     let budget = 120.0;
@@ -270,7 +268,7 @@ fn loopback_failover_conserves_strictly_and_is_deterministic() {
         };
         ClusterConfig::new(servers, budget, CapSplit::FastCap).with_rpc(rpc)
     };
-    let reference = run_cluster(make());
+    let reference = oracle::run(&make());
     assert!(
         reference.rounds > 26,
         "horizon too short ({} rounds) to cover the partition window",
@@ -293,16 +291,12 @@ fn loopback_failover_conserves_strictly_and_is_deterministic() {
             "round {round}: in-force caps {total:.6} W exceed the {budget} W budget"
         );
     }
-    for (engine, threads) in [
-        (EngineKind::Round, 4),
-        (EngineKind::Event, 1),
-        (EngineKind::Event, 8),
-    ] {
-        let d = run_cluster(make().with_engine(engine).with_threads(threads));
+    for threads in [1, 4, 8] {
+        let d = run_cluster(make().with_threads(threads));
         assert_eq!(
             reference.digest(),
             d.digest(),
-            "failover loopback: round@1 vs {engine:?}@{threads}"
+            "failover loopback: oracle vs fleet loop @{threads}"
         );
     }
 }
@@ -537,10 +531,10 @@ proptest! {
     }
 }
 
-/// End-to-end: on a topology-enabled cluster the event engine's
-/// hierarchical dead-band replay must leave the physics (makespans,
-/// violation counts, energies) bit-identical to the zero-band reference,
-/// while both engines stay digest-equal at a zero band.
+/// End-to-end: on a topology-enabled cluster the hierarchical dead-band
+/// replay must leave the physics (makespans, violation counts, energies)
+/// bit-identical to the zero-band run, which itself digest-equals the
+/// oracle.
 #[test]
 fn cluster_hier_dead_band_replay_keeps_physics() {
     let make = |dead_band_w: f64| {
@@ -559,34 +553,22 @@ fn cluster_hier_dead_band_replay_keeps_physics() {
         c.quantum_w = 0.5;
         c
     };
-    let round = run_cluster(make(0.0).with_engine(EngineKind::Round));
-    let event = run_cluster(make(0.0).with_engine(EngineKind::Event));
+    let exact = run_cluster(make(0.0));
     assert_eq!(
-        round.digest(),
-        event.digest(),
-        "hier topology: round vs event at zero band"
+        oracle::run(&make(0.0)).digest(),
+        exact.digest(),
+        "hier topology: oracle vs fleet loop at zero band"
     );
-    let banded = run_cluster(make(5.0).with_engine(EngineKind::Event));
-    for (a, b) in round.outcomes.iter().zip(&banded.outcomes) {
-        assert_eq!(
-            (a.name.as_str(), a.result.makespan, a.violation_rounds),
-            (b.name.as_str(), b.result.makespan, b.violation_rounds),
-            "hier dead-band replay changed the physics"
-        );
-        assert_eq!(
-            a.result.total_energy_j().to_bits(),
-            b.result.total_energy_j().to_bits(),
-            "hier dead-band replay changed {}'s energy",
-            a.name
-        );
-    }
+    let banded = run_cluster(make(5.0));
+    assert_same_physics("hier", &exact, &banded);
 }
 
 // ---------------------------------------------------------------------------
 // Pinned goldens for the four fleet-level bench experiments. These mirror
 // the `--quick` configurations in `crates/bench/src/experiments.rs` (with
 // shortened horizons where the full quick run would dominate the suite);
-// one representative row of each table is pinned under BOTH engines. If an
+// one representative row of each table is pinned at every thread count
+// (and, for the batch row, in the oracle too). If an
 // intentional simulation change shifts a constant, re-pin it — the test
 // exists to make such shifts loud in the same commit that causes them.
 // ---------------------------------------------------------------------------
@@ -607,7 +589,7 @@ fn golden_cluster_capping_agrees_and_is_pinned() {
         }
         ClusterConfig::new(fleet, 250.0, CapSplit::FastCap).with_epochs_per_round(2)
     };
-    let d = assert_cluster_engines_agree("cluster_capping", &make);
+    let d = assert_cluster_matches_oracle("cluster_capping", &make);
     println!("cluster_capping fnv = {}", fnv1a(d.as_bytes()));
     assert_eq!(fnv1a(d.as_bytes()), GOLDEN, "digest drifted:\n{d}");
 }
@@ -626,7 +608,7 @@ fn golden_service_sla_agrees_and_is_pinned() {
         ];
         ServiceConfig::new(fleet, 280.0, CapSplit::SlaAware).with_rounds(8)
     };
-    let d = assert_service_engines_agree("service_sla", &make);
+    let d = assert_service_thread_invariant("service_sla", &make);
     println!("service_sla fnv = {}", fnv1a(d.as_bytes()));
     assert_eq!(fnv1a(d.as_bytes()), GOLDEN, "digest drifted:\n{d}");
 }
@@ -658,7 +640,7 @@ fn golden_hierarchical_capping_agrees_and_is_pinned() {
             .with_rounds(10)
             .with_topology(tree)
     };
-    let d = assert_service_engines_agree("hierarchical_capping", &make);
+    let d = assert_service_thread_invariant("hierarchical_capping", &make);
     println!("hierarchical_capping fnv = {}", fnv1a(d.as_bytes()));
     assert_eq!(fnv1a(d.as_bytes()), GOLDEN, "digest drifted:\n{d}");
 }
@@ -681,15 +663,41 @@ fn golden_closed_loop_balancing_agrees_and_is_pinned() {
                     .with_mean_request_instrs(120_000.0),
             )
     };
-    let d = assert_service_engines_agree("closed_loop_balancing", &make);
+    let d = assert_service_thread_invariant("closed_loop_balancing", &make);
     println!("closed_loop_balancing fnv = {}", fnv1a(d.as_bytes()));
     assert_eq!(fnv1a(d.as_bytes()), GOLDEN, "digest drifted:\n{d}");
 }
 
-/// Nightly-scale differential smoke: a 1024-server fleet at 90% idle, both
-/// engines digest-equal at a zero dead-band, and the dead-banded event
-/// engine leaving the physics (makespans, energies, violations) untouched
-/// while skipping most splits. Run with `cargo test --release -- --ignored`.
+/// Asserts that `banded` left the physics of `exact` untouched: the same
+/// makespans, violation counts and energies, server by server.
+fn assert_same_physics(label: &str, exact: &ClusterResult, banded: &ClusterResult) {
+    for (a, b) in exact.outcomes.iter().zip(&banded.outcomes) {
+        assert_eq!(
+            (a.name.as_str(), a.result.makespan, a.violation_rounds),
+            (b.name.as_str(), b.result.makespan, b.violation_rounds),
+            "[{label}] dead-band run changed the physics"
+        );
+        assert_eq!(
+            a.result.total_energy_j().to_bits(),
+            b.result.total_energy_j().to_bits(),
+            "[{label}] dead-band run changed {}'s energy",
+            a.name
+        );
+    }
+}
+
+/// Runs `config` and returns the result with its wall time in seconds.
+fn timed(config: ClusterConfig) -> (ClusterResult, f64) {
+    let start = std::time::Instant::now();
+    let r = run_cluster(config);
+    (r, start.elapsed().as_secs_f64())
+}
+
+/// Nightly-scale differential smoke: a 1024-server fleet at 90% idle, the
+/// fleet loop digest-equal to the oracle at a zero dead-band, and the
+/// dead-banded run leaving the physics (makespans, energies, violations)
+/// untouched while skipping most splits. Run with
+/// `cargo test --release -- --ignored`.
 #[test]
 #[ignore = "1024-server differential smoke; run via cargo test --release -- --ignored"]
 fn fleet_1024_differential_smoke() {
@@ -706,54 +714,34 @@ fn fleet_1024_differential_smoke() {
         c
     };
     let start = std::time::Instant::now();
-    let round = run_cluster(make(0.0).with_engine(EngineKind::Round));
-    let t_round = start.elapsed();
-    let start = std::time::Instant::now();
-    let event = run_cluster(make(0.0).with_engine(EngineKind::Event));
-    let t_event = start.elapsed();
+    let reference = oracle::run(&make(0.0));
+    let t_oracle = start.elapsed().as_secs_f64();
+    let (exact, t_exact) = timed(make(0.0));
     assert_eq!(
-        round.digest(),
-        event.digest(),
-        "1024-server round vs event digests diverged"
+        reference.digest(),
+        exact.digest(),
+        "1024-server oracle vs fleet loop digests diverged"
     );
-    let start = std::time::Instant::now();
-    let banded = run_cluster(make(5.0).with_engine(EngineKind::Event));
-    let t_banded = start.elapsed();
-    for (a, b) in round.outcomes.iter().zip(&banded.outcomes) {
-        assert_eq!(
-            (a.name.as_str(), a.result.makespan, a.violation_rounds),
-            (b.name.as_str(), b.result.makespan, b.violation_rounds),
-            "dead-band run changed the physics"
-        );
-        assert_eq!(
-            a.result.total_energy_j().to_bits(),
-            b.result.total_energy_j().to_bits(),
-            "dead-band run changed {}'s energy",
-            a.name
-        );
-    }
+    let (banded, t_banded) = timed(make(5.0));
+    assert_same_physics("1024", &exact, &banded);
     println!(
-        "1024-server smoke: round {:.2}s, event {:.2}s ({:.1}x), event +5W dead-band {:.2}s ({:.1}x)",
-        t_round.as_secs_f64(),
-        t_event.as_secs_f64(),
-        t_round.as_secs_f64() / t_event.as_secs_f64().max(1e-9),
-        t_banded.as_secs_f64(),
-        t_round.as_secs_f64() / t_banded.as_secs_f64().max(1e-9)
+        "1024-server smoke: serial oracle {t_oracle:.2}s, fleet loop {t_exact:.2}s, \
+         +5W dead-band {t_banded:.2}s ({:.1}x)",
+        t_exact / t_banded.max(1e-9)
     );
 }
 
-/// Nightly-scale sharded-wake-queue smoke: 16384 servers at 90% idle under
-/// a 256-rack budget tree. Round and event engines must be digest-equal at
-/// a zero dead-band — at *any* wake-shard count — and the 5 W dead-banded
-/// event run must conserve the budget every round while leaving makespans,
-/// violation counts, and energies bit-identical. Run with
-/// `cargo test --release -- --ignored`.
+/// Nightly-scale smoke: 16384 servers at 90% idle under a 256-rack budget
+/// tree. The run must be digest-equal at two worker-thread counts at a
+/// zero dead-band, and the 5 W dead-banded run must conserve the budget
+/// every round while leaving makespans, violation counts, and energies
+/// bit-identical. Run with `cargo test --release -- --ignored`.
 #[test]
 #[ignore = "16384-server differential smoke; run via cargo test --release -- --ignored"]
 fn fleet_16384_differential_smoke() {
     let n = 16_384usize;
     let budget = 100.0 * n as f64;
-    let make = |dead_band_w: f64, wake_shards: usize| {
+    let make = |dead_band_w: f64, threads: usize| {
         let mut fleet = synthetic_fleet(n, 0.9);
         for s in &mut fleet {
             // Eighth-length workloads keep the 16k fleet's horizon (and
@@ -764,32 +752,19 @@ fn fleet_16384_differential_smoke() {
         let mut c = ClusterConfig::new(fleet, budget, CapSplit::FastCap)
             .with_epochs_per_round(1)
             .with_dead_band(dead_band_w)
-            .with_threads(8)
-            .with_wake_shards(wake_shards)
+            .with_threads(threads)
             .with_topology(rack_tree(&names, 64));
         c.quantum_w = 1.0;
         c
     };
-    let start = std::time::Instant::now();
-    let round = run_cluster(make(0.0, 0).with_engine(EngineKind::Round));
-    let t_round = start.elapsed();
-    let start = std::time::Instant::now();
-    let event = run_cluster(make(0.0, 8).with_engine(EngineKind::Event));
-    let t_event = start.elapsed();
+    let (exact, t_exact) = timed(make(0.0, 8));
+    let (odd, t_odd) = timed(make(0.0, 3));
     assert_eq!(
-        round.digest(),
-        event.digest(),
-        "16384-server round vs event@8-shards digests diverged"
+        exact.digest(),
+        odd.digest(),
+        "16384-server digests diverged between 8 and 3 threads"
     );
-    let odd_shards = run_cluster(make(0.0, 3).with_engine(EngineKind::Event));
-    assert_eq!(
-        round.digest(),
-        odd_shards.digest(),
-        "wake-shard count changed the digest"
-    );
-    let start = std::time::Instant::now();
-    let banded = run_cluster(make(5.0, 8).with_engine(EngineKind::Event));
-    let t_banded = start.elapsed();
+    let (banded, t_banded) = timed(make(5.0, 8));
     for (r, caps) in banded.cap_timeline.iter().enumerate() {
         let total: f64 = caps.iter().sum();
         assert!(
@@ -797,34 +772,20 @@ fn fleet_16384_differential_smoke() {
             "round {r}: dead-banded in-force caps {total:.3} W exceed the {budget} W budget"
         );
     }
-    for (a, b) in round.outcomes.iter().zip(&banded.outcomes) {
-        assert_eq!(
-            (a.name.as_str(), a.result.makespan, a.violation_rounds),
-            (b.name.as_str(), b.result.makespan, b.violation_rounds),
-            "16k dead-band run changed the physics"
-        );
-        assert_eq!(
-            a.result.total_energy_j().to_bits(),
-            b.result.total_energy_j().to_bits(),
-            "16k dead-band run changed {}'s energy",
-            a.name
-        );
-    }
+    assert_same_physics("16k", &exact, &banded);
     println!(
-        "16384-server smoke: round {:.2}s, event {:.2}s ({:.1}x), +5W dead-band {:.2}s ({:.1}x)",
-        t_round.as_secs_f64(),
-        t_event.as_secs_f64(),
-        t_round.as_secs_f64() / t_event.as_secs_f64().max(1e-9),
-        t_banded.as_secs_f64(),
-        t_round.as_secs_f64() / t_banded.as_secs_f64().max(1e-9)
+        "16384-server smoke: 8 threads {t_exact:.2}s, 3 threads {t_odd:.2}s, \
+         +5W dead-band {t_banded:.2}s ({:.1}x)",
+        t_exact / t_banded.max(1e-9)
     );
 }
 
 /// Nightly-scale control-plane smoke: a 1024-server fleet on a loopback
-/// plane with a live standby and a mid-run primary partition. Both engines
-/// must agree bit-for-bit through the election and step-down, and the
-/// in-force caps must conserve the budget strictly (zero-latency failover
-/// has no replication gap). Run with `cargo test --release -- --ignored`.
+/// plane with a live standby and a mid-run primary partition. The fleet
+/// loop must match the oracle bit-for-bit through the election and
+/// step-down, and the in-force caps must conserve the budget strictly
+/// (zero-latency failover has no replication gap). Run with
+/// `cargo test --release -- --ignored`.
 #[test]
 #[ignore = "1024-server control-plane smoke; run via cargo test --release -- --ignored"]
 fn fleet_1024_control_plane_failover_smoke() {
@@ -845,37 +806,29 @@ fn fleet_1024_control_plane_failover_smoke() {
         c.quantum_w = 0.02;
         c
     };
-    let start = std::time::Instant::now();
-    let round = run_cluster(make().with_engine(EngineKind::Round));
-    let t_round = start.elapsed();
-    let start = std::time::Instant::now();
-    let event = run_cluster(make().with_engine(EngineKind::Event));
-    let t_event = start.elapsed();
+    let (r, t_run) = timed(make());
     assert_eq!(
-        round.digest(),
-        event.digest(),
-        "1024-server failover round vs event digests diverged"
+        oracle::run(&make()).digest(),
+        r.digest(),
+        "1024-server failover oracle vs fleet loop digests diverged"
     );
     assert!(
-        round.rounds > 48,
+        r.rounds > 48,
         "horizon ({} rounds) too short: the partition must heal well before the run ends",
-        round.rounds
+        r.rounds
     );
-    assert_eq!(round.control.elections, 1, "exactly one takeover");
-    assert_eq!(round.control.terms, vec![1, 1]);
-    for (r, caps) in round.cap_timeline.iter().enumerate() {
+    assert_eq!(r.control.elections, 1, "exactly one takeover");
+    assert_eq!(r.control.terms, vec![1, 1]);
+    for (round, caps) in r.cap_timeline.iter().enumerate() {
         let total: f64 = caps.iter().sum();
         assert!(
             total <= budget + 1e-6,
-            "round {r}: in-force caps {total:.3} W exceed the {budget} W budget"
+            "round {round}: in-force caps {total:.3} W exceed the {budget} W budget"
         );
     }
     println!(
-        "1024-server failover smoke: round {:.2}s, event {:.2}s, {} grants, {} heartbeat msgs in flight at end",
-        t_round.as_secs_f64(),
-        t_event.as_secs_f64(),
-        round.control.grants_sent,
-        round.control.in_flight_at_end,
+        "1024-server failover smoke: {t_run:.2}s, {} grants, {} heartbeat msgs in flight at end",
+        r.control.grants_sent, r.control.in_flight_at_end,
     );
 }
 

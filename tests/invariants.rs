@@ -6,8 +6,10 @@
 //! message-plane conservation (no grant double-applied, leased fleet power
 //! within budget) under arbitrary loss, delay, duplication, and failover.
 
+mod oracle;
+
 use cluster::{
-    run_cluster, BudgetTree, ClusterConfig, EngineKind, RpcConfig, ServerDemand,
+    run_cluster, BudgetTree, ClusterConfig, RpcConfig, ServerDemand,
     ServerSpec as ClusterServerSpec, SlaSignal,
 };
 use proptest::prelude::*;
@@ -274,15 +276,14 @@ fn failover_conserves_budget_under_loss_and_latency() {
 
 /// Nightly-scale topology smoke: a 1024-server three-tier DAG fleet
 /// (`fe[64] -> app[192]*2 -> st[768]*2@3`) under the critical-path split,
-/// conserving every root and span, digest-equal between the round and
-/// event engines at a zero dead-band, and bit-identical across worker
+/// conserving every root and span, and bit-identical across worker
 /// thread counts. Run with `cargo test --release -- --ignored`.
 #[test]
 #[ignore = "1024-server DAG conservation smoke; run via cargo test --release -- --ignored"]
 fn tier_dags_1024_conservation_smoke() {
     let graph: TierGraph = "fe[64] -> app[192]*2 -> st[768]*2@3".parse().unwrap();
     let mixes = ["MID1", "ILP1", "MEM1", "MID2"];
-    let make = |threads: usize, engine: EngineKind| {
+    let make = |threads: usize| {
         let fleet: Vec<ServiceServerSpec> = graph
             .server_names()
             .iter()
@@ -293,7 +294,6 @@ fn tier_dags_1024_conservation_smoke() {
         let mut cfg = ServiceConfig::new(fleet, budget, CapSplit::FastCap)
             .with_rounds(6)
             .with_threads(threads)
-            .with_engine(engine)
             .with_closed_loop(
                 ClosedLoopConfig::new(512, Ps::from_us(150), BalancePolicy::LeastQueue)
                     .with_seed(9),
@@ -306,8 +306,8 @@ fn tier_dags_1024_conservation_smoke() {
         cfg
     };
     let start = std::time::Instant::now();
-    let r = run_service(make(8, EngineKind::Round));
-    let t_round = start.elapsed();
+    let r = run_service(make(8));
+    let elapsed = start.elapsed();
     let t = r.tiers.as_ref().expect("tier summary");
     let s = &t.stats;
 
@@ -328,22 +328,13 @@ fn tier_dags_1024_conservation_smoke() {
     assert_eq!(cl.responses, s.roots_closed);
     assert_eq!(cl.waiting_at_end as u64, s.open_roots);
 
-    // Engine and thread determinism at scale.
-    let start = std::time::Instant::now();
-    let event = run_service(make(8, EngineKind::Event));
-    let t_event = start.elapsed();
-    assert_eq!(
-        r.digest(),
-        event.digest(),
-        "1024-server tier round vs event digests diverged"
-    );
-    let r4 = run_service(make(4, EngineKind::Round));
+    // Thread determinism at scale.
+    let r4 = run_service(make(4));
     assert_eq!(r.digest(), r4.digest(), "1024-server tier 8 vs 4 threads");
     println!(
-        "1024-server tier smoke: {} DAGs closed, round {:.2}s, event {:.2}s",
+        "1024-server tier smoke: {} DAGs closed in {:.2}s",
         s.roots_closed,
-        t_round.as_secs_f64(),
-        t_event.as_secs_f64()
+        elapsed.as_secs_f64(),
     );
 }
 
@@ -425,20 +416,19 @@ proptest! {
     }
 
     /// Multi-tier DAG conservation, whatever the seed, population, graph
-    /// shape, engine, tier floor, and churn: every span a completed parent
+    /// shape, tier floor, and churn: every span a completed parent
     /// spawns is exactly its tier's fan-out (`spawned_by_tier[t] =
     /// completed_by_tier[t-1] x fanout[t]`), every root and span
     /// terminates or stays counted as open, the end-to-end sojourn
     /// dominates every child's, and the client population is released
     /// exactly once per closed DAG.
     #[test]
-    fn tier_dags_conserve_spans_under_churn_and_both_engines(
+    fn tier_dags_conserve_spans_under_churn(
         seed in any::<u64>(),
         clients in 8usize..40,
         think_us in 0u64..300,
         shape in 0u8..3,
         floor_frac in 0.0f64..0.3,
-        event_engine in any::<bool>(),
         churn in any::<bool>(),
         rounds in 6usize..10,
     ) {
@@ -456,11 +446,9 @@ proptest! {
             .map(|(i, n)| ServiceServerSpec::small(n, mixes[i % mixes.len()], seed ^ i as u64, 0.0))
             .collect();
         let budget = 50.0 * fleet.len() as f64;
-        let engine = if event_engine { EngineKind::Event } else { EngineKind::Round };
         let mut cfg = ServiceConfig::new(fleet, budget, CapSplit::FastCap)
             .with_rounds(rounds)
             .with_threads(4)
-            .with_engine(engine)
             .with_closed_loop(
                 ClosedLoopConfig::new(clients, Ps::from_us(think_us), BalancePolicy::LeastQueue)
                     .with_seed(seed),
@@ -522,7 +510,6 @@ proptest! {
         duplicate in 0.0f64..0.2,
         latency_rounds in 0u64..3,
         floor_w in 0.0f64..3.0,
-        event_engine in any::<bool>(),
         failover in any::<bool>(),
         // A randomized partition schedule: some subset of the servers
         // (possibly empty) cut off for a window of rounds. Partitioned
@@ -565,10 +552,7 @@ proptest! {
             partitions,
             ..RpcConfig::default()
         };
-        let engine = if event_engine { EngineKind::Event } else { EngineKind::Round };
-        let cfg = ClusterConfig::new(fleet, budget, cluster::CapSplit::FastCap)
-            .with_engine(engine)
-            .with_rpc(rpc);
+        let cfg = ClusterConfig::new(fleet, budget, cluster::CapSplit::FastCap).with_rpc(rpc);
         let r = run_cluster(cfg.clone());
 
         // No grant double-applied: the audit log is duplicate-free and
@@ -593,6 +577,16 @@ proptest! {
                  (+ {n} x {floor_w} W floors)"
             );
         }
+
+        // The fleet loop reproduces the serial oracle under the same loss,
+        // duplication, latency, partition and failover schedule: it sends
+        // the same messages in the same order, so the plane draws the same
+        // fates.
+        prop_assert_eq!(
+            oracle::run(&cfg).digest(),
+            r.digest(),
+            "fleet loop diverged from the oracle on a lossy plane"
+        );
 
         // Lossy-plane runs are still deterministic across thread counts.
         let r4 = run_cluster(cfg.with_threads(4));
