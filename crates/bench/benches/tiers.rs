@@ -1,12 +1,16 @@
 //! Criterion micro-benchmarks of the multi-tier topology hot path: the
 //! per-round `TraceCollector` aggregation and the critical-path budget
 //! split, compared against the FastCap and SLA-aware quantum greedies at
-//! the same fan-out.
+//! the same fan-out, and against FastCap run through the split executor
+//! every fleet uses (a one-group `HierSplitter`), recomputed and replayed.
 //!
 //! Both run once per coordination round, so they must stay far below the
 //! round length even at cluster scale (~1024 children).
 
-use cluster::{split_caps, split_caps_critical, split_caps_sla, CapSplit, ServerDemand, SlaSignal};
+use cluster::{
+    split_caps, split_caps_critical, split_caps_sla, BudgetTree, CapSplit, HierSplitter,
+    ServerDemand, SlaSignal,
+};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use topology::TraceCollector;
@@ -98,6 +102,22 @@ fn bench_splits(c: &mut Criterion) {
                 0.02,
             ))
         })
+    });
+    // The same split through the executor: invalidated every iteration it
+    // recomputes, so the gap to `fastcap_20mw` is the executor's overhead;
+    // left warm, every iteration is a root replay.
+    let names: Vec<String> = (0..n).map(|i| format!("s{i}")).collect();
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    let tree = BudgetTree::flat(CapSplit::FastCap, &names);
+    let mut splitter = HierSplitter::compile(&tree, &names, 0.0);
+    group.bench_function("compiled_fastcap_20mw", |b| {
+        b.iter(|| {
+            splitter.invalidate();
+            black_box(splitter.split(black_box(budget_w), &ds, None, 0.02))
+        })
+    });
+    group.bench_function("compiled_replay", |b| {
+        b.iter(|| black_box(splitter.split(black_box(budget_w), &ds, None, 0.02)))
     });
     // A third of the children violating, a third meeting, a third unknown.
     let sla: Vec<SlaSignal> = (0..n)

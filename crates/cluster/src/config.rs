@@ -49,6 +49,21 @@ impl std::fmt::Display for CapSplit {
     }
 }
 
+impl std::str::FromStr for CapSplit {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<CapSplit, String> {
+        match s {
+            "uniform" => Ok(CapSplit::Uniform),
+            "demand-proportional" | "demand" => Ok(CapSplit::DemandProportional),
+            "fastcap" => Ok(CapSplit::FastCap),
+            "sla-aware" | "sla" => Ok(CapSplit::SlaAware),
+            "critical-path" | "crit" => Ok(CapSplit::CriticalPath),
+            other => Err(format!("unknown split '{other}'")),
+        }
+    }
+}
+
 /// What happens to the fleet at one churn point.
 #[derive(Clone, Debug)]
 pub enum ChurnAction<S> {
@@ -447,6 +462,30 @@ impl ClusterConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cap_split_parse_display_round_trip() {
+        for split in [
+            CapSplit::Uniform,
+            CapSplit::DemandProportional,
+            CapSplit::FastCap,
+            CapSplit::SlaAware,
+            CapSplit::CriticalPath,
+        ] {
+            assert_eq!(split.to_string().parse::<CapSplit>(), Ok(split));
+        }
+        for (alias, split) in [
+            ("demand", CapSplit::DemandProportional),
+            ("sla", CapSplit::SlaAware),
+            ("crit", CapSplit::CriticalPath),
+        ] {
+            assert_eq!(alias.parse::<CapSplit>(), Ok(split), "{alias}");
+        }
+        for bad in ["", "nosuch", "FastCap", "fastcap "] {
+            let err = bad.parse::<CapSplit>().unwrap_err();
+            assert_eq!(err, format!("unknown split '{bad}'"));
+        }
+    }
 
     #[test]
     fn validation_rejects_bad_clusters() {

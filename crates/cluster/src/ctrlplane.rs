@@ -61,18 +61,16 @@
 //! Under the default [`RpcConfig`] (zero latency, zero loss, no failover)
 //! every message sent at a barrier is delivered and answered within that
 //! same barrier, the reconcile loop below converges to the exact
-//! (bit-identical) caps of the direct [`split_caps_active`] /
-//! [`BudgetTree`](crate::BudgetTree) computation, and the fleet loop
-//! reproduces its pre-plane digests exactly — proven in
+//! (bit-identical) caps of a direct [`HierSplitter`] split, and the fleet
+//! loop reproduces its pre-plane digests exactly — proven in
 //! `tests/engine_equivalence.rs`. With failover on, the leader also
 //! heartbeats *between* reconcile passes, so at zero latency each pass's
 //! freed watts are confirmed by the standby within the barrier and the
 //! caps still match the direct computation bit for bit.
 
 use crate::coordinator::ServerDemand;
-use crate::engine::{split_caps_active, CapCache};
 use crate::hiercache::HierSplitter;
-use crate::ClusterConfig;
+use crate::{BudgetTree, ClusterConfig};
 use netsim::{Envelope, LinkConfig, MsgPlane, NodeId, PlaneStats};
 use simkernel::Ps;
 
@@ -797,12 +795,10 @@ struct Coordinator {
     view_round: Vec<u64>,
     suspected: Vec<bool>,
     ledger: LeaseLedger,
-    cache: CapCache,
-    /// Compiled hierarchical splitter, when the config has a topology:
-    /// replays clean subtrees per-node instead of re-walking the whole
-    /// tree every cache miss. At the flat cache's zero dead-band its
-    /// output is bit-identical to `BudgetTree::split`.
-    hier: Option<HierSplitter>,
+    /// The compiled budget tree (a one-group tree for flat configs) with
+    /// its per-node replay cache. At a zero dead-band a replay equals a
+    /// recompute.
+    splitter: HierSplitter,
     /// Per-barrier scratch: the view with suspected servers masked
     /// inactive (kept allocated across barriers).
     live: Vec<ServerDemand>,
@@ -830,8 +826,7 @@ impl Coordinator {
         n: usize,
         initial_cap_w: f64,
         lease_rounds: u64,
-        dead_band_w: f64,
-        hier: Option<HierSplitter>,
+        splitter: HierSplitter,
     ) -> Coordinator {
         Coordinator {
             node,
@@ -849,8 +844,7 @@ impl Coordinator {
             view_round: vec![0; n],
             suspected: vec![false; n],
             ledger: LeaseLedger::new(n, initial_cap_w, lease_rounds),
-            cache: CapCache::new(dead_band_w),
-            hier,
+            splitter,
             live: Vec::with_capacity(n),
             next_seq: 1,
             last_peer_heard: 0,
@@ -879,10 +873,7 @@ impl Coordinator {
         self.view_round = hb.state.view_round;
         self.ledger = hb.state.ledger;
         self.next_seq = hb.state.next_seq;
-        self.cache.invalidate();
-        if let Some(h) = &mut self.hier {
-            h.invalidate();
-        }
+        self.splitter.invalidate();
     }
 }
 
@@ -936,13 +927,18 @@ impl ControlPlane {
         let primary = NodeId(n);
         let standby = NodeId(n + 1);
         let initial = config.global_cap_w / n as f64;
-        // Hierarchical runs compile the tree once; every coordinator gets
-        // its own (initially cold) per-node replay cache over the shared
-        // compiled structure.
-        let hier = config
-            .topology
-            .as_ref()
-            .map(|t| HierSplitter::compile(t, &names, config.dead_band_w));
+        // The tree compiles once (a flat config as one group over the
+        // fleet); every coordinator gets its own, initially cold, per-node
+        // replay cache over the shared compiled structure.
+        let flat;
+        let tree = match &config.topology {
+            Some(tree) => tree,
+            None => {
+                flat = BudgetTree::flat(config.split, &names);
+                &flat
+            }
+        };
+        let splitter = HierSplitter::compile(tree, &names, config.dead_band_w);
         let coords = (0..coords_n)
             .map(|c| {
                 let (node, peer) = if c == 0 {
@@ -957,8 +953,7 @@ impl ControlPlane {
                     n,
                     initial,
                     rpc.lease_rounds,
-                    config.dead_band_w,
-                    hier.clone(),
+                    splitter.clone(),
                 )
             })
             .collect();
@@ -1013,12 +1008,15 @@ impl ControlPlane {
     /// finished ones included (as inactive), in index order: the plane
     /// draws each message's fate from its send order, so who reports
     /// decides a lossy run's outcome.
+    ///
+    /// `_names` (the fleet order) is unused: the splitter was compiled
+    /// against it in [`ControlPlane::new`].
     pub fn barrier(
         &mut self,
         round: u64,
         reports: &[(usize, ServerDemand)],
         config: &ClusterConfig,
-        names: &[&str],
+        _names: &[&str],
     ) -> Vec<f64> {
         let t = Ps::new(round);
         self.apply_partitions(round);
@@ -1042,7 +1040,7 @@ impl ControlPlane {
         self.maybe_elect(round);
         for c in 0..self.coords.len() {
             if self.coords[c].is_leader {
-                self.decide(c, round, t, config, names);
+                self.decide(c, round, t, config);
             }
         }
 
@@ -1280,10 +1278,7 @@ impl ControlPlane {
             for s in &mut co.suspected {
                 *s = false;
             }
-            co.cache.invalidate();
-            if let Some(h) = &mut co.hier {
-                h.invalidate();
-            }
+            co.splitter.invalidate();
             self.stats.elections += 1;
         }
     }
@@ -1297,7 +1292,7 @@ impl ControlPlane {
     /// the next pass spends them, and the first higher-term nack aborts
     /// the batch — a deposed leader stops granting immediately. Ends with
     /// a heartbeat to the peer.
-    fn decide(&mut self, c: usize, round: u64, t: Ps, config: &ClusterConfig, names: &[&str]) {
+    fn decide(&mut self, c: usize, round: u64, t: Ps, config: &ClusterConfig) {
         let n = self.n;
         let desired = {
             let co = &mut self.coords[c];
@@ -1327,30 +1322,8 @@ impl ControlPlane {
             }
             co.granted_this_barrier.clear();
             co.granted_this_barrier.resize(n, None);
-            if let Some(caps) = co.cache.lookup(&co.live) {
-                caps
-            } else {
-                // Hierarchical splits go through the compiled per-node
-                // replay cache when present; flat splits compact to the
-                // active set. Both are bit-identical to the plain tree /
-                // full-slice split.
-                let caps = match (&config.topology, co.hier.as_mut()) {
-                    (Some(_), Some(h)) => {
-                        h.split(config.global_cap_w, &co.live, None, config.quantum_w)
-                    }
-                    (Some(tree), None) => {
-                        tree.split(config.global_cap_w, names, &co.live, None, config.quantum_w)
-                    }
-                    (None, _) => split_caps_active(
-                        config.split,
-                        config.global_cap_w,
-                        &co.live,
-                        config.quantum_w,
-                    ),
-                };
-                co.cache.store(&co.live, &caps);
-                caps
-            }
+            co.splitter
+                .split(config.global_cap_w, &co.live, None, config.quantum_w)
         };
 
         // Reconcile to fixpoint: at zero latency each pass's acks free the

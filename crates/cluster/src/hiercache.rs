@@ -1,16 +1,16 @@
-//! Hierarchical cap cache: a [`BudgetTree`] compiled into an
-//! index-addressed node table with per-node dead-band replay.
+//! The split executor: a [`BudgetTree`] compiled into an index-addressed
+//! node table with per-node dead-band replay.
 //!
-//! The flat [`CapCache`](crate::CapCache) replays a *whole-fleet* split
-//! only while no server's telemetry moved, so one busy server forces a
-//! full tree walk even when every other rack is asleep — and each walk
-//! re-hashes every leaf name through `split_signals`' per-call index map.
-//! [`HierSplitter`] moves the dead-band test down to every interior node:
-//! the tree is compiled once into a pre-order array of integer-indexed
-//! nodes (leaves carry fleet indices, so barriers never hash a name), each
-//! interior node caches the child shares it last computed, keyed on its
-//! granted budget and its children's *aggregated* telemetry, and a barrier
-//! replays clean subtrees verbatim while re-splitting only the dirty ones.
+//! Every budget split in both fleet layers runs here. Hierarchical
+//! topologies compile as written; a flat split compiles as the one-group
+//! tree [`BudgetTree::flat`], whose root node runs the discipline over the
+//! whole fleet. The tree is compiled once into a pre-order array of
+//! integer-indexed nodes (leaves carry fleet indices, so barriers never
+//! hash a name). Each interior node caches the child shares it last
+//! computed, keyed on its granted budget and its children's *aggregated*
+//! telemetry, and a barrier replays clean subtrees verbatim while
+//! re-splitting only the dirty ones. For a flat tree the root's key is
+//! the whole fleet's telemetry, server by server.
 //!
 //! Correctness anchors:
 //!
@@ -18,17 +18,18 @@
 //!   budget and every child aggregate match the stored reference
 //!   bit-for-bit, and the split disciplines are pure functions of those
 //!   inputs — so a replayed node returns exactly what a recompute would,
-//!   and by induction over the tree the result equals
-//!   [`BudgetTree::split_signals`] to the last bit.
+//!   and by induction over the tree the result equals a cold split to the
+//!   last bit. The recursive allocator this executor replaced is kept as
+//!   the test reference in `tests/oracle/tree.rs`.
 //! * **Budget bounds by induction at any dead-band.** A node's budget must
 //!   match its stored reference *exactly* (never merely within the band),
 //!   so replayed shares are a genuine historical split of the same budget:
 //!   they sum to at most the node's grant, and the global bound follows by
 //!   the same induction as a fresh allocation.
-//! * **Audit plumbing.** [`HierSplitter::split_with_trace`] emits the same
-//!   pre-order [`GroupShare`] trail as [`BudgetTree::split_trace`], plus a
-//!   per-group replay flag, so differential tests can prove that replayed
-//!   subtrees match a fresh split of the same telemetry.
+//! * **Audit plumbing.** [`HierSplitter::split_with_trace`] emits the
+//!   pre-order [`GroupShare`] trail, plus a per-group replay flag, so
+//!   differential tests can prove that replayed subtrees match a fresh
+//!   split of the same telemetry.
 //!
 //! Membership churn calls [`HierSplitter::rebind`] rather than discarding
 //! everything: entries survive for every group whose discipline and child
@@ -73,9 +74,9 @@ enum NodeKind {
 }
 
 /// Raw SLA aggregate of a subtree, foldable bottom-up: the running
-/// max/OR state of [`BudgetNode`]'s leaf walk. Max and OR are associative
-/// selections, so folding child aggregates reproduces the leaf walk
-/// bit-for-bit.
+/// max/OR state of a walk over the subtree's leaves. Max and OR are
+/// associative selections, so folding child aggregates reproduces that
+/// walk bit-for-bit.
 #[derive(Clone, Copy, Debug)]
 struct SlaAgg {
     worst: f64,
@@ -91,7 +92,9 @@ impl SlaAgg {
     };
 
     /// Materializes the `SlaSignal` an interior node feeds its SLA-aware
-    /// split, exactly as `BudgetNode::aggregate_sla` does.
+    /// split: the worst `p99/target` ratio over active leaves against a
+    /// target of 1.0, or 0 ("unknown": bid full demand) while any active
+    /// leaf lacks samples.
     fn signal(self) -> SlaSignal {
         SlaSignal {
             p99_s: if self.unknown || !self.any_active {
@@ -122,9 +125,9 @@ struct Entry {
 }
 
 /// A [`BudgetTree`] compiled for repeated splitting with per-node
-/// dead-band replay. Build once per (tree, fleet) with
-/// [`HierSplitter::compile`]; call [`HierSplitter::split_signals`] every
-/// barrier; call [`HierSplitter::rebind`] after membership churn.
+/// dead-band replay: the one split executor. Build once per (tree, fleet)
+/// with [`HierSplitter::compile`]; call [`HierSplitter::split_signals`]
+/// every barrier; call [`HierSplitter::rebind`] after membership churn.
 #[derive(Clone, Debug)]
 pub struct HierSplitter {
     dead_band_w: f64,
@@ -162,10 +165,19 @@ struct TraceBuf {
 }
 
 impl HierSplitter {
-    /// Compiles `tree` against the fleet order `names`. Panics (like
-    /// [`BudgetTree::split`]) if a leaf names a server absent from the
-    /// fleet — validate the tree first.
+    /// Compiles `tree` against the fleet order `names`. The k-th leaf
+    /// naming a server binds the k-th fleet member of that name, so a flat
+    /// tree maps leaf i to server i even when names repeat.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a leaf names a server absent from the fleet (validate
+    /// the tree first), or if `dead_band_w` is negative or NaN.
     pub fn compile(tree: &BudgetTree, names: &[&str], dead_band_w: f64) -> HierSplitter {
+        assert!(
+            dead_band_w >= 0.0 && !dead_band_w.is_nan(),
+            "dead band must be a non-negative number"
+        );
         let mut s = HierSplitter {
             dead_band_w,
             fleet_names: names.iter().map(|n| n.to_string()).collect(),
@@ -177,8 +189,7 @@ impl HierSplitter {
             node_hits: 0,
             node_misses: 0,
         };
-        let index: HashMap<&str, usize> = names.iter().enumerate().map(|(i, n)| (*n, i)).collect();
-        build(tree.root(), &index, &mut s.nodes);
+        build(tree.root(), &mut fleet_index(names), &mut s.nodes);
         s.entries = vec![None; s.nodes.len()];
         s
     }
@@ -193,8 +204,7 @@ impl HierSplitter {
         let old_nodes = std::mem::take(&mut self.nodes);
         let mut old_entries = std::mem::take(&mut self.entries);
         self.fleet_names = names.iter().map(|n| n.to_string()).collect();
-        let index: HashMap<&str, usize> = names.iter().enumerate().map(|(i, n)| (*n, i)).collect();
-        build(tree.root(), &index, &mut self.nodes);
+        build(tree.root(), &mut fleet_index(names), &mut self.nodes);
         self.entries = vec![None; self.nodes.len()];
         let old_by_ident: HashMap<&str, usize> = old_nodes
             .iter()
@@ -251,8 +261,11 @@ impl HierSplitter {
         self.dead_band_w
     }
 
-    /// Splits like [`BudgetTree::split`] (SLA-only signals, no tier
-    /// floors — cannot fail), replaying clean subtrees.
+    /// Splits `global_cap_w` over the compiled fleet with SLA signals
+    /// only and no tier floors, so it cannot fail. `demands` (and `sla`,
+    /// when present) are indexed like the fleet, as is the returned cap
+    /// vector. Without SLA signals, SLA-aware nodes degrade to the
+    /// demand-saturating FastCap variant (see [`split_caps`]).
     ///
     /// # Panics
     ///
@@ -277,14 +290,16 @@ impl HierSplitter {
         .expect("without tier floors a tree split cannot fail")
     }
 
-    /// Splits like [`BudgetTree::split_signals`], replaying clean
-    /// subtrees. At a zero dead-band the result is bit-identical to a
-    /// fresh `split_signals` over the same inputs.
+    /// Like [`HierSplitter::split`], but with the full signal set: SLA
+    /// telemetry, per-server critical-path shares, and per-tier floors for
+    /// critical-path nodes. Without crit signals, critical-path nodes
+    /// degrade to demand-proportional. At a zero dead-band the result is
+    /// bit-identical to a cold split of the same inputs.
     ///
     /// # Errors
     ///
-    /// Fails with [`SplitError::InfeasibleFloors`] exactly when the
-    /// uncached split would.
+    /// Fails with [`SplitError::InfeasibleFloors`] when a critical-path
+    /// node's configured per-tier floors over-commit its budget.
     ///
     /// # Panics
     ///
@@ -309,8 +324,7 @@ impl HierSplitter {
     ///
     /// # Errors
     ///
-    /// Fails with [`SplitError::InfeasibleFloors`] exactly when the
-    /// uncached split would.
+    /// Fails exactly when [`HierSplitter::split_signals`] would.
     ///
     /// # Panics
     ///
@@ -398,8 +412,18 @@ impl HierSplitter {
     }
 }
 
+/// Fleet positions by name, each list reversed so `pop` hands out the
+/// first position not yet bound to a leaf.
+fn fleet_index<'a>(names: &[&'a str]) -> HashMap<&'a str, Vec<usize>> {
+    let mut index: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (i, n) in names.iter().enumerate().rev() {
+        index.entry(n).or_default().push(i);
+    }
+    index
+}
+
 /// Appends the compiled form of `node` (pre-order), returning its id.
-fn build(node: &BudgetNode, index: &HashMap<&str, usize>, nodes: &mut Vec<Node>) -> usize {
+fn build(node: &BudgetNode, index: &mut HashMap<&str, Vec<usize>>, nodes: &mut Vec<Node>) -> usize {
     let id = nodes.len();
     nodes.push(Node {
         kind: NodeKind::Leaf {
@@ -410,8 +434,9 @@ fn build(node: &BudgetNode, index: &HashMap<&str, usize>, nodes: &mut Vec<Node>)
     });
     match node {
         BudgetNode::Server { name } => {
-            let idx = *index
-                .get(name.as_str())
+            let idx = index
+                .get_mut(name.as_str())
+                .and_then(Vec::pop)
                 .unwrap_or_else(|| panic!("budget tree leaf '{name}' not in the fleet"));
             nodes[id] = Node {
                 kind: NodeKind::Leaf { fleet_idx: idx },
@@ -443,9 +468,8 @@ fn build(node: &BudgetNode, index: &HashMap<&str, usize>, nodes: &mut Vec<Node>)
 }
 
 /// One bottom-up pass computing every node's aggregates from its
-/// children — bit-identical to the recursive leaf walks in `tree.rs`
-/// because sums fold children in order and max/OR are associative
-/// selections.
+/// children — bit-identical to walking each subtree's leaves, because
+/// sums fold children in order and max/OR are associative selections.
 fn compute_aggregates(
     nodes: &[Node],
     demands: &[ServerDemand],
@@ -569,14 +593,14 @@ fn entry_matches(entry: &Entry, ctx: &AllocCtx<'_>, children: &[usize], budget_w
         }
         if let Some(ref_sla) = &entry.ref_sla {
             // The materialized ratio is dimensionless; the dead-band still
-            // applies, mirroring the flat cache's SLA comparison.
+            // applies to it.
             if !clean(ctx.agg_sla[c].signal().p99_s, ref_sla[k]) {
                 return false;
             }
         }
         if let Some(ref_crit) = &entry.ref_crit {
             // Crit shares are dimensionless tier fractions: bit-equality
-            // only, mirroring the flat cache.
+            // only.
             if ctx.agg_crit[c].to_bits() != ref_crit[k].to_bits() {
                 return false;
             }
@@ -586,7 +610,8 @@ fn entry_matches(entry: &Entry, ctx: &AllocCtx<'_>, children: &[usize], budget_w
 }
 
 /// Recursive allocation: replay a clean node's cached shares, or dispatch
-/// the discipline exactly as `BudgetNode::allocate` and cache the result.
+/// the node's discipline over its children's aggregates and cache the
+/// result. This is the one place a tree node picks a split function.
 #[allow(clippy::too_many_arguments)]
 fn alloc(
     ctx: &AllocCtx<'_>,
@@ -645,6 +670,10 @@ fn alloc(
                 let crit: Option<Vec<f64>> = ctx
                     .crit_present
                     .then(|| children.iter().map(|&c| ctx.agg_crit[c]).collect());
+                // Per-tier floors: an equal fraction of this node's budget
+                // for every active child, raised to the child's power floor
+                // inside the split. Infeasible floor configs surface as a
+                // structured error instead of silently clamping.
                 let floor_w: Option<Vec<f64>> = if ctx.tier_floor_frac > 0.0 {
                     let n_active = ds.iter().filter(|d| d.active).count().max(1);
                     let per = ctx.tier_floor_frac * budget_w / n_active as f64;
@@ -715,7 +744,7 @@ mod tests {
     const NAMES: [&str; 4] = ["a", "b", "c", "d"];
 
     #[test]
-    fn zero_dead_band_matches_tree_split_bit_for_bit() {
+    fn zero_dead_band_matches_a_cold_split_bit_for_bit() {
         let t = BudgetTree::parse(
             "dc:demand-proportional[pod0:uniform[r0:fastcap[a,b],r1:sla-aware[c,d]],pod1:fastcap[e,f]]",
         )
@@ -772,8 +801,12 @@ mod tests {
         for (step, (demands, sla)) in steps.iter().enumerate() {
             for budget in [100.0, 226.0, 400.0] {
                 let got = h.split(budget, demands, sla.as_deref(), 1.0);
-                let names_ref: Vec<&str> = names.to_vec();
-                let want = t.split(budget, &names_ref, demands, sla.as_deref(), 1.0);
+                let want = HierSplitter::compile(&t, &names, 0.0).split(
+                    budget,
+                    demands,
+                    sla.as_deref(),
+                    1.0,
+                );
                 let gb: Vec<u64> = got.iter().map(|c| c.to_bits()).collect();
                 let wb: Vec<u64> = want.iter().map(|c| c.to_bits()).collect();
                 assert_eq!(gb, wb, "step {step} budget {budget}");
@@ -832,7 +865,9 @@ mod tests {
             .split_with_trace(200.0, &demands, &TreeSignals::default(), 1.0)
             .unwrap();
         assert!(flags.iter().all(|&f| f), "identical telemetry replays all");
-        let (want_caps, want_trace) = t.split_trace(200.0, &NAMES, &demands, None, 1.0);
+        let (want_caps, want_trace, _) = HierSplitter::compile(&t, &NAMES, 0.0)
+            .split_with_trace(200.0, &demands, &TreeSignals::default(), 1.0)
+            .unwrap();
         assert_eq!(
             caps.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
             want_caps.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
@@ -868,7 +903,7 @@ mod tests {
         assert!(!flags[2], "churned rack1 starts cold");
         assert_eq!(h.node_hits(), hits_before + 1);
         // And the replay is still exactly the fresh split.
-        let want = t.split(200.0, &new_names, &demands2, None, 1.0);
+        let want = HierSplitter::compile(&t, &new_names, 0.0).split(200.0, &demands2, None, 1.0);
         assert_eq!(
             caps.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
             want.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
@@ -876,7 +911,7 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_floors_and_errors_match_the_tree() {
+    fn critical_path_floors_and_errors_match_a_cold_split() {
         let t = BudgetTree::parse("svc:critical-path[fe:fastcap[f0],st:fastcap[s0]]").unwrap();
         let names = ["f0", "s0"];
         let mut h = HierSplitter::compile(&t, &names, 0.0);
@@ -888,7 +923,9 @@ mod tests {
             ..TreeSignals::default()
         };
         let got = h.split_signals(120.0, &demands, &sig, 1.0).unwrap();
-        let want = t.split_signals(120.0, &names, &demands, &sig, 1.0).unwrap();
+        let want = HierSplitter::compile(&t, &names, 0.0)
+            .split_signals(120.0, &demands, &sig, 1.0)
+            .unwrap();
         assert_eq!(
             got.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
             want.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
@@ -898,6 +935,54 @@ mod tests {
         assert!(
             matches!(err, SplitError::InfeasibleFloors { .. }),
             "{err:?}"
+        );
+    }
+
+    #[test]
+    fn flat_root_replays_only_on_clean_telemetry() {
+        /// Splits once and reports whether the root replayed.
+        fn replays(h: &mut HierSplitter, demands: &[ServerDemand]) -> bool {
+            let hits = h.node_hits();
+            h.split(150.0, demands, None, 1.0);
+            h.node_hits() > hits
+        }
+        let names = ["a", "b"];
+        let t = BudgetTree::flat(CapSplit::FastCap, &names);
+        let demands = vec![d(100.0, 30.0), d(80.0, 25.0)];
+        let mut h = HierSplitter::compile(&t, &names, 0.0);
+        assert!(!replays(&mut h, &demands), "a cold splitter recomputes");
+        assert!(replays(&mut h, &demands));
+
+        // Any bit of telemetry movement is a dirty server at dead-band 0.
+        let mut moved = demands.clone();
+        moved[1].demand_w += 1e-12;
+        assert!(!replays(&mut h, &moved));
+
+        // An activity flip is a membership change even at a wide dead-band.
+        let mut h = HierSplitter::compile(&t, &names, 5.0);
+        h.split(150.0, &demands, None, 1.0);
+        let mut jitter = demands.clone();
+        jitter[0].demand_w += 3.0;
+        assert!(replays(&mut h, &jitter), "within dead-band");
+        let mut idled = demands.clone();
+        idled[1].active = false;
+        assert!(!replays(&mut h, &idled));
+
+        // Explicit invalidation always recomputes.
+        h.invalidate();
+        assert!(!replays(&mut h, &idled));
+    }
+
+    #[test]
+    fn repeated_fleet_names_bind_leaves_in_fleet_order() {
+        let names = ["a", "a", "b"];
+        let t = BudgetTree::flat(CapSplit::DemandProportional, &names);
+        let demands = [d(100.0, 10.0), d(50.0, 10.0), d(80.0, 20.0)];
+        let got = HierSplitter::compile(&t, &names, 0.0).split(150.0, &demands, None, 1.0);
+        let want = split_caps(CapSplit::DemandProportional, 150.0, &demands, 1.0);
+        assert_eq!(
+            got.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
+            want.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
         );
     }
 

@@ -31,7 +31,9 @@
 //! server) through a [`BudgetTree`]: each interior node runs its own split
 //! discipline over its children's aggregated telemetry, so a rack can be
 //! SLA-aware internally while pods share the fleet budget uniformly — see
-//! the [`tree`] module.
+//! the [`tree`] module. Flat or hierarchical, every split runs through the
+//! compiled [`HierSplitter`]: a flat split is the one-group tree
+//! [`BudgetTree::flat`].
 //!
 //! All coordinator ↔ server traffic flows through a simulated **message
 //! plane** ([`ctrlplane`]): telemetry reports, cap grants, acks/nacks, and
@@ -85,7 +87,7 @@ pub use ctrlplane::{
     CapGrant, ControlPlane, ControlStats, CtrlMsg, GrantOutcome, GrantRecord, Heartbeat,
     LeaseClient, LeaseEntry, LeaseLedger, PartitionSpec, ReplState, ResolvedRpc, RpcConfig,
 };
-pub use engine::{split_caps_active, CapCache, WorkerPool};
+pub use engine::WorkerPool;
 pub use hiercache::{HierSplitter, TracedSplit};
 pub use netsim::{LinkConfig, NodeId, PlaneStats};
 pub use server::{CappedPolicy, Server, ServerStatus, SharedCap};

@@ -32,12 +32,15 @@
 //! leaf caps sum to at most the global budget. Splitting is deterministic
 //! (ties break toward the first child), so tree-coordinated rounds keep the
 //! cluster/service layers' bit-exact thread-count invariance.
+//!
+//! This module holds the tree itself: parsing, validation, membership
+//! churn and rendering. Splitting is the job of the compiled
+//! [`HierSplitter`](crate::HierSplitter), which runs every budget split in
+//! both fleet layers. A flat split is the one-level case,
+//! [`BudgetTree::flat`].
 
-use crate::coordinator::{
-    split_caps, split_caps_critical, split_caps_sla, ServerDemand, SlaSignal, SplitError,
-};
+use crate::coordinator::SlaSignal;
 use crate::CapSplit;
-use std::collections::HashMap;
 
 /// One node of a [`BudgetTree`]: either a leaf server (named, resolved
 /// against the fleet at split time) or an interior group with its own split
@@ -99,153 +102,6 @@ impl BudgetNode {
         }
     }
 
-    /// Aggregated power telemetry of the subtree: demand and floor summed
-    /// over active leaves, active while any leaf is.
-    fn aggregate_demand(&self, ctx: &SplitCtx<'_>) -> ServerDemand {
-        match self {
-            BudgetNode::Server { name } => ctx.demand_of(name),
-            BudgetNode::Group { children, .. } => {
-                let mut agg = ServerDemand {
-                    demand_w: 0.0,
-                    min_w: 0.0,
-                    active: false,
-                };
-                for d in children.iter().map(|c| c.aggregate_demand(ctx)) {
-                    if d.active {
-                        agg.demand_w += d.demand_w;
-                        agg.min_w += d.min_w;
-                        agg.active = true;
-                    }
-                }
-                agg
-            }
-        }
-    }
-
-    /// Aggregated SLA telemetry of the subtree, normalized to a target of
-    /// 1.0: `p99_s` holds the worst `p99/target` ratio over active leaves,
-    /// or 0 ("unknown": bid full demand) while any active leaf lacks
-    /// samples.
-    fn aggregate_sla(&self, ctx: &SplitCtx<'_>) -> SlaSignal {
-        let mut worst_ratio = f64::NEG_INFINITY;
-        let mut unknown = false;
-        let mut any_active = false;
-        self.for_each_leaf(&mut |name| {
-            let d = ctx.demand_of(name);
-            if !d.active {
-                return;
-            }
-            any_active = true;
-            let s = ctx.sla_of(name);
-            if s.p99_s <= 0.0 || s.target_s <= 0.0 {
-                unknown = true;
-            } else {
-                worst_ratio = worst_ratio.max(s.p99_s / s.target_s);
-            }
-        });
-        let ratio = if unknown || !any_active {
-            0.0
-        } else {
-            worst_ratio
-        };
-        SlaSignal {
-            p99_s: ratio,
-            target_s: 1.0,
-        }
-    }
-
-    /// Aggregated critical-path share of the subtree: the largest share
-    /// over active leaves, 0 without signals.
-    fn aggregate_crit(&self, ctx: &SplitCtx<'_>) -> f64 {
-        let mut share = 0.0f64;
-        self.for_each_leaf(&mut |name| {
-            if ctx.demand_of(name).active {
-                share = share.max(ctx.crit_of(name));
-            }
-        });
-        share
-    }
-
-    fn for_each_leaf<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
-        match self {
-            BudgetNode::Server { name } => f(name),
-            BudgetNode::Group { children, .. } => {
-                for c in children {
-                    c.for_each_leaf(f);
-                }
-            }
-        }
-    }
-
-    /// Divides `budget_w` over the subtree, writing leaf caps into
-    /// `caps` (indexed like the fleet). When `trace` is given, every
-    /// interior node records the share it was granted (pre-order).
-    fn allocate(
-        &self,
-        budget_w: f64,
-        ctx: &SplitCtx<'_>,
-        caps: &mut [f64],
-        mut trace: Option<&mut Vec<GroupShare>>,
-    ) -> Result<(), SplitError> {
-        match self {
-            BudgetNode::Server { name } => {
-                let i = ctx.index_of(name);
-                caps[i] = if ctx.demands[i].active { budget_w } else { 0.0 };
-            }
-            BudgetNode::Group {
-                label,
-                split,
-                children,
-            } => {
-                if let Some(t) = trace.as_deref_mut() {
-                    let mut leaves = Vec::new();
-                    self.push_leaves(&mut leaves);
-                    t.push(GroupShare {
-                        label: label.clone(),
-                        budget_w,
-                        leaves: leaves.into_iter().map(str::to_string).collect(),
-                    });
-                }
-                let ds: Vec<ServerDemand> =
-                    children.iter().map(|c| c.aggregate_demand(ctx)).collect();
-                let shares = match (*split, ctx.sla) {
-                    (CapSplit::SlaAware, Some(_)) => {
-                        let sigs: Vec<SlaSignal> =
-                            children.iter().map(|c| c.aggregate_sla(ctx)).collect();
-                        split_caps_sla(budget_w, &ds, &sigs, ctx.quantum_w)
-                    }
-                    (CapSplit::CriticalPath, _) => {
-                        let crit: Option<Vec<f64>> = ctx
-                            .crit
-                            .map(|_| children.iter().map(|c| c.aggregate_crit(ctx)).collect());
-                        // Per-tier floors: an equal fraction of this node's
-                        // budget for every active child, raised to the
-                        // child's power floor inside the split. Infeasible
-                        // floor configs surface as a structured error
-                        // instead of silently clamping.
-                        let floor_w: Option<Vec<f64>> = if ctx.tier_floor_frac > 0.0 {
-                            let n_active = ds.iter().filter(|d| d.active).count().max(1);
-                            let per = ctx.tier_floor_frac * budget_w / n_active as f64;
-                            Some(
-                                ds.iter()
-                                    .map(|d| if d.active { per } else { 0.0 })
-                                    .collect(),
-                            )
-                        } else {
-                            None
-                        };
-                        split_caps_critical(budget_w, &ds, crit.as_deref(), floor_w.as_deref())?
-                    }
-                    (s, _) => split_caps(s, budget_w, &ds, ctx.quantum_w),
-                };
-                for (child, share) in children.iter().zip(shares) {
-                    child.allocate(share, ctx, caps, trace.as_deref_mut())?;
-                }
-            }
-        }
-        Ok(())
-    }
-
     fn render(&self, out: &mut String) {
         match self {
             BudgetNode::Server { name } => out.push_str(name),
@@ -270,7 +126,8 @@ impl BudgetNode {
     }
 }
 
-/// One interior node's granted share during a [`BudgetTree::split_trace`],
+/// One interior node's granted share during a
+/// [`HierSplitter::split_with_trace`](crate::HierSplitter::split_with_trace),
 /// in pre-order (a group always precedes its descendants).
 #[derive(Clone, Debug)]
 pub struct GroupShare {
@@ -282,48 +139,9 @@ pub struct GroupShare {
     pub leaves: Vec<String>,
 }
 
-/// Per-split context: the fleet's telemetry plus the name → index map.
-struct SplitCtx<'a> {
-    index: &'a HashMap<&'a str, usize>,
-    demands: &'a [ServerDemand],
-    sla: Option<&'a [SlaSignal]>,
-    crit: Option<&'a [f64]>,
-    tier_floor_frac: f64,
-    quantum_w: f64,
-}
-
-impl SplitCtx<'_> {
-    fn index_of(&self, name: &str) -> usize {
-        *self
-            .index
-            .get(name)
-            .unwrap_or_else(|| panic!("budget tree leaf '{name}' not in the fleet"))
-    }
-
-    fn demand_of(&self, name: &str) -> ServerDemand {
-        self.demands[self.index_of(name)]
-    }
-
-    fn sla_of(&self, name: &str) -> SlaSignal {
-        match self.sla {
-            Some(s) => s[self.index_of(name)],
-            None => SlaSignal {
-                p99_s: 0.0,
-                target_s: 1.0,
-            },
-        }
-    }
-
-    fn crit_of(&self, name: &str) -> f64 {
-        match self.crit {
-            Some(c) => c[self.index_of(name)],
-            None => 0.0,
-        }
-    }
-}
-
 /// Optional per-server signals driving signal-aware tree disciplines; the
-/// all-`None` default reproduces the signal-free [`BudgetTree::split`].
+/// all-`None` default is the signal-free
+/// [`HierSplitter::split`](crate::HierSplitter::split).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TreeSignals<'a> {
     /// Tail-latency telemetry, indexed like the fleet (SLA-aware nodes).
@@ -374,6 +192,13 @@ impl BudgetTree {
     /// A tree with the given root node (normally a [`BudgetNode::Group`]).
     pub fn new(root: BudgetNode) -> BudgetTree {
         BudgetTree { root }
+    }
+
+    /// The one-group tree a flat split compiles to: a root labelled
+    /// `fleet` that runs `split` directly over `names`, in fleet order.
+    pub fn flat(split: CapSplit, names: &[&str]) -> BudgetTree {
+        let leaves = names.iter().map(|n| BudgetNode::server(n)).collect();
+        BudgetTree::new(BudgetNode::group("fleet", split, leaves))
     }
 
     /// The root node.
@@ -429,117 +254,6 @@ impl BudgetTree {
             }
         }
         Ok(())
-    }
-
-    /// Splits `global_cap_w` over the fleet through the tree. `names` gives
-    /// the fleet order; `demands` (and `sla`, when present) are indexed the
-    /// same way, as is the returned cap vector. Without SLA signals,
-    /// SLA-aware nodes degrade to the demand-saturating FastCap variant
-    /// (see [`split_caps`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a tree leaf names a server absent from `names` — run
-    /// [`BudgetTree::validate`] against the fleet first.
-    pub fn split(
-        &self,
-        global_cap_w: f64,
-        names: &[&str],
-        demands: &[ServerDemand],
-        sla: Option<&[SlaSignal]>,
-        quantum_w: f64,
-    ) -> Vec<f64> {
-        self.split_signals(
-            global_cap_w,
-            names,
-            demands,
-            &TreeSignals {
-                sla,
-                ..TreeSignals::default()
-            },
-            quantum_w,
-        )
-        .expect("without tier floors a tree split cannot fail")
-    }
-
-    /// Like [`BudgetTree::split`], but with the full signal set: SLA
-    /// telemetry, per-server critical-path shares, and per-tier floors for
-    /// critical-path nodes. Without crit signals, critical-path nodes
-    /// degrade to demand-proportional.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`SplitError::InfeasibleFloors`] when a critical-path
-    /// node's configured per-tier floors over-commit its budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a tree leaf names a server absent from `names` — run
-    /// [`BudgetTree::validate`] against the fleet first.
-    pub fn split_signals(
-        &self,
-        global_cap_w: f64,
-        names: &[&str],
-        demands: &[ServerDemand],
-        signals: &TreeSignals<'_>,
-        quantum_w: f64,
-    ) -> Result<Vec<f64>, SplitError> {
-        assert_eq!(names.len(), demands.len(), "one demand per server");
-        if let Some(s) = signals.sla {
-            assert_eq!(names.len(), s.len(), "one SLA signal per server");
-        }
-        if let Some(c) = signals.crit {
-            assert_eq!(names.len(), c.len(), "one crit share per server");
-        }
-        let index: HashMap<&str, usize> = names.iter().enumerate().map(|(i, n)| (*n, i)).collect();
-        let ctx = SplitCtx {
-            index: &index,
-            demands,
-            sla: signals.sla,
-            crit: signals.crit,
-            tier_floor_frac: signals.tier_floor_frac,
-            quantum_w,
-        };
-        let mut caps = vec![0.0; demands.len()];
-        self.root.allocate(global_cap_w, &ctx, &mut caps, None)?;
-        Ok(caps)
-    }
-
-    /// Like [`BudgetTree::split`], but also returns the share every
-    /// interior node was granted on the way down (pre-order). This is the
-    /// budget-bound audit trail: for every [`GroupShare`] the caps of its
-    /// `leaves` must sum to at most its `budget_w`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`BudgetTree::split`].
-    pub fn split_trace(
-        &self,
-        global_cap_w: f64,
-        names: &[&str],
-        demands: &[ServerDemand],
-        sla: Option<&[SlaSignal]>,
-        quantum_w: f64,
-    ) -> (Vec<f64>, Vec<GroupShare>) {
-        assert_eq!(names.len(), demands.len(), "one demand per server");
-        if let Some(s) = sla {
-            assert_eq!(names.len(), s.len(), "one SLA signal per server");
-        }
-        let index: HashMap<&str, usize> = names.iter().enumerate().map(|(i, n)| (*n, i)).collect();
-        let ctx = SplitCtx {
-            index: &index,
-            demands,
-            sla,
-            crit: None,
-            tier_floor_frac: 0.0,
-            quantum_w,
-        };
-        let mut caps = vec![0.0; demands.len()];
-        let mut trace = Vec::new();
-        self.root
-            .allocate(global_cap_w, &ctx, &mut caps, Some(&mut trace))
-            .expect("without tier floors a tree split cannot fail");
-        (caps, trace)
     }
 
     /// Attaches a new leaf server under the group labelled `group`, or
@@ -705,19 +419,10 @@ impl Parser<'_> {
         if !self.eat(':') {
             return Ok(BudgetNode::server(&name));
         }
-        let split_name = self.ident()?;
-        let split = match split_name.as_str() {
-            "uniform" => CapSplit::Uniform,
-            "demand-proportional" | "demand" => CapSplit::DemandProportional,
-            "fastcap" => CapSplit::FastCap,
-            "sla-aware" | "sla" => CapSplit::SlaAware,
-            "critical-path" | "crit" => CapSplit::CriticalPath,
-            other => {
-                return Err(format!(
-                    "topology: unknown split '{other}' in group '{name}'"
-                ))
-            }
-        };
+        let split: CapSplit = self
+            .ident()?
+            .parse()
+            .map_err(|e| format!("topology: {e} in group '{name}'"))?;
         if !self.eat('[') {
             return Err(format!("topology: group '{name}' needs a [child,...] list"));
         }
@@ -742,6 +447,32 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coordinator::{ServerDemand, SplitError};
+    use crate::HierSplitter;
+
+    /// One split through a cold compiled splitter.
+    fn split(
+        t: &BudgetTree,
+        budget_w: f64,
+        names: &[&str],
+        demands: &[ServerDemand],
+        sla: Option<&[SlaSignal]>,
+        quantum_w: f64,
+    ) -> Vec<f64> {
+        HierSplitter::compile(t, names, 0.0).split(budget_w, demands, sla, quantum_w)
+    }
+
+    /// [`split`] with the full signal set.
+    fn split_signals(
+        t: &BudgetTree,
+        budget_w: f64,
+        names: &[&str],
+        demands: &[ServerDemand],
+        signals: &TreeSignals<'_>,
+        quantum_w: f64,
+    ) -> Result<Vec<f64>, SplitError> {
+        HierSplitter::compile(t, names, 0.0).split_signals(budget_w, demands, signals, quantum_w)
+    }
 
     fn d(demand_w: f64, min_w: f64) -> ServerDemand {
         ServerDemand {
@@ -783,6 +514,14 @@ mod tests {
     }
 
     #[test]
+    fn flat_tree_is_one_group_over_the_fleet_in_order() {
+        let t = BudgetTree::flat(CapSplit::SlaAware, &["b", "a", "c"]);
+        assert_eq!(t.to_string(), "fleet:sla-aware[b,a,c]");
+        assert_eq!(t.depth(), 2);
+        assert!(t.validate(&["a", "b", "c"]).is_ok());
+    }
+
+    #[test]
     fn validate_pins_leaf_fleet_bijection() {
         let t = two_racks();
         assert!(t.validate(&["a", "b", "c", "d"]).is_ok());
@@ -801,7 +540,7 @@ mod tests {
         // rack0 is enormous, rack1 tiny: a flat split would route nearly
         // everything to rack0, but the uniform root pins each rack to 100 W.
         let demands = [d(300.0, 40.0), d(300.0, 40.0), d(30.0, 10.0), d(30.0, 10.0)];
-        let caps = t.split(200.0, &names, &demands, None, 1.0);
+        let caps = split(&t, 200.0, &names, &demands, None, 1.0);
         let rack0: f64 = caps[0] + caps[1];
         let rack1: f64 = caps[2] + caps[3];
         assert!(rack0 <= 100.0 + 1e-6, "rack0 {rack0}");
@@ -810,19 +549,6 @@ mod tests {
         // rack1's servers saturate at their 30 W demands (fastcap parks the
         // leftover inside the rack, never outside it).
         assert!(caps[2] >= 30.0 - 1e-6 && caps[3] >= 30.0 - 1e-6, "{caps:?}");
-    }
-
-    #[test]
-    fn tree_split_matches_flat_for_single_group() {
-        // A one-group tree is exactly the flat coordinator.
-        let t = BudgetTree::parse("fleet:fastcap[a,b,c]").unwrap();
-        let names = ["a", "b", "c"];
-        let demands = [d(150.0, 40.0), d(90.0, 35.0), d(60.0, 30.0)];
-        for budget in [110.0, 160.0, 250.0] {
-            let tree_caps = t.split(budget, &names, &demands, None, 1.0);
-            let flat_caps = split_caps(CapSplit::FastCap, budget, &demands, 1.0);
-            assert_eq!(tree_caps, flat_caps, "budget {budget}");
-        }
     }
 
     #[test]
@@ -839,7 +565,7 @@ mod tests {
         demands[1].active = false;
         // rack0 entirely done: the uniform root sees one active child and
         // hands rack1 the whole budget.
-        let caps = t.split(150.0, &names, &demands, None, 1.0);
+        let caps = split(&t, 150.0, &names, &demands, None, 1.0);
         assert_eq!(caps[0], 0.0);
         assert_eq!(caps[1], 0.0);
         assert!(caps[2] + caps[3] > 140.0, "{caps:?}");
@@ -874,7 +600,7 @@ mod tests {
                 target_s: 1e-3,
             },
         ];
-        let caps = t.split(300.0, &names, &demands, Some(&sla), 1.0);
+        let caps = split(&t, 300.0, &names, &demands, Some(&sla), 1.0);
         let rack0: f64 = caps[0] + caps[1];
         let rack1: f64 = caps[2] + caps[3];
         // rack0 contains a violator: it bids its full 200 W demand. rack1
@@ -889,7 +615,7 @@ mod tests {
         let t = BudgetTree::parse("fleet:sla-aware[a,b]").unwrap();
         let names = ["a", "b"];
         let demands = [d(100.0, 30.0), d(60.0, 20.0)];
-        let caps = t.split(400.0, &names, &demands, None, 1.0);
+        let caps = split(&t, 400.0, &names, &demands, None, 1.0);
         // Saturates at demand, leftover unspent (no parking).
         assert!((caps[0] - 100.0).abs() < 1e-9, "{caps:?}");
         assert!((caps[1] - 60.0).abs() < 1e-9, "{caps:?}");
@@ -914,7 +640,7 @@ mod tests {
                 target_s: 1e-3,
             },
         ];
-        let caps = t.split(500.0, &names, &demands, Some(&sla), 1.0);
+        let caps = split(&t, 500.0, &names, &demands, Some(&sla), 1.0);
         // rack0 has an unknown leaf → the whole rack bids full demand.
         assert!((caps[0] + caps[1] - 200.0).abs() < 1e-6, "{caps:?}");
         // rack1 is comfortable → trimmed below its 100 W demand.
@@ -942,12 +668,14 @@ mod tests {
     }
 
     #[test]
-    fn split_trace_agrees_with_split_and_bounds_every_group() {
+    fn traced_split_agrees_with_split_and_bounds_every_group() {
         let t = two_racks();
         let names = ["a", "b", "c", "d"];
         let demands = [d(300.0, 40.0), d(300.0, 40.0), d(30.0, 10.0), d(30.0, 10.0)];
-        let (caps, trace) = t.split_trace(200.0, &names, &demands, None, 1.0);
-        assert_eq!(caps, t.split(200.0, &names, &demands, None, 1.0));
+        let (caps, trace, _) = HierSplitter::compile(&t, &names, 0.0)
+            .split_with_trace(200.0, &demands, &TreeSignals::default(), 1.0)
+            .unwrap();
+        assert_eq!(caps, split(&t, 200.0, &names, &demands, None, 1.0));
         // Pre-order: the root first, carrying the whole budget and fleet.
         assert_eq!(trace[0].label, "fleet");
         assert_eq!(trace[0].budget_w, 200.0);
@@ -984,7 +712,7 @@ mod tests {
             crit: Some(&crit),
             ..TreeSignals::default()
         };
-        let caps = t.split_signals(240.0, &names, &demands, &sig, 1.0).unwrap();
+        let caps = split_signals(&t, 240.0, &names, &demands, &sig, 1.0).unwrap();
         let fe: f64 = caps[0] + caps[1];
         let st: f64 = caps[2] + caps[3];
         assert!(st > fe, "{caps:?}");
@@ -1000,15 +728,15 @@ mod tests {
             BudgetTree::parse("svc:demand-proportional[fe:fastcap[f0,f1],st:fastcap[s0]]").unwrap();
         let names = ["f0", "f1", "s0"];
         let demands = [d(120.0, 30.0), d(80.0, 30.0), d(60.0, 25.0)];
-        let caps = t.split(200.0, &names, &demands, None, 1.0);
-        assert_eq!(caps, dp.split(200.0, &names, &demands, None, 1.0));
+        let caps = split(&t, 200.0, &names, &demands, None, 1.0);
+        assert_eq!(caps, split(&dp, 200.0, &names, &demands, None, 1.0));
         // Zero shares degrade the same way.
         let sig = TreeSignals {
             crit: Some(&[0.0, 0.0, 0.0]),
             ..TreeSignals::default()
         };
         assert_eq!(
-            t.split_signals(200.0, &names, &demands, &sig, 1.0).unwrap(),
+            split_signals(&t, 200.0, &names, &demands, &sig, 1.0).unwrap(),
             caps
         );
     }
@@ -1025,7 +753,7 @@ mod tests {
             tier_floor_frac: 0.5,
             ..TreeSignals::default()
         };
-        let caps = t.split_signals(120.0, &names, &demands, &sig, 1.0).unwrap();
+        let caps = split_signals(&t, 120.0, &names, &demands, &sig, 1.0).unwrap();
         assert!((caps[0] - 30.0).abs() < 1e-6, "floor unmet: {caps:?}");
         assert!((caps[1] - 90.0).abs() < 1e-6, "{caps:?}");
         // Floors above the child power floors that over-commit the node
@@ -1033,9 +761,7 @@ mod tests {
         // cannot fit a 120 W node budget once explicit floors force both
         // tiers to stay powered.
         let heavy = [d(100.0, 70.0), d(100.0, 70.0)];
-        let err = t
-            .split_signals(120.0, &names, &heavy, &sig, 1.0)
-            .unwrap_err();
+        let err = split_signals(&t, 120.0, &names, &heavy, &sig, 1.0).unwrap_err();
         assert!(
             matches!(err, SplitError::InfeasibleFloors { required_w, budget_w }
                 if required_w > budget_w),
@@ -1059,7 +785,7 @@ mod tests {
             d(150.0, 45.0),
         ];
         for budget in [100.0, 226.0, 400.0, 900.0] {
-            let caps = t.split(budget, &names, &demands, None, 1.0);
+            let caps = split(&t, budget, &names, &demands, None, 1.0);
             assert!(
                 caps.iter().sum::<f64>() <= budget + 1e-6,
                 "budget {budget}: {caps:?}"

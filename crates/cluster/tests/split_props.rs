@@ -12,10 +12,14 @@
 //!   (Liu et al.). Below saturation the quantum greedy must never sit more
 //!   than one quantum below it, and on fleet-like servers must stay within
 //!   two quanta of it either way.
+//! * **The flat split as a one-group tree.** Every fleet layer runs its
+//!   flat split through `HierSplitter` over `BudgetTree::flat`, so the
+//!   one-group tree must reproduce `split_caps` and `split_caps_sla` over
+//!   raw signals to the bit.
 
 use cluster::{
-    split_caps, split_caps_fastcap_floored, split_caps_sla, split_caps_sla_floored, CapSplit,
-    ServerDemand, SlaSignal, SplitError,
+    split_caps, split_caps_fastcap_floored, split_caps_sla, split_caps_sla_floored, BudgetTree,
+    CapSplit, HierSplitter, ServerDemand, SlaSignal, SplitError,
 };
 use proptest::prelude::*;
 
@@ -468,6 +472,92 @@ fn heap_greedy_matches_scan_reference_in_the_clipped_tail() {
         for k in 0..12 {
             check_instance(&ds, &sla, &fl, demand_sum - 0.37 * q * k as f64, q);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The flat split as a one-group tree.
+// ---------------------------------------------------------------------------
+
+const ALL_SPLITS: [CapSplit; 5] = [
+    CapSplit::Uniform,
+    CapSplit::DemandProportional,
+    CapSplit::FastCap,
+    CapSplit::SlaAware,
+    CapSplit::CriticalPath,
+];
+
+/// Raw latency signals over mixed targets: violating, meeting, p99 equal
+/// to its target, one ULP above it, no samples yet, and no target.
+fn mixed_signals(raw: &[(u8, f64, f64)]) -> Vec<SlaSignal> {
+    raw.iter()
+        .map(|&(kind, t, u)| {
+            let target_s = 1e-4 + 2e-3 * t;
+            let p99_s = match kind {
+                0 => target_s * (1.0 + 2.0 * u),
+                1 => target_s * u,
+                2 => target_s,
+                3 => f64::from_bits(target_s.to_bits() + 1),
+                4 => 0.0,
+                _ => {
+                    return SlaSignal {
+                        p99_s: target_s * u,
+                        target_s: 0.0,
+                    }
+                }
+            };
+            SlaSignal { p99_s, target_s }
+        })
+        .collect()
+}
+
+/// Splits through a cold one-group `HierSplitter` over `names`.
+fn one_group(
+    split: CapSplit,
+    budget_w: f64,
+    ds: &[ServerDemand],
+    sla: Option<&[SlaSignal]>,
+    q: f64,
+) -> Vec<f64> {
+    let names: Vec<String> = (0..ds.len()).map(|i| format!("s{i}")).collect();
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    HierSplitter::compile(&BudgetTree::flat(split, &names), &names, 0.0).split(budget_w, ds, sla, q)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// A one-group compiled tree is the flat split: `to_bits`-identical
+    /// caps to `split_caps` for every discipline without signals, and to
+    /// `split_caps_sla` over the raw per-server signals with them — the
+    /// tree normalizes each signal to `p99/target` against a target of 1.
+    #[test]
+    fn one_group_tree_matches_the_flat_split(
+        raw in raw_servers(17),
+        sla_raw in prop::collection::vec((0u8..6, 0.0f64..1.0, 0.0f64..1.0), 16),
+        log_q in -3.0f64..1.0,
+        regime in 0u8..5,
+        frac in 0.0f64..1.0,
+    ) {
+        let q = 10f64.powf(log_q);
+        let ds = fleet(&raw, q);
+        let floor_sum = active_sum(&ds, |_, d| d.min_w);
+        let demand_sum = active_sum(&ds, |_, d| d.demand_w);
+        let b = budget(regime, frac, floor_sum, demand_sum, q);
+        let tag = |f: &str| format!("one-group {f} budget {b} quantum {q}");
+        for split in ALL_SPLITS {
+            assert_bit_identical(
+                &tag(&split.to_string()),
+                Ok(one_group(split, b, &ds, None, q)),
+                Ok(split_caps(split, b, &ds, q)),
+            );
+        }
+        let sla = mixed_signals(&sla_raw[..ds.len()]);
+        assert_bit_identical(
+            &tag("sla-aware with signals"),
+            Ok(one_group(CapSplit::SlaAware, b, &ds, Some(&sla), q)),
+            Ok(split_caps_sla(b, &ds, &sla, q)),
+        );
     }
 }
 

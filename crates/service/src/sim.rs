@@ -5,17 +5,18 @@
 //! One loop drives every run: [`FleetRun::barrier`] runs the per-round
 //! pipeline and steps the whole fleet on a persistent [`WorkerPool`].
 //! Serving servers never finish, so the fleet itself is the active list.
-//! Hierarchical budgets split through the compiled per-node
-//! [`HierSplitter`](cluster::HierSplitter) at a zero dead-band, which is
-//! bit-identical to walking the tree.
+//! Every budget split, flat or hierarchical, runs through the compiled
+//! [`HierSplitter`](cluster::HierSplitter) at a zero dead-band, so a
+//! replay always equals a recompute. A flat split is the one-group tree
+//! [`BudgetTree::flat`].
 
 use crate::config::{ClientModel, ServiceConfig};
 use crate::fluid::ClientEngine;
 use crate::queue::{ClientEvent, Request, Resolution};
 use crate::server::ServiceServer;
 use cluster::{
-    split_caps, split_caps_sla, BalancePolicy, BudgetNode, BudgetTree, CapSplit, ChurnAction,
-    HierSplitter, LoadBalancer, ServerDemand, ServerLoad, SlaSignal, TreeSignals, WorkerPool,
+    BalancePolicy, BudgetNode, BudgetTree, CapSplit, ChurnAction, HierSplitter, LoadBalancer,
+    ServerDemand, ServerLoad, SlaSignal, TreeSignals, WorkerPool,
 };
 use simkernel::{stats::Histogram, Ps};
 use topology::{DagTracker, TierGraph, TraceCollector, TraceStats};
@@ -392,7 +393,10 @@ struct FleetRun {
     servers: Vec<ServiceServer>,
     workers: WorkerPool<ServiceServer>,
     churn: cluster::ChurnSchedule<crate::config::ServiceServerSpec>,
-    topology: Option<cluster::BudgetTree>,
+    // The budget tree churn reshapes: the configured topology, the tier
+    // tree, or the one-group flat tree.
+    tree: BudgetTree,
+    // The rendered starting topology; `None` for a flat split.
     topology_spec: Option<String>,
     departures: Vec<ServiceOutcome>,
     cap_timeline: Vec<Vec<f64>>,
@@ -404,10 +408,10 @@ struct FleetRun {
     pool: Option<ClientEngine>,
     balancer: Option<LoadBalancer>,
     round_d: Ps,
-    // The compiled budget tree with its per-node replay cache; `None`
-    // without a topology. Rebound (not discarded) on churn, so sibling
-    // subtrees keep their cached allocations.
-    hier: Option<HierSplitter>,
+    // The compiled budget tree with its per-node replay cache. Rebound
+    // (not discarded) on churn, so sibling subtrees keep their cached
+    // allocations.
+    splitter: HierSplitter,
     // The multi-tier runtime: request DAGs, trace aggregation, the
     // end-to-end histogram. `None` without a tier topology.
     tiers: Option<TierRuntime>,
@@ -488,6 +492,7 @@ impl FleetRun {
                 base_instrs,
             }
         });
+        let names: Vec<&str> = servers.iter().map(|s| s.name.as_str()).collect();
         let topology = match &tiers {
             Some(t) => {
                 let tree = tier_tree(
@@ -495,7 +500,6 @@ impl FleetRun {
                     config.tiers.as_ref().map(|tc| tc.tier_split).unwrap(),
                     config.split,
                 );
-                let names: Vec<&str> = config.servers.iter().map(|s| s.name.as_str()).collect();
                 if let Err(e) = tree.validate(&names) {
                     panic!("tier topology: {e}");
                 }
@@ -504,6 +508,8 @@ impl FleetRun {
             None => config.topology.clone(),
         };
         let topology_spec = topology.as_ref().map(|t| t.to_string());
+        let tree = topology.unwrap_or_else(|| BudgetTree::flat(config.split, &names));
+        let splitter = HierSplitter::compile(&tree, &names, 0.0);
         let closed = config.closed_loop.clone();
         let pool = closed.as_ref().map(ClientEngine::new);
         let balancer = closed.as_ref().map(|cl| LoadBalancer::new(cl.balance));
@@ -512,16 +518,12 @@ impl FleetRun {
             .first()
             .map(|s| s.config.epoch * config.epochs_per_round as u64)
             .unwrap_or(Ps::ZERO);
-        let hier = topology.as_ref().map(|tree| {
-            let names: Vec<&str> = servers.iter().map(|s| s.name.as_str()).collect();
-            HierSplitter::compile(tree, &names, 0.0)
-        });
         FleetRun {
             config,
             servers,
             workers,
             churn,
-            topology,
+            tree,
             topology_spec,
             departures: Vec::new(),
             cap_timeline: Vec::new(),
@@ -529,7 +531,7 @@ impl FleetRun {
             pool,
             balancer,
             round_d,
-            hier,
+            splitter,
             tiers,
         }
     }
@@ -553,24 +555,19 @@ impl FleetRun {
                     //
                     // Joiners enter with a zero cap but participate in
                     // this same round's split, which grants their
-                    // share immediately. Under a topology they attach
-                    // as direct children of the root group; under a tier
-                    // topology they must name an existing tier and attach
-                    // to that tier's group.
-                    if let Some(tree) = &mut self.topology {
-                        let group = match &self.tiers {
-                            Some(t) => {
-                                let ti = t
-                                    .graph
-                                    .tier_of(&spec.name)
-                                    .expect("validated: churn joiners name a tier");
-                                Some(t.graph.tiers()[ti].name.clone())
-                            }
-                            None => None,
-                        };
-                        if let Err(e) = tree.attach_server(&spec.name, group.as_deref()) {
-                            panic!("churn join {}: {e}", spec.name);
-                        }
+                    // share immediately. They attach as direct children
+                    // of the root group; under a tier topology they must
+                    // name an existing tier and attach to that tier's
+                    // group.
+                    let group = self.tiers.as_ref().map(|t| {
+                        let ti = t
+                            .graph
+                            .tier_of(&spec.name)
+                            .expect("validated: churn joiners name a tier");
+                        t.graph.tiers()[ti].name.clone()
+                    });
+                    if let Err(e) = self.tree.attach_server(&spec.name, group.as_deref()) {
+                        panic!("churn join {}: {e}", spec.name);
                     }
                     let mut server = ServiceServer::new(&spec, 0.0, self.config.sla_window_rounds);
                     if self.pool.is_some() {
@@ -602,21 +599,17 @@ impl FleetRun {
                             }
                         }
                         self.departures.push(ServiceSim::outcome(server, true));
-                        if let Some(tree) = &mut self.topology {
-                            tree.remove_server(&name);
-                        }
+                        self.tree.remove_server(&name);
                     }
                 }
             }
         }
         if churned {
-            // The hierarchical cache is *rebound*, not discarded: groups
+            // The splitter is *rebound*, not discarded: groups
             // structurally untouched by the churn (sibling racks/tiers)
             // carry their cached allocations across the membership change.
-            if let (Some(h), Some(tree)) = (self.hier.as_mut(), &self.topology) {
-                let names: Vec<&str> = self.servers.iter().map(|s| s.name.as_str()).collect();
-                h.rebind(tree, &names);
-            }
+            let names: Vec<&str> = self.servers.iter().map(|s| s.name.as_str()).collect();
+            self.splitter.rebind(&self.tree, &names);
         }
         if self.servers.is_empty() {
             // Degenerate round: no caps, and no requests issued —
@@ -632,7 +625,7 @@ impl FleetRun {
             self.servers.iter_mut().map(ServiceServer::demand).collect();
         // SLA signals feed the split when latency matters to it: under a
         // topology (interior nodes may be SLA-aware) or flat SlaAware.
-        let signals: Option<Vec<SlaSignal>> = (self.topology.is_some()
+        let signals: Option<Vec<SlaSignal>> = (self.topology_spec.is_some()
             || self.config.split == CapSplit::SlaAware)
             .then(|| self.servers.iter().map(ServiceServer::sla_signal).collect());
         // Critical-path shares per server: every member of a tier carries
@@ -647,40 +640,24 @@ impl FleetRun {
                 .map(|s| t.graph.tier_of(&s.name).map_or(0.0, |ti| shares[ti]))
                 .collect()
         });
-        let tier_floor_frac = self.tiers.as_ref().map_or(0.0, |t| t.floor_frac);
-        let caps = match (self.hier.as_mut(), self.config.split) {
-            (Some(h), _) => {
-                // Hierarchical: the budget flows down the tree with power,
-                // latency and critical-path telemetry, so SLA-aware
-                // interior nodes react to their subtree's worst violation
-                // ratio and critical-path nodes shift budget toward the
-                // slowest tier.
-                let sig = TreeSignals {
-                    sla: signals.as_deref(),
-                    crit: crit.as_deref(),
-                    tier_floor_frac,
-                };
-                h.split_signals(
-                    self.config.global_cap_w,
-                    &demands,
-                    &sig,
-                    self.config.quantum_w,
-                )
-                .unwrap_or_else(|e| panic!("budget tree split: {e}"))
-            }
-            (None, CapSplit::SlaAware) => split_caps_sla(
-                self.config.global_cap_w,
-                &demands,
-                signals.as_deref().expect("SlaAware computes signals"),
-                self.config.quantum_w,
-            ),
-            (None, split) => split_caps(
-                split,
-                self.config.global_cap_w,
-                &demands,
-                self.config.quantum_w,
-            ),
+        // The budget flows down the tree with power, latency and
+        // critical-path telemetry, so SLA-aware nodes react to their
+        // subtree's worst violation ratio and critical-path nodes shift
+        // budget toward the slowest tier.
+        let sig = TreeSignals {
+            sla: signals.as_deref(),
+            crit: crit.as_deref(),
+            tier_floor_frac: self.tiers.as_ref().map_or(0.0, |t| t.floor_frac),
         };
+        let caps = self
+            .splitter
+            .split_signals(
+                self.config.global_cap_w,
+                &demands,
+                &sig,
+                self.config.quantum_w,
+            )
+            .unwrap_or_else(|e| panic!("budget tree split: {e}"));
         for (server, &cap) in self.servers.iter_mut().zip(&caps) {
             server.set_cap(cap);
         }

@@ -363,14 +363,9 @@ fn parse_cluster_args() -> ClusterArgs {
                     .unwrap_or_else(|_| cluster_usage())
             }
             "--split" => {
-                a.split = match val("--split").as_str() {
-                    "uniform" => CapSplit::Uniform,
-                    "demand-proportional" | "demand" => CapSplit::DemandProportional,
-                    "fastcap" => CapSplit::FastCap,
-                    "sla-aware" | "sla" => CapSplit::SlaAware,
-                    "critical-path" | "crit" => CapSplit::CriticalPath,
-                    other => cluster_fail(&format!("unknown split '{other}'")),
-                }
+                a.split = val("--split")
+                    .parse()
+                    .unwrap_or_else(|e: String| cluster_fail(&e))
             }
             "--topology" => {
                 let spec = val("--topology");

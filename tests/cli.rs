@@ -30,6 +30,11 @@ fn removed_engine_flags_are_unknown() {
 }
 
 #[test]
+fn an_unknown_split_is_rejected() {
+    assert_rejected(&["--split", "nosuch"], "unknown split 'nosuch'");
+}
+
+#[test]
 fn serving_rejects_a_dead_band() {
     assert_rejected(&["--serve", "--dead-band", "5"], "--dead-band");
 }

@@ -9,10 +9,11 @@
 //! 1. property tests sweeping fleet size, cap split, churn, topology,
 //!    balancer, and open/closed loop, asserting digest equality with the
 //!    oracle (batch) or across 1, 2, 4 and 8 threads (serving);
-//! 2. property tests pinning the hierarchical cap cache (`HierSplitter`)
-//!    to `BudgetTree`: bit-identical caps and `GroupShare` transcripts at
-//!    a zero dead-band, and dirty-subtree recompute blended with clean
-//!    replay matching a full recompute at any band;
+//! 2. property tests pinning the split executor (`HierSplitter`) to the
+//!    recursive reference allocator in [`oracle::tree`]: bit-identical
+//!    caps, `GroupShare` transcripts and floor errors at a zero dead-band,
+//!    and dirty-subtree recompute blended with clean replay matching a
+//!    full recompute at any band;
 //! 3. pinned golden digests for the four fleet-level bench experiments
 //!    (cluster capping, serving SLOs, hierarchical budgets, closed-loop
 //!    balancing), so a drift in the loop *or* the oracle is loud;
@@ -302,11 +303,11 @@ fn loopback_failover_conserves_strictly_and_is_deterministic() {
 }
 
 // ---------------------------------------------------------------------------
-// Hierarchical cap cache. `HierSplitter` memoizes `BudgetTree` splits per
-// interior node behind a telemetry dead-band: at a zero band it must be a
-// pure bit-identical replay of the tree, and at any band a replayed node
-// must reproduce a historical split verbatim while dirty subtrees are
-// recomputed against live telemetry.
+// The split executor. `HierSplitter` memoizes budget-tree splits per
+// interior node behind a telemetry dead-band: at a zero band it must equal
+// the recursive reference allocator (`oracle::tree`) bit for bit, and at
+// any band a replayed node must reproduce a historical split verbatim
+// while dirty subtrees are recomputed against live telemetry.
 // ---------------------------------------------------------------------------
 
 /// Every discipline a budget-tree node can run (the splitter must replay
@@ -386,7 +387,7 @@ fn random_telemetry(rng: &mut SimRng, n: usize) -> (Vec<ServerDemand>, Vec<SlaSi
     (demands, sla)
 }
 
-/// Field-wise bit equality of two `split_trace` transcripts.
+/// Field-wise bit equality of two `GroupShare` transcripts.
 fn assert_traces_match(label: &str, got: &[GroupShare], want: &[GroupShare]) {
     assert_eq!(got.len(), want.len(), "[{label}] trace length");
     for (g, w) in got.iter().zip(want) {
@@ -416,16 +417,18 @@ fn caps_digest(caps: &[f64]) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// At a zero dead-band the hierarchical cache is a pure function: caps
-    /// and the full `GroupShare` transcript bit-match `BudgetTree` for any
-    /// discipline mix and telemetry sequence — and repeating a step
-    /// verbatim must *replay* every node yet still bit-match a fresh split
-    /// of that same telemetry.
+    /// At a zero dead-band the splitter is a pure function: caps and the
+    /// full `GroupShare` transcript bit-match the recursive reference
+    /// allocator for any discipline mix and telemetry sequence, with SLA
+    /// signals, critical-path shares and per-tier floors — and where the
+    /// floors over-commit a node both return the same `SplitError`.
+    /// Repeating a successful step verbatim must *replay* every node yet
+    /// still bit-match a fresh split of that same telemetry.
     #[test]
     fn hier_cache_bit_matches_the_tree_at_zero_dead_band(
         seed in any::<u64>(),
         n in 4usize..9,
-        root in 0u8..3,
+        root in 0u8..5,
         r0 in 0u8..5,
         r1 in 0u8..5,
         steps in 2usize..6,
@@ -441,11 +444,29 @@ proptest! {
         let mut rng = SimRng::new(seed);
         for step in 0..steps {
             let (demands, sla) = random_telemetry(&mut rng, n);
-            let budget = 40.0 * n as f64 * (0.5 + rng.f64());
-            let sig = TreeSignals { sla: Some(&sla), ..TreeSignals::default() };
-            let (caps, trace, _) = h.split_with_trace(budget, &demands, &sig, 0.5).unwrap();
-            let (want, want_trace) =
-                tree.split_trace(budget, &name_refs, &demands, Some(&sla), 0.5);
+            // Critical-path shares, all zero (sparse traces) a quarter of
+            // the time. A fifth of the steps get 2–10 W per server, mostly
+            // below the 5–15 W power floors, where tier floors over-commit
+            // critical-path nodes.
+            let sparse = rng.f64() < 0.25;
+            let crit: Vec<f64> =
+                (0..n).map(|_| if sparse { 0.0 } else { rng.f64() }).collect();
+            let tier_floor_frac = 0.9 * rng.f64();
+            let budget = if rng.f64() < 0.2 {
+                2.0 * n as f64 * (1.0 + 4.0 * rng.f64())
+            } else {
+                40.0 * n as f64 * (0.5 + rng.f64())
+            };
+            let sig = TreeSignals { sla: Some(&sla), crit: Some(&crit), tier_floor_frac };
+            let got = h.split_with_trace(budget, &demands, &sig, 0.5);
+            let want = oracle::tree::split(&tree, budget, &name_refs, &demands, &sig, 0.5);
+            let ((caps, trace, _), (want, want_trace)) = match (got, want) {
+                (Ok(got), Ok(want)) => (got, want),
+                (got, want) => {
+                    prop_assert_eq!(got.err(), want.err(), "step {}", step);
+                    continue;
+                }
+            };
             for (i, (a, b)) in caps.iter().zip(&want).enumerate() {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "step {} cap {}: {} vs {}", step, i, a, b);
             }
@@ -498,10 +519,14 @@ proptest! {
             .collect();
         let budget = 60.0 * n as f64;
         let sig = TreeSignals::default();
+        let fresh = |demands: &[ServerDemand]| {
+            oracle::tree::split(&tree, budget, &name_refs, demands, &sig, 0.5)
+                .unwrap()
+                .0
+        };
         // Prime the cache.
         let (first, _, _) = h.split_with_trace(budget, &demands, &sig, 0.5).unwrap();
-        let fresh = tree.split(budget, &name_refs, &demands, None, 0.5);
-        prop_assert_eq!(caps_digest(&first), caps_digest(&fresh), "cold split vs tree");
+        prop_assert_eq!(caps_digest(&first), caps_digest(&fresh(&demands)), "cold split vs tree");
         // Dirty rack1 far beyond the band; rack0 stays bit-identical.
         for d in &mut demands[mid..] {
             d.demand_w += 10.0 * band;
@@ -512,10 +537,9 @@ proptest! {
             &vec![false, true, false],
             "fleet + rack1 must recompute, rack0 must replay"
         );
-        let fresh = tree.split(budget, &name_refs, &demands, None, 0.5);
         prop_assert_eq!(
             caps_digest(&caps),
-            caps_digest(&fresh),
+            caps_digest(&fresh(&demands)),
             "replay-blended caps vs full recompute"
         );
         // A within-band wobble on one rack0 server replays every node and
@@ -844,22 +868,25 @@ fn fleet_1024_control_plane_failover_smoke() {
 fn fleet_1024_lossy_failover_conserves() {
     let budget = 100.0 * 1024.0;
     let make = |threads: usize| {
-        let mut c = ClusterConfig::new(synthetic_fleet(1024, 0.9), budget, CapSplit::FastCap)
+        let c = ClusterConfig::new(synthetic_fleet(1024, 0.9), budget, CapSplit::FastCap)
             .with_epochs_per_round(1)
-            .with_threads(threads)
-            .with_rpc(RpcConfig {
-                latency_us: 1250.0,
-                jitter_us: 1250.0,
-                loss: 0.25,
-                duplicate: 0.05,
-                failover: true,
-                partitions: vec![PartitionSpec {
-                    from_round: 20,
-                    to_round: 45,
-                    nodes: vec!["primary".into()],
-                }],
-                ..RpcConfig::default()
-            });
+            .with_threads(threads);
+        // One round of latency and one of jitter, at the fleet's own
+        // round length.
+        let round_us = c.round_s() * 1e6;
+        let mut c = c.with_rpc(RpcConfig {
+            latency_us: round_us,
+            jitter_us: round_us,
+            loss: 0.25,
+            duplicate: 0.05,
+            failover: true,
+            partitions: vec![PartitionSpec {
+                from_round: 20,
+                to_round: 45,
+                nodes: vec!["primary".into()],
+            }],
+            ..RpcConfig::default()
+        });
         c.quantum_w = 0.02;
         c
     };

@@ -9,8 +9,8 @@
 mod oracle;
 
 use cluster::{
-    run_cluster, BudgetTree, ClusterConfig, RpcConfig, ServerDemand,
-    ServerSpec as ClusterServerSpec, SlaSignal,
+    run_cluster, BudgetTree, ClusterConfig, HierSplitter, RpcConfig, ServerDemand,
+    ServerSpec as ClusterServerSpec, SlaSignal, TreeSignals,
 };
 use proptest::prelude::*;
 use service::{
@@ -594,10 +594,11 @@ proptest! {
     }
 
     /// Hierarchical budget safety at every node: for any demands, signals,
-    /// budget, and any tree over the fleet, `split_trace` reports group
-    /// shares where (a) the root is granted exactly the global budget,
-    /// (b) each group's leaf caps sum to no more than the group's own
-    /// budget, and (c) the resulting caps agree with `split`.
+    /// budget, and any tree over the fleet, `split_with_trace` reports
+    /// group shares where (a) the root is granted exactly the global
+    /// budget, (b) each group's leaf caps sum to no more than the group's
+    /// own budget, and (c) the caps and shares agree with the recursive
+    /// reference allocator.
     #[test]
     fn budget_tree_groups_never_exceed_their_node_budget(
         global_cap_w in 40.0f64..400.0,
@@ -625,9 +626,19 @@ proptest! {
         ][shape as usize];
         let tree = BudgetTree::parse(spec).unwrap();
 
-        let (caps, groups) = tree.split_trace(global_cap_w, &names, &demands, Some(&sla), quantum);
-        let plain = tree.split(global_cap_w, &names, &demands, Some(&sla), quantum);
-        prop_assert_eq!(caps.clone(), plain, "split_trace disagrees with split");
+        let sig = TreeSignals { sla: Some(&sla), ..TreeSignals::default() };
+        let (caps, groups, _) = HierSplitter::compile(&tree, &names, 0.0)
+            .split_with_trace(global_cap_w, &demands, &sig, quantum)
+            .unwrap();
+        let (want, want_groups) =
+            oracle::tree::split(&tree, global_cap_w, &names, &demands, &sig, quantum).unwrap();
+        prop_assert_eq!(caps.clone(), want, "split_with_trace disagrees with the oracle");
+        prop_assert_eq!(groups.len(), want_groups.len());
+        for (g, w) in groups.iter().zip(&want_groups) {
+            prop_assert_eq!(&g.label, &w.label);
+            prop_assert_eq!(g.budget_w, w.budget_w, "{} share", g.label);
+            prop_assert_eq!(&g.leaves, &w.leaves);
+        }
 
         let index = |n: &str| names.iter().position(|m| *m == n).unwrap();
         prop_assert!(!groups.is_empty());

@@ -1,13 +1,17 @@
-//! The reference batch loop, kept as a short serial oracle for the fleet
-//! loop in `ClusterSim::run`.
+//! Test oracles: the reference batch loop (this module), a short serial
+//! oracle for the fleet loop in `ClusterSim::run`, and the recursive
+//! budget-tree allocator ([`tree`]), the reference for `HierSplitter`.
 //!
-//! Built only from public pieces — `Server`, `ControlPlane` and the
-//! `ClusterResult` fields — it touches every server every round: all of
+//! The batch loop is built only from public pieces — `Server`,
+//! `ControlPlane` and the `ClusterResult` fields. It touches every server
+//! every round: all of
 //! them report and receive a cap at each barrier in index order, and all
 //! of them step, where a finished server's step is a no-op. The fleet
 //! loop must match it digest for digest at any thread count, on a lossy
 //! plane too, where who reports decides which messages the plane draws
 //! fates for.
+
+pub mod tree;
 
 use cluster::{ClusterConfig, ClusterResult, ControlPlane, Server, ServerOutcome};
 
