@@ -1,8 +1,10 @@
 //! Criterion benchmarks of the simulation substrates: DDR3 request
-//! throughput, L2 access rate, trace generation, and a full small epoch.
+//! throughput, L2 access rate, warm-up and eviction cost, trace generation,
+//! and whole runs through the engine.
 
+use cluster::synthetic_fleet;
 use coscale::{run_policy, PolicyKind, SimConfig};
-use cpusim::{CacheConfig, L2Cache};
+use cpusim::{CacheConfig, CoreSim, L2Cache};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use memsim::{LineAddr, MemConfig, MemEvent, MemorySystem, Outcome};
 use simkernel::{EventQueue, Ps, SimRng};
@@ -65,6 +67,48 @@ fn bench_l2(c: &mut Criterion) {
             black_box(hits)
         });
     });
+    // What a synthetic-fleet server's construction is mostly made of:
+    // allocating its 1 MiB L2 and warming it with both cores' hot lines.
+    let spec = &synthetic_fleet(1, 0.0)[0].config;
+    let fmax = spec.core_freqs[spec.max_core_idx()];
+    let cores: Vec<CoreSim> = (0..spec.cores)
+        .map(|i| CoreSim::new(i, spec.mix.app_for_core(i), spec.seed, fmax, spec.core))
+        .collect();
+    group.throughput(Throughput::Elements(8192));
+    group.bench_function("warm_1mib", |b| {
+        b.iter(|| {
+            let mut l2 = L2Cache::new(spec.cache);
+            for c in &cores {
+                c.warm_l2(&mut l2);
+            }
+            black_box(l2.stats().hits)
+        });
+    });
+    // Streaming fills into a full 4-way cache: every fill evicts the
+    // least-recent way, and every other victim is dirty.
+    let fills = 4096u64;
+    group.throughput(Throughput::Elements(fills));
+    group.bench_function("evicting_fills", |b| {
+        let mut l2 = L2Cache::new(CacheConfig {
+            size_bytes: 256 * 1024,
+            ways: 4,
+            line_bytes: 64,
+        });
+        let mut next = 0u64;
+        b.iter(|| {
+            let mut writebacks = 0u64;
+            for _ in 0..fills {
+                if l2
+                    .fill(LineAddr(next), next.is_multiple_of(2), false)
+                    .is_some()
+                {
+                    writebacks += 1;
+                }
+                next += 1;
+            }
+            black_box(writebacks)
+        });
+    });
     group.finish();
 }
 
@@ -92,6 +136,15 @@ fn bench_full_epochs(c: &mut Criterion) {
         b.iter(|| {
             let mut cfg = SimConfig::small(workloads::mix("MIX2").expect("known"));
             cfg.target_instrs = 500_000;
+            black_box(run_policy(cfg, PolicyKind::CoScale))
+        });
+    });
+    // The paper's compute-bound path at full width: ILP1 on 16 cores,
+    // where core steps, not memory, make up the event stream.
+    group.bench_function("ilp1_16core", |b| {
+        b.iter(|| {
+            let mut cfg = SimConfig::for_mix(workloads::mix("ILP1").expect("known"));
+            cfg.target_instrs = 2_000_000;
             black_box(run_policy(cfg, PolicyKind::CoScale))
         });
     });

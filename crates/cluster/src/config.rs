@@ -264,9 +264,10 @@ pub fn synthetic_fleet(n: usize, idle_fraction: f64) -> Vec<ServerSpec> {
     (0..n)
         .map(|i| {
             let mut spec = ServerSpec::small(&format!("s{i:04}"), "MID1", 1 + i as u64);
-            // The test default keeps Table 2's 16 MiB L2; at a thousand
-            // servers that is gigabytes of tag arrays and construction
-            // drowns in page faults. Scale-fleet servers model a 1 MiB L2.
+            // The test default keeps Table 2's 16 MiB L2, whose way array
+            // is 4 MiB (16 bytes a way); at a thousand servers that is
+            // gigabytes and construction drowns in page faults.
+            // Scale-fleet servers model a 1 MiB L2: a 256 KiB way array.
             spec.config.cache.size_bytes = 1024 * 1024;
             // Coordination-scale regime: small nodes (2 cores, a coarse
             // 4-step DVFS grid) on epochs an order of magnitude shorter
@@ -516,9 +517,22 @@ mod tests {
         c.dead_band_w = -0.5;
         assert!(c.validate().is_err());
 
-        let mut c = ok;
+        let mut c = ok.clone();
         c.servers[0].config.gamma = 2.0;
         assert!(c.validate().is_err());
+
+        // A bad L2 geometry is an error here, not a panic on a
+        // construction thread.
+        for (ways, line_bytes, size_bytes) in
+            [(0, 64, 1 << 20), (16, 0, 1 << 20), (16, 64, 3 << 20)]
+        {
+            let mut c = ok.clone();
+            c.servers[0].config.cache.ways = ways;
+            c.servers[0].config.cache.line_bytes = line_bytes;
+            c.servers[0].config.cache.size_bytes = size_bytes;
+            let err = c.validate().expect_err("bad L2 geometry");
+            assert!(err.starts_with("server s0: L2"), "{err}");
+        }
     }
 
     #[test]

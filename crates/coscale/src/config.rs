@@ -180,6 +180,7 @@ impl SimConfig {
         if self.voltage_domain_cores == 0 {
             return Err("voltage_domain_cores must be positive".into());
         }
+        self.cache.validate()?;
         self.mem.validate()
     }
 }
@@ -228,8 +229,20 @@ mod tests {
         c.core_freqs = vec![];
         assert!(c.validate().is_err());
 
-        let mut c = base;
+        let mut c = base.clone();
         c.target_instrs = 0;
+        assert!(c.validate().is_err());
+
+        let mut c = base.clone();
+        c.cache.ways = 0;
+        assert!(c.validate().is_err());
+
+        let mut c = base.clone();
+        c.cache.line_bytes = 0;
+        assert!(c.validate().is_err());
+
+        let mut c = base;
+        c.cache.size_bytes = 3 << 20;
         assert!(c.validate().is_err());
     }
 

@@ -1,6 +1,7 @@
 //! The full-system simulation engine: 16 cores + shared L2 + DDR3 memory
-//! under one event queue, driven in profiling/decision/execution epochs.
+//! under one event agenda, driven in profiling/decision/execution epochs.
 
+use crate::agenda::{Agenda, Due};
 use crate::{
     extract_profile, make_policy, normalize_profile, EpochProfile, Model, Plan, Policy, PolicyKind,
     SimConfig,
@@ -8,15 +9,11 @@ use crate::{
 use cpusim::{CoreCounters, CoreOutput, CoreSim, L2Cache, Wake};
 use memsim::{LineAddr, MemCounters, MemEvent, MemorySystem, Outcome};
 use powermodel::{system_power, MemGeometry, SystemPower};
-use simkernel::{EventQueue, Freq, Ps};
-use std::collections::HashMap;
+use simkernel::{Freq, Ps};
 
-/// Events flowing through the engine's queue.
+/// Events in the agenda's heap; core wakes live in its per-core slots.
 #[derive(Clone, Copy, Debug)]
 enum Ev {
-    /// Wake core `id`; ignored unless `gen` matches the core's current
-    /// generation (stale-event invalidation).
-    Core { id: usize, gen: u64 },
     /// Deliver a memory-system event.
     Mem(MemEvent),
     /// A demand/prefetch read finished; look up the tag.
@@ -37,13 +34,14 @@ struct ReadInfo {
 pub struct System {
     config: SimConfig,
     cores: Vec<CoreSim>,
-    core_gen: Vec<u64>,
     l2: L2Cache,
     mem: MemorySystem,
-    queue: EventQueue<Ev>,
+    agenda: Agenda<Ev>,
     now: Ps,
-    tags: HashMap<u64, ReadInfo>,
-    next_tag: u64,
+    /// In-flight reads, indexed by tag. `memsim` only echoes a tag back in
+    /// its completion, so a tag is a slot here, recycled via `free_tags`.
+    reads: Vec<ReadInfo>,
+    free_tags: Vec<u64>,
     plan: Plan,
     completion: Vec<Option<Ps>>,
     // Reused buffers.
@@ -96,25 +94,24 @@ impl System {
             c.warm_l2(&mut l2);
         }
         let mem = MemorySystem::new(config.mem.clone());
-        let mut queue = EventQueue::new();
+        let mut agenda = Agenda::new(n);
         for (t, e) in mem.initial_events() {
-            queue.push(t, Ev::Mem(e));
+            agenda.push(t, Ev::Mem(e));
         }
         for i in 0..n {
-            queue.push(Ps::ZERO, Ev::Core { id: i, gen: 0 });
+            agenda.wake(i, Ps::ZERO);
         }
         let plan = Plan::max(n, config.core_freqs.len(), config.mem.freq_grid.len());
         System {
             config,
-            core_gen: vec![0; n],
             completion: vec![None; n],
             cores,
             l2,
             mem,
-            queue,
+            agenda,
             now: Ps::ZERO,
-            tags: HashMap::new(),
-            next_tag: 0,
+            reads: Vec::new(),
+            free_tags: Vec::new(),
             plan,
             core_out: CoreOutput::default(),
             mem_out: Outcome::default(),
@@ -160,97 +157,86 @@ impl System {
 
     /// Runs the event loop until simulated time `t_end`.
     pub fn run_until(&mut self, t_end: Ps) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > t_end {
-                break;
-            }
-            let (t, ev) = self.queue.pop().expect("peeked");
+        while let Some((t, due)) = self.agenda.pop_until(t_end) {
             self.now = t;
-            match ev {
-                Ev::Core { id, gen } => {
-                    if gen == self.core_gen[id] {
-                        self.step_core(id);
-                    }
-                }
-                Ev::Mem(me) => {
+            match due {
+                Due::Core(id) => self.step_core(id),
+                Due::Event(Ev::Mem(me)) => {
                     self.mem_out.clear();
-                    let mut out = std::mem::take(&mut self.mem_out);
-                    self.mem.handle(t, me, &mut out);
-                    self.absorb_mem_out(&mut out);
-                    self.mem_out = out;
+                    self.mem.handle(t, me, &mut self.mem_out);
+                    self.absorb_mem_out();
                 }
-                Ev::MemDone { tag } => self.finish_read(tag),
+                Due::Event(Ev::MemDone { tag }) => self.finish_read(tag),
             }
         }
         self.now = t_end;
     }
 
-    fn absorb_mem_out(&mut self, out: &mut Outcome) {
-        for c in out.completions.drain(..) {
-            self.queue.push(c.finish, Ev::MemDone { tag: c.tag });
+    /// Moves the memory system's completions and wake-ups into the agenda.
+    fn absorb_mem_out(&mut self) {
+        for c in self.mem_out.completions.drain(..) {
+            self.agenda.push(c.finish, Ev::MemDone { tag: c.tag });
         }
-        for (t, e) in out.wakeups.drain(..) {
-            self.queue.push(t, Ev::Mem(e));
+        for (t, e) in self.mem_out.wakeups.drain(..) {
+            self.agenda.push(t, Ev::Mem(e));
         }
     }
 
     fn issue_read(&mut self, core: usize, line: LineAddr, prefetch: bool) {
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        self.tags.insert(
-            tag,
-            ReadInfo {
-                core,
-                line,
-                prefetch,
-            },
-        );
-        let mut out = std::mem::take(&mut self.mem_out);
-        out.clear();
-        self.mem.enqueue_read(self.now, line, tag, &mut out);
-        self.absorb_mem_out(&mut out);
-        self.mem_out = out;
+        let info = ReadInfo {
+            core,
+            line,
+            prefetch,
+        };
+        let tag = match self.free_tags.pop() {
+            Some(tag) => {
+                self.reads[tag as usize] = info;
+                tag
+            }
+            None => {
+                self.reads.push(info);
+                self.reads.len() as u64 - 1
+            }
+        };
+        self.mem_out.clear();
+        self.mem
+            .enqueue_read(self.now, line, tag, &mut self.mem_out);
+        self.absorb_mem_out();
     }
 
     fn issue_writeback(&mut self, line: LineAddr) {
-        let mut out = std::mem::take(&mut self.mem_out);
-        out.clear();
-        self.mem.enqueue_writeback(self.now, line, &mut out);
-        self.absorb_mem_out(&mut out);
-        self.mem_out = out;
+        self.mem_out.clear();
+        self.mem
+            .enqueue_writeback(self.now, line, &mut self.mem_out);
+        self.absorb_mem_out();
     }
 
-    /// Drains `self.core_out` into the memory system.
+    /// Issues `self.core_out` to the memory system: reads, then
+    /// prefetches, then writebacks.
     fn dispatch_core_output(&mut self, core: usize) {
-        let reads: Vec<LineAddr> = self.core_out.reads.drain(..).collect();
-        let prefetches: Vec<LineAddr> = self.core_out.prefetches.drain(..).collect();
-        let writebacks: Vec<LineAddr> = self.core_out.writebacks.drain(..).collect();
-        for line in reads {
+        if self.core_out.is_empty() {
+            return;
+        }
+        let out = std::mem::take(&mut self.core_out);
+        for &line in &out.reads {
             self.issue_read(core, line, false);
         }
-        for line in prefetches {
+        for &line in &out.prefetches {
             self.issue_read(core, line, true);
         }
-        for line in writebacks {
+        for &line in &out.writebacks {
             self.issue_writeback(line);
         }
+        self.core_out = out;
     }
 
     fn step_core(&mut self, id: usize) {
         self.core_out.clear();
-        let mut out = std::mem::take(&mut self.core_out);
-        let wake = self.cores[id].advance(self.now, &mut self.l2, &mut out);
-        self.core_out = out;
+        let wake = self.cores[id].advance(self.now, &mut self.l2, &mut self.core_out);
         self.dispatch_core_output(id);
+        // A blocked core keeps whatever wake it had pending.
         if let Wake::At(t) = wake {
-            self.core_gen[id] += 1;
-            self.queue.push(
-                t,
-                Ev::Core {
-                    id,
-                    gen: self.core_gen[id],
-                },
-            );
+            self.agenda.wake(id, t);
         }
         if self.completion[id].is_none() && self.cores[id].instrs() >= self.config.target_instrs {
             self.completion[id] = Some(self.now);
@@ -258,15 +244,15 @@ impl System {
     }
 
     fn finish_read(&mut self, tag: u64) {
-        let info = self.tags.remove(&tag).expect("completion for unknown tag");
+        let info = self.reads[tag as usize];
+        self.free_tags.push(tag);
         self.core_out.clear();
-        let mut out = std::mem::take(&mut self.core_out);
+        let core = &mut self.cores[info.core];
         let runnable = if info.prefetch {
-            self.cores[info.core].complete_prefetch(self.now, info.line, &mut self.l2, &mut out)
+            core.complete_prefetch(self.now, info.line, &mut self.l2, &mut self.core_out)
         } else {
-            self.cores[info.core].complete_read(self.now, info.line, &mut self.l2, &mut out)
+            core.complete_read(self.now, info.line, &mut self.l2, &mut self.core_out)
         };
-        self.core_out = out;
         self.dispatch_core_output(info.core);
         if runnable {
             self.step_core(info.core);
@@ -283,23 +269,15 @@ impl System {
                 if let Some(Wake::At(t)) =
                     self.cores[i].apply_dvfs(self.now, freq, self.config.core_transition)
                 {
-                    self.core_gen[i] += 1;
-                    self.queue.push(
-                        t,
-                        Ev::Core {
-                            id: i,
-                            gen: self.core_gen[i],
-                        },
-                    );
+                    self.agenda.wake(i, t);
                 }
             }
         }
         if plan.mem != self.plan.mem {
-            let mut out = std::mem::take(&mut self.mem_out);
-            out.clear();
-            self.mem.set_frequency(self.now, plan.mem, &mut out);
-            self.absorb_mem_out(&mut out);
-            self.mem_out = out;
+            self.mem_out.clear();
+            self.mem
+                .set_frequency(self.now, plan.mem, &mut self.mem_out);
+            self.absorb_mem_out();
         }
         self.plan = plan.clone();
     }
@@ -426,6 +404,51 @@ impl RunResult {
     /// Full-system energy savings versus a baseline run, as a fraction.
     pub fn energy_savings_vs(&self, base: &RunResult) -> f64 {
         1.0 - self.total_energy_j() / base.total_energy_j()
+    }
+
+    /// A bit-exact text digest of the run: policy, mix, epoch count and
+    /// makespan; the four energies, MPKI, WPKI, prefetch accuracy, row-hit
+    /// rate and read-latency percentiles as bit patterns; every completion
+    /// time; and every epoch's plan. Two runs digest equal exactly when
+    /// the simulation took the same path.
+    pub fn digest(&self) -> String {
+        use std::fmt::Write as _;
+        let mut s = format!(
+            "policy={} mix={} epochs={} makespan={}\n",
+            self.policy,
+            self.mix,
+            self.epochs,
+            self.makespan.as_ps()
+        );
+        let bits = [
+            ("cpu", self.cpu_energy_j),
+            ("l2", self.l2_energy_j),
+            ("mem", self.mem_energy_j),
+            ("rest", self.rest_energy_j),
+            ("mpki", self.mpki),
+            ("wpki", self.wpki),
+            ("pf_acc", self.prefetch_accuracy),
+            ("row_hit", self.row_hit_rate),
+            ("p50", self.read_lat_p50_ns),
+            ("p95", self.read_lat_p95_ns),
+            ("p99", self.read_lat_p99_ns),
+        ];
+        for (name, v) in bits {
+            let _ = writeln!(s, "{name}={:016x}", v.to_bits());
+        }
+        let _ = write!(s, "completion:");
+        for c in &self.completion {
+            let _ = write!(s, " {}", c.as_ps());
+        }
+        let _ = writeln!(s);
+        for rec in &self.records {
+            let _ = writeln!(
+                s,
+                "epoch {}: mem={} cores={:?}",
+                rec.epoch, rec.plan.mem, rec.plan.cores
+            );
+        }
+        s
     }
 
     /// Writes the per-epoch decision timeline as TSV: epoch, start time,

@@ -35,6 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod agenda;
 mod config;
 mod engine;
 mod model;

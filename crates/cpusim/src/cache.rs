@@ -26,20 +26,47 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
+    /// Checks that the geometry describes a cache: at least one way, a
+    /// nonzero line size, and a set count that is a nonzero power of two.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first inconsistency.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.ways == 0 {
+            return Err("L2 needs at least one way".into());
+        }
+        if self.line_bytes == 0 {
+            return Err("L2 line_bytes must be positive".into());
+        }
+        let set_bytes = self
+            .line_bytes
+            .checked_mul(self.ways as u64)
+            .ok_or_else(|| {
+                format!(
+                    "L2 set of {} ways x {} bytes overflows",
+                    self.ways, self.line_bytes
+                )
+            })?;
+        let sets = self.size_bytes / set_bytes;
+        if sets == 0 || !sets.is_power_of_two() {
+            return Err(format!(
+                "L2 set count {sets} must be a nonzero power of two"
+            ));
+        }
+        Ok(())
+    }
+
     /// Number of sets implied by the configuration.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent (non-power-of-two set count or
-    /// zero ways).
+    /// Panics if [`CacheConfig::validate`] rejects the geometry.
     pub fn sets(&self) -> usize {
-        assert!(self.ways > 0, "cache needs at least one way");
-        let sets = self.size_bytes / (self.line_bytes * self.ways as u64);
-        assert!(
-            sets > 0 && sets.is_power_of_two(),
-            "set count {sets} must be a nonzero power of two"
-        );
-        sets as usize
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
+        (self.size_bytes / (self.line_bytes * self.ways as u64)) as usize
     }
 }
 
@@ -110,28 +137,25 @@ pub enum Access {
     Miss,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    prefetched: bool,
-    lru: u64,
-}
-
-const INVALID: Way = Way {
-    tag: 0,
-    valid: false,
-    dirty: false,
-    prefetched: false,
-    lru: 0,
-};
+/// Meta-word flag: the line is dirty.
+const DIRTY: u64 = 0b10;
+/// Meta-word flag: the line was installed by the prefetcher and has not
+/// seen a demand access yet.
+const PREFETCHED: u64 = 0b01;
+/// The recency stamp sits above the two flag bits.
+const STAMP_SHIFT: u32 = 2;
 
 /// A set-associative writeback LRU cache over [`LineAddr`]s.
 ///
 /// The set index is hash-folded from the full line address so that each
 /// core's private footprint (cores own disjoint high-order address slices)
 /// spreads over all sets instead of aliasing into the low sets.
+///
+/// Each way is two words, `[tag, stamp << 2 | dirty << 1 | prefetched]`,
+/// so a way's tag, recency and flags share one host cache line. Lines are
+/// never invalidated and a fill always takes the first free way, so a
+/// set's valid ways are a prefix of the set; `filled` counts them and
+/// lookups scan only that prefix.
 ///
 /// # Example
 ///
@@ -147,9 +171,12 @@ const INVALID: Way = Way {
 #[derive(Clone, Debug)]
 pub struct L2Cache {
     config: CacheConfig,
-    sets: Vec<Way>,
+    /// `2 * ways` words per set, zero until filled.
+    ways: Vec<u64>,
+    /// Valid ways per set.
+    filled: Vec<u32>,
     set_mask: u64,
-    ways: usize,
+    assoc: usize,
     stamp: u64,
     stats: CacheStats,
 }
@@ -164,9 +191,10 @@ impl L2Cache {
         let sets = config.sets();
         L2Cache {
             config,
-            sets: vec![INVALID; sets * config.ways],
+            ways: vec![0; 2 * sets * config.ways],
+            filled: vec![0; sets],
             set_mask: sets as u64 - 1,
-            ways: config.ways,
+            assoc: config.ways,
             stamp: 0,
             stats: CacheStats::default(),
         }
@@ -190,10 +218,21 @@ impl L2Cache {
         ((x ^ (x >> 14) ^ (x >> 28) ^ (x >> 42)) & self.set_mask) as usize
     }
 
+    /// The first word of set `idx`'s ways.
     #[inline]
-    fn set_slice_mut(&mut self, idx: usize) -> &mut [Way] {
-        let start = idx * self.ways;
-        &mut self.sets[start..start + self.ways]
+    fn set_base(&self, idx: usize) -> usize {
+        2 * idx * self.assoc
+    }
+
+    /// The word offset of `line`'s way within set `idx`, if resident.
+    #[inline]
+    fn find(&self, idx: usize, line: LineAddr) -> Option<usize> {
+        let base = self.set_base(idx);
+        let valid = &self.ways[base..base + 2 * self.filled[idx] as usize];
+        valid
+            .chunks_exact(2)
+            .position(|way| way[0] == line.0)
+            .map(|w| base + 2 * w)
     }
 
     /// Performs a demand access. On a hit the line's LRU position is
@@ -201,35 +240,27 @@ impl L2Cache {
     /// installed — fetch the line and call [`L2Cache::fill`].
     pub fn access(&mut self, line: LineAddr, is_store: bool) -> Access {
         self.stamp += 1;
-        let stamp = self.stamp;
         let idx = self.set_index(line);
-        let set = self.set_slice_mut(idx);
-        for way in set.iter_mut() {
-            if way.valid && way.tag == line.0 {
-                way.lru = stamp;
-                way.dirty |= is_store;
-                let first_use = way.prefetched;
-                way.prefetched = false;
-                self.stats.hits += 1;
-                if first_use {
-                    self.stats.prefetch_useful += 1;
-                }
-                return Access::Hit {
-                    first_use_of_prefetch: first_use,
-                };
-            }
+        let Some(at) = self.find(idx, line) else {
+            self.stats.misses += 1;
+            return Access::Miss;
+        };
+        let meta = self.ways[at + 1];
+        let first_use = meta & PREFETCHED != 0;
+        let dirty = (meta & DIRTY) | if is_store { DIRTY } else { 0 };
+        self.ways[at + 1] = (self.stamp << STAMP_SHIFT) | dirty;
+        self.stats.hits += 1;
+        if first_use {
+            self.stats.prefetch_useful += 1;
         }
-        self.stats.misses += 1;
-        Access::Miss
+        Access::Hit {
+            first_use_of_prefetch: first_use,
+        }
     }
 
     /// Whether `line` is currently resident (no LRU/stat side effects).
     pub fn contains(&self, line: LineAddr) -> bool {
-        let idx = self.set_index(line);
-        let start = idx * self.ways;
-        self.sets[start..start + self.ways]
-            .iter()
-            .any(|w| w.valid && w.tag == line.0)
+        self.find(self.set_index(line), line).is_some()
     }
 
     /// Installs `line`, evicting the LRU way if the set is full. Returns the
@@ -239,45 +270,46 @@ impl L2Cache {
     /// the line for prefetch-accuracy accounting.
     pub fn fill(&mut self, line: LineAddr, dirty: bool, prefetched: bool) -> Option<LineAddr> {
         self.stamp += 1;
-        let stamp = self.stamp;
+        let stamp = self.stamp << STAMP_SHIFT;
+        let dirty = if dirty { DIRTY } else { 0 };
         let idx = self.set_index(line);
-        let set = self.set_slice_mut(idx);
 
         // Already present (e.g. a demand fill racing a prefetch fill):
         // merge flags rather than duplicating the line.
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == line.0) {
-            way.dirty |= dirty;
-            way.lru = stamp;
+        if let Some(at) = self.find(idx, line) {
+            let flags = self.ways[at + 1] & (DIRTY | PREFETCHED);
+            self.ways[at + 1] = stamp | flags | dirty;
             return None;
         }
 
-        let victim = match set.iter_mut().find(|w| !w.valid) {
-            Some(way) => way,
-            None => set
-                .iter_mut()
-                .min_by_key(|w| w.lru)
-                .expect("ways > 0 by construction"),
-        };
-
-        let evicted = *victim;
-        *victim = Way {
-            tag: line.0,
-            valid: true,
-            dirty,
-            prefetched,
-            lru: stamp,
-        };
-
+        let base = self.set_base(idx);
+        let n = self.filled[idx] as usize;
         let mut writeback = None;
-        if evicted.valid {
-            if evicted.prefetched {
+        let at = if n < self.assoc {
+            self.filled[idx] += 1;
+            base + 2 * n
+        } else {
+            // Full: evict the least-recent way. Stamps are unique, so the
+            // smallest meta word is the smallest stamp.
+            let set = &self.ways[base..base + 2 * self.assoc];
+            let (w, _) = set
+                .chunks_exact(2)
+                .enumerate()
+                .min_by_key(|(_, way)| way[1])
+                .expect("ways > 0 by construction");
+            let at = base + 2 * w;
+            let victim = self.ways[at + 1];
+            if victim & PREFETCHED != 0 {
                 self.stats.prefetch_unused += 1;
             }
-            if evicted.dirty {
+            if victim & DIRTY != 0 {
                 self.stats.writebacks += 1;
-                writeback = Some(LineAddr(evicted.tag));
+                writeback = Some(LineAddr(self.ways[at]));
             }
-        }
+            at
+        };
+        self.ways[at] = line.0;
+        self.ways[at + 1] = stamp | dirty | if prefetched { PREFETCHED } else { 0 };
         if prefetched {
             self.stats.prefetch_fills += 1;
         }
@@ -419,7 +451,8 @@ mod tests {
         let c = CacheConfig::default();
         assert_eq!(c.sets(), 16_384);
         let cache = L2Cache::new(c);
-        assert_eq!(cache.sets.len(), 16_384 * 16);
+        assert_eq!(cache.ways.len(), 2 * 16_384 * 16);
+        assert_eq!(cache.filled.len(), 16_384);
     }
 
     #[test]
@@ -429,6 +462,57 @@ mod tests {
         s.hits = 3;
         s.misses = 1;
         assert!((s.miss_ratio() - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn validate_rejects_each_bad_geometry() {
+        let ok = CacheConfig::default();
+        assert_eq!(ok.validate(), Ok(()));
+        let bad = [
+            (CacheConfig { ways: 0, ..ok }, "at least one way"),
+            (
+                CacheConfig {
+                    line_bytes: 0,
+                    ..ok
+                },
+                "line_bytes",
+            ),
+            (
+                CacheConfig {
+                    size_bytes: 3 * 64 * 16,
+                    ..ok
+                },
+                "power of two",
+            ),
+            (
+                CacheConfig {
+                    size_bytes: 64,
+                    ..ok
+                },
+                "power of two",
+            ),
+            (
+                CacheConfig {
+                    line_bytes: u64::MAX,
+                    ..ok
+                },
+                "overflows",
+            ),
+        ];
+        for (config, why) in bad {
+            let err = config.validate().expect_err(why);
+            assert!(err.contains(why), "{config:?}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "line_bytes")]
+    fn zero_line_size_panics_in_sets_instead_of_dividing_by_zero() {
+        let _ = CacheConfig {
+            line_bytes: 0,
+            ..CacheConfig::default()
+        }
+        .sets();
     }
 
     #[test]

@@ -70,6 +70,11 @@ impl CoreOutput {
         self.prefetches.clear();
         self.writebacks.clear();
     }
+
+    /// Whether the step emitted nothing.
+    pub fn is_empty(&self) -> bool {
+        self.reads.is_empty() && self.prefetches.is_empty() && self.writebacks.is_empty()
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -220,8 +225,8 @@ impl CoreSim {
     /// `out` and returns when to call again.
     ///
     /// Calling `advance` before the time it previously asked for is allowed
-    /// and harmless (it re-reports the pending wake time), which lets the
-    /// driver use a simple event queue with stale-event re-delivery.
+    /// and harmless (it re-reports the pending wake time), so a caller
+    /// need not cancel a superseded wake.
     pub fn advance(&mut self, now: Ps, l2: &mut L2Cache, out: &mut CoreOutput) -> Wake {
         if now < self.halt_until {
             return Wake::At(self.halt_until);
@@ -287,7 +292,10 @@ impl CoreSim {
                             // wastes bandwidth on random accesses, which on a
                             // loaded 16-core memory system costs more than
                             // the hits gain.
-                            if op.line.0 > 0 && l2.contains(LineAddr(op.line.0 - 1)) {
+                            if self.config.prefetch
+                                && op.line.0 > 0
+                                && l2.contains(LineAddr(op.line.0 - 1))
+                            {
                                 self.maybe_prefetch(LineAddr(op.line.0 + 1), l2, out);
                             }
                             match self.config.pipeline {

@@ -6,10 +6,15 @@
 //! the CPU side of that second step:
 //!
 //! * [`L2Cache`] — the shared 16 MiB, 16-way LLC with LRU replacement,
-//!   writeback tracking, and prefetch-accuracy bookkeeping.
+//!   writeback tracking, and prefetch-accuracy bookkeeping. Each way is
+//!   16 bytes (tag, then recency stamp and flags in one word), and a set's
+//!   valid ways form a prefix, so lookups scan only the filled ways.
+//!   [`CacheConfig::validate`] rejects geometries it cannot build.
 //! * [`CoreSim`] — a single-issue core replaying a synthetic trace
 //!   ([`workloads::TraceGen`]), stalling on L2 hits (fixed uncore latency)
-//!   and on L2 misses; per-core DVFS with transition halts.
+//!   and on L2 misses; per-core DVFS with transition halts. A step reports
+//!   one [`Wake`] and fills caller-owned [`CoreOutput`] buffers, so the
+//!   engine can keep one wake per core and allocate nothing per step.
 //! * [`PipelineMode::MlpWindow`] — the §4.2.4 out-of-order emulation: all
 //!   memory operations within a 128-instruction window are independent.
 //! * [`CoreConfig::prefetch`] — the §4.2.4 tagged next-line prefetcher.

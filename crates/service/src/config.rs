@@ -651,6 +651,24 @@ mod tests {
     }
 
     #[test]
+    fn validation_rejects_a_bad_l2_geometry() {
+        // Each of these used to panic inside `L2Cache::new`, mid-build.
+        let geometries = [(0, 64, 1 << 20), (16, 0, 1 << 20), (16, 64, 3 << 20)];
+        for (ways, line_bytes, size_bytes) in geometries {
+            let mut spec = ServiceServerSpec::small("odd", "ILP1", 2, 1000.0);
+            spec.config.cache.ways = ways;
+            spec.config.cache.line_bytes = line_bytes;
+            spec.config.cache.size_bytes = size_bytes;
+            let mut c = open_loop_base();
+            c.servers.push(spec.clone());
+            let err = c.validate().unwrap_err();
+            assert!(err.starts_with("server odd: L2"), "{err}");
+            let err = join_error(open_loop_base(), 3, spec).unwrap_err();
+            assert!(err.contains("odd") && err.contains("L2"), "{err}");
+        }
+    }
+
+    #[test]
     fn validation_rejects_churn_joins_beyond_max_epochs() {
         let mut short = ServiceServerSpec::small("late", "ILP1", 2, 1000.0);
         short.config.max_epochs = 10;

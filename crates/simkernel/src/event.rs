@@ -50,8 +50,9 @@ impl<E> Ord for Entry<E> {
 /// no ambiguous orderings for implementation details to resolve — pop
 /// order is a pure function of the push history. Simulation outcomes
 /// therefore cannot depend on heap internals, hash seeds, or thread
-/// timing; the engine-equivalence suite, the message plane's delivery
-/// order, and the `Offline` oracle policy all lean on this guarantee.
+/// timing. The message plane's delivery order leans on this guarantee,
+/// and the cycle-simulation engine's agenda (per-core wake slots beside an
+/// event heap) is proven against it: its pops must match this queue's.
 /// The property test `total_order_is_push_history_stable` pins it.
 ///
 /// # Example

@@ -15,7 +15,8 @@
 //! * [`SimRng`] — a small, fully deterministic, cloneable PRNG
 //!   (xoshiro256**). Cloneability of the entire simulation state is what
 //!   makes the paper's "Offline" oracle policy implementable: an epoch can be
-//!   checkpointed, measured, rewound and re-run.
+//!   checkpointed, measured, rewound and re-run. [`Geometric`] is its
+//!   geometric law with `ln(1 - p)` computed once, for repeated draws.
 //! * [`stats`] — running statistics helpers (means, time-weighted averages,
 //!   utilization integrals) used by the performance-counter machinery.
 //!
@@ -45,5 +46,5 @@ mod time;
 
 pub use event::EventQueue;
 pub use freq::Freq;
-pub use rng::SimRng;
+pub use rng::{Geometric, SimRng};
 pub use time::Ps;

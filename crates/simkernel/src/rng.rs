@@ -103,18 +103,58 @@ impl SimRng {
 
     /// Geometric sample: the number of failures before the first success
     /// with success probability `p`; mean `(1-p)/p`. Used for inter-miss
-    /// instruction gaps.
+    /// instruction gaps. A caller drawing many samples at one `p` can
+    /// build the [`Geometric`] law once instead.
     ///
     /// # Panics
     ///
     /// Panics if `p` is not in `(0, 1]`.
     pub fn geometric(&mut self, p: f64) -> u64 {
+        Geometric::new(p).sample(self)
+    }
+}
+
+/// The geometric law of [`SimRng::geometric`] with its `ln(1 - p)`
+/// computed once, for callers that draw many samples at one `p`.
+///
+/// # Example
+///
+/// ```
+/// use simkernel::{Geometric, SimRng};
+/// let law = Geometric::new(0.25);
+/// let (mut a, mut b) = (SimRng::new(3), SimRng::new(3));
+/// assert_eq!(law.sample(&mut a), b.geometric(0.25));
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Geometric {
+    /// `ln(1 - p)`, or `None` when `p >= 1` and every sample is 0.
+    ln_q: Option<f64>,
+}
+
+impl Geometric {
+    /// The law with success probability `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not in `(0, 1]`.
+    pub fn new(p: f64) -> Self {
         assert!(p > 0.0 && p <= 1.0, "geometric needs p in (0,1], got {p}");
-        if p >= 1.0 {
-            return 0;
+        Geometric {
+            ln_q: (p < 1.0).then(|| (1.0 - p).ln()),
         }
-        let u = self.f64().max(f64::MIN_POSITIVE);
-        (u.ln() / (1.0 - p).ln()).floor() as u64
+    }
+
+    /// One sample: the number of failures before the first success. Draws
+    /// nothing from `rng` when `p >= 1`.
+    #[inline]
+    pub fn sample(&self, rng: &mut SimRng) -> u64 {
+        match self.ln_q {
+            Some(ln_q) => {
+                let u = rng.f64().max(f64::MIN_POSITIVE);
+                (u.ln() / ln_q).floor() as u64
+            }
+            None => 0,
+        }
     }
 }
 
@@ -195,7 +235,9 @@ mod tests {
     #[test]
     fn geometric_p_one_is_zero() {
         let mut r = SimRng::new(1);
+        let before = r.clone();
         assert_eq!(r.geometric(1.0), 0);
+        assert_eq!(r, before, "p = 1 draws nothing");
     }
 
     #[test]

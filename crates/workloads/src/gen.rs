@@ -3,7 +3,7 @@
 
 use crate::AppProfile;
 use memsim::LineAddr;
-use simkernel::SimRng;
+use simkernel::{Geometric, SimRng};
 
 /// One step of an application trace: execute `gap` non-memory-stalling
 /// instructions, then reference `line` (the reference itself is also one
@@ -78,6 +78,8 @@ pub struct TraceGen {
     phase_idx: usize,
     instrs_in_phase: u64,
     phase_len: u64,
+    /// The current phase's gap law, built when the phase is entered.
+    gap_law: Geometric,
     stream_ptr: u64,
     total_instrs: u64,
     /// When set, operations come from this recorded trace (cyclically)
@@ -99,6 +101,7 @@ impl TraceGen {
         let mut root = SimRng::new(seed);
         let rng = root.fork(core as u64);
         let phase_len = Self::phase_len_of(&profile, 0);
+        let gap_law = Self::gap_law_of(&profile, 0);
         TraceGen {
             profile,
             rng,
@@ -106,6 +109,7 @@ impl TraceGen {
             phase_idx: 0,
             instrs_in_phase: 0,
             phase_len,
+            gap_law,
             stream_ptr: 0,
             total_instrs: 0,
             replay: None,
@@ -126,6 +130,7 @@ impl TraceGen {
             panic!("invalid profile: {e}");
         }
         let phase_len = Self::phase_len_of(&profile, 0);
+        let gap_law = Self::gap_law_of(&profile, 0);
         TraceGen {
             profile,
             rng: SimRng::new(0),
@@ -140,6 +145,7 @@ impl TraceGen {
             phase_idx: 0,
             instrs_in_phase: 0,
             phase_len,
+            gap_law,
             stream_ptr: 0,
             total_instrs: 0,
             replay: Some((ops, 0)),
@@ -149,6 +155,14 @@ impl TraceGen {
     fn phase_len_of(profile: &AppProfile, idx: usize) -> u64 {
         let w = profile.phases[idx].weight;
         ((profile.phase_cycle_instrs as f64) * w).round().max(1.0) as u64
+    }
+
+    /// Phase `idx`'s gap law: a mean gap that puts one reference every
+    /// `1000 / l2_apki` instructions, counting the referencing
+    /// instruction itself.
+    fn gap_law_of(profile: &AppProfile, idx: usize) -> Geometric {
+        let period = (1000.0 / profile.phases[idx].l2_apki).max(1.0);
+        Geometric::new((1.0 / period).clamp(1e-9, 1.0))
     }
 
     /// The profile driving this generator.
@@ -187,11 +201,7 @@ impl TraceGen {
             return op;
         }
         let phase = self.profile.phases[self.phase_idx];
-        // Mean gap so that one reference occurs every 1000/apki instructions
-        // including the referencing instruction itself.
-        let period = (1000.0 / phase.l2_apki).max(1.0);
-        let p = (1.0 / period).clamp(1e-9, 1.0);
-        let gap = self.rng.geometric(p);
+        let gap = self.gap_law.sample(&mut self.rng);
 
         let is_store = self.rng.chance(phase.store_frac);
         let line = if self.rng.chance(phase.miss_frac) {
@@ -221,6 +231,7 @@ impl TraceGen {
             self.instrs_in_phase -= self.phase_len;
             self.phase_idx = (self.phase_idx + 1) % self.profile.phases.len();
             self.phase_len = Self::phase_len_of(&self.profile, self.phase_idx);
+            self.gap_law = Self::gap_law_of(&self.profile, self.phase_idx);
         }
     }
 }
@@ -237,6 +248,43 @@ mod tests {
             InstrMix::INT,
             PhaseProfile::uniform(l2_apki, miss, stream, 0.3),
         )
+    }
+
+    /// Every registered application, plus two edge profiles: one phase at
+    /// 1000 APKI (p = 1, so no gap is drawn) beside an ordinary phase, and
+    /// one at an APKI so low that `p` clamps to 1e-9.
+    fn reference_profiles() -> Vec<AppProfile> {
+        let mut all: Vec<AppProfile> = crate::ALL_APPS.iter().map(|n| app(n)).collect();
+        let mut dense = flat(1000.0, 0.5, 0.5);
+        dense.phases[0].weight = 0.5;
+        let mut sparse_phase = PhaseProfile::uniform(8.0, 0.3, 0.2, 0.3);
+        sparse_phase.weight = 0.5;
+        dense.phases.push(sparse_phase);
+        dense.phase_cycle_instrs = 40_000;
+        all.push(dense);
+        let mut sparse = flat(1e-7, 0.5, 0.5);
+        sparse.phase_cycle_instrs = 1_000_000_000_000;
+        all.push(sparse);
+        all
+    }
+
+    /// Every gap is the draw the generator made before its gap law moved
+    /// to phase entry: `SimRng::geometric` at a `p` recomputed from the
+    /// current phase, on the same rng state. Runs past one full phase
+    /// cycle, so every phase entry is crossed at least once.
+    #[test]
+    fn gaps_match_per_op_geometric_draws() {
+        for (i, profile) in reference_profiles().into_iter().enumerate() {
+            let mut g = TraceGen::new(profile.clone(), i % 16, 7 + i as u64);
+            let horizon = profile.phase_cycle_instrs + profile.phase_cycle_instrs / 4;
+            let mut ops = 0u64;
+            while g.total_instrs() <= horizon {
+                let period = (1000.0 / profile.phases[g.current_phase()].l2_apki).max(1.0);
+                let want = g.rng.clone().geometric((1.0 / period).clamp(1e-9, 1.0));
+                assert_eq!(g.next_op().gap, want, "{} op {ops}", profile.name);
+                ops += 1;
+            }
+        }
     }
 
     #[test]
