@@ -103,8 +103,7 @@ pub fn split_caps(
         // to; degrade to its granting core — FastCap ordering, but keeping
         // the documented "leftover goes unspent" invariant: caps saturate
         // at demand instead of parking surplus budget on servers.
-        CapSplit::SlaAware => fastcap_core(global_cap_w, demands, quantum_w, false, None)
-            .expect("legacy floors are always feasible"),
+        CapSplit::SlaAware => fastcap_core(global_cap_w, demands, quantum_w, false),
         // Without trace signals the critical-path discipline degrades to
         // demand-proportional (legacy floors cannot be infeasible).
         CapSplit::CriticalPath => split_caps_critical(global_cap_w, demands, None, None)
@@ -227,20 +226,6 @@ pub fn split_caps_critical(
     Ok(caps)
 }
 
-/// SLA-aware splitting with explicit per-child floors; see
-/// [`split_caps_sla`]. Each floor is raised to the child's all-minimum
-/// power, and the call fails with [`SplitError::InfeasibleFloors`] instead
-/// of silently clamping when the floors over-commit the budget.
-pub fn split_caps_sla_floored(
-    global_cap_w: f64,
-    demands: &[ServerDemand],
-    sla: &[SlaSignal],
-    floor_w: &[f64],
-    quantum_w: f64,
-) -> Result<Vec<f64>, SplitError> {
-    sla_core(global_cap_w, demands, sla, quantum_w, Some(floor_w))
-}
-
 /// One server's tail-latency telemetry for SLA-aware splitting.
 #[derive(Clone, Copy, Debug)]
 pub struct SlaSignal {
@@ -283,25 +268,10 @@ pub fn split_caps_sla(
     sla: &[SlaSignal],
     quantum_w: f64,
 ) -> Vec<f64> {
-    sla_core(global_cap_w, demands, sla, quantum_w, None)
-        .expect("legacy floors are always feasible")
-}
-
-/// The SLA granting loop behind [`split_caps_sla`] and
-/// [`split_caps_sla_floored`]. `floor_w` of `None` keeps the legacy
-/// behavior (each server floored at its scaled all-minimum power, feasible
-/// by construction); explicit floors are validated and can fail.
-fn sla_core(
-    global_cap_w: f64,
-    demands: &[ServerDemand],
-    sla: &[SlaSignal],
-    quantum_w: f64,
-    floor_w: Option<&[f64]>,
-) -> Result<Vec<f64>, SplitError> {
     assert_eq!(demands.len(), sla.len(), "one SLA signal per server");
     let n_active = demands.iter().filter(|d| d.active).count();
     if n_active == 0 {
-        return Ok(vec![0.0; demands.len()]);
+        return vec![0.0; demands.len()];
     }
     // Per-server desired cap (the ceiling it may be granted up to).
     let desired: Vec<f64> = demands
@@ -318,9 +288,10 @@ fn sla_core(
             }
         })
         .collect();
-    let mut caps = checked_floors(global_cap_w, demands, floor_w)?;
-    // Explicit floors may sit above a trimmed desire; the grant loop
-    // treats such servers as already saturated and the floor stands.
+    let mut caps = floors(global_cap_w, demands);
+    // A floor may sit above the desire of a server whose demand is below
+    // its all-minimum power; the grant loop treats such servers as
+    // already saturated and the floor stands.
     let desired: Vec<f64> = desired
         .iter()
         .zip(&caps)
@@ -342,7 +313,7 @@ fn sla_core(
             &mut spare,
         );
     }
-    Ok(caps)
+    caps
 }
 
 /// Watts below which a server counts as clipped at its granting ceiling:
@@ -478,9 +449,9 @@ fn floors(global_cap_w: f64, demands: &[ServerDemand]) -> Vec<f64> {
         .collect()
 }
 
-/// Starting caps for a granting loop. `floor_w` of `None` keeps the legacy
-/// scaled floors above (always feasible); explicit floors are raised to
-/// each active server's all-minimum power and rejected with
+/// Starting caps for the critical-path split. `floor_w` of `None` keeps
+/// the scaled floors above (always feasible); explicit floors are raised
+/// to each active server's all-minimum power and rejected with
 /// [`SplitError::InfeasibleFloors`] when their sum exceeds the budget.
 fn checked_floors(
     global_cap_w: f64,
@@ -531,38 +502,21 @@ pub(crate) fn utility_at(d: &ServerDemand, cap: f64) -> f64 {
 
 /// The marginal-utility greedy allocation, with FastCap's leftover parking.
 fn fastcap_split(global_cap_w: f64, demands: &[ServerDemand], quantum_w: f64) -> Vec<f64> {
-    fastcap_core(global_cap_w, demands, quantum_w, true, None)
-        .expect("legacy floors are always feasible")
-}
-
-/// FastCap's granting loop with explicit per-child floors; fails with
-/// [`SplitError::InfeasibleFloors`] instead of silently clamping when the
-/// floors over-commit the budget. Leftover budget goes unspent (caps stay
-/// at or below demand).
-pub fn split_caps_fastcap_floored(
-    global_cap_w: f64,
-    demands: &[ServerDemand],
-    floor_w: &[f64],
-    quantum_w: f64,
-) -> Result<Vec<f64>, SplitError> {
-    fastcap_core(global_cap_w, demands, quantum_w, false, Some(floor_w))
+    fastcap_core(global_cap_w, demands, quantum_w, true)
 }
 
 /// The FastCap granting loop. `park_leftover` selects what happens to
 /// budget left after every active server saturates at its demand: FastCap
 /// proper parks it uniformly as headroom (transient demand spikes between
 /// rounds stay within budget); the SLA-aware degrade path leaves it unspent
-/// so `cap[i] ≤ demand[i]` holds, matching `split_caps_sla`. `floor_w` of
-/// `None` keeps the legacy scaled floors; explicit floors are validated
-/// and make the call fallible.
+/// so `cap[i] ≤ demand[i]` holds, matching `split_caps_sla`.
 fn fastcap_core(
     global_cap_w: f64,
     demands: &[ServerDemand],
     quantum_w: f64,
     park_leftover: bool,
-    floor_w: Option<&[f64]>,
-) -> Result<Vec<f64>, SplitError> {
-    let mut caps = checked_floors(global_cap_w, demands, floor_w)?;
+) -> Vec<f64> {
+    let mut caps = floors(global_cap_w, demands);
     let mut spare = global_cap_w - caps.iter().sum::<f64>();
     let mut clipped = vec![false; demands.len()];
     // The non-parking variant promises `cap ≤ demand`, so it clips the
@@ -591,7 +545,7 @@ fn fastcap_core(
             }
         }
     }
-    Ok(caps)
+    caps
 }
 
 /// Jain's fairness index over a set of non-negative allocations:
@@ -835,23 +789,14 @@ mod tests {
     #[test]
     fn infeasible_explicit_floors_surface_structured_error() {
         // Two servers whose configured floors (70 + 70) over-commit a
-        // 100 W budget. The legacy paths silently scale; the floored
-        // entry points must refuse instead.
+        // 100 W budget. The legacy paths silently scale; explicit floors
+        // must refuse instead.
         let ds = vec![d(100.0, 30.0), d(100.0, 30.0)];
         let floors_w = [70.0, 70.0];
-        let sig = vec![sla(2e-3, 1e-3), sla(0.5e-3, 1e-3)];
         let expect = SplitError::InfeasibleFloors {
             required_w: 140.0,
             budget_w: 100.0,
         };
-        assert_eq!(
-            split_caps_sla_floored(100.0, &ds, &sig, &floors_w, 1.0),
-            Err(expect)
-        );
-        assert_eq!(
-            split_caps_fastcap_floored(100.0, &ds, &floors_w, 1.0),
-            Err(expect)
-        );
         assert_eq!(
             split_caps_critical(100.0, &ds, Some(&[0.5, 0.5]), Some(&floors_w)),
             Err(expect)
@@ -860,7 +805,7 @@ mod tests {
         assert!(msg.contains("infeasible floors"), "{msg}");
         assert!(msg.contains("140.000") && msg.contains("100.000"), "{msg}");
         // The same floors under a sufficient budget succeed and cover them.
-        let caps = split_caps_fastcap_floored(150.0, &ds, &floors_w, 1.0).unwrap();
+        let caps = split_caps_critical(150.0, &ds, Some(&[0.5, 0.5]), Some(&floors_w)).unwrap();
         assert!(caps.iter().all(|&c| c >= 70.0 - 1e-9), "{caps:?}");
     }
 

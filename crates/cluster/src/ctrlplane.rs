@@ -48,8 +48,8 @@
 //!   entries with one synthetic reservation at the maximum outstanding cap
 //!   it replicated — the worst case over the un-acked suffix it may never
 //!   have seen — expiring one full quarantine later, and it quarantines
-//!   the free pool for `max link latency + jitter + lease` rounds (see
-//!   [`RpcConfig::quarantine_rounds`]), so late-arriving grants from the
+//!   the free pool for `latency + jitter + lease` rounds (see
+//!   [`RpcConfig::resolve`]), so late-arriving grants from the
 //!   dead leader can never land outside the reserved window. Conservation
 //!   — in-force caps ≤ budget + expired-lease floors — thereby holds
 //!   through failover under any loss/dup/latency/partition schedule, at
@@ -120,21 +120,6 @@ pub struct RpcConfig {
     /// and takes over by deterministic election when the leader goes
     /// silent.
     pub failover: bool,
-    /// Barriers of leader silence before a coordinator elects itself
-    /// (auto-raised to cover the resolved latency).
-    pub heartbeat_timeout_rounds: u64,
-    /// Barriers a freshly elected leader quarantines the free pool —
-    /// granting at most what its reconstructed ledger reserves — before
-    /// funding increases. `0` (default) derives the safe bound
-    /// automatically: the plane's maximum one-way latency + jitter (in
-    /// rounds) + the lease length, which outlasts every grant the dead
-    /// leader could have issued, including those still in flight. Explicit
-    /// values below that bound are raised to it.
-    pub quarantine_rounds: u64,
-    /// Barriers of telemetry silence before the leader suspects a server
-    /// and stops granting to it. `0` (default) picks
-    /// `max(5, 2·(latency + jitter in rounds) + 1)` automatically.
-    pub suspect_after_rounds: u64,
     /// Scheduled partitions.
     pub partitions: Vec<PartitionSpec>,
     /// Record every applied grant in
@@ -155,9 +140,6 @@ impl Default for RpcConfig {
             lease_rounds: 8,
             floor_cap_w: 0.0,
             failover: false,
-            heartbeat_timeout_rounds: 3,
-            quarantine_rounds: 0,
-            suspect_after_rounds: 0,
             partitions: Vec::new(),
             audit: false,
         }
@@ -197,9 +179,6 @@ impl RpcConfig {
         if self.lease_rounds == 0 {
             return Err("lease must last at least 1 round".into());
         }
-        if self.heartbeat_timeout_rounds == 0 {
-            return Err("heartbeat timeout must be at least 1 round".into());
-        }
         if self.floor_cap_w.is_nan() || self.floor_cap_w < 0.0 {
             return Err(format!(
                 "floor cap {} must be finite and non-negative",
@@ -232,7 +211,17 @@ impl RpcConfig {
     }
 
     /// Converts microsecond knobs to whole coordination rounds given the
-    /// round length, and applies the auto defaults.
+    /// round length, and derives the protocol's timings from the worst
+    /// one-way delay `d` = latency + jitter, in rounds:
+    ///
+    /// * a server is **suspected** after `max(5, 2d + 1)` barriers without
+    ///   telemetry, and a coordinator **elects itself** after
+    ///   `max(3, d + 1)` barriers without a heartbeat: both thresholds
+    ///   exceed the plane's delay, so delay alone never makes a live
+    ///   server or leader look silent;
+    /// * a new leader **quarantines** its free pool for `d + lease`
+    ///   rounds: every grant the dead leader could have issued, even one
+    ///   still in flight, expires inside the reserved window.
     ///
     /// # Errors
     ///
@@ -243,27 +232,19 @@ impl RpcConfig {
         let to_rounds = |us: f64| ((us * 1e-6) / round_s).ceil() as u64;
         let latency = to_rounds(self.latency_us);
         let jitter = to_rounds(self.jitter_us);
-        if latency + jitter >= self.lease_rounds {
+        let delay = latency + jitter;
+        if delay >= self.lease_rounds {
             return Err(format!(
                 "lease of {} rounds does not outlast the rpc delay of up to {} rounds \
                  ({} + {} µs at {:.1} µs/round); grants would expire in flight — raise \
                  --lease-rounds or lower the latency",
                 self.lease_rounds,
-                latency + jitter,
+                delay,
                 self.latency_us,
                 self.jitter_us,
                 round_s * 1e6
             ));
         }
-        let suspect_after = if self.suspect_after_rounds == 0 {
-            (2 * (latency + jitter) + 1).max(5)
-        } else {
-            self.suspect_after_rounds
-        };
-        let heartbeat_timeout = self.heartbeat_timeout_rounds.max(latency + jitter + 1);
-        let quarantine = self
-            .quarantine_rounds
-            .max(latency + jitter + self.lease_rounds);
         Ok(ResolvedRpc {
             latency_rounds: latency,
             jitter_rounds: jitter,
@@ -273,9 +254,9 @@ impl RpcConfig {
             lease_rounds: self.lease_rounds,
             floor_cap_w: self.floor_cap_w,
             failover: self.failover,
-            heartbeat_timeout,
-            quarantine,
-            suspect_after,
+            heartbeat_timeout: (delay + 1).max(3),
+            quarantine: delay + self.lease_rounds,
+            suspect_after: (2 * delay + 1).max(5),
             audit: self.audit,
         })
     }
@@ -301,12 +282,11 @@ pub struct ResolvedRpc {
     pub floor_cap_w: f64,
     /// Standby coordinator enabled.
     pub failover: bool,
-    /// Resolved leader-silence threshold, rounds.
+    /// Leader-silence threshold, rounds: `max(3, latency + jitter + 1)`.
     pub heartbeat_timeout: u64,
-    /// Resolved post-takeover quarantine length, rounds (at least
-    /// latency + jitter + lease).
+    /// Post-takeover quarantine length, rounds: latency + jitter + lease.
     pub quarantine: u64,
-    /// Resolved server-silence threshold, rounds.
+    /// Server-silence threshold, rounds: `max(5, 2·(latency + jitter) + 1)`.
     pub suspect_after: u64,
     /// Grant auditing enabled.
     pub audit: bool,
@@ -537,14 +517,14 @@ pub struct LeaseEntry {
 /// `budget − Σ reserved`. Decreases therefore free watts only when acked
 /// or expired, never on hope.
 ///
-/// With failover enabled the leader uses the **deferred** release variants
-/// ([`note_ack_deferred`](Self::note_ack_deferred) /
-/// [`expire_deferred`](Self::expire_deferred)): a released entry is not
-/// dropped but *pinned*, tagged with the heartbeat sequence current at
-/// release time, and still counts as reserved. Only
-/// [`release_confirmed`](Self::release_confirmed) — called when the
-/// replication watermark proves the follower adopted a snapshot in which
-/// the entry had already left `outstanding` — drops it. A takeover then
+/// A release ([`note_ack`](Self::note_ack) or [`expire`](Self::expire))
+/// does not drop an entry but *pins* it, tagged with the heartbeat
+/// sequence current at release time, and a pinned entry still counts as
+/// reserved. Only [`release_confirmed`](Self::release_confirmed) — called
+/// when the replication watermark proves the follower adopted a snapshot
+/// in which the entry had already left `outstanding` — drops it. A
+/// coordinator without a follower has nothing to wait for: its watermark
+/// is `u64::MAX`, so its next confirmation drops every pin. A takeover then
 /// rebuilds via [`reconstruct`](Self::reconstruct): the maximum
 /// *outstanding* cap per server becomes a synthetic reservation (pinned
 /// entries are provably not in force — superseded-and-acked or expired on
@@ -584,36 +564,22 @@ impl LeaseLedger {
         }
     }
 
-    /// Drops every entry no longer in force at `round`. Returns how many
-    /// expired.
-    pub fn expire(&mut self, round: u64) -> u64 {
-        let mut dropped = 0;
-        for entries in &mut self.outstanding {
-            let before = entries.len();
-            entries.retain(|e| e.expires > round);
-            dropped += (before - entries.len()) as u64;
-        }
-        dropped
-    }
-
-    /// [`expire`](Self::expire), deferred: expired entries are pinned
-    /// under `tag` instead of dropped, so their watts stay reserved until
-    /// the follower confirms having seen the release. Returns how many
-    /// expired. Pinned entries never re-expire — expiry is what proves
-    /// they are not in force, so only confirmation may drop them.
-    pub fn expire_deferred(&mut self, round: u64, tag: u64) -> u64 {
+    /// Releases every entry no longer in force at `round`, pinning it
+    /// under `tag` so its watts stay reserved until the follower confirms
+    /// having seen the release. Returns how many expired. Pinned entries
+    /// never re-expire — expiry is what proves they are not in force, so
+    /// only confirmation may drop them.
+    pub fn expire(&mut self, round: u64, tag: u64) -> u64 {
         let mut expired = 0;
-        for i in 0..self.outstanding.len() {
-            let mut kept = Vec::with_capacity(self.outstanding[i].len());
-            for e in std::mem::take(&mut self.outstanding[i]) {
-                if e.expires > round {
-                    kept.push(e);
-                } else {
+        for (entries, pinned) in self.outstanding.iter_mut().zip(&mut self.pinned) {
+            entries.retain(|e| {
+                let live = e.expires > round;
+                if !live {
                     expired += 1;
-                    Self::pin(&mut self.pinned[i], tag, e);
+                    Self::pin(pinned, tag, *e);
                 }
-            }
-            self.outstanding[i] = kept;
+                live
+            });
         }
         expired
     }
@@ -625,31 +591,21 @@ impl LeaseLedger {
     }
 
     /// Processes an ack: the server's current lease is `(term, seq)`, so
-    /// every strictly older entry is superseded and released.
-    pub fn note_ack(&mut self, server: usize, term: u64, seq: u64) {
+    /// every strictly older entry is superseded and released, pinned
+    /// under `tag` like an expiry.
+    pub fn note_ack(&mut self, server: usize, term: u64, seq: u64, tag: u64) {
         if server >= self.acked.len() || (term, seq) <= self.acked[server] {
             return;
         }
         self.acked[server] = (term, seq);
-        self.outstanding[server].retain(|e| (e.term, e.seq) >= (term, seq));
-    }
-
-    /// [`note_ack`](Self::note_ack), deferred: superseded entries are
-    /// pinned under `tag` instead of dropped.
-    pub fn note_ack_deferred(&mut self, server: usize, term: u64, seq: u64, tag: u64) {
-        if server >= self.acked.len() || (term, seq) <= self.acked[server] {
-            return;
-        }
-        self.acked[server] = (term, seq);
-        let mut kept = Vec::with_capacity(self.outstanding[server].len());
-        for e in std::mem::take(&mut self.outstanding[server]) {
-            if (e.term, e.seq) >= (term, seq) {
-                kept.push(e);
-            } else {
-                Self::pin(&mut self.pinned[server], tag, e);
+        let pinned = &mut self.pinned[server];
+        self.outstanding[server].retain(|e| {
+            let current = (e.term, e.seq) >= (term, seq);
+            if !current {
+                Self::pin(pinned, tag, *e);
             }
-        }
-        self.outstanding[server] = kept;
+            current
+        });
     }
 
     fn pin(pinned: &mut Vec<(u64, LeaseEntry)>, tag: u64, entry: LeaseEntry) {
@@ -807,11 +763,11 @@ struct Coordinator {
     quarantine_until: u64,
     granted_this_barrier: Vec<Option<f64>>,
     /// Heartbeats this coordinator has sent (the next heartbeat's seq is
-    /// `hb_seq + 1`); doubles as the release tag for deferred ledger
-    /// frees.
+    /// `hb_seq + 1`); doubles as the release tag for ledger frees.
     hb_seq: u64,
     /// Highest own-term heartbeat seq the peer has acked: releases tagged
-    /// strictly below it are confirmed replicated.
+    /// strictly below it are confirmed replicated. `u64::MAX` without a
+    /// peer, so every release is confirmed at the next sweep.
     repl_watermark: u64,
     /// Highest heartbeat seq adopted from the current term's leader.
     last_adopted_hb: u64,
@@ -851,7 +807,7 @@ impl Coordinator {
             quarantine_until: 0,
             granted_this_barrier: vec![None; n],
             hb_seq: 0,
-            repl_watermark: 0,
+            repl_watermark: if peer.is_some() { 0 } else { u64::MAX },
             last_adopted_hb: 0,
         }
     }
@@ -888,12 +844,9 @@ pub struct ControlPlane {
     n: usize,
     rpc: ResolvedRpc,
     budget: f64,
+    quantum_w: f64,
     partitions: Vec<(u64, u64, Vec<usize>)>,
     stats: ControlStats,
-    /// Post-takeover quarantine, rounds: the resolved knob raised to the
-    /// plane's own worst-case delay + lease (authoritative even if links
-    /// are ever configured per-pair).
-    quarantine: u64,
 }
 
 impl ControlPlane {
@@ -982,9 +935,6 @@ impl ControlPlane {
                 )
             })
             .collect();
-        let quarantine = rpc
-            .quarantine
-            .max(plane.max_delay().as_ps() + rpc.lease_rounds);
         ControlPlane {
             plane,
             coords,
@@ -992,9 +942,9 @@ impl ControlPlane {
             n,
             rpc,
             budget: config.global_cap_w,
+            quantum_w: config.quantum_w,
             partitions,
             stats: ControlStats::default(),
-            quarantine,
         }
     }
 
@@ -1009,13 +959,14 @@ impl ControlPlane {
     /// draws each message's fate from its send order, so who reports
     /// decides a lossy run's outcome.
     ///
-    /// `_names` (the fleet order) is unused: the splitter was compiled
-    /// against it in [`ControlPlane::new`].
+    /// `_config` and `_names` (the fleet order) are unused:
+    /// [`ControlPlane::new`] captured the budget and quantum and compiled
+    /// the splitter against the fleet order.
     pub fn barrier(
         &mut self,
         round: u64,
         reports: &[(usize, ServerDemand)],
-        config: &ClusterConfig,
+        _config: &ClusterConfig,
         _names: &[&str],
     ) -> Vec<f64> {
         let t = Ps::new(round);
@@ -1040,7 +991,7 @@ impl ControlPlane {
         self.maybe_elect(round);
         for c in 0..self.coords.len() {
             if self.coords[c].is_leader {
-                self.decide(c, round, t, config);
+                self.decide(c, round, t);
             }
         }
 
@@ -1179,16 +1130,11 @@ impl ControlPlane {
             }
             CtrlMsg::Ack { server, term, seq } => {
                 self.stats.acks += 1;
+                // The release stays pinned under the current heartbeat
+                // seq until the standby confirms having replicated it (at
+                // the next sweep when there is no standby).
                 let co = &mut self.coords[c];
-                if self.rpc.failover {
-                    // Defer the release until the standby confirms having
-                    // replicated it — tagged with the current heartbeat
-                    // seq, droppable once the watermark passes it.
-                    let tag = co.hb_seq;
-                    co.ledger.note_ack_deferred(server, term, seq, tag);
-                } else {
-                    co.ledger.note_ack(server, term, seq);
-                }
+                co.ledger.note_ack(server, term, seq, co.hb_seq);
             }
             CtrlMsg::Nack { term, .. } => {
                 self.stats.nacks += 1;
@@ -1246,16 +1192,16 @@ impl ControlPlane {
     /// standby odd — terms are leader-unique by construction). The new
     /// leader reconstructs its ledger conservatively (one synthetic
     /// reservation per server at the worst replicated outstanding cap),
-    /// quarantines the free pool for the full handoff horizon — max link
-    /// latency + jitter + lease, so every grant the dead leader could
-    /// have issued, even one still in flight, expires inside the reserved
-    /// window — and resets its suspicion clocks so servers get a fresh
+    /// quarantines the free pool for the full handoff horizon (latency,
+    /// jitter and lease, so every grant the dead leader could have
+    /// issued, even one still in flight, expires inside the reserved
+    /// window) and resets its suspicion clocks so servers get a fresh
     /// window to reach it.
     fn maybe_elect(&mut self, round: u64) {
         if !self.rpc.failover {
             return;
         }
-        let quarantine = self.quarantine;
+        let quarantine = self.rpc.quarantine;
         for (c, co) in self.coords.iter_mut().enumerate() {
             if co.is_leader || round <= co.last_peer_heard + self.rpc.heartbeat_timeout {
                 continue;
@@ -1292,16 +1238,11 @@ impl ControlPlane {
     /// the next pass spends them, and the first higher-term nack aborts
     /// the batch — a deposed leader stops granting immediately. Ends with
     /// a heartbeat to the peer.
-    fn decide(&mut self, c: usize, round: u64, t: Ps, config: &ClusterConfig) {
+    fn decide(&mut self, c: usize, round: u64, t: Ps) {
         let n = self.n;
         let desired = {
             let co = &mut self.coords[c];
-            self.stats.lease_expirations += if self.rpc.failover {
-                let tag = co.hb_seq;
-                co.ledger.expire_deferred(round, tag)
-            } else {
-                co.ledger.expire(round)
-            };
+            self.stats.lease_expirations += co.ledger.expire(round, co.hb_seq);
             co.ledger.release_confirmed(co.repl_watermark);
             for i in 0..n {
                 co.suspected[i] = co.view[i].active
@@ -1323,7 +1264,7 @@ impl ControlPlane {
             co.granted_this_barrier.clear();
             co.granted_this_barrier.resize(n, None);
             co.splitter
-                .split(config.global_cap_w, &co.live, None, config.quantum_w)
+                .split(self.budget, &co.live, None, self.quantum_w)
         };
 
         // Reconcile to fixpoint: at zero latency each pass's acks free the
@@ -1575,12 +1516,19 @@ mod tests {
             },
         );
         assert_eq!(lg.reserved_w(0), 50.0, "decrease frees nothing before ack");
-        lg.note_ack(0, 0, 1);
+        lg.note_ack(0, 0, 1, 0);
+        assert_eq!(
+            lg.reserved_w(0),
+            50.0,
+            "a release stays pinned until confirmed"
+        );
+        lg.release_confirmed(u64::MAX);
         assert_eq!(lg.reserved_w(0), 30.0, "ack releases the superseded grant");
         assert_eq!(lg.total_reserved(), 80.0);
 
         // A stale ack can never roll the ledger backwards.
-        lg.note_ack(0, 0, 0);
+        lg.note_ack(0, 0, 0, 0);
+        lg.release_confirmed(u64::MAX);
         assert_eq!(lg.reserved_w(0), 30.0);
 
         // Expiry releases unacked grants.
@@ -1596,10 +1544,12 @@ mod tests {
         assert_eq!(lg.reserved_w(1), 70.0);
         // At round 9 the bootstrap grants (expiry 8) and server 0's seq-1
         // (expiry 9) are gone; server 1's seq-2 (expiry 10) survives.
-        let dropped = lg.expire(9);
+        let dropped = lg.expire(9, 0);
+        lg.release_confirmed(u64::MAX);
         assert!(dropped >= 1);
         assert_eq!(lg.reserved_w(1), 70.0, "live entry survives expiry sweep");
-        lg.expire(10);
+        lg.expire(10, 0);
+        lg.release_confirmed(u64::MAX);
         assert_eq!(lg.reserved_w(1), 0.0, "expired entries release their watts");
     }
 
@@ -1705,7 +1655,7 @@ mod tests {
         );
         let r = RpcConfig::default().resolve(round_s).unwrap();
         assert_eq!(r.latency_rounds, 0);
-        assert_eq!(r.suspect_after, 5, "auto suspicion floor");
+        assert_eq!(r.suspect_after, 5, "derived suspicion floor");
 
         let too_slow = RpcConfig {
             latency_us: 1250.0 * 9.0,
@@ -1719,47 +1669,33 @@ mod tests {
     #[test]
     fn quarantine_resolves_to_the_handoff_horizon() {
         let round_s = 1250e-6;
-        // Auto (0): latency + jitter + lease, in rounds. 2 latency rounds
-        // + 1 jitter round + 8 lease rounds = 11.
+        // Latency + jitter + lease, in rounds: 2 latency rounds + 1 jitter
+        // round + 8 lease rounds = 11. A grant from the dead leader may
+        // still be in flight for latency + jitter rounds and then lives a
+        // full lease, so anything shorter would let it land outside the
+        // reserved window.
         let r = RpcConfig {
             latency_us: 2500.0,
             jitter_us: 1250.0,
-            quarantine_rounds: 0,
             ..RpcConfig::default()
         }
         .resolve(round_s)
         .unwrap();
-        assert_eq!(r.quarantine, 11, "auto horizon = latency + jitter + lease");
-
-        // An explicit value below the horizon is raised to it — a grant
-        // from the dead leader may still be in flight for latency + jitter
-        // rounds and then lives a full lease, so anything shorter would
-        // let it land outside the reserved window.
-        let r = RpcConfig {
-            latency_us: 2500.0,
-            jitter_us: 1250.0,
-            quarantine_rounds: 4,
-            ..RpcConfig::default()
-        }
-        .resolve(round_s)
-        .unwrap();
+        assert_eq!(r.quarantine, 11, "horizon = latency + jitter + lease");
         assert_eq!(
-            r.quarantine, 11,
-            "explicit values below the horizon are raised"
+            r.heartbeat_timeout, 4,
+            "timeout = delay + 1 above the floor"
+        );
+        assert_eq!(
+            r.suspect_after, 7,
+            "suspicion = 2 * delay + 1 above the floor"
         );
 
-        // An explicit value above the horizon is honored.
-        let r = RpcConfig {
-            quarantine_rounds: 20,
-            ..RpcConfig::default()
-        }
-        .resolve(round_s)
-        .unwrap();
-        assert_eq!(r.quarantine, 20);
-
-        // Loopback auto: just the lease length (zero latency, zero jitter).
+        // Loopback: just the lease length (zero latency, zero jitter), and
+        // both silence thresholds at their floors.
         let r = RpcConfig::default().resolve(round_s).unwrap();
         assert_eq!(r.quarantine, RpcConfig::default().lease_rounds);
+        assert_eq!((r.heartbeat_timeout, r.suspect_after), (3, 5));
     }
 
     /// Drives a full `ControlPlane` through a partition-and-heal schedule

@@ -80,8 +80,8 @@ pub use config::{
     synthetic_fleet, CapSplit, ChurnAction, ChurnEvent, ChurnSchedule, ClusterConfig, ServerSpec,
 };
 pub use coordinator::{
-    jain_index, split_caps, split_caps_critical, split_caps_fastcap_floored, split_caps_sla,
-    split_caps_sla_floored, ServerDemand, SlaSignal, SplitError,
+    jain_index, split_caps, split_caps_critical, split_caps_sla, ServerDemand, SlaSignal,
+    SplitError,
 };
 pub use ctrlplane::{
     CapGrant, ControlPlane, ControlStats, CtrlMsg, GrantOutcome, GrantRecord, Heartbeat,

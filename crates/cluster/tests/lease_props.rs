@@ -159,14 +159,16 @@ proptest! {
                     // repeated; the ledger must be monotone under all.
                     let pick = (cap as u64) % next_seq;
                     let before = lg.reserved_w(0);
-                    lg.note_ack(0, 0, pick);
+                    lg.note_ack(0, 0, pick, 0);
+                    lg.release_confirmed(u64::MAX);
                     acked_seq = acked_seq.max(pick);
                     prop_assert!(lg.reserved_w(0) <= before + 1e-12, "ack grew the reservation");
                 }
                 _ => {
                     now += 1;
                     let before = lg.reserved_w(0);
-                    lg.expire(now);
+                    lg.expire(now, 0);
+                    lg.release_confirmed(u64::MAX);
                     prop_assert!(lg.reserved_w(0) <= before + 1e-12, "expiry grew the reservation");
                 }
             }
@@ -195,7 +197,7 @@ proptest! {
     }
 
     /// The acked-state handoff, end to end over the ledger pair: a primary
-    /// runs the failover-mode discipline (deferred releases tagged by
+    /// runs the ledger discipline (releases pinned under the
     /// heartbeat seq, confirmation-gated drops, funding from
     /// `budget − Σ reserved`) against two lease clients over a lossy,
     /// delaying plane; the standby's state is whichever heartbeat snapshot
@@ -238,8 +240,8 @@ proptest! {
         let mut next_seq = 1u64;
         let mut now = 0u64;
 
-        // Delivers every grant due by `now`; surviving acks release
-        // deferred under the current heartbeat tag.
+        // Delivers every grant due by `now`; surviving acks pin their
+        // releases under the current heartbeat tag.
         macro_rules! deliver_due {
             () => {
                 let due: Vec<_> = in_flight
@@ -254,7 +256,7 @@ proptest! {
                         // Acks (and re-acks of stale duplicates) carry the
                         // client's now-current state.
                         let (term, seq) = clients[i].granted();
-                        primary.note_ack_deferred(i, term, seq, hb_seq);
+                        primary.note_ack(i, term, seq, hb_seq);
                     }
                 }
             };
@@ -283,10 +285,10 @@ proptest! {
                     }
                 }
                 5..=6 => {
-                    // A barrier passes: clock, deliveries, deferred expiry.
+                    // A barrier passes: clock, deliveries, pinned expiry.
                     now += 1;
                     deliver_due!();
-                    primary.expire_deferred(now, hb_seq);
+                    primary.expire(now, hb_seq);
                     primary.release_confirmed(watermark);
                 }
                 _ => {

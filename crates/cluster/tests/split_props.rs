@@ -4,8 +4,8 @@
 //!   server for every quantum. Those loops are kept below, verbatim, as
 //!   reference implementations; the max-heap greedy must reproduce their
 //!   caps to the bit (`to_bits`) over exact ties, inactive and
-//!   zero-headroom servers, explicit floors, every budget regime, quanta
-//!   from 1 mW to 10 W, and mixed SLA signals.
+//!   zero-headroom servers, every budget regime, quanta from 1 mW to
+//!   10 W, and mixed SLA signals.
 //! * **The continuous optimum.** FastCap's objective
 //!   `max Σ demand·sqrt((c − min)/headroom)` subject to the budget is a
 //!   concave program whose solution is a water level on the dual price λ
@@ -18,8 +18,7 @@
 //!   raw signals to the bit.
 
 use cluster::{
-    split_caps, split_caps_fastcap_floored, split_caps_sla, split_caps_sla_floored, BudgetTree,
-    CapSplit, HierSplitter, ServerDemand, SlaSignal, SplitError,
+    split_caps, split_caps_sla, BudgetTree, CapSplit, HierSplitter, ServerDemand, SlaSignal,
 };
 use proptest::prelude::*;
 
@@ -59,41 +58,16 @@ fn floors(global_cap_w: f64, demands: &[ServerDemand]) -> Vec<f64> {
         .collect()
 }
 
-fn checked_floors(
-    global_cap_w: f64,
-    demands: &[ServerDemand],
-    floor_w: Option<&[f64]>,
-) -> Result<Vec<f64>, SplitError> {
-    let Some(floor_w) = floor_w else {
-        return Ok(floors(global_cap_w, demands));
-    };
-    assert_eq!(floor_w.len(), demands.len(), "one floor per server");
-    let eff: Vec<f64> = demands
-        .iter()
-        .zip(floor_w)
-        .map(|(d, &f)| if d.active { d.min_w.max(f) } else { 0.0 })
-        .collect();
-    let required_w: f64 = eff.iter().sum();
-    if required_w > global_cap_w + 1e-9 {
-        return Err(SplitError::InfeasibleFloors {
-            required_w,
-            budget_w: global_cap_w,
-        });
-    }
-    Ok(eff)
-}
-
 fn ref_sla_core(
     global_cap_w: f64,
     demands: &[ServerDemand],
     sla: &[SlaSignal],
     quantum_w: f64,
-    floor_w: Option<&[f64]>,
-) -> Result<Vec<f64>, SplitError> {
+) -> Vec<f64> {
     assert_eq!(demands.len(), sla.len(), "one SLA signal per server");
     let n_active = demands.iter().filter(|d| d.active).count();
     if n_active == 0 {
-        return Ok(vec![0.0; demands.len()]);
+        return vec![0.0; demands.len()];
     }
     let desired: Vec<f64> = demands
         .iter()
@@ -109,7 +83,7 @@ fn ref_sla_core(
             }
         })
         .collect();
-    let mut caps = checked_floors(global_cap_w, demands, floor_w)?;
+    let mut caps = floors(global_cap_w, demands);
     let desired: Vec<f64> = desired
         .iter()
         .zip(&caps)
@@ -155,7 +129,7 @@ fn ref_sla_core(
             }
         }
     }
-    Ok(caps)
+    caps
 }
 
 fn ref_fastcap_core(
@@ -163,9 +137,8 @@ fn ref_fastcap_core(
     demands: &[ServerDemand],
     quantum_w: f64,
     park_leftover: bool,
-    floor_w: Option<&[f64]>,
-) -> Result<Vec<f64>, SplitError> {
-    let mut caps = checked_floors(global_cap_w, demands, floor_w)?;
+) -> Vec<f64> {
+    let mut caps = floors(global_cap_w, demands);
     let mut spare = global_cap_w - caps.iter().sum::<f64>();
     let mut clipped = vec![false; demands.len()];
     while spare > 1e-9 {
@@ -213,7 +186,7 @@ fn ref_fastcap_core(
             }
         }
     }
-    Ok(caps)
+    caps
 }
 
 /// The reference for `split_caps` on the two greedy disciplines, including
@@ -227,26 +200,19 @@ fn ref_split_caps(split: CapSplit, global_cap_w: f64, ds: &[ServerDemand], q: f6
         CapSplit::SlaAware => false,
         other => panic!("no greedy reference for {other}"),
     };
-    ref_fastcap_core(global_cap_w, ds, q, park, None).unwrap()
+    ref_fastcap_core(global_cap_w, ds, q, park)
 }
 
 // ---------------------------------------------------------------------------
 // Generators.
 // ---------------------------------------------------------------------------
 
-/// One server's raw draws: `(kind, a, b, floor, sla_kind, u)`.
-type RawServer = (u8, f64, f64, f64, u8, f64);
+/// One server's raw draws: `(kind, a, b, sla_kind, u)`.
+type RawServer = (u8, f64, f64, u8, f64);
 
 fn raw_servers(max: usize) -> impl Strategy<Value = Vec<RawServer>> {
     prop::collection::vec(
-        (
-            0u8..8,
-            0.0f64..1.0,
-            0.0f64..1.0,
-            0.0f64..1.2,
-            0u8..4,
-            0.0f64..1.0,
-        ),
+        (0u8..8, 0.0f64..1.0, 0.0f64..1.0, 0u8..4, 0.0f64..1.0),
         1..max,
     )
 }
@@ -257,7 +223,7 @@ fn raw_servers(max: usize) -> impl Strategy<Value = Vec<RawServer>> {
 /// headroom (its floor at or above its demand); the rest are ordinary.
 fn fleet(raw: &[RawServer], quantum_w: f64) -> Vec<ServerDemand> {
     let mut ds: Vec<ServerDemand> = Vec::with_capacity(raw.len());
-    for &(kind, a, b, _, _, _) in raw {
+    for &(kind, a, b, _, _) in raw {
         let demand_w = quantum_w * (2.0 + 300.0 * a);
         let fresh = ServerDemand {
             demand_w,
@@ -281,15 +247,10 @@ fn fleet(raw: &[RawServer], quantum_w: f64) -> Vec<ServerDemand> {
     ds
 }
 
-/// Explicit floors as a fraction of demand, some above demand.
-fn explicit_floors(raw: &[RawServer], ds: &[ServerDemand]) -> Vec<f64> {
-    raw.iter().zip(ds).map(|(r, d)| r.3 * d.demand_w).collect()
-}
-
 /// Violating, meeting, unknown (`p99 == 0`) and target-less signals.
 fn signals(raw: &[RawServer]) -> Vec<SlaSignal> {
     raw.iter()
-        .map(|&(_, _, _, _, kind, u)| {
+        .map(|&(_, _, _, kind, u)| {
             let target_s = 1e-3;
             match kind {
                 0 => SlaSignal {
@@ -340,41 +301,28 @@ fn bits(caps: &[f64]) -> Vec<u64> {
     caps.iter().map(|c| c.to_bits()).collect()
 }
 
-fn assert_bit_identical(
-    what: &str,
-    got: Result<Vec<f64>, SplitError>,
-    want: Result<Vec<f64>, SplitError>,
-) {
-    match (&got, &want) {
-        (Ok(g), Ok(w)) => assert_eq!(bits(g), bits(w), "{what}: {g:?} vs reference {w:?}"),
-        _ => assert_eq!(got, want, "{what}"),
-    }
+fn assert_bit_identical(what: &str, got: &[f64], want: &[f64]) {
+    assert_eq!(
+        bits(got),
+        bits(want),
+        "{what}: {got:?} vs reference {want:?}"
+    );
 }
 
 /// Checks every greedy entry point against its reference on one instance.
-fn check_instance(ds: &[ServerDemand], sla: &[SlaSignal], floor_w: &[f64], budget_w: f64, q: f64) {
+fn check_instance(ds: &[ServerDemand], sla: &[SlaSignal], budget_w: f64, q: f64) {
     let tag = |f: &str| format!("{f} budget {budget_w} quantum {q}");
     for split in [CapSplit::FastCap, CapSplit::SlaAware] {
         assert_bit_identical(
             &tag(&split.to_string()),
-            Ok(split_caps(split, budget_w, ds, q)),
-            Ok(ref_split_caps(split, budget_w, ds, q)),
+            &split_caps(split, budget_w, ds, q),
+            &ref_split_caps(split, budget_w, ds, q),
         );
     }
     assert_bit_identical(
         &tag("split_caps_sla"),
-        Ok(split_caps_sla(budget_w, ds, sla, q)),
-        ref_sla_core(budget_w, ds, sla, q, None),
-    );
-    assert_bit_identical(
-        &tag("split_caps_sla_floored"),
-        split_caps_sla_floored(budget_w, ds, sla, floor_w, q),
-        ref_sla_core(budget_w, ds, sla, q, Some(floor_w)),
-    );
-    assert_bit_identical(
-        &tag("split_caps_fastcap_floored"),
-        split_caps_fastcap_floored(budget_w, ds, floor_w, q),
-        ref_fastcap_core(budget_w, ds, q, false, Some(floor_w)),
+        &split_caps_sla(budget_w, ds, sla, q),
+        &ref_sla_core(budget_w, ds, sla, q),
     );
 }
 
@@ -382,7 +330,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// Every greedy entry point is bit-identical to its linear-scan
-    /// reference, with budgets placed against the legacy floors.
+    /// reference, with budgets placed against the floors.
     #[test]
     fn heap_greedy_matches_scan_reference(
         raw in raw_servers(17),
@@ -395,25 +343,7 @@ proptest! {
         let floor_sum = active_sum(&ds, |_, d| d.min_w);
         let demand_sum = active_sum(&ds, |_, d| d.demand_w);
         let b = budget(regime, frac, floor_sum, demand_sum, q);
-        check_instance(&ds, &signals(&raw), &explicit_floors(&raw, &ds), b, q);
-    }
-
-    /// The same with budgets placed against the explicit floors, so the
-    /// floored entry points see infeasible, tight and generous budgets.
-    #[test]
-    fn heap_greedy_matches_scan_reference_with_explicit_floors(
-        raw in raw_servers(17),
-        log_q in -3.0f64..1.0,
-        regime in 0u8..5,
-        frac in 0.0f64..1.0,
-    ) {
-        let q = 10f64.powf(log_q);
-        let ds = fleet(&raw, q);
-        let fl = explicit_floors(&raw, &ds);
-        let floor_sum = active_sum(&ds, |i, d| d.min_w.max(fl[i]));
-        let demand_sum = active_sum(&ds, |i, d| d.demand_w.max(fl[i]));
-        let b = budget(regime, frac, floor_sum, demand_sum, q);
-        check_instance(&ds, &signals(&raw), &fl, b, q);
+        check_instance(&ds, &signals(&raw), b, q);
     }
 }
 
@@ -437,11 +367,10 @@ fn heap_greedy_matches_scan_reference_at_fleet_magnitudes() {
             target_s: 1e-3,
         })
         .collect();
-    let fl: Vec<f64> = ds.iter().map(|d| d.demand_w * 0.5).collect();
     let demand_sum = active_sum(&ds, |_, d| d.demand_w);
     for q in [0.02, 1.0] {
         for share in [0.3, 0.7, 0.95, 1.0, 1.5] {
-            check_instance(&ds, &sla, &fl, demand_sum * share, q);
+            check_instance(&ds, &sla, demand_sum * share, q);
         }
     }
 }
@@ -466,11 +395,10 @@ fn heap_greedy_matches_scan_reference_in_the_clipped_tail() {
             target_s: 1e-3,
         })
         .collect();
-    let fl = vec![0.0; ds.len()];
     let demand_sum: f64 = ds.iter().map(|d| d.demand_w).sum();
     for q in [5.0, 10.0, 7.3] {
         for k in 0..12 {
-            check_instance(&ds, &sla, &fl, demand_sum - 0.37 * q * k as f64, q);
+            check_instance(&ds, &sla, demand_sum - 0.37 * q * k as f64, q);
         }
     }
 }
@@ -548,15 +476,15 @@ proptest! {
         for split in ALL_SPLITS {
             assert_bit_identical(
                 &tag(&split.to_string()),
-                Ok(one_group(split, b, &ds, None, q)),
-                Ok(split_caps(split, b, &ds, q)),
+                &one_group(split, b, &ds, None, q),
+                &split_caps(split, b, &ds, q),
             );
         }
         let sla = mixed_signals(&sla_raw[..ds.len()]);
         assert_bit_identical(
             &tag("sla-aware with signals"),
-            Ok(one_group(CapSplit::SlaAware, b, &ds, Some(&sla), q)),
-            Ok(split_caps_sla(b, &ds, &sla, q)),
+            &one_group(CapSplit::SlaAware, b, &ds, Some(&sla), q),
+            &split_caps_sla(b, &ds, &sla, q),
         );
     }
 }
@@ -626,11 +554,9 @@ fn water_level_distances(
         let demand_sum: f64 = ds.iter().map(|d| d.demand_w).sum();
         let budget_w = floor_sum + (0.02 + 0.96 * lcg(&mut seed)) * (demand_sum - floor_sum);
         let x = water_level(&ds, budget_w - floor_sum);
-        let floors: Vec<f64> = ds.iter().map(|d| d.min_w).collect();
         let greedy = [
             split_caps(CapSplit::SlaAware, budget_w, &ds, q),
             split_caps(CapSplit::FastCap, budget_w, &ds, q),
-            split_caps_fastcap_floored(budget_w, &ds, &floors, q).unwrap(),
         ];
         for caps in &greedy {
             for (i, d) in ds.iter().enumerate() {

@@ -1,7 +1,7 @@
 //! A simulated message plane over the deterministic event queue.
 //!
 //! `MsgPlane` models the network between a fleet coordinator and its servers
-//! as a set of point-to-point links, each with configurable one-way latency,
+//! as point-to-point links that share one configuration: one-way latency,
 //! uniform jitter, drop probability, and duplication probability. It is built
 //! on [`simkernel::EventQueue`], so delivery order is totally ordered by
 //! (delivery time, send sequence) — two messages due at the same instant pop
@@ -38,13 +38,13 @@
 //! ```
 
 use simkernel::{EventQueue, Ps, SimRng};
-use std::collections::HashMap;
 
 /// A node on the plane, identified by a dense index in `0..nodes`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
-/// Per-link delivery characteristics. Defaults to a perfect link.
+/// Delivery characteristics of every link on a plane. Defaults to a
+/// perfect link.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkConfig {
     /// Fixed one-way latency added to every message.
@@ -131,8 +131,7 @@ pub struct PlaneStats {
 #[derive(Clone, Debug)]
 pub struct MsgPlane<M> {
     nodes: usize,
-    default_link: LinkConfig,
-    overrides: HashMap<(usize, usize), LinkConfig>,
+    link: LinkConfig,
     partitioned: Vec<bool>,
     queue: EventQueue<Envelope<M>>,
     seed: u64,
@@ -141,21 +140,18 @@ pub struct MsgPlane<M> {
 }
 
 impl<M: Clone> MsgPlane<M> {
-    /// Creates a plane over `nodes` nodes where every link uses
-    /// `default_link` unless overridden with [`set_link`](Self::set_link).
+    /// Creates a plane over `nodes` nodes where every link uses `link`.
     ///
     /// # Panics
     ///
-    /// Panics if `default_link` fails validation; validate first when the
-    /// config comes from user input.
-    pub fn new(nodes: usize, default_link: LinkConfig, seed: u64) -> Self {
-        default_link
-            .validate()
-            .expect("invalid default LinkConfig; call validate() on user input first");
+    /// Panics if `link` fails validation; validate first when the config
+    /// comes from user input.
+    pub fn new(nodes: usize, link: LinkConfig, seed: u64) -> Self {
+        link.validate()
+            .expect("invalid LinkConfig; call validate() on user input first");
         MsgPlane {
             nodes,
-            default_link,
-            overrides: HashMap::new(),
+            link,
             partitioned: vec![false; nodes],
             queue: EventQueue::new(),
             seed,
@@ -169,35 +165,6 @@ impl<M: Clone> MsgPlane<M> {
         self.nodes
     }
 
-    /// Overrides the link characteristics for the directed link
-    /// `from -> to`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid link config or out-of-range node.
-    pub fn set_link(&mut self, from: NodeId, to: NodeId, link: LinkConfig) {
-        assert!(
-            from.0 < self.nodes && to.0 < self.nodes,
-            "node out of range"
-        );
-        link.validate().expect("invalid LinkConfig");
-        self.overrides.insert((from.0, to.0), link);
-    }
-
-    /// The worst-case one-way delay any message can experience on this
-    /// plane: the maximum of `latency + jitter` over the default link and
-    /// every override. Loss and partitions make messages *later than
-    /// never*, not later than this bound, so control protocols can use it
-    /// to size conservative windows (a delivered message sent at `t` has
-    /// landed by `t + max_delay()`).
-    pub fn max_delay(&self) -> Ps {
-        let delay = |l: &LinkConfig| Ps::new(l.latency.as_ps() + l.jitter.as_ps());
-        self.overrides
-            .values()
-            .map(delay)
-            .fold(delay(&self.default_link), Ps::max)
-    }
-
     /// Moves `node` onto (or off) the minority side of the partition.
     /// Messages between nodes with differing flags are dropped.
     pub fn set_partitioned(&mut self, node: NodeId, cut: bool) {
@@ -207,13 +174,6 @@ impl<M: Clone> MsgPlane<M> {
     /// Whether `node` is currently on the cut side.
     pub fn is_partitioned(&self, node: NodeId) -> bool {
         self.partitioned[node.0]
-    }
-
-    fn link(&self, from: NodeId, to: NodeId) -> LinkConfig {
-        self.overrides
-            .get(&(from.0, to.0))
-            .copied()
-            .unwrap_or(self.default_link)
     }
 
     /// A private RNG for the fate of the `k`-th send. Mixing the counter
@@ -242,11 +202,10 @@ impl<M: Clone> MsgPlane<M> {
             self.stats.dropped_partition += 1;
             return;
         }
-        let link = self.link(from, to);
+        let link = self.link;
         let mut rng = self.fate_rng(k);
         // Fixed draw order (loss, jitter, dup, dup-jitter) so a message's
-        // fate for a given (seed, k) never depends on which link knobs are
-        // enabled elsewhere on the plane.
+        // fate is a pure function of the plane seed, `k` and the link.
         let lost = rng.chance(link.loss);
         let jitter = if link.jitter == Ps::ZERO {
             0
@@ -406,24 +365,6 @@ mod tests {
         p.set_partitioned(NodeId(2), false);
         p.send(Ps::new(20), NodeId(0), NodeId(1), 4);
         assert_eq!(p.deliver_due(Ps::new(25)).len(), 1);
-    }
-
-    #[test]
-    fn per_link_override_beats_default() {
-        let mut p = plane(LinkConfig::loopback(), 3);
-        p.set_link(
-            NodeId(0),
-            NodeId(1),
-            LinkConfig {
-                latency: Ps::new(100),
-                ..LinkConfig::loopback()
-            },
-        );
-        p.send(Ps::ZERO, NodeId(0), NodeId(1), 1); // slow override
-        p.send(Ps::ZERO, NodeId(1), NodeId(0), 2); // default loopback
-        let now: Vec<u32> = p.deliver_due(Ps::ZERO).into_iter().map(|e| e.msg).collect();
-        assert_eq!(now, vec![2]);
-        assert_eq!(p.deliver_due(Ps::new(100)).len(), 1);
     }
 
     #[test]

@@ -178,7 +178,7 @@ fn cluster_usage() -> ! {
          [--tiers SPEC] [--tier-floor F] [--e2e-target MS] \
          [--rpc-latency-us F] [--rpc-jitter-us F] [--rpc-loss P] [--rpc-dup P] \
          [--rpc-seed N] [--lease-rounds N] [--floor-cap W] [--failover] \
-         [--quarantine-rounds N] [--partition FROM:TO:NODES]...\n\
+         [--partition FROM:TO:NODES]...\n\
          \x20 LIST entries: name=mix[:cores][@rate], e.g. heavy=MEM2:8@230000\n\
          \x20 --fleet-size N replaces --servers with a synthetic N-server fleet\n\
          \x20   (batch only); --idle-fraction F makes that share of it near-idle (default 0.9);\n\
@@ -211,10 +211,10 @@ fn cluster_usage() -> ! {
          \x20   in [0, 1]; the default is a perfect loopback plane\n\
          \x20 --lease-rounds N: cap grants stay in force N rounds unrenewed (default 8);\n\
          \x20   --floor-cap W is the safe cap after a lease expires (default 0)\n\
-         \x20 --failover runs a standby coordinator with heartbeat takeover;\n\
-         \x20   --quarantine-rounds N holds a new leader's free pool at zero for N\n\
-         \x20   rounds after takeover (default 0 = auto: max latency + jitter + lease;\n\
-         \x20   shorter values are raised to that handoff horizon)\n\
+         \x20 --failover runs a standby coordinator with heartbeat takeover\n\
+         \x20 timings derive from d = rpc latency + jitter in rounds: a server is\n\
+         \x20   suspected after max(5, 2d+1) silent rounds, a coordinator elects itself\n\
+         \x20   after max(3, d+1), and a new leader's free pool stays empty d + lease\n\
          \x20 --partition FROM:TO:NODES cuts the comma-separated nodes off for\n\
          \x20   rounds FROM..TO (server names, or 'primary'/'standby'), e.g.\n\
          \x20   --partition 10:30:primary or --partition 20:40:light1,light2"
@@ -483,12 +483,6 @@ fn parse_cluster_args() -> ClusterArgs {
             }
             "--failover" => {
                 a.rpc.failover = true;
-                a.rpc_flags_used = true;
-            }
-            "--quarantine-rounds" => {
-                a.rpc.quarantine_rounds = val("--quarantine-rounds").parse().unwrap_or_else(|_| {
-                    cluster_fail("--quarantine-rounds must be a non-negative integer")
-                });
                 a.rpc_flags_used = true;
             }
             "--partition" => {

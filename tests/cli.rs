@@ -24,9 +24,13 @@ fn assert_rejected(args: &[&str], needle: &str) {
 }
 
 #[test]
-fn removed_engine_flags_are_unknown() {
+fn removed_flags_are_unknown() {
     assert_rejected(&["--engine", "event"], "unknown flag --engine");
     assert_rejected(&["--wake-shards", "3"], "unknown flag --wake-shards");
+    assert_rejected(
+        &["--quarantine-rounds", "4"],
+        "unknown flag --quarantine-rounds",
+    );
 }
 
 #[test]

@@ -195,10 +195,11 @@ fn engines_agree_when_churn_empties_the_fleet() {
 }
 
 // ---------------------------------------------------------------------------
-// Control-plane equivalence. Every test above already proves the loopback
-// message plane reproduces the direct-call coordinator: all cluster and
-// service traffic flows through `ControlPlane`, and the goldens below are
-// the pre-plane constants. These tests pin the remaining failover claims.
+// Control-plane equivalence. Every batch test above already proves the
+// loopback message plane reproduces the direct-call coordinator: batch
+// cluster traffic flows through `ControlPlane`. Serving fleets split
+// directly through `HierSplitter` and never touch the plane. These tests
+// pin the remaining failover claims and the lossy plane without a standby.
 // ---------------------------------------------------------------------------
 
 /// A standby coordinator at loopback is a pure observer: with `failover`
@@ -298,6 +299,160 @@ fn loopback_failover_conserves_strictly_and_is_deterministic() {
             reference.digest(),
             d.digest(),
             "failover loopback: oracle vs fleet loop @{threads}"
+        );
+    }
+}
+
+/// One lossy-plane run without a standby, and what it must reproduce.
+struct NoStandbyCase {
+    split: CapSplit,
+    latency_rounds: u64,
+    jitter_rounds: u64,
+    loss: f64,
+    duplicate: f64,
+    /// Cut two long-running servers off for rounds 6..20.
+    partition: bool,
+    /// Split over two FastCap racks under a uniform root.
+    racks: bool,
+    golden: u64,
+    /// Grants sent, applied, stale, expired; acks; lease expirations;
+    /// floor and suspect rounds; plane sent, delivered, dropped by loss,
+    /// dropped by partition, duplicated; in flight at the end.
+    counters: [u64; 14],
+}
+
+/// A lossy plane without a standby coordinator, where every lease release
+/// is confirmed at once. The other lossy goldens all run with failover,
+/// so these six runs pin this path's digest and transport counters across
+/// three splits, 0–2 rounds of latency and of jitter, 20–40% loss with
+/// duplication, a two-server partition and a two-rack topology.
+#[test]
+fn lossy_plane_without_standby_is_pinned() {
+    let cases = [
+        NoStandbyCase {
+            split: CapSplit::FastCap,
+            latency_rounds: 1,
+            jitter_rounds: 0,
+            loss: 0.2,
+            duplicate: 0.05,
+            partition: false,
+            racks: false,
+            golden: 5920456755221690662,
+            counters: [181, 148, 11, 0, 126, 3, 0, 0, 664, 569, 120, 0, 35, 10],
+        },
+        NoStandbyCase {
+            split: CapSplit::Uniform,
+            latency_rounds: 0,
+            jitter_rounds: 1,
+            loss: 0.3,
+            duplicate: 0.1,
+            partition: false,
+            racks: false,
+            golden: 13455993071222828853,
+            counters: [174, 124, 13, 0, 101, 5, 0, 0, 641, 470, 208, 0, 40, 3],
+        },
+        NoStandbyCase {
+            split: CapSplit::DemandProportional,
+            latency_rounds: 2,
+            jitter_rounds: 1,
+            loss: 0.4,
+            duplicate: 0.1,
+            partition: true,
+            racks: false,
+            golden: 14220695104210111041,
+            counters: [170, 91, 8, 0, 65, 66, 31, 30, 653, 393, 246, 41, 43, 16],
+        },
+        NoStandbyCase {
+            split: CapSplit::FastCap,
+            latency_rounds: 1,
+            jitter_rounds: 2,
+            loss: 0.25,
+            duplicate: 0.05,
+            partition: false,
+            racks: true,
+            golden: 7773451955391085306,
+            counters: [186, 138, 17, 0, 125, 7, 0, 0, 683, 557, 142, 0, 31, 15],
+        },
+        NoStandbyCase {
+            split: CapSplit::Uniform,
+            latency_rounds: 2,
+            jitter_rounds: 2,
+            loss: 0.35,
+            duplicate: 0.15,
+            partition: true,
+            racks: false,
+            golden: 1000056536771228534,
+            counters: [183, 81, 20, 0, 54, 109, 37, 21, 674, 413, 242, 50, 52, 21],
+        },
+        NoStandbyCase {
+            split: CapSplit::DemandProportional,
+            latency_rounds: 0,
+            jitter_rounds: 0,
+            loss: 0.2,
+            duplicate: 0.2,
+            partition: false,
+            racks: true,
+            golden: 4839744565760670780,
+            counters: [230, 178, 42, 0, 222, 3, 0, 0, 768, 755, 155, 0, 142, 0],
+        },
+    ];
+    for (k, case) in cases.iter().enumerate() {
+        let fleet = synthetic_fleet(6, 0.34);
+        let names: Vec<String> = fleet.iter().map(|s| s.name.clone()).collect();
+        let mut config = ClusterConfig::new(fleet, 40.0 * 6.0, case.split).with_epochs_per_round(1);
+        let round_us = config.round_s() * 1e6;
+        let partitions = if case.partition {
+            vec![PartitionSpec {
+                from_round: 6,
+                to_round: 20,
+                nodes: vec![names[3].clone(), names[4].clone()],
+            }]
+        } else {
+            vec![]
+        };
+        config = config.with_rpc(RpcConfig {
+            latency_us: round_us * case.latency_rounds as f64,
+            jitter_us: round_us * case.jitter_rounds as f64,
+            loss: case.loss,
+            duplicate: case.duplicate,
+            seed: 0x10_55 + k as u64,
+            floor_cap_w: 4.0,
+            partitions,
+            ..RpcConfig::default()
+        });
+        if case.racks {
+            config = config.with_topology(rack_tree(&names, 3));
+        }
+        let resolved = config.rpc.resolve(config.round_s()).unwrap();
+        assert_eq!(
+            (resolved.latency_rounds, resolved.jitter_rounds),
+            (case.latency_rounds, case.jitter_rounds),
+            "case {k}: delays must land on whole rounds"
+        );
+        let r = run_cluster(config);
+        let c = &r.control;
+        let counters = [
+            c.grants_sent,
+            c.grants_applied,
+            c.grants_stale,
+            c.grants_expired,
+            c.acks,
+            c.lease_expirations,
+            c.floor_rounds,
+            c.suspect_rounds,
+            c.plane.sent,
+            c.plane.delivered,
+            c.plane.dropped_loss,
+            c.plane.dropped_partition,
+            c.plane.duplicated,
+            c.in_flight_at_end as u64,
+        ];
+        let got = fnv1a(r.digest().as_bytes());
+        println!("case {k}: golden {got}, counters {counters:?}");
+        assert_eq!(got, case.golden, "case {k}: digest drifted");
+        assert_eq!(
+            counters, case.counters,
+            "case {k}: control counters drifted"
         );
     }
 }
