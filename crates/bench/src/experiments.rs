@@ -898,7 +898,8 @@ pub fn ablation_voltage_domains(ctx: &mut Ctx) {
 /// Cluster-level power capping (the paper's §2.3 extension lifted to a
 /// rack, after FastCap/PowerTracer): a heterogeneous fleet under one
 /// global budget, comparing the three cap-splitting disciplines at the
-/// same budget.
+/// same budget. Asserted before the table is written: demand-proportional
+/// and FastCap each beat uniform on aggregate throughput and makespan.
 pub fn cluster_capping(ctx: &mut Ctx) {
     use cluster::{run_cluster, CapSplit, ClusterConfig, ServerSpec};
     // Big memory-bound servers next to small compute-bound ones, with the
@@ -944,6 +945,7 @@ pub fn cluster_capping(ctx: &mut Ctx) {
             "rounds",
         ],
     );
+    let mut outcomes = Vec::new();
     for split in [
         CapSplit::Uniform,
         CapSplit::DemandProportional,
@@ -964,6 +966,17 @@ pub fn cluster_capping(ctx: &mut Ctx) {
             format!("{}", r.total_violations()),
             format!("{}", r.rounds),
         ]);
+        outcomes.push((split, r.aggregate_throughput_ips(), r.makespan()));
+    }
+    // The headline claim, asserted: splitting by demand finishes the
+    // fleet sooner and at a higher aggregate rate than a uniform share.
+    let (_, uniform_ips, uniform_makespan) = outcomes[0];
+    for &(split, ips, makespan) in &outcomes[1..] {
+        assert!(
+            ips > uniform_ips && makespan < uniform_makespan,
+            "{split} must beat uniform on throughput and makespan: \
+             {ips:.3e} vs {uniform_ips:.3e} IPS, {makespan} vs {uniform_makespan}"
+        );
     }
     ctx.emit(&t, "cluster_capping.tsv");
 }
@@ -971,9 +984,10 @@ pub fn cluster_capping(ctx: &mut Ctx) {
 /// The serving fleet under tail-latency SLOs (after PowerTracer): one big
 /// memory-bound server pushed near its full-speed serving capacity next to
 /// three lightly loaded servers, under one global budget, comparing the
-/// splitting disciplines across load levels. The SLA-aware discipline
-/// should meet every server's p99 target at high load — where uniform
-/// saturates the big server — while consuming no more energy.
+/// splitting disciplines across load levels. At load 1.0 uniform saturates
+/// the big server and misses its p99 target, while the SLA-aware
+/// discipline meets every target on less energy; both are asserted before
+/// the table is written.
 pub fn service_sla(ctx: &mut Ctx) {
     use service::{run_service, CapSplit, ServiceConfig, ServiceServerSpec};
     let fleet = |load: f64| -> Vec<ServiceServerSpec> {
@@ -999,6 +1013,8 @@ pub fn service_sla(ctx: &mut Ctx) {
             "rejects",
         ],
     );
+    // (every target met, energy) at load 1.0, in the loop's split order.
+    let mut full_load = Vec::new();
     for load in [0.75, 1.0] {
         for split in [CapSplit::Uniform, CapSplit::FastCap, CapSplit::SlaAware] {
             eprintln!("  running service [{split}, load {load}] ...");
@@ -1019,8 +1035,21 @@ pub fn service_sla(ctx: &mut Ctx) {
                 format!("{}", r.total_violation_rounds()),
                 format!("{}", r.total_shed()),
             ]);
+            if load == 1.0 {
+                full_load.push((r.all_meet_slo(), r.total_energy_j()));
+            }
         }
     }
+    // The headline claim, asserted at load 1.0.
+    let [(uniform_met, uniform_j), _, (sla_met, sla_j)] = full_load[..] else {
+        unreachable!("three splits ran at load 1.0")
+    };
+    assert!(!uniform_met, "uniform must miss a p99 target at load 1.0");
+    assert!(sla_met, "sla-aware must meet every p99 target at load 1.0");
+    assert!(
+        sla_j < uniform_j,
+        "sla-aware must use less energy than uniform at load 1.0: {sla_j:.2} J vs {uniform_j:.2} J"
+    );
     ctx.emit(&t, "service_sla.tsv");
 }
 

@@ -113,8 +113,8 @@ pub struct RpcConfig {
     /// flight.
     pub lease_rounds: u64,
     /// The safe cap a server falls to when its lease expires unrenewed,
-    /// watts. The default 0 W drives [`CappedPolicy`](crate::CappedPolicy)
-    /// to its minimum-power plan.
+    /// watts. The default 0 W drives the server's capping policy to its
+    /// minimum-power plan.
     pub floor_cap_w: f64,
     /// Run a standby coordinator that mirrors the leader via heartbeats
     /// and takes over by deterministic election when the leader goes

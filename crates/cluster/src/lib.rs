@@ -12,8 +12,8 @@
 //! The control loop is round-based:
 //!
 //! 1. At each round boundary every server reports telemetry: predicted
-//!    uncapped demand, its power floor, measured power, and completion
-//!    status.
+//!    uncapped demand, its power floor, and whether it is still active
+//!    (its workload not yet complete).
 //! 2. The coordinator splits the global budget into per-server caps using
 //!    one of three disciplines ([`CapSplit`]): uniform,
 //!    demand-proportional, or FastCap-style marginal-utility greedy.
@@ -90,6 +90,6 @@ pub use ctrlplane::{
 pub use engine::WorkerPool;
 pub use hiercache::{HierSplitter, TracedSplit};
 pub use netsim::{LinkConfig, NodeId, PlaneStats};
-pub use server::{CappedPolicy, Server, ServerStatus, SharedCap};
+pub use server::{Server, ServerStatus};
 pub use sim::{run_cluster, ClusterResult, ClusterSim, ServerOutcome};
 pub use tree::{BudgetNode, BudgetTree, GroupShare, TreeSignals};

@@ -1,6 +1,8 @@
-//! One simulated server inside the cluster: the existing epoch engine
-//! (`coscale::Runner`) running `PowerCapPolicy` under a cap the cluster
-//! coordinator rewrites at round boundaries.
+//! One simulated server in a fleet: the existing epoch engine
+//! (`coscale::Runner`) running `PowerCapPolicy` under a cap the fleet
+//! coordinator rewrites at round boundaries. Both fleet layers run it: the
+//! batch layer to completion, the serving layer under a request queue with
+//! an unreachable completion target.
 
 use crate::coordinator::ServerDemand;
 use crate::ServerSpec;
@@ -13,42 +15,28 @@ use std::sync::Arc;
 /// and the server's policy (reader, each epoch decision). Stored as f64
 /// bits in an atomic so `Server` stays `Send` for the round fan-out.
 #[derive(Clone, Debug)]
-pub struct SharedCap(Arc<AtomicU64>);
+struct SharedCap(Arc<AtomicU64>);
 
 impl SharedCap {
-    /// A fresh cap cell holding `cap_w`.
-    pub fn new(cap_w: f64) -> SharedCap {
+    fn new(cap_w: f64) -> SharedCap {
         SharedCap(Arc::new(AtomicU64::new(cap_w.to_bits())))
     }
 
-    /// Rewrites the cap (coordinator side).
-    pub fn set(&self, cap_w: f64) {
+    fn set(&self, cap_w: f64) {
         self.0.store(cap_w.to_bits(), Ordering::Relaxed);
     }
 
-    /// Reads the current cap (policy side).
-    pub fn get(&self) -> f64 {
+    fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
 /// `PowerCapPolicy` with its budget read from a [`SharedCap`] at each
 /// decision, so the coordinator can move the cap without rebuilding the
-/// runner. Public so other fleet layers (e.g. the `service` crate) can
-/// build capped runners of their own.
-pub struct CappedPolicy {
+/// runner.
+struct CappedPolicy {
     inner: PowerCapPolicy,
     cap: SharedCap,
-}
-
-impl CappedPolicy {
-    /// A capping policy that reads its budget from `cap` at each decision.
-    pub fn new(cap: SharedCap) -> CappedPolicy {
-        CappedPolicy {
-            inner: PowerCapPolicy::new(f64::MAX),
-            cap,
-        }
-    }
 }
 
 impl Policy for CappedPolicy {
@@ -76,13 +64,6 @@ impl Policy for CappedPolicy {
 pub struct ServerStatus {
     /// Demand estimate for cap splitting.
     pub demand: ServerDemand,
-    /// Average measured power over the last round, watts (0 before the
-    /// first round).
-    pub measured_w: f64,
-    /// The cap the server ran under during the last round, watts.
-    pub cap_w: f64,
-    /// Simulated time reached.
-    pub now: Ps,
 }
 
 /// One server: name, runner, shared cap, and round telemetry accumulators.
@@ -96,9 +77,6 @@ pub struct Server {
     rounds_run: u64,
     violations: u64,
     total_target_instrs: u64,
-    // Round-delta bookkeeping.
-    round_energy_j: f64,
-    round_start: Ps,
     records_seen: usize,
 }
 
@@ -106,8 +84,15 @@ impl Server {
     /// Builds the server from its spec, initially granted `initial_cap_w`.
     pub fn new(spec: &ServerSpec, initial_cap_w: f64) -> Server {
         let cap = SharedCap::new(initial_cap_w);
-        let policy = CappedPolicy::new(cap.clone());
-        let total_target_instrs = spec.config.target_instrs * spec.config.cores as u64;
+        let policy = CappedPolicy {
+            inner: PowerCapPolicy::new(f64::MAX),
+            cap: cap.clone(),
+        };
+        // Saturates for a target nobody can reach (a serving engine's).
+        let total_target_instrs = spec
+            .config
+            .target_instrs
+            .saturating_mul(spec.config.cores as u64);
         let runner =
             Runner::new(spec.config.clone(), PolicyKind::PowerCap).with_policy(Box::new(policy));
         Server {
@@ -119,8 +104,6 @@ impl Server {
             rounds_run: 0,
             violations: 0,
             total_target_instrs,
-            round_energy_j: 0.0,
-            round_start: Ps::ZERO,
             records_seen: 0,
         }
     }
@@ -142,24 +125,22 @@ impl Server {
     }
 
     /// Runs up to `epochs` epochs (stopping early on completion), then
-    /// settles round telemetry: mean cap, measured power, violations.
+    /// settles round telemetry: mean cap and violations.
     pub fn step_round(&mut self, epochs: usize) {
         if self.is_done() {
             return;
         }
-        let energy_before = self.runner.energy_so_far_j();
-        let t_before = self.runner.system().now();
+        let energy_before = self.energy_j();
+        let t_before = self.now();
         for _ in 0..epochs {
             if self.is_done() {
                 break;
             }
             self.runner.step_epoch();
         }
-        let dt = (self.runner.system().now() - t_before).as_secs_f64();
-        let de = self.runner.energy_so_far_j() - energy_before;
+        let dt = (self.now() - t_before).as_secs_f64();
+        let de = self.energy_j() - energy_before;
         let measured_w = if dt > 0.0 { de / dt } else { 0.0 };
-        self.round_energy_j = de;
-        self.round_start = t_before;
         self.mean_cap_num += self.cap_w;
         self.rounds_run += 1;
         // A violation means the model under-predicted: measured average
@@ -190,22 +171,29 @@ impl Server {
             )
         };
         self.records_seen = records.len();
-        let dt = (self.runner.system().now() - self.round_start).as_secs_f64();
-        let measured_w = if dt > 0.0 {
-            self.round_energy_j / dt
-        } else {
-            0.0
-        };
         ServerStatus {
             demand: ServerDemand {
                 demand_w,
                 min_w,
                 active: !self.is_done(),
             },
-            measured_w,
-            cap_w: self.cap_w,
-            now: self.runner.system().now(),
         }
+    }
+
+    /// Simulated time reached.
+    pub fn now(&self) -> Ps {
+        self.runner.system().now()
+    }
+
+    /// Instructions committed so far, all cores.
+    pub fn instrs(&self) -> u64 {
+        self.runner.system().instrs().iter().sum()
+    }
+
+    /// Engine energy consumed so far, joules (live telemetry, not
+    /// prorated to a makespan).
+    pub fn energy_j(&self) -> f64 {
+        self.runner.energy_so_far_j()
     }
 
     /// Cap-violation rounds so far.
@@ -239,5 +227,64 @@ impl Server {
     /// Panics if the workload has not completed.
     pub fn finalize(self) -> RunResult {
         self.runner.finalize()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The mean of `f` over `records`, summed in order as `status` does.
+    fn mean(records: &[coscale::EpochRecord], f: fn(&coscale::EpochRecord) -> f64) -> f64 {
+        records.iter().map(f).sum::<f64>() / records.len() as f64
+    }
+
+    #[test]
+    fn status_averages_exactly_the_fresh_records() {
+        let mut spec = ServerSpec::small("s", "MID1", 7);
+        spec.config.target_instrs *= 100;
+        let mut s = Server::new(&spec, 60.0);
+        let d = s.status().demand;
+        assert_eq!((d.demand_w, d.min_w, d.active), (0.0, 0.0, true));
+
+        s.step_round(2);
+        s.status();
+        s.step_round(3);
+        let d = s.status().demand;
+        let fresh = &s.runner.records()[2..];
+        assert_eq!(fresh.len(), 3);
+        assert_eq!(d.demand_w, mean(fresh, |r| r.demand_power_w));
+        assert_eq!(d.min_w, mean(fresh, |r| r.min_power_w));
+        assert!(d.active);
+
+        // No new epoch since the last call: the last record, not a mean.
+        let again = s.status().demand;
+        let last = s.runner.records().last().unwrap();
+        assert_eq!(
+            (again.demand_w, again.min_w),
+            (last.demand_power_w, last.min_power_w)
+        );
+    }
+
+    #[test]
+    fn a_finished_server_reports_inactive() {
+        let mut spec = ServerSpec::small("s", "ILP1", 7);
+        spec.config.target_instrs = 20_000;
+        let mut s = Server::new(&spec, 60.0);
+        while !s.is_done() {
+            s.step_round(1);
+        }
+        assert!(!s.status().demand.active);
+    }
+
+    #[test]
+    fn an_unreachable_target_saturates_the_instruction_total() {
+        let mut spec = ServerSpec::small("s", "MID1", 7);
+        spec.config.target_instrs = u64::MAX;
+        let mut s = Server::new(&spec, 60.0);
+        assert_eq!(s.total_target_instrs(), u64::MAX);
+        s.step_round(1);
+        assert!(!s.is_done());
+        assert!(s.instrs() > 0);
     }
 }

@@ -140,16 +140,6 @@ impl ClusterResult {
         jain_index(&speeds)
     }
 
-    /// Per-server completion-time degradation versus the same fleet under
-    /// `base` (matched by position): `t/t_base − 1`.
-    pub fn slowdowns_vs(&self, base: &ClusterResult) -> Vec<f64> {
-        self.outcomes
-            .iter()
-            .zip(&base.outcomes)
-            .map(|(a, b)| a.result.makespan.as_secs_f64() / b.result.makespan.as_secs_f64() - 1.0)
-            .collect()
-    }
-
     /// A bit-exact digest of every scheduling-sensitive number in the
     /// result — per-server makespans, energies, caps, violations and the
     /// full cap timeline. Two runs of the same configuration must produce

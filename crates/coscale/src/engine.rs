@@ -590,11 +590,6 @@ impl Runner {
         self.sys.all_done()
     }
 
-    /// Number of epochs executed so far.
-    pub fn epochs_run(&self) -> usize {
-        self.epoch
-    }
-
     /// The per-epoch decision records so far.
     pub fn records(&self) -> &[EpochRecord] {
         &self.records
@@ -603,12 +598,6 @@ impl Runner {
     /// The underlying system (for telemetry).
     pub fn system(&self) -> &System {
         &self.sys
-    }
-
-    /// The policy driving decisions (for coordinators adjusting it between
-    /// epochs).
-    pub fn policy_mut(&mut self) -> &mut dyn Policy {
-        self.policy.as_mut()
     }
 
     /// Full-system energy integrated over all segments so far, joules.

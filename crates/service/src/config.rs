@@ -14,10 +14,9 @@ pub struct ServiceServerSpec {
     /// Display name (unique within the fleet; churn departures are by
     /// name).
     pub name: String,
-    /// The underlying engine configuration. The completion target is
-    /// irrelevant here — serving runs for a fixed number of rounds, so
-    /// [`ServiceServerSpec::small`] pushes `target_instrs`/`max_epochs`
-    /// effectively out of reach.
+    /// The underlying engine configuration. Its completion target is
+    /// ignored: a serving engine never finishes, and the fixed round count
+    /// ends the run. `max_epochs` must cover every round the server runs.
     pub config: SimConfig,
     /// The arrival process.
     pub arrivals: ArrivalKind,
@@ -36,9 +35,9 @@ pub struct ServiceServerSpec {
 
 impl ServiceServerSpec {
     /// A small fast serving server for tests and examples: the reduced
-    /// engine configuration (4 cores, 250 µs epochs) with the completion
-    /// target pushed out of reach, Poisson arrivals at `rate_hz`, 40 k
-    /// instructions per request, a 512-deep queue and a 1 ms p99 target.
+    /// engine configuration (4 cores, 250 µs epochs) with room for a
+    /// million epochs, Poisson arrivals at `rate_hz`, 40 k instructions per
+    /// request, a 512-deep queue and a 1 ms p99 target.
     ///
     /// # Panics
     ///
@@ -49,8 +48,6 @@ impl ServiceServerSpec {
         config.seed = seed;
         config.epoch = Ps::from_us(250);
         config.profile_window = Ps::from_us(50);
-        // Serving runs never "complete": the fixed round count ends them.
-        config.target_instrs = 1 << 50;
         config.max_epochs = 1_000_000;
         ServiceServerSpec {
             name: name.to_string(),

@@ -1,5 +1,6 @@
-//! One serving server: the epoch engine under a coordinator-written power
-//! cap, plus the request stream it serves.
+//! One serving server: a request stream and queue on top of one
+//! [`cluster::Server`], the epoch engine under a coordinator-written power
+//! cap.
 //!
 //! Each round the server (1) advances the engine `epochs_per_round` epochs
 //! under its current cap, (2) measures the aggregate instruction throughput
@@ -12,22 +13,15 @@
 use crate::arrivals::ArrivalGen;
 use crate::config::ServiceServerSpec;
 use crate::queue::{ClientEvent, Request, RequestQueue};
-use cluster::{CappedPolicy, ServerDemand, SharedCap, SlaSignal};
-use coscale::{PolicyKind, Runner};
+use crate::sim::ServiceOutcome;
+use cluster::{Server, ServerSpec, SlaSignal};
 use simkernel::{stats::Histogram, Ps, SimRng};
 use std::collections::VecDeque;
 
-/// One serving server.
-pub struct ServiceServer {
-    /// Display name from the spec.
-    pub name: String,
-    runner: Runner,
-    cap: SharedCap,
-    cap_w: f64,
-    mean_cap_num: f64,
-    rounds_run: u64,
-    records_seen: usize,
-    // Serving state.
+/// One serving server: the fleet loop writes caps to and reads power
+/// telemetry from `server` directly; everything else here is serving state.
+pub(crate) struct ServiceServer {
+    pub(crate) server: Server,
     arrivals: ArrivalGen,
     size_rng: SimRng,
     mean_request_instrs: f64,
@@ -53,23 +47,21 @@ pub struct ServiceServer {
 impl ServiceServer {
     /// Builds the server from its spec, initially granted `initial_cap_w`,
     /// with an SLA window of `window_rounds` rounds.
-    pub fn new(
+    pub(crate) fn new(
         spec: &ServiceServerSpec,
         initial_cap_w: f64,
         window_rounds: usize,
     ) -> ServiceServer {
-        let cap = SharedCap::new(initial_cap_w);
-        let policy = CappedPolicy::new(cap.clone());
-        let runner =
-            Runner::new(spec.config.clone(), PolicyKind::PowerCap).with_policy(Box::new(policy));
-        ServiceServer {
+        // A serving engine must never finish (the round count ends the
+        // run), so the spec's completion target is replaced by one no
+        // workload reaches.
+        let mut engine = ServerSpec {
             name: spec.name.clone(),
-            runner,
-            cap,
-            cap_w: initial_cap_w,
-            mean_cap_num: 0.0,
-            rounds_run: 0,
-            records_seen: 0,
+            config: spec.config.clone(),
+        };
+        engine.config.target_instrs = u64::MAX;
+        ServiceServer {
+            server: Server::new(&engine, initial_cap_w),
             arrivals: ArrivalGen::new(spec.arrivals, spec.arrival_seed),
             size_rng: SimRng::new(spec.arrival_seed ^ 0x517e_d00d),
             mean_request_instrs: spec.mean_request_instrs,
@@ -90,14 +82,14 @@ impl ServiceServer {
     /// [`ServiceServer::assign_requests`] instead of the spec's arrival
     /// process, stamped on the fleet-global clock that reads `offset` at
     /// this server's engine time zero.
-    pub fn set_closed_loop(&mut self, offset: Ps) {
+    pub(crate) fn set_closed_loop(&mut self, offset: Ps) {
         self.closed_loop = true;
         self.clock_offset = offset;
     }
 
     /// Hands the server its balanced share of a round's request batch
     /// (fleet-global arrival stamps, already time-ordered).
-    pub fn assign_requests(&mut self, reqs: impl IntoIterator<Item = Request>) {
+    pub(crate) fn assign_requests(&mut self, reqs: impl IntoIterator<Item = Request>) {
         self.pending.extend(reqs.into_iter().map(|r| Request {
             arrival: r.arrival - self.clock_offset,
             ..r
@@ -106,7 +98,7 @@ impl ServiceServer {
 
     /// Drains the terminal events of the last round's client-tagged
     /// requests, stamped back onto the fleet-global clock.
-    pub fn take_events(&mut self) -> Vec<ClientEvent> {
+    pub(crate) fn take_events(&mut self) -> Vec<ClientEvent> {
         let offset = self.clock_offset;
         self.events
             .drain(..)
@@ -117,32 +109,16 @@ impl ServiceServer {
             .collect()
     }
 
-    /// Assigns the cap for the coming round.
-    pub fn set_cap(&mut self, cap_w: f64) {
-        self.cap.set(cap_w);
-        self.cap_w = cap_w;
-    }
-
-    /// Total committed instructions across all cores.
-    fn total_instrs(&self) -> u64 {
-        self.runner.system().instrs().iter().sum()
-    }
-
     /// Advances the engine `epochs` epochs and serves the request stream
     /// over the simulated window at the throughput the engine delivered.
-    pub fn step_round(&mut self, epochs: usize) {
-        let t0 = self.runner.system().now();
-        let i0 = self.total_instrs();
-        for _ in 0..epochs {
-            if self.runner.is_done() {
-                break;
-            }
-            self.runner.step_epoch();
-        }
-        let t1 = self.runner.system().now();
+    pub(crate) fn step_round(&mut self, epochs: usize) {
+        let t0 = self.server.now();
+        let i0 = self.server.instrs();
+        self.server.step_round(epochs);
+        let t1 = self.server.now();
         let dt = (t1 - t0).as_secs_f64();
         let rate_ips = if dt > 0.0 {
-            (self.total_instrs() - i0) as f64 / dt
+            (self.server.instrs() - i0) as f64 / dt
         } else {
             0.0
         };
@@ -150,8 +126,7 @@ impl ServiceServer {
         // balanced batch in closed-loop mode, the spec's arrival process
         // otherwise. `pending` doubles as the arrivals arena in both
         // modes (and terminal events append straight into the retained
-        // `events` buffer), so the per-round per-server Vec churn of the
-        // old code is gone.
+        // `events` buffer), so a round allocates no per-server vectors.
         if !self.closed_loop {
             debug_assert!(self.pending.is_empty(), "open-loop servers get no batches");
             for arrival in self.arrivals.arrivals_until(t1) {
@@ -173,7 +148,7 @@ impl ServiceServer {
                 &mut round_hist,
                 &mut self.events,
             )
-            .unwrap_or_else(|e| panic!("server {}: {e}", self.name));
+            .unwrap_or_else(|e| panic!("server {}: {e}", self.server.name));
         self.pending.clear();
         self.cum_hist.merge(&round_hist);
         self.window.push_back(round_hist);
@@ -184,38 +159,11 @@ impl ServiceServer {
         if sla.p99_s > 0.0 && sla.violating() {
             self.violation_rounds += 1;
         }
-        self.mean_cap_num += self.cap_w;
-        self.rounds_run += 1;
-    }
-
-    /// Power telemetry for cap splitting: the mean of the engine's
-    /// per-epoch demand/floor predictions since the last call (see the
-    /// batch layer's `Server::status` for the same convention).
-    pub fn demand(&mut self) -> ServerDemand {
-        let records = self.runner.records();
-        let fresh = &records[self.records_seen.min(records.len())..];
-        let (demand_w, min_w) = if fresh.is_empty() {
-            records
-                .last()
-                .map_or((0.0, 0.0), |r| (r.demand_power_w, r.min_power_w))
-        } else {
-            let n = fresh.len() as f64;
-            (
-                fresh.iter().map(|r| r.demand_power_w).sum::<f64>() / n,
-                fresh.iter().map(|r| r.min_power_w).sum::<f64>() / n,
-            )
-        };
-        self.records_seen = records.len();
-        ServerDemand {
-            demand_w,
-            min_w,
-            active: true,
-        }
     }
 
     /// The latency signal for SLA-aware splitting: windowed p99 (zero
     /// before any completion) against the server's target.
-    pub fn sla_signal(&self) -> SlaSignal {
+    pub(crate) fn sla_signal(&self) -> SlaSignal {
         let mut merged = Histogram::new();
         for h in &self.window {
             merged.merge(h);
@@ -231,75 +179,16 @@ impl ServiceServer {
         }
     }
 
-    /// The server's p99 target, seconds.
-    pub fn p99_target_s(&self) -> f64 {
-        self.p99_target_s
-    }
-
-    /// All sojourn times since the server joined.
-    pub fn histogram(&self) -> &Histogram {
-        &self.cum_hist
-    }
-
-    /// Requests handed to the server so far (admitted or shed).
-    pub fn arrived(&self) -> u64 {
-        self.queue.arrived()
-    }
-
-    /// Requests completed so far.
-    pub fn completed(&self) -> u64 {
-        self.queue.completed()
-    }
-
-    /// Requests shed by admission control so far.
-    pub fn shed(&self) -> u64 {
-        self.queue.shed()
-    }
-
     /// Current queue depth.
-    pub fn queue_depth(&self) -> usize {
+    pub(crate) fn queue_depth(&self) -> usize {
         self.queue.depth()
-    }
-
-    /// Rounds where the windowed p99 exceeded the target.
-    pub fn violation_rounds(&self) -> u64 {
-        self.violation_rounds
-    }
-
-    /// Rounds this server participated in.
-    pub fn rounds_run(&self) -> u64 {
-        self.rounds_run
-    }
-
-    /// Mean assigned cap over the rounds run, watts.
-    pub fn mean_cap_w(&self) -> f64 {
-        if self.rounds_run == 0 {
-            0.0
-        } else {
-            self.mean_cap_num / self.rounds_run as f64
-        }
-    }
-
-    /// Engine energy consumed so far, joules.
-    pub fn energy_j(&self) -> f64 {
-        self.runner.energy_so_far_j()
-    }
-
-    /// Simulated time reached.
-    pub fn now(&self) -> Ps {
-        self.runner.system().now()
-    }
-
-    /// Requests abandoned in-queue so far.
-    pub fn abandoned(&self) -> u64 {
-        self.queue.abandoned()
     }
 
     /// Abandons everything still queued (the server is leaving the fleet,
     /// or the horizon ended), returning the abandoned requests with their
     /// arrival stamps converted back to the fleet-global clock so
     /// closed-loop callers can release the issuing clients.
-    pub fn abandon_queue(&mut self) -> Vec<Request> {
+    pub(crate) fn abandon_queue(&mut self) -> Vec<Request> {
         let offset = self.clock_offset;
         self.queue
             .abandon_all()
@@ -309,5 +198,25 @@ impl ServiceServer {
                 ..r
             })
             .collect()
+    }
+
+    /// Abandons the queue and produces the server's final accounting.
+    pub(crate) fn into_outcome(mut self, departed: bool) -> ServiceOutcome {
+        self.abandon_queue();
+        ServiceOutcome {
+            name: self.server.name.clone(),
+            departed,
+            energy_j: self.server.energy_j(),
+            arrived: self.queue.arrived(),
+            completed: self.queue.completed(),
+            shed: self.queue.shed(),
+            abandoned: self.queue.abandoned(),
+            violation_rounds: self.violation_rounds,
+            rounds_run: self.server.rounds_run(),
+            mean_cap_w: self.server.mean_cap_w(),
+            p99_target_s: self.p99_target_s,
+            hist: self.cum_hist,
+            now: self.server.now(),
+        }
     }
 }

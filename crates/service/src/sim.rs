@@ -350,25 +350,6 @@ impl ServiceSim {
         ServiceSim { config, servers }
     }
 
-    fn outcome(mut server: ServiceServer, departed: bool) -> ServiceOutcome {
-        server.abandon_queue();
-        ServiceOutcome {
-            name: server.name.clone(),
-            departed,
-            energy_j: server.energy_j(),
-            arrived: server.arrived(),
-            completed: server.completed(),
-            shed: server.shed(),
-            abandoned: server.abandoned(),
-            violation_rounds: server.violation_rounds(),
-            rounds_run: server.rounds_run(),
-            mean_cap_w: server.mean_cap_w(),
-            p99_target_s: server.p99_target_s(),
-            hist: server.histogram().clone(),
-            now: server.now(),
-        }
-    }
-
     /// Runs the configured number of rounds, applying churn at round
     /// boundaries, and aggregates.
     ///
@@ -458,7 +439,7 @@ fn tier_members(graph: &TierGraph, servers: &[ServiceServer], tier: usize) -> Ve
     servers
         .iter()
         .enumerate()
-        .filter(|(_, s)| graph.tier_of(&s.name) == Some(tier))
+        .filter(|(_, s)| graph.tier_of(&s.server.name) == Some(tier))
         .map(|(i, _)| i)
         .collect()
 }
@@ -492,7 +473,7 @@ impl FleetRun {
                 base_instrs,
             }
         });
-        let names: Vec<&str> = servers.iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = servers.iter().map(|s| s.server.name.as_str()).collect();
         let topology = match &tiers {
             Some(t) => {
                 let tree = tier_tree(
@@ -576,7 +557,7 @@ impl FleetRun {
                     self.servers.push(server);
                 }
                 ChurnAction::Leave(name) => {
-                    if let Some(i) = self.servers.iter().position(|s| s.name == name) {
+                    if let Some(i) = self.servers.iter().position(|s| s.server.name == name) {
                         let mut server = self.servers.remove(i);
                         // Closed loop: the departing server's queued
                         // requests are lost; their clients learn at
@@ -598,7 +579,7 @@ impl FleetRun {
                                 pool.deliver(client, now);
                             }
                         }
-                        self.departures.push(ServiceSim::outcome(server, true));
+                        self.departures.push(server.into_outcome(true));
                         self.tree.remove_server(&name);
                     }
                 }
@@ -608,7 +589,11 @@ impl FleetRun {
             // The splitter is *rebound*, not discarded: groups
             // structurally untouched by the churn (sibling racks/tiers)
             // carry their cached allocations across the membership change.
-            let names: Vec<&str> = self.servers.iter().map(|s| s.name.as_str()).collect();
+            let names: Vec<&str> = self
+                .servers
+                .iter()
+                .map(|s| s.server.name.as_str())
+                .collect();
             self.splitter.rebind(&self.tree, &names);
         }
         if self.servers.is_empty() {
@@ -621,8 +606,11 @@ impl FleetRun {
         }
 
         // --- coordinate: telemetry in, caps out ---
-        let demands: Vec<ServerDemand> =
-            self.servers.iter_mut().map(ServiceServer::demand).collect();
+        let demands: Vec<ServerDemand> = self
+            .servers
+            .iter_mut()
+            .map(|s| s.server.status().demand)
+            .collect();
         // SLA signals feed the split when latency matters to it: under a
         // topology (interior nodes may be SLA-aware) or flat SlaAware.
         let signals: Option<Vec<SlaSignal>> = (self.topology_spec.is_some()
@@ -637,7 +625,7 @@ impl FleetRun {
             let shares = t.collector.shares();
             self.servers
                 .iter()
-                .map(|s| t.graph.tier_of(&s.name).map_or(0.0, |ti| shares[ti]))
+                .map(|s| t.graph.tier_of(&s.server.name).map_or(0.0, |ti| shares[ti]))
                 .collect()
         });
         // The budget flows down the tree with power, latency and
@@ -658,8 +646,8 @@ impl FleetRun {
                 self.config.quantum_w,
             )
             .unwrap_or_else(|e| panic!("budget tree split: {e}"));
-        for (server, &cap) in self.servers.iter_mut().zip(&caps) {
-            server.set_cap(cap);
+        for (s, &cap) in self.servers.iter_mut().zip(&caps) {
+            s.server.set_cap(cap);
         }
 
         // --- closed loop: issue the round's requests and balance ---
@@ -840,11 +828,7 @@ impl FleetRun {
             _ => None,
         };
         let mut outcomes = self.departures;
-        outcomes.extend(
-            self.servers
-                .into_iter()
-                .map(|s| ServiceSim::outcome(s, false)),
-        );
+        outcomes.extend(self.servers.into_iter().map(|s| s.into_outcome(false)));
         ServiceResult {
             split: self.config.split,
             topology: self.topology_spec,

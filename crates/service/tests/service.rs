@@ -1,6 +1,6 @@
 //! Integration tests for the serving fleet: thread-count determinism, the
-//! SLA-aware discipline's headline behaviour, closed-loop balancing, and
-//! churn.
+//! SLA-aware discipline's headline behaviour, closed-loop balancing, churn,
+//! and engines that never finish whatever the spec's completion target.
 
 use service::{
     run_service, ArrivalKind, BalancePolicy, BudgetTree, CapSplit, ChurnSchedule, ClosedLoopConfig,
@@ -473,6 +473,36 @@ fn tier_churn_fails_orphaned_dags_and_stays_deterministic() {
     );
     let d4 = run_service(build(4)).digest();
     assert_eq!(r.digest(), d4, "tier churn not thread-deterministic");
+}
+
+/// A serving engine never finishes: the spec's completion target is
+/// ignored, so a target the ILP1 server reaches in its first epoch leaves
+/// the run bit-identical to the default target, in open and closed loop.
+#[test]
+fn a_reachable_completion_target_changes_nothing() {
+    let run = |target_instrs: Option<u64>, closed: bool| {
+        let mut ilp = ServiceServerSpec::small("ilp", "ILP1", 51, 20_000.0);
+        if let Some(t) = target_instrs {
+            ilp.config.target_instrs = t;
+        }
+        let fleet = vec![ilp, ServiceServerSpec::small("mid", "MID1", 52, 20_000.0)];
+        let mut cfg = ServiceConfig::new(fleet, 120.0, CapSplit::FastCap).with_rounds(30);
+        if closed {
+            cfg = cfg.with_closed_loop(ClosedLoopConfig::new(
+                16,
+                Ps::from_us(100),
+                BalancePolicy::RoundRobin,
+            ));
+        }
+        run_service(cfg).digest()
+    };
+    for closed in [false, true] {
+        assert_eq!(
+            run(Some(200_000), closed),
+            run(None, closed),
+            "closed loop: {closed}"
+        );
+    }
 }
 
 /// A fleet that churns down to empty and back keeps running (degenerate

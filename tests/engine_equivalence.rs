@@ -16,7 +16,8 @@
 //!    full recompute at any band;
 //! 3. pinned golden digests for the four fleet-level bench experiments
 //!    (cluster capping, serving SLOs, hierarchical budgets, closed-loop
-//!    balancing), so a drift in the loop *or* the oracle is loud;
+//!    balancing) and for serving churn, so a drift in the loop *or* the
+//!    oracle is loud;
 //! 4. `#[ignore]`d 1024- and 16384-server / 90%-idle differential smokes
 //!    for the nightly `--release -- --ignored` job.
 
@@ -845,6 +846,117 @@ fn golden_closed_loop_balancing_agrees_and_is_pinned() {
     let d = assert_service_thread_invariant("closed_loop_balancing", &make);
     println!("closed_loop_balancing fnv = {}", fnv1a(d.as_bytes()));
     assert_eq!(fnv1a(d.as_bytes()), GOLDEN, "digest drifted:\n{d}");
+}
+
+/// Serving churn, pinned at two threads: joiners are built mid-run with a
+/// zero cap (and, in closed loop, a clock offset), leavers abandon their
+/// queues. One case per fleet shape: open loop, closed loop, tiers and a
+/// budget tree.
+#[test]
+fn serving_churn_digests_are_pinned() {
+    use service::{ArrivalKind, TierConfig, TierGraph};
+    let small = |name: &str, mix: &str, seed: u64, rate: f64| {
+        ServiceServerSpec::small(name, mix, seed, rate).with_p99_target_s(2e-3)
+    };
+    let open_loop = || {
+        let fleet = vec![
+            small("s0", "MID1", 81, 40_000.0),
+            small("s1", "MEM1", 82, 40_000.0),
+        ];
+        let mut churn = ChurnSchedule::new();
+        churn
+            .join(3, "late", small("late", "ILP1", 83, 40_000.0))
+            .unwrap();
+        churn.leave(7, "s0").unwrap();
+        ServiceConfig::new(fleet, 150.0, CapSplit::FastCap)
+            .with_rounds(10)
+            .with_churn(churn)
+    };
+    let closed_loop = || {
+        let fleet = vec![small("c0", "MID1", 84, 0.0), small("c1", "MEM1", 85, 0.0)];
+        let mut churn = ChurnSchedule::new();
+        churn
+            .join(4, "late", small("late", "ILP1", 86, 0.0))
+            .unwrap();
+        churn.leave(8, "c1").unwrap();
+        ServiceConfig::new(fleet, 150.0, CapSplit::SlaAware)
+            .with_rounds(12)
+            .with_churn(churn)
+            .with_closed_loop(ClosedLoopConfig::new(
+                48,
+                Ps::from_us(150),
+                BalancePolicy::LeastQueue,
+            ))
+    };
+    let tiers = || {
+        let graph: TierGraph = "fe[2] -> st[2]*2".parse().unwrap();
+        let spec = |name: &str, seed: u64| {
+            let mix = if name.starts_with("fe") {
+                "ILP1"
+            } else {
+                "MID2"
+            };
+            ServiceServerSpec::small_with_cores(name, mix, seed, 0.0, 4)
+        };
+        let fleet = graph
+            .server_names()
+            .iter()
+            .enumerate()
+            .map(|(i, name)| spec(name, 40 + i as u64))
+            .collect();
+        let mut churn = ChurnSchedule::new();
+        churn.join(5, "st2", spec("st2", 47)).unwrap();
+        churn.leave(8, "fe1").unwrap();
+        ServiceConfig::new(fleet, 280.0, CapSplit::FastCap)
+            .with_rounds(12)
+            .with_churn(churn)
+            .with_closed_loop(
+                ClosedLoopConfig::new(96, Ps::from_us(100), BalancePolicy::LeastQueue)
+                    .with_mean_request_instrs(60_000.0),
+            )
+            .with_tiers(TierConfig::new(graph).with_e2e_target_s(4e-3))
+    };
+    let tree = || {
+        let fleet = vec![
+            small("h0", "MEM2", 11, 200_000.0).with_arrivals(ArrivalKind::Mmpp {
+                rate_hz: 200_000.0,
+                burst_factor: 1.2,
+                mean_calm: Ps::from_ms(3),
+                mean_burst: Ps::from_ms(2),
+                diurnal_period: Ps::ZERO,
+                diurnal_depth: 0.0,
+            }),
+            small("m0", "MID1", 12, 25_000.0),
+            small("q0", "ILP1", 13, 30_000.0),
+            small("q1", "MID2", 14, 30_000.0),
+        ];
+        let tree =
+            BudgetTree::parse("dc:uniform[rack:sla-aware[h0,m0],pod:fastcap[q0,q1]]").unwrap();
+        let mut churn = ChurnSchedule::new();
+        churn
+            .join(3, "late", small("late", "ILP2", 15, 30_000.0))
+            .unwrap();
+        churn.leave(6, "m0").unwrap();
+        ServiceConfig::new(fleet, 280.0, CapSplit::Uniform)
+            .with_rounds(10)
+            .with_topology(tree)
+            .with_churn(churn)
+    };
+    let cases: [(&str, &dyn Fn() -> ServiceConfig, u64); 4] = [
+        ("open-loop fastcap", &open_loop, 6923421223272983155),
+        ("closed-loop sla-aware", &closed_loop, 15731782920546030606),
+        ("tiers", &tiers, 6876893683442217847),
+        ("budget tree", &tree, 9934934100162639516),
+    ];
+    for (label, make, golden) in cases {
+        let d = run_service(make().with_threads(2)).digest();
+        println!("{label} fnv = {}", fnv1a(d.as_bytes()));
+        assert_eq!(
+            fnv1a(d.as_bytes()),
+            golden,
+            "[{label}] digest drifted:\n{d}"
+        );
+    }
 }
 
 /// Asserts that `banded` left the physics of `exact` untouched: the same
