@@ -265,16 +265,18 @@ pub fn synthetic_fleet(n: usize, idle_fraction: f64) -> Vec<ServerSpec> {
         .map(|i| {
             let mut spec = ServerSpec::small(&format!("s{i:04}"), "MID1", 1 + i as u64);
             // The test default keeps Table 2's 16 MiB L2, whose way array
-            // is 4 MiB (16 bytes a way); at a thousand servers that is
+            // is 2 MiB (8 bytes a way); at a thousand servers that is
             // gigabytes and construction drowns in page faults.
-            // Scale-fleet servers model a 1 MiB L2: a 256 KiB way array.
+            // Scale-fleet servers model a 1 MiB L2: a 128 KiB way array.
             spec.config.cache.size_bytes = 1024 * 1024;
             // Coordination-scale regime: small nodes (2 cores, a coarse
             // 4-step DVFS grid) on epochs an order of magnitude shorter
-            // than the test default, so a round's cost is dominated by the
-            // coordinator (telemetry, cap splitting) rather than by cycle
-            // simulation — the regime a 1000-server fleet actually runs
-            // in, where each server does little work between barriers.
+            // than the test default, so each server does little work
+            // between barriers. Even so, cycle simulation is most of a
+            // round unless the cap split is costly: the benchmark's
+            // traced runs on these fleets (2-vCPU guest) spend 0.80-0.96
+            // of their time in it, and about 0.6 under a flat FastCap
+            // split at 20 mW quanta.
             spec.config.cores = 2;
             spec.config.core_freqs = SimConfig::core_grid_with_steps(4);
             spec.config.epoch = Ps::from_us(10);

@@ -26,8 +26,9 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
-    /// Checks that the geometry describes a cache: at least one way, a
-    /// nonzero line size, and a set count that is a nonzero power of two.
+    /// Checks that the geometry describes a cache: at least one way, fewer
+    /// ways than recency stamps, a nonzero line size, and a set count that
+    /// is a nonzero power of two.
     ///
     /// # Errors
     ///
@@ -35,6 +36,14 @@ impl CacheConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.ways == 0 {
             return Err("L2 needs at least one way".into());
+        }
+        // A renumbered set holds ranks `0..ways` and the stamp counter
+        // restarts at `ways`, which must still be a stamp.
+        if self.ways as u64 >= STAMP_LIMIT {
+            return Err(format!(
+                "L2 associativity {} must be below {STAMP_LIMIT}, the count of recency stamps",
+                self.ways
+            ));
         }
         if self.line_bytes == 0 {
             return Err("L2 line_bytes must be positive".into());
@@ -137,13 +146,37 @@ pub enum Access {
     Miss,
 }
 
-/// Meta-word flag: the line is dirty.
+/// Way-word flag: the line is dirty.
 const DIRTY: u64 = 0b10;
-/// Meta-word flag: the line was installed by the prefetcher and has not
+/// Way-word flag: the line was installed by the prefetcher and has not
 /// seen a demand access yet.
 const PREFETCHED: u64 = 0b01;
-/// The recency stamp sits above the two flag bits.
-const STAMP_SHIFT: u32 = 2;
+/// The line address sits above the two flag bits.
+const LINE_SHIFT: u32 = 2;
+/// Width of the line field: the cache tags lines below `2^40`.
+const LINE_BITS: u32 = 40;
+/// The line field of a way word.
+const LINE_FIELD: u64 = ((1 << LINE_BITS) - 1) << LINE_SHIFT;
+/// The recency stamp fills the bits above the line field.
+const STAMP_SHIFT: u32 = LINE_SHIFT + LINE_BITS;
+/// Stamps run below this bound; reaching it renumbers every set.
+const STAMP_LIMIT: u64 = 1 << (u64::BITS - STAMP_SHIFT);
+
+/// `line` placed in a way word's line field.
+///
+/// # Panics
+///
+/// Panics if `line` does not fit the field: a truncated tag would alias
+/// another line.
+#[inline]
+fn line_key(line: LineAddr) -> u64 {
+    assert!(
+        line.0 >> LINE_BITS == 0,
+        "L2 line {:#x} does not fit the {LINE_BITS}-bit tag",
+        line.0
+    );
+    line.0 << LINE_SHIFT
+}
 
 /// A set-associative writeback LRU cache over [`LineAddr`]s.
 ///
@@ -151,11 +184,15 @@ const STAMP_SHIFT: u32 = 2;
 /// core's private footprint (cores own disjoint high-order address slices)
 /// spreads over all sets instead of aliasing into the low sets.
 ///
-/// Each way is two words, `[tag, stamp << 2 | dirty << 1 | prefetched]`,
-/// so a way's tag, recency and flags share one host cache line. Lines are
-/// never invalidated and a fill always takes the first free way, so a
-/// set's valid ways are a prefix of the set; `filled` counts them and
-/// lookups scan only that prefix.
+/// Each way is one word, `stamp << 42 | line << 2 | dirty << 1 |
+/// prefetched`: a 22-bit recency stamp over a 40-bit line address, so
+/// lines must lie below `2^40`. Stamps within a set are unique, so the
+/// least-recent way holds the smallest word. When the stamp counter
+/// reaches `2^22`, every set's valid ways are renumbered by recency rank
+/// and the counter restarts at the associativity, which leaves every
+/// eviction decision unchanged. Lines are never invalidated and a fill
+/// always takes the first free way, so a set's valid ways are a prefix of
+/// the set; `filled` counts them and lookups scan only that prefix.
 ///
 /// # Example
 ///
@@ -171,7 +208,7 @@ const STAMP_SHIFT: u32 = 2;
 #[derive(Clone, Debug)]
 pub struct L2Cache {
     config: CacheConfig,
-    /// `2 * ways` words per set, zero until filled.
+    /// `ways` words per set, zero until filled.
     ways: Vec<u64>,
     /// Valid ways per set.
     filled: Vec<u32>,
@@ -191,7 +228,7 @@ impl L2Cache {
         let sets = config.sets();
         L2Cache {
             config,
-            ways: vec![0; 2 * sets * config.ways],
+            ways: vec![0; sets * config.ways],
             filled: vec![0; sets],
             set_mask: sets as u64 - 1,
             assoc: config.ways,
@@ -218,37 +255,61 @@ impl L2Cache {
         ((x ^ (x >> 14) ^ (x >> 28) ^ (x >> 42)) & self.set_mask) as usize
     }
 
-    /// The first word of set `idx`'s ways.
+    /// The index of the line keyed `key` in set `idx`, if resident.
     #[inline]
-    fn set_base(&self, idx: usize) -> usize {
-        2 * idx * self.assoc
+    fn find(&self, idx: usize, key: u64) -> Option<usize> {
+        let base = idx * self.assoc;
+        self.ways[base..base + self.filled[idx] as usize]
+            .iter()
+            .position(|&way| way & LINE_FIELD == key)
+            .map(|w| base + w)
     }
 
-    /// The word offset of `line`'s way within set `idx`, if resident.
+    /// The next recency stamp, in place in a way word.
     #[inline]
-    fn find(&self, idx: usize, line: LineAddr) -> Option<usize> {
-        let base = self.set_base(idx);
-        let valid = &self.ways[base..base + 2 * self.filled[idx] as usize];
-        valid
-            .chunks_exact(2)
-            .position(|way| way[0] == line.0)
-            .map(|w| base + 2 * w)
+    fn next_stamp(&mut self) -> u64 {
+        self.stamp += 1;
+        if self.stamp == STAMP_LIMIT {
+            self.renumber();
+        }
+        self.stamp << STAMP_SHIFT
+    }
+
+    /// Restamps every set's valid ways with their recency ranks `0..n`
+    /// and restarts the counter at the associativity, above every rank.
+    /// Sorting the words sorts the ways by stamp.
+    #[cold]
+    #[inline(never)]
+    fn renumber(&mut self) {
+        for (set, &n) in self.ways.chunks_exact_mut(self.assoc).zip(&self.filled) {
+            let valid = &mut set[..n as usize];
+            valid.sort_unstable();
+            for (rank, way) in (0u64..).zip(valid) {
+                *way = rank << STAMP_SHIFT | (*way & (LINE_FIELD | DIRTY | PREFETCHED));
+            }
+        }
+        self.stamp = self.assoc as u64;
     }
 
     /// Performs a demand access. On a hit the line's LRU position is
     /// refreshed and, for stores, the dirty bit set. On a miss nothing is
     /// installed — fetch the line and call [`L2Cache::fill`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is at or above `2^40`.
     pub fn access(&mut self, line: LineAddr, is_store: bool) -> Access {
-        self.stamp += 1;
+        let key = line_key(line);
+        let stamp = self.next_stamp();
         let idx = self.set_index(line);
-        let Some(at) = self.find(idx, line) else {
+        let Some(at) = self.find(idx, key) else {
             self.stats.misses += 1;
             return Access::Miss;
         };
-        let meta = self.ways[at + 1];
-        let first_use = meta & PREFETCHED != 0;
-        let dirty = (meta & DIRTY) | if is_store { DIRTY } else { 0 };
-        self.ways[at + 1] = (self.stamp << STAMP_SHIFT) | dirty;
+        let way = self.ways[at];
+        let first_use = way & PREFETCHED != 0;
+        let dirty = if is_store { DIRTY } else { 0 };
+        self.ways[at] = stamp | (way & (LINE_FIELD | DIRTY)) | dirty;
         self.stats.hits += 1;
         if first_use {
             self.stats.prefetch_useful += 1;
@@ -259,8 +320,12 @@ impl L2Cache {
     }
 
     /// Whether `line` is currently resident (no LRU/stat side effects).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is at or above `2^40`.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.find(self.set_index(line), line).is_some()
+        self.find(self.set_index(line), line_key(line)).is_some()
     }
 
     /// Installs `line`, evicting the LRU way if the set is full. Returns the
@@ -268,48 +333,48 @@ impl L2Cache {
     ///
     /// `dirty` marks the fill itself dirty (store miss); `prefetched` tags
     /// the line for prefetch-accuracy accounting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is at or above `2^40`.
     pub fn fill(&mut self, line: LineAddr, dirty: bool, prefetched: bool) -> Option<LineAddr> {
-        self.stamp += 1;
-        let stamp = self.stamp << STAMP_SHIFT;
+        let key = line_key(line);
+        let stamp = self.next_stamp();
         let dirty = if dirty { DIRTY } else { 0 };
         let idx = self.set_index(line);
 
         // Already present (e.g. a demand fill racing a prefetch fill):
         // merge flags rather than duplicating the line.
-        if let Some(at) = self.find(idx, line) {
-            let flags = self.ways[at + 1] & (DIRTY | PREFETCHED);
-            self.ways[at + 1] = stamp | flags | dirty;
+        if let Some(at) = self.find(idx, key) {
+            let kept = self.ways[at] & (LINE_FIELD | DIRTY | PREFETCHED);
+            self.ways[at] = stamp | kept | dirty;
             return None;
         }
 
-        let base = self.set_base(idx);
+        let base = idx * self.assoc;
         let n = self.filled[idx] as usize;
         let mut writeback = None;
         let at = if n < self.assoc {
             self.filled[idx] += 1;
-            base + 2 * n
+            base + n
         } else {
-            // Full: evict the least-recent way. Stamps are unique, so the
-            // smallest meta word is the smallest stamp.
-            let set = &self.ways[base..base + 2 * self.assoc];
-            let (w, _) = set
-                .chunks_exact(2)
+            // Full: evict the least-recent way, the smallest word.
+            let set = &self.ways[base..base + self.assoc];
+            let (w, &victim) = set
+                .iter()
                 .enumerate()
-                .min_by_key(|(_, way)| way[1])
+                .min_by_key(|&(_, &way)| way)
                 .expect("ways > 0 by construction");
-            let at = base + 2 * w;
-            let victim = self.ways[at + 1];
             if victim & PREFETCHED != 0 {
                 self.stats.prefetch_unused += 1;
             }
             if victim & DIRTY != 0 {
                 self.stats.writebacks += 1;
-                writeback = Some(LineAddr(self.ways[at]));
+                writeback = Some(LineAddr((victim & LINE_FIELD) >> LINE_SHIFT));
             }
-            at
+            base + w
         };
-        self.ways[at] = line.0;
-        self.ways[at + 1] = stamp | dirty | if prefetched { PREFETCHED } else { 0 };
+        self.ways[at] = stamp | key | dirty | if prefetched { PREFETCHED } else { 0 };
         if prefetched {
             self.stats.prefetch_fills += 1;
         }
@@ -451,8 +516,81 @@ mod tests {
         let c = CacheConfig::default();
         assert_eq!(c.sets(), 16_384);
         let cache = L2Cache::new(c);
-        assert_eq!(cache.ways.len(), 2 * 16_384 * 16);
+        assert_eq!(cache.ways.len(), 16_384 * 16);
         assert_eq!(cache.filled.len(), 16_384);
+    }
+
+    /// A run that crosses the stamp limit, and so renumbers every set,
+    /// makes the same decisions as one that stays far below it.
+    #[test]
+    fn renumbering_at_the_stamp_limit_changes_no_decision() {
+        // 8 sets x 4 ways, over a universe of three times as many lines in
+        // four address regions.
+        let config = CacheConfig {
+            size_bytes: 8 * 4 * 64,
+            ways: 4,
+            line_bytes: 64,
+        };
+        let universe = |r: u64, lo: u64| LineAddr(r << 28 | lo);
+        for below in [50, 10_000] {
+            let mut fresh = L2Cache::new(config);
+            let mut crossing = L2Cache::new(config);
+            crossing.stamp = STAMP_LIMIT - below;
+            let mut rng = simkernel::SimRng::new(below);
+            for i in 0..20_000 {
+                let line = universe(rng.below(4), rng.below(24));
+                let dirty = rng.chance(0.3);
+                if rng.chance(0.5) {
+                    let got = crossing.access(line, dirty);
+                    assert_eq!(got, fresh.access(line, dirty), "op {i}");
+                } else {
+                    let prefetched = rng.chance(0.2);
+                    let got = crossing.fill(line, dirty, prefetched);
+                    assert_eq!(got, fresh.fill(line, dirty, prefetched), "op {i}");
+                }
+            }
+            assert!(crossing.stamp < fresh.stamp, "never renumbered");
+            assert_eq!(crossing.stats(), fresh.stats());
+            for (r, lo) in (0..4).flat_map(|r| (0..24).map(move |lo| (r, lo))) {
+                let line = universe(r, lo);
+                assert_eq!(crossing.contains(line), fresh.contains(line));
+            }
+        }
+    }
+
+    /// The access that reaches the stamp limit is stamped above every
+    /// renumbered way, so the line it touched outlives the next eviction.
+    /// It touches the lower address, which a tied stamp would evict.
+    #[test]
+    fn the_access_that_renumbers_is_the_most_recent() {
+        let mut c = tiny();
+        let lines = same_set_lines(&c, 3);
+        let (low, high) = (lines[0], lines[1]);
+        c.stamp = STAMP_LIMIT - 4;
+        c.fill(high, false, false);
+        c.fill(low, false, false);
+        let _ = c.access(high, false);
+        let _ = c.access(low, false);
+        c.fill(lines[2], false, false);
+        assert!(c.contains(low) && !c.contains(high));
+    }
+
+    #[test]
+    #[should_panic(expected = "L2 line 0x10000000000 does not fit the 40-bit tag")]
+    fn access_rejects_a_line_past_the_tag() {
+        let _ = tiny().access(LineAddr(1 << 40), false);
+    }
+
+    #[test]
+    #[should_panic(expected = "L2 line 0x10000000000 does not fit the 40-bit tag")]
+    fn fill_rejects_a_line_past_the_tag() {
+        let _ = tiny().fill(LineAddr(1 << 40), false, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "L2 line 0xffffffffffffffff does not fit the 40-bit tag")]
+    fn contains_rejects_a_line_past_the_tag() {
+        let _ = tiny().contains(LineAddr(u64::MAX));
     }
 
     #[test]
@@ -470,6 +608,14 @@ mod tests {
         assert_eq!(ok.validate(), Ok(()));
         let bad = [
             (CacheConfig { ways: 0, ..ok }, "at least one way"),
+            (
+                CacheConfig {
+                    size_bytes: 64 << 22,
+                    ways: 1 << 22,
+                    ..ok
+                },
+                "recency stamps",
+            ),
             (
                 CacheConfig {
                     line_bytes: 0,

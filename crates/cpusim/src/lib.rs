@@ -7,9 +7,10 @@
 //!
 //! * [`L2Cache`] — the shared 16 MiB, 16-way LLC with LRU replacement,
 //!   writeback tracking, and prefetch-accuracy bookkeeping. Each way is
-//!   16 bytes (tag, then recency stamp and flags in one word), and a set's
-//!   valid ways form a prefix, so lookups scan only the filled ways.
-//!   [`CacheConfig::validate`] rejects geometries it cannot build.
+//!   one 8-byte word (recency stamp, a line address below 2^40, and
+//!   flags), and a set's valid ways form a prefix, so lookups scan only
+//!   the filled ways. [`CacheConfig::validate`] rejects geometries it
+//!   cannot build.
 //! * [`CoreSim`] — a single-issue core replaying a synthetic trace
 //!   ([`workloads::TraceGen`]), stalling on L2 hits (fixed uncore latency)
 //!   and on L2 misses; per-core DVFS with transition halts. A step reports

@@ -151,7 +151,10 @@ impl Geometric {
         match self.ln_q {
             Some(ln_q) => {
                 let u = rng.f64().max(f64::MIN_POSITIVE);
-                (u.ln() / ln_q).floor() as u64
+                // `as` truncates toward zero and saturates (NaN and
+                // negatives give 0), which is `floor` on this
+                // non-negative quotient.
+                (u.ln() / ln_q) as u64
             }
             None => 0,
         }
@@ -230,6 +233,39 @@ mod tests {
             (mean - expect).abs() / expect < 0.05,
             "mean {mean} expect {expect}"
         );
+    }
+
+    /// `sample` casts its quotient without `floor`. The two casts agree
+    /// on every `f64`, edge values included, and so do the draws.
+    #[test]
+    fn geometric_matches_the_floored_cast() {
+        let edges = [
+            -1.5,
+            -0.0,
+            0.0,
+            0.999_999,
+            2f64.powi(53) + 1.0,
+            2f64.powi(64),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for x in edges {
+            assert_eq!(x.floor() as u64, x as u64, "{x}");
+        }
+        for (seed, p) in [1e-9, 1e-4, 0.01, 0.3, 0.5, 0.999].into_iter().enumerate() {
+            let law = Geometric::new(p);
+            let ln_q = (1.0 - p).ln();
+            let (mut a, mut b) = (SimRng::new(seed as u64), SimRng::new(seed as u64));
+            for _ in 0..100_000 {
+                let u = b.f64().max(f64::MIN_POSITIVE);
+                assert_eq!(
+                    law.sample(&mut a),
+                    (u.ln() / ln_q).floor() as u64,
+                    "p = {p}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -308,6 +308,23 @@ mod tests {
         }
     }
 
+    /// `cpusim::L2Cache` tags lines below 2^40 and panics on any other.
+    /// The highest line the generator can produce belongs to the last of
+    /// a configuration's 16 cores; the prefetcher probes one line above
+    /// it. All of them lie below 2^36.
+    #[test]
+    fn every_line_fits_the_l2_tag() {
+        let l = Layout::for_core(15);
+        let tops = [
+            l.hot_base + l.hot_lines - 1,
+            l.rand_base + l.rand_lines - 1,
+            l.stream_base + l.stream_lines - 1,
+        ];
+        for top in tops {
+            assert!(top + 1 < 1 << 36, "{top:#x}");
+        }
+    }
+
     #[test]
     fn reference_rate_matches_apki() {
         let mut g = TraceGen::new(flat(20.0, 0.5, 0.0), 0, 1);
