@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks of the multi-tier topology hot path: the
 //! per-round `TraceCollector` aggregation and the critical-path budget
 //! split, compared against the FastCap and SLA-aware quantum greedies at
-//! the same fan-out, and against FastCap run through the split executor
-//! every fleet uses (a one-group `HierSplitter`), recomputed and replayed.
+//! the same fan-out (FastCap both congested and with a budget above total
+//! demand), and against FastCap run through the split executor every fleet
+//! uses (a one-group `HierSplitter`), recomputed and replayed.
 //!
 //! Both run once per coordination round, so they must stay far below the
 //! round length even at cluster scale (~1024 children).
@@ -98,6 +99,20 @@ fn bench_splits(c: &mut Criterion) {
             black_box(split_caps(
                 CapSplit::FastCap,
                 black_box(budget_w),
+                &ds,
+                0.02,
+            ))
+        })
+    });
+    // FastCap at the same quantum with the budget above total demand, as
+    // `fleet_flat` runs it: every server saturates, so the split grants
+    // server by server instead of on the heap.
+    let uncongested_w = ds.iter().map(|d| d.demand_w).sum::<f64>() * 1.1;
+    group.bench_function("fastcap_20mw_uncongested", |b| {
+        b.iter(|| {
+            black_box(split_caps(
+                CapSplit::FastCap,
+                black_box(uncongested_w),
                 &ds,
                 0.02,
             ))

@@ -14,6 +14,10 @@ use powermodel::MemGeometry;
 use simkernel::Ps;
 use std::time::Instant;
 
+/// The worst per-application degradation that Figures 6 and 9 report as
+/// meeting the 10% performance bound.
+const BOUND_MET: f64 = 0.115;
+
 /// Paper Table 1 MPKI/WPKI per mix, for side-by-side comparison.
 const TABLE1_PAPER: [(&str, f64, f64); 16] = [
     ("ILP1", 0.37, 0.06),
@@ -137,7 +141,7 @@ pub fn fig6(ctx: &mut Ctx) {
             name.to_string(),
             pct(avg),
             pct(worst),
-            if worst <= 0.115 { "yes" } else { "NO" }.into(),
+            if worst <= BOUND_MET { "yes" } else { "NO" }.into(),
         ]);
     }
     t.row(vec![
@@ -207,7 +211,10 @@ pub fn fig7(ctx: &mut Ctx) {
 }
 
 /// Figures 8 and 9: average energy savings and performance degradation
-/// across all seven policies.
+/// across all seven policies. The paper's headline comparisons are
+/// asserted before the tables are written: only Uncoordinated breaks the
+/// bound, CoScale saves more than either single-knob policy, and CoScale
+/// comes close to the Offline oracle.
 pub fn fig8_9(ctx: &mut Ctx) {
     let policies = [
         PolicyKind::MemScale,
@@ -226,6 +233,8 @@ pub fn fig8_9(ctx: &mut Ctx) {
         &["policy", "avg", "worst", "bound met"],
     );
     let mixes = mixes_for(ctx);
+    // Per policy: mean full-system savings and worst degradation.
+    let mut headline = Vec::with_capacity(policies.len());
     for &p in &policies {
         let mut s = [0.0f64; 3];
         let mut avg_deg = 0.0;
@@ -251,9 +260,61 @@ pub fn fig8_9(ctx: &mut Ctx) {
             p.to_string(),
             pct(avg_deg / n),
             pct(worst_deg),
-            if worst_deg <= 0.115 { "yes" } else { "NO" }.into(),
+            if worst_deg <= BOUND_MET { "yes" } else { "NO" }.into(),
         ]);
+        headline.push((p, s[0] / n, worst_deg));
     }
+    let of = |kind: PolicyKind| {
+        let &(_, savings, worst) = headline
+            .iter()
+            .find(|(p, ..)| *p == kind)
+            .expect("every policy ran");
+        (savings, worst)
+    };
+    let (coscale, coscale_worst) = of(PolicyKind::CoScale);
+    let (offline, _) = of(PolicyKind::Offline);
+    let (_, uncoordinated_worst) = of(PolicyKind::Uncoordinated);
+    let (_, semi_worst) = of(PolicyKind::SemiCoordinated);
+    assert!(
+        uncoordinated_worst > BOUND_MET,
+        "Uncoordinated must break the bound: worst {}",
+        pct(uncoordinated_worst)
+    );
+    for (p, worst) in [
+        (PolicyKind::CoScale, coscale_worst),
+        (PolicyKind::SemiCoordinated, semi_worst),
+    ] {
+        assert!(
+            worst <= BOUND_MET,
+            "{p} must meet the bound: worst {}",
+            pct(worst)
+        );
+    }
+    for single in [PolicyKind::CpuOnly, PolicyKind::MemScale] {
+        let (savings, _) = of(single);
+        assert!(
+            coscale > savings,
+            "CoScale must save more than {single}: {} vs {}",
+            pct(coscale),
+            pct(savings)
+        );
+    }
+    // Offline plans every epoch from that epoch's exact profile, CoScale
+    // from a 300 µs profiling window at its start. What the window misses
+    // weighs more on `--quick`'s four mixes at 6 M instructions per
+    // application than on all sixteen at 25 M: CoScale measured 1.1 pp
+    // below Offline there and 0.3 pp at full scale. A 2 pp margin leaves
+    // room for that and still fails a policy that trails as far as
+    // Semi-coordinated does (3.3 pp below Offline there, 3.5 pp at full
+    // scale).
+    const OFFLINE_MARGIN: f64 = 0.02;
+    assert!(
+        coscale >= offline - OFFLINE_MARGIN,
+        "CoScale must come within {} of Offline: {} vs {}",
+        pct(OFFLINE_MARGIN),
+        pct(coscale),
+        pct(offline)
+    );
     t8.row(vec![
         "paper notes".into(),
         "CoScale 16%; MemScale/CPUOnly ≤ 10%; Semi 2.6% below CoScale; Offline ≈ CoScale".into(),

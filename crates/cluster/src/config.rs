@@ -426,8 +426,11 @@ impl ClusterConfig {
         if self.servers.is_empty() {
             return Err("cluster needs at least one server".into());
         }
-        if self.global_cap_w.is_nan() || self.global_cap_w <= 0.0 {
-            return Err(format!("global cap {} must be positive", self.global_cap_w));
+        if !self.global_cap_w.is_finite() || self.global_cap_w <= 0.0 {
+            return Err(format!(
+                "global cap {} must be finite and positive",
+                self.global_cap_w
+            ));
         }
         if self.epochs_per_round == 0 {
             return Err("epochs_per_round must be positive".into());
@@ -435,10 +438,13 @@ impl ClusterConfig {
         if self.threads == 0 {
             return Err("threads must be positive".into());
         }
-        if self.quantum_w.is_nan() || self.quantum_w <= 0.0 {
-            return Err(format!("quantum {} must be positive", self.quantum_w));
+        if !self.quantum_w.is_finite() || self.quantum_w <= 0.0 {
+            return Err(format!(
+                "quantum {} must be finite and positive",
+                self.quantum_w
+            ));
         }
-        if self.dead_band_w.is_nan() || self.dead_band_w < 0.0 {
+        if !self.dead_band_w.is_finite() || self.dead_band_w < 0.0 {
             return Err(format!(
                 "dead band {} must be finite and non-negative",
                 self.dead_band_w
@@ -534,6 +540,31 @@ mod tests {
             c.servers[0].config.cache.size_bytes = size_bytes;
             let err = c.validate().expect_err("bad L2 geometry");
             assert!(err.starts_with("server s0: L2"), "{err}");
+        }
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_watts() {
+        let ok = ClusterConfig::new(
+            vec![ServerSpec::small("s0", "MID1", 1)],
+            100.0,
+            CapSplit::FastCap,
+        );
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut c = ok.clone();
+            c.global_cap_w = bad;
+            let err = c.validate().expect_err("non-finite cap");
+            assert!(err.starts_with(&format!("global cap {bad} ")), "{err}");
+
+            let mut c = ok.clone();
+            c.quantum_w = bad;
+            let err = c.validate().expect_err("non-finite quantum");
+            assert!(err.starts_with(&format!("quantum {bad} ")), "{err}");
+
+            let mut c = ok.clone();
+            c.dead_band_w = bad;
+            let err = c.validate().expect_err("non-finite dead band");
+            assert!(err.starts_with(&format!("dead band {bad} ")), "{err}");
         }
     }
 

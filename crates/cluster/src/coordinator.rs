@@ -20,7 +20,10 @@
 //!
 //! The quantum greedy keeps every bidding server's marginal gain in a
 //! max-heap, so a split costs `O(n + quanta · log n)` rather than a scan
-//! of all `n` servers per quantum (`grant_quanta`).
+//! of all `n` servers per quantum (`grant_quanta`). When FastCap's budget
+//! outlasts every bid, the order of grants cannot change any cap, so the
+//! split grants each server its quanta in index order instead, in
+//! `O(n + quanta)` (`grant_in_index_order`).
 //!
 //! Two signal-driven disciplines build on the same machinery: **SLA-aware**
 //! (see [`split_caps_sla`]) bids tail-latency violators to full demand, and
@@ -434,6 +437,83 @@ fn grant_quanta(
     false
 }
 
+/// Whether `spare` outlasts every active server's climb from `caps` to its
+/// demand in whole quanta: `ceil((demand − cap) / quantum)` each, one more
+/// per server for rounding in the running sums, and one for margin. This
+/// only picks the greedy; [`grant_in_index_order`] checks every grant and
+/// declines the split when the estimate was wrong.
+fn budget_outlasts_bids(
+    demands: &[ServerDemand],
+    caps: &[f64],
+    spare: f64,
+    quantum_w: f64,
+) -> bool {
+    let quanta: f64 = demands
+        .iter()
+        .zip(caps)
+        .filter(|(d, _)| d.active)
+        .map(|(d, cap)| ((d.demand_w - cap) / quantum_w).ceil().max(0.0) + 1.0)
+        .sum();
+    spare >= (quanta + 1.0) * quantum_w
+}
+
+/// FastCap's quantum greedy (`Ceiling::Demand`, every server bidding) for a
+/// budget that outlasts every bid: grants each active server whole quanta,
+/// in index order, until it stops bidding at `cap ≥ demand` or at a gain of
+/// zero or less. It leaves `caps` and `spare` bit-equal to what
+/// [`grant_quanta`] leaves and returns what it returns.
+///
+/// Every grant is the same whole quantum `q`, so each cap is its own running
+/// sum `cap + q + q + …`, its stop rules read only that server's state, and
+/// `spare` falls by the same steps in any order. The heap's rule for a
+/// grant that no longer moves a cap cannot fire: such a grant gains exactly
+/// zero, so the server has already stopped bidding. The order starts to
+/// matter only where the heap greedy would change `q`, once `spare` falls
+/// below a quantum or to a nanowatt, so every grant first checks that it
+/// has not. If it has, the pass puts `caps` back as it found them and
+/// returns `None` for the heap greedy to run instead.
+///
+/// After the last grant the heap greedy either stops with at most a
+/// nanowatt left (`Some(false)`: nothing to park) or finds no bid even at a
+/// smaller final quantum, since a utility that does not grow by a quantum
+/// does not grow by less, and reports every server saturated
+/// (`Some(true)`).
+fn grant_in_index_order(
+    demands: &[ServerDemand],
+    quantum_w: f64,
+    caps: &mut [f64],
+    spare: &mut f64,
+) -> Option<bool> {
+    let q = quantum_w;
+    let whole_quantum = |left: f64| left > 1e-9 && left >= q;
+    let entry = caps.to_vec();
+    let mut left = *spare;
+    for (i, d) in demands.iter().enumerate() {
+        if !d.active {
+            continue;
+        }
+        let mut cap = caps[i];
+        let mut utility = utility_at(d, cap);
+        while cap < d.demand_w {
+            let raised = utility_at(d, cap + q);
+            let bids = raised - utility > 0.0;
+            if !bids {
+                break;
+            }
+            if !whole_quantum(left) {
+                caps.copy_from_slice(&entry);
+                return None;
+            }
+            cap += q;
+            utility = raised;
+            left -= q;
+        }
+        caps[i] = cap;
+    }
+    *spare = left;
+    Some(left > 1e-9)
+}
+
 /// Per-server power floors: each active server's all-minimum power, scaled
 /// down proportionally when the budget cannot cover them all.
 fn floors(global_cap_w: f64, demands: &[ServerDemand]) -> Vec<f64> {
@@ -510,6 +590,9 @@ fn fastcap_split(global_cap_w: f64, demands: &[ServerDemand], quantum_w: f64) ->
 /// proper parks it uniformly as headroom (transient demand spikes between
 /// rounds stay within budget); the SLA-aware degrade path leaves it unspent
 /// so `cap[i] ≤ demand[i]` holds, matching `split_caps_sla`.
+///
+/// With parking, a budget that outlasts every bid is granted server by
+/// server (`grant_in_index_order`), and any other on the heap.
 fn fastcap_core(
     global_cap_w: f64,
     demands: &[ServerDemand],
@@ -518,26 +601,35 @@ fn fastcap_core(
 ) -> Vec<f64> {
     let mut caps = floors(global_cap_w, demands);
     let mut spare = global_cap_w - caps.iter().sum::<f64>();
-    let mut clipped = vec![false; demands.len()];
-    // The non-parking variant promises `cap ≤ demand`, so it clips the
-    // final quantum at demand instead of overshooting it.
-    let demand_w: Vec<f64>;
-    let ceiling = if park_leftover {
-        Ceiling::Demand
-    } else {
-        demand_w = demands.iter().map(|d| d.demand_w).collect();
-        Ceiling::Clip(&demand_w)
+    let heap_greedy = |ceiling: Ceiling<'_>, caps: &mut [f64], spare: &mut f64| {
+        let mut clipped = vec![false; demands.len()];
+        grant_quanta(
+            demands,
+            ceiling,
+            |_| true,
+            quantum_w,
+            caps,
+            &mut clipped,
+            spare,
+        )
     };
-    let all_saturated = grant_quanta(
-        demands,
-        ceiling,
-        |_| true,
-        quantum_w,
-        &mut caps,
-        &mut clipped,
-        &mut spare,
-    );
-    if all_saturated && park_leftover {
+    if !park_leftover {
+        // The non-parking variant promises `cap ≤ demand`, so it clips the
+        // final quantum at demand instead of overshooting it. Its clipped
+        // partial grants make `spare`'s rounding depend on their order, so
+        // it always runs on the heap.
+        let demand_w: Vec<f64> = demands.iter().map(|d| d.demand_w).collect();
+        heap_greedy(Ceiling::Clip(&demand_w), &mut caps, &mut spare);
+        return caps;
+    }
+    let in_order = if budget_outlasts_bids(demands, &caps, spare, quantum_w) {
+        grant_in_index_order(demands, quantum_w, &mut caps, &mut spare)
+    } else {
+        None
+    };
+    let all_saturated =
+        in_order.unwrap_or_else(|| heap_greedy(Ceiling::Demand, &mut caps, &mut spare));
+    if all_saturated {
         let n_active = demands.iter().filter(|d| d.active).count() as f64;
         for (cap, d) in caps.iter_mut().zip(demands) {
             if d.active {
@@ -870,5 +962,181 @@ mod tests {
         assert!((jain_index(&[1.0, 0.0, 0.0, 0.0]) - 0.25).abs() < 1e-12);
         assert_eq!(jain_index(&[]), 1.0);
         assert_eq!(jain_index(&[0.0, 0.0]), 1.0);
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs the index-order pass and the heap greedy from the same state.
+    /// When the pass runs, its caps, spare and outcome must equal the heap's
+    /// to the bit, and the heap must have clipped nobody; when it declines,
+    /// it must leave the state as it found it. Returns the pass's caps,
+    /// spare and outcome, or `None` when it declined.
+    fn pass_against_heap(
+        ds: &[ServerDemand],
+        caps: &[f64],
+        spare: f64,
+        q: f64,
+    ) -> Option<(Vec<f64>, f64, bool)> {
+        let (mut heap_caps, mut heap_spare) = (caps.to_vec(), spare);
+        let mut clipped = vec![false; ds.len()];
+        let heap = grant_quanta(
+            ds,
+            Ceiling::Demand,
+            |_| true,
+            q,
+            &mut heap_caps,
+            &mut clipped,
+            &mut heap_spare,
+        );
+        let (mut pass_caps, mut pass_spare) = (caps.to_vec(), spare);
+        let tag = format!("q {q}, spare {spare}, {ds:?} from {caps:?}");
+        let Some(saturated) = grant_in_index_order(ds, q, &mut pass_caps, &mut pass_spare) else {
+            assert_eq!(bits(&pass_caps), bits(caps), "declined, caps moved: {tag}");
+            assert_eq!(pass_spare.to_bits(), spare.to_bits(), "declined: {tag}");
+            return None;
+        };
+        assert_eq!(saturated, heap, "outcome: {tag}");
+        assert_eq!(bits(&pass_caps), bits(&heap_caps), "caps: {tag}");
+        assert_eq!(pass_spare.to_bits(), heap_spare.to_bits(), "spare: {tag}");
+        assert_eq!(clipped, vec![false; ds.len()], "heap clipped: {tag}");
+        Some((pass_caps, pass_spare, saturated))
+    }
+
+    /// Random fleets (inactive, zero-headroom and already saturated servers
+    /// among them) with quanta from 1 mW to 10 W and a spare within three
+    /// quanta of the whole climb to demand, so the pass both runs and
+    /// declines.
+    #[test]
+    fn index_order_pass_matches_the_heap_wherever_it_runs() {
+        let mut seed = 0x5eed_c0de_u64;
+        let mut uniform = || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let (mut ran, mut declined) = (0, 0);
+        for _ in 0..3000 {
+            let n = 1 + (uniform() * 12.0) as usize;
+            let q = 10f64.powf(-3.0 + 4.0 * uniform());
+            let mut ds = Vec::with_capacity(n);
+            let mut caps = Vec::with_capacity(n);
+            for _ in 0..n {
+                let demand_w = q * (1.0 + 200.0 * uniform());
+                let kind = uniform();
+                let min_w = if kind < 0.1 {
+                    demand_w * (1.0 + uniform())
+                } else {
+                    demand_w * (0.1 + 0.7 * uniform())
+                };
+                let active = kind >= 0.2;
+                // Anywhere from the floor to a fifth past demand.
+                let cap = min_w + (demand_w - min_w).max(0.0) * 1.2 * uniform();
+                ds.push(ServerDemand {
+                    demand_w,
+                    min_w,
+                    active,
+                });
+                caps.push(if active { cap } else { 0.0 });
+            }
+            let climb: f64 = ds
+                .iter()
+                .zip(&caps)
+                .filter(|(d, _)| d.active)
+                .map(|(d, cap)| ((d.demand_w - cap) / q).ceil().max(0.0))
+                .sum();
+            let spare = q * (climb + 6.0 * uniform() - 3.0);
+            match pass_against_heap(&ds, &caps, spare, q) {
+                Some(_) => ran += 1,
+                None => declined += 1,
+            }
+        }
+        assert!(
+            ran > 300 && declined > 300,
+            "ran {ran}, declined {declined}"
+        );
+    }
+
+    /// Three servers that reach demand in 4, 6 and 3 grants of a quantum
+    /// every sum represents exactly: 13 grants in all.
+    fn thirteen_grants() -> (Vec<ServerDemand>, Vec<f64>, f64) {
+        let ds = vec![d(12.0, 10.0), d(23.0, 20.0), d(6.5, 5.0)];
+        let caps = ds.iter().map(|d| d.min_w).collect();
+        (ds, caps, 0.5)
+    }
+
+    #[test]
+    fn index_order_pass_with_exactly_enough_or_one_quantum_more() {
+        let (ds, caps, q) = thirteen_grants();
+        let demand: Vec<f64> = ds.iter().map(|d| d.demand_w).collect();
+        // The budget runs out on the last grant: nothing is left to park.
+        let (got, spare, saturated) = pass_against_heap(&ds, &caps, 13.0 * q, q).expect("ran");
+        assert_eq!(
+            (got.as_slice(), spare, saturated),
+            (&demand[..], 0.0, false)
+        );
+        // A quantum to spare: every server saturates with it left over.
+        let (got, spare, saturated) = pass_against_heap(&ds, &caps, 14.0 * q, q).expect("ran");
+        assert_eq!((got.as_slice(), spare, saturated), (&demand[..], q, true));
+    }
+
+    #[test]
+    fn index_order_pass_does_not_park_a_nanowatt_remainder() {
+        // The last grant leaves half a nanowatt, where the heap greedy stops
+        // as if the budget ran out. Reporting saturation instead would park
+        // that remainder and move every cap by a few ulps.
+        let (ds, caps, q) = thirteen_grants();
+        let (_, spare, saturated) =
+            pass_against_heap(&ds, &caps, 13.0 * q + 5e-10, q).expect("ran");
+        assert!(spare > 0.0 && spare <= 1e-9, "{spare}");
+        assert!(!saturated);
+    }
+
+    #[test]
+    fn index_order_pass_declines_short_of_a_whole_quantum() {
+        // The thirteenth grant would see no quantum, or half of one, where
+        // the heap greedy stops or shrinks the quantum and the grant order
+        // matters.
+        let (ds, caps, q) = thirteen_grants();
+        for short in [1.0, 0.5] {
+            let spare = (13.0 - short) * q;
+            assert!(pass_against_heap(&ds, &caps, spare, q).is_none(), "{short}");
+            // The covering estimate would not have chosen the pass either.
+            assert!(!budget_outlasts_bids(&ds, &caps, spare, q), "{short}");
+        }
+    }
+
+    #[test]
+    fn index_order_pass_declines_at_a_nanowatt() {
+        // Below a nanowatt of spare the heap greedy grants nothing, even
+        // when the quantum is smaller still and would cover the climb.
+        let q = 2f64.powi(-34);
+        let ds = vec![d(1.0 + 4.0 * q, 1.0)];
+        assert!(pass_against_heap(&ds, &[1.0], 8.0 * q, q).is_none());
+    }
+
+    #[test]
+    fn index_order_pass_declines_a_quantum_near_the_ulp_of_the_caps() {
+        // At 2^22 W a cap's ulp is 2^-30 W, and a quantum of 1.25 ulps moves
+        // a cap by one ulp. Each server climbs 64 ulps in 64 grants where the
+        // covering estimate counts ceil(64 / 1.25) + 1 = 53, so a budget the
+        // estimate accepts runs out of whole quanta and the heap takes over.
+        let ulp = 2f64.powi(-30);
+        let q = 1.25 * ulp;
+        let floor = 2f64.powi(22);
+        let ds = vec![d(floor + 64.0 * ulp, floor); 4];
+        let caps = vec![floor; 4];
+        let spare = (4.0 * 53.0 + 1.0) * q;
+        assert!(budget_outlasts_bids(&ds, &caps, spare, q));
+        assert!(pass_against_heap(&ds, &caps, spare, q).is_none());
+        // With a whole quantum per grant the same climb runs in order.
+        let (got, _, saturated) = pass_against_heap(&ds, &caps, 257.0 * q, q).expect("ran");
+        assert!(saturated);
+        assert!(
+            got.iter().zip(&ds).all(|(c, d)| *c == d.demand_w),
+            "{got:?}"
+        );
     }
 }

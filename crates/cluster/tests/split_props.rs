@@ -2,9 +2,10 @@
 //!
 //! * **The linear scans they replaced.** Both greedies used to scan every
 //!   server for every quantum. Those loops are kept below, verbatim, as
-//!   reference implementations; the max-heap greedy must reproduce their
-//!   caps to the bit (`to_bits`) over exact ties, inactive and
-//!   zero-headroom servers, every budget regime, quanta from 1 mW to
+//!   reference implementations; the max-heap greedy, and FastCap's
+//!   server-by-server pass where its budget outlasts every bid, must
+//!   reproduce their caps to the bit (`to_bits`) over exact ties, inactive
+//!   and zero-headroom servers, every budget regime, quanta from 1 mW to
 //!   10 W, and mixed SLA signals.
 //! * **The continuous optimum.** FastCap's objective
 //!   `max Σ demand·sqrt((c − min)/headroom)` subject to the budget is a
@@ -274,17 +275,28 @@ fn signals(raw: &[RawServer]) -> Vec<SlaSignal> {
         .collect()
 }
 
-/// A budget in one of five regimes relative to `floor_w` (the sum of the
-/// active floors) and `demand_w` (the sum of the active demands): below
-/// the floors, between floors and demand, inside the last few quanta below
-/// demand (where `spare < quantum` and clipped grants meet), just above
-/// demand, and far above it (FastCap's parking path).
-fn budget(regime: u8, frac: f64, floor_w: f64, demand_w: f64, quantum_w: f64) -> f64 {
+/// A budget in one of six regimes relative to the sums of the active
+/// floors and demands in `ds`: below the floors, between floors and
+/// demand, inside the last few quanta below demand (where
+/// `spare < quantum` and clipped grants meet), just above demand, within
+/// two quanta of where FastCap's spare starts to cover every climb from
+/// floor to demand in whole quanta (`ceil(headroom / quantum) + 1` per
+/// active server, plus one), where the split switches from the heap to
+/// granting server by server, and far above it (FastCap's parking path).
+fn budget(regime: u8, frac: f64, ds: &[ServerDemand], quantum_w: f64) -> f64 {
+    let floor_w = active_sum(ds, |_, d| d.min_w);
+    let demand_w = active_sum(ds, |_, d| d.demand_w);
     match regime {
         0 => floor_w * (0.2 + 0.8 * frac),
         1 => floor_w + frac * (demand_w - floor_w).max(0.0),
         2 => (demand_w - 3.0 * quantum_w * frac).max(0.0),
         3 => demand_w + quantum_w * frac,
+        4 => {
+            let quanta = active_sum(ds, |_, d| {
+                ((d.demand_w - d.min_w) / quantum_w).ceil().max(0.0) + 1.0
+            }) + 1.0;
+            floor_w + quantum_w * (quanta - 2.0 + 4.0 * frac)
+        }
         _ => demand_w * (2.0 + 10.0 * frac) + 1.0,
     }
 }
@@ -335,14 +347,12 @@ proptest! {
     fn heap_greedy_matches_scan_reference(
         raw in raw_servers(17),
         log_q in -3.0f64..1.0,
-        regime in 0u8..5,
+        regime in 0u8..6,
         frac in 0.0f64..1.0,
     ) {
         let q = 10f64.powf(log_q);
         let ds = fleet(&raw, q);
-        let floor_sum = active_sum(&ds, |_, d| d.min_w);
-        let demand_sum = active_sum(&ds, |_, d| d.demand_w);
-        let b = budget(regime, frac, floor_sum, demand_sum, q);
+        let b = budget(regime, frac, &ds, q);
         check_instance(&ds, &signals(&raw), b, q);
     }
 }
@@ -464,14 +474,12 @@ proptest! {
         raw in raw_servers(17),
         sla_raw in prop::collection::vec((0u8..6, 0.0f64..1.0, 0.0f64..1.0), 16),
         log_q in -3.0f64..1.0,
-        regime in 0u8..5,
+        regime in 0u8..6,
         frac in 0.0f64..1.0,
     ) {
         let q = 10f64.powf(log_q);
         let ds = fleet(&raw, q);
-        let floor_sum = active_sum(&ds, |_, d| d.min_w);
-        let demand_sum = active_sum(&ds, |_, d| d.demand_w);
-        let b = budget(regime, frac, floor_sum, demand_sum, q);
+        let b = budget(regime, frac, &ds, q);
         let tag = |f: &str| format!("one-group {f} budget {b} quantum {q}");
         for split in ALL_SPLITS {
             assert_bit_identical(

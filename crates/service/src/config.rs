@@ -394,8 +394,11 @@ impl ServiceConfig {
     ///
     /// Returns a message describing the first inconsistency found.
     pub fn validate(&self) -> Result<(), String> {
-        if self.global_cap_w.is_nan() || self.global_cap_w <= 0.0 {
-            return Err(format!("global cap {} must be positive", self.global_cap_w));
+        if !self.global_cap_w.is_finite() || self.global_cap_w <= 0.0 {
+            return Err(format!(
+                "global cap {} must be finite and positive",
+                self.global_cap_w
+            ));
         }
         if self.rounds == 0 {
             return Err("rounds must be positive".into());
@@ -406,8 +409,11 @@ impl ServiceConfig {
         if self.threads == 0 {
             return Err("threads must be positive".into());
         }
-        if self.quantum_w.is_nan() || self.quantum_w <= 0.0 {
-            return Err(format!("quantum {} must be positive", self.quantum_w));
+        if !self.quantum_w.is_finite() || self.quantum_w <= 0.0 {
+            return Err(format!(
+                "quantum {} must be finite and positive",
+                self.quantum_w
+            ));
         }
         if self.sla_window_rounds == 0 {
             return Err("sla_window_rounds must be positive".into());
@@ -608,6 +614,26 @@ mod tests {
         let mut c = ok;
         c.rounds = 2_000_000;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_watts() {
+        let ok = ServiceConfig::new(
+            vec![ServiceServerSpec::small("s0", "MID1", 1, 1000.0)],
+            100.0,
+            CapSplit::FastCap,
+        );
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut c = ok.clone();
+            c.global_cap_w = bad;
+            let err = c.validate().expect_err("non-finite cap");
+            assert!(err.starts_with(&format!("global cap {bad} ")), "{err}");
+
+            let mut c = ok.clone();
+            c.quantum_w = bad;
+            let err = c.validate().expect_err("non-finite quantum");
+            assert!(err.starts_with(&format!("quantum {bad} ")), "{err}");
+        }
     }
 
     /// Validates `base` with one join of `joiner` scheduled at `round`.

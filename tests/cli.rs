@@ -49,6 +49,24 @@ fn batch_rejects_a_negative_dead_band() {
 }
 
 #[test]
+fn batch_rejects_non_finite_watts() {
+    let fleet = ["--fleet-size", "8"];
+    for (flag, needle) in [
+        ("--cap", "global cap inf"),
+        ("--quantum", "quantum inf"),
+        ("--dead-band", "dead band inf"),
+    ] {
+        assert_rejected(&[&fleet[..], &[flag, "inf"]].concat(), needle);
+    }
+    assert_rejected(&[&fleet[..], &["--cap", "nan"]].concat(), "global cap NaN");
+}
+
+#[test]
+fn serving_rejects_an_infinite_cap() {
+    assert_rejected(&["--serve", "--cap", "inf"], "global cap inf");
+}
+
+#[test]
 fn serving_rejects_a_join_past_the_horizon() {
     assert_rejected(
         &["--serve", "--rounds", "4", "--join", "9:late=ILP1"],
