@@ -3,7 +3,9 @@
 //! paper reports, alongside the paper's own numbers where the text states
 //! them, and writes a TSV.
 
-use crate::{class_mixes, degradation_stats, pct, Ctx, Table, ALL_MIXES, MEM_MIXES, MID_MIXES};
+use crate::{
+    class_mixes, degradation_stats, pct, scenarios, Ctx, Table, ALL_MIXES, MEM_MIXES, MID_MIXES,
+};
 use coscale::{
     CoScalePolicy, EpochProfile, Model, Plan, Policy, PolicyKind, Runner, SemiCoordinatedPolicy,
     SimConfig,
@@ -962,38 +964,14 @@ pub fn ablation_voltage_domains(ctx: &mut Ctx) {
 /// same budget. Asserted before the table is written: demand-proportional
 /// and FastCap each beat uniform on aggregate throughput and makespan.
 pub fn cluster_capping(ctx: &mut Ctx) {
-    use cluster::{run_cluster, CapSplit, ClusterConfig, ServerSpec};
-    // Big memory-bound servers next to small compute-bound ones, with the
-    // faster servers given proportionally longer workloads so the fleet
-    // stays busy together (steady-state load). A uniform share then
-    // over-provisions the small servers while starving the big ones.
-    let fleet = |quick: bool| -> Vec<ServerSpec> {
-        let mut f = vec![
-            ServerSpec::small_with_cores("mem-8c-a", "MEM2", 1, 8),
-            ServerSpec::small_with_cores("mem-8c-b", "MEM2", 2, 8),
-            ServerSpec::small_with_cores("ilp-2c-a", "ILP2", 5, 2),
-            ServerSpec::small_with_cores("ilp-2c-b", "ILP2", 6, 2),
-        ];
-        if !quick {
-            f.insert(2, ServerSpec::small_with_cores("mem-8c-c", "MEM2", 3, 8));
-            f.insert(3, {
-                let mut s = ServerSpec::small_with_cores("mid-4c", "MID1", 4, 4);
-                s.config.target_instrs *= 2;
-                s
-            });
-            f.push(ServerSpec::small_with_cores("ilp-2c-c", "ILP2", 7, 2));
-            f.push(ServerSpec::small_with_cores("ilp-2c-d", "ILP2", 8, 2));
-        }
-        for s in f.iter_mut().filter(|s| s.config.cores == 2) {
-            s.config.target_instrs *= 3;
-        }
-        f
-    };
-    let n = fleet(ctx.opts.quick).len();
-    // ~80% of the fleet's uncapped demand: tight enough to throttle the
-    // big servers, loose enough that a uniform share over-provisions the
-    // small ones.
-    let global_cap_w = 62.5 * n as f64;
+    use cluster::{run_cluster, CapSplit};
+    let runs = [
+        CapSplit::Uniform,
+        CapSplit::DemandProportional,
+        CapSplit::FastCap,
+    ]
+    .map(|split| scenarios::cluster_capping(split, ctx.opts.quick));
+    let (n, global_cap_w) = (runs[0].servers.len(), runs[0].global_cap_w);
     let mut t = Table::new(
         &format!("Cluster capping — {n} servers, global budget {global_cap_w} W"),
         &[
@@ -1007,17 +985,10 @@ pub fn cluster_capping(ctx: &mut Ctx) {
         ],
     );
     let mut outcomes = Vec::new();
-    for split in [
-        CapSplit::Uniform,
-        CapSplit::DemandProportional,
-        CapSplit::FastCap,
-    ] {
+    for cfg in runs {
+        let split = cfg.split;
         eprintln!("  running cluster [{split}] ...");
-        let r = run_cluster(
-            ClusterConfig::new(fleet(ctx.opts.quick), global_cap_w, split)
-                .with_epochs_per_round(2)
-                .with_threads(4),
-        );
+        let r = run_cluster(cfg);
         t.row(vec![
             split.to_string(),
             format!("{:.2}", r.total_energy_j()),
@@ -1050,17 +1021,7 @@ pub fn cluster_capping(ctx: &mut Ctx) {
 /// discipline meets every target on less energy; both are asserted before
 /// the table is written.
 pub fn service_sla(ctx: &mut Ctx) {
-    use service::{run_service, CapSplit, ServiceConfig, ServiceServerSpec};
-    let fleet = |load: f64| -> Vec<ServiceServerSpec> {
-        vec![
-            ServiceServerSpec::small_with_cores("heavy", "MEM2", 11, 230_000.0 * load, 8)
-                .with_p99_target_s(1e-3),
-            ServiceServerSpec::small("light0", "ILP1", 12, 30_000.0 * load).with_p99_target_s(1e-3),
-            ServiceServerSpec::small("light1", "ILP2", 13, 30_000.0 * load).with_p99_target_s(1e-3),
-            ServiceServerSpec::small("light2", "MID2", 14, 30_000.0 * load).with_p99_target_s(1e-3),
-        ]
-    };
-    let rounds = if ctx.opts.quick { 16 } else { 40 };
+    use service::{run_service, CapSplit};
     let mut t = Table::new(
         "Serving fleet under SLOs — 4 servers, 280 W budget, 1 ms p99 target",
         &[
@@ -1079,11 +1040,7 @@ pub fn service_sla(ctx: &mut Ctx) {
     for load in [0.75, 1.0] {
         for split in [CapSplit::Uniform, CapSplit::FastCap, CapSplit::SlaAware] {
             eprintln!("  running service [{split}, load {load}] ...");
-            let r = run_service(
-                ServiceConfig::new(fleet(load), 280.0, split)
-                    .with_rounds(rounds)
-                    .with_threads(4),
-            );
+            let r = run_service(scenarios::service_sla(split, load, ctx.opts.quick));
             let worst = r.outcomes.iter().map(|o| o.p99_s()).fold(0.0f64, f64::max);
             let met = r.outcomes.iter().filter(|o| o.meets_slo()).count();
             t.row(vec![
@@ -1124,40 +1081,18 @@ pub fn service_sla(ctx: &mut Ctx) {
 /// inside the pod) pins each group to half the budget and lets the rack
 /// internally shift watts onto the bursting server the moment its p99
 /// signal trips — containing the burst without taking a single watt from
-/// the quiet pod.
+/// the quiet pod. Asserted before the table is written: flat uniform
+/// misses a p99 target in the rack, while the tree meets all four on less
+/// energy.
 pub fn hierarchical_capping(ctx: &mut Ctx) {
-    use cluster::BudgetTree;
-    use service::{run_service, ArrivalKind, CapSplit, ServiceConfig, ServiceServerSpec};
-    use simkernel::Ps;
-
-    let global_cap_w = 280.0;
-    let fleet = || -> Vec<ServiceServerSpec> {
-        vec![
-            // The bursty rack: h0's MMPP stream bursts to ~1.6× its calm
-            // rate, brushing its full-speed serving capacity; m0 serves a
-            // steady light stream beside it.
-            ServiceServerSpec::small_with_cores("h0", "MEM2", 11, 200_000.0, 8)
-                .with_p99_target_s(1e-3)
-                .with_arrivals(ArrivalKind::Mmpp {
-                    rate_hz: 200_000.0,
-                    burst_factor: 1.2,
-                    mean_calm: Ps::from_ms(3),
-                    mean_burst: Ps::from_ms(2),
-                    diurnal_period: Ps::ZERO,
-                    diurnal_depth: 0.0,
-                }),
-            ServiceServerSpec::small("m0", "MID1", 12, 25_000.0).with_p99_target_s(1e-3),
-            // The quiet pod: steady light streams.
-            ServiceServerSpec::small("q0", "ILP1", 13, 30_000.0).with_p99_target_s(1e-3),
-            ServiceServerSpec::small("q1", "MID2", 14, 30_000.0).with_p99_target_s(1e-3),
-        ]
-    };
-    let tree =
-        || BudgetTree::parse("dc:uniform[rack:sla-aware[h0,m0],pod:fastcap[q0,q1]]").unwrap();
-
-    let rounds = if ctx.opts.quick { 20 } else { 40 };
+    use service::{run_service, CapSplit};
+    let quick = ctx.opts.quick;
+    let probe = scenarios::hierarchical_capping(CapSplit::Uniform, false, quick);
     let mut t = Table::new(
-        &format!("Hierarchical capping — bursty rack vs quiet pod, {global_cap_w} W budget"),
+        &format!(
+            "Hierarchical capping — bursty rack vs quiet pod, {} W budget",
+            probe.global_cap_w
+        ),
         &[
             "config",
             "energy (J)",
@@ -1168,23 +1103,15 @@ pub fn hierarchical_capping(ctx: &mut Ctx) {
             "rejects",
         ],
     );
-    let configs: Vec<(&str, ServiceConfig)> = vec![
-        (
-            "flat uniform",
-            ServiceConfig::new(fleet(), global_cap_w, CapSplit::Uniform),
-        ),
-        (
-            "flat fastcap",
-            ServiceConfig::new(fleet(), global_cap_w, CapSplit::FastCap),
-        ),
-        (
-            "tree uniform[sla-aware,fastcap]",
-            ServiceConfig::new(fleet(), global_cap_w, CapSplit::Uniform).with_topology(tree()),
-        ),
-    ];
-    for (label, cfg) in configs {
+    // (rack targets met, every target met, energy), in config order.
+    let mut verdicts = Vec::new();
+    for (label, split, tree) in [
+        ("flat uniform", CapSplit::Uniform, false),
+        ("flat fastcap", CapSplit::FastCap, false),
+        ("tree uniform[sla-aware,fastcap]", CapSplit::Uniform, true),
+    ] {
         eprintln!("  running hierarchical [{label}] ...");
-        let r = run_service(cfg.with_rounds(rounds).with_threads(4));
+        let r = run_service(scenarios::hierarchical_capping(split, tree, quick));
         let p99_of = |name: &str| {
             r.outcomes
                 .iter()
@@ -1193,23 +1120,35 @@ pub fn hierarchical_capping(ctx: &mut Ctx) {
                 .unwrap_or(0.0)
         };
         let met = |names: &[&str]| {
-            let ok = r
-                .outcomes
+            r.outcomes
                 .iter()
                 .filter(|o| names.contains(&o.name.as_str()) && o.meets_slo())
-                .count();
-            format!("{ok}/{}", names.len())
+                .count()
         };
+        let rack_met = met(&["h0", "m0"]);
         t.row(vec![
             label.to_string(),
             format!("{:.2}", r.total_energy_j()),
             format!("{:.3}", p99_of("h0") * 1e3),
-            met(&["h0", "m0"]),
+            format!("{rack_met}/2"),
             format!("{:.3}", p99_of("q0").max(p99_of("q1")) * 1e3),
-            met(&["q0", "q1"]),
+            format!("{}/2", met(&["q0", "q1"])),
             format!("{}", r.total_shed()),
         ]);
+        verdicts.push((rack_met, r.all_meet_slo(), r.total_energy_j()));
     }
+    let [(flat_rack_met, _, flat_j), _, (_, tree_met, tree_j)] = verdicts[..] else {
+        unreachable!("three configs ran")
+    };
+    assert!(
+        flat_rack_met < 2,
+        "flat uniform must miss a p99 target in the bursty rack"
+    );
+    assert!(tree_met, "the tree must meet every p99 target");
+    assert!(
+        tree_j < flat_j,
+        "the tree must use less energy than flat uniform: {tree_j:.2} J vs {flat_j:.2} J"
+    );
     ctx.emit(&t, "hierarchical_capping.tsv");
 }
 
@@ -1224,27 +1163,17 @@ pub fn hierarchical_capping(ctx: &mut Ctx) {
 /// balancer reads the same caps the coordinator just granted and steers
 /// by each server's utility under its cap, meeting the p99 target at the
 /// identical budget; least-queue gets there reactively once backlog
-/// appears.
+/// appears. Asserted before the table is written: round-robin misses a
+/// p99 target, while least-queue and power-headroom meet all four.
 pub fn closed_loop_balancing(ctx: &mut Ctx) {
     use cluster::BalancePolicy;
-    use service::{run_service, CapSplit, ClosedLoopConfig, ServiceConfig, ServiceServerSpec};
-    use simkernel::Ps;
-
-    let global_cap_w = 200.0;
-    let clients = 320;
-    let think = Ps::from_us(100);
-    let fleet = || -> Vec<ServiceServerSpec> {
-        vec![
-            ServiceServerSpec::small_with_cores("big", "MEM2", 11, 0.0, 8).with_p99_target_s(2e-3),
-            ServiceServerSpec::small("small0", "ILP1", 12, 0.0).with_p99_target_s(2e-3),
-            ServiceServerSpec::small("small1", "ILP2", 13, 0.0).with_p99_target_s(2e-3),
-            ServiceServerSpec::small("small2", "ILP1", 14, 0.0).with_p99_target_s(2e-3),
-        ]
-    };
-    let rounds = if ctx.opts.quick { 16 } else { 40 };
+    use service::run_service;
+    let probe = scenarios::closed_loop_balancing(BalancePolicy::RoundRobin, ctx.opts.quick);
     let mut t = Table::new(
         &format!(
-            "Closed-loop balancing — {clients} clients, {global_cap_w} W budget, 2 ms p99 target"
+            "Closed-loop balancing — {} clients, {} W budget, 2 ms p99 target",
+            probe.closed_loop.as_ref().expect("closed loop").clients,
+            probe.global_cap_w
         ),
         &[
             "balancer",
@@ -1257,21 +1186,14 @@ pub fn closed_loop_balancing(ctx: &mut Ctx) {
             "energy (J)",
         ],
     );
+    let mut all_met = Vec::new();
     for balance in [
         BalancePolicy::RoundRobin,
         BalancePolicy::LeastQueue,
         BalancePolicy::PowerHeadroom,
     ] {
         eprintln!("  running closed-loop [{balance}] ...");
-        let r = run_service(
-            ServiceConfig::new(fleet(), global_cap_w, CapSplit::Uniform)
-                .with_rounds(rounds)
-                .with_threads(4)
-                .with_closed_loop(
-                    ClosedLoopConfig::new(clients, think, balance)
-                        .with_mean_request_instrs(120_000.0),
-                ),
-        );
+        let r = run_service(scenarios::closed_loop_balancing(balance, ctx.opts.quick));
         let cl = r.closed_loop.as_ref().expect("closed-loop run");
         let big = r.outcomes.iter().find(|o| o.name == "big").expect("big");
         let met = r.outcomes.iter().filter(|o| o.meets_slo()).count();
@@ -1285,7 +1207,13 @@ pub fn closed_loop_balancing(ctx: &mut Ctx) {
             format!("{met}/{}", r.outcomes.len()),
             format!("{:.2}", r.total_energy_j()),
         ]);
+        all_met.push(r.all_meet_slo());
     }
+    assert!(!all_met[0], "round-robin must miss a p99 target");
+    assert!(
+        all_met[1] && all_met[2],
+        "least-queue and power-headroom must meet every p99 target"
+    );
     ctx.emit(&t, "closed_loop_balancing.tsv");
 }
 
@@ -1409,19 +1337,23 @@ pub fn fleet_scale(ctx: &mut Ctx) {
 /// itself, the window the pre-handoff protocol used to overshoot.
 /// Asserted per round before the table is written.
 pub fn control_plane(ctx: &mut Ctx) {
-    use cluster::{
-        run_cluster, CapSplit, ClusterConfig, ClusterResult, PartitionSpec, RpcConfig, ServerSpec,
-    };
+    use cluster::{run_cluster, ClusterResult, PartitionSpec, RpcConfig};
+    let floor_w = scenarios::FLOOR_CAP_W;
 
-    let budget = 120.0;
-    let fleet = |instr_scale: u64| -> Vec<ServerSpec> {
-        (0..4)
-            .map(|i| {
-                let mut s = ServerSpec::small(&format!("s{i}"), "MID1", 1 + i);
-                s.config.target_instrs *= instr_scale;
-                s
-            })
-            .collect()
+    // The largest per-round sum of in-force caps, asserted every round to
+    // stay within the budget plus `floors` watts of expired-lease floors.
+    let max_caps_sum = |r: &ClusterResult, budget: f64, floors: f64, label: &str| {
+        let mut max_sum = 0.0_f64;
+        for (round, caps) in r.cap_timeline.iter().enumerate() {
+            let total: f64 = caps.iter().sum();
+            max_sum = max_sum.max(total);
+            assert!(
+                total <= budget + floors + 1e-6,
+                "{label}, round {round}: in-force caps {total:.3} W bust the \
+                 budget + expired-lease floors"
+            );
+        }
+        max_sum
     };
 
     // -- (a) loss sweep ----------------------------------------------------
@@ -1430,7 +1362,6 @@ pub fn control_plane(ctx: &mut Ctx) {
     } else {
         &[0.0, 0.05, 0.1, 0.2, 0.4]
     };
-    let floor_w = 6.0;
     let mut t = Table::new(
         "Control plane — budget conservation and makespan degradation vs RPC loss \
          (4×MID1, 120 W FastCap, 1-round latency, 5% duplication, 8-round leases, 6 W floor)",
@@ -1449,26 +1380,10 @@ pub fn control_plane(ctx: &mut Ctx) {
     let mut base_makespan = 0.0_f64;
     for &loss in losses {
         eprintln!("  running control-plane loss sweep [loss {loss}] ...");
-        let rpc = RpcConfig {
-            latency_us: 1250.0,
-            loss,
-            duplicate: 0.05,
-            floor_cap_w: floor_w,
-            ..RpcConfig::default()
-        };
-        let cfg = ClusterConfig::new(fleet(20), budget, CapSplit::FastCap).with_rpc(rpc);
-        let n = cfg.servers.len();
+        let cfg = scenarios::control_plane(scenarios::lossy_plane(loss), 20);
+        let (budget, n) = (cfg.global_cap_w, cfg.servers.len());
         let r = run_cluster(cfg);
-        let mut max_sum = 0.0_f64;
-        for (round, caps) in r.cap_timeline.iter().enumerate() {
-            let total: f64 = caps.iter().sum();
-            max_sum = max_sum.max(total);
-            assert!(
-                total <= budget + n as f64 * floor_w + 1e-6,
-                "loss {loss}, round {round}: in-force caps {total:.3} W bust the \
-                 budget + expired-lease floors"
-            );
-        }
+        let max_sum = max_caps_sum(&r, budget, n as f64 * floor_w, &format!("loss {loss}"));
         let makespan_ms = r.makespan().as_secs_f64() * 1e3;
         let degradation = if loss == 0.0 {
             base_makespan = makespan_ms;
@@ -1499,26 +1414,26 @@ pub fn control_plane(ctx: &mut Ctx) {
         "  running control-plane failover [primary cut {fail_from}..{fail_to}, \
          rack cut {part_from}..{part_to}] ..."
     );
+    let primary_cut = PartitionSpec {
+        from_round: fail_from,
+        to_round: fail_to,
+        nodes: vec!["primary".into()],
+    };
+    let rack_cut = PartitionSpec {
+        from_round: part_from,
+        to_round: part_to,
+        nodes: vec!["s2".into(), "s3".into()],
+    };
     let rpc = RpcConfig {
         failover: true,
         floor_cap_w: floor_w,
-        partitions: vec![
-            PartitionSpec {
-                from_round: fail_from,
-                to_round: fail_to,
-                nodes: vec!["primary".into()],
-            },
-            PartitionSpec {
-                from_round: part_from,
-                to_round: part_to,
-                nodes: vec!["s2".into(), "s3".into()],
-            },
-        ],
+        partitions: vec![primary_cut.clone(), rack_cut],
         ..RpcConfig::default()
     };
-    let cfg = ClusterConfig::new(fleet(90), budget, CapSplit::FastCap).with_rpc(rpc.clone());
     let lease = rpc.lease_rounds;
-    let r: ClusterResult = run_cluster(cfg);
+    let cfg = scenarios::control_plane(rpc, 90);
+    let budget = cfg.global_cap_w;
+    let r = run_cluster(cfg);
     assert!(
         r.rounds as u64 > part_to + 2,
         "horizon ({} rounds) too short to heal the round-{part_to} partition",
@@ -1528,16 +1443,12 @@ pub fn control_plane(ctx: &mut Ctx) {
     assert_eq!(c.elections, 1, "the standby must take over exactly once");
     assert!(c.step_downs >= 1, "the healed primary must step down");
     assert_eq!(c.terms, vec![1, 1], "terms must converge after the heal");
+    max_caps_sum(&r, budget, rack.len() as f64 * floor_w, "failover");
     let last_granted: Vec<f64> = rack
         .iter()
         .map(|&s| r.cap_timeline[part_from as usize - 1][s])
         .collect();
     for (round, caps) in r.cap_timeline.iter().enumerate() {
-        let total: f64 = caps.iter().sum();
-        assert!(
-            total <= budget + rack.len() as f64 * floor_w + 1e-6,
-            "round {round}: fleet caps {total:.3} W bust budget + floors"
-        );
         let round = round as u64;
         if round >= part_from && round < part_to {
             for (k, &s) in rack.iter().enumerate() {
@@ -1621,38 +1532,24 @@ pub fn control_plane(ctx: &mut Ctx) {
         "  running control-plane lossy failover [primary cut {fail_from}..{fail_to}, \
          20% loss, 1-round latency + jitter] ..."
     );
-    let rpc = RpcConfig {
-        latency_us: 1250.0,
-        jitter_us: 1250.0,
-        loss: 0.2,
-        duplicate: 0.05,
-        failover: true,
-        floor_cap_w: floor_w,
-        partitions: vec![PartitionSpec {
-            from_round: fail_from,
-            to_round: fail_to,
-            nodes: vec!["primary".into()],
-        }],
-        ..RpcConfig::default()
-    };
-    let cfg = ClusterConfig::new(fleet(90), budget, CapSplit::FastCap).with_rpc(rpc);
-    let n = cfg.servers.len();
-    let r: ClusterResult = run_cluster(cfg);
+    let cfg = scenarios::control_plane(
+        RpcConfig {
+            jitter_us: 1250.0,
+            failover: true,
+            partitions: vec![primary_cut],
+            ..scenarios::lossy_plane(0.2)
+        },
+        90,
+    );
+    let (budget, n) = (cfg.global_cap_w, cfg.servers.len());
+    let r = run_cluster(cfg);
     let c = &r.control;
     assert!(
         c.elections >= 1,
         "the lossy outage must still elect the standby: {c:?}"
     );
-    let mut max_sum = 0.0_f64;
-    for (round, caps) in r.cap_timeline.iter().enumerate() {
-        let total: f64 = caps.iter().sum();
-        max_sum = max_sum.max(total);
-        assert!(
-            total <= budget + n as f64 * floor_w + 1e-6,
-            "lossy failover, round {round}: in-force caps {total:.3} W bust \
-             budget + floors — the takeover window must conserve"
-        );
-    }
+    // The takeover window must conserve too.
+    let max_sum = max_caps_sum(&r, budget, n as f64 * floor_w, "lossy failover");
 
     let mut t = Table::new(
         "Control plane — failover through a lossy plane \
@@ -1702,48 +1599,13 @@ pub fn control_plane(ctx: &mut Ctx) {
 /// spends measurably more energy — and the critical-path run is
 /// bit-identical across 1/2/4/8 worker threads.
 pub fn multi_tier(ctx: &mut Ctx) {
-    use cluster::BalancePolicy;
-    use service::{
-        run_service, CapSplit, ClosedLoopConfig, ServiceConfig, ServiceServerSpec, TierConfig,
-        TierGraph,
-    };
-    use simkernel::Ps;
-
-    let budget_w = 220.0;
-    let rounds = 24;
-    let config = |tier_split: CapSplit, threads: usize| -> ServiceConfig {
-        let graph: TierGraph = "fe[2] -> st[2]*2@4".parse().unwrap();
-        let fleet: Vec<ServiceServerSpec> = graph
-            .server_names()
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let mix = if name.starts_with("fe") {
-                    "ILP1"
-                } else {
-                    "MID2"
-                };
-                ServiceServerSpec::small_with_cores(name, mix, 40 + i as u64, 0.0, 4)
-            })
-            .collect();
-        ServiceConfig::new(fleet, budget_w, CapSplit::FastCap)
-            .with_rounds(rounds)
-            .with_threads(threads)
-            .with_closed_loop(
-                ClosedLoopConfig::new(96, Ps::from_us(100), BalancePolicy::LeastQueue)
-                    .with_mean_request_instrs(60_000.0),
-            )
-            .with_tiers(
-                TierConfig::new(graph)
-                    .with_e2e_target_s(4e-3)
-                    .with_tier_split(tier_split),
-            )
-    };
-
+    use service::{run_service, CapSplit};
+    let probe = scenarios::multi_tier(CapSplit::CriticalPath, 1);
     let mut t = Table::new(
         &format!(
-            "Multi-tier power shifting — fe[2] -> st[2]*2@4, {budget_w} W budget, \
-             4 ms end-to-end p99 target"
+            "Multi-tier power shifting — {}, {} W budget, 4 ms end-to-end p99 target",
+            probe.tiers.as_ref().expect("a tier scenario").graph,
+            probe.global_cap_w
         ),
         &[
             "tier split",
@@ -1764,7 +1626,7 @@ pub fn multi_tier(ctx: &mut Ctx) {
         CapSplit::CriticalPath,
     ] {
         eprintln!("  running multi-tier [{tier_split}] ...");
-        let r = run_service(config(tier_split, 4));
+        let r = run_service(scenarios::multi_tier(tier_split, 4));
         let tiers = r.tiers.as_ref().expect("tier summary");
         let st_frac = |caps: &[f64]| (caps[2] + caps[3]) / caps.iter().sum::<f64>();
         t.row(vec![
@@ -1793,9 +1655,9 @@ pub fn multi_tier(ctx: &mut Ctx) {
 
     // Determinism: the critical-path run is bit-identical for any worker
     // thread count.
-    let reference = run_service(config(CapSplit::CriticalPath, 1)).digest();
+    let reference = run_service(scenarios::multi_tier(CapSplit::CriticalPath, 1)).digest();
     for threads in [2, 4, 8] {
-        let d = run_service(config(CapSplit::CriticalPath, threads)).digest();
+        let d = run_service(scenarios::multi_tier(CapSplit::CriticalPath, threads)).digest();
         assert_eq!(
             reference, d,
             "multi-tier digest drifted at {threads} threads"

@@ -11,6 +11,7 @@
 
 pub mod experiments;
 pub mod report;
+pub mod scenarios;
 mod table;
 
 pub use table::Table;

@@ -2,7 +2,7 @@
 //! configuration.
 
 use crate::arrivals::ArrivalKind;
-use cluster::{BalancePolicy, BudgetTree, CapSplit, ChurnAction, ChurnSchedule};
+use cluster::{BalancePolicy, BudgetNode, BudgetTree, CapSplit, ChurnAction, ChurnSchedule};
 use coscale::SimConfig;
 use simkernel::Ps;
 use topology::TierGraph;
@@ -279,6 +279,27 @@ impl TierConfig {
         self.tier_split = split;
         self
     }
+
+    /// The auto-built budget tree: a root labelled `tiers` applying
+    /// `tier_split` over per-tier groups (labelled by tier name, so churn
+    /// joiners attach to their tier), each splitting internally by `split`.
+    pub(crate) fn budget_tree(&self, split: CapSplit) -> BudgetTree {
+        let children = self
+            .graph
+            .tiers()
+            .iter()
+            .map(|t| {
+                BudgetNode::group(
+                    &t.name,
+                    split,
+                    (0..t.servers)
+                        .map(|i| BudgetNode::server(&format!("{}{i}", t.name)))
+                        .collect(),
+                )
+            })
+            .collect();
+        BudgetTree::new(BudgetNode::group("tiers", self.tier_split, children))
+    }
 }
 
 /// Configuration of one serving-fleet simulation.
@@ -471,6 +492,9 @@ impl ServiceConfig {
                      server names {expect:?} in order"
                 ));
             }
+            tc.budget_tree(self.split)
+                .validate(&got)
+                .map_err(|e| format!("tier topology: {e}"))?;
         }
         if let Some(cl) = &self.closed_loop {
             if cl.clients == 0 {
@@ -787,6 +811,30 @@ mod tests {
         assert!(
             with_tree.validate().is_err(),
             "tiers exclude explicit trees"
+        );
+    }
+
+    #[test]
+    fn tier_validation_rejects_a_tier_named_like_the_tier_root() {
+        use cluster::BalancePolicy;
+        let graph: TierGraph = "tiers[2] -> st[2]".parse().unwrap();
+        let fleet = graph
+            .server_names()
+            .iter()
+            .enumerate()
+            .map(|(i, n)| ServiceServerSpec::small(n, "MID1", i as u64, 1000.0))
+            .collect();
+        let cfg = ServiceConfig::new(fleet, 180.0, CapSplit::FastCap)
+            .with_closed_loop(ClosedLoopConfig::new(
+                16,
+                Ps::from_us(200),
+                BalancePolicy::LeastQueue,
+            ))
+            .with_tiers(TierConfig::new(graph));
+        let err = cfg.validate().unwrap_err();
+        assert!(
+            err.contains("tier topology") && err.contains("duplicate group label 'tiers'"),
+            "{err}"
         );
     }
 

@@ -15,8 +15,8 @@ use crate::fluid::ClientEngine;
 use crate::queue::{ClientEvent, Request, Resolution};
 use crate::server::ServiceServer;
 use cluster::{
-    BalancePolicy, BudgetNode, BudgetTree, CapSplit, ChurnAction, HierSplitter, LoadBalancer,
-    ServerDemand, ServerLoad, SlaSignal, TreeSignals, WorkerPool,
+    BalancePolicy, BudgetTree, CapSplit, ChurnAction, HierSplitter, LoadBalancer, ServerDemand,
+    ServerLoad, SlaSignal, TreeSignals, WorkerPool,
 };
 use simkernel::{stats::Histogram, Ps};
 use topology::{DagTracker, TierGraph, TraceCollector, TraceStats};
@@ -411,28 +411,6 @@ struct TierRuntime {
     base_instrs: f64,
 }
 
-/// The auto-built budget tree for a tier topology: a root applying the
-/// configured cross-tier discipline (critical-path by default) over
-/// per-tier groups (labelled by tier name, so churn joiners attach to
-/// their tier), each tier splitting internally by the configured flat
-/// discipline.
-fn tier_tree(graph: &TierGraph, tier_split: CapSplit, split: CapSplit) -> BudgetTree {
-    let children = graph
-        .tiers()
-        .iter()
-        .map(|t| {
-            BudgetNode::group(
-                &t.name,
-                split,
-                (0..t.servers)
-                    .map(|i| BudgetNode::server(&format!("{}{i}", t.name)))
-                    .collect(),
-            )
-        })
-        .collect();
-    BudgetTree::new(BudgetNode::group("tiers", tier_split, children))
-}
-
 /// Fleet indices of the servers currently serving `tier`, in fleet order
 /// (shard picks index into this list).
 fn tier_members(graph: &TierGraph, servers: &[ServiceServer], tier: usize) -> Vec<usize> {
@@ -474,18 +452,9 @@ impl FleetRun {
             }
         });
         let names: Vec<&str> = servers.iter().map(|s| s.server.name.as_str()).collect();
-        let topology = match &tiers {
-            Some(t) => {
-                let tree = tier_tree(
-                    &t.graph,
-                    config.tiers.as_ref().map(|tc| tc.tier_split).unwrap(),
-                    config.split,
-                );
-                if let Err(e) = tree.validate(&names) {
-                    panic!("tier topology: {e}");
-                }
-                Some(tree)
-            }
+        // `ServiceConfig::validate` checked the tier tree.
+        let topology = match &config.tiers {
+            Some(tc) => Some(tc.budget_tree(config.split)),
             None => config.topology.clone(),
         };
         let topology_spec = topology.as_ref().map(|t| t.to_string());

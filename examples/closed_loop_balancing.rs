@@ -7,52 +7,39 @@
 //! a quarter of the traffic anyway — its queue grows and the fleet p99
 //! blows up. The power-headroom balancer reads the same caps the
 //! coordinator just granted and steers traffic toward servers with watts
-//! of slack, meeting the p99 target at the same budget.
+//! of slack, meeting the p99 target at the same budget. The fleet is
+//! `bench::scenarios::closed_loop_balancing` at full scale.
 //!
 //! Run with: `cargo run --release --example closed_loop_balancing`
 
+use bench::scenarios;
 use coscale_repro::prelude::*;
 
-fn fleet() -> Vec<ServiceServerSpec> {
-    vec![
-        ServiceServerSpec::small_with_cores("big", "MEM2", 11, 0.0, 8).with_p99_target_s(2e-3),
-        ServiceServerSpec::small("small0", "ILP1", 12, 0.0).with_p99_target_s(2e-3),
-        ServiceServerSpec::small("small1", "ILP2", 13, 0.0).with_p99_target_s(2e-3),
-        ServiceServerSpec::small("small2", "ILP1", 14, 0.0).with_p99_target_s(2e-3),
-    ]
-}
-
 fn main() {
-    let global_cap_w = 200.0;
-    let clients = 320;
-    let think = Ps::from_us(100);
+    let runs = [
+        BalancePolicy::RoundRobin,
+        BalancePolicy::LeastQueue,
+        BalancePolicy::PowerHeadroom,
+    ]
+    .map(|balance| scenarios::closed_loop_balancing(balance, false));
+    let cl = runs[0].closed_loop.as_ref().expect("closed loop");
     println!(
         "closed_loop_balancing: {} clients, {} µs mean think, {} W budget, uniform split\n",
-        clients,
-        think.as_us(),
-        global_cap_w
+        cl.clients,
+        cl.mean_think.as_us(),
+        runs[0].global_cap_w
     );
     println!(
         "{:<16} {:>10} {:>10} {:>12} {:>12} {:>10}",
         "balancer", "generated", "completed", "fleet p99", "big p99", "energy"
     );
-    for balance in [
-        BalancePolicy::RoundRobin,
-        BalancePolicy::LeastQueue,
-        BalancePolicy::PowerHeadroom,
-    ] {
-        let cfg = ServiceConfig::new(fleet(), global_cap_w, CapSplit::Uniform)
-            .with_rounds(40)
-            .with_threads(4)
-            .with_closed_loop(
-                ClosedLoopConfig::new(clients, think, balance).with_mean_request_instrs(120_000.0),
-            );
+    for cfg in runs {
         let r = run_service(cfg);
         let cl = r.closed_loop.as_ref().unwrap();
         let big = r.outcomes.iter().find(|o| o.name == "big").unwrap();
         println!(
             "{:<16} {:>10} {:>10} {:>9.3} ms {:>9.3} ms {:>8.2} J",
-            balance.to_string(),
+            cl.balance.to_string(),
             cl.generated,
             r.total_completed(),
             r.fleet_percentile_s(0.99) * 1e3,

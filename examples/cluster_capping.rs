@@ -1,5 +1,7 @@
-//! Cluster power capping: eight heterogeneous servers under one global
-//! power budget, coordinated by the cluster-level cap redistributor.
+//! Cluster power capping: eight heterogeneous servers under one 500 W
+//! global power budget, coordinated by the cluster-level cap
+//! redistributor. The fleet is `bench::scenarios::cluster_capping`, the
+//! one `experiments cluster-capping` runs at full scale.
 //!
 //! Compares the three splitting disciplines (uniform, demand-proportional,
 //! FastCap-style marginal-utility) at the same budget, printing per-server
@@ -7,47 +9,25 @@
 //!
 //! Run with: `cargo run --release --example cluster_capping`
 
+use bench::scenarios;
 use coscale_repro::prelude::*;
 
-fn fleet() -> Vec<ServerSpec> {
-    // Big memory-bound servers next to small compute-bound ones — demand
-    // spans roughly 57..97 W, so a uniform share over-provisions the small
-    // servers (which saturate below it) while starving the big ones. The
-    // faster servers get proportionally longer workloads so the whole
-    // fleet stays busy together, as in steady-state server load.
-    let mut f = vec![
-        ServerSpec::small_with_cores("mem-8c-a", "MEM2", 1, 8),
-        ServerSpec::small_with_cores("mem-8c-b", "MEM2", 2, 8),
-        ServerSpec::small_with_cores("mem-8c-c", "MEM2", 3, 8),
-        ServerSpec::small_with_cores("mid-4c", "MID1", 4, 4),
-        ServerSpec::small_with_cores("ilp-2c-a", "ILP2", 5, 2),
-        ServerSpec::small_with_cores("ilp-2c-b", "ILP2", 6, 2),
-        ServerSpec::small_with_cores("ilp-2c-c", "ILP2", 7, 2),
-        ServerSpec::small_with_cores("ilp-2c-d", "ILP2", 8, 2),
-    ];
-    f[3].config.target_instrs *= 2;
-    for s in &mut f[4..] {
-        s.config.target_instrs *= 3;
-    }
-    f
-}
-
 fn main() {
-    let global_cap_w = 440.0; // ~75% of the fleet's uncapped demand
-    println!(
-        "cluster_capping: {} servers, global budget {global_cap_w} W\n",
-        fleet().len()
-    );
-
-    let mut results: Vec<ClusterResult> = Vec::new();
-    for split in [
+    let runs = [
         CapSplit::Uniform,
         CapSplit::DemandProportional,
         CapSplit::FastCap,
-    ] {
-        let cfg = ClusterConfig::new(fleet(), global_cap_w, split)
-            .with_epochs_per_round(2)
-            .with_threads(4);
+    ]
+    .map(|split| scenarios::cluster_capping(split, false));
+    let global_cap_w = runs[0].global_cap_w;
+    println!(
+        "cluster_capping: {} servers, global budget {global_cap_w} W\n",
+        runs[0].servers.len()
+    );
+
+    let mut results: Vec<ClusterResult> = Vec::new();
+    for cfg in runs {
+        let split = cfg.split;
         let r = run_cluster(cfg);
 
         println!("== {split} ==");

@@ -1,5 +1,6 @@
 //! The message-passing control plane under fire: the same four-server
-//! fleet run three ways —
+//! fleet (`bench::scenarios::control_plane`: 4×MID1 under a 120 W FastCap
+//! budget) run three ways —
 //!
 //! 1. **loopback** — the default perfect plane (bit-identical to a
 //!    direct-call coordinator);
@@ -12,24 +13,13 @@
 //!
 //! Run with: `cargo run --release --example control_plane`
 
+use bench::scenarios;
 use coscale_repro::prelude::*;
-
-fn fleet() -> Vec<ServerSpec> {
-    (0..4)
-        .map(|i| {
-            let mut s = ServerSpec::small(&format!("s{i}"), "MID1", 1 + i);
-            s.config.target_instrs *= 20;
-            s
-        })
-        .collect()
-}
-
-const BUDGET_W: f64 = 120.0;
 
 fn run(label: &str, rpc: RpcConfig) -> ClusterResult {
     let floor_w = rpc.floor_cap_w;
-    let cfg = ClusterConfig::new(fleet(), BUDGET_W, CapSplit::FastCap).with_rpc(rpc);
-    let n = cfg.servers.len();
+    let cfg = scenarios::control_plane(rpc, 20);
+    let (budget_w, n) = (cfg.global_cap_w, cfg.servers.len());
     let r = run_cluster(cfg);
 
     // The ledger's guarantee: in-force caps never sum past the budget
@@ -38,7 +28,7 @@ fn run(label: &str, rpc: RpcConfig) -> ClusterResult {
     for caps in &r.cap_timeline {
         worst = worst.max(caps.iter().sum());
     }
-    assert!(worst <= BUDGET_W + n as f64 * floor_w + 1e-6);
+    assert!(worst <= budget_w + n as f64 * floor_w + 1e-6);
 
     let c = &r.control;
     println!("== {label} ==");
@@ -82,13 +72,7 @@ fn main() {
 
     let lossy = run(
         "lossy (1-round latency, 20% loss, 5% dup, 6 W floor)",
-        RpcConfig {
-            latency_us: 1250.0,
-            loss: 0.2,
-            duplicate: 0.05,
-            floor_cap_w: 6.0,
-            ..RpcConfig::default()
-        },
+        scenarios::lossy_plane(0.2),
     );
 
     let failover = run(

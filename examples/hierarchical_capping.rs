@@ -11,32 +11,14 @@
 //! to half the budget and lets the rack's SLA-aware node shift watts onto
 //! the bursting server the moment its tail-latency signal trips —
 //! containing the burst inside the rack without taking a single watt from
-//! the quiet pod, and on less energy than the flat split.
+//! the quiet pod, and on less energy than the flat split. The fleet and
+//! both budget layouts are `bench::scenarios::hierarchical_capping` at
+//! full scale.
 //!
 //! Run with: `cargo run --release --example hierarchical_capping`
 
+use bench::scenarios;
 use coscale_repro::prelude::*;
-
-fn fleet() -> Vec<ServiceServerSpec> {
-    vec![
-        // The bursty rack: h0's MMPP stream bursts to 240k req/s against a
-        // ~230k req/s full-power serving capacity; m0 is its calm rack-mate.
-        ServiceServerSpec::small_with_cores("h0", "MEM2", 11, 200_000.0, 8)
-            .with_p99_target_s(1e-3)
-            .with_arrivals(ArrivalKind::Mmpp {
-                rate_hz: 200_000.0,
-                burst_factor: 1.2,
-                mean_calm: Ps::from_ms(3),
-                mean_burst: Ps::from_ms(2),
-                diurnal_period: Ps::ZERO,
-                diurnal_depth: 0.0,
-            }),
-        ServiceServerSpec::small("m0", "MID1", 12, 25_000.0).with_p99_target_s(1e-3),
-        // The quiet pod: steady light streams.
-        ServiceServerSpec::small("q0", "ILP1", 13, 30_000.0).with_p99_target_s(1e-3),
-        ServiceServerSpec::small("q1", "MID2", 14, 30_000.0).with_p99_target_s(1e-3),
-    ]
-}
 
 fn report(label: &str, r: &ServiceResult) {
     println!("== {label} ==");
@@ -68,26 +50,17 @@ fn report(label: &str, r: &ServiceResult) {
 }
 
 fn main() {
-    let global_cap_w = 280.0;
+    let flat = scenarios::hierarchical_capping(CapSplit::Uniform, false, false);
+    let tree = scenarios::hierarchical_capping(CapSplit::Uniform, true, false);
+    let global_cap_w = flat.global_cap_w;
     println!(
         "hierarchical_capping: {} servers, budget {global_cap_w} W, p99 target 1 ms\n",
-        fleet().len()
+        flat.servers.len()
     );
 
-    let flat = run_service(
-        ServiceConfig::new(fleet(), global_cap_w, CapSplit::Uniform)
-            .with_rounds(40)
-            .with_threads(4),
-    );
+    let flat = run_service(flat);
     report("flat uniform", &flat);
-
-    let tree = BudgetTree::parse("dc:uniform[rack:sla-aware[h0,m0],pod:fastcap[q0,q1]]").unwrap();
-    let hier = run_service(
-        ServiceConfig::new(fleet(), global_cap_w, CapSplit::Uniform)
-            .with_topology(tree)
-            .with_rounds(40)
-            .with_threads(4),
-    );
+    let hier = run_service(tree);
     report("tree uniform[sla-aware, fastcap]", &hier);
 
     println!(

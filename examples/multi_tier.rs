@@ -19,45 +19,21 @@
 //!
 //! At 220 W only the critical-path split meets the 4 ms end-to-end p99:
 //! the static splits leave the storage tier throttled and the tail
-//! doubles, at the same energy.
+//! doubles, at the same energy. The service is
+//! `bench::scenarios::multi_tier`.
 //!
 //! Run with: `cargo run --release --example multi_tier`
 
+use bench::scenarios;
 use coscale_repro::prelude::*;
 
-fn config(tier_split: CapSplit, budget_w: f64, rounds: usize) -> ServiceConfig {
-    let graph: TierGraph = "fe[2] -> st[2]*2@4".parse().unwrap();
-    let fleet: Vec<ServiceServerSpec> = graph
-        .server_names()
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            let mix = if name.starts_with("fe") {
-                "ILP1"
-            } else {
-                "MID2"
-            };
-            ServiceServerSpec::small_with_cores(name, mix, 40 + i as u64, 0.0, 4)
-        })
-        .collect();
-    ServiceConfig::new(fleet, budget_w, CapSplit::FastCap)
-        .with_rounds(rounds)
-        .with_threads(4)
-        .with_closed_loop(
-            ClosedLoopConfig::new(96, Ps::from_us(100), BalancePolicy::LeastQueue)
-                .with_mean_request_instrs(60_000.0),
-        )
-        .with_tiers(
-            TierConfig::new(graph)
-                .with_e2e_target_s(4e-3)
-                .with_tier_split(tier_split),
-        )
-}
-
 fn main() {
-    let budget_w = 220.0;
-    let rounds = 24;
-    println!("multi_tier: fe[2] -> st[2]*2@4, {budget_w} W budget, 4 ms e2e p99 target\n");
+    let probe = scenarios::multi_tier(CapSplit::CriticalPath, 4);
+    println!(
+        "multi_tier: {}, {} W budget, 4 ms e2e p99 target\n",
+        probe.tiers.as_ref().expect("a tier scenario").graph,
+        probe.global_cap_w
+    );
     println!(
         "{:<20} {:>8} {:>12} {:>12} {:>8} {:>10}  tier crit shares",
         "tier split", "DAGs", "e2e p50", "e2e p99", "SLO", "energy"
@@ -67,7 +43,7 @@ fn main() {
         CapSplit::DemandProportional,
         CapSplit::CriticalPath,
     ] {
-        let r = run_service(config(tier_split, budget_w, rounds));
+        let r = run_service(scenarios::multi_tier(tier_split, 4));
         let t = r.tiers.as_ref().unwrap();
         let shares: Vec<String> = t
             .crit_shares()

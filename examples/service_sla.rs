@@ -1,6 +1,7 @@
 //! A serving fleet under tail-latency SLOs: one big memory-bound server
 //! pushed near its full-speed serving capacity next to three lightly loaded
-//! servers, all under one 280 W budget.
+//! servers, all under one 280 W budget. The fleet is
+//! `bench::scenarios::service_sla` at load 1.0 and full scale.
 //!
 //! Compares uniform, FastCap-style, and SLA-aware cap splitting. The
 //! uniform 70 W share starves the big server below its arrival rate — its
@@ -10,30 +11,21 @@
 //!
 //! Run with: `cargo run --release --example service_sla`
 
+use bench::scenarios;
 use coscale_repro::prelude::*;
 
-fn fleet() -> Vec<ServiceServerSpec> {
-    vec![
-        ServiceServerSpec::small_with_cores("heavy", "MEM2", 11, 230_000.0, 8)
-            .with_p99_target_s(1e-3),
-        ServiceServerSpec::small("light0", "ILP1", 12, 30_000.0).with_p99_target_s(1e-3),
-        ServiceServerSpec::small("light1", "ILP2", 13, 30_000.0).with_p99_target_s(1e-3),
-        ServiceServerSpec::small("light2", "MID2", 14, 30_000.0).with_p99_target_s(1e-3),
-    ]
-}
-
 fn main() {
-    let global_cap_w = 280.0;
+    let runs = [CapSplit::Uniform, CapSplit::FastCap, CapSplit::SlaAware]
+        .map(|split| scenarios::service_sla(split, 1.0, false));
+    let global_cap_w = runs[0].global_cap_w;
     println!(
         "service_sla: {} servers, budget {global_cap_w} W, p99 target 1 ms\n",
-        fleet().len()
+        runs[0].servers.len()
     );
 
     let mut results: Vec<ServiceResult> = Vec::new();
-    for split in [CapSplit::Uniform, CapSplit::FastCap, CapSplit::SlaAware] {
-        let cfg = ServiceConfig::new(fleet(), global_cap_w, split)
-            .with_rounds(40)
-            .with_threads(4);
+    for cfg in runs {
+        let split = cfg.split;
         let r = run_service(cfg);
 
         println!("== {split} ==");

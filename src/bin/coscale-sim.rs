@@ -738,6 +738,10 @@ fn cluster_serve_main(args: &ClusterArgs) {
         .with_rounds(args.rounds)
         .with_threads(args.threads)
         .with_churn(churn);
+    cfg.quantum_w = args.quantum;
+    if args.epochs_per_round > 0 {
+        cfg.epochs_per_round = args.epochs_per_round;
+    }
     if args.clients > 0 {
         let mut closed = ClosedLoopConfig::new(
             args.clients,

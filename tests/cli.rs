@@ -67,6 +67,25 @@ fn serving_rejects_an_infinite_cap() {
 }
 
 #[test]
+fn serving_rejects_a_zero_quantum() {
+    assert_rejected(&["--serve", "--quantum", "0"], "quantum 0");
+}
+
+#[test]
+fn serving_rejects_epochs_past_max_epochs() {
+    // 40 rounds of 100,000 epochs each exceed the 1,000,000-epoch guard.
+    assert_rejected(&["--serve", "--epochs-per-round", "100000"], "max_epochs");
+}
+
+#[test]
+fn serving_rejects_a_tier_named_like_the_tier_root() {
+    assert_rejected(
+        &["--serve", "--clients", "16", "--tiers", "tiers[2] -> st[2]"],
+        "duplicate group label 'tiers'",
+    );
+}
+
+#[test]
 fn serving_rejects_a_join_past_the_horizon() {
     assert_rejected(
         &["--serve", "--rounds", "4", "--join", "9:late=ILP1"],
