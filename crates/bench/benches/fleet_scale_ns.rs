@@ -4,9 +4,8 @@
 //!
 //! The configuration is the scaling shape the loop is built for: a
 //! uniform root over FastCap racks of 64 (so split cost stays linear in
-//! fleet size instead of quadratic), a 5 W telemetry dead-band feeding the
-//! hierarchical replay cache, a four-epoch coordination cadence, and the
-//! cap timeline recording turned off. Every
+//! fleet size instead of quadratic), a four-epoch coordination cadence,
+//! and the cap timeline recording turned off. Every
 //! size runs the *same* shortened per-server workload and the metric
 //! normalizes by the server-epochs actually executed, so the idle/busy
 //! epoch mix — and therefore the figure itself — is directly comparable
@@ -67,7 +66,7 @@ const THRESHOLD: f64 = 1.5;
 const SIZES: [(usize, u64); 3] = [(1024, 4), (8192, 4), (32768, 4)];
 
 /// The benchmark fleet: `n` servers, 90% idle, uniform root over FastCap
-/// racks of 64, 5 W dead-band.
+/// racks of 64.
 fn fleet_config(n: usize, target_divisor: u64) -> ClusterConfig {
     let mut fleet = synthetic_fleet(n, 0.9);
     for s in &mut fleet {
@@ -88,7 +87,6 @@ fn fleet_config(n: usize, target_divisor: u64) -> ClusterConfig {
     let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut c = ClusterConfig::new(fleet, 100.0 * n as f64, CapSplit::FastCap)
         .with_epochs_per_round(4)
-        .with_dead_band(5.0)
         .with_threads(threads)
         .with_record_timeline(false)
         .with_topology(tree);

@@ -3,7 +3,7 @@
 //! split, compared against the FastCap and SLA-aware quantum greedies at
 //! the same fan-out (FastCap both congested and with a budget above total
 //! demand), and against FastCap run through the split executor every fleet
-//! uses (a one-group `HierSplitter`), recomputed and replayed.
+//! uses (a one-group `HierSplitter`).
 //!
 //! Both run once per coordination round, so they must stay far below the
 //! round length even at cluster scale (~1024 children).
@@ -118,20 +118,13 @@ fn bench_splits(c: &mut Criterion) {
             ))
         })
     });
-    // The same split through the executor: invalidated every iteration it
-    // recomputes, so the gap to `fastcap_20mw` is the executor's overhead;
-    // left warm, every iteration is a root replay.
+    // The same split through the executor: the gap to `fastcap_20mw` is
+    // the executor's overhead.
     let names: Vec<String> = (0..n).map(|i| format!("s{i}")).collect();
     let names: Vec<&str> = names.iter().map(String::as_str).collect();
     let tree = BudgetTree::flat(CapSplit::FastCap, &names);
-    let mut splitter = HierSplitter::compile(&tree, &names, 0.0);
+    let mut splitter = HierSplitter::new(&tree, &names);
     group.bench_function("compiled_fastcap_20mw", |b| {
-        b.iter(|| {
-            splitter.invalidate();
-            black_box(splitter.split(black_box(budget_w), &ds, None, 0.02))
-        })
-    });
-    group.bench_function("compiled_replay", |b| {
         b.iter(|| black_box(splitter.split(black_box(budget_w), &ds, None, 0.02)))
     });
     // A third of the children violating, a third meeting, a third unknown.

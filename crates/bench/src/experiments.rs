@@ -1022,8 +1022,14 @@ pub fn cluster_capping(ctx: &mut Ctx) {
 /// the table is written.
 pub fn service_sla(ctx: &mut Ctx) {
     use service::{run_service, CapSplit};
+    let probe = scenarios::service_sla(CapSplit::Uniform, 1.0, ctx.opts.quick);
     let mut t = Table::new(
-        "Serving fleet under SLOs — 4 servers, 280 W budget, 1 ms p99 target",
+        &format!(
+            "Serving fleet under SLOs — {} servers, {} W budget, {} ms p99 target",
+            probe.servers.len(),
+            probe.global_cap_w,
+            probe.servers[0].p99_target_s * 1e3
+        ),
         &[
             "split",
             "load",
@@ -1219,18 +1225,9 @@ pub fn closed_loop_balancing(ctx: &mut Ctx) {
 
 /// The fleet loop at datacenter scale: a mostly-idle synthetic fleet (90%
 /// of the servers finish their short workloads early and drop out of the
-/// active list) run to completion. Two rows per fleet size:
-///
-/// * `exact` — the default zero dead-band: every barrier re-splits the
-///   budget unless the telemetry is bit-identical to the last split's.
-/// * `+5 W` — the coordinator replays the previous split while no
-///   server's demand moved more than 5 W. Replayed caps can lag a little,
-///   but the budget here leaves every server ample headroom, so caps
-///   never bind and the *physics* — per-server makespans, energies,
-///   violation counts — are required to stay identical; only the
-///   bookkept mean cap may drift.
-///
-/// The speedup column is the dead-band's gain over the exact run.
+/// active list) run to completion, one row per fleet size. Every barrier
+/// re-splits the budget, and the in-force caps are asserted every round
+/// to stay within it.
 pub fn fleet_scale(ctx: &mut Ctx) {
     use cluster::{run_cluster, synthetic_fleet, CapSplit, ClusterConfig};
     use std::time::Instant;
@@ -1242,62 +1239,34 @@ pub fn fleet_scale(ctx: &mut Ctx) {
     };
     let idle_fraction = 0.9;
     let mut t = Table::new(
-        "Fleet scale — exact vs dead-banded splits, 90% idle fleet, FastCap split (20 mW quanta)",
-        &[
-            "servers",
-            "dead-band",
-            "wall (s)",
-            "speedup",
-            "energy (J)",
-            "rounds",
-            "equivalence",
-        ],
+        "Fleet scale — 90% idle fleet, FastCap split (20 mW quanta)",
+        &["servers", "wall (s)", "energy (J)", "rounds"],
     );
     for &n in sizes {
-        let run = |dead_band_w: f64| {
-            let mut c = ClusterConfig::new(
-                synthetic_fleet(n, idle_fraction),
-                100.0 * n as f64,
-                CapSplit::FastCap,
-            )
-            .with_epochs_per_round(1)
-            .with_threads(8)
-            .with_dead_band(dead_band_w);
-            c.quantum_w = 0.02;
-            eprintln!("  running fleet-scale [{n} servers, dead-band {dead_band_w} W] ...");
-            let start = Instant::now();
-            let r = run_cluster(c);
-            (r, start.elapsed().as_secs_f64())
-        };
-        let (exact, exact_wall) = run(0.0);
-        let (banded, banded_wall) = run(5.0);
-        for (a, b) in exact.outcomes.iter().zip(&banded.outcomes) {
-            assert_eq!(
-                (a.name.as_str(), a.result.makespan, a.violation_rounds),
-                (b.name.as_str(), b.result.makespan, b.violation_rounds),
-                "dead-band run changed the physics at {n} servers"
-            );
-            assert_eq!(
-                a.result.total_energy_j().to_bits(),
-                b.result.total_energy_j().to_bits(),
-                "dead-band run changed {}'s energy at {n} servers",
-                a.name
+        let budget = 100.0 * n as f64;
+        let mut c =
+            ClusterConfig::new(synthetic_fleet(n, idle_fraction), budget, CapSplit::FastCap)
+                .with_epochs_per_round(1)
+                .with_threads(8);
+        c.quantum_w = 0.02;
+        eprintln!("  running fleet-scale [{n} servers] ...");
+        let start = Instant::now();
+        let r = run_cluster(c);
+        let wall = start.elapsed().as_secs_f64();
+        for (round, caps) in r.cap_timeline.iter().enumerate() {
+            let total: f64 = caps.iter().sum();
+            assert!(
+                total <= budget + 1e-6,
+                "{n} servers, round {round}: in-force caps {total:.3} W exceed the \
+                 {budget} W budget"
             );
         }
-        for (label, r, wall, equivalence) in [
-            ("exact", &exact, exact_wall, "reference"),
-            ("+5 W", &banded, banded_wall, "physics match"),
-        ] {
-            t.row(vec![
-                format!("{n}"),
-                label.to_string(),
-                format!("{wall:.2}"),
-                format!("{:.2}x", exact_wall / wall.max(1e-9)),
-                format!("{:.2}", r.total_energy_j()),
-                format!("{}", r.rounds),
-                equivalence.to_string(),
-            ]);
-        }
+        t.row(vec![
+            format!("{n}"),
+            format!("{wall:.2}"),
+            format!("{:.2}", r.total_energy_j()),
+            format!("{}", r.rounds),
+        ]);
     }
     ctx.emit(&t, "fleet_scale.tsv");
 }
@@ -1337,8 +1306,26 @@ pub fn fleet_scale(ctx: &mut Ctx) {
 /// itself, the window the pre-handoff protocol used to overshoot.
 /// Asserted per round before the table is written.
 pub fn control_plane(ctx: &mut Ctx) {
-    use cluster::{run_cluster, ClusterResult, PartitionSpec, RpcConfig};
+    use cluster::{run_cluster, ClusterConfig, ClusterResult, PartitionSpec, RpcConfig};
     let floor_w = scenarios::FLOOR_CAP_W;
+
+    // The fleet as the table titles name it, e.g. "4×MID1, 120 W FastCap".
+    let fleet = |cfg: &ClusterConfig| {
+        format!(
+            "{}×{}, {} W {:?}",
+            cfg.servers.len(),
+            cfg.servers[0].config.mix.name,
+            cfg.global_cap_w,
+            cfg.split
+        )
+    };
+    // The plane's one-way latency in whole rounds.
+    let latency_rounds = |cfg: &ClusterConfig| {
+        cfg.rpc
+            .resolve(cfg.round_s())
+            .expect("a valid scenario plane")
+            .latency_rounds
+    };
 
     // The largest per-round sum of in-force caps, asserted every round to
     // stay within the budget plus `floors` watts of expired-lease floors.
@@ -1362,9 +1349,21 @@ pub fn control_plane(ctx: &mut Ctx) {
     } else {
         &[0.0, 0.05, 0.1, 0.2, 0.4]
     };
+    let runs: Vec<ClusterConfig> = losses
+        .iter()
+        .map(|&loss| scenarios::control_plane(scenarios::lossy_plane(loss), 20))
+        .collect();
+    let probe = &runs[0];
     let mut t = Table::new(
-        "Control plane — budget conservation and makespan degradation vs RPC loss \
-         (4×MID1, 120 W FastCap, 1-round latency, 5% duplication, 8-round leases, 6 W floor)",
+        &format!(
+            "Control plane — budget conservation and makespan degradation vs RPC loss \
+             ({}, {}-round latency, {:.0}% duplication, {}-round leases, {} W floor)",
+            fleet(probe),
+            latency_rounds(probe),
+            probe.rpc.duplicate * 100.0,
+            probe.rpc.lease_rounds,
+            probe.rpc.floor_cap_w
+        ),
         &[
             "loss",
             "rounds",
@@ -1378,9 +1377,9 @@ pub fn control_plane(ctx: &mut Ctx) {
         ],
     );
     let mut base_makespan = 0.0_f64;
-    for &loss in losses {
+    for cfg in runs {
+        let loss = cfg.rpc.loss;
         eprintln!("  running control-plane loss sweep [loss {loss}] ...");
-        let cfg = scenarios::control_plane(scenarios::lossy_plane(loss), 20);
         let (budget, n) = (cfg.global_cap_w, cfg.servers.len());
         let r = run_cluster(cfg);
         let max_sum = max_caps_sum(&r, budget, n as f64 * floor_w, &format!("loss {loss}"));
@@ -1433,6 +1432,13 @@ pub fn control_plane(ctx: &mut Ctx) {
     let lease = rpc.lease_rounds;
     let cfg = scenarios::control_plane(rpc, 90);
     let budget = cfg.global_cap_w;
+    let title = format!(
+        "Control plane — coordinator failover, then a {}-round rack partition \
+         ({}, {lease}-round leases, {} W floor)",
+        part_to - part_from,
+        fleet(&cfg),
+        cfg.rpc.floor_cap_w
+    );
     let r = run_cluster(cfg);
     assert!(
         r.rounds as u64 > part_to + 2,
@@ -1479,8 +1485,7 @@ pub fn control_plane(ctx: &mut Ctx) {
     );
 
     let mut t = Table::new(
-        "Control plane — coordinator failover, then a 50-round rack partition \
-         (4×MID1, 120 W FastCap, 8-round leases, 6 W floor)",
+        &title,
         &[
             "phase",
             "rounds",
@@ -1528,20 +1533,28 @@ pub fn control_plane(ctx: &mut Ctx) {
     ctx.emit(&t, "control_plane_failover.tsv");
 
     // -- (c) failover on a lossy, high-latency plane -----------------------
-    eprintln!(
-        "  running control-plane lossy failover [primary cut {fail_from}..{fail_to}, \
-         20% loss, 1-round latency + jitter] ..."
-    );
+    eprintln!("  running control-plane lossy failover [primary cut {fail_from}..{fail_to}] ...");
+    let plane = scenarios::lossy_plane(0.2);
     let cfg = scenarios::control_plane(
         RpcConfig {
-            jitter_us: 1250.0,
+            jitter_us: plane.latency_us,
             failover: true,
             partitions: vec![primary_cut],
-            ..scenarios::lossy_plane(0.2)
+            ..plane
         },
         90,
     );
     let (budget, n) = (cfg.global_cap_w, cfg.servers.len());
+    let title = format!(
+        "Control plane — failover through a lossy plane \
+         ({}, {}-round latency + jitter, {:.0}% loss, {:.0}% duplication, \
+         primary cut rounds {fail_from}..{fail_to}; conservation asserted every round \
+         incl. takeover)",
+        fleet(&cfg),
+        latency_rounds(&cfg),
+        cfg.rpc.loss * 100.0,
+        cfg.rpc.duplicate * 100.0
+    );
     let r = run_cluster(cfg);
     let c = &r.control;
     assert!(
@@ -1552,9 +1565,7 @@ pub fn control_plane(ctx: &mut Ctx) {
     let max_sum = max_caps_sum(&r, budget, n as f64 * floor_w, "lossy failover");
 
     let mut t = Table::new(
-        "Control plane — failover through a lossy plane \
-         (4×MID1, 120 W FastCap, 1-round latency + jitter, 20% loss, 5% duplication, \
-         primary cut rounds 8..16; conservation asserted every round incl. takeover)",
+        &title,
         &[
             "rounds",
             "elections",

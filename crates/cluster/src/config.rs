@@ -320,17 +320,10 @@ pub struct ClusterConfig {
     pub threads: usize,
     /// FastCap grant granularity, watts per quantum.
     pub quantum_w: f64,
-    /// Telemetry dead-band for the coordinator's cap-split replay, watts.
-    /// A server whose demand moved by no more than this since the last
-    /// split is not considered dirty, and if no server is dirty the cached
-    /// caps are replayed instead of recomputed. `0.0` (the default) means
-    /// "dirty iff the bits changed", so a replay is exactly a recompute;
-    /// positive values trade fidelity for fewer re-splits.
-    pub dead_band_w: f64,
     /// Control-plane (coordinator ↔ server RPC) configuration. The default
-    /// is the loopback plane — zero latency, no loss, no failover — under
-    /// which runs are bit-identical to the pre-plane direct-call
-    /// coordinator. See [`RpcConfig`](crate::ctrlplane::RpcConfig).
+    /// is the loopback plane — zero latency, no loss, no failover — which
+    /// delivers every message within its barrier. See
+    /// [`RpcConfig`](crate::ctrlplane::RpcConfig).
     pub rpc: RpcConfig,
     /// Whether to record the full per-round cap timeline in the result.
     /// The timeline is what the digests and differential tests compare,
@@ -353,7 +346,6 @@ impl ClusterConfig {
             epochs_per_round: 5,
             threads: 1,
             quantum_w: 1.0,
-            dead_band_w: 0.0,
             rpc: RpcConfig::default(),
             record_timeline: true,
         }
@@ -386,14 +378,6 @@ impl ClusterConfig {
             .first()
             .map_or(250e-6, |s| s.config.epoch.as_secs_f64());
         epoch_s * self.epochs_per_round as f64
-    }
-
-    /// Sets the coordinator's telemetry dead-band in watts (see the
-    /// `dead_band_w` field).
-    #[must_use]
-    pub fn with_dead_band(mut self, dead_band_w: f64) -> ClusterConfig {
-        self.dead_band_w = dead_band_w;
-        self
     }
 
     /// Sets the worker thread count.
@@ -442,12 +426,6 @@ impl ClusterConfig {
             return Err(format!(
                 "quantum {} must be finite and positive",
                 self.quantum_w
-            ));
-        }
-        if !self.dead_band_w.is_finite() || self.dead_band_w < 0.0 {
-            return Err(format!(
-                "dead band {} must be finite and non-negative",
-                self.dead_band_w
             ));
         }
         for s in &self.servers {
@@ -522,10 +500,6 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = ok.clone();
-        c.dead_band_w = -0.5;
-        assert!(c.validate().is_err());
-
-        let mut c = ok.clone();
         c.servers[0].config.gamma = 2.0;
         assert!(c.validate().is_err());
 
@@ -560,11 +534,6 @@ mod tests {
             c.quantum_w = bad;
             let err = c.validate().expect_err("non-finite quantum");
             assert!(err.starts_with(&format!("quantum {bad} ")), "{err}");
-
-            let mut c = ok.clone();
-            c.dead_band_w = bad;
-            let err = c.validate().expect_err("non-finite dead band");
-            assert!(err.starts_with(&format!("dead band {bad} ")), "{err}");
         }
     }
 

@@ -42,8 +42,8 @@
 //! server that misses renewals keeps its last cap until the lease expires,
 //! then falls to a safe floor — and with failover enabled a standby
 //! coordinator takes over by deterministic election when the primary goes
-//! silent. The default [`RpcConfig`] is a perfect loopback under which
-//! everything below is bit-identical to a direct-call coordinator.
+//! silent. The default [`RpcConfig`] is a perfect loopback that delivers
+//! every message within its barrier.
 //!
 //! # Example
 //!
@@ -88,7 +88,7 @@ pub use ctrlplane::{
     LeaseClient, LeaseEntry, LeaseLedger, PartitionSpec, ReplState, ResolvedRpc, RpcConfig,
 };
 pub use engine::WorkerPool;
-pub use hiercache::{HierSplitter, TracedSplit};
+pub use hiercache::HierSplitter;
 pub use netsim::{LinkConfig, NodeId, PlaneStats};
 pub use server::{Server, ServerStatus};
 pub use sim::{run_cluster, ClusterResult, ClusterSim, ServerOutcome};

@@ -11,9 +11,11 @@
 //! Telemetry and caps flow through the [`ControlPlane`]: each barrier the
 //! loop hands the round's reports to [`ControlPlane::barrier`] and
 //! applies the effective (leased) caps it returns. Under the default
-//! loopback [`RpcConfig`](crate::RpcConfig) the leases converge to the
-//! direct split bit-for-bit, so the pinned digests are unchanged; under a
-//! lossy or delayed plane servers ride their last lease until expiry.
+//! loopback [`RpcConfig`](crate::RpcConfig) the leases converge within the
+//! barrier to the direct split, up to a few ulps where the plane funds an
+//! increase from a float remainder (see the `ctrlplane` module's
+//! "Loopback equivalence"); under a lossy or delayed plane servers ride
+//! their last lease until expiry.
 
 use crate::coordinator::{jain_index, ServerDemand};
 use crate::ctrlplane::{ControlPlane, ControlStats};

@@ -450,7 +450,7 @@ mod tests {
     use crate::coordinator::{ServerDemand, SplitError};
     use crate::HierSplitter;
 
-    /// One split through a cold compiled splitter.
+    /// One split through a compiled splitter.
     fn split(
         t: &BudgetTree,
         budget_w: f64,
@@ -459,7 +459,7 @@ mod tests {
         sla: Option<&[SlaSignal]>,
         quantum_w: f64,
     ) -> Vec<f64> {
-        HierSplitter::compile(t, names, 0.0).split(budget_w, demands, sla, quantum_w)
+        HierSplitter::new(t, names).split(budget_w, demands, sla, quantum_w)
     }
 
     /// [`split`] with the full signal set.
@@ -471,7 +471,7 @@ mod tests {
         signals: &TreeSignals<'_>,
         quantum_w: f64,
     ) -> Result<Vec<f64>, SplitError> {
-        HierSplitter::compile(t, names, 0.0).split_signals(budget_w, demands, signals, quantum_w)
+        HierSplitter::new(t, names).split_signals(budget_w, demands, signals, quantum_w)
     }
 
     fn d(demand_w: f64, min_w: f64) -> ServerDemand {
@@ -672,7 +672,7 @@ mod tests {
         let t = two_racks();
         let names = ["a", "b", "c", "d"];
         let demands = [d(300.0, 40.0), d(300.0, 40.0), d(30.0, 10.0), d(30.0, 10.0)];
-        let (caps, trace, _) = HierSplitter::compile(&t, &names, 0.0)
+        let (caps, trace) = HierSplitter::new(&t, &names)
             .split_with_trace(200.0, &demands, &TreeSignals::default(), 1.0)
             .unwrap();
         assert_eq!(caps, split(&t, 200.0, &names, &demands, None, 1.0));

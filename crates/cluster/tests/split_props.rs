@@ -449,7 +449,7 @@ fn mixed_signals(raw: &[(u8, f64, f64)]) -> Vec<SlaSignal> {
         .collect()
 }
 
-/// Splits through a cold one-group `HierSplitter` over `names`.
+/// Splits through a one-group `HierSplitter` over `names`.
 fn one_group(
     split: CapSplit,
     budget_w: f64,
@@ -459,7 +459,7 @@ fn one_group(
 ) -> Vec<f64> {
     let names: Vec<String> = (0..ds.len()).map(|i| format!("s{i}")).collect();
     let names: Vec<&str> = names.iter().map(String::as_str).collect();
-    HierSplitter::compile(&BudgetTree::flat(split, &names), &names, 0.0).split(budget_w, ds, sla, q)
+    HierSplitter::new(&BudgetTree::flat(split, &names), &names).split(budget_w, ds, sla, q)
 }
 
 proptest! {

@@ -229,9 +229,6 @@ pub struct TierConfig {
     pub floor_frac: f64,
     /// End-to-end p99 sojourn target for closed request DAGs, seconds.
     pub e2e_target_s: f64,
-    /// How many sealed rounds of critical-path attribution feed the
-    /// split's tier shares.
-    pub window_rounds: usize,
     /// The discipline the root node applies *across* tiers. The default
     /// [`CapSplit::CriticalPath`] shifts budget toward the slowest leg;
     /// static disciplines (uniform, demand-proportional) are the
@@ -240,14 +237,13 @@ pub struct TierConfig {
 }
 
 impl TierConfig {
-    /// A tier topology with defaults: a 10 % per-tier floor, a 5 ms
-    /// end-to-end p99 target and a 4-round trace window.
+    /// A tier topology with defaults: a 10 % per-tier floor and a 5 ms
+    /// end-to-end p99 target.
     pub fn new(graph: TierGraph) -> TierConfig {
         TierConfig {
             graph,
             floor_frac: 0.1,
             e2e_target_s: 5e-3,
-            window_rounds: 4,
             tier_split: CapSplit::CriticalPath,
         }
     }
@@ -263,13 +259,6 @@ impl TierConfig {
     #[must_use]
     pub fn with_e2e_target_s(mut self, target_s: f64) -> TierConfig {
         self.e2e_target_s = target_s;
-        self
-    }
-
-    /// Sets the trace window length in rounds.
-    #[must_use]
-    pub fn with_window_rounds(mut self, rounds: usize) -> TierConfig {
-        self.window_rounds = rounds;
         self
     }
 
@@ -331,8 +320,6 @@ pub struct ServiceConfig {
     pub threads: usize,
     /// Cap-granting quantum, watts.
     pub quantum_w: f64,
-    /// How many recent rounds of latency feed the SLA signal.
-    pub sla_window_rounds: usize,
     /// Scheduled fleet changes.
     pub churn: ChurnSchedule<ServiceServerSpec>,
     /// Closed-loop workload, replacing the per-server open-loop arrival
@@ -343,8 +330,7 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// A fleet under `global_cap_w` split by `split`, with defaults: 40
-    /// rounds of 4 epochs, one thread, 1 W quanta, a 4-round SLA window and
-    /// no churn.
+    /// rounds of 4 epochs, one thread, 1 W quanta and no churn.
     pub fn new(
         servers: Vec<ServiceServerSpec>,
         global_cap_w: f64,
@@ -360,7 +346,6 @@ impl ServiceConfig {
             epochs_per_round: 4,
             threads: 1,
             quantum_w: 1.0,
-            sla_window_rounds: 4,
             churn: ChurnSchedule::new(),
             closed_loop: None,
         }
@@ -436,9 +421,6 @@ impl ServiceConfig {
                 self.quantum_w
             ));
         }
-        if self.sla_window_rounds == 0 {
-            return Err("sla_window_rounds must be positive".into());
-        }
         for s in &self.servers {
             Self::validate_spec(s)?;
         }
@@ -480,9 +462,6 @@ impl ServiceConfig {
                     "tiers: end-to-end target {} must be positive",
                     tc.e2e_target_s
                 ));
-            }
-            if tc.window_rounds == 0 {
-                return Err("tiers: trace window must be positive".into());
             }
             let expect = tc.graph.server_names();
             let got: Vec<&str> = self.servers.iter().map(|s| s.name.as_str()).collect();

@@ -18,6 +18,9 @@ use cluster::{Server, ServerSpec, SlaSignal};
 use simkernel::{stats::Histogram, Ps, SimRng};
 use std::collections::VecDeque;
 
+/// How many recent rounds of latency feed a server's SLA signal.
+const SLA_WINDOW_ROUNDS: usize = 4;
+
 /// One serving server: the fleet loop writes caps to and reads power
 /// telemetry from `server` directly; everything else here is serving state.
 pub(crate) struct ServiceServer {
@@ -31,7 +34,6 @@ pub(crate) struct ServiceServer {
     cum_hist: Histogram,
     /// Most recent per-round histograms (the SLA feedback window).
     window: VecDeque<Histogram>,
-    window_rounds: usize,
     violation_rounds: u64,
     // Closed-loop state (absent in open-loop mode). The fleet runs on a
     // global clock; this server's engine started `clock_offset` after it
@@ -45,13 +47,8 @@ pub(crate) struct ServiceServer {
 }
 
 impl ServiceServer {
-    /// Builds the server from its spec, initially granted `initial_cap_w`,
-    /// with an SLA window of `window_rounds` rounds.
-    pub(crate) fn new(
-        spec: &ServiceServerSpec,
-        initial_cap_w: f64,
-        window_rounds: usize,
-    ) -> ServiceServer {
+    /// Builds the server from its spec, initially granted `initial_cap_w`.
+    pub(crate) fn new(spec: &ServiceServerSpec, initial_cap_w: f64) -> ServiceServer {
         // A serving engine must never finish (the round count ends the
         // run), so the spec's completion target is replaced by one no
         // workload reaches.
@@ -69,7 +66,6 @@ impl ServiceServer {
             p99_target_s: spec.p99_target_s,
             cum_hist: Histogram::new(),
             window: VecDeque::new(),
-            window_rounds: window_rounds.max(1),
             violation_rounds: 0,
             closed_loop: false,
             clock_offset: Ps::ZERO,
@@ -152,7 +148,7 @@ impl ServiceServer {
         self.pending.clear();
         self.cum_hist.merge(&round_hist);
         self.window.push_back(round_hist);
-        while self.window.len() > self.window_rounds {
+        while self.window.len() > SLA_WINDOW_ROUNDS {
             self.window.pop_front();
         }
         let sla = self.sla_signal();

@@ -6,9 +6,8 @@
 //! pipeline and steps the whole fleet on a persistent [`WorkerPool`].
 //! Serving servers never finish, so the fleet itself is the active list.
 //! Every budget split, flat or hierarchical, runs through the compiled
-//! [`HierSplitter`](cluster::HierSplitter) at a zero dead-band, so a
-//! replay always equals a recompute. A flat split is the one-group tree
-//! [`BudgetTree::flat`].
+//! [`HierSplitter`](cluster::HierSplitter). A flat split is the one-group
+//! tree [`BudgetTree::flat`].
 
 use crate::config::{ClientModel, ServiceConfig};
 use crate::fluid::ClientEngine;
@@ -20,6 +19,10 @@ use cluster::{
 };
 use simkernel::{stats::Histogram, Ps};
 use topology::{DagTracker, TierGraph, TraceCollector, TraceStats};
+
+/// How many sealed rounds of critical-path attribution feed the split's
+/// tier shares.
+const TRACE_WINDOW_ROUNDS: usize = 4;
 
 /// One server's final accounting (final fleet members and churn departures
 /// alike).
@@ -340,7 +343,7 @@ impl ServiceSim {
             .servers
             .iter()
             .map(|spec| {
-                let mut s = ServiceServer::new(spec, initial, config.sla_window_rounds);
+                let mut s = ServiceServer::new(spec, initial);
                 if config.closed_loop.is_some() {
                     s.set_closed_loop(Ps::ZERO);
                 }
@@ -389,9 +392,7 @@ struct FleetRun {
     pool: Option<ClientEngine>,
     balancer: Option<LoadBalancer>,
     round_d: Ps,
-    // The compiled budget tree with its per-node replay cache. Rebound
-    // (not discarded) on churn, so sibling subtrees keep their cached
-    // allocations.
+    // `tree` compiled against the fleet order; recompiled on churn.
     splitter: HierSplitter,
     // The multi-tier runtime: request DAGs, trace aggregation, the
     // end-to-end histogram. `None` without a tier topology.
@@ -446,7 +447,7 @@ impl FleetRun {
                 floor_frac: tc.floor_frac,
                 e2e_target_s: tc.e2e_target_s,
                 dag: DagTracker::new(&tc.graph, seed),
-                collector: TraceCollector::new(tc.graph.n_tiers(), tc.window_rounds),
+                collector: TraceCollector::new(tc.graph.n_tiers(), TRACE_WINDOW_ROUNDS),
                 e2e_hist: Histogram::new(),
                 base_instrs,
             }
@@ -459,7 +460,7 @@ impl FleetRun {
         };
         let topology_spec = topology.as_ref().map(|t| t.to_string());
         let tree = topology.unwrap_or_else(|| BudgetTree::flat(config.split, &names));
-        let splitter = HierSplitter::compile(&tree, &names, 0.0);
+        let splitter = HierSplitter::new(&tree, &names);
         let closed = config.closed_loop.clone();
         let pool = closed.as_ref().map(ClientEngine::new);
         let balancer = closed.as_ref().map(|cl| LoadBalancer::new(cl.balance));
@@ -519,7 +520,7 @@ impl FleetRun {
                     if let Err(e) = self.tree.attach_server(&spec.name, group.as_deref()) {
                         panic!("churn join {}: {e}", spec.name);
                     }
-                    let mut server = ServiceServer::new(&spec, 0.0, self.config.sla_window_rounds);
+                    let mut server = ServiceServer::new(&spec, 0.0);
                     if self.pool.is_some() {
                         server.set_closed_loop(self.global_time(round));
                     }
@@ -555,15 +556,12 @@ impl FleetRun {
             }
         }
         if churned {
-            // The splitter is *rebound*, not discarded: groups
-            // structurally untouched by the churn (sibling racks/tiers)
-            // carry their cached allocations across the membership change.
             let names: Vec<&str> = self
                 .servers
                 .iter()
                 .map(|s| s.server.name.as_str())
                 .collect();
-            self.splitter.rebind(&self.tree, &names);
+            self.splitter = HierSplitter::new(&self.tree, &names);
         }
         if self.servers.is_empty() {
             // Degenerate round: no caps, and no requests issued —

@@ -142,8 +142,7 @@ struct ClusterArgs {
     idle_fraction: f64,
     cap: Option<f64>,
     quantum: f64,
-    dead_band: Option<f64>,
-    epochs_per_round: usize,
+    epochs_per_round: Option<usize>,
     split: CapSplit,
     topology: Option<BudgetTree>,
     threads: usize,
@@ -170,7 +169,7 @@ struct ClusterArgs {
 fn cluster_usage() -> ! {
     eprintln!(
         "usage: coscale-sim cluster [--servers LIST] [--fleet-size N] [--idle-fraction F] \
-         [--cap WATTS] [--quantum W] [--dead-band W] [--epochs-per-round N] [--split NAME] \
+         [--cap WATTS] [--quantum W] [--epochs-per-round N] [--split NAME] \
          [--topology SPEC] [--threads N] [--serve] [--rounds N] [--rate HZ] \
          [--p99-target MS] [--seed N] [--join R:SPEC]... [--leave R:NAME]... \
          [--clients N] [--think-ms F] [--client-model NAME] [--think-diurnal P:D] \
@@ -185,9 +184,8 @@ fn cluster_usage() -> ! {
          \x20   the default budget scales to 100 W per server (named fleets default to 280 W)\n\
          \x20 splits: uniform demand-proportional fastcap sla-aware critical-path\n\
          \x20   (sla-aware needs --serve; critical-path needs --tiers)\n\
-         \x20 --dead-band W lets the coordinator replay the cached cap split while no\n\
-         \x20   server's telemetry moved more than W watts (batch only; 0, the default,\n\
-         \x20   re-splits whenever any telemetry bit changes, so results are exact)\n\
+         \x20 --epochs-per-round N: epochs between budget splits, at least 1\n\
+         \x20   (default 5, or 4 with --serve)\n\
          \x20 --topology splits the budget down a tree instead of flat, e.g.\n\
          \x20   dc:uniform[rack:sla-aware[heavy,light0],pod:fastcap[light1,light2]]\n\
          \x20 --join/--leave change the fleet at round boundaries (--serve only)\n\
@@ -313,8 +311,7 @@ fn parse_cluster_args() -> ClusterArgs {
         idle_fraction: 0.9,
         cap: None,
         quantum: 1.0,
-        dead_band: None,
-        epochs_per_round: 0,
+        epochs_per_round: None,
         split: CapSplit::FastCap,
         topology: None,
         threads: 4,
@@ -350,17 +347,12 @@ fn parse_cluster_args() -> ClusterArgs {
             }
             "--cap" => a.cap = Some(val("--cap").parse().unwrap_or_else(|_| cluster_usage())),
             "--quantum" => a.quantum = val("--quantum").parse().unwrap_or_else(|_| cluster_usage()),
-            "--dead-band" => {
-                a.dead_band = Some(
-                    val("--dead-band")
+            "--epochs-per-round" => {
+                a.epochs_per_round = Some(
+                    val("--epochs-per-round")
                         .parse()
                         .unwrap_or_else(|_| cluster_usage()),
                 )
-            }
-            "--epochs-per-round" => {
-                a.epochs_per_round = val("--epochs-per-round")
-                    .parse()
-                    .unwrap_or_else(|_| cluster_usage())
             }
             "--split" => {
                 a.split = val("--split")
@@ -500,11 +492,6 @@ fn parse_cluster_args() -> ClusterArgs {
              message plane yet",
         );
     }
-    if a.serve && a.dead_band.is_some() {
-        cluster_fail(
-            "--dead-band applies to batch cluster runs; serving fleets always split exactly",
-        );
-    }
     if !a.serve && (!a.joins.is_empty() || !a.leaves.is_empty()) {
         cluster_fail("--join/--leave require --serve (batch fleets run to completion)");
     }
@@ -567,12 +554,10 @@ fn cluster_batch_main(args: &ClusterArgs) {
         None if args.fleet_size > 0 => 100.0 * args.fleet_size as f64,
         None => 280.0,
     };
-    let mut cfg = ClusterConfig::new(fleet, cap, args.split)
-        .with_threads(args.threads)
-        .with_dead_band(args.dead_band.unwrap_or(0.0));
+    let mut cfg = ClusterConfig::new(fleet, cap, args.split).with_threads(args.threads);
     cfg.quantum_w = args.quantum;
-    if args.epochs_per_round > 0 {
-        cfg = cfg.with_epochs_per_round(args.epochs_per_round);
+    if let Some(epochs) = args.epochs_per_round {
+        cfg.epochs_per_round = epochs;
     }
     cfg.topology = args.topology.clone();
     cfg.rpc = args.rpc.clone();
@@ -739,8 +724,8 @@ fn cluster_serve_main(args: &ClusterArgs) {
         .with_threads(args.threads)
         .with_churn(churn);
     cfg.quantum_w = args.quantum;
-    if args.epochs_per_round > 0 {
-        cfg.epochs_per_round = args.epochs_per_round;
+    if let Some(epochs) = args.epochs_per_round {
+        cfg.epochs_per_round = epochs;
     }
     if args.clients > 0 {
         let mut closed = ClosedLoopConfig::new(

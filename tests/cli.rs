@@ -31,6 +31,7 @@ fn removed_flags_are_unknown() {
         &["--quarantine-rounds", "4"],
         "unknown flag --quarantine-rounds",
     );
+    assert_rejected(&["--dead-band", "5"], "unknown flag --dead-band");
 }
 
 #[test]
@@ -39,23 +40,25 @@ fn an_unknown_split_is_rejected() {
 }
 
 #[test]
-fn serving_rejects_a_dead_band() {
-    assert_rejected(&["--serve", "--dead-band", "5"], "--dead-band");
+fn batch_rejects_zero_epochs_per_round() {
+    assert_rejected(
+        &["--epochs-per-round", "0"],
+        "epochs_per_round must be positive",
+    );
 }
 
 #[test]
-fn batch_rejects_a_negative_dead_band() {
-    assert_rejected(&["--dead-band", "-1"], "dead band -1");
+fn serving_rejects_zero_epochs_per_round() {
+    assert_rejected(
+        &["--serve", "--epochs-per-round", "0"],
+        "epochs_per_round must be positive",
+    );
 }
 
 #[test]
 fn batch_rejects_non_finite_watts() {
     let fleet = ["--fleet-size", "8"];
-    for (flag, needle) in [
-        ("--cap", "global cap inf"),
-        ("--quantum", "quantum inf"),
-        ("--dead-band", "dead band inf"),
-    ] {
+    for (flag, needle) in [("--cap", "global cap inf"), ("--quantum", "quantum inf")] {
         assert_rejected(&[&fleet[..], &[flag, "inf"]].concat(), needle);
     }
     assert_rejected(&[&fleet[..], &["--cap", "nan"]].concat(), "global cap NaN");

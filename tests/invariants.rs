@@ -627,7 +627,7 @@ proptest! {
         let tree = BudgetTree::parse(spec).unwrap();
 
         let sig = TreeSignals { sla: Some(&sla), ..TreeSignals::default() };
-        let (caps, groups, _) = HierSplitter::compile(&tree, &names, 0.0)
+        let (caps, groups) = HierSplitter::new(&tree, &names)
             .split_with_trace(global_cap_w, &demands, &sig, quantum)
             .unwrap();
         let (want, want_groups) =
