@@ -2,32 +2,56 @@
 //!
 //! ```text
 //! experiments [--quick] [--out DIR] <command>...
-//!
-//! Commands: table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13
-//!           fig14 fig15 fig16 fig17 fig18 search-cost
-//!           ablation-grouping ablation-phase cluster-capping service-sla
-//!           hierarchical-capping closed-loop-balancing fluid-clients
-//!           multi-tier fleet-scale control-plane all
 //! ```
+//!
+//! A command is a name from [`bench::experiments::EXPERIMENTS`], `report`
+//! (render `REPORT.md` from the TSVs in the output directory) or `all`
+//! (every experiment, in registry order). `--help` lists them all.
 
-use bench::{experiments, Ctx, Opts};
+use bench::experiments::{self, EXPERIMENTS};
+use bench::{Ctx, Opts};
 
 fn usage() -> ! {
     eprintln!(
         "usage: experiments [--quick] [--out DIR] <command>...\n\
-         commands: table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13\n\
-         \x20         fig14 fig15 fig16 fig17 fig18 search-cost\n\
-         \x20         ablation-grouping ablation-phase ablation-page-policy\n\
-         \x20         ablation-idle-states cluster-capping service-sla\n\
-         \x20         hierarchical-capping closed-loop-balancing fluid-clients\n\
-         \x20         multi-tier fleet-scale control-plane report all"
+         commands (aliases after the first name):"
+    );
+    for (names, _) in EXPERIMENTS {
+        eprintln!("  {}", names.join(" "));
+    }
+    eprintln!(
+        "  report    REPORT.md from the TSVs in the output directory\n\
+         \x20 all       every experiment above, in order"
     );
     std::process::exit(2);
 }
 
+/// Writes `REPORT.md` from the TSVs already in the output directory.
+fn report(ctx: &mut Ctx) {
+    let body = bench::report::render_report(&ctx.opts.out_dir).unwrap_or_else(|e| {
+        eprintln!("cannot read {}: {e}", ctx.opts.out_dir.display());
+        std::process::exit(1);
+    });
+    let path = ctx.opts.out_dir.join("REPORT.md");
+    std::fs::write(&path, body).expect("write REPORT.md");
+    eprintln!("  -> {}", path.display());
+}
+
+/// The function a command runs, if the command exists.
+fn command(name: &str) -> Option<fn(&mut Ctx)> {
+    match name {
+        "report" => Some(report),
+        "all" => Some(experiments::all),
+        _ => EXPERIMENTS
+            .iter()
+            .find(|(names, _)| names.contains(&name))
+            .map(|&(_, run)| run),
+    }
+}
+
 fn main() {
     let mut opts = Opts::default();
-    let mut commands: Vec<String> = Vec::new();
+    let mut commands: Vec<fn(&mut Ctx)> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -36,7 +60,10 @@ fn main() {
                 opts.out_dir = args.next().unwrap_or_else(|| usage()).into();
             }
             "--help" | "-h" => usage(),
-            cmd => commands.push(cmd.to_string()),
+            cmd => commands.push(command(cmd).unwrap_or_else(|| {
+                eprintln!("unknown command: {cmd}");
+                usage()
+            })),
         }
     }
     if commands.is_empty() {
@@ -44,48 +71,7 @@ fn main() {
     }
 
     let mut ctx = Ctx::new(opts);
-    for cmd in &commands {
-        match cmd.as_str() {
-            "table1" => experiments::table1(&mut ctx),
-            "fig5" => experiments::fig5(&mut ctx),
-            "fig6" => experiments::fig6(&mut ctx),
-            "fig7" => experiments::fig7(&mut ctx),
-            "fig8" | "fig9" | "fig8_9" => experiments::fig8_9(&mut ctx),
-            "fig10" => experiments::fig10(&mut ctx),
-            "fig11" => experiments::fig11(&mut ctx),
-            "fig12" | "fig13" | "fig12_13" => experiments::fig12_13(&mut ctx),
-            "fig14" => experiments::fig14(&mut ctx),
-            "fig15" => experiments::fig15(&mut ctx),
-            "fig16" => experiments::fig16(&mut ctx),
-            "fig17" | "fig18" | "fig17_18" => experiments::fig17_18(&mut ctx),
-            "search-cost" => experiments::search_cost(&mut ctx),
-            "ablation-grouping" => experiments::ablation_grouping(&mut ctx),
-            "ablation-page-policy" => experiments::ablation_page_policy(&mut ctx),
-            "ablation-idle-states" => experiments::ablation_idle_states(&mut ctx),
-            "ablation-voltage-domains" => experiments::ablation_voltage_domains(&mut ctx),
-            "ablation-phase" => experiments::ablation_phase(&mut ctx),
-            "cluster-capping" => experiments::cluster_capping(&mut ctx),
-            "service-sla" => experiments::service_sla(&mut ctx),
-            "hierarchical-capping" => experiments::hierarchical_capping(&mut ctx),
-            "closed-loop-balancing" => experiments::closed_loop_balancing(&mut ctx),
-            "fluid-clients" => experiments::fluid_clients(&mut ctx),
-            "multi-tier" => experiments::multi_tier(&mut ctx),
-            "fleet-scale" => experiments::fleet_scale(&mut ctx),
-            "control-plane" => experiments::control_plane(&mut ctx),
-            "report" => {
-                let body = bench::report::render_report(&ctx.opts.out_dir).unwrap_or_else(|e| {
-                    eprintln!("cannot read {}: {e}", ctx.opts.out_dir.display());
-                    std::process::exit(1);
-                });
-                let path = ctx.opts.out_dir.join("REPORT.md");
-                std::fs::write(&path, body).expect("write REPORT.md");
-                eprintln!("  -> {}", path.display());
-            }
-            "all" => experiments::all(&mut ctx),
-            other => {
-                eprintln!("unknown command: {other}");
-                usage();
-            }
-        }
+    for run in commands {
+        run(&mut ctx);
     }
 }

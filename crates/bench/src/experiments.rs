@@ -4,7 +4,8 @@
 //! them, and writes a TSV.
 
 use crate::{
-    class_mixes, degradation_stats, pct, scenarios, Ctx, Table, ALL_MIXES, MEM_MIXES, MID_MIXES,
+    class_mixes, degradation_stats, pct, scenarios, Ctx, Table, ALL_MIXES, CLASS_REPS, MEM_MIXES,
+    MID_MIXES,
 };
 use coscale::{
     CoScalePolicy, EpochProfile, Model, Plan, Policy, PolicyKind, Runner, SemiCoordinatedPolicy,
@@ -40,22 +41,6 @@ const TABLE1_PAPER: [(&str, f64, f64); 16] = [
     ("MIX4", 2.35, 1.38),
 ];
 
-fn mixes_for(ctx: &Ctx) -> Vec<&'static str> {
-    if ctx.opts.quick {
-        vec!["MEM1", "MID1", "ILP1", "MIX2"]
-    } else {
-        ALL_MIXES.to_vec()
-    }
-}
-
-fn mid_mixes_for(ctx: &Ctx) -> Vec<&'static str> {
-    if ctx.opts.quick {
-        vec!["MID1"]
-    } else {
-        MID_MIXES.to_vec()
-    }
-}
-
 /// Table 1: workload composition and measured MPKI/WPKI of the synthetic
 /// mixes, vs the paper's trace measurements.
 pub fn table1(ctx: &mut Ctx) {
@@ -71,8 +56,9 @@ pub fn table1(ctx: &mut Ctx) {
             "paper WPKI",
         ],
     );
+    let mixes = ctx.mixes(&ALL_MIXES, &CLASS_REPS);
     for &(name, p_mpki, p_wpki) in &TABLE1_PAPER {
-        if ctx.opts.quick && !mixes_for(ctx).contains(&name) {
+        if !mixes.contains(&name) {
             continue;
         }
         let r = ctx.run(name, PolicyKind::StaticMax);
@@ -97,7 +83,7 @@ pub fn fig5(ctx: &mut Ctx) {
         &["mix", "full-system", "memory", "CPU"],
     );
     let mut sums = [0.0f64; 3];
-    let mixes = mixes_for(ctx);
+    let mixes = ctx.mixes(&ALL_MIXES, &CLASS_REPS);
     for name in &mixes {
         let base = ctx.run(name, PolicyKind::StaticMax);
         let run = ctx.run(name, PolicyKind::CoScale);
@@ -133,7 +119,7 @@ pub fn fig6(ctx: &mut Ctx) {
         &["mix", "avg", "worst", "bound met"],
     );
     let mut avg_acc = 0.0;
-    let mixes = mixes_for(ctx);
+    let mixes = ctx.mixes(&ALL_MIXES, &CLASS_REPS);
     for name in &mixes {
         let base = ctx.run(name, PolicyKind::StaticMax);
         let run = ctx.run(name, PolicyKind::CoScale);
@@ -234,7 +220,7 @@ pub fn fig8_9(ctx: &mut Ctx) {
         "Figure 9 — performance degradation by policy (bound = 10%)",
         &["policy", "avg", "worst", "bound met"],
     );
-    let mixes = mixes_for(ctx);
+    let mixes = ctx.mixes(&ALL_MIXES, &CLASS_REPS);
     // Per policy: mean full-system savings and worst degradation.
     let mut headline = Vec::with_capacity(policies.len());
     for &p in &policies {
@@ -333,9 +319,52 @@ pub fn fig8_9(ctx: &mut Ctx) {
     ctx.emit(&t9, "fig9.tsv");
 }
 
+/// The sensitivity studies' one sweep point: CoScale over `mixes`, each
+/// mix's standard configuration changed by `knob`, against the no-DVFS
+/// baseline. With `knob_baseline` the baseline runs under the knob too;
+/// without it, CoScale is compared with the standard baseline. Returns the
+/// mean full-system savings and the worst per-application degradation.
+fn sweep(
+    ctx: &mut Ctx,
+    mixes: &[&str],
+    knob_baseline: bool,
+    knob: impl Fn(&mut SimConfig),
+) -> (f64, f64) {
+    let mut savings = 0.0;
+    let mut worst = f64::NEG_INFINITY;
+    for name in mixes {
+        let mut cfg = ctx.standard_config(name);
+        knob(&mut cfg);
+        let base = if knob_baseline {
+            ctx.run_config(cfg.clone(), PolicyKind::StaticMax)
+        } else {
+            ctx.run(name, PolicyKind::StaticMax)
+        };
+        let run = ctx.run_config(cfg, PolicyKind::CoScale);
+        savings += run.energy_savings_vs(&base);
+        worst = worst.max(degradation_stats(&run, &base).1);
+    }
+    (savings / mixes.len() as f64, worst)
+}
+
+/// Asserts that the savings along a sweep strictly rise (`rises`) or
+/// strictly fall.
+fn assert_trend(what: &str, savings: &[f64], rises: bool) {
+    let holds = savings
+        .windows(2)
+        .all(|w| if rises { w[1] > w[0] } else { w[1] < w[0] });
+    let seen: Vec<String> = savings.iter().map(|&s| pct(s)).collect();
+    assert!(
+        holds,
+        "{what}: savings must {} monotonically, measured {}",
+        if rises { "rise" } else { "fall" },
+        seen.join(" → ")
+    );
+}
+
 /// Figure 10: energy savings under performance bounds of 1/5/10/15/20%.
+/// Asserted before the table is written: savings rise with the bound.
 pub fn fig10(ctx: &mut Ctx) {
-    let gammas = [0.01, 0.05, 0.10, 0.15, 0.20];
     let mut t = Table::new(
         "Figure 10 — impact of the performance bound (MID mixes)",
         &[
@@ -345,69 +374,55 @@ pub fn fig10(ctx: &mut Ctx) {
             "paper savings",
         ],
     );
-    let paper = ["4%", "9%", "16% (all-mix avg)", ">16%", ">16%"];
-    for (gi, &g) in gammas.iter().enumerate() {
-        let mut savings = 0.0;
-        let mut worst = f64::NEG_INFINITY;
-        let mids = mid_mixes_for(ctx);
-        for name in &mids {
-            let base = ctx.run(name, PolicyKind::StaticMax);
-            let mut cfg = ctx.standard_config(name);
-            cfg.gamma = g;
-            let run = ctx.run_config(cfg, PolicyKind::CoScale);
-            savings += run.energy_savings_vs(&base);
-            let (_, w) = degradation_stats(&run, &base);
-            worst = worst.max(w);
-        }
-        savings /= mid_mixes_for(ctx).len() as f64;
-        t.row(vec![pct(g), pct(savings), pct(worst), paper[gi].into()]);
+    let mids = ctx.mixes(&MID_MIXES, &["MID1"]);
+    let mut savings = Vec::new();
+    for (gamma, paper) in [
+        (0.01, "4%"),
+        (0.05, "9%"),
+        (0.10, "16% (all-mix avg)"),
+        (0.15, ">16%"),
+        (0.20, ">16%"),
+    ] {
+        let (s, worst) = sweep(ctx, &mids, false, |cfg| cfg.gamma = gamma);
+        t.row(vec![pct(gamma), pct(s), pct(worst), paper.into()]);
+        savings.push(s);
     }
+    assert_trend("Figure 10, bound 1% → 20%", &savings, true);
     ctx.emit(&t, "fig10.tsv");
 }
 
 /// Figure 11: sensitivity to rest-of-system power (5–20% of baseline).
+/// Asserted before the table is written: savings fall as the share grows.
 pub fn fig11(ctx: &mut Ctx) {
-    let fracs = [0.05, 0.10, 0.15, 0.20];
     let mut t = Table::new(
         "Figure 11 — impact of rest-of-system power share (MID mixes)",
         &["rest share", "energy savings", "paper"],
     );
-    let paper = ["~17%", "16% (default)", "~15%", "~14%"];
-    for (fi, &frac) in fracs.iter().enumerate() {
-        let mut savings = 0.0;
-        let mids = mid_mixes_for(ctx);
-        for name in &mids {
-            let mut cfg = ctx.standard_config(name);
-            cfg.power = cfg.power.with_rest_fraction(frac);
-            let base = ctx.run_config(cfg.clone(), PolicyKind::StaticMax);
-            let run = ctx.run_config(cfg, PolicyKind::CoScale);
-            savings += run.energy_savings_vs(&base);
-        }
-        savings /= mid_mixes_for(ctx).len() as f64;
-        t.row(vec![pct(frac), pct(savings), paper[fi].into()]);
+    let mids = ctx.mixes(&MID_MIXES, &["MID1"]);
+    let mut savings = Vec::new();
+    for (frac, paper) in [
+        (0.05, "~17%"),
+        (0.10, "16% (default)"),
+        (0.15, "~15%"),
+        (0.20, "~14%"),
+    ] {
+        let (s, _) = sweep(ctx, &mids, true, |cfg| {
+            cfg.power = cfg.power.clone().with_rest_fraction(frac);
+        });
+        t.row(vec![pct(frac), pct(s), paper.into()]);
+        savings.push(s);
     }
+    assert_trend("Figure 11, rest share 5% → 20%", &savings, false);
     ctx.emit(&t, "fig11.tsv");
-}
-
-fn ratio_config(ctx: &Ctx, name: &str, mem_scale: f64) -> SimConfig {
-    let mut cfg = ctx.standard_config(name);
-    cfg.power = cfg.power.with_memory_power_scale(mem_scale);
-    cfg
 }
 
 /// Figures 12–13: sensitivity to the CPU:memory power ratio, on MID and
 /// MEM mixes. 2:1 is the default calibration; 1:1 and 1:2 scale memory
-/// power by 2x and 4x.
+/// power by 2x and 4x. Asserted before each table is written: the MID
+/// savings rise with memory power and the MEM savings fall.
 pub fn fig12_13(ctx: &mut Ctx) {
-    for (fig, mixes, file) in [
-        (12, MID_MIXES.as_slice(), "fig12.tsv"),
-        (13, MEM_MIXES.as_slice(), "fig13.tsv"),
-    ] {
-        let subset: Vec<&str> = if ctx.opts.quick {
-            vec![mixes[0]]
-        } else {
-            mixes.to_vec()
-        };
+    for (fig, mixes, file) in [(12, MID_MIXES, "fig12.tsv"), (13, MEM_MIXES, "fig13.tsv")] {
+        let subset = ctx.mixes(&mixes, &mixes[..1]);
         let mut t = Table::new(
             &format!(
                 "Figure {fig} — impact of CPU:memory power ratio ({} mixes)",
@@ -415,85 +430,72 @@ pub fn fig12_13(ctx: &mut Ctx) {
             ),
             &["ratio", "energy savings", "paper trend"],
         );
-        let trend = if fig == 12 {
-            ["baseline", "higher", "highest"]
+        let (trend, rises) = if fig == 12 {
+            (["baseline", "higher", "highest"], true)
         } else {
-            ["baseline", "lower", "lowest"]
+            (["baseline", "lower", "lowest"], false)
         };
-        for (ri, (label, scale)) in [("2:1", 1.0), ("1:1", 2.0), ("1:2", 4.0)]
+        let mut savings = Vec::new();
+        for ((label, scale), paper) in [("2:1", 1.0), ("1:1", 2.0), ("1:2", 4.0)]
             .into_iter()
-            .enumerate()
+            .zip(trend)
         {
-            let mut savings = 0.0;
-            for name in &subset {
-                let cfg = ratio_config(ctx, name, scale);
-                let base = ctx.run_config(cfg.clone(), PolicyKind::StaticMax);
-                let run = ctx.run_config(cfg, PolicyKind::CoScale);
-                savings += run.energy_savings_vs(&base);
-            }
-            savings /= subset.len() as f64;
-            t.row(vec![label.into(), pct(savings), trend[ri].into()]);
+            let (s, _) = sweep(ctx, &subset, true, |cfg| {
+                cfg.power = cfg.power.clone().with_memory_power_scale(scale);
+            });
+            t.row(vec![label.into(), pct(s), paper.into()]);
+            savings.push(s);
         }
+        assert_trend(&format!("Figure {fig}, ratio 2:1 → 1:2"), &savings, rises);
         ctx.emit(&t, file);
     }
 }
 
-/// Figure 14: half vs full CPU voltage range.
+/// Figure 14: half vs full CPU voltage range. Asserted before the table is
+/// written: the half range saves less.
 pub fn fig14(ctx: &mut Ctx) {
     let mut t = Table::new(
         "Figure 14 — impact of the CPU voltage range (MID mixes)",
         &["range", "energy savings", "paper"],
     );
+    let mids = ctx.mixes(&MID_MIXES, &["MID1"]);
+    let mut savings = Vec::new();
     for (label, vmin, paper) in [
         ("full 0.65–1.2V", 0.65, "16% (all-mix avg)"),
         ("half 0.95–1.2V", 0.95, "11%"),
     ] {
-        let mut savings = 0.0;
-        let mids = mid_mixes_for(ctx);
-        for name in &mids {
-            let mut cfg = ctx.standard_config(name);
-            cfg.power = cfg.power.with_core_vmin(vmin);
-            let base = ctx.run_config(cfg.clone(), PolicyKind::StaticMax);
-            let run = ctx.run_config(cfg, PolicyKind::CoScale);
-            savings += run.energy_savings_vs(&base);
-        }
-        savings /= mid_mixes_for(ctx).len() as f64;
-        t.row(vec![label.into(), pct(savings), paper.into()]);
+        let (s, _) = sweep(ctx, &mids, true, |cfg| {
+            cfg.power = cfg.power.clone().with_core_vmin(vmin);
+        });
+        t.row(vec![label.into(), pct(s), paper.into()]);
+        savings.push(s);
     }
+    assert_trend("Figure 14, full → half voltage range", &savings, false);
     ctx.emit(&t, "fig14.tsv");
 }
 
 /// Figure 15: 4/7/10 available frequency steps (CPU and memory grids).
+///
+/// Every row, the 10-step one included, builds its memory grid with
+/// [`MemConfig::freq_grid_with_steps`] (200, 267, … 800 MHz), not the
+/// default grid (200, 266, … 728, 800 MHz), so the 10-step row, which the
+/// paper calls the default, is not the standard configuration.
 pub fn fig15(ctx: &mut Ctx) {
     let mut t = Table::new(
         "Figure 15 — impact of the number of frequency steps (MID mixes)",
         &["steps", "energy savings", "worst degradation", "paper"],
     );
+    let mids = ctx.mixes(&MID_MIXES, &["MID1"]);
     for (steps, paper) in [
         (4usize, "slightly less"),
         (7, "slightly less"),
         (10, "default"),
     ] {
-        let mut savings = 0.0;
-        let mut worst = f64::NEG_INFINITY;
-        let mids = mid_mixes_for(ctx);
-        for name in &mids {
-            let mut cfg = ctx.standard_config(name);
+        let (s, worst) = sweep(ctx, &mids, true, |cfg| {
             cfg.core_freqs = SimConfig::core_grid_with_steps(steps);
             cfg.mem.freq_grid = MemConfig::freq_grid_with_steps(steps);
-            let base = ctx.run_config(cfg.clone(), PolicyKind::StaticMax);
-            let run = ctx.run_config(cfg, PolicyKind::CoScale);
-            savings += run.energy_savings_vs(&base);
-            let (_, w) = degradation_stats(&run, &base);
-            worst = worst.max(w);
-        }
-        savings /= mid_mixes_for(ctx).len() as f64;
-        t.row(vec![
-            format!("{steps}"),
-            pct(savings),
-            pct(worst),
-            paper.into(),
-        ]);
+        });
+        t.row(vec![format!("{steps}"), pct(s), pct(worst), paper.into()]);
     }
     ctx.emit(&t, "fig15.tsv");
 }
@@ -515,11 +517,8 @@ pub fn fig16(ctx: &mut Ctx) {
         ],
     );
     for class in ["MEM", "MID", "ILP", "MIX"] {
-        let mixes: Vec<&str> = if ctx.opts.quick {
-            vec![class_mixes(class)[0]]
-        } else {
-            class_mixes(class)
-        };
+        let all = class_mixes(class);
+        let mixes = ctx.mixes(&all, &all[..1]);
         let mut epi = [0.0f64; 4];
         let mut acc = 0.0;
         let mut speedup = 0.0;
@@ -585,11 +584,8 @@ pub fn fig17_18(ctx: &mut Ctx) {
         ],
     );
     for class in ["MEM", "MID", "ILP", "MIX"] {
-        let mixes: Vec<&str> = if ctx.opts.quick {
-            vec![class_mixes(class)[0]]
-        } else {
-            class_mixes(class)
-        };
+        let all = class_mixes(class);
+        let mixes = ctx.mixes(&all, &all[..1]);
         let mut cpi = [0.0f64; 4];
         let mut epi = [0.0f64; 4];
         for name in &mixes {
@@ -733,11 +729,7 @@ pub fn ablation_grouping(ctx: &mut Ctx) {
             "worst deg (no grouping)",
         ],
     );
-    let mixes = if ctx.opts.quick {
-        vec!["MID1"]
-    } else {
-        vec!["MID1", "MID3", "ILP1", "MIX2"]
-    };
+    let mixes = ctx.mixes(&["MID1", "MID3", "ILP1", "MIX2"], &["MID1"]);
     for name in mixes {
         let base = ctx.run(name, PolicyKind::StaticMax);
         let on = ctx.run(name, PolicyKind::CoScale);
@@ -768,11 +760,7 @@ pub fn ablation_phase(ctx: &mut Ctx) {
             "worst deg (out of phase)",
         ],
     );
-    let mixes = if ctx.opts.quick {
-        vec!["MID1"]
-    } else {
-        vec!["MID1", "MID2", "MID3", "MID4"]
-    };
+    let mixes = ctx.mixes(&MID_MIXES, &["MID1"]);
     for name in mixes {
         let base = ctx.run(name, PolicyKind::StaticMax);
         let inphase = ctx.run(name, PolicyKind::SemiCoordinated);
@@ -807,11 +795,7 @@ pub fn ablation_page_policy(ctx: &mut Ctx) {
             "avg read lat (ns)",
         ],
     );
-    let mixes = if ctx.opts.quick {
-        vec!["MEM1"]
-    } else {
-        vec!["MEM1", "MEM4", "MID1"]
-    };
+    let mixes = ctx.mixes(&["MEM1", "MEM4", "MID1"], &["MEM1"]);
     let variants: [(&str, PagePolicy, SchedPolicy, AddrMap); 4] = [
         (
             "closed+interleave (paper)",
@@ -844,15 +828,13 @@ pub fn ablation_page_policy(ctx: &mut Ctx) {
             cfg.mem.page_policy = page;
             cfg.mem.sched = sched;
             cfg.mem.addr_map = map;
-            eprintln!("  running {name} / baseline [{label}] ...");
-            let r = coscale::Runner::new(cfg.clone(), PolicyKind::StaticMax).run();
-            let hits = r.row_hit_rate;
+            let r = ctx.run_config(cfg, PolicyKind::StaticMax);
             t.row(vec![
                 name.into(),
                 label.into(),
                 format!("{:.2}", r.makespan.as_secs_f64() * 1e3),
                 format!("{:.2}", r.total_energy_j()),
-                pct(hits),
+                pct(r.row_hit_rate),
                 format!("{:.1}", r.avg_read_latency_ns),
             ]);
         }
@@ -876,11 +858,7 @@ pub fn ablation_idle_states(ctx: &mut Ctx) {
             "sleep frac",
         ],
     );
-    let mixes = if ctx.opts.quick {
-        vec!["ILP1"]
-    } else {
-        vec!["ILP1", "MID1", "MEM1"]
-    };
+    let mixes = ctx.mixes(&["ILP1", "MID1", "MEM1"], &["ILP1"]);
     for name in mixes {
         let base = ctx.run(name, PolicyKind::StaticMax);
         // Idle-state managers (no DVFS): a fast-exit powerdown with a short
@@ -891,24 +869,22 @@ pub fn ablation_idle_states(ctx: &mut Ctx) {
             threshold: Ps::from_us(2),
             mode: IdleMode::Powerdown,
         });
-        eprintln!("  running {name} / idle-powerdown ...");
-        let pd = coscale::Runner::new(pd_cfg, PolicyKind::StaticMax).run();
+        let pd = ctx.run_config(pd_cfg, PolicyKind::StaticMax);
         let mut sr_cfg = ctx.standard_config(name);
         sr_cfg.mem.idle_policy = Some(IdleMemPolicy {
             threshold: Ps::from_us(50),
             mode: IdleMode::SelfRefresh,
         });
-        eprintln!("  running {name} / idle-self-refresh ...");
-        let sr = coscale::Runner::new(sr_cfg, PolicyKind::StaticMax).run();
+        let sr = ctx.run_config(sr_cfg, PolicyKind::StaticMax);
         let ms = ctx.run(name, PolicyKind::MemScale);
         let co = ctx.run(name, PolicyKind::CoScale);
         for (label, run) in [
-            ("idle powerdown (2µs)", &pd),
-            ("idle self-refresh (50µs)", &sr),
-            ("MemScale DVFS", &*ms),
-            ("CoScale", &*co),
+            ("idle powerdown (2µs)", pd),
+            ("idle self-refresh (50µs)", sr),
+            ("MemScale DVFS", ms),
+            ("CoScale", co),
         ] {
-            let (_, worst) = degradation_stats(run, &base);
+            let (_, worst) = degradation_stats(&run, &base);
             let sleep = if label.starts_with("idle") {
                 pct(run.mem_sleep_fraction)
             } else {
@@ -928,33 +904,27 @@ pub fn ablation_idle_states(ctx: &mut Ctx) {
 
 /// Ablation: voltage-domain granularity (§3.4: "each voltage domain may
 /// currently contain several cores ... research has shown this is likely to
-/// change"). Quantifies what per-core domains buy CoScale.
+/// change"). Quantifies what per-core domains buy CoScale. Asserted before
+/// the table is written: per-core domains save the most.
 pub fn ablation_voltage_domains(ctx: &mut Ctx) {
     let mut t = Table::new(
         "Ablation — cores per voltage domain (CoScale, MID mixes)",
         &["domain size", "energy savings", "worst degradation"],
     );
-    let mixes = if ctx.opts.quick {
-        vec!["MID1"]
-    } else {
-        vec!["MID1", "MID2"]
-    };
+    let mixes = ctx.mixes(&["MID1", "MID2"], &["MID1"]);
+    let mut savings = Vec::new();
     for ds in [1usize, 4, 16] {
-        let mut savings = 0.0;
-        let mut worst = f64::NEG_INFINITY;
-        for name in &mixes {
-            let base = ctx.run(name, PolicyKind::StaticMax);
-            let mut cfg = ctx.standard_config(name);
-            cfg.voltage_domain_cores = ds;
-            eprintln!("  running {name} / CoScale [domains of {ds}] ...");
-            let run = ctx.run_config(cfg, PolicyKind::CoScale);
-            savings += run.energy_savings_vs(&base);
-            let (_, w) = degradation_stats(&run, &base);
-            worst = worst.max(w);
-        }
-        savings /= mixes.len() as f64;
-        t.row(vec![format!("{ds}"), pct(savings), pct(worst)]);
+        let (s, worst) = sweep(ctx, &mixes, false, |cfg| cfg.voltage_domain_cores = ds);
+        t.row(vec![format!("{ds}"), pct(s), pct(worst)]);
+        savings.push(s);
     }
+    assert!(
+        savings[1..].iter().all(|&s| s < savings[0]),
+        "per-core voltage domains must save the most: {} vs {} and {} for domains of 4 and 16",
+        pct(savings[0]),
+        pct(savings[1]),
+        pct(savings[2])
+    );
     ctx.emit(&t, "ablation_voltage_domains.tsv");
 }
 
@@ -1860,32 +1830,43 @@ pub fn fluid_clients(ctx: &mut Ctx) {
     ctx.emit(&t, "fluid_clients_diurnal.tsv");
 }
 
-/// Runs every experiment in paper order.
+/// One experiment: the names that select it on the command line,
+/// canonical name first, and the function that runs it.
+pub type Experiment = (&'static [&'static str], fn(&mut Ctx));
+
+/// Every experiment, in paper order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    (&["table1"], table1),
+    (&["fig5"], fig5),
+    (&["fig6"], fig6),
+    (&["fig7"], fig7),
+    (&["fig8_9", "fig8", "fig9"], fig8_9),
+    (&["fig10"], fig10),
+    (&["fig11"], fig11),
+    (&["fig12_13", "fig12", "fig13"], fig12_13),
+    (&["fig14"], fig14),
+    (&["fig15"], fig15),
+    (&["fig16"], fig16),
+    (&["fig17_18", "fig17", "fig18"], fig17_18),
+    (&["search-cost"], search_cost),
+    (&["ablation-grouping"], ablation_grouping),
+    (&["ablation-phase"], ablation_phase),
+    (&["ablation-page-policy"], ablation_page_policy),
+    (&["ablation-idle-states"], ablation_idle_states),
+    (&["ablation-voltage-domains"], ablation_voltage_domains),
+    (&["cluster-capping"], cluster_capping),
+    (&["service-sla"], service_sla),
+    (&["hierarchical-capping"], hierarchical_capping),
+    (&["closed-loop-balancing"], closed_loop_balancing),
+    (&["fluid-clients"], fluid_clients),
+    (&["multi-tier"], multi_tier),
+    (&["fleet-scale"], fleet_scale),
+    (&["control-plane"], control_plane),
+];
+
+/// Runs every experiment of [`EXPERIMENTS`], in order.
 pub fn all(ctx: &mut Ctx) {
-    table1(ctx);
-    fig5(ctx);
-    fig6(ctx);
-    fig7(ctx);
-    fig8_9(ctx);
-    fig10(ctx);
-    fig11(ctx);
-    fig12_13(ctx);
-    fig14(ctx);
-    fig15(ctx);
-    fig16(ctx);
-    fig17_18(ctx);
-    search_cost(ctx);
-    ablation_grouping(ctx);
-    ablation_phase(ctx);
-    ablation_page_policy(ctx);
-    ablation_idle_states(ctx);
-    ablation_voltage_domains(ctx);
-    cluster_capping(ctx);
-    service_sla(ctx);
-    hierarchical_capping(ctx);
-    closed_loop_balancing(ctx);
-    fluid_clients(ctx);
-    multi_tier(ctx);
-    fleet_scale(ctx);
-    control_plane(ctx);
+    for (_, run) in EXPERIMENTS {
+        run(ctx);
+    }
 }

@@ -17,7 +17,6 @@ mod table;
 pub use table::Table;
 
 use coscale::{PolicyKind, RunResult, SimConfig};
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -51,12 +50,17 @@ impl Opts {
     }
 }
 
-/// Experiment context: options plus a cache of standard-configuration runs
-/// so that figures sharing runs (5/6/8/9/16…) do not repeat them.
+/// Experiment context: options plus every run made so far, so that
+/// figures sharing a configuration (5/6/8/9/16, a sweep's default point…)
+/// do not repeat it.
 pub struct Ctx {
     /// Options.
     pub opts: Opts,
-    cache: HashMap<(String, PolicyKind), Arc<RunResult>>,
+    /// Each run is a pure function of its configuration and policy, so
+    /// those two are its key. A linear scan is enough: `experiments all`
+    /// keeps about 300 runs at full scale, and comparing configurations
+    /// costs nothing next to simulating one.
+    runs: Vec<(SimConfig, PolicyKind, Arc<RunResult>)>,
 }
 
 impl Ctx {
@@ -69,7 +73,7 @@ impl Ctx {
         std::fs::create_dir_all(&opts.out_dir).expect("create output dir");
         Ctx {
             opts,
-            cache: HashMap::new(),
+            runs: Vec::new(),
         }
     }
 
@@ -85,22 +89,28 @@ impl Ctx {
         cfg
     }
 
-    /// Runs (or returns the cached) standard-configuration result.
-    pub fn run(&mut self, mix_name: &str, kind: PolicyKind) -> Arc<RunResult> {
-        let key = (mix_name.to_string(), kind);
-        if let Some(r) = self.cache.get(&key) {
-            return Arc::clone(r);
-        }
-        eprintln!("  running {mix_name} / {kind} ...");
-        let r = Arc::new(coscale::run_policy(self.standard_config(mix_name), kind));
-        self.cache.insert(key, Arc::clone(&r));
-        r
+    /// `quick` under `--quick`, else `full`: the mixes an experiment
+    /// averages over.
+    pub fn mixes<'a>(&self, full: &[&'a str], quick: &[&'a str]) -> Vec<&'a str> {
+        if self.opts.quick { quick } else { full }.to_vec()
     }
 
-    /// Runs a custom configuration (not cached).
-    pub fn run_config(&self, cfg: SimConfig, kind: PolicyKind) -> RunResult {
-        eprintln!("  running {} / {kind} (custom) ...", cfg.mix.name);
-        coscale::run_policy(cfg, kind)
+    /// Runs the standard configuration of `mix_name` under `kind`, or
+    /// returns the earlier run of the same configuration.
+    pub fn run(&mut self, mix_name: &str, kind: PolicyKind) -> Arc<RunResult> {
+        self.run_config(self.standard_config(mix_name), kind)
+    }
+
+    /// Runs `cfg` under `kind`, or returns the earlier run of the same
+    /// configuration and policy.
+    pub fn run_config(&mut self, cfg: SimConfig, kind: PolicyKind) -> Arc<RunResult> {
+        if let Some((.., r)) = self.runs.iter().find(|(c, k, _)| *k == kind && *c == cfg) {
+            return Arc::clone(r);
+        }
+        eprintln!("  running {} / {kind} ...", cfg.mix.name);
+        let r = Arc::new(coscale::run_policy(cfg.clone(), kind));
+        self.runs.push((cfg, kind, Arc::clone(&r)));
+        r
     }
 
     /// Writes `table` as TSV under the output directory and prints it.
@@ -140,14 +150,9 @@ pub const MID_MIXES: [&str; 4] = ["MID1", "MID2", "MID3", "MID4"];
 /// The MEM mixes (used by Figure 13).
 pub const MEM_MIXES: [&str; 4] = ["MEM1", "MEM2", "MEM3", "MEM4"];
 
-/// One representative mix per class (quick mode shrinks class averages to
-/// these).
-pub const CLASS_REPS: [(&str, &str); 4] = [
-    ("MEM", "MEM1"),
-    ("MID", "MID1"),
-    ("ILP", "ILP1"),
-    ("MIX", "MIX2"),
-];
+/// One representative mix per class: `--quick` shrinks all-mix averages
+/// to these.
+pub const CLASS_REPS: [&str; 4] = ["MEM1", "MID1", "ILP1", "MIX2"];
 
 /// The mixes of one class.
 pub fn class_mixes(class: &str) -> Vec<&'static str> {

@@ -1,8 +1,10 @@
 //! Tests of the experiment-harness utilities.
 
-use bench::{class_mixes, degradation_stats, experiments::synthetic_profile, pct, ALL_MIXES};
+use bench::experiments::{synthetic_profile, EXPERIMENTS};
+use bench::{class_mixes, degradation_stats, pct, ALL_MIXES};
 use coscale::{PolicyKind, RunResult};
 use simkernel::Ps;
+use std::process::{Command, Output};
 
 #[test]
 fn all_mixes_covers_table1() {
@@ -67,4 +69,42 @@ fn degradation_stats_computes_avg_and_worst() {
     assert!((avg - 0.075).abs() < 1e-9);
     assert!((worst - 0.10).abs() < 1e-9);
     assert!((run.energy_savings_vs(&base) - 0.1).abs() < 1e-9);
+}
+
+fn experiments(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(args)
+        .output()
+        .expect("experiments runs")
+}
+
+#[test]
+fn help_lists_every_registry_name_once() {
+    let out = experiments(&["--help"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let listed: Vec<&str> = stderr.split_whitespace().collect();
+    let mut names: Vec<&str> = EXPERIMENTS
+        .iter()
+        .flat_map(|(names, _)| names.iter().copied())
+        .chain(["report", "all"])
+        .collect();
+    for name in &names {
+        assert!(listed.contains(name), "--help omits {name}:\n{stderr}");
+    }
+    names.sort_unstable();
+    let n = names.len();
+    names.dedup();
+    assert_eq!(names.len(), n, "a command name selects two experiments");
+}
+
+#[test]
+fn an_unknown_command_exits_2_before_anything_runs() {
+    let out_dir = std::env::temp_dir().join(format!("experiments-nosuch-{}", std::process::id()));
+    let dir = out_dir.to_str().expect("a UTF-8 temp dir");
+    let out = experiments(&["--quick", "--out", dir, "table1", "nosuch"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown command: nosuch"), "{stderr}");
+    assert!(!out_dir.exists(), "the output directory was created");
 }

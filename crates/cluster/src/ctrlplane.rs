@@ -184,7 +184,7 @@ impl RpcConfig {
         if self.lease_rounds == 0 {
             return Err("lease must last at least 1 round".into());
         }
-        if self.floor_cap_w.is_nan() || self.floor_cap_w < 0.0 {
+        if !self.floor_cap_w.is_finite() || self.floor_cap_w < 0.0 {
             return Err(format!(
                 "floor cap {} must be finite and non-negative",
                 self.floor_cap_w
@@ -1601,6 +1601,17 @@ mod tests {
             ..RpcConfig::default()
         };
         assert!(bad.validate(&names).is_err());
+        for floor_cap_w in [f64::INFINITY, f64::NAN, -1.0] {
+            let bad = RpcConfig {
+                floor_cap_w,
+                ..RpcConfig::default()
+            };
+            let err = bad.validate(&names).expect_err("a bad floor cap");
+            assert!(
+                err.starts_with(&format!("floor cap {floor_cap_w} ")),
+                "{err}"
+            );
+        }
         let bad = RpcConfig {
             partitions: vec![PartitionSpec {
                 from_round: 5,

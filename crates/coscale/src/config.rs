@@ -45,8 +45,10 @@ impl std::fmt::Display for PolicyKind {
     }
 }
 
-/// Complete configuration of one simulation run.
-#[derive(Clone, Debug)]
+/// Complete configuration of one simulation run. A run is a pure function
+/// of its configuration and policy, so equal configurations under one
+/// policy give equal results.
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimConfig {
     /// The workload mix to execute.
     pub mix: Mix,

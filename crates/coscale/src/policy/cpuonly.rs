@@ -1,74 +1,12 @@
 //! The CPUOnly comparison policy: per-core CPU DVFS only (§3.2).
-//!
-//! The paper is "optimistic about this alternative": it assumes CPUOnly
-//! considers all combinations of core frequencies and picks the best.
-//! Under the model, given a fixed memory frequency and a fixed epoch-time
-//! cap τ (set by the worst core), each core's energy-minimal choice is
-//! independent: the lowest feasible frequency with slowdown ≤ τ. Searching
-//! all-core combinations therefore reduces *exactly* to searching the
-//! discrete set of achievable τ values — which is what this implementation
-//! does, making it equivalent to the paper's exhaustive CPUOnly.
 
+use crate::policy::managers::cpu_manager_plan;
 use crate::{Model, Plan, Policy, PolicyKind};
 
-/// Exhaustive-equivalent per-core CPU DVFS with memory pinned at maximum.
+/// Exhaustive-equivalent per-core CPU DVFS with memory pinned at maximum:
+/// the CPU manager's search under the true slack-adjusted bound.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CpuOnlyPolicy;
-
-/// Searches core settings for a fixed memory index by enumerating epoch-time
-/// caps; shared with the Offline oracle. Returns the best plan and its SER.
-pub(crate) fn best_cores_for_mem(model: &Model<'_>, mem: usize) -> (Plan, f64) {
-    let n = model.n_cores();
-    let cmax = model.core_grid_len() - 1;
-
-    // Candidate caps: every achievable per-core slowdown at this memory
-    // frequency (deduplicated); τ = 1.0 (all max) is always included.
-    let mut taus: Vec<f64> = vec![1.0];
-    for i in 0..n {
-        for fc in 0..=cmax {
-            if model.core_ok(i, fc, mem) {
-                taus.push(model.slowdown(i, fc, mem));
-            }
-        }
-    }
-    taus.sort_by(|a, b| a.partial_cmp(b).expect("slowdowns are never NaN"));
-    taus.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-
-    let mut best: Option<(Plan, f64)> = None;
-    for &tau in &taus {
-        let mut cores = Vec::with_capacity(n);
-        let mut ok = true;
-        for i in 0..n {
-            // Lowest frequency whose slowdown fits under both τ and the
-            // slack bound; tpi is monotone in frequency so scan upward.
-            let choice = (0..=cmax)
-                .find(|&fc| model.core_ok(i, fc, mem) && model.slowdown(i, fc, mem) <= tau + 1e-12);
-            match choice {
-                Some(fc) => cores.push(fc),
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
-            continue;
-        }
-        let plan = Plan { cores, mem };
-        let ser = model.ser(&plan);
-        if best.as_ref().is_none_or(|(_, s)| ser < *s) {
-            best = Some((plan, ser));
-        }
-    }
-    best.unwrap_or_else(|| {
-        let plan = Plan {
-            cores: vec![cmax; n],
-            mem,
-        };
-        let ser = model.ser(&plan);
-        (plan, ser)
-    })
-}
 
 impl Policy for CpuOnlyPolicy {
     fn kind(&self) -> PolicyKind {
@@ -76,7 +14,6 @@ impl Policy for CpuOnlyPolicy {
     }
 
     fn decide(&mut self, model: &Model<'_>, _current: &Plan) -> Plan {
-        let (plan, _) = best_cores_for_mem(model, model.mem_grid_len() - 1);
-        plan
+        cpu_manager_plan(model, model.mem_grid_len() - 1, |i| model.allowed_tpi(i)).0
     }
 }

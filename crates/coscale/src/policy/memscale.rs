@@ -1,9 +1,10 @@
 //! The MemScale comparison policy: memory-subsystem DVFS only (§3.2).
 
+use crate::policy::managers::mem_manager_plan;
 use crate::{Model, Plan, Policy, PolicyKind};
 
-/// Memory-only DVFS. Cores stay pinned at maximum; the bus frequency walks
-/// down one step at a time while every application stays within its slack,
+/// Memory-only DVFS. Cores stay pinned at maximum; the memory manager walks
+/// the bus frequency down while every application stays within its slack,
 /// and the minimum-SER setting visited is chosen.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MemScalePolicy;
@@ -14,26 +15,8 @@ impl Policy for MemScalePolicy {
     }
 
     fn decide(&mut self, model: &Model<'_>, _current: &Plan) -> Plan {
-        let n = model.n_cores();
-        let mut plan = Plan::max(n, model.core_grid_len(), model.mem_grid_len());
-        let mut best = plan.clone();
-        let mut best_ser = model.ser(&plan);
-
-        while plan.mem > 0 {
-            let next = Plan {
-                cores: plan.cores.clone(),
-                mem: plan.mem - 1,
-            };
-            if !model.plan_ok(&next) {
-                break;
-            }
-            plan = next;
-            let ser = model.ser(&plan);
-            if ser < best_ser {
-                best_ser = ser;
-                best = plan.clone();
-            }
-        }
-        best
+        let mut plan = Plan::max(model.n_cores(), model.core_grid_len(), model.mem_grid_len());
+        plan.mem = mem_manager_plan(model, &plan.cores, |i| model.allowed_tpi(i));
+        plan
     }
 }

@@ -4,6 +4,16 @@
 //! in how they search the frequency space and what slack/baseline
 //! assumptions they make, so experimental differences isolate exactly the
 //! paper's subject: *coordination*.
+//!
+//! The five comparison policies are built from two searches: a CPU manager
+//! that picks per-core frequencies with memory frozen, and a memory manager
+//! that walks the bus frequency down with cores frozen. CPUOnly is the CPU
+//! manager with memory at maximum, MemScale the memory manager with cores
+//! at maximum, and Offline the CPU manager at every memory frequency, all
+//! under the true slack-adjusted bound. Uncoordinated and Semi-coordinated
+//! run both managers from the current plan: Uncoordinated against bounds
+//! that ignore accumulated slack, Semi-coordinated against the shared true
+//! bound.
 
 mod coscale;
 mod cpuonly;

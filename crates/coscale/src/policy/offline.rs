@@ -5,12 +5,12 @@
 //! the simulation, running the epoch ahead, and rewinding), so the model's
 //! inputs are exact rather than extrapolated from a 300 µs window. Given a
 //! memory frequency and an epoch-time cap τ, per-core choices decouple
-//! under the model (see `cpuonly.rs`), so enumerating (memory frequency ×
+//! under the model (see `managers.rs`), so enumerating (memory frequency ×
 //! achievable τ) searches the full `M × Cᴺ` space without approximation.
 //! Offline remains greedy epoch-by-epoch, exactly as the paper notes — it
 //! is an upper bound for CoScale, not a global optimum.
 
-use crate::policy::cpuonly::best_cores_for_mem;
+use crate::policy::managers::cpu_manager_plan;
 use crate::{Model, Plan, Policy, PolicyKind};
 
 /// The oracle policy.
@@ -29,7 +29,7 @@ impl Policy for OfflinePolicy {
     fn decide(&mut self, model: &Model<'_>, _current: &Plan) -> Plan {
         let mut best: Option<(Plan, f64)> = None;
         for mem in 0..model.mem_grid_len() {
-            let (plan, ser) = best_cores_for_mem(model, mem);
+            let (plan, ser) = cpu_manager_plan(model, mem, |i| model.allowed_tpi(i));
             if !model.plan_ok(&plan) {
                 continue;
             }

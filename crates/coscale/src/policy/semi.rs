@@ -46,7 +46,7 @@ impl Policy for SemiCoordinatedPolicy {
         self.epoch_parity = !self.epoch_parity;
 
         let cores = if run_cpu {
-            cpu_manager_plan(model, current.mem, allowed)
+            cpu_manager_plan(model, current.mem, allowed).0.cores
         } else {
             current.cores.clone()
         };

@@ -28,7 +28,7 @@ impl Policy for UncoordinatedPolicy {
         // CPU manager: baseline is "cores at max, memory as it is now";
         // no accumulated slack is consulted (it assumes none exists).
         let cpu_allowed = |i: usize| model.tpi(i, cmax, current.mem) * (1.0 + gamma);
-        let cores = cpu_manager_plan(model, current.mem, cpu_allowed);
+        let cores = cpu_manager_plan(model, current.mem, cpu_allowed).0.cores;
 
         // Memory manager: baseline is "memory at max, cores as they are
         // now"; also consumes the full budget.

@@ -569,7 +569,7 @@ impl ServiceConfig {
         s.config
             .validate()
             .map_err(|e| format!("server {}: {e}", s.name))?;
-        if s.mean_request_instrs <= 0.0 {
+        if !s.mean_request_instrs.is_finite() || s.mean_request_instrs <= 0.0 {
             return Err(format!("server {}: request size must be positive", s.name));
         }
         if s.queue_capacity == 0 {
@@ -578,10 +578,15 @@ impl ServiceConfig {
                 s.name
             ));
         }
-        if s.p99_target_s <= 0.0 {
-            return Err(format!("server {}: p99 target must be positive", s.name));
+        if !s.p99_target_s.is_finite() || s.p99_target_s <= 0.0 {
+            return Err(format!(
+                "server {}: p99 target {} s must be finite and positive",
+                s.name, s.p99_target_s
+            ));
         }
-        Ok(())
+        s.arrivals
+            .validate()
+            .map_err(|e| format!("server {}: {e}", s.name))
     }
 }
 
@@ -674,6 +679,64 @@ mod tests {
         bad.queue_capacity = 0;
         let err = join_error(open_loop_base(), 3, bad).unwrap_err();
         assert!(err.contains("queue capacity"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_bad_arrivals_request_sizes_and_p99_targets() {
+        let mmpp =
+            |rate_hz, burst_factor, (mean_calm, mean_burst), diurnal_depth| ArrivalKind::Mmpp {
+                rate_hz,
+                burst_factor,
+                mean_calm,
+                mean_burst,
+                diurnal_period: Ps::from_ms(10),
+                diurnal_depth,
+            };
+        let poisson = |rate_hz| ArrivalKind::Poisson { rate_hz };
+        let dwells = (Ps::from_ms(2), Ps::from_ms(1));
+        let cases = [
+            (poisson(f64::NAN), "arrival rate NaN"),
+            (poisson(f64::INFINITY), "arrival rate inf"),
+            (poisson(-5.0), "arrival rate -5"),
+            (mmpp(f64::INFINITY, 2.0, dwells, 0.5), "arrival rate inf"),
+            (mmpp(1e3, 0.5, dwells, 0.5), "burst factor 0.5"),
+            (mmpp(1e3, f64::INFINITY, dwells, 0.5), "burst factor inf"),
+            (mmpp(1e3, 2.0, (Ps::ZERO, Ps::ZERO), 0.5), "mean dwells"),
+            (mmpp(1e3, 2.0, (dwells.0, Ps::ZERO), 0.5), "mean dwells"),
+            (mmpp(1e3, 2.0, dwells, 1.0), "diurnal depth 1"),
+            (mmpp(1e3, 2.0, dwells, f64::NAN), "diurnal depth NaN"),
+            (mmpp(1e3, 2.0, dwells, -0.1), "diurnal depth -0.1"),
+        ];
+        let mut ok = open_loop_base();
+        ok.servers[0].arrivals = mmpp(1e3, 2.0, dwells, 0.5);
+        assert!(ok.validate().is_ok());
+        for (arrivals, needle) in cases {
+            let spec = ServiceServerSpec::small("odd", "ILP1", 2, 1000.0).with_arrivals(arrivals);
+            let mut c = open_loop_base();
+            c.servers.push(spec.clone());
+            let err = c.validate().unwrap_err();
+            assert!(
+                err.starts_with("server odd: ") && err.contains(needle),
+                "{err}"
+            );
+            let err = join_error(open_loop_base(), 3, spec).unwrap_err();
+            assert!(err.contains("odd") && err.contains(needle), "{err}");
+        }
+        for size in [f64::NAN, f64::INFINITY, 0.0] {
+            let mut c = open_loop_base();
+            c.servers[0].mean_request_instrs = size;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("request size"), "{err}");
+        }
+        for target in [f64::NAN, f64::INFINITY, 0.0, -1e-3] {
+            let spec = ServiceServerSpec::small("odd", "ILP1", 2, 1000.0).with_p99_target_s(target);
+            let mut c = open_loop_base();
+            c.servers.push(spec.clone());
+            let err = c.validate().unwrap_err();
+            assert!(err.contains(&format!("p99 target {target} s")), "{err}");
+            let err = join_error(open_loop_base(), 3, spec).unwrap_err();
+            assert!(err.contains(&format!("p99 target {target} s")), "{err}");
+        }
     }
 
     #[test]

@@ -97,6 +97,39 @@ fn serving_rejects_a_join_past_the_horizon() {
 }
 
 #[test]
+fn serving_rejects_bad_rates_and_p99_targets() {
+    for (flag, value, needle) in [
+        ("--rate", "nan", "arrival rate NaN"),
+        ("--rate", "inf", "arrival rate inf"),
+        ("--rate", "-5", "arrival rate -5"),
+        ("--p99-target", "nan", "p99 target NaN"),
+        ("--p99-target", "inf", "p99 target inf"),
+        ("--join", "2:late=ILP1@inf", "churn join late at round 2"),
+    ] {
+        assert_rejected(&["--serve", flag, value], needle);
+    }
+}
+
+#[test]
+fn batch_rejects_an_infinite_lease_floor() {
+    assert_rejected(
+        &[
+            "--fleet-size",
+            "8",
+            "--idle-fraction",
+            "0",
+            "--epochs-per-round",
+            "1",
+            "--floor-cap",
+            "inf",
+            "--partition",
+            "2:30:s0000",
+        ],
+        "floor cap inf",
+    );
+}
+
+#[test]
 fn a_tiny_batch_run_succeeds() {
     let out = cluster(&["--servers", "a=ILP1:2", "--cap", "60", "--threads", "2"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
