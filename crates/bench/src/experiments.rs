@@ -673,11 +673,14 @@ pub fn synthetic_profile(n: usize) -> EpochProfile {
 }
 
 /// §3.1 search-cost measurement: wall-clock time of one CoScale decision at
-/// 16, 64 and 128 cores.
+/// 16, 64 and 128 cores, as the median and quartiles of 21 batch means. One
+/// batch's mean can move by 2× between runs of one binary, so a row without
+/// its spread could not show a change.
 pub fn search_cost(ctx: &mut Ctx) {
+    const BATCHES: usize = 21;
     let mut t = Table::new(
-        "Search cost — one CoScale decision (paper: <5 µs @16 cores on a 2.4 GHz Xeon; projected 83/360 µs @64/128)",
-        &["cores", "mean decision time", "iterations"],
+        "Search cost — one CoScale decision, median and quartiles of 21 batch means (paper: <5 µs @16 cores on a 2.4 GHz Xeon; projected 83/360 µs @64/128)",
+        &["cores", "median decision time", "q1", "q3", "batches", "decisions per batch"],
     );
     let core_grid = SimConfig::core_grid_with_steps(10);
     let mem_cfg = MemConfig::default();
@@ -699,17 +702,25 @@ pub fn search_cost(ctx: &mut Ctx) {
         );
         let mut policy = CoScalePolicy::default();
         let current = Plan::max(n, 10, 10);
-        // Warm up, then measure.
+        // Warm up, then time each batch's mean decision.
         let _ = policy.decide(&model, &current);
         let iters = if n <= 16 { 200 } else { 50 };
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(policy.decide(&model, &current));
-        }
-        let mean = t0.elapsed() / iters;
+        let mut means: Vec<_> = (0..BATCHES)
+            .map(|_| {
+                let t0 = Instant::now();
+                for _ in 0..iters {
+                    std::hint::black_box(policy.decide(&model, &current));
+                }
+                t0.elapsed() / iters
+            })
+            .collect();
+        means.sort_unstable();
         t.row(vec![
             format!("{n}"),
-            format!("{mean:?}"),
+            format!("{:?}", means[BATCHES / 2]),
+            format!("{:?}", means[BATCHES / 4]),
+            format!("{:?}", means[3 * BATCHES / 4]),
+            format!("{BATCHES}"),
             format!("{iters}"),
         ]);
     }

@@ -1,34 +1,28 @@
 //! Assembles every TSV in a results directory into one Markdown report —
 //! a machine-generated appendix to the curated EXPERIMENTS.md.
 
+use crate::experiments::EXPERIMENTS;
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// The fixed presentation order of known artifacts; anything else is
-/// appended alphabetically at the end.
-const ORDER: [&str; 21] = [
-    "table1",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "search_cost",
-    "ablation_grouping",
-    "ablation_phase",
-    "ablation_page_policy",
-    "ablation_idle_states",
-    "ablation_voltage_domains",
-];
+/// Where a TSV stem files in the report: the position of the
+/// [`EXPERIMENTS`] entry that wrote it, or `None` for an unclaimed stem.
+/// A stem belongs to the first entry with an alias equal to it (`fig8`
+/// files under `fig8_9`), failing that to the first entry whose canonical
+/// name, `-` read as `_`, equals the stem or is followed in it by `_`
+/// (`fluid_clients_diurnal` under `fluid-clients`).
+fn registry_position(stem: &str) -> Option<usize> {
+    EXPERIMENTS
+        .iter()
+        .position(|(names, _)| names.contains(&stem))
+        .or_else(|| {
+            EXPERIMENTS.iter().position(|(names, _)| {
+                let canon = names[0].replace('-', "_");
+                stem.strip_prefix(&canon)
+                    .is_some_and(|rest| rest.is_empty() || rest.starts_with('_'))
+            })
+        })
+}
 
 /// Renders one TSV body (with its `# title` comment line) as a Markdown
 /// section. Returns `None` if the content is not in the expected format.
@@ -78,11 +72,13 @@ pub fn render_report(dir: &Path) -> std::io::Result<String> {
             Err(e) => eprintln!("skipping {}: {e}", path.display()),
         }
     }
-    found.sort_by_key(|(stem, _)| {
-        ORDER
-            .iter()
-            .position(|o| o == stem)
-            .map_or((1, stem.clone()), |i| (0, format!("{i:03}")))
+    // Registry order, sections of one entry by stem; unclaimed stems last,
+    // alphabetically.
+    found.sort_by_cached_key(|(stem, _)| {
+        (
+            registry_position(stem).unwrap_or(EXPERIMENTS.len()),
+            stem.clone(),
+        )
     });
 
     let mut out = String::from(

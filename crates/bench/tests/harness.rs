@@ -108,3 +108,49 @@ fn an_unknown_command_exits_2_before_anything_runs() {
     assert!(stderr.contains("unknown command: nosuch"), "{stderr}");
     assert!(!out_dir.exists(), "the output directory was created");
 }
+
+#[test]
+fn report_files_sections_in_registry_order() {
+    let dir = std::env::temp_dir().join(format!("report-order-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    // Written in neither order; every stem's title is the stem itself.
+    let stems = [
+        "zzz_custom",
+        "control_plane_loss",
+        "fig9",
+        "fluid_clients_diurnal",
+        "fig8",
+        "fleet_scale",
+        "ablation_phase",
+        "cluster_capping",
+        "search_cost",
+        "table1",
+        "control_plane_failover",
+    ];
+    for stem in stems {
+        std::fs::write(dir.join(format!("{stem}.tsv")), format!("# {stem}\nk\tv\n")).unwrap();
+    }
+    let report = bench::report::render_report(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let order: Vec<&str> = report
+        .lines()
+        .filter_map(|l| l.strip_prefix("## "))
+        .collect();
+    assert_eq!(
+        order,
+        [
+            "table1",
+            "fig8",
+            "fig9",
+            "search_cost",
+            "ablation_phase",
+            "cluster_capping",
+            "fluid_clients_diurnal",
+            "fleet_scale",
+            "control_plane_failover",
+            "control_plane_loss",
+            "zzz_custom",
+        ]
+    );
+}

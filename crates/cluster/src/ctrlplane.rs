@@ -237,7 +237,9 @@ impl RpcConfig {
         let to_rounds = |us: f64| ((us * 1e-6) / round_s).ceil() as u64;
         let latency = to_rounds(self.latency_us);
         let jitter = to_rounds(self.jitter_us);
-        let delay = latency + jitter;
+        // Saturating, so a delay past `u64::MAX` rounds fails the lease
+        // check below instead of wrapping under it.
+        let delay = latency.saturating_add(jitter);
         if delay >= self.lease_rounds {
             return Err(format!(
                 "lease of {} rounds does not outlast the rpc delay of up to {} rounds \
@@ -253,65 +255,33 @@ impl RpcConfig {
         Ok(ResolvedRpc {
             latency_rounds: latency,
             jitter_rounds: jitter,
-            loss: self.loss,
-            duplicate: self.duplicate,
-            seed: self.seed,
-            lease_rounds: self.lease_rounds,
-            floor_cap_w: self.floor_cap_w,
-            failover: self.failover,
             heartbeat_timeout: (delay + 1).max(3),
-            quarantine: delay + self.lease_rounds,
-            suspect_after: (2 * delay + 1).max(5),
-            audit: self.audit,
+            quarantine: delay.saturating_add(self.lease_rounds),
+            suspect_after: delay.saturating_mul(2).saturating_add(1).max(5),
         })
     }
 }
 
-/// [`RpcConfig`] with every time knob converted to whole coordination
-/// rounds (the plane's clock: 1 tick = 1 barrier).
+/// The timings [`RpcConfig::resolve`] derives, in whole coordination
+/// rounds (the plane's clock: 1 tick = 1 barrier). Every other setting is
+/// read from the [`RpcConfig`] itself.
 #[derive(Clone, Copy, Debug)]
 pub struct ResolvedRpc {
     /// One-way latency in rounds.
     pub latency_rounds: u64,
     /// Maximum uniform extra delay in rounds.
     pub jitter_rounds: u64,
-    /// Drop probability.
-    pub loss: f64,
-    /// Duplication probability.
-    pub duplicate: f64,
-    /// Plane seed.
-    pub seed: u64,
-    /// Lease length in rounds.
-    pub lease_rounds: u64,
-    /// Expired-lease floor cap, watts.
-    pub floor_cap_w: f64,
-    /// Standby coordinator enabled.
-    pub failover: bool,
     /// Leader-silence threshold, rounds: `max(3, latency + jitter + 1)`.
     pub heartbeat_timeout: u64,
     /// Post-takeover quarantine length, rounds: latency + jitter + lease.
     pub quarantine: u64,
     /// Server-silence threshold, rounds: `max(5, 2·(latency + jitter) + 1)`.
     pub suspect_after: u64,
-    /// Grant auditing enabled.
-    pub audit: bool,
 }
 
-/// Why a server refused a grant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NackReason {
-    /// The grant's `(term, seq)` is not newer than what the server already
-    /// applied.
-    Stale,
-    /// The grant arrived at or after its own expiry barrier.
-    Expired,
-}
-
-/// A cap lease offered to one server.
+/// A cap lease offered to one server (the envelope's `to`).
 #[derive(Clone, Copy, Debug)]
 pub struct CapGrant {
-    /// Target server index.
-    pub server: usize,
     /// Issuing leader's term.
     pub term: u64,
     /// Issue sequence within the coordinator (totally ordered with `term`,
@@ -336,14 +306,13 @@ pub struct ReplState {
     pub next_seq: u64,
 }
 
-/// Every message that crosses the control plane.
+/// Every message that crosses the control plane. The [`Envelope`] names
+/// sender and receiver, so no message repeats a server index.
 #[derive(Clone, Debug)]
 pub enum CtrlMsg {
     /// Server → leader: telemetry for one barrier (also the server's
     /// liveness signal).
     Telemetry {
-        /// Reporting server index.
-        server: usize,
         /// Barrier the report describes.
         round: u64,
         /// The telemetry.
@@ -354,8 +323,6 @@ pub enum CtrlMsg {
     /// Server → leader: grant applied; carries the server's now-current
     /// `(term, seq)` so re-acks of duplicates are idempotent.
     Ack {
-        /// Acking server index.
-        server: usize,
         /// The server's current applied term.
         term: u64,
         /// The server's current applied sequence.
@@ -364,12 +331,8 @@ pub enum CtrlMsg {
     /// Server → leader: grant refused; carries the server's current term
     /// so a stale leader can fence itself.
     Nack {
-        /// Refusing server index.
-        server: usize,
         /// The server's current applied term.
         term: u64,
-        /// Why.
-        reason: NackReason,
     },
     /// Leader → standby: state replication and liveness.
     Heartbeat(Box<Heartbeat>),
@@ -395,8 +358,6 @@ pub struct Heartbeat {
     /// sequences within a term, so jitter-reordered heartbeats can never
     /// roll replicated state backwards.
     pub seq: u64,
-    /// Barrier it was sent at.
-    pub round: u64,
     /// Snapshot of the sender's replicated state.
     pub state: ReplState,
 }
@@ -685,8 +646,9 @@ impl LeaseLedger {
             .sum()
     }
 
-    /// The cap of the most recently sent grant to `server` (used to avoid
-    /// re-sending release-to-zero grants forever).
+    /// The cap of the most recently sent grant to `server`. A later
+    /// reconcile pass of a barrier sends only a cap above it, and a
+    /// finished server gets its release-to-zero while it is not zero.
     pub fn last_sent_cap(&self, server: usize) -> f64 {
         self.last_sent_cap[server]
     }
@@ -762,7 +724,6 @@ struct Coordinator {
     next_seq: u64,
     last_peer_heard: u64,
     quarantine_until: u64,
-    granted_this_barrier: Vec<Option<f64>>,
     /// Heartbeats this coordinator has sent (the next heartbeat's seq is
     /// `hb_seq + 1`); doubles as the release tag for ledger frees.
     hb_seq: u64,
@@ -803,7 +764,6 @@ impl Coordinator {
             next_seq: 1,
             last_peer_heard: 0,
             quarantine_until: 0,
-            granted_this_barrier: vec![None; n],
             hb_seq: 0,
             repl_watermark: if peer.is_some() { 0 } else { u64::MAX },
             last_adopted_hb: 0,
@@ -842,7 +802,8 @@ pub struct ControlPlane {
     splitter: HierSplitter,
     leases: Vec<LeaseClient>,
     n: usize,
-    rpc: ResolvedRpc,
+    rpc: RpcConfig,
+    timing: ResolvedRpc,
     budget: f64,
     quantum_w: f64,
     partitions: Vec<(u64, u64, Vec<usize>)>,
@@ -861,18 +822,16 @@ impl ControlPlane {
     pub fn new(config: &ClusterConfig) -> ControlPlane {
         let n = config.servers.len();
         let names: Vec<&str> = config.servers.iter().map(|s| s.name.as_str()).collect();
-        config
-            .rpc
-            .validate(&names)
+        let rpc = config.rpc.clone();
+        rpc.validate(&names)
             .expect("invalid rpc config; ClusterConfig::validate reports this cleanly");
-        let rpc = config
-            .rpc
+        let timing = rpc
             .resolve(config.round_s())
             .expect("unresolvable rpc config; ClusterConfig::validate reports this cleanly");
         let coords_n = if rpc.failover { 2 } else { 1 };
         let link = LinkConfig {
-            latency: Ps::new(rpc.latency_rounds),
-            jitter: Ps::new(rpc.jitter_rounds),
+            latency: Ps::new(timing.latency_rounds),
+            jitter: Ps::new(timing.jitter_rounds),
             loss: rpc.loss,
             duplicate: rpc.duplicate,
         };
@@ -914,8 +873,7 @@ impl ControlPlane {
                     .expect("validated partition name"),
             }
         };
-        let partitions = config
-            .rpc
+        let partitions = rpc
             .partitions
             .iter()
             .map(|p| {
@@ -933,6 +891,7 @@ impl ControlPlane {
             leases,
             n,
             rpc,
+            timing,
             budget: config.global_cap_w,
             quantum_w: config.quantum_w,
             partitions,
@@ -968,16 +927,8 @@ impl ControlPlane {
         // from. Telemetry doubles as the liveness heartbeat.
         for &(i, demand) in reports {
             let to = self.leases[i].leader();
-            self.plane.send(
-                t,
-                NodeId(i),
-                to,
-                CtrlMsg::Telemetry {
-                    server: i,
-                    round,
-                    demand,
-                },
-            );
+            self.plane
+                .send(t, NodeId(i), to, CtrlMsg::Telemetry { round, demand });
         }
         self.pump(t, round);
         self.maybe_elect(round);
@@ -1029,79 +980,46 @@ impl ControlPlane {
     fn dispatch(&mut self, env: Envelope<CtrlMsg>, t: Ps, round: u64) {
         let to = env.to;
         if to.0 < self.n {
-            // Server side: only grants matter.
+            // Server side: only grants matter, and each gets one reply.
+            let CtrlMsg::Grant(g) = env.msg else {
+                return;
+            };
             let i = to.0;
-            if let CtrlMsg::Grant(g) = env.msg {
-                match self.leases[i].apply(round, &g, env.from) {
-                    GrantOutcome::Applied => {
-                        self.stats.grants_applied += 1;
-                        if self.rpc.audit {
-                            self.stats.grant_log.push(GrantRecord {
-                                round,
-                                server: i,
-                                term: g.term,
-                                seq: g.seq,
-                                cap_bits: g.cap_w.to_bits(),
-                            });
-                        }
-                        let (term, seq) = self.leases[i].granted();
-                        self.plane.send(
-                            t,
-                            to,
-                            env.from,
-                            CtrlMsg::Ack {
-                                server: i,
-                                term,
-                                seq,
-                            },
-                        );
+            let lease = &mut self.leases[i];
+            let reply = match lease.apply(round, &g, env.from) {
+                GrantOutcome::Applied => {
+                    self.stats.grants_applied += 1;
+                    if self.rpc.audit {
+                        self.stats.grant_log.push(GrantRecord {
+                            round,
+                            server: i,
+                            term: g.term,
+                            seq: g.seq,
+                            cap_bits: g.cap_w.to_bits(),
+                        });
                     }
-                    GrantOutcome::Stale => {
-                        self.stats.grants_stale += 1;
-                        if g.term < self.leases[i].term() {
-                            // A lower-term leader: fence it with our term.
-                            self.plane.send(
-                                t,
-                                to,
-                                env.from,
-                                CtrlMsg::Nack {
-                                    server: i,
-                                    term: self.leases[i].term(),
-                                    reason: NackReason::Stale,
-                                },
-                            );
-                        } else {
-                            // A duplicate or reordered renewal from the
-                            // current leader: re-ack the current state so a
-                            // lost ack still converges.
-                            let (term, seq) = self.leases[i].granted();
-                            self.plane.send(
-                                t,
-                                to,
-                                env.from,
-                                CtrlMsg::Ack {
-                                    server: i,
-                                    term,
-                                    seq,
-                                },
-                            );
-                        }
-                    }
-                    GrantOutcome::Expired => {
-                        self.stats.grants_expired += 1;
-                        self.plane.send(
-                            t,
-                            to,
-                            env.from,
-                            CtrlMsg::Nack {
-                                server: i,
-                                term: self.leases[i].term(),
-                                reason: NackReason::Expired,
-                            },
-                        );
+                    let (term, seq) = lease.granted();
+                    CtrlMsg::Ack { term, seq }
+                }
+                GrantOutcome::Stale => {
+                    self.stats.grants_stale += 1;
+                    if g.term < lease.term() {
+                        // A lower-term leader: fence it with our term.
+                        CtrlMsg::Nack { term: lease.term() }
+                    } else {
+                        // A duplicate or reordered renewal from the
+                        // current leader: re-ack the current state so a
+                        // lost ack still converges.
+                        let (term, seq) = lease.granted();
+                        CtrlMsg::Ack { term, seq }
                     }
                 }
-            }
+                GrantOutcome::Expired => {
+                    self.stats.grants_expired += 1;
+                    CtrlMsg::Nack { term: lease.term() }
+                }
+            };
+            self.plane.send(t, to, env.from, reply);
             return;
         }
         // Coordinator side.
@@ -1109,26 +1027,23 @@ impl ControlPlane {
             return;
         };
         match env.msg {
-            CtrlMsg::Telemetry {
-                server,
-                round: r0,
-                demand,
-            } => {
+            CtrlMsg::Telemetry { round: r0, demand } => {
                 let co = &mut self.coords[c];
-                if server < self.n && r0 >= co.view_round[server] {
-                    co.view[server] = demand;
-                    co.view_round[server] = r0;
+                let i = env.from.0;
+                if r0 >= co.view_round[i] {
+                    co.view[i] = demand;
+                    co.view_round[i] = r0;
                 }
             }
-            CtrlMsg::Ack { server, term, seq } => {
+            CtrlMsg::Ack { term, seq } => {
                 self.stats.acks += 1;
                 // The release stays pinned under the current heartbeat
                 // seq until the standby confirms having replicated it (at
                 // the next sweep when there is no standby).
                 let co = &mut self.coords[c];
-                co.ledger.note_ack(server, term, seq, co.hb_seq);
+                co.ledger.note_ack(env.from.0, term, seq, co.hb_seq);
             }
-            CtrlMsg::Nack { term, .. } => {
+            CtrlMsg::Nack { term } => {
                 self.stats.nacks += 1;
                 let co = &mut self.coords[c];
                 if term > co.term {
@@ -1193,9 +1108,9 @@ impl ControlPlane {
         if !self.rpc.failover {
             return;
         }
-        let quarantine = self.rpc.quarantine;
+        let quarantine = self.timing.quarantine;
         for (c, co) in self.coords.iter_mut().enumerate() {
-            if co.is_leader || round <= co.last_peer_heard + self.rpc.heartbeat_timeout {
+            if co.is_leader || round <= co.last_peer_heard + self.timing.heartbeat_timeout {
                 continue;
             }
             let mut term = co.term + 1;
@@ -1204,8 +1119,8 @@ impl ControlPlane {
             }
             co.term = term;
             co.is_leader = true;
-            co.quarantine_until = round + quarantine;
-            co.ledger.reconstruct(term, round + quarantine);
+            co.quarantine_until = round.saturating_add(quarantine);
+            co.ledger.reconstruct(term, co.quarantine_until);
             // The peer has confirmed nothing of this leadership yet.
             co.repl_watermark = 0;
             co.hb_seq = 0;
@@ -1237,7 +1152,7 @@ impl ControlPlane {
             co.ledger.release_confirmed(co.repl_watermark);
             for i in 0..n {
                 co.suspected[i] = co.view[i].active
-                    && round.saturating_sub(co.view_round[i]) > self.rpc.suspect_after;
+                    && round.saturating_sub(co.view_round[i]) > self.timing.suspect_after;
                 if co.suspected[i] {
                     self.stats.suspect_rounds += 1;
                 }
@@ -1251,8 +1166,6 @@ impl ControlPlane {
                     entry.active = false;
                 }
             }
-            co.granted_this_barrier.clear();
-            co.granted_this_barrier.resize(n, None);
             self.splitter
                 .split(self.budget, &co.live, None, self.quantum_w)
         };
@@ -1263,7 +1176,7 @@ impl ControlPlane {
         // finds nothing new and the deficit waits for future barriers.
         let mut passes = 0;
         loop {
-            let planned = self.reconcile_pass(c, round, &desired);
+            let planned = self.reconcile_pass(c, round, &desired, passes == 0);
             let sent = planned.len() as u64;
             let mut delivered = 0;
             if self.rpc.failover {
@@ -1320,7 +1233,6 @@ impl ControlPlane {
         let hb = Heartbeat {
             term: co.term,
             seq: co.hb_seq,
-            round,
             state: co.repl_state(),
         };
         let from = co.node;
@@ -1338,11 +1250,10 @@ impl ControlPlane {
             term: co.term,
             seq: co.next_seq,
             cap_w: cap,
-            expires: round + self.rpc.lease_rounds,
+            expires: round.saturating_add(self.rpc.lease_rounds),
         };
         co.next_seq += 1;
         co.ledger.note_sent(i, entry);
-        co.granted_this_barrier[i] = Some(cap);
         self.stats.grants_sent += 1;
         let from = co.node;
         self.plane.send(
@@ -1350,7 +1261,6 @@ impl ControlPlane {
             from,
             NodeId(i),
             CtrlMsg::Grant(CapGrant {
-                server: i,
                 term: entry.term,
                 seq: entry.seq,
                 cap_w: cap,
@@ -1362,14 +1272,23 @@ impl ControlPlane {
     /// One reconcile pass: plan what to send each server given the
     /// ledger's current reservations and the free pool — pure planning,
     /// `(server, cap)` pairs with no ledger or stats side effects.
-    /// Decreases and renewals always go out (they keep leases alive);
-    /// increases are funded from `budget − Σ reserved`, granted at the
-    /// exact target when the pool covers the deficit. A new leader in
-    /// quarantine has an empty pool, so its grants never exceed what its
-    /// reconstructed ledger already reserved.
-    fn reconcile_pass(&mut self, c: usize, round: u64, desired: &[f64]) -> Vec<(usize, f64)> {
+    /// The `first` pass of a barrier renews every lease (decreases and
+    /// renewals keep leases alive); a later pass sends only a strict
+    /// top-up over the cap this barrier already sent
+    /// ([`LeaseLedger::last_sent_cap`]). Increases are funded from
+    /// `budget − Σ reserved`, granted at the exact target when the pool
+    /// covers the deficit. A new leader in quarantine has an empty pool,
+    /// so its grants never exceed what its reconstructed ledger already
+    /// reserved.
+    fn reconcile_pass(
+        &self,
+        c: usize,
+        round: u64,
+        desired: &[f64],
+        first: bool,
+    ) -> Vec<(usize, f64)> {
         let n = self.n;
-        let co = &mut self.coords[c];
+        let co = &self.coords[c];
         let quarantined = round < co.quarantine_until;
         let mut free = if quarantined {
             0.0
@@ -1387,9 +1306,7 @@ impl ControlPlane {
             if !co.view[i].active {
                 // Finished: one release-to-zero, the same zeroed cap the
                 // direct split used to produce.
-                if co.granted_this_barrier[i].is_none()
-                    && co.ledger.last_sent_cap(i).to_bits() != 0.0f64.to_bits()
-                {
+                if co.ledger.last_sent_cap(i).to_bits() != 0.0f64.to_bits() {
                     out.push((i, 0.0));
                 }
                 continue;
@@ -1406,13 +1323,7 @@ impl ControlPlane {
                 free = 0.0;
                 reserved + take
             };
-            let send = match co.granted_this_barrier[i] {
-                // First pass: always renew, keeping the lease alive.
-                None => true,
-                // Later passes: only a strict top-up is news.
-                Some(prev) => cap > prev,
-            };
-            if send {
+            if first || cap > co.ledger.last_sent_cap(i) {
                 out.push((i, cap));
             }
         }
@@ -1434,7 +1345,6 @@ mod tests {
 
     fn grant(term: u64, seq: u64, cap_w: f64, expires: u64) -> CapGrant {
         CapGrant {
-            server: 0,
             term,
             seq,
             cap_w,
@@ -1665,6 +1575,24 @@ mod tests {
         };
         let err = too_slow.resolve(round_s).unwrap_err();
         assert!(err.contains("expire in flight"), "{err}");
+
+        // A delay past u64 rounds saturates and fails the lease check
+        // instead of wrapping under it.
+        let overflowing = RpcConfig {
+            latency_us: 1e300,
+            jitter_us: 1.0,
+            ..RpcConfig::default()
+        };
+        let err = overflowing.resolve(round_s).unwrap_err();
+        assert!(err.contains(&format!("up to {} rounds", u64::MAX)), "{err}");
+        // So does a quarantine past u64 rounds: one latency round plus a
+        // lease of u64::MAX rounds.
+        let forever = RpcConfig {
+            latency_us: 1.0,
+            lease_rounds: u64::MAX,
+            ..RpcConfig::default()
+        };
+        assert_eq!(forever.resolve(round_s).unwrap().quarantine, u64::MAX);
     }
 
     #[test]

@@ -1,63 +1,13 @@
 //! One simulated server in a fleet: the existing epoch engine
-//! (`coscale::Runner`) running `PowerCapPolicy` under a cap the fleet
-//! coordinator rewrites at round boundaries. Both fleet layers run it: the
-//! batch layer to completion, the serving layer under a request queue with
-//! an unreachable completion target.
+//! (`coscale::Runner`) running `PowerCapPolicy`, which holds the cap the
+//! fleet coordinator rewrites at round boundaries ([`Server::set_cap`]).
+//! Both fleet layers run it: the batch layer to completion, the serving
+//! layer under a request queue with an unreachable completion target.
 
 use crate::coordinator::ServerDemand;
 use crate::ServerSpec;
-use coscale::{Model, Plan, Policy, PolicyKind, PowerCapPolicy, RunResult, Runner};
+use coscale::{PolicyKind, RunResult, Runner};
 use simkernel::Ps;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// A power cap shared between the coordinator (writer, at round barriers)
-/// and the server's policy (reader, each epoch decision). Stored as f64
-/// bits in an atomic so `Server` stays `Send` for the round fan-out.
-#[derive(Clone, Debug)]
-struct SharedCap(Arc<AtomicU64>);
-
-impl SharedCap {
-    fn new(cap_w: f64) -> SharedCap {
-        SharedCap(Arc::new(AtomicU64::new(cap_w.to_bits())))
-    }
-
-    fn set(&self, cap_w: f64) {
-        self.0.store(cap_w.to_bits(), Ordering::Relaxed);
-    }
-
-    fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
-/// `PowerCapPolicy` with its budget read from a [`SharedCap`] at each
-/// decision, so the coordinator can move the cap without rebuilding the
-/// runner.
-struct CappedPolicy {
-    inner: PowerCapPolicy,
-    cap: SharedCap,
-}
-
-impl Policy for CappedPolicy {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::PowerCap
-    }
-
-    fn decide(&mut self, model: &Model<'_>, current: &Plan) -> Plan {
-        // Caps at or below zero mean "no budget granted"; run the floor
-        // plan rather than feeding PowerCapPolicy an invalid budget.
-        let cap_w = self.cap.get();
-        if cap_w <= 0.0 {
-            return Plan {
-                cores: vec![0; model.n_cores()],
-                mem: 0,
-            };
-        }
-        self.inner.cap_w = cap_w;
-        self.inner.decide(model, current)
-    }
-}
 
 /// Telemetry a server reports to the coordinator at a round boundary.
 #[derive(Clone, Copy, Debug)]
@@ -66,12 +16,12 @@ pub struct ServerStatus {
     pub demand: ServerDemand,
 }
 
-/// One server: name, runner, shared cap, and round telemetry accumulators.
+/// One server: name, runner, the assigned cap, and round telemetry
+/// accumulators.
 pub struct Server {
     /// Display name from the spec.
     pub name: String,
     runner: Runner,
-    cap: SharedCap,
     cap_w: f64,
     mean_cap_num: f64,
     rounds_run: u64,
@@ -83,22 +33,16 @@ pub struct Server {
 impl Server {
     /// Builds the server from its spec, initially granted `initial_cap_w`.
     pub fn new(spec: &ServerSpec, initial_cap_w: f64) -> Server {
-        let cap = SharedCap::new(initial_cap_w);
-        let policy = CappedPolicy {
-            inner: PowerCapPolicy::new(f64::MAX),
-            cap: cap.clone(),
-        };
         // Saturates for a target nobody can reach (a serving engine's).
         let total_target_instrs = spec
             .config
             .target_instrs
             .saturating_mul(spec.config.cores as u64);
-        let runner =
-            Runner::new(spec.config.clone(), PolicyKind::PowerCap).with_policy(Box::new(policy));
+        let mut runner = Runner::new(spec.config.clone(), PolicyKind::PowerCap);
+        runner.set_power_cap(initial_cap_w);
         Server {
             name: spec.name.clone(),
             runner,
-            cap,
             cap_w: initial_cap_w,
             mean_cap_num: 0.0,
             rounds_run: 0,
@@ -115,7 +59,7 @@ impl Server {
 
     /// Assigns the cap for the coming round.
     pub fn set_cap(&mut self, cap_w: f64) {
-        self.cap.set(cap_w);
+        self.runner.set_power_cap(cap_w);
         self.cap_w = cap_w;
     }
 

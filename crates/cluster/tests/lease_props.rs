@@ -11,7 +11,6 @@ const LEASE: u64 = 8;
 
 fn grant(term: u64, seq: u64, cap_w: f64, expires: u64) -> CapGrant {
     CapGrant {
-        server: 0,
         term,
         seq,
         cap_w,

@@ -524,6 +524,12 @@ impl Runner {
         self
     }
 
+    /// Moves the policy's power budget for the coming epochs
+    /// ([`Policy::set_power_cap`]; only a capping policy holds one).
+    pub fn set_power_cap(&mut self, cap_w: f64) {
+        self.policy.set_power_cap(cap_w);
+    }
+
     /// Builds an [`EpochProfile`] over `[a, b]`, attributing core busy
     /// cycles across the frequency segments recorded in `freqs_during`.
     fn profile_between(&self, a: &Snapshot, b: &Snapshot, plan: &Plan) -> EpochProfile {

@@ -50,6 +50,10 @@ pub trait Policy: Send {
     /// `model` is bound to the profiling (or oracle) window and the current
     /// slack state; `current` is the plan the system is running now.
     fn decide(&mut self, model: &Model<'_>, current: &Plan) -> Plan;
+
+    /// Moves the full-system power budget, watts, for the next decisions.
+    /// Only a capping policy holds one; every other policy ignores it.
+    fn set_power_cap(&mut self, _cap_w: f64) {}
 }
 
 /// No energy management: always the all-max plan. The paper's baseline.

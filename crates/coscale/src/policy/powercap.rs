@@ -8,7 +8,10 @@
 //! above the cap, applies the down-step losing the *least* performance per
 //! watt shed (the same marginal-utility machinery as CoScale, with the
 //! selection criterion inverted). The slack/γ bound is ignored — under a
-//! cap, staying below the budget is the hard constraint.
+//! cap, staying below the budget is the hard constraint. A fleet
+//! coordinator moves the cap between epochs through
+//! [`Policy::set_power_cap`]; a cap at or below zero means no budget was
+//! granted and runs the all-minimum plan.
 
 use crate::{Model, Plan, Policy, PolicyKind};
 
@@ -36,8 +39,18 @@ impl Policy for PowerCapPolicy {
         PolicyKind::PowerCap
     }
 
+    fn set_power_cap(&mut self, cap_w: f64) {
+        self.cap_w = cap_w;
+    }
+
     fn decide(&mut self, model: &Model<'_>, _current: &Plan) -> Plan {
         let n = model.n_cores();
+        if self.cap_w <= 0.0 {
+            return Plan {
+                cores: vec![0; n],
+                mem: 0,
+            };
+        }
         let mut plan = Plan::max(n, model.core_grid_len(), model.mem_grid_len());
         let mut cur_power = model.power(&plan).total();
         let mut cur_slow = model.worst_slowdown(&plan);

@@ -706,10 +706,18 @@ mod tests {
             (mmpp(1e3, 2.0, dwells, 1.0), "diurnal depth 1"),
             (mmpp(1e3, 2.0, dwells, f64::NAN), "diurnal depth NaN"),
             (mmpp(1e3, 2.0, dwells, -0.1), "diurnal depth -0.1"),
+            (poisson(1.000_001e12), "arrival envelope 1.000001e12/s"),
+            (mmpp(1e200, 1e200, dwells, 0.0), "arrival envelope inf/s"),
+            (mmpp(4e11, 2.0, dwells, 0.5), "arrival envelope 1.2e12/s"),
         ];
         let mut ok = open_loop_base();
         ok.servers[0].arrivals = mmpp(1e3, 2.0, dwells, 0.5);
         assert!(ok.validate().is_ok());
+        ok.servers[0].arrivals = poisson(1e12);
+        assert!(
+            ok.validate().is_ok(),
+            "one candidate per picosecond is the bound"
+        );
         for (arrivals, needle) in cases {
             let spec = ServiceServerSpec::small("odd", "ILP1", 2, 1000.0).with_arrivals(arrivals);
             let mut c = open_loop_base();

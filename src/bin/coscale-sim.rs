@@ -12,17 +12,20 @@
 //!   --prefetch          enable the next-line prefetcher
 //!   --ooo               MLP-window (out-of-order emulation) pipeline
 //!   --open-page         open-page row-buffer policy (+ row-interleaved map)
-//!   --cap WATTS         power budget for --policy powercap (default 150)
+//!   --cap WATTS         power budget, --policy powercap only (default 150)
 //!   --seed N            workload seed
 //!   --timeline FILE     write the per-epoch decision timeline as TSV
 //!   --compare           also run the no-DVFS baseline and report savings
+//!
+//! In both commands a flag given where it does nothing exits 2, and so does
+//! a repeated flag other than `--join`, `--leave` and `--partition`.
 //!
 //! coscale-sim cluster [OPTIONS]     multi-server fleet under one budget
 //!
 //!   --servers LIST      comma-separated name=mix[:cores][@rate] entries
 //!   --fleet-size N      synthetic N-server batch fleet instead of --servers
 //!   --idle-fraction F   share of the synthetic fleet that is near-idle
-//!                       (default 0.9)
+//!                       (default 0.9; --fleet-size only)
 //!   --cap WATTS         global power budget (default 280)
 //!   --split NAME        uniform|demand-proportional|fastcap|sla-aware|
 //!                       critical-path (default fastcap; sla-aware needs
@@ -34,13 +37,15 @@
 //!   --serve             request-serving mode: open-loop arrivals, queues,
 //!                       p99 SLOs (batch completion mode otherwise)
 //!   --rounds N          serving rounds in --serve mode (default 40)
-//!   --rate HZ           default arrival rate per server (default 30000)
-//!   --p99-target MS     p99 SLO in milliseconds (default 1.0)
+//!   --rate HZ           default arrival rate per server (default 30000;
+//!                       open loop only, as is an entry's @rate)
+//!   --p99-target MS     p99 SLO in milliseconds (default 1.0; --serve only)
 //!   --join R:SPEC       server SPEC joins at round R (--serve only)
 //!   --leave R:NAME      server NAME leaves at round R (--serve only)
 //!   --clients N         closed-loop client population instead of open-loop
 //!                       arrivals (--serve only; 0 = open loop, the default)
-//!   --think-ms F        mean client think time in milliseconds (default 0.2)
+//!   --think-ms F        mean client think time in milliseconds (default 0.2;
+//!                       --clients only, as are the next three)
 //!   --client-model NAME exact per-client pool or the aggregated fluid
 //!                       model for 10^6+ populations: exact|fluid
 //!                       (default exact)
@@ -53,13 +58,12 @@
 //!                       --clients only); requests fan out as sub-request
 //!                       DAGs and per-tier critical-path traces drive the
 //!                       budget split
-//!   --tier-floor F      per-tier budget floor as a fraction of the global
-//!                       cap (default 0.1; --tiers only)
+//!   --tier-floor F      floor each tier at F × global cap / active tiers
+//!                       (default 0.1; --tiers only)
 //!   --e2e-target MS     end-to-end p99 SLO for multi-tier requests in
 //!                       milliseconds (default 5.0; --tiers only)
 //! ```
 
-use coscale::PowerCapPolicy;
 use coscale_repro::prelude::*;
 
 struct Args {
@@ -101,6 +105,7 @@ fn parse_args() -> Args {
         timeline: None,
         compare: false,
     };
+    let mut given: Vec<String> = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut val = |name: &str| -> String {
@@ -128,6 +133,19 @@ fn parse_args() -> Args {
                 usage();
             }
         }
+        if given.contains(&flag) {
+            eprintln!("{flag} given twice");
+            usage();
+        }
+        given.push(flag);
+    }
+    if a.policy != "powercap" && given.iter().any(|f| f == "--cap") {
+        eprintln!("--cap does nothing here: it applies only to --policy powercap");
+        usage();
+    }
+    if a.cap.is_nan() || a.cap <= 0.0 {
+        eprintln!("--cap {} must be a positive wattage", a.cap);
+        usage();
     }
     a
 }
@@ -154,17 +172,38 @@ struct ClusterArgs {
     joins: Vec<String>,
     leaves: Vec<String>,
     clients: usize,
-    think_ms: f64,
+    think: Ps,
     client_model: ClientModel,
-    think_diurnal: Option<(f64, f64)>,
+    think_diurnal: Option<(Ps, f64)>,
     balance: BalancePolicy,
     tiers: Option<TierGraph>,
     tier_floor: f64,
     e2e_target_ms: f64,
-    servers_set: bool,
     rpc: RpcConfig,
-    rpc_flags_used: bool,
+    /// Every flag on the command line, in order.
+    given: Vec<String>,
 }
+
+impl ClusterArgs {
+    /// Whether `flag` was on the command line.
+    fn given(&self, flag: &str) -> bool {
+        self.given.iter().any(|f| f == flag)
+    }
+}
+
+/// The message-plane flags: batch runs only, and their use prints the
+/// plane's counters.
+const PLANE_FLAGS: [&str; 9] = [
+    "--rpc-latency-us",
+    "--rpc-jitter-us",
+    "--rpc-loss",
+    "--rpc-dup",
+    "--rpc-seed",
+    "--lease-rounds",
+    "--floor-cap",
+    "--failover",
+    "--partition",
+];
 
 fn cluster_usage() -> ! {
     eprintln!(
@@ -199,11 +238,11 @@ fn cluster_usage() -> ! {
          \x20 --tiers SPEC turns each client request into a DAG of sub-requests\n\
          \x20   across tiers, e.g. \"fe[2] -> app[4]*2 -> storage[3]\" (--serve\n\
          \x20   with --clients only). With --tiers, --servers entries name TIERS\n\
-         \x20   (tier=mix[:cores][@rate], one per tier) and are expanded to the\n\
+         \x20   (tier=mix[:cores], one per tier) and are expanded to the\n\
          \x20   graph's servers; omit --servers for an all-MID1 fleet. Budgets\n\
-         \x20   split per tier by critical-path share, floored at --tier-floor\n\
-         \x20   of the global cap per tier; --e2e-target MS sets the\n\
-         \x20   end-to-end p99 SLO\n\
+         \x20   split per tier by critical-path share, each tier floored at\n\
+         \x20   --tier-floor × global cap / active tiers; --e2e-target MS sets\n\
+         \x20   the end-to-end p99 SLO\n\
          \x20 --rpc-* shape the coordinator<->server message plane (batch only):\n\
          \x20   one-way latency and jitter in µs, loss and duplication probabilities\n\
          \x20   in [0, 1]; the default is a perfect loopback plane\n\
@@ -215,7 +254,11 @@ fn cluster_usage() -> ! {
          \x20   after max(3, d+1), and a new leader's free pool stays empty d + lease\n\
          \x20 --partition FROM:TO:NODES cuts the comma-separated nodes off for\n\
          \x20   rounds FROM..TO (server names, or 'primary'/'standby'), e.g.\n\
-         \x20   --partition 10:30:primary or --partition 20:40:light1,light2"
+         \x20   --partition 10:30:primary or --partition 20:40:light1,light2\n\
+         \x20 a flag given where it does nothing exits 2: --rate and @rate only in\n\
+         \x20   open loop, --think-ms --think-diurnal --client-model --balance --tiers\n\
+         \x20   only with --clients, --tier-floor --e2e-target only with --tiers;\n\
+         \x20   only --join, --leave and --partition may repeat"
     );
     std::process::exit(2);
 }
@@ -304,6 +347,109 @@ fn parse_partition(s: &str) -> PartitionSpec {
     }
 }
 
+/// Parses `value` for `what` (a flag or part of one), exiting 2 with the
+/// reason when it does not parse.
+fn parsed<T: std::str::FromStr>(what: &str, value: &str) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    value
+        .parse()
+        .unwrap_or_else(|e| cluster_fail(&format!("bad {what} '{value}': {e}")))
+}
+
+/// Parses a millisecond flag value into simulated time, exiting 2 unless
+/// the picosecond clock can hold it (finite, >= 0, at most ~1.8e10 ms).
+fn ms_flag(what: &str, value: &str) -> Ps {
+    let ms: f64 = parsed(what, value);
+    let max_s = u64::MAX as f64 / 1e12;
+    if !(0.0..=max_s).contains(&(ms * 1e-3)) {
+        cluster_fail(&format!(
+            "{what} {value} ms must be finite, >= 0 and at most {:.3e} ms",
+            max_s * 1e3
+        ));
+    }
+    Ps::from_secs_f64(ms * 1e-3)
+}
+
+/// Exits 2 when a flag, or an `@rate` in a fleet entry, is given where it
+/// does nothing. One row per scope: the flags, whether this command line
+/// is inside it, and its name for the message.
+fn check_flag_scopes(a: &ClusterArgs) {
+    let closed = a.serve && a.clients > 0;
+    let open = a.serve && a.clients == 0;
+    let scopes: [(&[&str], bool, &str); 9] = [
+        (
+            &PLANE_FLAGS,
+            !a.serve,
+            "batch runs (serving does not route through the message plane yet)",
+        ),
+        (&["--fleet-size"], !a.serve, "batch runs"),
+        (
+            &["--idle-fraction"],
+            a.fleet_size > 0,
+            "a --fleet-size fleet",
+        ),
+        (
+            &["--servers", "--seed"],
+            a.fleet_size == 0,
+            "named fleets, not a --fleet-size fleet",
+        ),
+        (
+            &["--rounds", "--p99-target", "--join", "--leave", "--clients"],
+            a.serve,
+            "--serve runs",
+        ),
+        (
+            &["--rate"],
+            open,
+            "open-loop --serve runs (without --clients)",
+        ),
+        (
+            &[
+                "--think-ms",
+                "--think-diurnal",
+                "--client-model",
+                "--balance",
+                "--tiers",
+            ],
+            closed,
+            "--serve runs with --clients",
+        ),
+        (
+            &["--tier-floor", "--e2e-target"],
+            a.tiers.is_some(),
+            "--tiers runs",
+        ),
+        (
+            &["--topology"],
+            a.tiers.is_none(),
+            "runs without --tiers (which builds its own per-tier tree)",
+        ),
+    ];
+    for (flags, inside, scope) in scopes {
+        if let Some(flag) = flags.iter().find(|f| !inside && a.given(f)) {
+            cluster_fail(&format!(
+                "{flag} does nothing here: it applies only to {scope}"
+            ));
+        }
+    }
+    // An entry's @rate sets an open-loop arrival rate; the default fleet
+    // carries one, so only entries from the command line count.
+    let mut entries: Vec<&str> = a.joins.iter().map(String::as_str).collect();
+    if a.given("--servers") {
+        entries.extend(a.servers.split(','));
+    }
+    for entry in entries {
+        if !open && entry.contains('@') {
+            cluster_fail(&format!(
+                "the @rate in '{entry}' does nothing here: it applies only to \
+                 open-loop --serve runs (without --clients)"
+            ));
+        }
+    }
+}
+
 fn parse_cluster_args() -> ClusterArgs {
     let mut a = ClusterArgs {
         servers: "heavy=MEM2:8@230000,light0=ILP1,light1=ILP2,light2=MID2".into(),
@@ -323,206 +469,82 @@ fn parse_cluster_args() -> ClusterArgs {
         joins: Vec::new(),
         leaves: Vec::new(),
         clients: 0,
-        think_ms: 0.2,
+        think: Ps::from_secs_f64(0.2 * 1e-3),
         client_model: ClientModel::Exact,
         think_diurnal: None,
         balance: BalancePolicy::RoundRobin,
         tiers: None,
         tier_floor: 0.1,
         e2e_target_ms: 5.0,
-        servers_set: false,
         rpc: RpcConfig::default(),
-        rpc_flags_used: false,
+        given: Vec::new(),
     };
     let mut it = std::env::args().skip(2);
     while let Some(flag) = it.next() {
-        let mut val = |name: &str| -> String {
+        let mut val = || {
             it.next()
-                .unwrap_or_else(|| cluster_fail(&format!("missing value for {name}")))
+                .unwrap_or_else(|| cluster_fail(&format!("missing value for {flag}")))
         };
         match flag.as_str() {
-            "--servers" => {
-                a.servers = val("--servers");
-                a.servers_set = true;
-            }
-            "--cap" => a.cap = Some(val("--cap").parse().unwrap_or_else(|_| cluster_usage())),
-            "--quantum" => a.quantum = val("--quantum").parse().unwrap_or_else(|_| cluster_usage()),
-            "--epochs-per-round" => {
-                a.epochs_per_round = Some(
-                    val("--epochs-per-round")
-                        .parse()
-                        .unwrap_or_else(|_| cluster_usage()),
-                )
-            }
-            "--split" => {
-                a.split = val("--split")
-                    .parse()
-                    .unwrap_or_else(|e: String| cluster_fail(&e))
-            }
+            "--servers" => a.servers = val(),
+            "--cap" => a.cap = Some(parsed(&flag, &val())),
+            "--quantum" => a.quantum = parsed(&flag, &val()),
+            "--epochs-per-round" => a.epochs_per_round = Some(parsed(&flag, &val())),
+            "--split" => a.split = parsed(&flag, &val()),
             "--topology" => {
-                let spec = val("--topology");
-                a.topology = Some(BudgetTree::parse(&spec).unwrap_or_else(|e| cluster_fail(&e)));
+                a.topology = Some(BudgetTree::parse(&val()).unwrap_or_else(|e| cluster_fail(&e)))
             }
-            "--threads" => a.threads = val("--threads").parse().unwrap_or_else(|_| cluster_usage()),
-            "--fleet-size" => {
-                a.fleet_size = val("--fleet-size")
-                    .parse()
-                    .unwrap_or_else(|_| cluster_usage())
-            }
-            "--idle-fraction" => {
-                a.idle_fraction = val("--idle-fraction")
-                    .parse()
-                    .unwrap_or_else(|_| cluster_usage())
-            }
+            "--threads" => a.threads = parsed(&flag, &val()),
+            "--fleet-size" => a.fleet_size = parsed(&flag, &val()),
+            "--idle-fraction" => a.idle_fraction = parsed(&flag, &val()),
             "--serve" => a.serve = true,
-            "--rounds" => a.rounds = val("--rounds").parse().unwrap_or_else(|_| cluster_usage()),
-            "--rate" => a.rate = val("--rate").parse().unwrap_or_else(|_| cluster_usage()),
-            "--p99-target" => {
-                a.p99_target_ms = val("--p99-target")
-                    .parse()
-                    .unwrap_or_else(|_| cluster_usage())
-            }
-            "--seed" => a.seed = val("--seed").parse().unwrap_or_else(|_| cluster_usage()),
-            "--join" => a.joins.push(val("--join")),
-            "--leave" => a.leaves.push(val("--leave")),
-            "--clients" => a.clients = val("--clients").parse().unwrap_or_else(|_| cluster_usage()),
-            "--think-ms" => {
-                a.think_ms = val("--think-ms")
-                    .parse()
-                    .unwrap_or_else(|_| cluster_usage())
-            }
-            "--client-model" => {
-                a.client_model = val("--client-model")
-                    .parse::<ClientModel>()
-                    .unwrap_or_else(|e: String| cluster_fail(&e))
-            }
+            "--rounds" => a.rounds = parsed(&flag, &val()),
+            "--rate" => a.rate = parsed(&flag, &val()),
+            "--p99-target" => a.p99_target_ms = parsed(&flag, &val()),
+            "--seed" => a.seed = parsed(&flag, &val()),
+            "--join" => a.joins.push(val()),
+            "--leave" => a.leaves.push(val()),
+            "--clients" => a.clients = parsed(&flag, &val()),
+            "--think-ms" => a.think = ms_flag("--think-ms", &val()),
+            "--client-model" => a.client_model = parsed(&flag, &val()),
             "--think-diurnal" => {
-                let spec = val("--think-diurnal");
+                let spec = val();
                 let (p, d) = spec
                     .split_once(':')
                     .unwrap_or_else(|| cluster_fail("--think-diurnal wants PERIOD_MS:DEPTH"));
-                let period: f64 = p
-                    .parse()
-                    .unwrap_or_else(|_| cluster_fail("--think-diurnal period must be a number"));
-                let depth: f64 = d
-                    .parse()
-                    .unwrap_or_else(|_| cluster_fail("--think-diurnal depth must be a number"));
-                a.think_diurnal = Some((period, depth));
+                let period = ms_flag("--think-diurnal period", p);
+                a.think_diurnal = Some((period, parsed("--think-diurnal depth", d)));
             }
-            "--balance" => {
-                a.balance = val("--balance")
-                    .parse::<BalancePolicy>()
-                    .unwrap_or_else(|e: String| cluster_fail(&e))
-            }
-            "--tiers" => {
-                let spec = val("--tiers");
-                a.tiers = Some(
-                    spec.parse::<TierGraph>()
-                        .unwrap_or_else(|e: String| cluster_fail(&e)),
-                );
-            }
-            "--tier-floor" => {
-                a.tier_floor = val("--tier-floor")
-                    .parse()
-                    .unwrap_or_else(|_| cluster_fail("--tier-floor must be a fraction in [0, 1)"))
-            }
-            "--e2e-target" => {
-                a.e2e_target_ms = val("--e2e-target")
-                    .parse()
-                    .unwrap_or_else(|_| cluster_fail("--e2e-target must be milliseconds"))
-            }
-            "--rpc-latency-us" => {
-                a.rpc.latency_us = val("--rpc-latency-us")
-                    .parse()
-                    .unwrap_or_else(|_| cluster_fail("--rpc-latency-us must be a number (µs)"));
-                a.rpc_flags_used = true;
-            }
-            "--rpc-jitter-us" => {
-                a.rpc.jitter_us = val("--rpc-jitter-us")
-                    .parse()
-                    .unwrap_or_else(|_| cluster_fail("--rpc-jitter-us must be a number (µs)"));
-                a.rpc_flags_used = true;
-            }
-            "--rpc-loss" => {
-                a.rpc.loss = val("--rpc-loss")
-                    .parse()
-                    .unwrap_or_else(|_| cluster_fail("--rpc-loss must be a probability in [0, 1]"));
-                a.rpc_flags_used = true;
-            }
-            "--rpc-dup" => {
-                a.rpc.duplicate = val("--rpc-dup")
-                    .parse()
-                    .unwrap_or_else(|_| cluster_fail("--rpc-dup must be a probability in [0, 1]"));
-                a.rpc_flags_used = true;
-            }
-            "--rpc-seed" => {
-                a.rpc.seed = val("--rpc-seed")
-                    .parse()
-                    .unwrap_or_else(|_| cluster_fail("--rpc-seed must be an integer"));
-                a.rpc_flags_used = true;
-            }
-            "--lease-rounds" => {
-                a.rpc.lease_rounds = val("--lease-rounds")
-                    .parse()
-                    .unwrap_or_else(|_| cluster_fail("--lease-rounds must be a positive integer"));
-                a.rpc_flags_used = true;
-            }
-            "--floor-cap" => {
-                a.rpc.floor_cap_w = val("--floor-cap")
-                    .parse()
-                    .unwrap_or_else(|_| cluster_fail("--floor-cap must be a wattage"));
-                a.rpc_flags_used = true;
-            }
-            "--failover" => {
-                a.rpc.failover = true;
-                a.rpc_flags_used = true;
-            }
-            "--partition" => {
-                a.rpc.partitions.push(parse_partition(&val("--partition")));
-                a.rpc_flags_used = true;
-            }
+            "--balance" => a.balance = parsed(&flag, &val()),
+            "--tiers" => a.tiers = Some(parsed(&flag, &val())),
+            "--tier-floor" => a.tier_floor = parsed(&flag, &val()),
+            "--e2e-target" => a.e2e_target_ms = parsed(&flag, &val()),
+            "--rpc-latency-us" => a.rpc.latency_us = parsed(&flag, &val()),
+            "--rpc-jitter-us" => a.rpc.jitter_us = parsed(&flag, &val()),
+            "--rpc-loss" => a.rpc.loss = parsed(&flag, &val()),
+            "--rpc-dup" => a.rpc.duplicate = parsed(&flag, &val()),
+            "--rpc-seed" => a.rpc.seed = parsed(&flag, &val()),
+            "--lease-rounds" => a.rpc.lease_rounds = parsed(&flag, &val()),
+            "--floor-cap" => a.rpc.floor_cap_w = parsed(&flag, &val()),
+            "--failover" => a.rpc.failover = true,
+            "--partition" => a.rpc.partitions.push(parse_partition(&val())),
             "--help" | "-h" => cluster_usage(),
             other => cluster_fail(&format!("unknown flag {other}")),
         }
+        if a.given(&flag) && !["--join", "--leave", "--partition"].contains(&flag.as_str()) {
+            cluster_fail(&format!(
+                "{flag} given twice; only --join, --leave and --partition repeat"
+            ));
+        }
+        a.given.push(flag);
     }
-    if a.serve && a.rpc_flags_used {
-        cluster_fail(
-            "the --rpc-*/--lease-rounds/--floor-cap/--failover/--partition plane flags \
-             apply to batch cluster runs; the serving layer does not route through the \
-             message plane yet",
-        );
-    }
-    if !a.serve && (!a.joins.is_empty() || !a.leaves.is_empty()) {
-        cluster_fail("--join/--leave require --serve (batch fleets run to completion)");
-    }
-    if !a.serve && a.clients > 0 {
-        cluster_fail("--clients requires --serve (batch fleets take no requests)");
-    }
-    if a.serve && a.fleet_size > 0 {
-        cluster_fail("--fleet-size builds a synthetic batch fleet; it does not mix with --serve");
-    }
+    check_flag_scopes(&a);
     if !(0.0..=1.0).contains(&a.idle_fraction) {
         cluster_fail("--idle-fraction must be in [0, 1]");
-    }
-    if a.think_ms < 0.0 || !a.think_ms.is_finite() {
-        cluster_fail("--think-ms must be a finite non-negative number");
     }
     if !a.serve && a.split == CapSplit::SlaAware {
         eprintln!(
             "note: sla-aware without --serve has no latency signal; using the fastcap fallback"
-        );
-    }
-    if a.tiers.is_some() && (!a.serve || a.clients == 0) {
-        cluster_fail("--tiers needs --serve and a closed-loop --clients population");
-    }
-    if a.tiers.is_some() && a.topology.is_some() {
-        cluster_fail(
-            "--tiers builds its own per-tier budget tree; it does not mix with --topology",
-        );
-    }
-    if a.tiers.is_some() && a.fleet_size > 0 {
-        cluster_fail(
-            "--tiers derives the fleet from the tier graph; it does not mix with --fleet-size",
         );
     }
     if a.tiers.is_none() && a.split == CapSplit::CriticalPath {
@@ -607,7 +629,7 @@ fn cluster_batch_main(args: &ClusterArgs) {
         r.perf_fairness()
     );
     println!("cap violations : {}", r.total_violations());
-    if args.rpc_flags_used {
+    if PLANE_FLAGS.iter().any(|f| args.given(f)) {
         let c = &r.control;
         println!();
         println!(
@@ -645,8 +667,8 @@ fn serve_spec(entry: &str, default_rate: f64, target_s: f64, seed: &mut u64) -> 
 }
 
 /// Expands a tier graph into the `{tier}{index}` serving fleet it implies.
-/// With `--tiers`, each `--servers` entry names a TIER (`tier=mix[:cores]
-/// [@rate]`) and styles every server in it; unnamed tiers default to MID1.
+/// With `--tiers`, each `--servers` entry names a TIER (`tier=mix[:cores]`)
+/// and styles every server in it; unnamed tiers default to MID1.
 fn tier_serve_fleet(
     args: &ClusterArgs,
     graph: &TierGraph,
@@ -658,13 +680,13 @@ fn tier_serve_fleet(
         .iter()
         .map(|_| ("MID1".to_string(), 4, args.rate))
         .collect();
-    if args.servers_set {
+    if args.given("--servers") {
         for entry in args.servers.split(',') {
             let (name, mix_name, cores, rate) = parse_server_entry(entry, args.rate);
             let Some(ti) = graph.tiers().iter().position(|t| t.name == name) else {
                 cluster_fail(&format!(
                     "--servers entry '{entry}' names no tier of the --tiers graph \
-                     (with --tiers, entries look like tier=mix[:cores][@rate])"
+                     (with --tiers, entries look like tier=mix[:cores])"
                 ));
             };
             style[ti] = (mix_name, cores, rate);
@@ -728,14 +750,10 @@ fn cluster_serve_main(args: &ClusterArgs) {
         cfg.epochs_per_round = epochs;
     }
     if args.clients > 0 {
-        let mut closed = ClosedLoopConfig::new(
-            args.clients,
-            Ps::from_secs_f64(args.think_ms * 1e-3),
-            args.balance,
-        )
-        .with_model(args.client_model);
-        if let Some((period_ms, depth)) = args.think_diurnal {
-            closed = closed.with_think_diurnal(Ps::from_secs_f64(period_ms * 1e-3), depth);
+        let mut closed = ClosedLoopConfig::new(args.clients, args.think, args.balance)
+            .with_model(args.client_model);
+        if let Some((period, depth)) = args.think_diurnal {
+            closed = closed.with_think_diurnal(period, depth);
         }
         cfg = cfg.with_closed_loop(closed);
     }
@@ -893,19 +911,15 @@ fn main() {
         std::process::exit(2);
     }
 
-    let (kind, custom): (PolicyKind, Option<Box<dyn coscale::Policy>>) = match args.policy.as_str()
-    {
-        "baseline" | "static" => (PolicyKind::StaticMax, None),
-        "coscale" => (PolicyKind::CoScale, None),
-        "memscale" => (PolicyKind::MemScale, None),
-        "cpuonly" => (PolicyKind::CpuOnly, None),
-        "uncoordinated" => (PolicyKind::Uncoordinated, None),
-        "semi" => (PolicyKind::SemiCoordinated, None),
-        "offline" => (PolicyKind::Offline, None),
-        "powercap" => (
-            PolicyKind::PowerCap,
-            Some(Box::new(PowerCapPolicy::new(args.cap))),
-        ),
+    let kind = match args.policy.as_str() {
+        "baseline" | "static" => PolicyKind::StaticMax,
+        "coscale" => PolicyKind::CoScale,
+        "memscale" => PolicyKind::MemScale,
+        "cpuonly" => PolicyKind::CpuOnly,
+        "uncoordinated" => PolicyKind::Uncoordinated,
+        "semi" => PolicyKind::SemiCoordinated,
+        "offline" => PolicyKind::Offline,
+        "powercap" => PolicyKind::PowerCap,
         other => {
             eprintln!("unknown policy '{other}'");
             usage();
@@ -914,9 +928,7 @@ fn main() {
 
     eprintln!("running {} / {kind} ...", args.mix);
     let mut runner = Runner::new(cfg.clone(), kind);
-    if let Some(p) = custom {
-        runner = runner.with_policy(p);
-    }
+    runner.set_power_cap(args.cap);
     let r = runner.run();
 
     println!("mix            : {}", r.mix);

@@ -1,20 +1,22 @@
-//! Front-door checks for `coscale-sim cluster`: a flag that would do
-//! nothing, or a configuration that could only fail mid-run, exits 2 with
-//! a message before any simulation starts.
+//! Front-door checks for `coscale-sim`: a flag that would do nothing, a
+//! repeated flag, or a configuration that could only fail mid-run, exits 2
+//! with a message before any simulation starts.
 
 use std::process::{Command, Output};
 
-fn cluster(args: &[&str]) -> Output {
+fn sim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_coscale-sim"))
-        .arg("cluster")
         .args(args)
         .output()
         .expect("coscale-sim runs")
 }
 
+fn cluster(args: &[&str]) -> Output {
+    sim(&[&["cluster"], args].concat())
+}
+
 /// Asserts exit status 2 and a stderr line containing `needle`.
-fn assert_rejected(args: &[&str], needle: &str) {
-    let out = cluster(args);
+fn assert_exits_2(out: Output, args: &[&str], needle: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
     assert!(
@@ -22,6 +24,16 @@ fn assert_rejected(args: &[&str], needle: &str) {
         "{args:?}: no '{needle}' in:\n{stderr}"
     );
 }
+
+/// [`assert_exits_2`] for a `cluster` command line.
+fn assert_rejected(args: &[&str], needle: &str) {
+    assert_exits_2(cluster(args), args, needle);
+}
+
+/// Small fleets, so a run that is wrongly accepted still ends quickly.
+const BATCH: [&str; 4] = ["--servers", "a=ILP1:1", "--cap", "30"];
+const SERVE: [&str; 3] = ["--serve", "--rounds", "2"];
+const CLOSED: [&str; 5] = ["--serve", "--rounds", "2", "--clients", "8"];
 
 #[test]
 fn removed_flags_are_unknown() {
@@ -105,6 +117,11 @@ fn serving_rejects_bad_rates_and_p99_targets() {
         ("--p99-target", "nan", "p99 target NaN"),
         ("--p99-target", "inf", "p99 target inf"),
         ("--join", "2:late=ILP1@inf", "churn join late at round 2"),
+        // Past one thinning candidate per picosecond the arrival gaps
+        // round to 0 ps and the generator's clock stops.
+        ("--rate", "1e300", "arrival envelope 1e300/s"),
+        ("--rate", "1.1e12", "arrival envelope 1.1e12/s"),
+        ("--join", "2:late=ILP1@2e12", "arrival envelope 2e12/s"),
     ] {
         assert_rejected(&["--serve", flag, value], needle);
     }
@@ -139,4 +156,171 @@ fn a_tiny_batch_run_succeeds() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("fleet energy"), "{stdout}");
+}
+
+#[test]
+fn batch_rejects_an_rpc_delay_that_overflows() {
+    // The delay saturates at u64::MAX rounds and fails the lease check,
+    // instead of wrapping to 0 rounds and passing it.
+    assert_rejected(
+        &[
+            "--servers",
+            "a=ILP1:2",
+            "--cap",
+            "60",
+            "--rpc-latency-us",
+            "1e300",
+            "--rpc-jitter-us",
+            "1",
+        ],
+        &format!("rpc delay of up to {} rounds", u64::MAX),
+    );
+}
+
+#[test]
+fn a_lease_of_u64_max_rounds_never_expires_a_grant() {
+    let args = [&BATCH[..], &["--lease-rounds", "18446744073709551615"]].concat();
+    let out = cluster(&args);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains(" 0 expired)"), "{stdout}");
+}
+
+#[test]
+fn flags_outside_their_runs_are_rejected() {
+    let cases: [(&[&str], &str, &[&str]); 21] = [
+        (&BATCH, "--rounds", &["--rounds", "3"]),
+        (&BATCH, "--rate", &["--rate", "100"]),
+        (&BATCH, "--p99-target", &["--p99-target", "2"]),
+        (&BATCH, "--think-ms", &["--think-ms", "1"]),
+        (&BATCH, "--balance", &["--balance", "least-queue"]),
+        (&BATCH, "--client-model", &["--client-model", "fluid"]),
+        (&BATCH, "--tier-floor", &["--tier-floor", "0.2"]),
+        (&BATCH, "--e2e-target", &["--e2e-target", "3"]),
+        (&BATCH, "--idle-fraction", &["--idle-fraction", "0.5"]),
+        (&["--fleet-size", "8"], "--seed", &["--seed", "3"]),
+        (
+            &["--fleet-size", "8"],
+            "--servers",
+            &["--servers", "a=ILP1"],
+        ),
+        (&CLOSED, "--rate", &["--rate", "100"]),
+        (
+            &CLOSED,
+            "@rate in 'a=ILP1@100'",
+            &["--servers", "a=ILP1@100"],
+        ),
+        (
+            &CLOSED,
+            "@rate in '1:b=ILP1@100'",
+            &["--join", "1:b=ILP1@100"],
+        ),
+        (&SERVE, "--think-ms", &["--think-ms", "1"]),
+        (&SERVE, "--balance", &["--balance", "least-queue"]),
+        (&SERVE, "--client-model", &["--client-model", "fluid"]),
+        (&SERVE, "--think-diurnal", &["--think-diurnal", "5:0.5"]),
+        (&CLOSED, "--tier-floor", &["--tier-floor", "0.2"]),
+        (&CLOSED, "--e2e-target", &["--e2e-target", "3"]),
+        (
+            &["--cap", "30"],
+            "@rate in 'a=ILP1:1@100'",
+            &["--servers", "a=ILP1:1@100"],
+        ),
+    ];
+    for (base, what, extra) in cases {
+        assert_rejected(
+            &[base, extra].concat(),
+            &format!("{what} does nothing here"),
+        );
+    }
+    let tiers = ["--tiers", "fe[1] -> st[1]", "--servers", "st=MID2@500"];
+    assert_rejected(
+        &[&CLOSED[..], &tiers].concat(),
+        "@rate in 'st=MID2@500' does nothing here",
+    );
+}
+
+#[test]
+fn plane_churn_and_synthetic_fleet_flags_keep_their_runs() {
+    for (base, flag, extra) in [
+        (&SERVE[..], "--rpc-loss", &["--rpc-loss", "0.1"]),
+        (&SERVE[..], "--fleet-size", &["--fleet-size", "8"]),
+        (&BATCH[..], "--join", &["--join", "1:b=ILP1"]),
+    ] {
+        assert_rejected(
+            &[base, extra].concat(),
+            &format!("{flag} does nothing here"),
+        );
+    }
+}
+
+#[test]
+fn single_server_cap_needs_the_powercap_policy_and_a_positive_budget() {
+    let small = ["--mix", "ILP1", "--instrs", "20000", "--cores", "1"];
+    let args = [&small[..], &["--cap", "60"]].concat();
+    assert_exits_2(sim(&args), &args, "--cap does nothing here");
+    // These used to panic in `PowerCapPolicy::new`.
+    for cap in ["0", "-5", "nan"] {
+        let args = [&small[..], &["--policy", "powercap", "--cap", cap]].concat();
+        assert_exits_2(sim(&args), &args, "must be a positive wattage");
+    }
+}
+
+#[test]
+fn a_repeated_flag_is_rejected() {
+    let args = [
+        "--mix", "ILP1", "--mix", "MEM1", "--instrs", "20000", "--cores", "1",
+    ];
+    assert_exits_2(sim(&args), &args, "--mix given twice");
+    assert_rejected(
+        &["--servers", "a=ILP1:1", "--servers", "b=MEM1:1"],
+        "--servers given twice",
+    );
+    assert_rejected(
+        &[&BATCH[..], &["--cap", "40"]].concat(),
+        "--cap given twice",
+    );
+    assert_rejected(&[&SERVE[..], &["--serve"]].concat(), "--serve given twice");
+}
+
+#[test]
+fn millisecond_values_past_the_clock_are_rejected() {
+    assert_rejected(
+        &[&CLOSED[..], &["--think-ms", "1e30"]].concat(),
+        "--think-ms 1e30 ms must be finite",
+    );
+    let fluid = ["--client-model", "fluid"];
+    for period in ["-5", "nan", "inf", "1e30"] {
+        let diurnal = format!("{period}:0.5");
+        assert_rejected(
+            &[&CLOSED[..], &fluid, &["--think-diurnal", &diurnal]].concat(),
+            &format!("--think-diurnal period {period} ms must be finite"),
+        );
+    }
+}
+
+#[test]
+fn repeatable_and_scoped_flags_still_run() {
+    let out = cluster(&[
+        "--serve",
+        "--rounds",
+        "3",
+        "--servers",
+        "a=ILP1@2000,b=MID1",
+        "--join",
+        "1:c=ILP2@1000",
+        "--join",
+        "2:d=ILP1",
+        "--leave",
+        "2:a",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
