@@ -24,9 +24,11 @@ pub enum CapSplit {
     /// for budget first (up to their full demand), servers comfortably
     /// meeting it are trimmed below their demand in proportion to their
     /// latency headroom, and granting within each tier is FastCap-style.
-    /// Requires per-server [`SlaSignal`](crate::coordinator::SlaSignal)s
+    /// Reacts to per-server [`SlaSignal`](crate::coordinator::SlaSignal)s
     /// (see [`split_caps_sla`](crate::coordinator::split_caps_sla));
-    /// without them it degrades to plain FastCap.
+    /// without them every server is unknown and bids its full demand, and
+    /// leftover budget stays unspent instead of being parked as FastCap
+    /// parks it.
     SlaAware,
     /// Critical-path aware splitting for groups of service tiers: budget
     /// shifts toward the child with the largest share of end-to-end
@@ -109,20 +111,6 @@ impl<S> ChurnSchedule<S> {
         ChurnSchedule { events: Vec::new() }
     }
 
-    /// Builds a schedule from events, ordering them by round (stable, so
-    /// same-round events apply in insertion order).
-    ///
-    /// # Errors
-    ///
-    /// Rejects two events for the same server at the same round.
-    pub fn from_events(events: Vec<ChurnEvent<S>>) -> Result<Self, String> {
-        let mut sched = ChurnSchedule::new();
-        for e in events {
-            sched.insert(e)?;
-        }
-        Ok(sched)
-    }
-
     /// Adds a join at the given round boundary. `name` is the joining
     /// server's id (the name its spec will carry in the fleet).
     ///
@@ -172,16 +160,6 @@ impl<S> ChurnSchedule<S> {
         self.events.push(event);
         self.events.sort_by_key(|e| e.round);
         Ok(())
-    }
-
-    /// Whether any events remain.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events not yet drained.
-    pub fn remaining(&self) -> usize {
-        self.events.len()
     }
 
     /// The events not yet drained, in application order.
@@ -570,7 +548,7 @@ mod tests {
         sched.leave(5, "a").unwrap();
         sched.join(2, "b", "b").unwrap();
         sched.join(5, "c", "c").unwrap();
-        assert_eq!(sched.remaining(), 3);
+        assert_eq!(sched.events().len(), 3);
 
         assert!(sched.drain_due(1).is_empty());
         let due = sched.drain_due(2);
@@ -582,7 +560,7 @@ mod tests {
         assert_eq!(due.len(), 2);
         assert!(matches!(due[0], ChurnAction::Leave(ref n) if n == "a"));
         assert!(matches!(due[1], ChurnAction::Join("c")));
-        assert!(sched.is_empty());
+        assert!(sched.events().is_empty());
     }
 
     #[test]
@@ -608,25 +586,11 @@ mod tests {
         sched.leave(3, "s0").unwrap();
         assert!(sched.leave(3, "s0").is_err());
 
-        // Distinct rounds or distinct servers stay fine, and from_events
-        // applies the same rule.
+        // Distinct rounds or distinct servers stay fine.
         let mut sched: ChurnSchedule<&str> = ChurnSchedule::new();
         sched.join(3, "s0", "s0").unwrap();
         sched.leave(4, "s0").unwrap();
         sched.leave(3, "s1").unwrap();
-        assert_eq!(sched.remaining(), 3);
-        assert!(ChurnSchedule::from_events(vec![
-            ChurnEvent {
-                round: 2,
-                name: "x".into(),
-                action: ChurnAction::Join("x"),
-            },
-            ChurnEvent {
-                round: 2,
-                name: "x".into(),
-                action: ChurnAction::Leave("x".into()),
-            },
-        ])
-        .is_err());
+        assert_eq!(sched.events().len(), 3);
     }
 }

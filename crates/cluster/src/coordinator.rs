@@ -1,7 +1,7 @@
 //! The cluster-level coordinator: turns one global power budget into
 //! per-server caps, once per coordination round.
 //!
-//! Three disciplines are implemented (see [`CapSplit`]):
+//! Three signal-free disciplines are implemented (see [`CapSplit`]):
 //!
 //! * **Uniform** — `C/N` each; the baseline every capping paper compares
 //!   against.
@@ -28,8 +28,11 @@
 //! Two signal-driven disciplines build on the same machinery: **SLA-aware**
 //! (see [`split_caps_sla`]) bids tail-latency violators to full demand, and
 //! **critical-path** (see [`split_caps_critical`]) shifts budget toward the
-//! service tier dominating end-to-end request latency. Both degrade to the
-//! signal-free disciplines above when their telemetry is absent.
+//! service tier dominating end-to-end request latency. Without latency
+//! samples every server is unknown to the SLA-aware split, so each bids its
+//! full demand on FastCap's greedy and leftover budget stays unspent (it is
+//! never parked, unlike FastCap's); without trace shares the critical-path
+//! split is exactly demand-proportional.
 
 use crate::CapSplit;
 use std::cmp::Ordering;
@@ -82,31 +85,25 @@ pub fn split_caps(
         }
         CapSplit::DemandProportional => {
             let mut caps = floors(global_cap_w, demands);
-            let used: f64 = caps.iter().sum();
-            let spare = (global_cap_w - used).max(0.0);
-            let total_headroom: f64 = demands
-                .iter()
-                .filter(|d| d.active)
-                .map(ServerDemand::headroom)
-                .sum();
-            for (cap, d) in caps.iter_mut().zip(demands) {
-                if !d.active {
-                    continue;
-                }
-                *cap += if total_headroom > 0.0 {
-                    spare * d.headroom() / total_headroom
-                } else {
-                    spare / n_active as f64
-                };
-            }
+            let spare = (global_cap_w - caps.iter().sum::<f64>()).max(0.0);
+            spread_by_headroom(&mut caps, demands, spare);
             caps
         }
         CapSplit::FastCap => fastcap_split(global_cap_w, demands, quantum_w),
-        // Without latency signals the SLA discipline has nothing to react
-        // to; degrade to its granting core — FastCap ordering, but keeping
-        // the documented "leftover goes unspent" invariant: caps saturate
-        // at demand instead of parking surplus budget on servers.
-        CapSplit::SlaAware => fastcap_core(global_cap_w, demands, quantum_w, false),
+        // Without latency signals every server is unknown and bids its full
+        // demand; leftover budget stays unspent, as in every SLA-aware split.
+        CapSplit::SlaAware => {
+            let unknown = SlaSignal {
+                p99_s: 0.0,
+                target_s: 0.0,
+            };
+            split_caps_sla(
+                global_cap_w,
+                demands,
+                &vec![unknown; demands.len()],
+                quantum_w,
+            )
+        }
         // Without trace signals the critical-path discipline degrades to
         // demand-proportional (legacy floors cannot be infeasible).
         CapSplit::CriticalPath => split_caps_critical(global_cap_w, demands, None, None)
@@ -177,21 +174,7 @@ pub fn split_caps_critical(
     });
     if !warm {
         // Sparse traces: exactly the demand-proportional discipline.
-        let total_headroom: f64 = demands
-            .iter()
-            .filter(|d| d.active)
-            .map(ServerDemand::headroom)
-            .sum();
-        for (cap, d) in caps.iter_mut().zip(demands) {
-            if !d.active {
-                continue;
-            }
-            *cap += if total_headroom > 0.0 {
-                spare * d.headroom() / total_headroom
-            } else {
-                spare / n_active as f64
-            };
-        }
+        spread_by_headroom(&mut caps, demands, spare);
         return Ok(caps);
     }
     let shares = shares.expect("warm implies shares");
@@ -327,9 +310,8 @@ const CLIP_EPS_W: f64 = 1e-9;
 /// Where a quantum greedy stops granting a server.
 #[derive(Clone, Copy)]
 enum Ceiling<'a> {
-    /// FastCap with leftover parking: every grant is a whole quantum (the
-    /// last may overshoot demand) and a server bids while its cap is below
-    /// its demand.
+    /// FastCap: every grant is a whole quantum (the last may overshoot
+    /// demand) and a server bids while its cap is below its demand.
     Demand,
     /// Grants are clipped at the per-server ceiling, and a server within
     /// [`CLIP_EPS_W`] of it is saturated: granting the remaining sliver
@@ -514,6 +496,28 @@ fn grant_in_index_order(
     Some(left > 1e-9)
 }
 
+/// The demand-proportional spread: adds `spare` to each active server's cap
+/// in proportion to its headroom above the floor, or evenly when no active
+/// server has headroom.
+fn spread_by_headroom(caps: &mut [f64], demands: &[ServerDemand], spare: f64) {
+    let n_active = demands.iter().filter(|d| d.active).count();
+    let total_headroom: f64 = demands
+        .iter()
+        .filter(|d| d.active)
+        .map(ServerDemand::headroom)
+        .sum();
+    for (cap, d) in caps.iter_mut().zip(demands) {
+        if !d.active {
+            continue;
+        }
+        *cap += if total_headroom > 0.0 {
+            spare * d.headroom() / total_headroom
+        } else {
+            spare / n_active as f64
+        };
+    }
+}
+
 /// Per-server power floors: each active server's all-minimum power, scaled
 /// down proportionally when the budget cannot cover them all.
 fn floors(global_cap_w: f64, demands: &[ServerDemand]) -> Vec<f64> {
@@ -580,55 +584,32 @@ pub(crate) fn utility_at(d: &ServerDemand, cap: f64) -> f64 {
     d.demand_w * perf_at(d, cap)
 }
 
-/// The marginal-utility greedy allocation, with FastCap's leftover parking.
-fn fastcap_split(global_cap_w: f64, demands: &[ServerDemand], quantum_w: f64) -> Vec<f64> {
-    fastcap_core(global_cap_w, demands, quantum_w, true)
-}
-
-/// The FastCap granting loop. `park_leftover` selects what happens to
-/// budget left after every active server saturates at its demand: FastCap
-/// proper parks it uniformly as headroom (transient demand spikes between
-/// rounds stay within budget); the SLA-aware degrade path leaves it unspent
-/// so `cap[i] ≤ demand[i]` holds, matching `split_caps_sla`.
+/// FastCap's marginal-utility greedy. Budget left after every active
+/// server saturates at its demand is parked on them uniformly as headroom,
+/// so transient demand spikes between rounds stay within budget.
 ///
-/// With parking, a budget that outlasts every bid is granted server by
-/// server (`grant_in_index_order`), and any other on the heap.
-fn fastcap_core(
-    global_cap_w: f64,
-    demands: &[ServerDemand],
-    quantum_w: f64,
-    park_leftover: bool,
-) -> Vec<f64> {
+/// A budget that outlasts every bid is granted server by server
+/// (`grant_in_index_order`), and any other on the heap.
+fn fastcap_split(global_cap_w: f64, demands: &[ServerDemand], quantum_w: f64) -> Vec<f64> {
     let mut caps = floors(global_cap_w, demands);
     let mut spare = global_cap_w - caps.iter().sum::<f64>();
-    let heap_greedy = |ceiling: Ceiling<'_>, caps: &mut [f64], spare: &mut f64| {
-        let mut clipped = vec![false; demands.len()];
-        grant_quanta(
-            demands,
-            ceiling,
-            |_| true,
-            quantum_w,
-            caps,
-            &mut clipped,
-            spare,
-        )
-    };
-    if !park_leftover {
-        // The non-parking variant promises `cap ≤ demand`, so it clips the
-        // final quantum at demand instead of overshooting it. Its clipped
-        // partial grants make `spare`'s rounding depend on their order, so
-        // it always runs on the heap.
-        let demand_w: Vec<f64> = demands.iter().map(|d| d.demand_w).collect();
-        heap_greedy(Ceiling::Clip(&demand_w), &mut caps, &mut spare);
-        return caps;
-    }
     let in_order = if budget_outlasts_bids(demands, &caps, spare, quantum_w) {
         grant_in_index_order(demands, quantum_w, &mut caps, &mut spare)
     } else {
         None
     };
-    let all_saturated =
-        in_order.unwrap_or_else(|| heap_greedy(Ceiling::Demand, &mut caps, &mut spare));
+    let all_saturated = in_order.unwrap_or_else(|| {
+        let mut clipped = vec![false; demands.len()];
+        grant_quanta(
+            demands,
+            Ceiling::Demand,
+            |_| true,
+            quantum_w,
+            &mut caps,
+            &mut clipped,
+            &mut spare,
+        )
+    });
     if all_saturated {
         let n_active = demands.iter().filter(|d| d.active).count() as f64;
         for (cap, d) in caps.iter_mut().zip(demands) {

@@ -94,8 +94,9 @@ pub struct PartitionSpec {
 
 /// Control-plane (RPC) configuration for a cluster run. The default is the
 /// **loopback** plane: zero latency, zero jitter, no loss, no duplication,
-/// no partitions, no standby — under which the simulation is bit-identical
-/// to the pre-plane direct-call coordinator.
+/// no partitions, no standby — under which the in-force caps match a
+/// direct split of the budget up to float dust (see the module doc's
+/// "Loopback equivalence").
 #[derive(Clone, Debug)]
 pub struct RpcConfig {
     /// One-way message latency, microseconds (rounded up to whole

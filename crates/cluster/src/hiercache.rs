@@ -167,8 +167,9 @@ impl HierSplitter {
     /// Splits `global_cap_w` over the compiled fleet with SLA signals
     /// only and no tier floors, so it cannot fail. `demands` (and `sla`,
     /// when present) are indexed like the fleet, as is the returned cap
-    /// vector. Without SLA signals, SLA-aware nodes degrade to the
-    /// demand-saturating FastCap variant (see [`split_caps`]).
+    /// vector. Without SLA signals, SLA-aware nodes treat every child as
+    /// unknown: each bids its full demand and leftover budget stays
+    /// unspent (see [`split_caps`]).
     ///
     /// # Panics
     ///

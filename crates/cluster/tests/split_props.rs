@@ -137,7 +137,7 @@ fn ref_fastcap_core(
     global_cap_w: f64,
     demands: &[ServerDemand],
     quantum_w: f64,
-    park_leftover: bool,
+    parks: bool,
 ) -> Vec<f64> {
     let mut caps = floors(global_cap_w, demands);
     let mut spare = global_cap_w - caps.iter().sum::<f64>();
@@ -146,7 +146,7 @@ fn ref_fastcap_core(
         let q = quantum_w.min(spare);
         let mut best: Option<(usize, f64)> = None;
         for (i, d) in demands.iter().enumerate() {
-            let saturated = if park_leftover {
+            let saturated = if parks {
                 clipped[i] || caps[i] >= d.demand_w
             } else {
                 clipped[i] || d.demand_w - caps[i] <= CLIP_EPS_W
@@ -161,7 +161,7 @@ fn ref_fastcap_core(
         }
         match best {
             Some((i, _)) => {
-                let grant = if park_leftover {
+                let grant = if parks {
                     q
                 } else {
                     q.min(demands[i].demand_w - caps[i])
@@ -175,7 +175,7 @@ fn ref_fastcap_core(
                 }
             }
             None => {
-                if park_leftover {
+                if parks {
                     let n_active = demands.iter().filter(|d| d.active).count() as f64;
                     for (cap, d) in caps.iter_mut().zip(demands) {
                         if d.active {

@@ -98,16 +98,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Demand miss ratio; zero when no accesses.
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-
     /// Prefetch accuracy: useful / (useful + unused); zero when no
     /// prefetches have been evaluated yet.
     pub fn prefetch_accuracy(&self) -> f64 {
@@ -591,15 +581,6 @@ mod tests {
     #[should_panic(expected = "L2 line 0xffffffffffffffff does not fit the 40-bit tag")]
     fn contains_rejects_a_line_past_the_tag() {
         let _ = tiny().contains(LineAddr(u64::MAX));
-    }
-
-    #[test]
-    fn miss_ratio_math() {
-        let mut s = CacheStats::default();
-        assert_eq!(s.miss_ratio(), 0.0);
-        s.hits = 3;
-        s.misses = 1;
-        assert!((s.miss_ratio() - 0.25).abs() < 1e-12);
     }
 
     #[test]

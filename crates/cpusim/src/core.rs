@@ -168,11 +168,6 @@ impl CoreSim {
         self.gen.profile()
     }
 
-    /// Whether the core is blocked waiting on memory.
-    pub fn is_blocked(&self) -> bool {
-        matches!(self.state, State::WaitMem | State::WaitWindow)
-    }
-
     /// Pre-installs this core's hot footprint into the shared L2, emulating
     /// the warmup phase the paper's SimPoint traces include. Call once at
     /// simulation start; filling is clean, so no writebacks result.

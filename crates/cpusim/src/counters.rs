@@ -85,16 +85,6 @@ impl CoreCounters {
         }
     }
 
-    /// E\[TPI_CPU\]: average core-attributable time per instruction at the
-    /// frequency the window executed at.
-    pub fn tpi_cpu(&self) -> Ps {
-        if self.tic == 0 {
-            Ps::ZERO
-        } else {
-            self.busy_time / self.tic
-        }
-    }
-
     /// E\[TPI_L2\]: average stall per L2-hit stall.
     pub fn tpi_l2(&self) -> Ps {
         if self.tms == 0 {
@@ -120,12 +110,6 @@ impl CoreCounters {
         } else {
             self.tlm as f64 * 1000.0 / self.tic as f64
         }
-    }
-
-    /// Total wall-clock time this window accounts for (busy + stalls +
-    /// transition halts).
-    pub fn total_time(&self) -> Ps {
-        self.busy_time + self.l2_stall_time + self.mem_stall_time + self.halt_time
     }
 }
 
@@ -162,10 +146,8 @@ mod tests {
     #[test]
     fn per_instruction_times() {
         let c = sample();
-        assert_eq!(c.tpi_cpu(), Ps::new(300));
         assert_eq!(c.tpi_l2(), Ps::new(7_500));
         assert_eq!(c.tpi_mem(), Ps::from_ns(60));
-        assert_eq!(c.total_time(), Ps::from_ns(2250));
     }
 
     #[test]
@@ -173,7 +155,6 @@ mod tests {
         let c = CoreCounters::default();
         assert_eq!(c.alpha(), 0.0);
         assert_eq!(c.beta(), 0.0);
-        assert_eq!(c.tpi_cpu(), Ps::ZERO);
         assert_eq!(c.tpi_l2(), Ps::ZERO);
         assert_eq!(c.tpi_mem(), Ps::ZERO);
         assert_eq!(c.mpki(), 0.0);

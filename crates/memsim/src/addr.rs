@@ -9,13 +9,6 @@ use crate::{AddrMap, MemConfig};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LineAddr(pub u64);
 
-impl LineAddr {
-    /// The byte address of the start of this line.
-    pub fn byte_addr(self, line_bytes: u64) -> u64 {
-        self.0 * line_bytes
-    }
-}
-
 impl From<u64> for LineAddr {
     fn from(v: u64) -> Self {
         LineAddr(v)
@@ -139,8 +132,7 @@ mod tests {
     }
 
     #[test]
-    fn byte_addr_roundtrip() {
-        assert_eq!(LineAddr(3).byte_addr(64), 192);
+    fn line_addr_from_u64() {
         assert_eq!(LineAddr::from(7u64), LineAddr(7));
     }
 }

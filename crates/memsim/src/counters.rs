@@ -3,9 +3,11 @@
 //! The paper's model decomposes memory stall time as
 //! `E[TPI_Mem] = ξ_bank · (S_Bank + ξ_bus · S_Bus)` where the `ξ` terms are
 //! queueing multipliers and the `S` terms are raw service times. The
-//! counters here provide everything needed to evaluate that model at the
-//! current frequency and to re-predict it at a different one, plus the
-//! busy/idle and page-event counts the memory power model consumes.
+//! counters here record the measured waits and service times; the CoScale
+//! model holds each `ξ` constant across frequencies (MemScale's rule), so it
+//! re-predicts stall time by scaling the measured waits with the service
+//! times they queue behind. They also hold the busy/idle and page-event
+//! counts the memory power model consumes.
 
 use simkernel::Ps;
 
@@ -116,38 +118,6 @@ impl MemCounters {
         }
     }
 
-    /// Mean raw bank service time per read.
-    pub fn avg_bank_service(&self) -> Ps {
-        if self.reads == 0 {
-            Ps::ZERO
-        } else {
-            self.bank_service_sum / self.reads
-        }
-    }
-
-    /// The bank queueing multiplier ξ_bank: observed wait expressed as a
-    /// multiple of service time, i.e. the effective number of requests ahead
-    /// in the bank queue. Zero when idle.
-    pub fn xi_bank(&self) -> f64 {
-        let s = self.bank_service_sum.as_ps();
-        if s == 0 {
-            0.0
-        } else {
-            self.bank_wait_sum.as_ps() as f64 / s as f64
-        }
-    }
-
-    /// The bus queueing multiplier ξ_bus: observed bus wait as a multiple of
-    /// total burst occupancy attributable to reads. Zero when idle.
-    pub fn xi_bus(&self, burst: Ps) -> f64 {
-        if self.reads == 0 || burst == Ps::ZERO {
-            return 0.0;
-        }
-        let per_read_burst = burst.as_ps() as f64;
-        let per_read_wait = self.bus_wait_sum.as_ps() as f64 / self.reads as f64;
-        per_read_wait / per_read_burst
-    }
-
     /// Data-bus utilization over a window of `window` per channel-second,
     /// given `channels` channels.
     pub fn bus_utilization(&self, window: Ps, channels: usize) -> f64 {
@@ -198,24 +168,13 @@ mod tests {
         assert_eq!(c.avg_read_latency(), Ps::from_ns(100));
         assert_eq!(c.avg_bank_wait(), Ps::from_ns(20));
         assert_eq!(c.avg_bus_wait(), Ps::from_ns(10));
-        assert_eq!(c.avg_bank_service(), Ps::from_ns(40));
     }
 
     #[test]
     fn empty_counters_have_zero_averages() {
         let c = MemCounters::default();
         assert_eq!(c.avg_read_latency(), Ps::ZERO);
-        assert_eq!(c.xi_bank(), 0.0);
-        assert_eq!(c.xi_bus(Ps::from_ns(5)), 0.0);
         assert_eq!(c.bus_utilization(Ps::ZERO, 4), 0.0);
-    }
-
-    #[test]
-    fn xi_factors() {
-        let c = sample();
-        assert!((c.xi_bank() - 0.5).abs() < 1e-12);
-        // 10ns avg bus wait over a 5ns burst -> xi_bus = 2.
-        assert!((c.xi_bus(Ps::from_ns(5)) - 2.0).abs() < 1e-12);
     }
 
     #[test]

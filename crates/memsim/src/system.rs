@@ -147,12 +147,6 @@ impl MemorySystem {
         self.freq_idx
     }
 
-    /// Memory-controller frequency: always double the bus frequency
-    /// (the MemScale/CoScale assumption).
-    pub fn mc_freq(&self) -> Freq {
-        Freq::from_hz(self.bus_freq().as_hz() * 2)
-    }
-
     /// Cumulative performance counters.
     pub fn counters(&self) -> &MemCounters {
         &self.counters

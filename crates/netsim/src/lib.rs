@@ -71,14 +71,6 @@ impl LinkConfig {
         }
     }
 
-    /// Whether this link is the perfect loopback link.
-    pub fn is_loopback(&self) -> bool {
-        self.latency == Ps::ZERO
-            && self.jitter == Ps::ZERO
-            && self.loss == 0.0
-            && self.duplicate == 0.0
-    }
-
     /// Validates probability ranges. Returns a human-readable error rather
     /// than panicking, so CLI layers can surface it cleanly.
     pub fn validate(&self) -> Result<(), String> {
@@ -106,8 +98,6 @@ impl Default for LinkConfig {
 pub struct Envelope<M> {
     pub from: NodeId,
     pub to: NodeId,
-    /// Time the sender called [`MsgPlane::send`].
-    pub sent_at: Ps,
     pub msg: M,
 }
 
@@ -171,11 +161,6 @@ impl<M: Clone> MsgPlane<M> {
         self.partitioned[node.0] = cut;
     }
 
-    /// Whether `node` is currently on the cut side.
-    pub fn is_partitioned(&self, node: NodeId) -> bool {
-        self.partitioned[node.0]
-    }
-
     /// A private RNG for the fate of the `k`-th send. Mixing the counter
     /// through SplitMix64-style multiplication keeps nearby counters'
     /// streams unrelated.
@@ -222,12 +207,7 @@ impl<M: Clone> MsgPlane<M> {
             self.stats.dropped_loss += 1;
             return;
         }
-        let env = Envelope {
-            from,
-            to,
-            sent_at: now,
-            msg,
-        };
+        let env = Envelope { from, to, msg };
         let due = Ps::new(now.as_ps() + link.latency.as_ps() + jitter);
         if duplicated {
             self.stats.duplicated += 1;
@@ -297,9 +277,7 @@ mod tests {
         let mut p = plane(link, 7);
         p.send(Ps::new(10), NodeId(0), NodeId(1), 1);
         assert!(p.deliver_due(Ps::new(12)).is_empty());
-        let got = p.deliver_due(Ps::new(13));
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].sent_at, Ps::new(10));
+        assert_eq!(p.deliver_due(Ps::new(13)).len(), 1);
     }
 
     #[test]

@@ -158,13 +158,6 @@ impl PowerConfig {
         self
     }
 
-    /// Scales per-core power by `ratio` relative to the default calibration.
-    pub fn with_cpu_power_scale(mut self, ratio: f64) -> Self {
-        assert!(ratio > 0.0, "cpu power scale must be positive");
-        self.core_max_power_w *= ratio;
-        self
-    }
-
     /// Narrows the core (and MC) voltage range by raising the minimum
     /// voltage (Figure 14 uses 0.95–1.2 V).
     pub fn with_core_vmin(mut self, vmin: f64) -> Self {
@@ -248,8 +241,6 @@ mod tests {
     fn scale_builders() {
         let c = PowerConfig::default().with_memory_power_scale(2.0);
         assert!((c.mc_max_w - 30.0).abs() < 1e-9);
-        let c = PowerConfig::default().with_cpu_power_scale(0.5);
-        assert!((c.core_max_power_w - 3.75).abs() < 1e-9);
         let c = PowerConfig::default().with_core_vmin(0.95);
         assert!((c.core_voltage(Freq::from_ghz(2.2)) - 0.95).abs() < 1e-9);
     }

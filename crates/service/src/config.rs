@@ -18,17 +18,12 @@ pub struct ServiceServerSpec {
     /// ignored: a serving engine never finishes, and the fixed round count
     /// ends the run. `max_epochs` must cover every round the server runs.
     pub config: SimConfig,
-    /// The arrival process.
+    /// The arrival process. Its stream and the request sizes are seeded
+    /// from `config.seed`, independently of the engine's workload stream.
     pub arrivals: ArrivalKind,
-    /// Seed of the arrival/request-size stream (independent of the engine
-    /// workload seed).
-    pub arrival_seed: u64,
     /// Mean instructions a request costs; actual sizes are uniform in
     /// `[0.5, 1.5] ×` this.
     pub mean_request_instrs: f64,
-    /// Queue bound for admission control (requests, including the one in
-    /// service).
-    pub queue_capacity: usize,
     /// The server's p99 sojourn-time SLO, seconds.
     pub p99_target_s: f64,
 }
@@ -37,7 +32,7 @@ impl ServiceServerSpec {
     /// A small fast serving server for tests and examples: the reduced
     /// engine configuration (4 cores, 250 µs epochs) with room for a
     /// million epochs, Poisson arrivals at `rate_hz`, 40 k instructions per
-    /// request, a 512-deep queue and a 1 ms p99 target.
+    /// request and a 1 ms p99 target.
     ///
     /// # Panics
     ///
@@ -53,9 +48,7 @@ impl ServiceServerSpec {
             name: name.to_string(),
             config,
             arrivals: ArrivalKind::Poisson { rate_hz },
-            arrival_seed: seed ^ 0x5e21_1ce0,
             mean_request_instrs: 40_000.0,
-            queue_capacity: 512,
             p99_target_s: 1e-3,
         }
     }
@@ -572,12 +565,6 @@ impl ServiceConfig {
         if !s.mean_request_instrs.is_finite() || s.mean_request_instrs <= 0.0 {
             return Err(format!("server {}: request size must be positive", s.name));
         }
-        if s.queue_capacity == 0 {
-            return Err(format!(
-                "server {}: queue capacity must be positive",
-                s.name
-            ));
-        }
         if !s.p99_target_s.is_finite() || s.p99_target_s <= 0.0 {
             return Err(format!(
                 "server {}: p99 target {} s must be finite and positive",
@@ -609,10 +596,6 @@ mod tests {
 
         let mut c = ok.clone();
         c.rounds = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = ok.clone();
-        c.servers[0].queue_capacity = 0;
         assert!(c.validate().is_err());
 
         let mut c = ok.clone();
@@ -671,14 +654,6 @@ mod tests {
             let err = join_error(open_loop_base(), round, late()).unwrap_err();
             assert!(err.contains("late") && err.contains("horizon"), "{err}");
         }
-    }
-
-    #[test]
-    fn validation_rejects_invalid_churn_join_specs() {
-        let mut bad = ServiceServerSpec::small("late", "ILP1", 2, 1000.0);
-        bad.queue_capacity = 0;
-        let err = join_error(open_loop_base(), 3, bad).unwrap_err();
-        assert!(err.contains("queue capacity"), "{err}");
     }
 
     #[test]

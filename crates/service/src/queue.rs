@@ -140,43 +140,22 @@ impl RequestQueue {
     /// instructions per second, and records each completion's sojourn time
     /// in picoseconds into `hist`. Requests unfinished at `to` carry their
     /// remaining instruction demand into the next window (where the rate
-    /// may differ — that is how a power cap stretches the tail). Returns
+    /// may differ — that is how a power cap stretches the tail). Appends
     /// the terminal events of every client-tagged request resolved in the
-    /// window, in resolution order.
+    /// window to `events`, in resolution order, leaving its existing
+    /// contents untouched: a fleet barrier advances every server every
+    /// round into buffers it keeps, so a round allocates no event vectors.
     ///
     /// # Errors
     ///
     /// Returns an error — in debug *and* release builds, before touching
-    /// any state — when `arrivals` is not time-ordered or an arrival lands
-    /// at or beyond `to` (such a request belongs to the *next* window: the
-    /// generator's `arrivals_until(to)` contract, and admitting it here as
-    /// well would double-count it at the window boundary), and after the
-    /// drain when the conservation law `arrived = completed + shed +
-    /// abandoned + queued` stops holding.
+    /// any state or `events` — when `arrivals` is not time-ordered or an
+    /// arrival lands at or beyond `to` (such a request belongs to the
+    /// *next* window: the generator's `arrivals_until(to)` contract, and
+    /// admitting it here as well would double-count it at the window
+    /// boundary), and after the drain when the conservation law `arrived =
+    /// completed + shed + abandoned + queued` stops holding.
     pub fn advance(
-        &mut self,
-        from: Ps,
-        to: Ps,
-        rate_ips: f64,
-        arrivals: &[Request],
-        hist: &mut Histogram,
-    ) -> Result<Vec<ClientEvent>, String> {
-        let mut events = Vec::new();
-        self.advance_into(from, to, rate_ips, arrivals, hist, &mut events)?;
-        Ok(events)
-    }
-
-    /// [`RequestQueue::advance`] writing terminal events into a
-    /// caller-owned buffer instead of allocating a fresh vector — the
-    /// hot-path form: a fleet barrier advances every server every round,
-    /// and the per-call event vector was pure allocator churn. Events are
-    /// appended in resolution order; existing contents are untouched.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`RequestQueue::advance`] — and a rejected call appends
-    /// no events.
-    pub fn advance_into(
         &mut self,
         from: Ps,
         to: Ps,
@@ -285,6 +264,7 @@ mod tests {
             1e9,
             &[req(1_000, 1_000.0)],
             &mut h,
+            &mut Vec::new(),
         )
         .unwrap();
         assert_eq!(q.completed(), 1);
@@ -301,8 +281,15 @@ mod tests {
         let mut h = Histogram::new();
         // Two simultaneous arrivals: the second waits for the first.
         let arrivals = [req(0, 1_000.0), req(0, 1_000.0)];
-        q.advance(Ps::ZERO, Ps::from_us(10), 1e9, &arrivals, &mut h)
-            .unwrap();
+        q.advance(
+            Ps::ZERO,
+            Ps::from_us(10),
+            1e9,
+            &arrivals,
+            &mut h,
+            &mut Vec::new(),
+        )
+        .unwrap();
         assert_eq!(q.completed(), 2);
         // Sojourns are 1 µs and 2 µs; mean 1.5 µs (exact, sum is unbucketed).
         let mean_us = h.mean() / 1e6;
@@ -314,13 +301,27 @@ mod tests {
         let mut q = RequestQueue::new(16);
         let mut h = Histogram::new();
         // 10 µs of work arrives at 0; the first window is 4 µs long.
-        q.advance(Ps::ZERO, Ps::from_us(4), 1e9, &[req(0, 10_000.0)], &mut h)
-            .unwrap();
+        q.advance(
+            Ps::ZERO,
+            Ps::from_us(4),
+            1e9,
+            &[req(0, 10_000.0)],
+            &mut h,
+            &mut Vec::new(),
+        )
+        .unwrap();
         assert_eq!(q.completed(), 0);
         assert_eq!(q.depth(), 1);
         // Second window at double speed: 6000 instrs left → 3 µs more.
-        q.advance(Ps::from_us(4), Ps::from_us(20), 2e9, &[], &mut h)
-            .unwrap();
+        q.advance(
+            Ps::from_us(4),
+            Ps::from_us(20),
+            2e9,
+            &[],
+            &mut h,
+            &mut Vec::new(),
+        )
+        .unwrap();
         assert_eq!(q.completed(), 1);
         let (lo, hi) = Histogram::bucket_bounds(Ps::from_us(7).as_ps());
         let p = h.percentile(0.5);
@@ -333,8 +334,15 @@ mod tests {
         let mut h = Histogram::new();
         // Stalled server: all four arrive while nothing drains.
         let arrivals: Vec<Request> = (0..4).map(|i| req(i, 100.0)).collect();
-        q.advance(Ps::ZERO, Ps::from_us(1), 0.0, &arrivals, &mut h)
-            .unwrap();
+        q.advance(
+            Ps::ZERO,
+            Ps::from_us(1),
+            0.0,
+            &arrivals,
+            &mut h,
+            &mut Vec::new(),
+        )
+        .unwrap();
         assert_eq!(q.depth(), 2);
         assert_eq!(q.shed(), 2);
         assert_eq!(q.completed(), 0);
@@ -353,7 +361,14 @@ mod tests {
         let mut q = RequestQueue::new(4);
         let mut h = Histogram::new();
         let err = q
-            .advance(Ps::ZERO, Ps::from_us(1), 1e9, &[req(1_000, 100.0)], &mut h)
+            .advance(
+                Ps::ZERO,
+                Ps::from_us(1),
+                1e9,
+                &[req(1_000, 100.0)],
+                &mut h,
+                &mut Vec::new(),
+            )
             .unwrap_err();
         assert!(err.contains("next window"), "{err}");
         // The rejected call touched nothing.
@@ -362,7 +377,14 @@ mod tests {
 
         let unordered = [req(500, 100.0), req(100, 100.0)];
         let err = q
-            .advance(Ps::ZERO, Ps::from_us(1), 1e9, &unordered, &mut h)
+            .advance(
+                Ps::ZERO,
+                Ps::from_us(1),
+                1e9,
+                &unordered,
+                &mut h,
+                &mut Vec::new(),
+            )
             .unwrap_err();
         assert!(err.contains("time-ordered"), "{err}");
     }
@@ -381,9 +403,16 @@ mod tests {
             tagged(0, 1_000.0, 1),
             tagged(100, 1_000.0, 2),
         ];
-        let events = q
-            .advance(Ps::ZERO, Ps::from_us(10), 1e9, &arrivals, &mut h)
-            .unwrap();
+        let mut events = Vec::new();
+        q.advance(
+            Ps::ZERO,
+            Ps::from_us(10),
+            1e9,
+            &arrivals,
+            &mut h,
+            &mut events,
+        )
+        .unwrap();
         assert_eq!(events.len(), 3);
         let shed = events
             .iter()
@@ -414,15 +443,16 @@ mod tests {
             ..req(at_ns, 1_000.0)
         };
         // Root 0's span is admitted; root 1's is shed at arrival.
-        let events = q
-            .advance(
-                Ps::ZERO,
-                Ps::from_us(10),
-                1e9,
-                &[traced(0, 0), traced(100, 1)],
-                &mut h,
-            )
-            .unwrap();
+        let mut events = Vec::new();
+        q.advance(
+            Ps::ZERO,
+            Ps::from_us(10),
+            1e9,
+            &[traced(0, 0), traced(100, 1)],
+            &mut h,
+            &mut events,
+        )
+        .unwrap();
         assert_eq!(events.len(), 2);
         let shed = events
             .iter()
@@ -443,8 +473,15 @@ mod tests {
         let mut h = Histogram::new();
         // Two requests far apart; the server idles between them.
         let arrivals = [req(0, 1_000.0), req(50_000, 1_000.0)];
-        q.advance(Ps::ZERO, Ps::from_us(100), 1e9, &arrivals, &mut h)
-            .unwrap();
+        q.advance(
+            Ps::ZERO,
+            Ps::from_us(100),
+            1e9,
+            &arrivals,
+            &mut h,
+            &mut Vec::new(),
+        )
+        .unwrap();
         assert_eq!(q.completed(), 2);
         // Both sojourns are exactly the 1 µs service time; the exact mean
         // exposes any accidental inclusion of the idle gap.

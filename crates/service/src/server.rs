@@ -21,6 +21,10 @@ use std::collections::VecDeque;
 /// How many recent rounds of latency feed a server's SLA signal.
 const SLA_WINDOW_ROUNDS: usize = 4;
 
+/// Queue bound for admission control (requests, including the one in
+/// service).
+const QUEUE_CAPACITY: usize = 512;
+
 /// One serving server: the fleet loop writes caps to and reads power
 /// telemetry from `server` directly; everything else here is serving state.
 pub(crate) struct ServiceServer {
@@ -57,12 +61,13 @@ impl ServiceServer {
             config: spec.config.clone(),
         };
         engine.config.target_instrs = u64::MAX;
+        let stream_seed = spec.config.seed ^ 0x5e21_1ce0;
         ServiceServer {
             server: Server::new(&engine, initial_cap_w),
-            arrivals: ArrivalGen::new(spec.arrivals, spec.arrival_seed),
-            size_rng: SimRng::new(spec.arrival_seed ^ 0x517e_d00d),
+            arrivals: ArrivalGen::new(spec.arrivals, stream_seed),
+            size_rng: SimRng::new(stream_seed ^ 0x517e_d00d),
             mean_request_instrs: spec.mean_request_instrs,
-            queue: RequestQueue::new(spec.queue_capacity),
+            queue: RequestQueue::new(QUEUE_CAPACITY),
             p99_target_s: spec.p99_target_s,
             cum_hist: Histogram::new(),
             window: VecDeque::new(),
@@ -136,7 +141,7 @@ impl ServiceServer {
         }
         let mut round_hist = Histogram::new();
         self.queue
-            .advance_into(
+            .advance(
                 t0,
                 t1,
                 rate_ips,

@@ -33,9 +33,10 @@ proptest! {
                 .collect();
             prop_assert!(arrivals.iter().all(|r| r.arrival >= t && r.arrival < to));
             fed += arrivals.len() as u64;
-            let events = q.advance(t, to, rate_ips, &arrivals, &mut hist);
-            prop_assert!(events.is_ok(), "queue invariant: {:?}", events.err());
-            prop_assert!(events.unwrap().is_empty(), "untagged requests emit no events");
+            let mut events = Vec::new();
+            let advanced = q.advance(t, to, rate_ips, &arrivals, &mut hist, &mut events);
+            prop_assert!(advanced.is_ok(), "queue invariant: {:?}", advanced.err());
+            prop_assert!(events.is_empty(), "untagged requests emit no events");
             prop_assert_eq!(
                 fed,
                 q.completed() + q.shed() + q.depth() as u64,

@@ -17,8 +17,8 @@
 //!   makes the paper's "Offline" oracle policy implementable: an epoch can be
 //!   checkpointed, measured, rewound and re-run. [`Geometric`] is its
 //!   geometric law with `ln(1 - p)` computed once, for repeated draws.
-//! * [`stats`] — running statistics helpers (means, time-weighted averages,
-//!   utilization integrals) used by the performance-counter machinery.
+//! * [`stats`] — a mergeable log₂-bucketed [`stats::Histogram`], shared by
+//!   memsim's read latencies and the service layer's request sojourns.
 //!
 //! # Example
 //!

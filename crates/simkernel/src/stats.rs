@@ -1,255 +1,5 @@
-//! Running statistics for performance counters and experiment reporting.
-
-use crate::Ps;
-
-/// Incremental mean/min/max over `f64` samples.
-///
-/// # Example
-///
-/// ```
-/// use simkernel::stats::Running;
-/// let mut r = Running::new();
-/// r.add(1.0);
-/// r.add(3.0);
-/// assert_eq!(r.mean(), 2.0);
-/// assert_eq!(r.max(), 3.0);
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Running {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Running {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Running {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one sample.
-    pub fn add(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples seen.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of samples; `0.0` when empty (convenient for ratio counters that
-    /// may legitimately see no events in a profiling window).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Largest sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no samples were added.
-    pub fn max(&self) -> f64 {
-        assert!(self.count > 0, "max of empty Running");
-        self.max
-    }
-
-    /// Smallest sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no samples were added.
-    pub fn min(&self) -> f64 {
-        assert!(self.count > 0, "min of empty Running");
-        self.min
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &Running) {
-        if other.count == 0 {
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// Time-weighted average of a piecewise-constant signal, e.g. queue depth or
-/// the number of busy banks. Feed it level changes; it integrates
-/// `level × dt`.
-///
-/// # Example
-///
-/// ```
-/// use simkernel::{stats::TimeWeighted, Ps};
-/// let mut q = TimeWeighted::new();
-/// q.set(Ps::ZERO, 2.0);
-/// q.set(Ps::from_ns(10), 4.0);
-/// assert!((q.average(Ps::from_ns(20)) - 3.0).abs() < 1e-9);
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct TimeWeighted {
-    integral: f64,
-    level: f64,
-    last_change: Ps,
-    window_start: Ps,
-    started: bool,
-}
-
-impl TimeWeighted {
-    /// Creates an integrator at level zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records that the signal changed to `level` at time `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `now` precedes the previous change.
-    pub fn set(&mut self, now: Ps, level: f64) {
-        if self.started {
-            debug_assert!(now >= self.last_change, "time moved backwards");
-            let dt = (now - self.last_change).as_secs_f64();
-            self.integral += self.level * dt;
-        } else {
-            self.window_start = now;
-        }
-        self.level = level;
-        self.last_change = now;
-        self.started = true;
-    }
-
-    /// Adds `delta` to the current level at time `now`.
-    pub fn adjust(&mut self, now: Ps, delta: f64) {
-        let next = self.level + delta;
-        self.set(now, next);
-    }
-
-    /// Current level.
-    pub fn level(&self) -> f64 {
-        self.level
-    }
-
-    /// The time-weighted average over the current observation window —
-    /// `[window start, end]`, where the window starts at the first `set`
-    /// or the most recent [`TimeWeighted::reset`]; `0.0` if the signal
-    /// never changed. When `end` does not extend past the last change
-    /// (a degenerate window), reports the raw mean accumulated so far —
-    /// `integral / (last change − window start)` — or zero if no time has
-    /// accumulated.
-    pub fn average(&self, end: Ps) -> f64 {
-        if !self.started {
-            return 0.0;
-        }
-        if end <= self.last_change {
-            // Degenerate window: report the raw mean so far if any time
-            // has accumulated, else zero.
-            let span = (self.last_change - self.window_start).as_secs_f64();
-            if span == 0.0 {
-                return 0.0;
-            }
-            return self.integral / span;
-        }
-        let tail = (end - self.last_change).as_secs_f64();
-        let total = (end - self.window_start).as_secs_f64();
-        (self.integral + self.level * tail) / total
-    }
-
-    /// Resets the integral, keeping the current level, and restarts the
-    /// observation window at `now`. Used at epoch boundaries when counters
-    /// are re-zeroed.
-    pub fn reset(&mut self, now: Ps) {
-        self.integral = 0.0;
-        self.last_change = now;
-        self.window_start = now;
-        self.started = true;
-    }
-
-    /// The accumulated integral (level·seconds) up to the last change.
-    pub fn integral(&self) -> f64 {
-        self.integral
-    }
-
-    /// The time-weighted average over the window `[start, end]`, where
-    /// `start` is the time `reset`/first `set` happened. Unlike
-    /// [`TimeWeighted::average`] this does not assume the window began at
-    /// time zero.
-    pub fn average_since(&self, start: Ps, end: Ps) -> f64 {
-        if !self.started || end <= start {
-            return 0.0;
-        }
-        let tail = if end > self.last_change {
-            (end - self.last_change).as_secs_f64() * self.level
-        } else {
-            0.0
-        };
-        let window = (end - start).as_secs_f64();
-        (self.integral + tail) / window
-    }
-}
-
-/// Busy/idle utilization tracker: accumulates how much of a window a
-/// resource (memory channel, data bus, core) was busy.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Utilization {
-    busy: Ps,
-    window_start: Ps,
-}
-
-impl Utilization {
-    /// Creates a tracker whose window starts at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records that the resource was busy for `span` (spans may be reported
-    /// out of order; they are assumed non-overlapping by the caller).
-    pub fn add_busy(&mut self, span: Ps) {
-        self.busy += span;
-    }
-
-    /// Total busy time since the last reset.
-    pub fn busy(&self) -> Ps {
-        self.busy
-    }
-
-    /// Utilization in `[0, 1]` over `[window_start, now]`; `0.0` for an
-    /// empty window. Values above 1 are clamped (can occur transiently when
-    /// a busy span crosses a reset boundary).
-    pub fn fraction(&self, now: Ps) -> f64 {
-        if now <= self.window_start {
-            return 0.0;
-        }
-        let w = (now - self.window_start).as_secs_f64();
-        (self.busy.as_secs_f64() / w).min(1.0)
-    }
-
-    /// Zeroes the busy integral and restarts the window at `now`.
-    pub fn reset(&mut self, now: Ps) {
-        self.busy = Ps::ZERO;
-        self.window_start = now;
-    }
-}
+//! A streaming latency histogram: memsim's demand-read latencies and the
+//! service layer's request sojourns.
 
 /// A log₂-bucketed streaming histogram over `u64` samples (e.g. latencies
 /// in picoseconds): constant memory, O(1) insert, ~2x-resolution percentile
@@ -276,10 +26,6 @@ pub struct Histogram {
     count: u64,
     sum: u128,
 }
-
-/// The histogram's original name; kept as an alias for downstream users of
-/// the pre-extraction API.
-pub type LogHistogram = Histogram;
 
 impl Default for Histogram {
     fn default() -> Self {
@@ -380,7 +126,7 @@ mod tests {
 
     #[test]
     fn log_histogram_basics() {
-        let mut h = LogHistogram::new();
+        let mut h = Histogram::new();
         assert_eq!(h.percentile(0.99), 0);
         for v in 1..=1000u64 {
             h.record(v);
@@ -396,8 +142,8 @@ mod tests {
 
     #[test]
     fn log_histogram_merge_and_reset() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
+        let mut a = Histogram::new();
+        let mut b = Histogram::new();
         a.record(10);
         b.record(1000);
         a.merge(&b);
@@ -408,7 +154,7 @@ mod tests {
 
     #[test]
     fn log_histogram_zero_maps_to_first_bucket() {
-        let mut h = LogHistogram::new();
+        let mut h = Histogram::new();
         h.record(0);
         assert_eq!(h.count(), 1);
         assert!(h.percentile(1.0) <= 2);
@@ -417,125 +163,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of [0,1]")]
     fn log_histogram_bad_quantile_panics() {
-        LogHistogram::new().percentile(1.5);
-    }
-
-    #[test]
-    fn running_basic() {
-        let mut r = Running::new();
-        assert_eq!(r.mean(), 0.0);
-        r.add(2.0);
-        r.add(4.0);
-        r.add(6.0);
-        assert_eq!(r.count(), 3);
-        assert_eq!(r.mean(), 4.0);
-        assert_eq!(r.min(), 2.0);
-        assert_eq!(r.max(), 6.0);
-        assert_eq!(r.sum(), 12.0);
-    }
-
-    #[test]
-    fn running_merge() {
-        let mut a = Running::new();
-        a.add(1.0);
-        let mut b = Running::new();
-        b.add(3.0);
-        b.add(5.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.mean(), 3.0);
-        assert_eq!(a.max(), 5.0);
-        let empty = Running::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn running_max_empty_panics() {
-        Running::new().max();
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut t = TimeWeighted::new();
-        t.set(Ps::ZERO, 1.0);
-        t.set(Ps::from_ns(50), 3.0);
-        // 50ns at 1.0 + 50ns at 3.0 over 100ns => 2.0
-        assert!((t.average(Ps::from_ns(100)) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_adjust_and_reset() {
-        let mut t = TimeWeighted::new();
-        t.set(Ps::ZERO, 0.0);
-        t.adjust(Ps::from_ns(10), 2.0);
-        assert_eq!(t.level(), 2.0);
-        t.reset(Ps::from_ns(10));
-        // After reset at 10ns the level persists.
-        let avg = t.average_since(Ps::from_ns(10), Ps::from_ns(20));
-        assert!((avg - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_empty_window() {
-        let t = TimeWeighted::new();
-        assert_eq!(t.average(Ps::from_ns(5)), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_average_after_reset_at_nonzero_time() {
-        // Regression: `average` used to divide by `end` as if the window
-        // began at t=0, so after a `reset` at non-zero time it silently
-        // under-reported — here a constant level 4.0 came out as 2.0.
-        let mut t = TimeWeighted::new();
-        t.set(Ps::ZERO, 4.0);
-        t.reset(Ps::from_ns(100));
-        assert!((t.average(Ps::from_ns(200)) - 4.0).abs() < 1e-12);
-        // Same when the signal first appears at non-zero time.
-        let mut t = TimeWeighted::new();
-        t.set(Ps::from_ns(100), 4.0);
-        assert!((t.average(Ps::from_ns(200)) - 4.0).abs() < 1e-12);
-        // And `average` now agrees with the explicit-window variant.
-        let mut t = TimeWeighted::new();
-        t.set(Ps::from_ns(100), 1.0);
-        t.set(Ps::from_ns(150), 3.0);
-        let a = t.average(Ps::from_ns(200));
-        let b = t.average_since(Ps::from_ns(100), Ps::from_ns(200));
-        assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-    }
-
-    #[test]
-    fn time_weighted_degenerate_window_reports_raw_mean() {
-        // The documented fallback: when `end` does not extend past the
-        // last change, report the mean accumulated so far.
-        let mut t = TimeWeighted::new();
-        t.set(Ps::ZERO, 2.0);
-        t.set(Ps::from_ns(50), 6.0);
-        // Window so far is [0, 50ns] entirely at level 2.0.
-        assert!((t.average(Ps::from_ns(50)) - 2.0).abs() < 1e-12);
-        assert!((t.average(Ps::from_ns(10)) - 2.0).abs() < 1e-12);
-        // No time accumulated at all: zero.
-        let mut t = TimeWeighted::new();
-        t.set(Ps::from_ns(5), 7.0);
-        assert_eq!(t.average(Ps::from_ns(5)), 0.0);
-    }
-
-    #[test]
-    fn utilization_fraction() {
-        let mut u = Utilization::new();
-        u.add_busy(Ps::from_ns(25));
-        assert!((u.fraction(Ps::from_ns(100)) - 0.25).abs() < 1e-12);
-        u.reset(Ps::from_ns(100));
-        assert_eq!(u.fraction(Ps::from_ns(100)), 0.0);
-        u.add_busy(Ps::from_ns(50));
-        assert!((u.fraction(Ps::from_ns(200)) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization_clamps() {
-        let mut u = Utilization::new();
-        u.add_busy(Ps::from_ns(500));
-        assert_eq!(u.fraction(Ps::from_ns(100)), 1.0);
+        Histogram::new().percentile(1.5);
     }
 }

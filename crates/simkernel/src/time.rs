@@ -96,12 +96,6 @@ impl Ps {
         Ps(self.0.saturating_sub(other.0))
     }
 
-    /// Checked addition, `None` on overflow.
-    #[inline]
-    pub fn checked_add(self, other: Ps) -> Option<Ps> {
-        self.0.checked_add(other.0).map(Ps)
-    }
-
     /// The larger of two times.
     #[inline]
     pub fn max(self, other: Ps) -> Ps {

@@ -1,10 +1,7 @@
 //! Property-based tests for the simulation kernel.
 
 use proptest::prelude::*;
-use simkernel::{
-    stats::{Histogram, TimeWeighted},
-    EventQueue, Freq, Ps, SimRng,
-};
+use simkernel::{stats::Histogram, EventQueue, Freq, Ps, SimRng};
 
 fn hist_of(samples: &[u64]) -> Histogram {
     let mut h = Histogram::new();
@@ -86,29 +83,6 @@ proptest! {
         for _ in 0..32 {
             prop_assert_eq!(r.next_u64(), c.next_u64());
         }
-    }
-
-    /// Time-weighted average of a constant signal is that constant.
-    #[test]
-    fn time_weighted_constant(level in 0.0f64..1e6, end_ns in 1u64..1_000_000) {
-        let mut t = TimeWeighted::new();
-        t.set(Ps::ZERO, level);
-        let avg = t.average(Ps::from_ns(end_ns));
-        prop_assert!((avg - level).abs() <= level * 1e-12 + 1e-12);
-    }
-
-    /// The time-weighted average always lies between the signal's min and max.
-    #[test]
-    fn time_weighted_bounded(levels in prop::collection::vec(0.0f64..100.0, 1..50)) {
-        let mut t = TimeWeighted::new();
-        for (i, &l) in levels.iter().enumerate() {
-            t.set(Ps::from_ns(i as u64 * 10), l);
-        }
-        let end = Ps::from_ns(levels.len() as u64 * 10);
-        let avg = t.average(end);
-        let lo = levels.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = levels.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(avg >= lo - 1e-9 && avg <= hi + 1e-9, "avg {avg} not in [{lo},{hi}]");
     }
 
     /// Histogram merging is commutative: a∪b has exactly the same buckets,

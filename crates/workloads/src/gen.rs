@@ -82,9 +82,6 @@ pub struct TraceGen {
     gap_law: Geometric,
     stream_ptr: u64,
     total_instrs: u64,
-    /// When set, operations come from this recorded trace (cyclically)
-    /// instead of the synthetic phase machine.
-    replay: Option<(Vec<TraceOp>, usize)>,
 }
 
 impl TraceGen {
@@ -112,43 +109,6 @@ impl TraceGen {
             gap_law,
             stream_ptr: 0,
             total_instrs: 0,
-            replay: None,
-        }
-    }
-
-    /// Creates a generator that replays a recorded trace cyclically (the
-    /// paper's two-step methodology: capture once, replay through the
-    /// detailed simulator). `profile` still supplies the non-memory CPI and
-    /// instruction mix; its phase parameters are ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ops` is empty or the profile fails validation.
-    pub fn replay(profile: AppProfile, ops: Vec<TraceOp>) -> Self {
-        assert!(!ops.is_empty(), "cannot replay an empty trace");
-        if let Err(e) = profile.validate() {
-            panic!("invalid profile: {e}");
-        }
-        let phase_len = Self::phase_len_of(&profile, 0);
-        let gap_law = Self::gap_law_of(&profile, 0);
-        TraceGen {
-            profile,
-            rng: SimRng::new(0),
-            layout: Layout {
-                hot_base: 0,
-                hot_lines: 0,
-                rand_base: 0,
-                rand_lines: 1,
-                stream_base: 0,
-                stream_lines: 1,
-            },
-            phase_idx: 0,
-            instrs_in_phase: 0,
-            phase_len,
-            gap_law,
-            stream_ptr: 0,
-            total_instrs: 0,
-            replay: Some((ops, 0)),
         }
     }
 
@@ -170,11 +130,6 @@ impl TraceGen {
         &self.profile
     }
 
-    /// Index of the phase the next operation will be drawn from.
-    pub fn current_phase(&self) -> usize {
-        self.phase_idx
-    }
-
     /// Total instructions generated so far (gaps plus references).
     pub fn total_instrs(&self) -> u64 {
         self.total_instrs
@@ -194,12 +149,6 @@ impl TraceGen {
     /// finished applications applying realistic pressure while slower
     /// co-runners complete (§4.1 of the paper).
     pub fn next_op(&mut self) -> TraceOp {
-        if let Some((ops, idx)) = &mut self.replay {
-            let op = ops[*idx];
-            *idx = (*idx + 1) % ops.len();
-            self.total_instrs += op.gap + 1;
-            return op;
-        }
         let phase = self.profile.phases[self.phase_idx];
         let gap = self.gap_law.sample(&mut self.rng);
 
@@ -279,7 +228,7 @@ mod tests {
             let horizon = profile.phase_cycle_instrs + profile.phase_cycle_instrs / 4;
             let mut ops = 0u64;
             while g.total_instrs() <= horizon {
-                let period = (1000.0 / profile.phases[g.current_phase()].l2_apki).max(1.0);
+                let period = (1000.0 / profile.phases[g.phase_idx].l2_apki).max(1.0);
                 let want = g.rng.clone().geometric((1.0 / period).clamp(1e-9, 1.0));
                 assert_eq!(g.next_op().gap, want, "{} op {ops}", profile.name);
                 ops += 1;
@@ -370,8 +319,8 @@ mod tests {
         let mut last = usize::MAX;
         while g.total_instrs() < 350_000 {
             g.next_op();
-            if g.current_phase() != last {
-                last = g.current_phase();
+            if g.phase_idx != last {
+                last = g.phase_idx;
                 seen.push(last);
             }
         }
@@ -389,27 +338,6 @@ mod tests {
         let stores = (0..n).filter(|_| g.next_op().is_store).count();
         let frac = stores as f64 / n as f64;
         assert!((frac - 0.3).abs() < 0.02, "store frac {frac}");
-    }
-
-    #[test]
-    fn replay_reproduces_and_wraps() {
-        let mut orig = TraceGen::new(app("gap"), 0, 11);
-        let ops: Vec<TraceOp> = (0..50).map(|_| orig.next_op()).collect();
-        let mut rep = TraceGen::replay(app("gap"), ops.clone());
-        for op in &ops {
-            assert_eq!(rep.next_op(), *op);
-        }
-        // Wraps around.
-        assert_eq!(rep.next_op(), ops[0]);
-        assert!(rep.total_instrs() > 0);
-        // Replay generators have no hot footprint to warm.
-        assert_eq!(rep.hot_footprint().count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty trace")]
-    fn replay_rejects_empty() {
-        let _ = TraceGen::replay(app("gap"), vec![]);
     }
 
     #[test]

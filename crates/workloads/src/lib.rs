@@ -37,10 +37,8 @@ mod apps;
 mod gen;
 mod mixes;
 mod profile;
-mod trace_io;
 
 pub use apps::{app, ALL_APPS};
 pub use gen::{TraceGen, TraceOp};
 pub use mixes::{all_mixes, mix, mixes_in_class, Mix, MixClass};
 pub use profile::{AppProfile, InstrMix, PhaseProfile};
-pub use trace_io::{capture, read_trace, write_trace, ReadTraceError, TRACE_HEADER};

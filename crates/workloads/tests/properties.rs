@@ -1,11 +1,8 @@
 //! Property-based tests for workload generation: statistical calibration,
-//! determinism, address-space discipline, and trace-format robustness.
+//! determinism and address-space discipline.
 
 use proptest::prelude::*;
-use workloads::{
-    app, capture, mix, read_trace, write_trace, AppProfile, InstrMix, PhaseProfile, TraceGen,
-    TraceOp, ALL_APPS,
-};
+use workloads::{app, mix, AppProfile, InstrMix, PhaseProfile, TraceGen, ALL_APPS};
 
 fn arb_phase() -> impl Strategy<Value = PhaseProfile> {
     (1.0f64..100.0, 0.01f64..1.0, 0.0f64..1.0, 0.0f64..1.0)
@@ -54,34 +51,6 @@ proptest! {
         let mut c = TraceGen::new(app("milc"), 3, seed.wrapping_add(1));
         let diverged = (0..100).any(|_| a.next_op() != c.next_op());
         prop_assert!(diverged);
-    }
-
-    /// Trace serialization round-trips arbitrary operation sequences.
-    #[test]
-    fn trace_format_roundtrips(ops in prop::collection::vec(
-        (0u64..1_000_000, any::<u64>(), any::<bool>()), 0..200)) {
-        let ops: Vec<TraceOp> = ops
-            .into_iter()
-            .map(|(gap, line, is_store)| TraceOp {
-                gap,
-                line: memsim::LineAddr(line),
-                is_store,
-            })
-            .collect();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, ops.iter().copied()).unwrap();
-        prop_assert_eq!(read_trace(&buf[..]).unwrap(), ops);
-    }
-
-    /// Replaying a captured trace through TraceGen::replay reproduces it.
-    #[test]
-    fn capture_then_replay_is_identity(n in 1usize..300, seed in any::<u64>()) {
-        let mut orig = TraceGen::new(app("astar"), 1, seed);
-        let ops = capture(&mut orig, n);
-        let mut rep = TraceGen::replay(app("astar"), ops.clone());
-        for op in &ops {
-            prop_assert_eq!(rep.next_op(), *op);
-        }
     }
 }
 

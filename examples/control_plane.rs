@@ -2,8 +2,8 @@
 //! fleet (`bench::scenarios::control_plane`: 4×MID1 under a 120 W FastCap
 //! budget) run three ways —
 //!
-//! 1. **loopback** — the default perfect plane (bit-identical to a
-//!    direct-call coordinator);
+//! 1. **loopback** — the default perfect plane (its caps match a
+//!    direct split of the budget up to float dust);
 //! 2. **lossy** — one round of RPC latency, 20% loss, 5% duplication:
 //!    grants and acks vanish, servers ride stale leases or fall to the
 //!    floor cap, and the budget is *still* conserved every round;

@@ -24,6 +24,11 @@ step "cargo clippy (deny warnings)" \
     cargo clippy --workspace --all-targets --offline -- -D warnings
 step "cargo test" cargo test -q --workspace --offline
 step "cargo test --release" cargo test -q --workspace --offline --release
+# perfbench is a package of its own, outside the workspace, so the steps
+# above do not reach its tests. They include the check that both of its
+# drivers digest-equal on every workload.
+step "cargo test (perfbench)" \
+    cargo test -q --offline --manifest-path perfbench/Cargo.toml
 step "cargo doc (deny warnings)" \
     env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 step "fleet-scale-ns gate" ./scripts/fleet_scale_gate.sh

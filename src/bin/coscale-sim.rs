@@ -544,7 +544,8 @@ fn parse_cluster_args() -> ClusterArgs {
     }
     if !a.serve && a.split == CapSplit::SlaAware {
         eprintln!(
-            "note: sla-aware without --serve has no latency signal; using the fastcap fallback"
+            "note: sla-aware without --serve has no latency signal; every server bids its full \
+             demand and leftover budget goes unspent"
         );
     }
     if a.tiers.is_none() && a.split == CapSplit::CriticalPath {
