@@ -148,6 +148,15 @@ fn bench_full_epochs(c: &mut Criterion) {
             black_box(run_policy(cfg, PolicyKind::CoScale))
         });
     });
+    // Its memory-bound twin: MEM1 on 16 cores, where the memory lanes'
+    // scheduling passes and the read completions carry the event stream.
+    group.bench_function("mem1_16core", |b| {
+        b.iter(|| {
+            let mut cfg = SimConfig::for_mix(workloads::mix("MEM1").expect("known"));
+            cfg.target_instrs = 500_000;
+            black_box(run_policy(cfg, PolicyKind::CoScale))
+        });
+    });
     group.finish();
 }
 

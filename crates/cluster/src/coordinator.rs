@@ -770,12 +770,20 @@ mod tests {
     }
 
     #[test]
-    fn sla_variant_without_signals_degrades_to_fastcap() {
-        // Below saturation the degraded path is FastCap's granting order.
+    fn sla_variant_without_signals_grants_like_fastcap_until_demand_is_met() {
+        // Every server is unknown, so each bids its full demand. Below
+        // saturation that is FastCap's granting order.
         let ds = vec![d(200.0, 40.0), d(180.0, 40.0), d(50.0, 40.0)];
         let a = split_caps(CapSplit::SlaAware, 270.0, &ds, 1.0);
         let b = split_caps(CapSplit::FastCap, 270.0, &ds, 1.0);
         assert_eq!(a, b);
+        // Saturated, every server gets exactly its demand, while FastCap
+        // parks the 70 W left over above it.
+        let a = split_caps(CapSplit::SlaAware, 500.0, &ds, 1.0);
+        let demands: Vec<f64> = ds.iter().map(|d| d.demand_w).collect();
+        assert_eq!(a, demands);
+        let b = split_caps(CapSplit::FastCap, 500.0, &ds, 1.0);
+        assert!((b.iter().sum::<f64>() - 500.0).abs() < 1e-9, "{b:?}");
     }
 
     #[test]

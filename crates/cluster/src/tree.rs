@@ -611,7 +611,7 @@ mod tests {
     }
 
     #[test]
-    fn sla_aware_node_without_signals_degrades_to_saturating_fastcap() {
+    fn sla_aware_node_without_signals_caps_each_server_at_its_demand() {
         let t = BudgetTree::parse("fleet:sla-aware[a,b]").unwrap();
         let names = ["a", "b"];
         let demands = [d(100.0, 30.0), d(60.0, 20.0)];

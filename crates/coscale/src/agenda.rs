@@ -1,160 +1,205 @@
-//! The engine's event agenda: one wake slot per core beside a heap of
-//! other events.
+//! The engine's event agenda: wake slots for cores and memory lanes beside
+//! a heap of read completions.
 //!
 //! A core has at most one live wake: every new wake supersedes the
 //! pending one. So instead of a heap entry per wake, each core keeps one
 //! slot holding the `(time, seq)` of its latest wake, and a tournament
-//! tree over the slots finds the earliest core in O(log cores). Every
-//! other event goes into a binary heap. Core wakes and events draw their
-//! `seq` from one shared counter, so [`Agenda::pop_until`] returns
-//! entries in exactly the `(time, push sequence)` order of a
-//! [`simkernel::EventQueue`] that held every push and skipped the
-//! superseded wakes as they popped.
+//! tree over the slots finds the earliest core in O(log cores). A popped
+//! core keeps its slot until the engine re-keys it, with [`Agenda::wake`]
+//! for the step's next wake or [`Agenda::park`] when the step blocks, so a
+//! core step replays its path once.
+//!
+//! Memory events go to lanes under a second tree: one lane per channel for
+//! its scheduling passes and one per rank for its refreshes. A lane keeps
+//! every entry pushed to it until that entry pops, because the memory
+//! system accepts a superseded scheduling pass that pops at its channel's
+//! live time. A lane's slot holds its earliest entry, and the rare others
+//! wait in one spill that all lanes share. Only read completions go into
+//! the binary heap.
+//!
+//! Core wakes and pushes draw their `seq` from one shared counter, so
+//! [`Agenda::pop_until`] returns entries in exactly the `(time, push
+//! sequence)` order of a [`simkernel::EventQueue`] that held every push
+//! and skipped the superseded wakes as they popped.
 
 use simkernel::Ps;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Ordering key: time in the high word, push sequence in the low word,
-/// so one integer comparison orders by `(time, seq)`.
+/// Ordering key: time in the high word; the push sequence and then the
+/// slot in the low word. One integer comparison orders by `(time, seq)`,
+/// since sequence numbers are unique, and a tree's smallest key names its
+/// slot.
 type Key = u128;
 
-/// The key of an empty wake slot; later than any real entry.
+/// The key of an empty slot; later than any real entry.
 const EMPTY: Key = Key::MAX;
 
-fn key(time: Ps, seq: u64) -> Key {
-    (Key::from(time.as_ps()) << 64) | Key::from(seq)
+/// Low bits of a key that name its slot.
+const SLOT_BITS: u32 = 16;
+
+fn key(time: Ps, seq: u64, slot: usize) -> Key {
+    (Key::from(time.as_ps()) << 64) | Key::from(seq << SLOT_BITS | slot as u64)
+}
+
+fn slot_of(key: Key) -> usize {
+    (key as u64 & ((1 << SLOT_BITS) - 1)) as usize
 }
 
 fn time_of(key: Key) -> Ps {
     Ps::new((key >> 64) as u64)
 }
 
-/// A heap entry, ordered so the earliest `(time, seq)` is on top.
+/// Keyed slots under a tournament tree of keys: node `j` holds the
+/// smallest key below it, node 1 is the root, and slot `i` is leaf
+/// `n + i` of `n` slots. Every node below `n` has both children, so the
+/// root sees every leaf without padding the slots to a power of two.
 #[derive(Clone, Debug)]
-struct Entry<E> {
-    key: Key,
-    payload: E,
+struct Tree {
+    nodes: Vec<Key>,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+impl Tree {
+    /// `slots` empty slots.
+    fn new(slots: usize) -> Tree {
+        assert!(slots < 1 << SLOT_BITS, "{slots} slots overflow a key");
+        Tree {
+            nodes: vec![EMPTY; 2 * slots.max(1)],
+        }
     }
-}
-impl<E> Eq for Entry<E> {}
 
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    /// The smallest key.
+    fn first(&self) -> Key {
+        self.nodes[1]
     }
-}
 
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse so the earliest entry is on top.
-        other.key.cmp(&self.key)
+    /// Slot `id`'s key.
+    fn get(&self, id: usize) -> Key {
+        self.nodes[self.nodes.len() / 2 + id]
+    }
+
+    /// Sets slot `id`'s key and replays its path to the root.
+    fn set(&mut self, id: usize, key: Key) {
+        let mut node = self.nodes.len() / 2 + id;
+        self.nodes[node] = key;
+        while node > 1 {
+            node >>= 1;
+            self.nodes[node] = self.nodes[2 * node].min(self.nodes[2 * node + 1]);
+        }
     }
 }
 
 /// What [`Agenda::pop_until`] returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Due<E> {
-    /// Core `id`'s wake; its slot is now empty.
+pub(crate) enum Due {
+    /// Core `id`'s wake. Its slot keeps the popped key until
+    /// [`Agenda::wake`] or [`Agenda::park`] re-keys it, which must happen
+    /// before the next pop.
     Core(usize),
-    /// A pushed event.
-    Event(E),
+    /// The earliest entry of memory lane `lane`.
+    Lane(usize),
+    /// The read completion with this tag.
+    Read(u64),
 }
 
-/// Per-core wake slots plus an event heap, popping in `(time, seq)`
-/// order. Plain data, so a cloned `System` carries its agenda along.
+/// Core and lane slots plus a read heap, popping in `(time, seq)` order.
+/// Plain data, so a cloned `System` carries its agenda along.
 #[derive(Clone, Debug)]
-pub(crate) struct Agenda<E> {
-    events: BinaryHeap<Entry<E>>,
-    /// Each core's pending wake, or [`EMPTY`]; padded with empty slots to
-    /// a power of two.
-    wakes: Vec<Key>,
-    /// Tournament tree over `wakes`: node `j` holds the slot with the
-    /// smallest key below it, node 1 is the root, and slot `i` is leaf
-    /// `wakes.len() + i`.
-    winner: Vec<u32>,
+pub(crate) struct Agenda {
+    /// Each core's pending wake.
+    cores: Tree,
+    /// Each memory lane's earliest entry.
+    lanes: Tree,
+    /// Every other lane entry.
+    spill: Vec<Key>,
+    /// Read completions as `(key, tag)`, the earliest on top.
+    reads: BinaryHeap<Reverse<(Key, u64)>>,
     next_seq: u64,
 }
 
-impl<E> Agenda<E> {
-    /// An empty agenda for `cores` cores.
-    pub(crate) fn new(cores: usize) -> Self {
-        let size = cores.max(1).next_power_of_two();
-        // Every slot starts empty, so each node's winner is its leftmost
-        // leaf.
-        let mut winner = vec![0u32; 2 * size];
-        for (i, leaf) in winner[size..].iter_mut().enumerate() {
-            *leaf = i as u32;
-        }
-        for node in (1..size).rev() {
-            winner[node] = winner[2 * node];
-        }
+impl Agenda {
+    /// An empty agenda for `cores` cores and `lanes` memory lanes.
+    pub(crate) fn new(cores: usize, lanes: usize) -> Self {
         Agenda {
-            events: BinaryHeap::new(),
-            wakes: vec![EMPTY; size],
-            winner,
+            cores: Tree::new(cores),
+            lanes: Tree::new(lanes),
+            spill: Vec::new(),
+            reads: BinaryHeap::new(),
             next_seq: 0,
         }
     }
 
     fn take_seq(&mut self) -> u64 {
         let seq = self.next_seq;
+        assert!(seq < 1 << (64 - SLOT_BITS), "push sequence exhausted");
         self.next_seq += 1;
         seq
     }
 
-    /// Schedules `payload` at `time`.
-    pub(crate) fn push(&mut self, time: Ps, payload: E) {
-        let key = key(time, self.take_seq());
-        self.events.push(Entry { key, payload });
+    /// Schedules the completion of read `tag` at `time`.
+    pub(crate) fn push_read(&mut self, time: Ps, tag: u64) {
+        // The heap entry carries its tag, so its key names no slot.
+        let key = key(time, self.take_seq(), 0);
+        self.reads.push(Reverse((key, tag)));
+    }
+
+    /// Schedules an entry on memory lane `lane` at `time`, beside any the
+    /// lane already holds.
+    pub(crate) fn push_lane(&mut self, lane: usize, time: Ps) {
+        let key = key(time, self.take_seq(), lane);
+        let first = self.lanes.get(lane);
+        if key < first {
+            if first != EMPTY {
+                self.spill.push(first);
+            }
+            self.lanes.set(lane, key);
+        } else {
+            self.spill.push(key);
+        }
     }
 
     /// Schedules core `id` to wake at `time`, superseding its pending
     /// wake if it has one.
     pub(crate) fn wake(&mut self, id: usize, time: Ps) {
-        let key = key(time, self.take_seq());
-        self.wakes[id] = key;
-        self.replay_path(id);
+        let key = key(time, self.take_seq(), id);
+        self.cores.set(id, key);
     }
 
-    /// Recomputes the winners on slot `id`'s path to the root.
-    fn replay_path(&mut self, id: usize) {
-        let mut node = (self.wakes.len() + id) >> 1;
-        while node >= 1 {
-            let a = self.winner[2 * node];
-            let b = self.winner[2 * node + 1];
-            self.winner[node] = if self.wakes[a as usize] <= self.wakes[b as usize] {
-                a
-            } else {
-                b
-            };
-            node >>= 1;
-        }
+    /// Cancels core `id`'s pending wake, if it has one.
+    pub(crate) fn park(&mut self, id: usize) {
+        self.cores.set(id, EMPTY);
     }
 
     /// Removes and returns the earliest entry if it is due at or before
-    /// `t_end`.
-    pub(crate) fn pop_until(&mut self, t_end: Ps) -> Option<(Ps, Due<E>)> {
-        let id = self.winner[1] as usize;
-        let core = self.wakes[id];
-        let event = self.events.peek().map_or(EMPTY, |e| e.key);
-        let next = core.min(event);
+    /// `t_end`. A core's entry stays in its slot: see [`Due::Core`].
+    pub(crate) fn pop_until(&mut self, t_end: Ps) -> Option<(Ps, Due)> {
+        let core_key = self.cores.first();
+        let lane_key = self.lanes.first();
+        let read_key = self.reads.peek().map_or(EMPTY, |Reverse((k, _))| *k);
+        let next = core_key.min(lane_key).min(read_key);
         if next == EMPTY || time_of(next) > t_end {
             return None;
         }
-        if core < event {
-            self.wakes[id] = EMPTY;
-            self.replay_path(id);
-            Some((time_of(core), Due::Core(id)))
+        // Real keys are unique, so the earliest names its source.
+        let due = if next == core_key {
+            Due::Core(slot_of(next))
+        } else if next == lane_key {
+            let lane = slot_of(next);
+            let rest = self
+                .spill
+                .iter()
+                .enumerate()
+                .filter(|(_, &k)| slot_of(k) == lane)
+                .min_by_key(|(_, &k)| k)
+                .map(|(i, _)| i);
+            let key = rest.map_or(EMPTY, |i| self.spill.swap_remove(i));
+            self.lanes.set(lane, key);
+            Due::Lane(lane)
         } else {
-            let e = self.events.pop().expect("peeked");
-            Some((time_of(e.key), Due::Event(e.payload)))
-        }
+            let Reverse((_, tag)) = self.reads.pop().expect("peeked");
+            Due::Read(tag)
+        };
+        Some((time_of(next), due))
     }
 }
 
@@ -167,12 +212,14 @@ mod tests {
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     enum Tagged {
         Core(usize, u64),
-        Event(usize),
+        Lane(usize),
+        Read(u64),
     }
 
     /// The reference: every push goes into one `EventQueue`, core wakes
     /// carry a generation, and a popped wake whose generation is stale is
     /// skipped, as the engine's queue did before the agenda replaced it.
+    /// Lane entries and reads all pop.
     struct RefQueue {
         queue: EventQueue<Tagged>,
         gens: Vec<u64>,
@@ -186,8 +233,12 @@ mod tests {
             }
         }
 
-        fn push(&mut self, time: Ps, payload: usize) {
-            self.queue.push(time, Tagged::Event(payload));
+        fn push_read(&mut self, time: Ps, tag: u64) {
+            self.queue.push(time, Tagged::Read(tag));
+        }
+
+        fn push_lane(&mut self, lane: usize, time: Ps) {
+            self.queue.push(time, Tagged::Lane(lane));
         }
 
         fn wake(&mut self, id: usize, time: Ps) {
@@ -195,7 +246,11 @@ mod tests {
             self.queue.push(time, Tagged::Core(id, self.gens[id]));
         }
 
-        fn pop_until(&mut self, t_end: Ps) -> Option<(Ps, Due<usize>)> {
+        fn park(&mut self, id: usize) {
+            self.gens[id] += 1;
+        }
+
+        fn pop_until(&mut self, t_end: Ps) -> Option<(Ps, Due)> {
             while let Some(t) = self.queue.peek_time() {
                 if t > t_end {
                     return None;
@@ -206,10 +261,91 @@ mod tests {
                         return Some((t, Due::Core(id)));
                     }
                     Tagged::Core(..) => {}
-                    Tagged::Event(p) => return Some((t, Due::Event(p))),
+                    Tagged::Lane(lane) => return Some((t, Due::Lane(lane))),
+                    Tagged::Read(tag) => return Some((t, Due::Read(tag))),
                 }
             }
             None
+        }
+    }
+
+    /// The agenda and the reference, driven together.
+    struct Lockstep {
+        agenda: Agenda,
+        reference: RefQueue,
+        /// Lanes that behave like refresh lanes: they start with one
+        /// entry, and each pop pushes the next one `REFRESH_PERIOD` later.
+        refresh_from: usize,
+        /// A popped core not yet re-keyed.
+        popped: Option<usize>,
+        now: u64,
+        reads: u64,
+    }
+
+    const REFRESH_PERIOD: u64 = 7;
+
+    impl Lockstep {
+        fn new(cores: usize, lanes: usize, refresh: usize) -> Self {
+            let mut s = Lockstep {
+                agenda: Agenda::new(cores, lanes),
+                reference: RefQueue::new(cores),
+                refresh_from: lanes - refresh,
+                popped: None,
+                now: 0,
+                reads: 0,
+            };
+            for lane in s.refresh_from..lanes {
+                s.push_lane(lane, (lane % REFRESH_PERIOD as usize) as u64);
+            }
+            s
+        }
+
+        fn push_lane(&mut self, lane: usize, t: u64) {
+            self.agenda.push_lane(lane, Ps::new(t));
+            self.reference.push_lane(lane, Ps::new(t));
+        }
+
+        fn push_read(&mut self, t: u64) {
+            self.agenda.push_read(Ps::new(t), self.reads);
+            self.reference.push_read(Ps::new(t), self.reads);
+            self.reads += 1;
+        }
+
+        fn wake(&mut self, id: usize, t: u64) {
+            self.agenda.wake(id, Ps::new(t));
+            self.reference.wake(id, Ps::new(t));
+            if self.popped == Some(id) {
+                self.popped = None;
+            }
+        }
+
+        fn park(&mut self, id: usize) {
+            self.agenda.park(id);
+            self.reference.park(id);
+            if self.popped == Some(id) {
+                self.popped = None;
+            }
+        }
+
+        /// Pops from both and checks they agree; a refresh lane re-arms
+        /// itself as `MemorySystem::handle` does.
+        fn pop(&mut self, t_end: u64) -> bool {
+            assert!(self.popped.is_none(), "popped before re-keying");
+            let got = self.agenda.pop_until(Ps::new(t_end));
+            let want = self.reference.pop_until(Ps::new(t_end));
+            assert_eq!(got, want, "pop before {t_end}");
+            let Some((t, due)) = got else {
+                return false;
+            };
+            self.now = t.as_ps();
+            match due {
+                Due::Core(id) => self.popped = Some(id),
+                Due::Lane(lane) if lane >= self.refresh_from => {
+                    self.push_lane(lane, self.now + REFRESH_PERIOD);
+                }
+                Due::Lane(_) | Due::Read(_) => {}
+            }
+            true
         }
     }
 
@@ -218,85 +354,124 @@ mod tests {
 
         /// The agenda and the generation-checked reference queue, driven
         /// in lockstep by the same random script, return the same entry at
-        /// every pop and drain to the same tail. Times come from a narrow
-        /// range so ties dominate; re-wakes land both before and after the
-        /// pending wake; `t_end` limits stop pops early the way
-        /// `run_until` does.
+        /// every pop and drain to the same tail.
+        ///
+        /// - Times come from a narrow range so ties dominate.
+        /// - Re-wakes land before and after the pending wake.
+        /// - Lane pushes land before and after the lane's pending entries,
+        ///   so they supersede its earliest and spill.
+        /// - Refresh-style lanes always hold exactly one entry.
+        /// - A popped core is re-keyed by a wake or a park, after any
+        ///   pushes its step makes, before the next pop, as `run_until`
+        ///   does; other cores are parked at random too.
+        /// - `t_end` limits stop pops early the way `run_until` does.
         #[test]
         fn agenda_pops_like_a_generation_checked_event_queue(
             cores_pick in 0usize..5,
-            ops in prop::collection::vec((0u8..10, 0usize..16, 0u64..6), 1..300),
+            lanes_pick in 0usize..4,
+            ops in prop::collection::vec((0u8..12, 0usize..32, 0u64..6), 1..300),
         ) {
             let cores = [1, 2, 3, 5, 16][cores_pick];
-            let mut agenda = Agenda::new(cores);
-            let mut reference = RefQueue::new(cores);
-            let mut now = 0u64;
-            let mut pushed = 0usize;
+            let (lanes, refresh) = [(1, 0), (2, 1), (5, 2), (20, 16)][lanes_pick];
+            let mut s = Lockstep::new(cores, lanes, refresh);
             for (action, who, dt) in ops {
+                let t = s.now + dt;
                 match action {
                     // Wake a core at or after `now`: earlier or later than
                     // its pending wake, or at the same time.
-                    0..=3 => {
-                        let id = who % cores;
-                        let t = Ps::new(now + dt);
-                        agenda.wake(id, t);
-                        reference.wake(id, t);
-                    }
-                    // Push a memory-style event.
-                    4..=5 => {
-                        let t = Ps::new(now + dt);
-                        agenda.push(t, pushed);
-                        reference.push(t, pushed);
-                        pushed += 1;
-                    }
-                    // Pop with a `run_until`-style limit.
+                    0..=2 => s.wake(who % cores, t),
+                    3 => s.park(who % cores),
+                    // A scheduling-pass-style push; a refresh lane is
+                    // pushed only by its own pops.
+                    4..=5 => s.push_lane(who % (lanes - refresh), t),
+                    6 => s.push_read(t),
+                    // Pop with a `run_until`-style limit, re-keying the
+                    // last popped core first.
                     _ => {
-                        let t_end = Ps::new(now + dt / 2);
-                        let got = agenda.pop_until(t_end);
-                        let want = reference.pop_until(t_end);
-                        prop_assert_eq!(got, want, "pop before {:?}", t_end);
-                        if let Some((t, _)) = got {
-                            now = t.as_ps();
+                        if let Some(id) = s.popped {
+                            if who % 3 == 0 {
+                                s.park(id);
+                            } else {
+                                s.wake(id, t);
+                            }
                         }
+                        s.pop(s.now + dt / 2);
                     }
                 }
             }
+            // Drain without the refresh lanes, which never empty.
+            s.refresh_from = lanes;
             loop {
-                let got = agenda.pop_until(Ps::MAX);
-                let want = reference.pop_until(Ps::MAX);
-                prop_assert_eq!(got, want, "drain");
-                if got.is_none() {
+                if let Some(id) = s.popped {
+                    s.park(id);
+                }
+                if !s.pop(u64::MAX) {
                     break;
                 }
             }
-            prop_assert!(agenda.wakes.iter().all(|&k| k == EMPTY), "a wake outlived the drain");
-            prop_assert!(agenda.events.is_empty(), "an event outlived the drain");
+            let a = &s.agenda;
+            prop_assert!(a.cores.nodes.iter().all(|&k| k == EMPTY), "a wake outlived the drain");
+            prop_assert!(a.lanes.nodes.iter().all(|&k| k == EMPTY), "a lane entry outlived the drain");
+            prop_assert!(a.spill.is_empty(), "a spilled entry outlived the drain");
+            prop_assert!(a.reads.is_empty(), "a read outlived the drain");
         }
     }
 
     #[test]
     fn a_rewake_supersedes_the_pending_wake() {
-        let mut a: Agenda<u8> = Agenda::new(2);
+        let mut a = Agenda::new(2, 1);
         a.wake(0, Ps::new(10));
         a.wake(1, Ps::new(20));
         a.wake(0, Ps::new(30));
         assert_eq!(a.pop_until(Ps::MAX), Some((Ps::new(20), Due::Core(1))));
+        a.park(1);
         assert_eq!(a.pop_until(Ps::MAX), Some((Ps::new(30), Due::Core(0))));
+        a.park(0);
         assert_eq!(a.pop_until(Ps::MAX), None);
     }
 
     #[test]
-    fn ties_pop_in_push_order_across_wakes_and_events() {
-        let mut a = Agenda::new(3);
-        a.push(Ps::new(5), 'a');
+    fn a_popped_core_pops_again_until_it_is_re_keyed() {
+        let mut a = Agenda::new(2, 1);
+        a.wake(0, Ps::new(10));
+        a.wake(1, Ps::new(20));
+        assert_eq!(a.pop_until(Ps::MAX), Some((Ps::new(10), Due::Core(0))));
+        assert_eq!(a.pop_until(Ps::MAX), Some((Ps::new(10), Due::Core(0))));
+        a.wake(0, Ps::new(30));
+        assert_eq!(a.pop_until(Ps::MAX), Some((Ps::new(20), Due::Core(1))));
+    }
+
+    #[test]
+    fn a_superseded_lane_entry_still_pops_in_push_order() {
+        let mut a = Agenda::new(1, 2);
+        a.push_lane(1, Ps::new(10));
+        a.push_lane(1, Ps::new(5));
+        a.push_lane(0, Ps::new(10));
+        a.push_lane(1, Ps::new(10));
+        assert_eq!(a.pop_until(Ps::MAX), Some((Ps::new(5), Due::Lane(1))));
+        assert_eq!(a.pop_until(Ps::MAX), Some((Ps::new(10), Due::Lane(1))));
+        assert_eq!(a.pop_until(Ps::MAX), Some((Ps::new(10), Due::Lane(0))));
+        assert_eq!(a.pop_until(Ps::MAX), Some((Ps::new(10), Due::Lane(1))));
+        assert_eq!(a.pop_until(Ps::MAX), None);
+        assert!(a.spill.is_empty());
+    }
+
+    #[test]
+    fn ties_pop_in_push_order_across_wakes_lanes_and_reads() {
+        let mut a = Agenda::new(3, 2);
+        a.push_read(Ps::new(5), 7);
         a.wake(2, Ps::new(5));
-        a.push(Ps::new(5), 'b');
+        a.push_lane(1, Ps::new(5));
+        a.push_read(Ps::new(5), 8);
         a.wake(0, Ps::new(5));
         assert_eq!(a.pop_until(Ps::new(4)), None);
-        assert_eq!(a.pop_until(Ps::new(5)), Some((Ps::new(5), Due::Event('a'))));
+        assert_eq!(a.pop_until(Ps::new(5)), Some((Ps::new(5), Due::Read(7))));
         assert_eq!(a.pop_until(Ps::new(5)), Some((Ps::new(5), Due::Core(2))));
-        assert_eq!(a.pop_until(Ps::new(5)), Some((Ps::new(5), Due::Event('b'))));
+        a.park(2);
+        assert_eq!(a.pop_until(Ps::new(5)), Some((Ps::new(5), Due::Lane(1))));
+        assert_eq!(a.pop_until(Ps::new(5)), Some((Ps::new(5), Due::Read(8))));
         assert_eq!(a.pop_until(Ps::new(5)), Some((Ps::new(5), Due::Core(0))));
+        a.park(0);
         assert_eq!(a.pop_until(Ps::MAX), None);
     }
 }

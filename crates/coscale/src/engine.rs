@@ -11,13 +11,36 @@ use memsim::{LineAddr, MemCounters, MemEvent, MemorySystem, Outcome};
 use powermodel::{system_power, MemGeometry, SystemPower};
 use simkernel::{Freq, Ps};
 
-/// Events in the agenda's heap; core wakes live in its per-core slots.
+/// The agenda's memory lanes: channel `c`'s scheduling passes are lane
+/// `c`, and rank `r` of channel `c` refreshes on lane
+/// `channels + c * ranks + r`.
 #[derive(Clone, Copy, Debug)]
-enum Ev {
-    /// Deliver a memory-system event.
-    Mem(MemEvent),
-    /// A demand/prefetch read finished; look up the tag.
-    MemDone { tag: u64 },
+struct MemLanes {
+    channels: usize,
+    ranks: usize,
+}
+
+impl MemLanes {
+    fn count(self) -> usize {
+        self.channels * (1 + self.ranks)
+    }
+
+    fn of(self, event: MemEvent) -> usize {
+        match event {
+            MemEvent::Schedule { channel } => channel,
+            MemEvent::Refresh { channel, rank } => self.channels + channel * self.ranks + rank,
+        }
+    }
+
+    fn event(self, lane: usize) -> MemEvent {
+        match lane.checked_sub(self.channels) {
+            None => MemEvent::Schedule { channel: lane },
+            Some(r) => MemEvent::Refresh {
+                channel: r / self.ranks,
+                rank: r % self.ranks,
+            },
+        }
+    }
 }
 
 /// What a read tag refers to.
@@ -36,7 +59,8 @@ pub struct System {
     cores: Vec<CoreSim>,
     l2: L2Cache,
     mem: MemorySystem,
-    agenda: Agenda<Ev>,
+    lanes: MemLanes,
+    agenda: Agenda,
     now: Ps,
     /// In-flight reads, indexed by tag. `memsim` only echoes a tag back in
     /// its completion, so a tag is a slot here, recycled via `free_tags`.
@@ -94,9 +118,13 @@ impl System {
             c.warm_l2(&mut l2);
         }
         let mem = MemorySystem::new(config.mem.clone());
-        let mut agenda = Agenda::new(n);
+        let lanes = MemLanes {
+            channels: config.mem.channels,
+            ranks: config.mem.ranks_per_channel(),
+        };
+        let mut agenda = Agenda::new(n, lanes.count());
         for (t, e) in mem.initial_events() {
-            agenda.push(t, Ev::Mem(e));
+            agenda.push_lane(lanes.of(e), t);
         }
         for i in 0..n {
             agenda.wake(i, Ps::ZERO);
@@ -108,6 +136,7 @@ impl System {
             cores,
             l2,
             mem,
+            lanes,
             agenda,
             now: Ps::ZERO,
             reads: Vec::new(),
@@ -161,12 +190,13 @@ impl System {
             self.now = t;
             match due {
                 Due::Core(id) => self.step_core(id),
-                Due::Event(Ev::Mem(me)) => {
+                Due::Lane(lane) => {
                     self.mem_out.clear();
-                    self.mem.handle(t, me, &mut self.mem_out);
+                    self.mem
+                        .handle(t, self.lanes.event(lane), &mut self.mem_out);
                     self.absorb_mem_out();
                 }
-                Due::Event(Ev::MemDone { tag }) => self.finish_read(tag),
+                Due::Read(tag) => self.finish_read(tag),
             }
         }
         self.now = t_end;
@@ -175,10 +205,10 @@ impl System {
     /// Moves the memory system's completions and wake-ups into the agenda.
     fn absorb_mem_out(&mut self) {
         for c in self.mem_out.completions.drain(..) {
-            self.agenda.push(c.finish, Ev::MemDone { tag: c.tag });
+            self.agenda.push_read(c.finish, c.tag);
         }
         for (t, e) in self.mem_out.wakeups.drain(..) {
-            self.agenda.push(t, Ev::Mem(e));
+            self.agenda.push_lane(self.lanes.of(e), t);
         }
     }
 
@@ -234,9 +264,12 @@ impl System {
         self.core_out.clear();
         let wake = self.cores[id].advance(self.now, &mut self.l2, &mut self.core_out);
         self.dispatch_core_output(id);
-        // A blocked core keeps whatever wake it had pending.
-        if let Wake::At(t) = wake {
-            self.agenda.wake(id, t);
+        // Re-key the slot, which still holds the wake that popped this
+        // step, if one did. A blocked core has no wake: only a read
+        // completion steps it again, and a DVFS change leaves it blocked.
+        match wake {
+            Wake::At(t) => self.agenda.wake(id, t),
+            Wake::Blocked => self.agenda.park(id),
         }
         if self.completion[id].is_none() && self.cores[id].instrs() >= self.config.target_instrs {
             self.completion[id] = Some(self.now);

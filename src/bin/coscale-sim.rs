@@ -189,6 +189,27 @@ impl ClusterArgs {
     fn given(&self, flag: &str) -> bool {
         self.given.iter().any(|f| f == flag)
     }
+
+    /// What splits the budget: the `--topology` tree, which replaces the
+    /// flat `--split`, or else the split.
+    fn discipline(&self) -> String {
+        match &self.topology {
+            Some(t) => t.to_string(),
+            None => self.split.to_string(),
+        }
+    }
+}
+
+/// Prints what split the run's budget: the flat split, or the `--topology`
+/// tree that replaced it. A `--tiers` run names both its split and the
+/// tier tree built from it.
+fn print_split(args: &ClusterArgs, split: CapSplit, topology: Option<&str>) {
+    if args.topology.is_none() {
+        println!("split          : {split}");
+    }
+    if let Some(t) = topology {
+        println!("topology       : {t}");
+    }
 }
 
 /// The message-plane flags: batch runs only, and their use prints the
@@ -591,15 +612,12 @@ fn cluster_batch_main(args: &ClusterArgs) {
     eprintln!(
         "running {}-server batch fleet / {} @ {} W ...",
         cfg.servers.len(),
-        args.split,
+        args.discipline(),
         cap,
     );
     let r = run_cluster(cfg);
 
-    println!("split          : {}", r.split);
-    if let Some(t) = &r.topology {
-        println!("topology       : {t}");
-    }
+    print_split(args, r.split, r.topology.as_deref());
     println!("global cap     : {:.1} W", r.global_cap_w);
     println!("rounds         : {}", r.rounds);
     println!();
@@ -773,16 +791,13 @@ fn cluster_serve_main(args: &ClusterArgs) {
     eprintln!(
         "running {}-server serving fleet / {} @ {} W for {} rounds ...",
         cfg.servers.len(),
-        args.split,
+        args.discipline(),
         cap,
         args.rounds
     );
     let r = run_service(cfg);
 
-    println!("split          : {}", r.split);
-    if let Some(t) = &r.topology {
-        println!("topology       : {t}");
-    }
+    print_split(args, r.split, r.topology.as_deref());
     println!("global cap     : {:.1} W", r.global_cap_w);
     println!("rounds         : {}", r.rounds);
     println!();

@@ -159,6 +159,28 @@ fn a_tiny_batch_run_succeeds() {
 }
 
 #[test]
+fn a_topology_run_names_its_tree_and_not_the_split_it_ignores() {
+    let tree = "dc:uniform[a,b]";
+    let servers = ["--servers", "a=ILP1:1,b=ILP1:1", "--cap", "60"];
+    for (mode, extra) in [("batch", &[][..]), ("serving", &SERVE[..])] {
+        let args = [&servers[..], extra, &["--topology", tree]].concat();
+        let out = cluster(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{mode} fleet / {tree} @")),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            stdout.contains(&format!("topology       : {tree}\n")),
+            "{args:?}: {stdout}"
+        );
+        assert!(!stdout.contains("split "), "{args:?}: {stdout}");
+    }
+}
+
+#[test]
 fn batch_rejects_an_rpc_delay_that_overflows() {
     // The delay saturates at u64::MAX rounds and fails the lease check,
     // instead of wrapping to 0 rounds and passing it.
