@@ -715,14 +715,13 @@ struct Coordinator {
     peer: Option<NodeId>,
     term: u64,
     is_leader: bool,
-    view: Vec<ServerDemand>,
-    view_round: Vec<u64>,
+    /// What heartbeats replicate: the view, the ledger and the grant
+    /// sequence.
+    state: ReplState,
     suspected: Vec<bool>,
-    ledger: LeaseLedger,
     /// Per-barrier scratch: the view with suspected servers masked
     /// inactive (kept allocated across barriers).
     live: Vec<ServerDemand>,
-    next_seq: u64,
     last_peer_heard: u64,
     quarantine_until: u64,
     /// Heartbeats this coordinator has sent (the next heartbeat's seq is
@@ -750,19 +749,21 @@ impl Coordinator {
             peer,
             term: 0,
             is_leader,
-            view: vec![
-                ServerDemand {
-                    demand_w: 0.0,
-                    min_w: 0.0,
-                    active: true,
-                };
-                n
-            ],
-            view_round: vec![0; n],
+            state: ReplState {
+                view: vec![
+                    ServerDemand {
+                        demand_w: 0.0,
+                        min_w: 0.0,
+                        active: true,
+                    };
+                    n
+                ],
+                view_round: vec![0; n],
+                ledger: LeaseLedger::new(n, initial_cap_w, lease_rounds),
+                next_seq: 1,
+            },
             suspected: vec![false; n],
-            ledger: LeaseLedger::new(n, initial_cap_w, lease_rounds),
             live: Vec::with_capacity(n),
-            next_seq: 1,
             last_peer_heard: 0,
             quarantine_until: 0,
             hb_seq: 0,
@@ -771,23 +772,11 @@ impl Coordinator {
         }
     }
 
-    fn repl_state(&self) -> ReplState {
-        ReplState {
-            view: self.view.clone(),
-            view_round: self.view_round.clone(),
-            ledger: self.ledger.clone(),
-            next_seq: self.next_seq,
-        }
-    }
-
     fn adopt(&mut self, hb: Heartbeat) {
         self.term = hb.term;
         self.is_leader = false;
         self.last_adopted_hb = hb.seq;
-        self.view = hb.state.view;
-        self.view_round = hb.state.view_round;
-        self.ledger = hb.state.ledger;
-        self.next_seq = hb.state.next_seq;
+        self.state = hb.state;
     }
 }
 
@@ -1031,9 +1020,9 @@ impl ControlPlane {
             CtrlMsg::Telemetry { round: r0, demand } => {
                 let co = &mut self.coords[c];
                 let i = env.from.0;
-                if r0 >= co.view_round[i] {
-                    co.view[i] = demand;
-                    co.view_round[i] = r0;
+                if r0 >= co.state.view_round[i] {
+                    co.state.view[i] = demand;
+                    co.state.view_round[i] = r0;
                 }
             }
             CtrlMsg::Ack { term, seq } => {
@@ -1042,7 +1031,7 @@ impl ControlPlane {
                 // seq until the standby confirms having replicated it (at
                 // the next sweep when there is no standby).
                 let co = &mut self.coords[c];
-                co.ledger.note_ack(env.from.0, term, seq, co.hb_seq);
+                co.state.ledger.note_ack(env.from.0, term, seq, co.hb_seq);
             }
             CtrlMsg::Nack { term } => {
                 self.stats.nacks += 1;
@@ -1121,12 +1110,12 @@ impl ControlPlane {
             co.term = term;
             co.is_leader = true;
             co.quarantine_until = round.saturating_add(quarantine);
-            co.ledger.reconstruct(term, co.quarantine_until);
+            co.state.ledger.reconstruct(term, co.quarantine_until);
             // The peer has confirmed nothing of this leadership yet.
             co.repl_watermark = 0;
             co.hb_seq = 0;
             co.last_adopted_hb = 0;
-            for r in &mut co.view_round {
+            for r in &mut co.state.view_round {
                 *r = round;
             }
             for s in &mut co.suspected {
@@ -1149,11 +1138,11 @@ impl ControlPlane {
         let n = self.n;
         let desired = {
             let co = &mut self.coords[c];
-            self.stats.lease_expirations += co.ledger.expire(round, co.hb_seq);
-            co.ledger.release_confirmed(co.repl_watermark);
+            self.stats.lease_expirations += co.state.ledger.expire(round, co.hb_seq);
+            co.state.ledger.release_confirmed(co.repl_watermark);
             for i in 0..n {
-                co.suspected[i] = co.view[i].active
-                    && round.saturating_sub(co.view_round[i]) > self.timing.suspect_after;
+                co.suspected[i] = co.state.view[i].active
+                    && round.saturating_sub(co.state.view_round[i]) > self.timing.suspect_after;
                 if co.suspected[i] {
                     self.stats.suspect_rounds += 1;
                 }
@@ -1161,7 +1150,7 @@ impl ControlPlane {
             // The split runs over the live view: suspected servers are
             // treated as inactive (no fresh telemetry to honor).
             co.live.clear();
-            co.live.extend_from_slice(&co.view);
+            co.live.extend_from_slice(&co.state.view);
             for (i, entry) in co.live.iter_mut().enumerate() {
                 if co.suspected[i] {
                     entry.active = false;
@@ -1215,12 +1204,12 @@ impl ControlPlane {
             // pass's acks pinned, so the next pass may spend them.
             self.heartbeat(c, t, round);
             let co = &mut self.coords[c];
-            co.ledger.release_confirmed(co.repl_watermark);
+            co.state.ledger.release_confirmed(co.repl_watermark);
         }
 
         self.heartbeat(c, t, round);
         let co = &mut self.coords[c];
-        co.ledger.release_confirmed(co.repl_watermark);
+        co.state.ledger.release_confirmed(co.repl_watermark);
     }
 
     /// Sends a state-replicating heartbeat to the peer (if any) and pumps
@@ -1234,7 +1223,7 @@ impl ControlPlane {
         let hb = Heartbeat {
             term: co.term,
             seq: co.hb_seq,
-            state: co.repl_state(),
+            state: co.state.clone(),
         };
         let from = co.node;
         self.plane
@@ -1249,12 +1238,12 @@ impl ControlPlane {
         let co = &mut self.coords[c];
         let entry = LeaseEntry {
             term: co.term,
-            seq: co.next_seq,
+            seq: co.state.next_seq,
             cap_w: cap,
             expires: round.saturating_add(self.rpc.lease_rounds),
         };
-        co.next_seq += 1;
-        co.ledger.note_sent(i, entry);
+        co.state.next_seq += 1;
+        co.state.ledger.note_sent(i, entry);
         self.stats.grants_sent += 1;
         let from = co.node;
         self.plane.send(
@@ -1294,7 +1283,7 @@ impl ControlPlane {
         let mut free = if quarantined {
             0.0
         } else {
-            (self.budget - co.ledger.total_reserved()).max(0.0)
+            (self.budget - co.state.ledger.total_reserved()).max(0.0)
         };
         let mut out = Vec::new();
         #[allow(clippy::needless_range_loop)] // `co` fields are indexed alongside `desired`
@@ -1304,16 +1293,16 @@ impl ControlPlane {
                 // let expiry return the watts.
                 continue;
             }
-            if !co.view[i].active {
+            if !co.state.view[i].active {
                 // Finished: one release-to-zero, the same zeroed cap the
                 // direct split used to produce.
-                if co.ledger.last_sent_cap(i).to_bits() != 0.0f64.to_bits() {
+                if co.state.ledger.last_sent_cap(i).to_bits() != 0.0f64.to_bits() {
                     out.push((i, 0.0));
                 }
                 continue;
             }
             let target = desired[i];
-            let reserved = co.ledger.reserved_w(i);
+            let reserved = co.state.ledger.reserved_w(i);
             let cap = if target <= reserved {
                 target
             } else if target - reserved <= free {
@@ -1324,7 +1313,7 @@ impl ControlPlane {
                 free = 0.0;
                 reserved + take
             };
-            if first || cap > co.ledger.last_sent_cap(i) {
+            if first || cap > co.state.ledger.last_sent_cap(i) {
                 out.push((i, cap));
             }
         }

@@ -1,26 +1,22 @@
-//! The engine's event agenda: wake slots for cores and memory lanes beside
+//! The engine's event agenda: one slot per core and per memory lane beside
 //! a heap of read completions.
 //!
-//! A core has at most one live wake: every new wake supersedes the
-//! pending one. So instead of a heap entry per wake, each core keeps one
-//! slot holding the `(time, seq)` of its latest wake, and a tournament
-//! tree over the slots finds the earliest core in O(log cores). A popped
-//! core keeps its slot until the engine re-keys it, with [`Agenda::wake`]
-//! for the step's next wake or [`Agenda::park`] when the step blocks, so a
-//! core step replays its path once.
+//! A core has at most one live wake, a memory channel at most one pending
+//! scheduling pass, and a rank exactly one pending refresh. So instead of
+//! a heap entry per wake or pass, each core and each memory lane keeps one
+//! slot holding the `(time, seq)` of its latest entry, and a later entry
+//! supersedes the pending one. A tournament tree over each kind of slot
+//! finds the earliest in O(log slots): one tree for the cores, one for the
+//! lanes (each channel's scheduling passes, each rank's refreshes). A
+//! popped lane's slot empties. A popped core keeps its slot until the
+//! engine re-keys it, with [`Agenda::wake`] for the step's next wake or
+//! [`Agenda::park`] when the step blocks, so a core step replays its path
+//! once. Only read completions go into the binary heap.
 //!
-//! Memory events go to lanes under a second tree: one lane per channel for
-//! its scheduling passes and one per rank for its refreshes. A lane keeps
-//! every entry pushed to it until that entry pops, because the memory
-//! system accepts a superseded scheduling pass that pops at its channel's
-//! live time. A lane's slot holds its earliest entry, and the rare others
-//! wait in one spill that all lanes share. Only read completions go into
-//! the binary heap.
-//!
-//! Core wakes and pushes draw their `seq` from one shared counter, so
+//! Every entry draws its `seq` from one shared counter, so
 //! [`Agenda::pop_until`] returns entries in exactly the `(time, push
 //! sequence)` order of a [`simkernel::EventQueue`] that held every push
-//! and skipped the superseded wakes as they popped.
+//! and skipped superseded wakes and lane entries as they popped.
 
 use simkernel::Ps;
 use std::cmp::Reverse;
@@ -73,11 +69,6 @@ impl Tree {
         self.nodes[1]
     }
 
-    /// Slot `id`'s key.
-    fn get(&self, id: usize) -> Key {
-        self.nodes[self.nodes.len() / 2 + id]
-    }
-
     /// Sets slot `id`'s key and replays its path to the root.
     fn set(&mut self, id: usize, key: Key) {
         let mut node = self.nodes.len() / 2 + id;
@@ -96,7 +87,7 @@ pub(crate) enum Due {
     /// [`Agenda::wake`] or [`Agenda::park`] re-keys it, which must happen
     /// before the next pop.
     Core(usize),
-    /// The earliest entry of memory lane `lane`.
+    /// Memory lane `lane`'s entry. Its slot is empty again.
     Lane(usize),
     /// The read completion with this tag.
     Read(u64),
@@ -108,10 +99,8 @@ pub(crate) enum Due {
 pub(crate) struct Agenda {
     /// Each core's pending wake.
     cores: Tree,
-    /// Each memory lane's earliest entry.
+    /// Each memory lane's pending entry.
     lanes: Tree,
-    /// Every other lane entry.
-    spill: Vec<Key>,
     /// Read completions as `(key, tag)`, the earliest on top.
     reads: BinaryHeap<Reverse<(Key, u64)>>,
     next_seq: u64,
@@ -123,7 +112,6 @@ impl Agenda {
         Agenda {
             cores: Tree::new(cores),
             lanes: Tree::new(lanes),
-            spill: Vec::new(),
             reads: BinaryHeap::new(),
             next_seq: 0,
         }
@@ -143,19 +131,11 @@ impl Agenda {
         self.reads.push(Reverse((key, tag)));
     }
 
-    /// Schedules an entry on memory lane `lane` at `time`, beside any the
-    /// lane already holds.
+    /// Schedules memory lane `lane`'s entry at `time`, superseding its
+    /// pending entry if it has one.
     pub(crate) fn push_lane(&mut self, lane: usize, time: Ps) {
         let key = key(time, self.take_seq(), lane);
-        let first = self.lanes.get(lane);
-        if key < first {
-            if first != EMPTY {
-                self.spill.push(first);
-            }
-            self.lanes.set(lane, key);
-        } else {
-            self.spill.push(key);
-        }
+        self.lanes.set(lane, key);
     }
 
     /// Schedules core `id` to wake at `time`, superseding its pending
@@ -185,15 +165,7 @@ impl Agenda {
             Due::Core(slot_of(next))
         } else if next == lane_key {
             let lane = slot_of(next);
-            let rest = self
-                .spill
-                .iter()
-                .enumerate()
-                .filter(|(_, &k)| slot_of(k) == lane)
-                .min_by_key(|(_, &k)| k)
-                .map(|(i, _)| i);
-            let key = rest.map_or(EMPTY, |i| self.spill.swap_remove(i));
-            self.lanes.set(lane, key);
+            self.lanes.set(lane, EMPTY);
             Due::Lane(lane)
         } else {
             let Reverse((_, tag)) = self.reads.pop().expect("peeked");
@@ -212,24 +184,26 @@ mod tests {
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     enum Tagged {
         Core(usize, u64),
-        Lane(usize),
+        Lane(usize, u64),
         Read(u64),
     }
 
     /// The reference: every push goes into one `EventQueue`, core wakes
-    /// carry a generation, and a popped wake whose generation is stale is
-    /// skipped, as the engine's queue did before the agenda replaced it.
-    /// Lane entries and reads all pop.
+    /// and lane entries carry a generation, and a popped one whose
+    /// generation is stale is skipped, as the engine's queue did for wakes
+    /// before the agenda replaced it. Reads all pop.
     struct RefQueue {
         queue: EventQueue<Tagged>,
-        gens: Vec<u64>,
+        core_gens: Vec<u64>,
+        lane_gens: Vec<u64>,
     }
 
     impl RefQueue {
-        fn new(cores: usize) -> Self {
+        fn new(cores: usize, lanes: usize) -> Self {
             RefQueue {
                 queue: EventQueue::new(),
-                gens: vec![0; cores],
+                core_gens: vec![0; cores],
+                lane_gens: vec![0; lanes],
             }
         }
 
@@ -238,16 +212,18 @@ mod tests {
         }
 
         fn push_lane(&mut self, lane: usize, time: Ps) {
-            self.queue.push(time, Tagged::Lane(lane));
+            self.lane_gens[lane] += 1;
+            self.queue
+                .push(time, Tagged::Lane(lane, self.lane_gens[lane]));
         }
 
         fn wake(&mut self, id: usize, time: Ps) {
-            self.gens[id] += 1;
-            self.queue.push(time, Tagged::Core(id, self.gens[id]));
+            self.core_gens[id] += 1;
+            self.queue.push(time, Tagged::Core(id, self.core_gens[id]));
         }
 
         fn park(&mut self, id: usize) {
-            self.gens[id] += 1;
+            self.core_gens[id] += 1;
         }
 
         fn pop_until(&mut self, t_end: Ps) -> Option<(Ps, Due)> {
@@ -257,11 +233,13 @@ mod tests {
                 }
                 let (t, ev) = self.queue.pop().expect("peeked");
                 match ev {
-                    Tagged::Core(id, gen) if gen == self.gens[id] => {
+                    Tagged::Core(id, gen) if gen == self.core_gens[id] => {
                         return Some((t, Due::Core(id)));
                     }
-                    Tagged::Core(..) => {}
-                    Tagged::Lane(lane) => return Some((t, Due::Lane(lane))),
+                    Tagged::Lane(lane, gen) if gen == self.lane_gens[lane] => {
+                        return Some((t, Due::Lane(lane)));
+                    }
+                    Tagged::Core(..) | Tagged::Lane(..) => {}
                     Tagged::Read(tag) => return Some((t, Due::Read(tag))),
                 }
             }
@@ -288,7 +266,7 @@ mod tests {
         fn new(cores: usize, lanes: usize, refresh: usize) -> Self {
             let mut s = Lockstep {
                 agenda: Agenda::new(cores, lanes),
-                reference: RefQueue::new(cores),
+                reference: RefQueue::new(cores, lanes),
                 refresh_from: lanes - refresh,
                 popped: None,
                 now: 0,
@@ -358,8 +336,8 @@ mod tests {
         ///
         /// - Times come from a narrow range so ties dominate.
         /// - Re-wakes land before and after the pending wake.
-        /// - Lane pushes land before and after the lane's pending entries,
-        ///   so they supersede its earliest and spill.
+        /// - Lane pushes land before and after the lane's pending entry,
+        ///   and supersede it either way.
         /// - Refresh-style lanes always hold exactly one entry.
         /// - A popped core is re-keyed by a wake or a park, after any
         ///   pushes its step makes, before the next pop, as `run_until`
@@ -412,7 +390,6 @@ mod tests {
             let a = &s.agenda;
             prop_assert!(a.cores.nodes.iter().all(|&k| k == EMPTY), "a wake outlived the drain");
             prop_assert!(a.lanes.nodes.iter().all(|&k| k == EMPTY), "a lane entry outlived the drain");
-            prop_assert!(a.spill.is_empty(), "a spilled entry outlived the drain");
             prop_assert!(a.reads.is_empty(), "a read outlived the drain");
         }
     }
@@ -442,18 +419,17 @@ mod tests {
     }
 
     #[test]
-    fn a_superseded_lane_entry_still_pops_in_push_order() {
+    fn a_later_lane_push_supersedes_the_pending_entry() {
         let mut a = Agenda::new(1, 2);
+        // Earlier in time than the pending entry.
         a.push_lane(1, Ps::new(10));
         a.push_lane(1, Ps::new(5));
+        // Later in time than the pending entry.
         a.push_lane(0, Ps::new(10));
-        a.push_lane(1, Ps::new(10));
+        a.push_lane(0, Ps::new(20));
         assert_eq!(a.pop_until(Ps::MAX), Some((Ps::new(5), Due::Lane(1))));
-        assert_eq!(a.pop_until(Ps::MAX), Some((Ps::new(10), Due::Lane(1))));
-        assert_eq!(a.pop_until(Ps::MAX), Some((Ps::new(10), Due::Lane(0))));
-        assert_eq!(a.pop_until(Ps::MAX), Some((Ps::new(10), Due::Lane(1))));
+        assert_eq!(a.pop_until(Ps::MAX), Some((Ps::new(20), Due::Lane(0))));
         assert_eq!(a.pop_until(Ps::MAX), None);
-        assert!(a.spill.is_empty());
     }
 
     #[test]

@@ -191,7 +191,6 @@ impl System {
             match due {
                 Due::Core(id) => self.step_core(id),
                 Due::Lane(lane) => {
-                    self.mem_out.clear();
                     self.mem
                         .handle(t, self.lanes.event(lane), &mut self.mem_out);
                     self.absorb_mem_out();
@@ -202,7 +201,8 @@ impl System {
         self.now = t_end;
     }
 
-    /// Moves the memory system's completions and wake-ups into the agenda.
+    /// Moves the memory system's completions and wake-ups into the agenda,
+    /// leaving `mem_out` empty for the next memory call.
     fn absorb_mem_out(&mut self) {
         for c in self.mem_out.completions.drain(..) {
             self.agenda.push_read(c.finish, c.tag);
@@ -228,14 +228,12 @@ impl System {
                 self.reads.len() as u64 - 1
             }
         };
-        self.mem_out.clear();
         self.mem
             .enqueue_read(self.now, line, tag, &mut self.mem_out);
         self.absorb_mem_out();
     }
 
     fn issue_writeback(&mut self, line: LineAddr) {
-        self.mem_out.clear();
         self.mem
             .enqueue_writeback(self.now, line, &mut self.mem_out);
         self.absorb_mem_out();
@@ -307,21 +305,11 @@ impl System {
             }
         }
         if plan.mem != self.plan.mem {
-            self.mem_out.clear();
             self.mem
                 .set_frequency(self.now, plan.mem, &mut self.mem_out);
             self.absorb_mem_out();
         }
         self.plan = plan.clone();
-    }
-
-    /// Per-core frequencies of the current plan.
-    pub fn core_freqs(&self) -> Vec<Freq> {
-        self.plan
-            .cores
-            .iter()
-            .map(|&i| self.config.core_freqs[i])
-            .collect()
     }
 
     /// The L2 cache (for statistics).
@@ -675,8 +663,8 @@ impl Runner {
         if self.sys.all_done() {
             return;
         }
-        let cfg = self.sys.config.clone();
-        let n = cfg.cores;
+        let cfg = &self.sys.config;
+        let (n, epoch_len, profile_window) = (cfg.cores, cfg.epoch, cfg.profile_window);
         let epoch = self.epoch;
         assert!(
             epoch < cfg.max_epochs,
@@ -688,7 +676,7 @@ impl Runner {
         let old_plan = self.sys.plan().clone();
 
         // --- profiling phase ---
-        self.sys.run_until(epoch_start + cfg.profile_window);
+        self.sys.run_until(epoch_start + profile_window);
         let prof_snap = self.sys.snapshot();
         self.add_segment(&start_snap, &prof_snap, &old_plan);
 
@@ -697,12 +685,13 @@ impl Runner {
             // Perfect lookahead: run a checkpoint to the epoch end at
             // the current frequencies, profile the whole epoch, rewind.
             let mut oracle = self.sys.clone();
-            oracle.run_until(epoch_start + cfg.epoch);
+            oracle.run_until(epoch_start + epoch_len);
             let end = oracle.snapshot();
-            self.oracle_profile(&start_snap, &end, &old_plan)
+            self.profile_between(&start_snap, &end, &old_plan)
         } else {
             self.profile_between(&start_snap, &prof_snap, &old_plan)
         };
+        let cfg = &self.sys.config;
         let model = Model::new(
             &profile,
             &cfg.core_freqs,
@@ -731,7 +720,7 @@ impl Runner {
         self.sys.apply_plan(&plan);
 
         // --- execution phase ---
-        self.sys.run_until(epoch_start + cfg.epoch);
+        self.sys.run_until(epoch_start + epoch_len);
         let end_snap = self.sys.snapshot();
         self.add_segment(&prof_snap, &end_snap, &plan);
 
@@ -739,6 +728,7 @@ impl Runner {
         // would have been at maximum frequencies and bank the
         // difference) ---
         let epoch_profile = self.profile_between(&start_snap, &end_snap, &plan);
+        let cfg = &self.sys.config;
         let settle = Model::new(
             &epoch_profile,
             &cfg.core_freqs,
@@ -782,17 +772,6 @@ impl Runner {
     /// [`Runner::run`] or [`Runner::step_epoch`] first).
     pub fn finalize(self) -> RunResult {
         assert!(self.sys.all_done(), "finalize() before workload completion");
-        let epochs = self.epoch;
-        self.finish(epochs)
-    }
-
-    /// Oracle profile over the full epoch (start snapshot to the lookahead
-    /// end snapshot, all at the pre-decision plan).
-    fn oracle_profile(&self, a: &Snapshot, b: &Snapshot, plan: &Plan) -> EpochProfile {
-        self.profile_between(a, b, plan)
-    }
-
-    fn finish(self, epochs: usize) -> RunResult {
         let sys = &self.sys;
         let cfg = sys.config();
         let completion: Vec<Ps> = sys
@@ -828,7 +807,7 @@ impl Runner {
         RunResult {
             policy: self.policy.kind(),
             mix: cfg.mix.name.to_string(),
-            epochs,
+            epochs: self.epoch,
             completion,
             makespan,
             cpu_energy_j: cpu,

@@ -143,11 +143,6 @@ impl CoreSim {
         }
     }
 
-    /// This core's index.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
     /// Current core clock.
     pub fn freq(&self) -> Freq {
         self.freq

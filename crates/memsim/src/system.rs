@@ -31,22 +31,15 @@ pub struct Completion {
     pub finish: Ps,
 }
 
-/// Out-parameters of one interaction with the memory system, reused across
-/// calls to avoid per-event allocation.
+/// Out-parameters of one interaction with the memory system. Calls append
+/// to both lists, so a caller reuses one `Outcome` across calls, to avoid
+/// per-event allocation, by draining both lists after each call.
 #[derive(Clone, Debug, Default)]
 pub struct Outcome {
     /// Reads that finished as a result of this interaction.
     pub completions: Vec<Completion>,
     /// Events to deliver back to [`MemorySystem::handle`] at the given times.
     pub wakeups: Vec<(Ps, MemEvent)>,
-}
-
-impl Outcome {
-    /// Empties both lists; call before reusing.
-    pub fn clear(&mut self) {
-        self.completions.clear();
-        self.wakeups.clear();
-    }
 }
 
 /// The simulated DDR3 memory subsystem.
@@ -199,7 +192,8 @@ impl MemorySystem {
     }
 
     /// Requests a scheduling pass on `channel` at `max(now, recal_until)`
-    /// unless an earlier or simultaneous pass is already pending.
+    /// unless an earlier or simultaneous pass is already pending. A request
+    /// supersedes the channel's pending pass (see [`MemorySystem::handle`]).
     fn kick(&mut self, channel: usize, now: Ps, out: &mut Outcome) {
         let at = now.max(self.recal_until);
         let ch = &mut self.channels[channel];
@@ -214,8 +208,13 @@ impl MemorySystem {
 
     /// Delivers an event previously requested through [`Outcome::wakeups`].
     ///
-    /// Stale `Schedule` events (superseded by an earlier pass) are ignored,
-    /// which lets the driver use a simple append-only event queue.
+    /// A channel has at most one pending scheduling pass and a rank exactly
+    /// one pending refresh, and a later wakeup for either supersedes the
+    /// earlier one. So an event loop may keep only the latest wakeup per
+    /// channel and per rank, as the `coscale` engine does. It may also
+    /// deliver every wakeup from an append-only queue: a superseded
+    /// `Schedule` that pops at a time other than its channel's pending pass
+    /// is ignored, and one that pops at that time runs the pending pass.
     pub fn handle(&mut self, now: Ps, event: MemEvent, out: &mut Outcome) {
         match event {
             MemEvent::Schedule { channel } => self.handle_schedule(channel, now, out),
@@ -237,7 +236,7 @@ impl MemorySystem {
 
     fn handle_schedule(&mut self, channel: usize, now: Ps, out: &mut Outcome) {
         if self.channels[channel].next_schedule != Some(now) {
-            return; // superseded by an earlier scheduling pass
+            return; // a superseded pass, from a loop that keeps every wakeup
         }
         self.channels[channel].next_schedule = None;
 
@@ -439,9 +438,8 @@ mod tests {
     fn lower_frequency_raises_unloaded_latency_and_bus_busy() {
         let run = |idx: usize| {
             let mut mem = MemorySystem::new(MemConfig::default());
+            mem.set_frequency(Ps::ZERO, idx, &mut Outcome::default());
             let mut out = Outcome::default();
-            mem.set_frequency(Ps::ZERO, idx, &mut out);
-            out.clear();
             for i in 0..32u64 {
                 mem.enqueue_read(
                     Ps::from_us(10) + Ps::from_ns(100 * i),

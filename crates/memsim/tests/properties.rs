@@ -35,33 +35,110 @@ fn config_variant(v: u8) -> MemConfig {
     c
 }
 
-/// Drives the memory system until every queued request has been serviced.
-fn drain(mem: &mut MemorySystem, seed_out: Outcome) -> Vec<Completion> {
-    let mut q = EventQueue::new();
-    let mut done = Vec::new();
-    done.extend(seed_out.completions.iter().copied());
-    for (t, e) in seed_out.wakeups {
-        q.push(t, e);
+/// A simulation's event loop: delivers the memory system's wakeups in
+/// time order.
+struct EventLoop {
+    /// Wakeups, each with its channel's count of `Schedule` pushes so far.
+    queue: EventQueue<(MemEvent, u64)>,
+    schedules: Vec<u64>,
+    /// Skip every `Schedule` but each channel's latest, as the `coscale`
+    /// engine's agenda does. Otherwise every wakeup is delivered, as from
+    /// an append-only queue.
+    latest_only: bool,
+    done: Vec<Completion>,
+}
+
+impl EventLoop {
+    fn new(mem: &MemorySystem, latest_only: bool) -> Self {
+        EventLoop {
+            queue: EventQueue::new(),
+            schedules: vec![0; mem.config().channels],
+            latest_only,
+            done: Vec::new(),
+        }
     }
+
+    /// Takes `out`'s completions and wakeups, leaving it empty.
+    fn absorb(&mut self, out: &mut Outcome) {
+        self.done.append(&mut out.completions);
+        for (t, e) in out.wakeups.drain(..) {
+            let n = match e {
+                MemEvent::Schedule { channel } => {
+                    self.schedules[channel] += 1;
+                    self.schedules[channel]
+                }
+                MemEvent::Refresh { .. } => 0,
+            };
+            self.queue.push(t, (e, n));
+        }
+    }
+
+    /// Delivers every wakeup due by `t_end`.
+    fn run_until(&mut self, mem: &mut MemorySystem, t_end: Ps) {
+        let mut out = Outcome::default();
+        let mut steps = 0usize;
+        while self.queue.peek_time().is_some_and(|t| t <= t_end) {
+            let (t, (e, n)) = self.queue.pop().expect("peeked");
+            match e {
+                MemEvent::Schedule { channel }
+                    if self.latest_only && n != self.schedules[channel] => {}
+                MemEvent::Refresh { .. }
+                    if mem.queued_requests() == 0 && mem.outstanding_reads() == 0 => {}
+                _ => {
+                    mem.handle(t, e, &mut out);
+                    self.absorb(&mut out);
+                    steps += 1;
+                    assert!(steps < 2_000_000, "runaway event loop");
+                }
+            }
+        }
+    }
+}
+
+/// Drives the memory system until every queued request has been serviced,
+/// delivering every wakeup.
+fn drain(mem: &mut MemorySystem, mut seed_out: Outcome) -> Vec<Completion> {
+    let mut events = EventLoop::new(mem, false);
+    events.absorb(&mut seed_out);
+    events.run_until(mem, Ps::MAX);
+    events.done
+}
+
+/// Drives `mem` through `requests` until each has been serviced: a read of
+/// `line` arriving at `at` for `Some(tag)`, a writeback for `None`, in
+/// arrival order. At the middle arrival the bus moves to grid point
+/// `fidx`, and requests queue up behind the recalibration stall.
+///
+/// With `latest_only` the event loop works like the `coscale` engine: before
+/// each arrival it delivers the wakeups due by then, so an arrival can
+/// supersede its channel's later pending pass, and it keeps only each
+/// channel's latest `Schedule`. Otherwise it enqueues requests ahead of
+/// their wakeups, stopping only at the frequency change, and delivers
+/// every wakeup.
+fn serve(
+    mem: &mut MemorySystem,
+    requests: &[(Ps, LineAddr, Option<u64>)],
+    fidx: usize,
+    latest_only: bool,
+) -> Vec<Completion> {
+    let mut events = EventLoop::new(mem, latest_only);
     let mut out = Outcome::default();
-    let mut steps = 0usize;
-    while let Some((t, e)) = q.pop() {
-        if matches!(e, MemEvent::Refresh { .. })
-            && mem.queued_requests() == 0
-            && mem.outstanding_reads() == 0
-        {
-            continue;
+    for (i, &(at, line, tag)) in requests.iter().enumerate() {
+        let dvfs = i == requests.len() / 2;
+        if latest_only || dvfs {
+            events.run_until(mem, at);
         }
-        out.clear();
-        mem.handle(t, e, &mut out);
-        done.extend(out.completions.iter().copied());
-        for &(wt, we) in &out.wakeups {
-            q.push(wt, we);
+        if dvfs {
+            mem.set_frequency(at, fidx, &mut out);
         }
-        steps += 1;
-        assert!(steps < 2_000_000, "runaway event loop");
+        match tag {
+            Some(tag) => mem.enqueue_read(at, line, tag, &mut out),
+            None => mem.enqueue_writeback(at, line, &mut out),
+        }
+        events.absorb(&mut out);
     }
-    done
+    events.run_until(mem, Ps::MAX);
+    events.done
 }
 
 /// A randomized request pattern: (line, gap_ns, is_write).
@@ -73,23 +150,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every read completes exactly once, no matter the pattern, under
-    /// every page-policy/scheduler/address-map/idle-state variant.
+    /// every page-policy/scheduler/address-map/idle-state variant, across
+    /// a frequency change, under either event loop.
     #[test]
-    fn reads_complete_exactly_once(pat in pattern(), variant in 0u8..5) {
+    fn reads_complete_exactly_once(pat in pattern(), variant in 0u8..5, fidx in 0usize..10, latest_only in any::<bool>()) {
         let mut mem = MemorySystem::new(config_variant(variant));
-        let mut out = Outcome::default();
         let mut now = Ps::ZERO;
+        let mut requests = Vec::new();
         let mut expected = Vec::new();
         for (i, &(line, gap, is_write)) in pat.iter().enumerate() {
             now += Ps::from_ns(gap);
-            if is_write {
-                mem.enqueue_writeback(now, LineAddr(line), &mut out);
-            } else {
-                mem.enqueue_read(now, LineAddr(line), i as u64, &mut out);
-                expected.push(i as u64);
-            }
+            let tag = (!is_write).then_some(i as u64);
+            requests.push((now, LineAddr(line), tag));
+            expected.extend(tag);
         }
-        let done = drain(&mut mem, out);
+        let done = serve(&mut mem, &requests, fidx, latest_only);
         let mut tags: Vec<u64> = done.iter().map(|c| c.tag).collect();
         tags.sort_unstable();
         prop_assert_eq!(tags, expected);
@@ -97,20 +172,20 @@ proptest! {
     }
 
     /// Completion time is never before the unloaded service latency after
-    /// arrival, and counters decompose latency exactly. Under open page the
-    /// unloaded floor is the row-hit service (tCL + burst + overhead).
+    /// arrival, and counters decompose latency exactly, across a frequency
+    /// change, under either event loop. Under open page the unloaded floor is
+    /// the row-hit service (tCL + burst + overhead) at the starting (top)
+    /// frequency.
     #[test]
-    fn latency_lower_bound_and_decomposition(pat in pattern(), variant in 0u8..4) {
+    fn latency_lower_bound_and_decomposition(pat in pattern(), variant in 0u8..4, fidx in 0usize..10, latest_only in any::<bool>()) {
         let cfg = config_variant(variant);
         let open = cfg.page_policy == PagePolicy::Open;
         let mut mem = MemorySystem::new(cfg);
-        let mut out = Outcome::default();
         let mut now = Ps::ZERO;
-        let mut arrivals = std::collections::HashMap::new();
+        let mut requests = Vec::new();
         for (i, &(line, gap, _)) in pat.iter().enumerate() {
             now += Ps::from_ns(gap);
-            mem.enqueue_read(now, LineAddr(line), i as u64, &mut out);
-            arrivals.insert(i as u64, now);
+            requests.push((now, LineAddr(line), Some(i as u64)));
         }
         let t = &mem.config().timings;
         let unloaded = if open {
@@ -118,10 +193,11 @@ proptest! {
         } else {
             t.fixed_read_service() + t.burst_time(mem.bus_freq())
         };
-        let done = drain(&mut mem, out);
+        let done = serve(&mut mem, &requests, fidx, latest_only);
         for c in &done {
-            prop_assert!(c.finish >= arrivals[&c.tag] + unloaded,
-                "finish {:?} too early for arrival {:?}", c.finish, arrivals[&c.tag]);
+            let arrival = requests[c.tag as usize].0;
+            prop_assert!(c.finish >= arrival + unloaded,
+                "finish {:?} too early for arrival {:?}", c.finish, arrival);
         }
         // Counter identity: latency = bank wait + bus wait + service.
         let ctr = mem.counters();
@@ -178,9 +254,9 @@ proptest! {
     fn slower_bus_is_never_faster(pat in pattern()) {
         let run = |fidx: usize| {
             let mut mem = MemorySystem::new(MemConfig::default());
+            // Discards the recalibration wakeups of the initial set.
+            mem.set_frequency(Ps::ZERO, fidx, &mut Outcome::default());
             let mut out = Outcome::default();
-            mem.set_frequency(Ps::ZERO, fidx, &mut out);
-            out.clear(); // discard the recalibration wakeups of the initial set
             let mut now = Ps::from_us(1);
             for (i, &(line, gap, _)) in pat.iter().enumerate() {
                 now += Ps::from_ns(gap);

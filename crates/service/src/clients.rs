@@ -59,47 +59,72 @@ impl ClientPool {
             responses: 0,
         }
     }
+}
 
+/// A closed-loop client population as the serving loop sees it: the exact
+/// [`ClientPool`] or the aggregated [`crate::FluidPool`], chosen once by
+/// [`crate::ClientModel`]. Clients meet the fleet only at barriers:
+/// [`ClientPopulation::issue`] opens a round's window and
+/// [`ClientPopulation::deliver`] hands each response back.
+pub trait ClientPopulation {
     /// Population size.
-    pub fn len(&self) -> usize {
-        self.clients.len()
-    }
+    fn len(&self) -> usize;
 
     /// Whether the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.clients.is_empty()
+    fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// Requests issued so far.
-    pub fn generated(&self) -> u64 {
+    fn generated(&self) -> u64;
+
+    /// Responses (completions, sheds and abandonments) delivered so far.
+    fn responses(&self) -> u64;
+
+    /// Clients currently thinking (or ready to issue).
+    fn thinking(&self) -> usize;
+
+    /// Clients with a request in flight.
+    fn waiting(&self) -> usize;
+
+    /// Delivers the response to `client`'s request at time `at`.
+    fn deliver(&mut self, client: u32, at: Ps);
+
+    /// Issues the requests that become ready before `to`, stamping
+    /// arrivals into `[from, to)`, sorted by arrival time.
+    fn issue(&mut self, from: Ps, to: Ps) -> Vec<Request>;
+}
+
+impl ClientPopulation for ClientPool {
+    fn len(&self) -> usize {
+        self.clients.len()
+    }
+
+    fn generated(&self) -> u64 {
         self.generated
     }
 
-    /// Responses (completions, sheds and abandonments) delivered so far.
-    pub fn responses(&self) -> u64 {
+    fn responses(&self) -> u64 {
         self.responses
     }
 
-    /// Clients currently thinking (or ready to issue).
-    pub fn thinking(&self) -> usize {
+    fn thinking(&self) -> usize {
         self.clients.iter().filter(|c| c.ready_at.is_some()).count()
     }
 
-    /// Clients with a request in flight.
-    pub fn waiting(&self) -> usize {
+    fn waiting(&self) -> usize {
         self.clients.len() - self.thinking()
     }
 
-    /// Delivers a response to `client` at time `at`: the client starts an
-    /// exponential think and becomes ready at `at + think`. Shed and
-    /// abandoned requests are delivered the same way — the client simply
-    /// tries again after thinking.
+    /// The client starts an exponential think and becomes ready at
+    /// `at + think`. Shed and abandoned requests are delivered the same
+    /// way — the client simply tries again after thinking.
     ///
     /// # Panics
     ///
     /// Panics if the client has no request in flight (a double delivery
     /// would break conservation).
-    pub fn deliver(&mut self, client: u32, at: Ps) {
+    fn deliver(&mut self, client: u32, at: Ps) {
         let c = &mut self.clients[client as usize];
         assert!(
             c.ready_at.is_none(),
@@ -110,13 +135,11 @@ impl ClientPool {
         self.responses += 1;
     }
 
-    /// Issues the requests whose ready times fall before `to`, stamping
-    /// arrivals into `[from, to)` (a client ready before the window start
-    /// issues at `from` — it was waiting for the barrier). Request sizes
-    /// are uniform in `[0.5, 1.5] ×` the configured mean, drawn from the
-    /// issuing client's stream. Returns the batch sorted by arrival time
-    /// (ties toward the lower client index).
-    pub fn issue(&mut self, from: Ps, to: Ps) -> Vec<Request> {
+    /// A client ready before the window start issues at `from` — it was
+    /// waiting for the barrier. Request sizes are uniform in
+    /// `[0.5, 1.5] ×` the configured mean, drawn from the issuing client's
+    /// stream. Ties go to the lower client index.
+    fn issue(&mut self, from: Ps, to: Ps) -> Vec<Request> {
         let mut batch = Vec::new();
         for (i, c) in self.clients.iter_mut().enumerate() {
             let Some(at) = c.ready_at else { continue };

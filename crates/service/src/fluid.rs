@@ -36,8 +36,8 @@
 //! count — pinned by `tests/client_equivalence.rs`
 //! and the fluid golden digests in `tests/invariants.rs`.
 
-use crate::clients::ClientPool;
-use crate::config::{ClientModel, ClosedLoopConfig};
+use crate::clients::ClientPopulation;
+use crate::config::ClosedLoopConfig;
 use crate::queue::Request;
 use simkernel::{Ps, SimRng};
 
@@ -73,7 +73,7 @@ pub struct FluidPool {
 
 impl FluidPool {
     /// A fluid population per `cfg`, every client ready to issue
-    /// immediately (matching [`ClientPool::new`]).
+    /// immediately (matching [`crate::ClientPool::new`]).
     pub fn new(cfg: &ClosedLoopConfig) -> FluidPool {
         FluidPool {
             rng: SimRng::new(cfg.seed).fork(0xf1),
@@ -90,57 +90,6 @@ impl FluidPool {
             diurnal_depth: cfg.think_diurnal_depth,
             next_tag: 0,
         }
-    }
-
-    /// Population size.
-    pub fn len(&self) -> usize {
-        (self.ready + self.thinking + self.fresh + self.in_flight) as usize
-    }
-
-    /// Whether the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Requests issued so far.
-    pub fn generated(&self) -> u64 {
-        self.generated
-    }
-
-    /// Responses (completions, sheds and abandonments) delivered so far.
-    pub fn responses(&self) -> u64 {
-        self.responses
-    }
-
-    /// Clients currently thinking (or ready to issue).
-    pub fn thinking(&self) -> usize {
-        (self.ready + self.thinking + self.fresh) as usize
-    }
-
-    /// Clients with a request in flight.
-    pub fn waiting(&self) -> usize {
-        self.in_flight as usize
-    }
-
-    /// Delivers a response at time `at`, moving one unit of in-flight
-    /// mass back to the think pool. The client tag is ignored — the fluid
-    /// model tracks mass, not identity — which is also what lets a churned
-    /// server's orphaned requests re-credit the think pool through the
-    /// same call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no request is in flight (a double delivery would break
-    /// conservation, exactly as in the exact pool).
-    pub fn deliver(&mut self, _client: u32, at: Ps) {
-        assert!(
-            self.in_flight > 0,
-            "fluid pool: response delivered with nothing in flight"
-        );
-        self.in_flight -= 1;
-        self.fresh += 1;
-        self.fresh_at_sum += at.as_ps() as u128;
-        self.responses += 1;
     }
 
     /// The integrated think-completion hazard `∫ λ(t) dt` over `[a, b]`,
@@ -193,14 +142,55 @@ impl FluidPool {
         let frac = -(1.0 - u * q).ln() / lambda; // in [0, 1)
         (a + span.scale_f64(frac)).min(b - Ps::new(1))
     }
+}
 
-    /// Issues the round's requests for the window `[from, to)`: samples
-    /// how many thinking clients complete (Binomial via geometric skip
-    /// sampling — `O(issued)`, not `O(population)`), stamps their arrivals
-    /// inside the window, and returns the batch sorted by arrival time.
-    /// Mirrors [`ClientPool::issue`]'s contract: clients ready before the
-    /// window issue at `from`, sizes are uniform `[0.5, 1.5] ×` the mean.
-    pub fn issue(&mut self, from: Ps, to: Ps) -> Vec<Request> {
+impl ClientPopulation for FluidPool {
+    fn len(&self) -> usize {
+        (self.ready + self.thinking + self.fresh + self.in_flight) as usize
+    }
+
+    fn generated(&self) -> u64 {
+        self.generated
+    }
+
+    fn responses(&self) -> u64 {
+        self.responses
+    }
+
+    fn thinking(&self) -> usize {
+        (self.ready + self.thinking + self.fresh) as usize
+    }
+
+    fn waiting(&self) -> usize {
+        self.in_flight as usize
+    }
+
+    /// Moves one unit of in-flight mass back to the think pool. The client
+    /// tag is ignored — the fluid model tracks mass, not identity — which
+    /// is also what lets a churned server's orphaned requests re-credit the
+    /// think pool through the same call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no request is in flight (a double delivery would break
+    /// conservation, exactly as in the exact pool).
+    fn deliver(&mut self, _client: u32, at: Ps) {
+        assert!(
+            self.in_flight > 0,
+            "fluid pool: response delivered with nothing in flight"
+        );
+        self.in_flight -= 1;
+        self.fresh += 1;
+        self.fresh_at_sum += at.as_ps() as u128;
+        self.responses += 1;
+    }
+
+    /// Samples how many thinking clients complete (Binomial via geometric
+    /// skip sampling — `O(issued)`, not `O(population)`) and stamps their
+    /// arrivals inside the window. As in [`crate::ClientPool`], clients ready
+    /// before the window issue at `from`, and sizes are uniform
+    /// `[0.5, 1.5] ×` the mean.
+    fn issue(&mut self, from: Ps, to: Ps) -> Vec<Request> {
         // Cohort 1: thinking since before `from` — memoryless, so the
         // completion probability over the window is exact.
         let p_think = self.completion_prob(from, to);
@@ -279,103 +269,10 @@ fn binomial(rng: &mut SimRng, n: u64, p: f64) -> u64 {
     k
 }
 
-/// The closed-loop client population behind a serving run: the exact
-/// per-client pool or the fluid aggregate, selected by
-/// [`ClientModel`]. Both expose the same barrier-time contract
-/// (`issue`/`deliver` plus the conservation counters), so the serving
-/// loop, balancer, tier DAGs and churn paths are model-agnostic.
-#[derive(Clone, Debug)]
-pub enum ClientEngine {
-    /// The exact per-client pool ([`ClientPool`]).
-    Exact(ClientPool),
-    /// The aggregated fluid model ([`FluidPool`]).
-    Fluid(FluidPool),
-}
-
-impl ClientEngine {
-    /// Builds the population `cfg` selects.
-    pub fn new(cfg: &ClosedLoopConfig) -> ClientEngine {
-        match cfg.model {
-            ClientModel::Exact => ClientEngine::Exact(ClientPool::new(cfg)),
-            ClientModel::Fluid => ClientEngine::Fluid(FluidPool::new(cfg)),
-        }
-    }
-
-    /// Which model is running.
-    pub fn model(&self) -> ClientModel {
-        match self {
-            ClientEngine::Exact(_) => ClientModel::Exact,
-            ClientEngine::Fluid(_) => ClientModel::Fluid,
-        }
-    }
-
-    /// Population size.
-    pub fn len(&self) -> usize {
-        match self {
-            ClientEngine::Exact(p) => p.len(),
-            ClientEngine::Fluid(p) => p.len(),
-        }
-    }
-
-    /// Whether the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Requests issued so far.
-    pub fn generated(&self) -> u64 {
-        match self {
-            ClientEngine::Exact(p) => p.generated(),
-            ClientEngine::Fluid(p) => p.generated(),
-        }
-    }
-
-    /// Responses delivered so far.
-    pub fn responses(&self) -> u64 {
-        match self {
-            ClientEngine::Exact(p) => p.responses(),
-            ClientEngine::Fluid(p) => p.responses(),
-        }
-    }
-
-    /// Clients currently thinking (or ready to issue).
-    pub fn thinking(&self) -> usize {
-        match self {
-            ClientEngine::Exact(p) => p.thinking(),
-            ClientEngine::Fluid(p) => p.thinking(),
-        }
-    }
-
-    /// Clients with a request in flight.
-    pub fn waiting(&self) -> usize {
-        match self {
-            ClientEngine::Exact(p) => p.waiting(),
-            ClientEngine::Fluid(p) => p.waiting(),
-        }
-    }
-
-    /// Delivers a response (see [`ClientPool::deliver`] /
-    /// [`FluidPool::deliver`]).
-    pub fn deliver(&mut self, client: u32, at: Ps) {
-        match self {
-            ClientEngine::Exact(p) => p.deliver(client, at),
-            ClientEngine::Fluid(p) => p.deliver(client, at),
-        }
-    }
-
-    /// Issues the round's requests (see [`ClientPool::issue`] /
-    /// [`FluidPool::issue`]).
-    pub fn issue(&mut self, from: Ps, to: Ps) -> Vec<Request> {
-        match self {
-            ClientEngine::Exact(p) => p.issue(from, to),
-            ClientEngine::Fluid(p) => p.issue(from, to),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ClientModel;
     use cluster::BalancePolicy;
 
     fn cfg(clients: usize, think_us: u64) -> ClosedLoopConfig {

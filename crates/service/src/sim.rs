@@ -9,8 +9,9 @@
 //! [`HierSplitter`](cluster::HierSplitter). A flat split is the one-group
 //! tree [`BudgetTree::flat`].
 
+use crate::clients::{ClientPool, ClientPopulation};
 use crate::config::{ClientModel, ServiceConfig};
-use crate::fluid::ClientEngine;
+use crate::fluid::FluidPool;
 use crate::queue::{ClientEvent, Request, Resolution};
 use crate::server::ServiceServer;
 use cluster::{
@@ -389,7 +390,7 @@ struct FleetRun {
     // `[r·D, (r+1)·D)` where `D` is the uniform round duration —
     // validated for the initial fleet, asserted for churn joiners).
     closed: Option<crate::config::ClosedLoopConfig>,
-    pool: Option<ClientEngine>,
+    pool: Option<Box<dyn ClientPopulation>>,
     balancer: Option<LoadBalancer>,
     round_d: Ps,
     // `tree` compiled against the fleet order; recompiled on churn.
@@ -462,7 +463,12 @@ impl FleetRun {
         let tree = topology.unwrap_or_else(|| BudgetTree::flat(config.split, &names));
         let splitter = HierSplitter::new(&tree, &names);
         let closed = config.closed_loop.clone();
-        let pool = closed.as_ref().map(ClientEngine::new);
+        let pool = closed.as_ref().map(|cl| -> Box<dyn ClientPopulation> {
+            match cl.model {
+                ClientModel::Exact => Box::new(ClientPool::new(cl)),
+                ClientModel::Fluid => Box::new(FluidPool::new(cl)),
+            }
+        });
         let balancer = closed.as_ref().map(|cl| LoadBalancer::new(cl.balance));
         let round_d = config
             .servers
@@ -784,7 +790,7 @@ impl FleetRun {
         let closed_loop = match (&self.closed, &self.pool) {
             (Some(cl), Some(pool)) => Some(ClientSummary {
                 clients: pool.len(),
-                model: pool.model(),
+                model: cl.model,
                 balance: cl.balance,
                 mean_think: cl.mean_think,
                 generated: pool.generated(),

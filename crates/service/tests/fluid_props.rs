@@ -13,7 +13,7 @@
 //! its diurnal rate modulation.
 
 use proptest::prelude::*;
-use service::{BalancePolicy, ClientModel, ClosedLoopConfig, FluidPool};
+use service::{BalancePolicy, ClientModel, ClientPopulation, ClosedLoopConfig, FluidPool};
 use simkernel::Ps;
 
 fn pool(mean_think_us: u64, period_us: u64, depth: f64, seed: u64) -> FluidPool {

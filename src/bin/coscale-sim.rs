@@ -108,44 +108,36 @@ fn parse_args() -> Args {
     let mut given: Vec<String> = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut val = |name: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                usage()
-            })
+        let mut val = || {
+            it.next()
+                .unwrap_or_else(|| fail(&format!("missing value for {flag}")))
         };
         match flag.as_str() {
-            "--mix" => a.mix = val("--mix"),
-            "--policy" => a.policy = val("--policy"),
-            "--gamma" => a.gamma = val("--gamma").parse().unwrap_or_else(|_| usage()),
-            "--instrs" => a.instrs = val("--instrs").parse().unwrap_or_else(|_| usage()),
-            "--cores" => a.cores = val("--cores").parse().unwrap_or_else(|_| usage()),
+            "--mix" => a.mix = val(),
+            "--policy" => a.policy = val(),
+            "--gamma" => a.gamma = parsed(&flag, &val()),
+            "--instrs" => a.instrs = parsed(&flag, &val()),
+            "--cores" => a.cores = parsed(&flag, &val()),
             "--prefetch" => a.prefetch = true,
             "--ooo" => a.ooo = true,
             "--open-page" => a.open_page = true,
-            "--cap" => a.cap = val("--cap").parse().unwrap_or_else(|_| usage()),
-            "--seed" => a.seed = Some(val("--seed").parse().unwrap_or_else(|_| usage())),
-            "--timeline" => a.timeline = Some(val("--timeline")),
+            "--cap" => a.cap = parsed(&flag, &val()),
+            "--seed" => a.seed = Some(parsed(&flag, &val())),
+            "--timeline" => a.timeline = Some(val()),
             "--compare" => a.compare = true,
             "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
+            other => fail(&format!("unknown flag {other}")),
         }
         if given.contains(&flag) {
-            eprintln!("{flag} given twice");
-            usage();
+            fail(&format!("{flag} given twice"));
         }
         given.push(flag);
     }
     if a.policy != "powercap" && given.iter().any(|f| f == "--cap") {
-        eprintln!("--cap does nothing here: it applies only to --policy powercap");
-        usage();
+        fail("--cap does nothing here: it applies only to --policy powercap");
     }
     if a.cap.is_nan() || a.cap <= 0.0 {
-        eprintln!("--cap {} must be a positive wattage", a.cap);
-        usage();
+        fail(&format!("--cap {} must be a positive wattage", a.cap));
     }
     a
 }
@@ -284,9 +276,19 @@ fn cluster_usage() -> ! {
     std::process::exit(2);
 }
 
-fn cluster_fail(msg: &str) -> ! {
+/// Prints `msg` and the usage of the command being parsed, and exits 2.
+fn fail(msg: &str) -> ! {
     eprintln!("{msg}");
-    cluster_usage();
+    if cluster_command() {
+        cluster_usage()
+    } else {
+        usage()
+    }
+}
+
+/// Whether the command line runs `coscale-sim cluster`.
+fn cluster_command() -> bool {
+    std::env::args().nth(1).as_deref() == Some("cluster")
 }
 
 /// Parses one `name=mix[:cores][@rate]` fleet entry.
@@ -295,13 +297,13 @@ fn parse_server_entry(entry: &str, default_rate: f64) -> (String, String, usize,
         Some((head, r)) => {
             let rate: f64 = r
                 .parse()
-                .unwrap_or_else(|_| cluster_fail(&format!("bad rate in server entry '{entry}'")));
+                .unwrap_or_else(|_| fail(&format!("bad rate in server entry '{entry}'")));
             (head, rate)
         }
         None => (entry, default_rate),
     };
     let Some((name, mix_spec)) = head.split_once('=') else {
-        cluster_fail(&format!(
+        fail(&format!(
             "server entry '{entry}' must look like name=mix[:cores][@rate]"
         ));
     };
@@ -309,18 +311,18 @@ fn parse_server_entry(entry: &str, default_rate: f64) -> (String, String, usize,
         Some((m, c)) => {
             let cores: usize = c
                 .parse()
-                .unwrap_or_else(|_| cluster_fail(&format!("bad core count in '{entry}'")));
+                .unwrap_or_else(|_| fail(&format!("bad core count in '{entry}'")));
             (m, cores)
         }
         None => (mix_spec, 4),
     };
     if mix(mix_name).is_none() {
-        cluster_fail(&format!(
+        fail(&format!(
             "unknown mix '{mix_name}' in server entry '{entry}'"
         ));
     }
     if name.is_empty() {
-        cluster_fail(&format!("empty server name in entry '{entry}'"));
+        fail(&format!("empty server name in entry '{entry}'"));
     }
     (name.to_string(), mix_name.to_string(), cores, rate)
 }
@@ -329,11 +331,11 @@ fn parse_server_entry(entry: &str, default_rate: f64) -> (String, String, usize,
 /// payload into its round and the rest.
 fn parse_round_prefix(s: &str, flag: &str) -> (usize, String) {
     let Some((round, rest)) = s.split_once(':') else {
-        cluster_fail(&format!("{flag} value '{s}' must look like ROUND:..."));
+        fail(&format!("{flag} value '{s}' must look like ROUND:..."));
     };
     let round: usize = round
         .parse()
-        .unwrap_or_else(|_| cluster_fail(&format!("bad round number in {flag} '{s}'")));
+        .unwrap_or_else(|_| fail(&format!("bad round number in {flag} '{s}'")));
     (round, rest.to_string())
 }
 
@@ -342,16 +344,16 @@ fn parse_round_prefix(s: &str, flag: &str) -> (usize, String) {
 fn parse_partition(s: &str) -> PartitionSpec {
     let parts: Vec<&str> = s.splitn(3, ':').collect();
     let [from, to, nodes] = parts[..] else {
-        cluster_fail(&format!(
+        fail(&format!(
             "--partition value '{s}' must look like FROM:TO:NODES (e.g. 10:30:primary)"
         ));
     };
     let from_round: u64 = from
         .parse()
-        .unwrap_or_else(|_| cluster_fail(&format!("bad FROM round in --partition '{s}'")));
+        .unwrap_or_else(|_| fail(&format!("bad FROM round in --partition '{s}'")));
     let to_round: u64 = to
         .parse()
-        .unwrap_or_else(|_| cluster_fail(&format!("bad TO round in --partition '{s}'")));
+        .unwrap_or_else(|_| fail(&format!("bad TO round in --partition '{s}'")));
     let nodes: Vec<String> = nodes
         .split(',')
         .map(str::trim)
@@ -359,7 +361,7 @@ fn parse_partition(s: &str) -> PartitionSpec {
         .map(str::to_string)
         .collect();
     if nodes.is_empty() {
-        cluster_fail(&format!("--partition '{s}' names no nodes"));
+        fail(&format!("--partition '{s}' names no nodes"));
     }
     PartitionSpec {
         from_round,
@@ -376,7 +378,7 @@ where
 {
     value
         .parse()
-        .unwrap_or_else(|e| cluster_fail(&format!("bad {what} '{value}': {e}")))
+        .unwrap_or_else(|e| fail(&format!("bad {what} '{value}': {e}")))
 }
 
 /// Parses a millisecond flag value into simulated time, exiting 2 unless
@@ -385,7 +387,7 @@ fn ms_flag(what: &str, value: &str) -> Ps {
     let ms: f64 = parsed(what, value);
     let max_s = u64::MAX as f64 / 1e12;
     if !(0.0..=max_s).contains(&(ms * 1e-3)) {
-        cluster_fail(&format!(
+        fail(&format!(
             "{what} {value} ms must be finite, >= 0 and at most {:.3e} ms",
             max_s * 1e3
         ));
@@ -450,7 +452,7 @@ fn check_flag_scopes(a: &ClusterArgs) {
     ];
     for (flags, inside, scope) in scopes {
         if let Some(flag) = flags.iter().find(|f| !inside && a.given(f)) {
-            cluster_fail(&format!(
+            fail(&format!(
                 "{flag} does nothing here: it applies only to {scope}"
             ));
         }
@@ -463,7 +465,7 @@ fn check_flag_scopes(a: &ClusterArgs) {
     }
     for entry in entries {
         if !open && entry.contains('@') {
-            cluster_fail(&format!(
+            fail(&format!(
                 "the @rate in '{entry}' does nothing here: it applies only to \
                  open-loop --serve runs (without --clients)"
             ));
@@ -504,7 +506,7 @@ fn parse_cluster_args() -> ClusterArgs {
     while let Some(flag) = it.next() {
         let mut val = || {
             it.next()
-                .unwrap_or_else(|| cluster_fail(&format!("missing value for {flag}")))
+                .unwrap_or_else(|| fail(&format!("missing value for {flag}")))
         };
         match flag.as_str() {
             "--servers" => a.servers = val(),
@@ -513,7 +515,7 @@ fn parse_cluster_args() -> ClusterArgs {
             "--epochs-per-round" => a.epochs_per_round = Some(parsed(&flag, &val())),
             "--split" => a.split = parsed(&flag, &val()),
             "--topology" => {
-                a.topology = Some(BudgetTree::parse(&val()).unwrap_or_else(|e| cluster_fail(&e)))
+                a.topology = Some(BudgetTree::parse(&val()).unwrap_or_else(|e| fail(&e)))
             }
             "--threads" => a.threads = parsed(&flag, &val()),
             "--fleet-size" => a.fleet_size = parsed(&flag, &val()),
@@ -532,7 +534,7 @@ fn parse_cluster_args() -> ClusterArgs {
                 let spec = val();
                 let (p, d) = spec
                     .split_once(':')
-                    .unwrap_or_else(|| cluster_fail("--think-diurnal wants PERIOD_MS:DEPTH"));
+                    .unwrap_or_else(|| fail("--think-diurnal wants PERIOD_MS:DEPTH"));
                 let period = ms_flag("--think-diurnal period", p);
                 a.think_diurnal = Some((period, parsed("--think-diurnal depth", d)));
             }
@@ -550,10 +552,10 @@ fn parse_cluster_args() -> ClusterArgs {
             "--failover" => a.rpc.failover = true,
             "--partition" => a.rpc.partitions.push(parse_partition(&val())),
             "--help" | "-h" => cluster_usage(),
-            other => cluster_fail(&format!("unknown flag {other}")),
+            other => fail(&format!("unknown flag {other}")),
         }
         if a.given(&flag) && !["--join", "--leave", "--partition"].contains(&flag.as_str()) {
-            cluster_fail(&format!(
+            fail(&format!(
                 "{flag} given twice; only --join, --leave and --partition repeat"
             ));
         }
@@ -561,7 +563,7 @@ fn parse_cluster_args() -> ClusterArgs {
     }
     check_flag_scopes(&a);
     if !(0.0..=1.0).contains(&a.idle_fraction) {
-        cluster_fail("--idle-fraction must be in [0, 1]");
+        fail("--idle-fraction must be in [0, 1]");
     }
     if !a.serve && a.split == CapSplit::SlaAware {
         eprintln!(
@@ -570,7 +572,7 @@ fn parse_cluster_args() -> ClusterArgs {
         );
     }
     if a.tiers.is_none() && a.split == CapSplit::CriticalPath {
-        cluster_fail("the critical-path split needs per-tier traces; pass --tiers");
+        fail("the critical-path split needs per-tier traces; pass --tiers");
     }
     a
 }
@@ -606,7 +608,7 @@ fn cluster_batch_main(args: &ClusterArgs) {
     cfg.topology = args.topology.clone();
     cfg.rpc = args.rpc.clone();
     if let Err(e) = cfg.validate() {
-        cluster_fail(&format!("invalid cluster configuration: {e}"));
+        fail(&format!("invalid cluster configuration: {e}"));
     }
 
     eprintln!(
@@ -703,7 +705,7 @@ fn tier_serve_fleet(
         for entry in args.servers.split(',') {
             let (name, mix_name, cores, rate) = parse_server_entry(entry, args.rate);
             let Some(ti) = graph.tiers().iter().position(|t| t.name == name) else {
-                cluster_fail(&format!(
+                fail(&format!(
                     "--servers entry '{entry}' names no tier of the --tiers graph \
                      (with --tiers, entries look like tier=mix[:cores])"
                 ));
@@ -749,13 +751,13 @@ fn cluster_serve_main(args: &ClusterArgs) {
         let spec = serve_spec(&rest, args.rate, target_s, &mut seed);
         let name = spec.name.clone();
         if let Err(e) = churn.join(round, &name, spec) {
-            cluster_fail(&e);
+            fail(&e);
         }
     }
     for l in &args.leaves {
         let (round, name) = parse_round_prefix(l, "--leave");
         if let Err(e) = churn.leave(round, &name) {
-            cluster_fail(&e);
+            fail(&e);
         }
     }
 
@@ -785,7 +787,7 @@ fn cluster_serve_main(args: &ClusterArgs) {
         );
     }
     if let Err(e) = cfg.validate() {
-        cluster_fail(&format!("invalid service configuration: {e}"));
+        fail(&format!("invalid service configuration: {e}"));
     }
 
     eprintln!(
@@ -893,7 +895,7 @@ fn cluster_main() {
 }
 
 fn main() {
-    if std::env::args().nth(1).as_deref() == Some("cluster") {
+    if cluster_command() {
         cluster_main();
         return;
     }

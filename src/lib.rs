@@ -60,9 +60,9 @@ pub mod prelude {
     };
     pub use cpusim::{CoreConfig, PipelineMode};
     pub use service::{
-        run_service, ArrivalKind, ClientModel, ClientPool, ClosedLoopConfig, FluidPool,
-        ServiceConfig, ServiceResult, ServiceServerSpec, ServiceSim, TierConfig, TierGraph,
-        TierSummary,
+        run_service, ArrivalKind, ClientModel, ClientPool, ClientPopulation, ClosedLoopConfig,
+        FluidPool, ServiceConfig, ServiceResult, ServiceServerSpec, ServiceSim, TierConfig,
+        TierGraph, TierSummary,
     };
     pub use simkernel::{Freq, Ps};
     pub use workloads::{all_mixes, mix, Mix, MixClass};

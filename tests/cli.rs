@@ -293,6 +293,19 @@ fn single_server_cap_needs_the_powercap_policy_and_a_positive_budget() {
 }
 
 #[test]
+fn single_server_flags_name_the_bad_value() {
+    for (flag, value) in [
+        ("--gamma", "abc"),
+        ("--instrs", "-5"),
+        ("--cores", "x"),
+        ("--seed", "x"),
+    ] {
+        let args = [flag, value];
+        assert_exits_2(sim(&args), &args, &format!("bad {flag} '{value}': "));
+    }
+}
+
+#[test]
 fn a_repeated_flag_is_rejected() {
     let args = [
         "--mix", "ILP1", "--mix", "MEM1", "--instrs", "20000", "--cores", "1",
