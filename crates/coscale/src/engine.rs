@@ -3,12 +3,11 @@
 
 use crate::agenda::{Agenda, Due};
 use crate::{
-    extract_profile, make_policy, normalize_profile, EpochProfile, Model, Plan, Policy, PolicyKind,
-    SimConfig,
+    extract_profile, make_policy, EpochProfile, Model, Plan, Policy, PolicyKind, SimConfig,
 };
 use cpusim::{CoreCounters, CoreOutput, CoreSim, L2Cache, Wake};
 use memsim::{LineAddr, MemCounters, MemEvent, MemorySystem, Outcome};
-use powermodel::{system_power, MemGeometry, SystemPower};
+use powermodel::{system_power, MemGeometry};
 use simkernel::{Freq, Ps};
 
 /// The agenda's memory lanes: channel `c`'s scheduling passes are lane
@@ -84,8 +83,6 @@ pub struct Snapshot {
     pub mem: MemCounters,
     /// L2 demand accesses (hits + misses).
     pub l2_accesses: u64,
-    /// L2 writebacks so far.
-    pub l2_writebacks: u64,
 }
 
 impl System {
@@ -170,7 +167,15 @@ impl System {
 
     /// Whether every application has reached the instruction target.
     pub fn all_done(&self) -> bool {
-        self.completion.iter().all(Option::is_some)
+        self.makespan().is_some()
+    }
+
+    /// The instant the last application reached the instruction target,
+    /// once every one has.
+    pub(crate) fn makespan(&self) -> Option<Ps> {
+        self.completion
+            .iter()
+            .try_fold(Ps::ZERO, |m, c| c.map(|c| m.max(c)))
     }
 
     /// Snapshots all counters.
@@ -180,7 +185,6 @@ impl System {
             cores: self.cores.iter().map(|c| *c.counters()).collect(),
             mem: *self.mem.counters(),
             l2_accesses: self.l2.stats().hits + self.l2.stats().misses,
-            l2_writebacks: self.l2.stats().writebacks,
         }
     }
 
@@ -326,14 +330,6 @@ impl System {
     pub fn instrs(&self) -> Vec<u64> {
         self.cores.iter().map(|c| c.instrs()).collect()
     }
-}
-
-/// Energy integrated over one plan segment.
-#[derive(Clone, Debug)]
-struct Segment {
-    start: Ps,
-    end: Ps,
-    power: SystemPower,
 }
 
 /// One epoch's decision record, for timeline figures and for cluster-level
@@ -516,7 +512,13 @@ pub struct Runner {
     sys: System,
     policy: Box<dyn Policy>,
     slack: Vec<f64>,
-    segments: Vec<Segment>,
+    /// Energy of every window so far, joules: live telemetry. It starts
+    /// at the empty sum, -0.0, the bits a serving digest records for a
+    /// server that has run no window.
+    energy_j: f64,
+    /// Energy up to the makespan by component, joules: CPU, L2, memory
+    /// and rest of system.
+    parts_j: [f64; 4],
     records: Vec<EpochRecord>,
     geom: MemGeometry,
     epoch: usize,
@@ -531,7 +533,8 @@ impl Runner {
             sys: System::new(config),
             policy: make_policy(kind),
             slack: vec![0.0; n],
-            segments: Vec::new(),
+            energy_j: -0.0,
+            parts_j: [0.0; 4],
             records: Vec::new(),
             geom,
             epoch: 0,
@@ -551,35 +554,40 @@ impl Runner {
         self.policy.set_power_cap(cap_w);
     }
 
-    /// Builds an [`EpochProfile`] over `[a, b]`, attributing core busy
-    /// cycles across the frequency segments recorded in `freqs_during`.
+    /// Builds an [`EpochProfile`] over the window `[a, b]` run under `plan`.
     fn profile_between(&self, a: &Snapshot, b: &Snapshot, plan: &Plan) -> EpochProfile {
         let deltas: Vec<(usize, CoreCounters)> = (0..a.cores.len())
             .map(|i| (plan.cores[i], b.cores[i].delta(&a.cores[i])))
             .collect();
-        let mem_delta = b.mem.delta(&a.mem);
-        let mut p = extract_profile(
+        extract_profile(
             &deltas,
-            &mem_delta,
+            &self.sys.config.core_freqs,
+            &b.mem.delta(&a.mem),
             b.l2_accesses - a.l2_accesses,
             plan.mem,
             b.at - a.at,
-        );
-        normalize_profile(&mut p, &deltas, &self.sys.config.core_freqs);
-        p
+        )
     }
 
-    /// Integrates energy for the window `[a, b]` under `plan`.
-    fn add_segment(&mut self, a: &Snapshot, b: &Snapshot, plan: &Plan) {
+    /// Integrates the power model over the window `[a, b]` run under
+    /// `plan`: the whole window into the live total, and its part before
+    /// the makespan into the component totals. Once every application is
+    /// done, the window holding the makespan counts up to it and later
+    /// windows count not at all.
+    fn integrate(&mut self, a: &Snapshot, b: &Snapshot, plan: &Plan) {
         let window = b.at - a.at;
         if window == Ps::ZERO {
             return;
         }
         let cfg = &self.sys.config;
-        let cores: Vec<(Freq, CoreCounters)> = (0..a.cores.len())
-            .map(|i| (cfg.core_freqs[plan.cores[i]], b.cores[i].delta(&a.cores[i])))
+        let cores: Vec<(Freq, Freq, CoreCounters)> = (0..a.cores.len())
+            .map(|i| {
+                let v = plan.voltage_idx(i, cfg.voltage_domain_cores);
+                let ctr = b.cores[i].delta(&a.cores[i]);
+                (cfg.core_freqs[plan.cores[i]], cfg.core_freqs[v], ctr)
+            })
             .collect();
-        let mut power = system_power(
+        let power = system_power(
             &cfg.power,
             &self.geom,
             &cores,
@@ -588,28 +596,20 @@ impl Runner {
             &b.mem.delta(&a.mem),
             window,
         );
-        if cfg.voltage_domain_cores > 1 {
-            // Under shared voltage domains a slow core pays the fastest
-            // domain member's voltage.
-            let ds = cfg.voltage_domain_cores;
-            for (i, (f, ctr)) in cores.iter().enumerate() {
-                let lo = (i / ds) * ds;
-                let hi = (lo + ds).min(plan.cores.len());
-                let vmax_idx = plan.cores[lo..hi].iter().copied().max().unwrap_or(0);
-                power.cores_w[i] = powermodel::core_power_shared_domain(
-                    &cfg.power,
-                    *f,
-                    cfg.core_freqs[vmax_idx],
-                    ctr,
-                    window,
-                );
+        self.energy_j += power.total() * window.as_secs_f64();
+        let end = self.sys.makespan().map_or(b.at, |m| m.min(b.at));
+        if end > a.at {
+            let secs = (end - a.at).as_secs_f64();
+            let parts = [
+                power.cpu_total(),
+                power.l2_w,
+                power.mem.total(),
+                power.rest_w,
+            ];
+            for (e, w) in self.parts_j.iter_mut().zip(parts) {
+                *e += w * secs;
             }
         }
-        self.segments.push(Segment {
-            start: a.at,
-            end: b.at,
-            power,
-        });
     }
 
     /// Whether every application has reached its instruction target.
@@ -627,16 +627,13 @@ impl Runner {
         &self.sys
     }
 
-    /// Full-system energy integrated over all segments so far, joules.
+    /// Full-system energy integrated over every window so far, joules.
     ///
     /// Unlike the final [`RunResult`] energies this is not prorated to the
     /// makespan — it is live telemetry for coordinators while the workload
     /// is still running.
     pub fn energy_so_far_j(&self) -> f64 {
-        self.segments
-            .iter()
-            .map(|s| s.power.total() * (s.end - s.start).as_secs_f64())
-            .sum()
+        self.energy_j
     }
 
     /// Runs to completion and produces the result.
@@ -678,7 +675,7 @@ impl Runner {
         // --- profiling phase ---
         self.sys.run_until(epoch_start + profile_window);
         let prof_snap = self.sys.snapshot();
-        self.add_segment(&start_snap, &prof_snap, &old_plan);
+        self.integrate(&start_snap, &prof_snap, &old_plan);
 
         // --- decision ---
         let profile = if self.policy.needs_oracle() {
@@ -707,9 +704,7 @@ impl Runner {
         let plan = self.policy.decide(&model, &old_plan);
         let predicted_ser = model.ser(&plan);
         let predicted_power_w = model.power(&plan).total();
-        let demand_power_w = model
-            .power(&Plan::max(n, cfg.core_freqs.len(), cfg.mem.freq_grid.len()))
-            .total();
+        let demand_power_w = model.base_power();
         let min_power_w = model
             .power(&Plan {
                 cores: vec![0; n],
@@ -722,7 +717,7 @@ impl Runner {
         // --- execution phase ---
         self.sys.run_until(epoch_start + epoch_len);
         let end_snap = self.sys.snapshot();
-        self.add_segment(&prof_snap, &end_snap, &plan);
+        self.integrate(&prof_snap, &end_snap, &plan);
 
         // --- slack settlement (paper §3: estimate what performance
         // would have been at maximum frequencies and bank the
@@ -779,25 +774,8 @@ impl Runner {
             .iter()
             .map(|c| c.expect("all_done checked"))
             .collect();
-        let makespan = completion.iter().copied().fold(Ps::ZERO, Ps::max);
-
-        // Energy until the makespan: whole segments before it plus a
-        // prorated share of the segment containing it.
-        let mut cpu = 0.0;
-        let mut l2 = 0.0;
-        let mut mem = 0.0;
-        let mut rest = 0.0;
-        for seg in &self.segments {
-            if seg.start >= makespan {
-                break;
-            }
-            let span = seg.end.min(makespan) - seg.start;
-            let secs = span.as_secs_f64();
-            cpu += seg.power.cpu_total() * secs;
-            l2 += seg.power.l2_w * secs;
-            mem += seg.power.mem.total() * secs;
-            rest += seg.power.rest_w * secs;
-        }
+        let makespan = sys.makespan().expect("all_done checked");
+        let [cpu, l2, mem, rest] = self.parts_j;
 
         let total_instrs: u64 = sys.instrs().iter().sum();
         let stats = sys.l2().stats();

@@ -43,10 +43,7 @@ mod policy;
 
 pub use config::{PolicyKind, SimConfig};
 pub use engine::{run_policy, EpochRecord, RunResult, Runner, Snapshot, System};
-pub use model::{
-    extract_profile, normalize_profile, CoreProfile, EpochProfile, MemProfile, Model, Plan,
-    StepUtility,
-};
+pub use model::{extract_profile, CoreProfile, EpochProfile, MemProfile, Model, Plan, StepUtility};
 pub use policy::{
     make_policy, CoScalePolicy, CpuOnlyPolicy, MemScalePolicy, OfflinePolicy, Policy,
     PowerCapPolicy, SemiCoordinatedPolicy, StaticMaxPolicy, UncoordinatedPolicy,

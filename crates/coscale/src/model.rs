@@ -15,7 +15,7 @@
 
 use cpusim::CoreCounters;
 use memsim::{DdrTimings, MemCounters};
-use powermodel::{system_power, MemGeometry, PowerConfig, SystemPower};
+use powermodel::{core_power, system_power, MemGeometry, PowerConfig, SystemPower};
 use simkernel::{Freq, Ps};
 
 /// A complete frequency assignment: one grid index per core plus the memory
@@ -35,6 +35,17 @@ impl Plan {
             cores: vec![core_grid_len - 1; n_cores],
             mem: mem_grid_len - 1,
         }
+    }
+
+    /// The core-grid index that sets core `i`'s supply voltage when cores
+    /// share voltage domains of `domain` cores (§3.4): the fastest clock in
+    /// its domain. With per-core domains (`domain == 1`) that is its own.
+    pub(crate) fn voltage_idx(&self, i: usize, domain: usize) -> usize {
+        let lo = i - i % domain;
+        let hi = (lo + domain).min(self.cores.len());
+        self.cores[lo..hi]
+            .iter()
+            .fold(self.cores[i], |v, &c| v.max(c))
     }
 }
 
@@ -91,10 +102,12 @@ pub struct EpochProfile {
 
 /// Builds an [`EpochProfile`] from counter deltas.
 ///
-/// `cores` pairs each core's counter delta with the core-grid index it ran
-/// at during the window.
+/// `cores` pairs each core's counter delta with the index into `grid` of
+/// the clock it ran at during the window, which turns its measured busy
+/// time into frequency-invariant cycles per instruction.
 pub fn extract_profile(
     cores: &[(usize, CoreCounters)],
+    grid: &[Freq],
     mem: &MemCounters,
     l2_accesses: u64,
     mem_freq_idx: usize,
@@ -102,10 +115,10 @@ pub fn extract_profile(
 ) -> EpochProfile {
     let core_profiles = cores
         .iter()
-        .map(|&(_, c)| {
+        .map(|&(fidx, c)| {
             let tic = c.tic.max(1) as f64;
             CoreProfile {
-                cpu_cycles_pi: 0.0, // placeholder, fixed below with frequency
+                cpu_cycles_pi: c.busy_time.as_secs_f64() * grid[fidx].as_hz() as f64 / tic,
                 l2_s_pi: c.l2_stall_time.as_secs_f64() / tic,
                 mem_s_pi: c.mem_stall_time.as_secs_f64() / tic,
                 instrs: c.tic,
@@ -133,19 +146,6 @@ pub fn extract_profile(
         window,
         core_freq_idx: cores.iter().map(|&(i, _)| i).collect(),
         mem_freq_idx,
-    }
-}
-
-/// Finalizes the frequency-dependent part of a profile: converts measured
-/// busy time into frequency-invariant cycles per instruction.
-pub fn normalize_profile(
-    profile: &mut EpochProfile,
-    cores: &[(usize, CoreCounters)],
-    grid: &[Freq],
-) {
-    for (cp, &(fidx, c)) in profile.cores.iter_mut().zip(cores) {
-        let tic = c.tic.max(1) as f64;
-        cp.cpu_cycles_pi = c.busy_time.as_secs_f64() * grid[fidx].as_hz() as f64 / tic;
     }
 }
 
@@ -246,17 +246,16 @@ impl<'a> Model<'a> {
         self
     }
 
-    /// The voltage-setting frequency for core `i` under `plan`: the fastest
-    /// clock in its voltage domain.
-    fn domain_vfreq(&self, plan: &Plan, i: usize) -> Freq {
-        if self.domain_size <= 1 {
-            return self.core_grid[plan.cores[i]];
-        }
-        let d = i / self.domain_size;
-        let lo = d * self.domain_size;
-        let hi = (lo + self.domain_size).min(plan.cores.len());
-        let max_idx = plan.cores[lo..hi].iter().copied().max().unwrap_or(0);
-        self.core_grid[max_idx]
+    /// The clock that sets core `i`'s voltage under `plan`
+    /// ([`Plan::voltage_idx`]).
+    fn vfreq(&self, plan: &Plan, i: usize) -> Freq {
+        self.core_grid[plan.voltage_idx(i, self.domain_size)]
+    }
+
+    /// Predicted full-system power at the all-max plan, watts: the
+    /// server's uncapped demand, and the denominator of every SER.
+    pub(crate) fn base_power(&self) -> f64 {
+        self.base_power
     }
 
     /// Number of cores.
@@ -345,7 +344,7 @@ impl<'a> Model<'a> {
     }
 
     /// Synthesizes the per-core counter window the power model needs for a
-    /// hypothetical plan.
+    /// hypothetical plan: the core's clock and its counters.
     fn synth_core_counters(&self, i: usize, fc: usize, fm: usize) -> (Freq, CoreCounters) {
         let cp = &self.profile.cores[i];
         let w = self.profile.window.as_secs_f64();
@@ -385,8 +384,11 @@ impl<'a> Model<'a> {
     pub fn power(&self, plan: &Plan) -> SystemPower {
         let w = self.profile.window;
         let rho = self.throughput_ratio(plan);
-        let cores: Vec<(Freq, CoreCounters)> = (0..self.n_cores())
-            .map(|i| self.synth_core_counters(i, plan.cores[i], plan.mem))
+        let cores: Vec<(Freq, Freq, CoreCounters)> = (0..self.n_cores())
+            .map(|i| {
+                let (f, ctr) = self.synth_core_counters(i, plan.cores[i], plan.mem);
+                (f, self.vfreq(plan, i), ctr)
+            })
             .collect();
 
         let p = &self.profile.mem;
@@ -402,7 +404,7 @@ impl<'a> Model<'a> {
             bus_busy,
             ..MemCounters::default()
         };
-        let mut sys = system_power(
+        system_power(
             self.power_cfg,
             &self.geom,
             &cores,
@@ -410,19 +412,7 @@ impl<'a> Model<'a> {
             self.mem_grid[plan.mem],
             &mem_ctr,
             w,
-        );
-        if self.domain_size > 1 {
-            for (i, (f, ctr)) in cores.iter().enumerate() {
-                sys.cores_w[i] = powermodel::core_power_shared_domain(
-                    self.power_cfg,
-                    *f,
-                    self.domain_vfreq(plan, i),
-                    ctr,
-                    w,
-                );
-            }
-        }
-        sys
+        )
     }
 
     /// The System Energy Ratio of Eq. 2: predicted epoch time (worst-core
@@ -443,12 +433,10 @@ impl<'a> Model<'a> {
         let (f_hi, c_hi) = self.synth_core_counters(i, fc, plan.mem);
         let (f_lo, c_lo) = self.synth_core_counters(i, fc - 1, plan.mem);
         let w = self.profile.window;
-        let v_hi = self.domain_vfreq(plan, i);
         let mut lower = plan.clone();
         lower.cores[i] -= 1;
-        let v_lo = self.domain_vfreq(&lower, i);
-        let p_hi = powermodel::core_power_shared_domain(self.power_cfg, f_hi, v_hi, &c_hi, w);
-        let p_lo = powermodel::core_power_shared_domain(self.power_cfg, f_lo, v_lo, &c_lo, w);
+        let p_hi = core_power(self.power_cfg, f_hi, self.vfreq(plan, i), &c_hi, w);
+        let p_lo = core_power(self.power_cfg, f_lo, self.vfreq(&lower, i), &c_lo, w);
         let d_perf = self.slowdown(i, fc - 1, plan.mem) - self.slowdown(i, fc, plan.mem);
         Some(StepUtility {
             d_power: (p_hi - p_lo).max(0.0),
@@ -731,7 +719,7 @@ mod tests {
     }
 
     #[test]
-    fn extract_and_normalize_roundtrip() {
+    fn extract_profile_normalizes_busy_time_to_cycles() {
         let (cg, ..) = fixtures();
         let ctr = CoreCounters {
             tic: 1000,
@@ -743,8 +731,7 @@ mod tests {
         };
         let cores = vec![(9usize, ctr)];
         let mem = MemCounters::default();
-        let mut p = extract_profile(&cores, &mem, 120, 9, Ps::from_us(1));
-        normalize_profile(&mut p, &cores, &cg);
+        let p = extract_profile(&cores, &cg, &mem, 120, 9, Ps::from_us(1));
         let cp = &p.cores[0];
         assert!((cp.cpu_cycles_pi - 1.2).abs() < 1e-9);
         assert!((cp.l2_s_pi - 75e-12).abs() < 1e-15);

@@ -11,7 +11,8 @@ use workloads::{AppProfile, TraceGen, TraceOp};
 /// Pipeline behavior on L2 misses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PipelineMode {
-    /// Stall on every L2 miss (one outstanding miss).
+    /// Stall on every L2 miss (one outstanding miss): the zero-width MLP
+    /// window.
     InOrder,
     /// Emulate out-of-order latency hiding: all memory operations within an
     /// `n`-instruction window are assumed independent, so the core keeps
@@ -91,9 +92,8 @@ enum State {
     },
     /// Pipeline stalled on an L2 hit.
     L2Stall { end: Ps },
-    /// In-order: blocked on the single outstanding demand miss.
-    WaitMem,
-    /// MLP window full: blocked until the oldest outstanding miss returns.
+    /// MLP window full (for an in-order core, any miss outstanding):
+    /// blocked until the oldest outstanding miss returns.
     WaitWindow,
 }
 
@@ -108,6 +108,8 @@ enum State {
 pub struct CoreSim {
     id: usize,
     config: CoreConfig,
+    /// MLP window width in instructions; in-order is width 0.
+    window: u64,
     freq: Freq,
     gen: TraceGen,
     state: State,
@@ -132,6 +134,10 @@ impl CoreSim {
         CoreSim {
             id,
             config,
+            window: match config.pipeline {
+                PipelineMode::InOrder => 0,
+                PipelineMode::MlpWindow(w) => w,
+            },
             freq,
             gen: TraceGen::new(profile, id, seed),
             state: State::Idle,
@@ -190,13 +196,9 @@ impl CoreSim {
     }
 
     fn window_full(&self) -> bool {
-        match self.config.pipeline {
-            PipelineMode::InOrder => !self.outstanding.is_empty(),
-            PipelineMode::MlpWindow(w) => self
-                .outstanding
-                .first()
-                .is_some_and(|&(_, at, _)| self.counters.tic.saturating_sub(at) >= w),
-        }
+        self.outstanding
+            .first()
+            .is_some_and(|&(_, at, _)| self.counters.tic.saturating_sub(at) >= self.window)
     }
 
     fn maybe_prefetch(&mut self, line: LineAddr, l2: &L2Cache, out: &mut CoreOutput) {
@@ -288,17 +290,9 @@ impl CoreSim {
                             {
                                 self.maybe_prefetch(LineAddr(op.line.0 + 1), l2, out);
                             }
-                            match self.config.pipeline {
-                                PipelineMode::InOrder => {
-                                    self.state = State::WaitMem;
-                                    self.block_start = now;
-                                    return Wake::Blocked;
-                                }
-                                PipelineMode::MlpWindow(_) => {
-                                    self.state = State::Idle;
-                                    // Loop: the Idle arm re-checks the window.
-                                }
-                            }
+                            // Loop: the Idle arm re-checks the window,
+                            // which blocks an in-order core at once.
+                            self.state = State::Idle;
                         }
                     }
                 }
@@ -308,7 +302,7 @@ impl CoreSim {
                     }
                     self.state = State::Idle;
                 }
-                State::WaitMem | State::WaitWindow => return Wake::Blocked,
+                State::WaitWindow => return Wake::Blocked,
             }
         }
     }
@@ -342,23 +336,12 @@ impl CoreSim {
 
     /// Re-evaluates blocking after a fill satisfied an outstanding miss.
     fn unblock_after_fill(&mut self, now: Ps) -> bool {
-        match self.state {
-            State::WaitMem => {
-                self.counters.mem_stall_time += now - self.block_start;
-                self.state = State::Idle;
-                true
-            }
-            State::WaitWindow => {
-                if self.window_full() {
-                    false
-                } else {
-                    self.counters.mem_stall_time += now - self.block_start;
-                    self.state = State::Idle;
-                    true
-                }
-            }
-            _ => false,
+        if !matches!(self.state, State::WaitWindow) || self.window_full() {
+            return false;
         }
+        self.counters.mem_stall_time += now - self.block_start;
+        self.state = State::Idle;
+        true
     }
 
     /// Delivers a prefetch completion: fills the line tagged as prefetched.
@@ -428,7 +411,7 @@ impl CoreSim {
                 Some(Wake::At(new_end))
             }
             State::Idle => Some(Wake::At(self.halt_until)),
-            State::WaitMem | State::WaitWindow => None,
+            State::WaitWindow => None,
         }
     }
 }

@@ -21,7 +21,8 @@
 //! let cfg = PowerConfig::default();
 //! let window = Ps::from_ms(1);
 //! let idle = CoreCounters::default();
-//! let p = core_power(&cfg, Freq::from_ghz(2.2), &idle, window);
+//! let f = Freq::from_ghz(2.2);
+//! let p = core_power(&cfg, f, f, &idle, window);
 //! assert!(p > 0.0 && p < 7.5);
 //! ```
 
@@ -33,6 +34,5 @@ mod models;
 
 pub use config::PowerConfig;
 pub use models::{
-    core_power, core_power_shared_domain, l2_power, memory_power, system_power, MemGeometry,
-    MemPower, SystemPower,
+    core_power, l2_power, memory_power, system_power, MemGeometry, MemPower, SystemPower,
 };

@@ -25,22 +25,17 @@ const AF_REFERENCE: f64 = 1.05;
 ///
 /// `ctr` must be the counter *delta* for the window (see
 /// [`CoreCounters::delta`]); `window` its wall-clock length; `freq` the
-/// frequency the core ran at.
+/// frequency the core ran at; `vfreq` the frequency that set its supply
+/// voltage, the fastest clock in its *voltage domain* (§3.4 of the paper).
+/// With per-core domains `vfreq == freq`; under a shared domain a slow core
+/// pays the fast neighbour's voltage. A `vfreq` below `freq` counts as
+/// `freq`.
 ///
 /// The model is `P = P_dyn + P_leak` with
 /// `P_dyn ∝ AF_eff · (V/Vmax)² · f` and `P_leak ∝ V`, where the effective
 /// activity factor blends the instruction-mix activity while busy with a
 /// residual idle activity while stalled.
-pub fn core_power(cfg: &PowerConfig, freq: Freq, ctr: &CoreCounters, window: Ps) -> f64 {
-    core_power_shared_domain(cfg, freq, freq, ctr, window)
-}
-
-/// Like [`core_power`], but the supply voltage is set by `vfreq` — the
-/// fastest frequency in the core's *voltage domain* — while dynamic power
-/// still follows the core's own clock `freq`. With per-core domains
-/// (`vfreq == freq`) this reduces to [`core_power`]; with shared domains a
-/// slow core pays the fast neighbour's voltage (§3.4 of the paper).
-pub fn core_power_shared_domain(
+pub fn core_power(
     cfg: &PowerConfig,
     freq: Freq,
     vfreq: Freq,
@@ -241,12 +236,13 @@ impl SystemPower {
 
 /// Evaluates the full-system power model for one window.
 ///
-/// `core_windows` pairs each core's counter delta with the frequency it ran
-/// at; `l2_accesses` is the L2 access count in the window.
+/// `core_windows` gives each core's clock, the clock that set its voltage
+/// and its counter delta, as [`core_power`] takes them; `l2_accesses` is
+/// the L2 access count in the window.
 pub fn system_power(
     cfg: &PowerConfig,
     geom: &MemGeometry,
-    core_windows: &[(Freq, CoreCounters)],
+    core_windows: &[(Freq, Freq, CoreCounters)],
     l2_accesses: u64,
     bus: Freq,
     mem_ctr: &MemCounters,
@@ -255,7 +251,7 @@ pub fn system_power(
     SystemPower {
         cores_w: core_windows
             .iter()
-            .map(|(f, c)| core_power(cfg, *f, c, window))
+            .map(|(f, v, c)| core_power(cfg, *f, *v, c, window))
             .collect(),
         l2_w: l2_power(cfg, l2_accesses, window),
         mem: memory_power(cfg, geom, bus, mem_ctr, window),
@@ -289,7 +285,8 @@ mod tests {
     fn core_power_at_max_matches_calibration() {
         let cfg = PowerConfig::default();
         let w = Ps::from_ms(1);
-        let p = core_power(&cfg, cfg.core_fmax, &busy_counters(w, 1.0, 1_000_000), w);
+        let fmax = cfg.core_fmax;
+        let p = core_power(&cfg, fmax, fmax, &busy_counters(w, 1.0, 1_000_000), w);
         // Typical INT mix AF ≈ 1.0 → close to the calibrated 7.5 W.
         assert!((p - 7.5).abs() < 0.3, "power {p}");
     }
@@ -299,8 +296,9 @@ mod tests {
         let cfg = PowerConfig::default();
         let w = Ps::from_ms(1);
         let c = busy_counters(w, 1.0, 1_000_000);
-        let p_hi = core_power(&cfg, Freq::from_ghz(4.0), &c, w);
-        let p_lo = core_power(&cfg, Freq::from_ghz(2.2), &c, w);
+        let (hi, lo) = (Freq::from_ghz(4.0), Freq::from_ghz(2.2));
+        let p_hi = core_power(&cfg, hi, hi, &c, w);
+        let p_lo = core_power(&cfg, lo, lo, &c, w);
         // V scales 1.2→0.65 and f 4.0→2.2: dynamic part falls by
         // (0.65/1.2)²·(2.2/4) ≈ 0.16, far below the 0.55 linear ratio.
         assert!(p_lo < p_hi * 0.45, "p_lo {p_lo}, p_hi {p_hi}");
@@ -311,8 +309,9 @@ mod tests {
     fn stalled_core_draws_less_than_busy_core() {
         let cfg = PowerConfig::default();
         let w = Ps::from_ms(1);
-        let busy = core_power(&cfg, cfg.core_fmax, &busy_counters(w, 1.0, 1_000_000), w);
-        let stalled = core_power(&cfg, cfg.core_fmax, &busy_counters(w, 0.1, 100_000), w);
+        let fmax = cfg.core_fmax;
+        let busy = core_power(&cfg, fmax, fmax, &busy_counters(w, 1.0, 1_000_000), w);
+        let stalled = core_power(&cfg, fmax, fmax, &busy_counters(w, 0.1, 100_000), w);
         assert!(stalled < busy * 0.7, "stalled {stalled}, busy {busy}");
         // But never below leakage.
         assert!(stalled > cfg.core_max_power_w * cfg.core_leak_frac * 0.9);
@@ -329,8 +328,9 @@ mod tests {
         fp_mix.cac_branch = 80_000.0;
         fp_mix.cac_loadstore = 320_000.0;
         int_mix.cac_fpu = 20_000.0;
-        let p_int = core_power(&cfg, cfg.core_fmax, &int_mix, w);
-        let p_fp = core_power(&cfg, cfg.core_fmax, &fp_mix, w);
+        let fmax = cfg.core_fmax;
+        let p_int = core_power(&cfg, fmax, fmax, &int_mix, w);
+        let p_fp = core_power(&cfg, fmax, fmax, &fp_mix, w);
         assert!(p_fp > p_int);
     }
 
@@ -370,8 +370,14 @@ mod tests {
         // loaded memory subsystem, the split should be near 60/30/10.
         let cfg = PowerConfig::default();
         let w = Ps::from_ms(1);
-        let cores: Vec<(Freq, CoreCounters)> = (0..16)
-            .map(|_| (cfg.core_fmax, busy_counters(w, 0.85, 3_000_000)))
+        let cores: Vec<(Freq, Freq, CoreCounters)> = (0..16)
+            .map(|_| {
+                (
+                    cfg.core_fmax,
+                    cfg.core_fmax,
+                    busy_counters(w, 0.85, 3_000_000),
+                )
+            })
             .collect();
         let mut mem = MemCounters::default();
         mem.page_opens = 400_000;
@@ -434,7 +440,13 @@ mod tests {
     fn zero_window_degenerates_gracefully() {
         let cfg = PowerConfig::default();
         assert_eq!(
-            core_power(&cfg, cfg.core_fmax, &CoreCounters::default(), Ps::ZERO),
+            core_power(
+                &cfg,
+                cfg.core_fmax,
+                cfg.core_fmax,
+                &CoreCounters::default(),
+                Ps::ZERO
+            ),
             0.0
         );
         let mp = memory_power(

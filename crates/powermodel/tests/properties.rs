@@ -3,9 +3,7 @@
 
 use cpusim::CoreCounters;
 use memsim::MemCounters;
-use powermodel::{
-    core_power, core_power_shared_domain, l2_power, memory_power, MemGeometry, PowerConfig,
-};
+use powermodel::{core_power, l2_power, memory_power, MemGeometry, PowerConfig};
 use proptest::prelude::*;
 use simkernel::{Freq, Ps};
 
@@ -36,7 +34,8 @@ proptest! {
         let c = counters(w, busy, tic);
         let mut last = 0.0;
         for ghz10 in 22..=40u64 {
-            let p = core_power(&cfg, Freq::from_ghz(ghz10 as f64 / 10.0), &c, w);
+            let f = Freq::from_ghz(ghz10 as f64 / 10.0);
+            let p = core_power(&cfg, f, f, &c, w);
             prop_assert!(p >= last - 1e-12, "power dropped at {ghz10}: {last} -> {p}");
             last = p;
         }
@@ -49,7 +48,7 @@ proptest! {
         let cfg = PowerConfig::default();
         let w = Ps::from_ms(1);
         let c = counters(w, busy, tic);
-        let p = core_power(&cfg, cfg.core_fmax, &c, w);
+        let p = core_power(&cfg, cfg.core_fmax, cfg.core_fmax, &c, w);
         let leak_floor = cfg.core_max_power_w * cfg.core_leak_frac * 0.9;
         prop_assert!(p >= leak_floor, "below leakage: {p}");
         prop_assert!(p <= cfg.core_max_power_w * 2.0, "implausibly high: {p}");
@@ -65,8 +64,8 @@ proptest! {
         let grid: Vec<Freq> = (0..10)
             .map(|k| Freq::from_ghz(2.2 + 1.8 * k as f64 / 9.0))
             .collect();
-        let own = core_power(&cfg, grid[fc], &c, w);
-        let shared = core_power_shared_domain(&cfg, grid[fc], grid[fv], &c, w);
+        let own = core_power(&cfg, grid[fc], grid[fc], &c, w);
+        let shared = core_power(&cfg, grid[fc], grid[fv], &c, w);
         if fv >= fc {
             prop_assert!(shared >= own - 1e-12);
         } else {

@@ -29,6 +29,11 @@ step "cargo test --release" cargo test -q --workspace --offline --release
 # drivers digest-equal on every workload.
 step "cargo test (perfbench)" \
     cargo test -q --offline --manifest-path perfbench/Cargo.toml
+# One seed-0 run of each benchmark workload: `perf` exits non-zero when a
+# result digest differs from perfbench/goldens.tsv.
+step "perf goldens (seed 0)" \
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perf -- \
+    --workload all --reps 1 --seed 0 --out results/perf-goldens
 step "cargo doc (deny warnings)" \
     env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 step "fleet-scale-ns gate" ./scripts/fleet_scale_gate.sh

@@ -294,12 +294,10 @@ fn cluster_command() -> bool {
 /// Parses one `name=mix[:cores][@rate]` fleet entry.
 fn parse_server_entry(entry: &str, default_rate: f64) -> (String, String, usize, f64) {
     let (head, rate) = match entry.split_once('@') {
-        Some((head, r)) => {
-            let rate: f64 = r
-                .parse()
-                .unwrap_or_else(|_| fail(&format!("bad rate in server entry '{entry}'")));
-            (head, rate)
-        }
+        Some((head, r)) => (
+            head,
+            parsed(&format!("@rate in server entry '{entry}',"), r),
+        ),
         None => (entry, default_rate),
     };
     let Some((name, mix_spec)) = head.split_once('=') else {
@@ -308,12 +306,10 @@ fn parse_server_entry(entry: &str, default_rate: f64) -> (String, String, usize,
         ));
     };
     let (mix_name, cores) = match mix_spec.split_once(':') {
-        Some((m, c)) => {
-            let cores: usize = c
-                .parse()
-                .unwrap_or_else(|_| fail(&format!("bad core count in '{entry}'")));
-            (m, cores)
-        }
+        Some((m, c)) => (
+            m,
+            parsed(&format!("core count in server entry '{entry}',"), c),
+        ),
         None => (mix_spec, 4),
     };
     if mix(mix_name).is_none() {
@@ -333,9 +329,7 @@ fn parse_round_prefix(s: &str, flag: &str) -> (usize, String) {
     let Some((round, rest)) = s.split_once(':') else {
         fail(&format!("{flag} value '{s}' must look like ROUND:..."));
     };
-    let round: usize = round
-        .parse()
-        .unwrap_or_else(|_| fail(&format!("bad round number in {flag} '{s}'")));
+    let round = parsed(&format!("round number in {flag} '{s}',"), round);
     (round, rest.to_string())
 }
 
@@ -348,12 +342,9 @@ fn parse_partition(s: &str) -> PartitionSpec {
             "--partition value '{s}' must look like FROM:TO:NODES (e.g. 10:30:primary)"
         ));
     };
-    let from_round: u64 = from
-        .parse()
-        .unwrap_or_else(|_| fail(&format!("bad FROM round in --partition '{s}'")));
-    let to_round: u64 = to
-        .parse()
-        .unwrap_or_else(|_| fail(&format!("bad TO round in --partition '{s}'")));
+    let what = |end| format!("{end} round in --partition '{s}',");
+    let from_round = parsed(&what("FROM"), from);
+    let to_round = parsed(&what("TO"), to);
     let nodes: Vec<String> = nodes
         .split(',')
         .map(str::trim)

@@ -306,6 +306,36 @@ fn single_server_flags_name_the_bad_value() {
 }
 
 #[test]
+fn numbers_inside_flag_values_name_the_parse_error() {
+    let digit = "invalid digit found in string";
+    let serve = |more: &[&'static str]| [&SERVE[..], more].concat();
+    for (args, needle) in [
+        (
+            vec!["--servers", "a=ILP1:x"],
+            format!("bad core count in server entry 'a=ILP1:x', 'x': {digit}"),
+        ),
+        (
+            serve(&["--servers", "a=ILP1@x"]),
+            "bad @rate in server entry 'a=ILP1@x', 'x': invalid float literal".to_string(),
+        ),
+        (
+            serve(&["--join", "x:b=ILP1"]),
+            format!("bad round number in --join 'x:b=ILP1', 'x': {digit}"),
+        ),
+        (
+            vec!["--partition", "x:3:primary"],
+            format!("bad FROM round in --partition 'x:3:primary', 'x': {digit}"),
+        ),
+        (
+            vec!["--partition", "3:-1:primary"],
+            format!("bad TO round in --partition '3:-1:primary', '-1': {digit}"),
+        ),
+    ] {
+        assert_rejected(&args, &needle);
+    }
+}
+
+#[test]
 fn a_repeated_flag_is_rejected() {
     let args = [
         "--mix", "ILP1", "--mix", "MEM1", "--instrs", "20000", "--cores", "1",

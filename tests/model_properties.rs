@@ -172,6 +172,31 @@ proptest! {
             "Offline SER {} must not exceed CoScale SER {}", m.ser(&off), m.ser(&co));
     }
 
+    /// Offline is exact: over all 10^4 plans of a 3-core server, its plan
+    /// has the minimum model SER among those that pass `plan_ok`, or is the
+    /// all-max plan when none passes.
+    #[test]
+    fn offline_matches_brute_force(p in profile_strategy(3)) {
+        let fx = fixture();
+        let slack = vec![0.0; 3];
+        let m = build_model(&fx, &p, &slack);
+        let max = Plan::max(3, 10, 10);
+        let off = OfflinePolicy.decide(&m, &max);
+        let best = (0..10_000usize)
+            .map(|k| Plan { cores: vec![k % 10, k / 10 % 10, k / 100 % 10], mem: k / 1000 })
+            .filter(|plan| m.plan_ok(plan))
+            .map(|plan| m.ser(&plan))
+            .fold(f64::INFINITY, f64::min);
+        if best.is_finite() {
+            prop_assert!(m.plan_ok(&off), "Offline plan {:?} breaks the bound", off);
+            let ser = m.ser(&off);
+            prop_assert!((ser - best).abs() <= 1e-12 * best,
+                "Offline SER {} against the brute-force minimum {}", ser, best);
+        } else {
+            prop_assert_eq!(off, max);
+        }
+    }
+
     /// Negative slack (accumulated debt) never loosens the plan: the chosen
     /// frequencies under debt are at least as high as with zero slack.
     #[test]
