@@ -41,6 +41,7 @@
 
 use crate::coordinator::SlaSignal;
 use crate::CapSplit;
+use std::collections::HashSet;
 
 /// One node of a [`BudgetTree`]: either a leaf server (named, resolved
 /// against the fleet at split time) or an interior group with its own split
@@ -229,29 +230,24 @@ impl BudgetTree {
     pub fn validate(&self, fleet: &[&str]) -> Result<(), String> {
         let mut groups = Vec::new();
         collect_group_labels(&self.root, &mut groups);
-        for (i, g) in groups.iter().enumerate() {
-            if groups[..i].contains(g) {
-                return Err(format!("budget tree: duplicate group label '{g}'"));
-            }
+        let mut labels = HashSet::with_capacity(groups.len());
+        if let Some(g) = groups.into_iter().find(|g| !labels.insert(*g)) {
+            return Err(format!("budget tree: duplicate group label '{g}'"));
         }
         check_groups_nonempty(&self.root)?;
         let leaves = self.leaves();
-        for (i, l) in leaves.iter().enumerate() {
-            if leaves[..i].contains(l) {
-                return Err(format!("budget tree: server '{l}' appears twice"));
-            }
+        let mut leaf_names = HashSet::with_capacity(leaves.len());
+        if let Some(l) = leaves.iter().find(|l| !leaf_names.insert(**l)) {
+            return Err(format!("budget tree: server '{l}' appears twice"));
         }
-        for l in &leaves {
-            if !fleet.contains(l) {
-                return Err(format!("budget tree: unknown server '{l}'"));
-            }
+        let fleet_names: HashSet<&str> = fleet.iter().copied().collect();
+        if let Some(l) = leaves.iter().find(|l| !fleet_names.contains(*l)) {
+            return Err(format!("budget tree: unknown server '{l}'"));
         }
-        for s in fleet {
-            if !leaves.contains(s) {
-                return Err(format!(
-                    "budget tree: fleet server '{s}' missing from the tree"
-                ));
-            }
+        if let Some(s) = fleet.iter().find(|s| !leaf_names.contains(*s)) {
+            return Err(format!(
+                "budget tree: fleet server '{s}' missing from the tree"
+            ));
         }
         Ok(())
     }
@@ -531,6 +527,34 @@ mod tests {
         assert!(dup.validate(&["a"]).is_err());
         let dup_label = BudgetTree::parse("f:uniform[g:fastcap[a],g:fastcap[b]]").unwrap();
         assert!(dup_label.validate(&["a", "b"]).is_err());
+        // Each message names the first offender in scan order: leaves in
+        // tree order, then the fleet in its own order.
+        let err = |spec: &str, fleet: &[&str]| {
+            BudgetTree::parse(spec)
+                .unwrap()
+                .validate(fleet)
+                .unwrap_err()
+        };
+        assert_eq!(
+            err(
+                "f:uniform[g:fastcap[a,b],h:fastcap[c],h:fastcap[d],g:fastcap[e]]",
+                &["a"]
+            ),
+            "budget tree: duplicate group label 'h'"
+        );
+        let fleet = ["a", "b", "c", "d"];
+        assert_eq!(
+            err("f:uniform[x,a,b,y,b,a]", &fleet),
+            "budget tree: server 'b' appears twice"
+        );
+        assert_eq!(
+            err("f:uniform[a,y,b,x]", &fleet),
+            "budget tree: unknown server 'y'"
+        );
+        assert_eq!(
+            err("f:uniform[b,a,c]", &["a", "e", "b", "c", "d"]),
+            "budget tree: fleet server 'e' missing from the tree"
+        );
     }
 
     #[test]

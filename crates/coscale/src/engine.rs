@@ -271,6 +271,7 @@ impl System {
         // completion steps it again, and a DVFS change leaves it blocked.
         match wake {
             Wake::At(t) => self.agenda.wake(id, t),
+            Wake::AfterStall { stall_end, at } => self.agenda.wake_as_of(id, stall_end, at),
             Wake::Blocked => self.agenda.park(id),
         }
         if self.completion[id].is_none() && self.cores[id].instrs() >= self.config.target_instrs {
@@ -301,10 +302,12 @@ impl System {
         for i in 0..self.cores.len() {
             if plan.cores[i] != self.plan.cores[i] {
                 let freq = self.config.core_freqs[plan.cores[i]];
-                if let Some(Wake::At(t)) =
-                    self.cores[i].apply_dvfs(self.now, freq, self.config.core_transition)
-                {
-                    self.agenda.wake(i, t);
+                match self.cores[i].apply_dvfs(self.now, freq, self.config.core_transition) {
+                    Some(Wake::At(t)) => self.agenda.wake(i, t),
+                    Some(Wake::AfterStall { stall_end, at }) => {
+                        self.agenda.wake_as_of(i, stall_end, at);
+                    }
+                    Some(Wake::Blocked) | None => {}
                 }
             }
         }

@@ -49,6 +49,17 @@ impl Default for CoreConfig {
 pub enum Wake {
     /// Call [`CoreSim::advance`] again at this time.
     At(Ps),
+    /// Call [`CoreSim::advance`] again at `at`. The core took an L2 hit
+    /// whose stall ends at `stall_end`, and it has already drawn the next
+    /// operation, whose compute span runs from `stall_end` to `at`.
+    /// Nothing happens at `stall_end` itself; a caller that breaks ties by
+    /// push order should order this wake as if it were pushed then.
+    AfterStall {
+        /// When the L2 hit's stall ends.
+        stall_end: Ps,
+        /// When to call [`CoreSim::advance`] again.
+        at: Ps,
+    },
     /// The core is blocked on memory; a completion will un-block it.
     Blocked,
 }
@@ -83,14 +94,15 @@ enum State {
     /// Ready to fetch the next trace operation.
     Idle,
     /// Executing `instrs` instructions, finishing at `end`, then performing
-    /// the L2 reference of `op`.
+    /// the L2 reference of `op`. A `start` still ahead is the end of an L2
+    /// hit's stall.
     Computing {
         start: Ps,
         end: Ps,
         instrs: u64,
         op: TraceOp,
     },
-    /// Pipeline stalled on an L2 hit.
+    /// Pipeline stalled on an L2 hit taken with the MLP window full.
     L2Stall { end: Ps },
     /// MLP window full (for an in-order core, any miss outstanding):
     /// blocked until the oldest outstanding miss returns.
@@ -183,6 +195,21 @@ impl CoreSim {
         Ps::new((cycles * self.freq.period().as_ps() as f64).round() as u64)
     }
 
+    /// Draws the next trace operation and computes its gap from `start`;
+    /// returns when the computation ends.
+    fn start_compute(&mut self, start: Ps) -> Ps {
+        let op = self.gen.next_op();
+        let instrs = op.gap + 1;
+        let end = start + self.compute_span(instrs);
+        self.state = State::Computing {
+            start,
+            end,
+            instrs,
+            op,
+        };
+        end
+    }
+
     fn commit(&mut self, instrs: u64, span: Ps) {
         let c = &mut self.counters;
         c.tic += instrs;
@@ -231,16 +258,7 @@ impl CoreSim {
                         self.block_start = now;
                         return Wake::Blocked;
                     }
-                    let op = self.gen.next_op();
-                    let instrs = op.gap + 1;
-                    let span = self.compute_span(instrs);
-                    self.state = State::Computing {
-                        start: now,
-                        end: now + span,
-                        instrs,
-                        op,
-                    };
-                    return Wake::At(now + span);
+                    return Wake::At(self.start_compute(now));
                 }
                 State::Computing {
                     start,
@@ -249,7 +267,14 @@ impl CoreSim {
                     op,
                 } => {
                     if now < end {
-                        return Wake::At(end);
+                        return if now < start {
+                            Wake::AfterStall {
+                                stall_end: start,
+                                at: end,
+                            }
+                        } else {
+                            Wake::At(end)
+                        };
                     }
                     self.commit(instrs, end - start);
                     self.counters.tla += 1;
@@ -262,10 +287,16 @@ impl CoreSim {
                             if first_use_of_prefetch {
                                 self.maybe_prefetch(LineAddr(op.line.0 + 1), l2, out);
                             }
-                            self.state = State::L2Stall {
-                                end: now + self.config.l2_hit_time,
-                            };
-                            return Wake::At(now + self.config.l2_hit_time);
+                            let stall_end = now + self.config.l2_hit_time;
+                            if self.window_full() {
+                                self.state = State::L2Stall { end: stall_end };
+                                return Wake::At(stall_end);
+                            }
+                            // The stall commits nothing and adds no
+                            // miss, so the window is still free when it
+                            // ends: draw the next operation now.
+                            let at = self.start_compute(stall_end);
+                            return Wake::AfterStall { stall_end, at };
                         }
                         Access::Miss => {
                             self.counters.tlm += 1;
@@ -371,13 +402,28 @@ impl CoreSim {
 
     /// Applies a DVFS transition at `now`: the core halts for `halt` (it
     /// executes no instructions during a voltage/frequency change, §3) and
-    /// resumes at `new_freq`. Returns the next wake time if the core has a
+    /// resumes at `new_freq`. Returns the next wake if the core has a
     /// timed continuation; blocked cores stay blocked.
     pub fn apply_dvfs(&mut self, now: Ps, new_freq: Freq, halt: Ps) -> Option<Wake> {
         self.counters.halt_time += halt;
         self.halt_until = now + halt;
         self.freq = new_freq;
         match self.state {
+            State::Computing {
+                start, instrs, op, ..
+            } if now < start => {
+                // Mid-stall: the rest of the stall follows the halt, and
+                // the drawn operation computes at the new clock.
+                let stall_end = self.halt_until + (start - now);
+                let at = stall_end + self.compute_span(instrs);
+                self.state = State::Computing {
+                    start: stall_end,
+                    end: at,
+                    instrs,
+                    op,
+                };
+                Some(Wake::AfterStall { stall_end, at })
+            }
             State::Computing {
                 start,
                 end,
@@ -477,7 +523,7 @@ mod tests {
                 core.complete_prefetch(now, line, l2, &mut o2);
             }
             let next = match wake {
-                Wake::At(t) => t,
+                Wake::At(t) | Wake::AfterStall { at: t, .. } => t,
                 Wake::Blocked => inflight
                     .iter()
                     .map(|&(t, _)| t)
@@ -622,6 +668,112 @@ mod tests {
         // Advancing during the halt just re-reports the wake time.
         let w = c.advance(mid + Ps::from_ns(1), &mut cache, &mut out);
         assert_eq!(w, Wake::At(mid + Ps::from_us(20)));
+    }
+
+    /// Takes `c` through its first compute span to its first L2 access,
+    /// which always hits on `always_hit_app`. Returns the hit's time, the
+    /// operation drawn after it, and the step's wake.
+    fn first_hit(c: &mut CoreSim, cache: &mut L2Cache) -> (Ps, TraceOp, Wake) {
+        c.warm_l2(cache);
+        let mut out = CoreOutput::default();
+        let Wake::At(hit) = c.advance(Ps::ZERO, cache, &mut out) else {
+            panic!("expected timed wake")
+        };
+        let next = c.gen.clone().next_op();
+        let wake = c.advance(hit, cache, &mut out);
+        assert!(out.is_empty());
+        (hit, next, wake)
+    }
+
+    #[test]
+    fn a_hit_with_a_free_window_computes_the_next_op_from_the_stall_end() {
+        let mut c = core(always_hit_app(), PipelineMode::InOrder, false);
+        let mut cache = l2();
+        let (hit, next, wake) = first_hit(&mut c, &mut cache);
+        let stall_end = hit + Ps::new(7_500);
+        // CPI 1 at 4 GHz: 250 ps per instruction.
+        let at = stall_end + Ps::new((next.gap + 1) * 250);
+        assert_eq!(wake, Wake::AfterStall { stall_end, at });
+        let ctr = *c.counters();
+        assert_eq!((ctr.tla, ctr.tms, ctr.tlm), (1, 1, 0));
+        assert_eq!(ctr.l2_stall_time, Ps::new(7_500));
+        assert_eq!(ctr.busy_time, hit);
+        assert_eq!(ctr.tic * 250, hit.as_ps());
+        // Mid-stall the pending wake is re-reported; after it, the plain
+        // compute span's end.
+        let mut out = CoreOutput::default();
+        let w = c.advance(hit + Ps::new(1), &mut cache, &mut out);
+        assert_eq!(w, Wake::AfterStall { stall_end, at });
+        assert_eq!(c.advance(stall_end, &mut cache, &mut out), Wake::At(at));
+        assert_eq!(*c.counters(), ctr, "the stall's end commits nothing");
+        c.advance(at, &mut cache, &mut out);
+        assert_eq!(c.instrs(), ctr.tic + next.gap + 1);
+        assert_eq!(c.counters().busy_time, hit + (at - stall_end));
+    }
+
+    #[test]
+    fn dvfs_during_a_stall_resumes_its_rest_after_the_halt() {
+        let mut c = core(always_hit_app(), PipelineMode::InOrder, false);
+        let mut cache = l2();
+        let (hit, next, _) = first_hit(&mut c, &mut cache);
+        let halt = Ps::from_us(20);
+        let wake = c.apply_dvfs(hit + Ps::new(3_000), Freq::from_ghz(2.0), halt);
+        // The stall's last 4.5 ns follow the halt; then the drawn op
+        // computes at 500 ps per instruction.
+        let stall_end = hit + Ps::new(3_000) + halt + Ps::new(4_500);
+        let at = stall_end + Ps::new((next.gap + 1) * 500);
+        assert_eq!(wake, Some(Wake::AfterStall { stall_end, at }));
+        assert_eq!(c.counters().halt_time, halt);
+        let tic = c.instrs();
+        let mut out = CoreOutput::default();
+        c.advance(at, &mut cache, &mut out);
+        assert_eq!(c.instrs(), tic + next.gap + 1);
+        assert_eq!(c.counters().busy_time, hit + (at - stall_end));
+    }
+
+    #[test]
+    fn a_hit_with_a_full_window_stalls_until_the_stall_end() {
+        let half_miss = AppProfile::simple(
+            "half",
+            1.0,
+            InstrMix::INT,
+            PhaseProfile::uniform(10.0, 0.5, 0.0, 0.0),
+        );
+        let mut c = core(half_miss, PipelineMode::MlpWindow(1), false);
+        let mut cache = l2();
+        c.warm_l2(&mut cache);
+        let mut out = CoreOutput::default();
+        let mut now = Ps::ZERO;
+        let mut inflight: Vec<(Ps, LineAddr)> = Vec::new();
+        let (mut full, mut free) = (0, 0);
+        for _ in 0..10_000 {
+            out.clear();
+            let tms = c.counters().tms;
+            let wake = c.advance(now, &mut cache, &mut out);
+            inflight.extend(out.reads.iter().map(|&l| (now + Ps::from_ns(100), l)));
+            if c.counters().tms > tms {
+                let stall_end = now + Ps::new(7_500);
+                if c.window_full() {
+                    assert_eq!(wake, Wake::At(stall_end));
+                    full += 1;
+                } else {
+                    assert!(
+                        matches!(wake, Wake::AfterStall { stall_end: s, .. } if s == stall_end),
+                        "{wake:?}"
+                    );
+                    free += 1;
+                }
+            }
+            now = match wake {
+                Wake::At(t) | Wake::AfterStall { at: t, .. } => t,
+                Wake::Blocked => inflight[0].0,
+            };
+            while inflight.first().is_some_and(|&(t, _)| t <= now) {
+                let (t, line) = inflight.remove(0);
+                c.complete_read(t, line, &mut cache, &mut out);
+            }
+        }
+        assert!(full > 0 && free > 0, "{full} full-window hits, {free} free");
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!   ([`workloads::TraceGen`]), stalling on L2 hits (fixed uncore latency)
 //!   and on L2 misses; per-core DVFS with transition halts. A step reports
 //!   one [`Wake`] and fills caller-owned [`CoreOutput`] buffers, so the
-//!   engine can keep one wake per core and allocate nothing per step.
+//!   engine can keep one wake per core and allocate nothing per step. An
+//!   L2 hit taken with the MLP window free draws the next operation at
+//!   once and reports [`Wake::AfterStall`], so the stall's end is not a
+//!   step of its own.
 //! * [`PipelineMode::MlpWindow`] — the §4.2.4 out-of-order emulation: all
 //!   memory operations within a 128-instruction window are independent.
 //! * [`CoreConfig::prefetch`] — the §4.2.4 tagged next-line prefetcher.
@@ -34,7 +37,7 @@
 //! let mut core = CoreSim::new(0, app("milc"), 1, Freq::from_ghz(4.0), CoreConfig::default());
 //! let mut out = CoreOutput::default();
 //! match core.advance(Ps::ZERO, &mut l2, &mut out) {
-//!     Wake::At(t) => assert!(t > Ps::ZERO),
+//!     Wake::At(t) | Wake::AfterStall { at: t, .. } => assert!(t > Ps::ZERO),
 //!     Wake::Blocked => unreachable!("first step is always compute"),
 //! }
 //! ```

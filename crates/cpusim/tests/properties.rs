@@ -101,7 +101,7 @@ proptest! {
             prop_assert!(c.tls <= c.tlm);
             prop_assert!(c.tla <= c.tic.max(1));
             now = match wake {
-                Wake::At(t) => t,
+                Wake::At(t) | Wake::AfterStall { at: t, .. } => t,
                 Wake::Blocked => {
                     let (t, line) = inflight.remove(0);
                     let mut o = CoreOutput::default();
@@ -146,7 +146,7 @@ proptest! {
                 }
                 inflight.sort_by_key(|&(t, _)| t);
                 let next = match wake {
-                    Wake::At(t) => t,
+                    Wake::At(t) | Wake::AfterStall { at: t, .. } => t,
                     Wake::Blocked => inflight.first().map(|&(t, _)| t).unwrap_or(deadline),
                 };
                 if next > deadline {
