@@ -1,6 +1,8 @@
 //! Property tests for the front-end load balancer, centred on the
 //! PowerHeadroom policy's highest-averages (D'Hondt) apportionment —
-//! previously only exercised end-to-end through serving runs.
+//! previously only exercised end-to-end through serving runs — and on the
+//! router's contract: an endless stream of targets whose round-robin
+//! cursor lands back in the balancer as it advances.
 //!
 //! The key subtlety is ties: D'Hondt breaks equal averages toward the
 //! lowest server index, which is *not* permutation-equivariant (see
@@ -60,6 +62,17 @@ fn model_dhondt(weights: &[f64], count: usize) -> Vec<usize> {
     assigned
 }
 
+/// The first `count` targets a fresh `policy` balancer routes over `loads`.
+fn routed(policy: BalancePolicy, loads: &[ServerLoad], count: usize) -> Vec<usize> {
+    LoadBalancer::new(policy).route(loads).take(count).collect()
+}
+
+const POLICIES: [BalancePolicy; 3] = [
+    BalancePolicy::RoundRobin,
+    BalancePolicy::LeastQueue,
+    BalancePolicy::PowerHeadroom,
+];
+
 fn counts(assign: &[usize], fleet: usize) -> Vec<usize> {
     let mut c = vec![0usize; fleet];
     for &i in assign {
@@ -100,13 +113,8 @@ proptest! {
         count in 0usize..40,
         seed in any::<u64>(),
     ) {
-        let policy = [
-            BalancePolicy::RoundRobin,
-            BalancePolicy::LeastQueue,
-            BalancePolicy::PowerHeadroom,
-        ][policy as usize];
         let loads = fleet_from_seed(n, seed);
-        let assign = LoadBalancer::new(policy).assign_batch(count, &loads);
+        let assign = routed(POLICIES[policy as usize], &loads, count);
         prop_assert_eq!(assign.len(), count);
         prop_assert!(assign.iter().all(|&i| i < n), "out-of-range index");
         let c = counts(&assign, n);
@@ -132,7 +140,7 @@ proptest! {
             weights.iter_mut().for_each(|w| *w = 1.0);
         }
         let assign =
-            LoadBalancer::new(BalancePolicy::PowerHeadroom).assign_batch(count, &loads);
+            routed(BalancePolicy::PowerHeadroom, &loads, count);
         prop_assert_eq!(counts(&assign, n), model_dhondt(&weights, count));
     }
 
@@ -159,7 +167,7 @@ proptest! {
                 best
             })
             .collect();
-        let assign = LoadBalancer::new(BalancePolicy::LeastQueue).assign_batch(count, &loads);
+        let assign = routed(BalancePolicy::LeastQueue, &loads, count);
         prop_assert_eq!(assign, reference);
     }
 
@@ -182,7 +190,7 @@ proptest! {
             l.cap_w = l.demand.demand_w; // full demand: positive perf
         }
         let assign =
-            LoadBalancer::new(BalancePolicy::PowerHeadroom).assign_batch(count, &loads);
+            routed(BalancePolicy::PowerHeadroom, &loads, count);
         prop_assert!(
             assign.iter().all(|&i| i >= n_pinned),
             "a floor-pinned server was handed traffic: {:?}",
@@ -212,11 +220,11 @@ proptest! {
         let rotated: Vec<ServerLoad> = (0..n).map(|i| base[(i + rot) % n]).collect();
 
         let c_base = counts(
-            &LoadBalancer::new(BalancePolicy::PowerHeadroom).assign_batch(count, &base),
+            &routed(BalancePolicy::PowerHeadroom, &base, count),
             n,
         );
         let c_rot = counts(
-            &LoadBalancer::new(BalancePolicy::PowerHeadroom).assign_batch(count, &rotated),
+            &routed(BalancePolicy::PowerHeadroom, &rotated, count),
             n,
         );
         for i in 0..n {
@@ -246,7 +254,7 @@ fn heap_policies_stay_exact_at_bulk_batch_sizes() {
         .collect();
     // Every server granted full demand: weight = demand, so the D'Hondt
     // share converges to weight / total within one seat.
-    let assign = LoadBalancer::new(BalancePolicy::PowerHeadroom).assign_batch(count, &loads);
+    let assign = routed(BalancePolicy::PowerHeadroom, &loads, count);
     let c = counts(&assign, loads.len());
     let total_w: f64 = loads.iter().map(|l| l.demand.demand_w).sum();
     for (i, l) in loads.iter().enumerate() {
@@ -258,7 +266,7 @@ fn heap_policies_stay_exact_at_bulk_batch_sizes() {
         );
     }
     // Least-queue levels final depths (initial + assigned) to within one.
-    let assign = LoadBalancer::new(BalancePolicy::LeastQueue).assign_batch(count, &loads);
+    let assign = routed(BalancePolicy::LeastQueue, &loads, count);
     let c = counts(&assign, loads.len());
     let final_depths: Vec<usize> = loads
         .iter()
@@ -281,13 +289,90 @@ fn heap_policies_stay_exact_at_bulk_batch_sizes() {
 fn dhondt_ties_break_toward_lowest_index_and_defeat_naive_permutation() {
     let tied = |ws: &[f64]| -> Vec<ServerLoad> { ws.iter().map(|&w| load(w, 0.0, w, 0)).collect() };
     let c1 = counts(
-        &LoadBalancer::new(BalancePolicy::PowerHeadroom).assign_batch(2, &tied(&[2.0, 1.0, 1.0])),
+        &routed(BalancePolicy::PowerHeadroom, &tied(&[2.0, 1.0, 1.0]), 2),
         3,
     );
     assert_eq!(c1, vec![2, 0, 0]);
     let c2 = counts(
-        &LoadBalancer::new(BalancePolicy::PowerHeadroom).assign_batch(2, &tied(&[1.0, 2.0, 1.0])),
+        &routed(BalancePolicy::PowerHeadroom, &tied(&[1.0, 2.0, 1.0]), 2),
         3,
     );
     assert_eq!(c2, vec![1, 1, 0]);
+}
+
+proptest! {
+    /// Round-robin routes of `k1` and then `k2` requests continue one
+    /// cycle: after `k0` earlier requests, the two rounds together name
+    /// servers `k0 % n, (k0 + 1) % n, ...` — the cursor each router
+    /// advances is the one the next router starts from.
+    #[test]
+    fn round_robin_rounds_continue_one_cycle(
+        n in 1usize..9,
+        k0 in 0usize..20,
+        k1 in 0usize..20,
+        k2 in 1usize..20,
+    ) {
+        let loads = fleet_from_seed(n, 7);
+        let mut lb = LoadBalancer::new(BalancePolicy::RoundRobin);
+        let mut got: Vec<usize> = lb.route(&loads).take(k0).collect();
+        got.extend(lb.route(&loads).take(k1));
+        got.extend(lb.route(&loads).take(k2));
+        let cycle: Vec<usize> = (0..k0 + k1 + k2).map(|j| j % n).collect();
+        prop_assert_eq!(got, cycle);
+    }
+
+    /// `route_within` names only members, and it is exactly `route` over
+    /// the compacted view of the members, mapped back to fleet indices —
+    /// for every policy, and again in a second round on the same balancers.
+    #[test]
+    fn route_within_is_route_over_the_compacted_view(
+        policy in 0u8..3,
+        n in 1usize..9,
+        mask in any::<u8>(),
+        rounds in (0usize..30, 0usize..30),
+        seed in any::<u64>(),
+    ) {
+        let loads = fleet_from_seed(n, seed);
+        let mut members: Vec<usize> = (0..n).filter(|i| mask & (1 << i) != 0).collect();
+        if members.is_empty() {
+            members.push(seed as usize % n);
+        }
+        let view: Vec<ServerLoad> = members.iter().map(|&i| loads[i]).collect();
+        let policy = POLICIES[policy as usize];
+        let mut within = LoadBalancer::new(policy);
+        let mut compact = LoadBalancer::new(policy);
+        for count in [rounds.0, rounds.1] {
+            let got: Vec<usize> = within.route_within(&loads, &members).take(count).collect();
+            prop_assert!(
+                got.iter().all(|i| members.contains(i)),
+                "a non-member was routed to: {:?} over {:?}",
+                got,
+                members
+            );
+            let mapped: Vec<usize> = compact
+                .route(&view)
+                .take(count)
+                .map(|v| members[v])
+                .collect();
+            prop_assert_eq!(got, mapped);
+        }
+    }
+
+    /// Opening a router and taking no targets leaves the balancer as it
+    /// was, whatever it routed before.
+    #[test]
+    fn taking_zero_targets_leaves_the_balancer_unchanged(
+        policy in 0u8..3,
+        n in 1usize..9,
+        k0 in 0usize..20,
+        seed in any::<u64>(),
+    ) {
+        let loads = fleet_from_seed(n, seed);
+        let mut lb = LoadBalancer::new(POLICIES[policy as usize]);
+        lb.route(&loads).take(k0).for_each(drop);
+        let before = format!("{lb:?}");
+        prop_assert_eq!(lb.route(&loads).take(0).count(), 0);
+        prop_assert_eq!(lb.route_within(&loads, &[n - 1]).take(0).count(), 0);
+        prop_assert_eq!(format!("{lb:?}"), before);
+    }
 }

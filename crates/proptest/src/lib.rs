@@ -9,7 +9,9 @@
 //! strategies, `prop::collection::vec`, `Strategy::prop_map`, and
 //! `ProptestConfig::with_cases` — backed by a fixed-seed splitmix64
 //! generator. Cases are deterministic per test function (seeded from the
-//! test's name), so failures are reproducible; there is no shrinking.
+//! test's name), so failures are reproducible. There is no shrinking, but
+//! a failing case is named: the panic message gives the property, the
+//! case index and every input's `Debug` form (see [`fail_case`]).
 
 #![forbid(unsafe_code)]
 
@@ -277,6 +279,28 @@ pub mod collection {
     }
 }
 
+/// Re-raises a failing case's panic with the case named: the property,
+/// the case index of the total, and each input as `name = {:?}`, followed
+/// by the original message. The [`proptest!`] macro calls this with the
+/// inputs re-sampled from a copy of the generator taken before the case.
+pub fn fail_case(
+    property: &str,
+    case: u32,
+    cases: u32,
+    inputs: &[String],
+    payload: Box<dyn std::any::Any + Send>,
+) -> ! {
+    let original = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("(panic payload is not a string)");
+    panic!(
+        "property {property} failed at case {case} of {cases}\n  {}\n{original}",
+        inputs.join("\n  ")
+    );
+}
+
 /// The glob-import module mirroring `proptest::prelude::*`.
 pub mod prelude {
     pub use crate::{any, prop_assert, prop_assert_eq, proptest, Just, ProptestConfig, Strategy};
@@ -301,7 +325,9 @@ macro_rules! prop_assert_eq {
 
 /// Declares property tests: each `fn name(arg in strategy, ..) { body }`
 /// becomes a `#[test]` running the body over deterministically sampled
-/// cases.
+/// cases. Every input must be `Debug`: when a case panics, its inputs are
+/// re-sampled from a copy of the generator saved before the case and
+/// named in the re-raised panic ([`fail_case`]).
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -317,10 +343,25 @@ macro_rules! proptest {
             $(#[$meta])*
             fn $name() {
                 let cfg: $crate::ProptestConfig = $cfg;
-                let mut rng = $crate::TestRng::from_label(concat!(module_path!(), "::", stringify!($name)));
-                for _case in 0..cfg.cases {
+                let property = concat!(module_path!(), "::", stringify!($name));
+                // Re-samples one case's inputs, each as `name = {:?}`. Built
+                // before any input is bound, so no input shadows a name its
+                // strategies use.
+                let describe = |rng: &mut $crate::TestRng| -> Vec<String> {
+                    vec![$(format!(
+                        "{} = {:?}",
+                        stringify!($arg),
+                        $crate::Strategy::sample(&($strat), rng)
+                    )),+]
+                };
+                let mut rng = $crate::TestRng::from_label(property);
+                for case in 0..cfg.cases {
+                    let mut replay = rng.clone();
                     $(let $arg = $crate::Strategy::sample(&($strat), &mut rng);)+
-                    $body
+                    let outcome = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(|| $body));
+                    if let Err(payload) = outcome {
+                        $crate::fail_case(property, case, cfg.cases, &describe(&mut replay), payload);
+                    }
                 }
             }
         )*
@@ -376,5 +417,63 @@ mod tests {
         fn exact_size_vec(v in prop::collection::vec(0u64..5, 4usize)) {
             prop_assert_eq!(v.len(), 4);
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Fails on every case whose `x` reaches 50; called, not run, by
+        /// the test below.
+        fn fails_from_fifty(x in 0u64..100, tag in any::<bool>()) {
+            let _ = tag;
+            prop_assert!(x < 50, "x = {} reached fifty", x);
+        }
+    }
+
+    #[test]
+    fn a_failing_case_names_its_property_index_and_inputs() {
+        let payload = std::panic::catch_unwind(fails_from_fifty).unwrap_err();
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("the re-raised panic carries a String");
+        let mut lines = msg.lines();
+        let head = lines.next().unwrap();
+        assert!(
+            head.starts_with("property ") && head.contains("::fails_from_fifty failed at case "),
+            "{msg}"
+        );
+        assert!(head.ends_with(" of 32"), "{msg}");
+        let x_line = lines.next().unwrap().trim();
+        let x: u64 = x_line
+            .strip_prefix("x = ")
+            .unwrap_or_else(|| panic!("first input line is x: {msg}"))
+            .parse()
+            .unwrap();
+        assert!(x >= 50, "the named case must be a failing one: {msg}");
+        let tag_line = lines.next().unwrap().trim();
+        assert!(
+            tag_line == "tag = true" || tag_line == "tag = false",
+            "{msg}"
+        );
+        // The original message follows, and it names the same input.
+        assert_eq!(
+            lines.next(),
+            Some(format!("x = {x} reached fifty").as_str()),
+            "{msg}"
+        );
+        // The case index re-samples to the same input.
+        let case: u32 = head
+            .split("failed at case ")
+            .nth(1)
+            .and_then(|r| r.split(' ').next())
+            .unwrap()
+            .parse()
+            .unwrap();
+        let mut rng = crate::TestRng::from_label(concat!(module_path!(), "::fails_from_fifty"));
+        for _ in 0..case {
+            let _ = (0u64..100).sample(&mut rng);
+            let _ = any::<bool>().sample(&mut rng);
+        }
+        assert_eq!((0u64..100).sample(&mut rng), x, "{msg}");
     }
 }

@@ -11,15 +11,15 @@
 //!
 //! Clients interact with the fleet only at round barriers: every response
 //! (or shed, or abandonment) is delivered to its client at the barrier
-//! closing the round, and the batch of requests that became ready during
-//! the next round's window is issued — and balanced across servers — at
-//! the barrier opening it. Each client draws think times and request sizes
+//! closing the round, and the requests that became ready during the next
+//! round's window are issued — each balanced onto a server as it streams
+//! out — at the barrier opening it. Each client draws think times and request sizes
 //! from its own forked RNG stream, so the outcome is independent of the
 //! order responses arrive in and of which server served the request:
 //! closed-loop runs stay bit-identical for any worker thread count.
 
 use crate::config::ClosedLoopConfig;
-use crate::queue::Request;
+use crate::queue::{Caller, Request};
 use simkernel::{Ps, SimRng};
 
 /// One client: its private RNG stream and where it is in the cycle.
@@ -91,8 +91,10 @@ pub trait ClientPopulation {
     fn deliver(&mut self, client: u32, at: Ps);
 
     /// Issues the requests that become ready before `to`, stamping
-    /// arrivals into `[from, to)`, sorted by arrival time.
-    fn issue(&mut self, from: Ps, to: Ps) -> Vec<Request>;
+    /// arrivals into `[from, to)`, and passes each to `sink` in arrival
+    /// order. Nothing collects the round's requests: a caller that routes
+    /// each one straight to a server's queue never holds the batch.
+    fn issue(&mut self, from: Ps, to: Ps, sink: &mut dyn FnMut(Request));
 }
 
 impl ClientPopulation for ClientPool {
@@ -138,8 +140,9 @@ impl ClientPopulation for ClientPool {
     /// A client ready before the window start issues at `from` — it was
     /// waiting for the barrier. Request sizes are uniform in
     /// `[0.5, 1.5] ×` the configured mean, drawn from the issuing client's
-    /// stream. Ties go to the lower client index.
-    fn issue(&mut self, from: Ps, to: Ps) -> Vec<Request> {
+    /// stream. Ties go to the lower client index. The exact pool is
+    /// small, so it sorts its batch before streaming it.
+    fn issue(&mut self, from: Ps, to: Ps, sink: &mut dyn FnMut(Request)) {
         let mut batch = Vec::new();
         for (i, c) in self.clients.iter_mut().enumerate() {
             let Some(at) = c.ready_at else { continue };
@@ -149,15 +152,16 @@ impl ClientPopulation for ClientPool {
             let size = self.mean_request_instrs * (0.5 + c.rng.f64());
             c.ready_at = None;
             self.generated += 1;
-            batch.push(Request {
-                arrival: at.max(from),
+            batch.push((at.max(from), i as u32, size));
+        }
+        batch.sort_by_key(|&(arrival, client, _)| (arrival, client));
+        for (arrival, client, size) in batch {
+            sink(Request {
+                arrival,
                 remaining_instrs: size,
-                client: Some(i as u32),
-                trace: None,
+                caller: Some(Caller::Client(client)),
             });
         }
-        batch.sort_by_key(|r| (r.arrival, r.client));
-        batch
     }
 }
 
@@ -177,6 +181,13 @@ mod tests {
     use crate::config::ClosedLoopConfig;
     use cluster::BalancePolicy;
 
+    /// Collects one `issue` call's stream.
+    fn issued(p: &mut ClientPool, from: Ps, to: Ps) -> Vec<Request> {
+        let mut batch = Vec::new();
+        p.issue(from, to, &mut |r| batch.push(r));
+        batch
+    }
+
     fn pool(clients: usize, think_us: u64) -> ClientPool {
         ClientPool::new(
             &ClosedLoopConfig::new(clients, Ps::from_us(think_us), BalancePolicy::RoundRobin)
@@ -187,15 +198,15 @@ mod tests {
     #[test]
     fn population_bounds_outstanding_requests() {
         let mut p = pool(5, 0);
-        let batch = p.issue(Ps::ZERO, Ps::from_ms(1));
+        let batch = issued(&mut p, Ps::ZERO, Ps::from_ms(1));
         assert_eq!(batch.len(), 5, "everyone starts ready");
         assert_eq!(p.waiting(), 5);
         // Nobody can issue again until a response lands.
-        assert!(p.issue(Ps::from_ms(1), Ps::from_ms(2)).is_empty());
+        assert!(issued(&mut p, Ps::from_ms(1), Ps::from_ms(2)).is_empty());
         p.deliver(2, Ps::from_ms(1));
-        let again = p.issue(Ps::from_ms(1), Ps::from_ms(2));
+        let again = issued(&mut p, Ps::from_ms(1), Ps::from_ms(2));
         assert_eq!(again.len(), 1);
-        assert_eq!(again[0].client, Some(2));
+        assert_eq!(again[0].caller, Some(Caller::Client(2)));
         assert_eq!(p.generated(), 6);
         assert_eq!(p.responses(), 1);
     }
@@ -203,9 +214,9 @@ mod tests {
     #[test]
     fn zero_think_reissues_at_the_window_start() {
         let mut p = pool(1, 0);
-        p.issue(Ps::ZERO, Ps::from_ms(1));
+        issued(&mut p, Ps::ZERO, Ps::from_ms(1));
         p.deliver(0, Ps::from_us(300));
-        let batch = p.issue(Ps::from_ms(1), Ps::from_ms(2));
+        let batch = issued(&mut p, Ps::from_ms(1), Ps::from_ms(2));
         // Became ready at 300 µs, but the barrier holds it until 1 ms.
         assert_eq!(batch[0].arrival, Ps::from_ms(1));
     }
@@ -231,17 +242,17 @@ mod tests {
         // opposite orders. Each client's next think/size draws must match.
         let mut a = pool(2, 100);
         let mut b = pool(2, 100);
-        a.issue(Ps::ZERO, Ps::from_ms(1));
-        b.issue(Ps::ZERO, Ps::from_ms(1));
+        issued(&mut a, Ps::ZERO, Ps::from_ms(1));
+        issued(&mut b, Ps::ZERO, Ps::from_ms(1));
         a.deliver(0, Ps::from_us(10));
         a.deliver(1, Ps::from_us(20));
         b.deliver(1, Ps::from_us(20));
         b.deliver(0, Ps::from_us(10));
-        let ba = a.issue(Ps::from_ms(1), Ps::from_ms(2));
-        let bb = b.issue(Ps::from_ms(1), Ps::from_ms(2));
+        let ba = issued(&mut a, Ps::from_ms(1), Ps::from_ms(2));
+        let bb = issued(&mut b, Ps::from_ms(1), Ps::from_ms(2));
         assert_eq!(ba.len(), bb.len());
         for (x, y) in ba.iter().zip(&bb) {
-            assert_eq!(x.client, y.client);
+            assert_eq!(x.caller, y.caller);
             assert_eq!(x.arrival, y.arrival);
             assert_eq!(x.remaining_instrs.to_bits(), y.remaining_instrs.to_bits());
         }
@@ -250,11 +261,11 @@ mod tests {
     #[test]
     fn thinking_clients_hold_their_requests_past_the_window() {
         let mut p = pool(1, 0);
-        p.issue(Ps::ZERO, Ps::from_ms(1));
+        issued(&mut p, Ps::ZERO, Ps::from_ms(1));
         // Response lands late; the client is ready only at 5 ms.
         p.deliver(0, Ps::from_ms(5));
-        assert!(p.issue(Ps::from_ms(1), Ps::from_ms(2)).is_empty());
-        let batch = p.issue(Ps::from_ms(5), Ps::from_ms(6));
+        assert!(issued(&mut p, Ps::from_ms(1), Ps::from_ms(2)).is_empty());
+        let batch = issued(&mut p, Ps::from_ms(5), Ps::from_ms(6));
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].arrival, Ps::from_ms(5));
     }

@@ -38,7 +38,7 @@
 
 use crate::clients::ClientPopulation;
 use crate::config::ClosedLoopConfig;
-use crate::queue::Request;
+use crate::queue::{Caller, Request};
 use simkernel::{Ps, SimRng};
 
 /// A closed-loop client population compressed to aggregate counters.
@@ -189,8 +189,9 @@ impl ClientPopulation for FluidPool {
     /// skip sampling — `O(issued)`, not `O(population)`) and stamps their
     /// arrivals inside the window. As in [`crate::ClientPool`], clients ready
     /// before the window issue at `from`, and sizes are uniform
-    /// `[0.5, 1.5] ×` the mean.
-    fn issue(&mut self, from: Ps, to: Ps) -> Vec<Request> {
+    /// `[0.5, 1.5] ×` the mean. Only the sorted arrival instants are held;
+    /// each request is built as it streams out.
+    fn issue(&mut self, from: Ps, to: Ps, sink: &mut dyn FnMut(Request)) {
         // Cohort 1: thinking since before `from` — memoryless, so the
         // completion probability over the window is exact.
         let p_think = self.completion_prob(from, to);
@@ -231,20 +232,16 @@ impl ClientPopulation for FluidPool {
         self.in_flight += issued;
         self.generated += issued;
 
-        arrivals
-            .into_iter()
-            .map(|arrival| {
-                let size = self.mean_request_instrs * (0.5 + self.rng.f64());
-                let tag = self.next_tag;
-                self.next_tag = self.next_tag.wrapping_add(1);
-                Request {
-                    arrival,
-                    remaining_instrs: size,
-                    client: Some(tag),
-                    trace: None,
-                }
-            })
-            .collect()
+        for arrival in arrivals {
+            let size = self.mean_request_instrs * (0.5 + self.rng.f64());
+            let tag = self.next_tag;
+            self.next_tag = self.next_tag.wrapping_add(1);
+            sink(Request {
+                arrival,
+                remaining_instrs: size,
+                caller: Some(Caller::Client(tag)),
+            });
+        }
     }
 }
 
@@ -275,6 +272,13 @@ mod tests {
     use crate::config::ClientModel;
     use cluster::BalancePolicy;
 
+    /// Collects one `issue` call's stream.
+    fn issued(p: &mut FluidPool, from: Ps, to: Ps) -> Vec<Request> {
+        let mut batch = Vec::new();
+        p.issue(from, to, &mut |r| batch.push(r));
+        batch
+    }
+
     fn cfg(clients: usize, think_us: u64) -> ClosedLoopConfig {
         ClosedLoopConfig::new(clients, Ps::from_us(think_us), BalancePolicy::RoundRobin)
             .with_model(ClientModel::Fluid)
@@ -284,13 +288,13 @@ mod tests {
     #[test]
     fn population_bounds_outstanding_requests() {
         let mut p = FluidPool::new(&cfg(5, 0));
-        let batch = p.issue(Ps::ZERO, Ps::from_ms(1));
+        let batch = issued(&mut p, Ps::ZERO, Ps::from_ms(1));
         assert_eq!(batch.len(), 5, "everyone starts ready");
         assert_eq!(p.waiting(), 5);
         assert_eq!(p.thinking(), 0);
-        assert!(p.issue(Ps::from_ms(1), Ps::from_ms(2)).is_empty());
+        assert!(issued(&mut p, Ps::from_ms(1), Ps::from_ms(2)).is_empty());
         p.deliver(2, Ps::from_ms(1));
-        let again = p.issue(Ps::from_ms(1), Ps::from_ms(2));
+        let again = issued(&mut p, Ps::from_ms(1), Ps::from_ms(2));
         assert_eq!(again.len(), 1, "zero think: a delivery issues next round");
         assert_eq!(p.generated(), 6);
         assert_eq!(p.responses(), 1);
@@ -302,11 +306,11 @@ mod tests {
         let mut p = FluidPool::new(&cfg(1000, 50));
         let from = Ps::ZERO;
         let to = Ps::from_ms(1);
-        p.issue(from, to); // everyone ready at `from`
+        issued(&mut p, from, to); // everyone ready at `from`
         for i in 0..1000 {
             p.deliver(i, Ps::from_us(100 + (i as u64 % 800)));
         }
-        let batch = p.issue(to, to + Ps::from_ms(1));
+        let batch = issued(&mut p, to, to + Ps::from_ms(1));
         assert!(!batch.is_empty());
         for w in batch.windows(2) {
             assert!(w[0].arrival <= w[1].arrival, "batch must be time-ordered");
@@ -327,7 +331,7 @@ mod tests {
     #[should_panic(expected = "nothing in flight")]
     fn double_delivery_panics() {
         let mut p = FluidPool::new(&cfg(1, 0));
-        p.issue(Ps::ZERO, Ps::from_ms(1));
+        issued(&mut p, Ps::ZERO, Ps::from_ms(1));
         p.deliver(0, Ps::from_us(10));
         p.deliver(0, Ps::from_us(20));
     }
@@ -339,12 +343,12 @@ mod tests {
         // probability 1 − e^(−1.8 ms / 500 µs).
         let mut p = FluidPool::new(&cfg(10_000, 500));
         let d = Ps::from_ms(1);
-        let first = p.issue(Ps::ZERO, d);
+        let first = issued(&mut p, Ps::ZERO, d);
         assert_eq!(first.len(), 10_000);
         for i in 0..10_000u32 {
             p.deliver(i, Ps::from_us(200));
         }
-        let batch = p.issue(d, d + d);
+        let batch = issued(&mut p, d, d + d);
         let expect = 10_000.0 * (1.0 - (-3.6f64).exp());
         let got = batch.len() as f64;
         assert!(
@@ -357,7 +361,7 @@ mod tests {
     fn deliveries_are_order_independent() {
         let mk = || {
             let mut p = FluidPool::new(&cfg(64, 100));
-            p.issue(Ps::ZERO, Ps::from_ms(1));
+            issued(&mut p, Ps::ZERO, Ps::from_ms(1));
             p
         };
         let mut a = mk();
@@ -369,8 +373,8 @@ mod tests {
         for i in (0..64u32).rev() {
             b.deliver(i, Ps::from_us(10 + i as u64));
         }
-        let ba = a.issue(Ps::from_ms(1), Ps::from_ms(2));
-        let bb = b.issue(Ps::from_ms(1), Ps::from_ms(2));
+        let ba = issued(&mut a, Ps::from_ms(1), Ps::from_ms(2));
+        let bb = issued(&mut b, Ps::from_ms(1), Ps::from_ms(2));
         assert_eq!(ba.len(), bb.len());
         for (x, y) in ba.iter().zip(&bb) {
             assert_eq!(x.arrival, y.arrival);
@@ -407,7 +411,7 @@ mod tests {
         // Boundary regression (10⁶-scale audit): delivery times near the
         // u64 picosecond horizon must not overflow the cohort sum.
         let mut p = FluidPool::new(&cfg(3, 100));
-        p.issue(Ps::ZERO, Ps::from_ms(1));
+        issued(&mut p, Ps::ZERO, Ps::from_ms(1));
         let huge = Ps::new(u64::MAX - 1);
         p.deliver(0, huge);
         p.deliver(1, huge);
@@ -415,7 +419,7 @@ mod tests {
         assert_eq!(p.responses(), 3);
         // The mean delivery time is representable and the next issue's
         // window sits past it without panicking.
-        let batch = p.issue(Ps::new(u64::MAX - 1), Ps::new(u64::MAX));
+        let batch = issued(&mut p, Ps::new(u64::MAX - 1), Ps::new(u64::MAX));
         assert!(batch.len() <= 3);
         assert_eq!(p.thinking() + p.waiting(), 3);
     }

@@ -18,6 +18,16 @@ use simkernel::{stats::Histogram, Ps};
 use std::collections::VecDeque;
 use topology::SpanCtx;
 
+/// Who waits for a request's terminal event.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Caller {
+    /// The closed-loop client that issued the request.
+    Client(u32),
+    /// The span of a multi-tier DAG the request carries (the issuing
+    /// client lives in the tracker's record of the root).
+    Span(SpanCtx),
+}
+
 /// One in-flight request.
 #[derive(Clone, Copy, Debug)]
 pub struct Request {
@@ -25,12 +35,9 @@ pub struct Request {
     pub arrival: Ps,
     /// Instructions still to be executed on its behalf.
     pub remaining_instrs: f64,
-    /// The closed-loop client that issued the request, if any (open-loop
-    /// streams leave this `None`).
-    pub client: Option<u32>,
-    /// Trace context, when the request is a span of a multi-tier DAG
-    /// (the root id lives in the tracker; such requests carry no client).
-    pub trace: Option<SpanCtx>,
+    /// Who learns when the request completes or is shed. Open-loop
+    /// streams leave this `None` and get no events.
+    pub caller: Option<Caller>,
 }
 
 /// How a closed-loop request reached its terminal state within one
@@ -45,13 +52,11 @@ pub enum Resolution {
 
 /// A request's terminal event, reported back so the issuing client can
 /// start thinking (or the DAG tracker can spawn/close spans). Only
-/// requests carrying a client id or a trace context produce events.
+/// requests with a [`Caller`] produce events.
 #[derive(Clone, Copy, Debug)]
 pub struct ClientEvent {
-    /// The issuing client, for directly client-tagged requests.
-    pub client: Option<u32>,
-    /// The span that terminated, for traced multi-tier sub-requests.
-    pub trace: Option<SpanCtx>,
+    /// The client or span the request was issued for.
+    pub caller: Caller,
     /// When the request completed (or was shed — its arrival instant).
     pub at: Ps,
     /// What happened to it.
@@ -113,10 +118,9 @@ impl RequestQueue {
     fn admit(&mut self, r: Request, events: &mut Vec<ClientEvent>) {
         if self.waiting.len() >= self.capacity {
             self.shed += 1;
-            if r.client.is_some() || r.trace.is_some() {
+            if let Some(caller) = r.caller {
                 events.push(ClientEvent {
-                    client: r.client,
-                    trace: r.trace,
+                    caller,
                     at: r.arrival,
                     resolution: Resolution::Shed,
                 });
@@ -141,7 +145,7 @@ impl RequestQueue {
     /// in picoseconds into `hist`. Requests unfinished at `to` carry their
     /// remaining instruction demand into the next window (where the rate
     /// may differ — that is how a power cap stretches the tail). Appends
-    /// the terminal events of every client-tagged request resolved in the
+    /// the terminal events of every request with a caller resolved in the
     /// window to `events`, in resolution order, leaving its existing
     /// contents untouched: a fleet barrier advances every server every
     /// round into buffers it keeps, so a round allocates no event vectors.
@@ -207,10 +211,9 @@ impl RequestQueue {
             if finish <= horizon {
                 let sojourn = finish - head.arrival;
                 hist.record(sojourn.as_ps().max(1));
-                if head.client.is_some() || head.trace.is_some() {
+                if let Some(caller) = head.caller {
                     events.push(ClientEvent {
-                        client: head.client,
-                        trace: head.trace,
+                        caller,
                         at: finish,
                         resolution: Resolution::Completed,
                     });
@@ -248,8 +251,7 @@ mod tests {
         Request {
             arrival: Ps::from_ns(at_ns),
             remaining_instrs: instrs,
-            client: None,
-            trace: None,
+            caller: None,
         }
     }
 
@@ -394,7 +396,7 @@ mod tests {
         let mut q = RequestQueue::new(2);
         let mut h = Histogram::new();
         let tagged = |at_ns: u64, instrs: f64, client: u32| Request {
-            client: Some(client),
+            caller: Some(Caller::Client(client)),
             ..req(at_ns, instrs)
         };
         // Clients 0 and 1 fill the queue; client 2 is shed at arrival.
@@ -418,14 +420,18 @@ mod tests {
             .iter()
             .find(|e| e.resolution == Resolution::Shed)
             .unwrap();
-        assert_eq!(shed.client, Some(2));
+        assert_eq!(shed.caller, Caller::Client(2));
         assert_eq!(shed.at, Ps::from_ns(100));
-        let done: Vec<Option<u32>> = events
+        let done: Vec<Caller> = events
             .iter()
             .filter(|e| e.resolution == Resolution::Completed)
-            .map(|e| e.client)
+            .map(|e| e.caller)
             .collect();
-        assert_eq!(done, vec![Some(0), Some(1)], "FIFO completion order");
+        assert_eq!(
+            done,
+            vec![Caller::Client(0), Caller::Client(1)],
+            "FIFO completion order"
+        );
     }
 
     #[test]
@@ -439,7 +445,7 @@ mod tests {
             tier: 1,
         };
         let traced = |at_ns: u64, root: u32| Request {
-            trace: Some(span(root)),
+            caller: Some(Caller::Span(span(root))),
             ..req(at_ns, 1_000.0)
         };
         // Root 0's span is admitted; root 1's is shed at arrival.
@@ -458,13 +464,12 @@ mod tests {
             .iter()
             .find(|e| e.resolution == Resolution::Shed)
             .unwrap();
-        assert_eq!(shed.client, None);
-        assert_eq!(shed.trace.unwrap().root, 1);
+        assert_eq!(shed.caller, Caller::Span(span(1)));
         let done = events
             .iter()
             .find(|e| e.resolution == Resolution::Completed)
             .unwrap();
-        assert_eq!(done.trace.unwrap().root, 0);
+        assert_eq!(done.caller, Caller::Span(span(0)));
     }
 
     #[test]
@@ -486,5 +491,14 @@ mod tests {
         // Both sojourns are exactly the 1 µs service time; the exact mean
         // exposes any accidental inclusion of the idle gap.
         assert!((h.mean() / 1e6 - 1.0).abs() < 0.01, "mean {} ps", h.mean());
+    }
+
+    #[test]
+    fn requests_and_events_stay_small() {
+        // A round that issues a whole fluid population at once holds a
+        // request per client in the queues' pending arrivals and an event
+        // per shed request, so each byte here is a megabyte at 10⁶.
+        assert_eq!(std::mem::size_of::<Request>(), 40);
+        assert_eq!(std::mem::size_of::<ClientEvent>(), 32);
     }
 }

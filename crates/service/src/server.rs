@@ -45,9 +45,12 @@ pub(crate) struct ServiceServer {
     // requests arrive with `global - offset` stamps and events leave with
     // `local + offset` stamps.
     closed_loop: bool,
-    clock_offset: Ps,
+    pub(crate) clock_offset: Ps,
     pending: Vec<Request>,
-    events: Vec<ClientEvent>,
+    /// Terminal events of the last round's requests with a caller, on
+    /// this server's clock. The fleet loop drains them in place at the
+    /// barrier and hands the buffer back, so it keeps its capacity.
+    pub(crate) events: Vec<ClientEvent>,
 }
 
 impl ServiceServer {
@@ -80,7 +83,7 @@ impl ServiceServer {
     }
 
     /// Switches the server to closed-loop serving: arrivals come from
-    /// [`ServiceServer::assign_requests`] instead of the spec's arrival
+    /// [`ServiceServer::push_request`] instead of the spec's arrival
     /// process, stamped on the fleet-global clock that reads `offset` at
     /// this server's engine time zero.
     pub(crate) fn set_closed_loop(&mut self, offset: Ps) {
@@ -88,26 +91,14 @@ impl ServiceServer {
         self.clock_offset = offset;
     }
 
-    /// Hands the server its balanced share of a round's request batch
-    /// (fleet-global arrival stamps, already time-ordered).
-    pub(crate) fn assign_requests(&mut self, reqs: impl IntoIterator<Item = Request>) {
-        self.pending.extend(reqs.into_iter().map(|r| Request {
+    /// Queues one request for the coming round. Its arrival is stamped on
+    /// the fleet-global clock and must not precede the last one pushed
+    /// this round.
+    pub(crate) fn push_request(&mut self, r: Request) {
+        self.pending.push(Request {
             arrival: r.arrival - self.clock_offset,
             ..r
-        }));
-    }
-
-    /// Drains the terminal events of the last round's client-tagged
-    /// requests, stamped back onto the fleet-global clock.
-    pub(crate) fn take_events(&mut self) -> Vec<ClientEvent> {
-        let offset = self.clock_offset;
-        self.events
-            .drain(..)
-            .map(|e| ClientEvent {
-                at: e.at + offset,
-                ..e
-            })
-            .collect()
+        });
     }
 
     /// Advances the engine `epochs` epochs and serves the request stream
@@ -124,18 +115,18 @@ impl ServiceServer {
             0.0
         };
         // Requests that arrived during the window, with their sizes: the
-        // balanced batch in closed-loop mode, the spec's arrival process
-        // otherwise. `pending` doubles as the arrivals arena in both
-        // modes (and terminal events append straight into the retained
-        // `events` buffer), so a round allocates no per-server vectors.
+        // ones the barrier pushed in closed-loop mode, the spec's arrival
+        // process otherwise. `pending` doubles as the arrivals arena in
+        // both modes (and terminal events append straight into the
+        // retained `events` buffer), so a round allocates no per-server
+        // vectors.
         if !self.closed_loop {
-            debug_assert!(self.pending.is_empty(), "open-loop servers get no batches");
+            debug_assert!(self.pending.is_empty(), "open-loop servers get no pushes");
             for arrival in self.arrivals.arrivals_until(t1) {
                 self.pending.push(Request {
                     arrival,
                     remaining_instrs: self.mean_request_instrs * (0.5 + self.size_rng.f64()),
-                    client: None,
-                    trace: None,
+                    caller: None,
                 });
             }
         }

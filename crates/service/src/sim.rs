@@ -12,7 +12,7 @@
 use crate::clients::{ClientPool, ClientPopulation};
 use crate::config::{ClientModel, ServiceConfig};
 use crate::fluid::FluidPool;
-use crate::queue::{ClientEvent, Request, Resolution};
+use crate::queue::{Caller, Request, Resolution};
 use crate::server::ServiceServer;
 use cluster::{
     BalancePolicy, BudgetTree, CapSplit, ChurnAction, HierSplitter, LoadBalancer, ServerDemand,
@@ -543,16 +543,19 @@ impl FleetRun {
                         let orphans = server.abandon_queue();
                         let now = self.global_time(round);
                         for r in orphans {
-                            if let Some(ctx) = r.trace {
-                                self.tiers
+                            match r.caller {
+                                Some(Caller::Span(ctx)) => self
+                                    .tiers
                                     .as_mut()
                                     .expect("traced request without tier runtime")
                                     .dag
-                                    .fail(ctx, now);
-                            } else if let (Some(client), Some(pool)) =
-                                (r.client, self.pool.as_mut())
-                            {
-                                pool.deliver(client, now);
+                                    .fail(ctx, now),
+                                Some(Caller::Client(client)) => self
+                                    .pool
+                                    .as_mut()
+                                    .expect("client request without a population")
+                                    .deliver(client, now),
+                                None => {}
                             }
                         }
                         self.departures.push(server.into_outcome(true));
@@ -623,58 +626,61 @@ impl FleetRun {
             s.server.set_cap(cap);
         }
 
-        // --- closed loop: issue the round's requests and balance ---
+        // --- closed loop: issue the round's requests, each routed as it
+        // streams out ---
+        // Nothing holds the round's requests: each goes straight from the
+        // population through the router into its server's pending queue.
+        // The loads depend only on queue depths, demands and caps, none of
+        // which issuing touches, so they are read before the first request.
         if let (Some(pool), Some(balancer)) = (self.pool.as_mut(), self.balancer.as_mut()) {
             let t0 = self.round_d * round as u64;
-            let batch = pool.issue(t0, t0 + self.round_d);
-            if !batch.is_empty() {
-                let loads: Vec<ServerLoad> = self
-                    .servers
-                    .iter()
-                    .zip(&demands)
-                    .zip(&caps)
-                    .map(|((server, demand), &cap_w)| ServerLoad {
-                        demand: *demand,
-                        cap_w,
-                        queue_depth: server.queue_depth(),
-                    })
-                    .collect();
-                if let Some(tr) = self.tiers.as_mut() {
-                    // Multi-tier: every client request opens a DAG and its
-                    // root span is balanced over the *entry* tier only.
-                    // The request carries the trace context instead of the
-                    // client id — the client lives in the DAG record and
-                    // is released when the root closes.
-                    let entry = tier_members(&tr.graph, &self.servers, 0);
-                    let work0 = tr.graph.tiers()[0].work;
+            let t1 = t0 + self.round_d;
+            let loads: Vec<ServerLoad> = self
+                .servers
+                .iter()
+                .zip(&demands)
+                .zip(&caps)
+                .map(|((server, demand), &cap_w)| ServerLoad {
+                    demand: *demand,
+                    cap_w,
+                    queue_depth: server.queue_depth(),
+                })
+                .collect();
+            let servers = &mut self.servers;
+            if let Some(tr) = self.tiers.as_mut() {
+                // Multi-tier: every client request opens a DAG and its
+                // root span is routed over the *entry* tier only. The
+                // request carries the span instead of the client — the
+                // client lives in the DAG record and is released when the
+                // root closes.
+                let entry = tier_members(&tr.graph, servers, 0);
+                let work0 = tr.graph.tiers()[0].work;
+                let mut targets = balancer.route_within(&loads, &entry);
+                pool.issue(t0, t1, &mut |req| {
+                    let Some(Caller::Client(client)) = req.caller else {
+                        panic!("closed-loop issue tags clients");
+                    };
+                    let ctx = tr.dag.open_root(client, req.arrival);
                     if entry.is_empty() {
                         // The entry tier churned away entirely: roots
                         // cannot be placed. Fail them at the barrier so
                         // their clients learn and go back to thinking.
-                        for req in &batch {
-                            let client = req.client.expect("closed-loop issue tags clients");
-                            let ctx = tr.dag.open_root(client, req.arrival);
-                            tr.dag.fail(ctx, t0);
-                        }
-                    } else {
-                        let targets = balancer.assign_batch_within(batch.len(), &loads, &entry);
-                        for (req, &target) in batch.iter().zip(&targets) {
-                            let client = req.client.expect("closed-loop issue tags clients");
-                            let ctx = tr.dag.open_root(client, req.arrival);
-                            self.servers[target].assign_requests([Request {
-                                remaining_instrs: req.remaining_instrs * work0,
-                                client: None,
-                                trace: Some(ctx),
-                                ..*req
-                            }]);
-                        }
+                        tr.dag.fail(ctx, t0);
+                        return;
                     }
-                } else {
-                    let targets = balancer.assign_batch(batch.len(), &loads);
-                    for (req, &target) in batch.iter().zip(&targets) {
-                        self.servers[target].assign_requests([*req]);
-                    }
-                }
+                    let target = targets.next().expect("routes are endless");
+                    servers[target].push_request(Request {
+                        remaining_instrs: req.remaining_instrs * work0,
+                        caller: Some(Caller::Span(ctx)),
+                        ..req
+                    });
+                });
+            } else {
+                let mut targets = balancer.route(&loads);
+                pool.issue(t0, t1, &mut |req| {
+                    let target = targets.next().expect("routes are endless");
+                    servers[target].push_request(req);
+                });
             }
         }
         self.cap_timeline.push(caps);
@@ -700,25 +706,27 @@ impl FleetRun {
         // its own stream and holds one request at a time, and traced
         // spans draw shard picks and sizes from per-span streams, so
         // delivery order cannot leak into the result beyond the (already
-        // deterministic) span-id assignment order.
+        // deterministic) span-id assignment order. Each server's events
+        // drain in place: the buffer is taken out while a completed span
+        // may push its children into any server, this one included, and
+        // handed back with its capacity.
         if self.pool.is_some() {
-            let events: Vec<ClientEvent> = self
-                .servers
-                .iter_mut()
-                .flat_map(ServiceServer::take_events)
-                .collect();
             let next_start = self.global_time(round + 1);
-            for ev in events {
-                match (ev.trace, ev.client) {
-                    (Some(ctx), _) => self.resolve_span(ctx, ev.resolution, ev.at, next_start),
-                    (None, Some(client)) => {
-                        self.pool
+            for i in 0..self.servers.len() {
+                let offset = self.servers[i].clock_offset;
+                let mut events = std::mem::take(&mut self.servers[i].events);
+                for ev in events.drain(..) {
+                    let at = ev.at + offset;
+                    match ev.caller {
+                        Caller::Span(ctx) => self.resolve_span(ctx, ev.resolution, at, next_start),
+                        Caller::Client(client) => self
+                            .pool
                             .as_mut()
                             .expect("checked above")
-                            .deliver(client, ev.at);
+                            .deliver(client, at),
                     }
-                    (None, None) => unreachable!("queue events carry a client or a trace"),
                 }
+                self.servers[i].events = events;
             }
             self.drain_traces();
         }
@@ -746,12 +754,11 @@ impl FleetRun {
                     let mut rng = tr.dag.child_rng(child);
                     let shard = members[rng.below(members.len() as u64) as usize];
                     let size = tr.base_instrs * tr.graph.tiers()[ti].work * (0.5 + rng.f64());
-                    self.servers[shard].assign_requests([Request {
+                    self.servers[shard].push_request(Request {
                         arrival: next_start,
                         remaining_instrs: size,
-                        client: None,
-                        trace: Some(child),
-                    }]);
+                        caller: Some(Caller::Span(child)),
+                    });
                 }
             }
             Resolution::Shed => tr.dag.fail(ctx, at),

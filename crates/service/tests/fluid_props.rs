@@ -13,8 +13,25 @@
 //! its diurnal rate modulation.
 
 use proptest::prelude::*;
-use service::{BalancePolicy, ClientModel, ClientPopulation, ClosedLoopConfig, FluidPool};
+use service::{
+    BalancePolicy, Caller, ClientModel, ClientPopulation, ClosedLoopConfig, FluidPool, Request,
+};
 use simkernel::Ps;
+
+/// Collects one `issue` call's stream.
+fn issued(p: &mut FluidPool, from: Ps, to: Ps) -> Vec<Request> {
+    let mut batch = Vec::new();
+    p.issue(from, to, &mut |r| batch.push(r));
+    batch
+}
+
+/// The client tag the fluid pool stamps on each request.
+fn client(r: &Request) -> u32 {
+    match r.caller {
+        Some(Caller::Client(c)) => c,
+        other => panic!("fluid request without a client: {other:?}"),
+    }
+}
 
 fn pool(mean_think_us: u64, period_us: u64, depth: f64, seed: u64) -> FluidPool {
     let mut cfg =
@@ -137,7 +154,7 @@ proptest! {
         let mut from = Ps::ZERO;
         for w_us in windows_us {
             let to = from + Ps::from_us(w_us);
-            let reqs = p.issue(from, to);
+            let reqs = issued(&mut p, from, to);
             for pair in reqs.windows(2) {
                 prop_assert!(pair[0].arrival <= pair[1].arrival, "arrivals unsorted");
             }
@@ -149,7 +166,7 @@ proptest! {
             // fresh-cohort path too.
             for (i, r) in reqs.iter().enumerate() {
                 if i % 2 == 0 {
-                    p.deliver(r.client.unwrap_or(0), r.arrival);
+                    p.deliver(client(r), r.arrival);
                 }
             }
             from = to;
@@ -168,15 +185,15 @@ fn sampled_issue_counts_are_windowing_invariant() {
         // pools start from the identical thinking state.
         let prepare = |seed: u64| {
             let mut p = pool(think_us, period_us.max(1), depth, seed);
-            let reqs = p.issue(Ps::ZERO, Ps::new(1));
+            let reqs = issued(&mut p, Ps::ZERO, Ps::new(1));
             for r in &reqs {
-                p.deliver(r.client.unwrap_or(0), Ps::new(1));
+                p.deliver(client(r), Ps::new(1));
             }
             p
         };
         let horizon = Ps::from_us(1_000);
         let mut coarse = prepare(5);
-        let k_coarse = coarse.issue(Ps::new(1), horizon).len() as f64;
+        let k_coarse = issued(&mut coarse, Ps::new(1), horizon).len() as f64;
         let mut fine = prepare(6);
         let mut from = Ps::new(1);
         let mut k_fine = 0.0;
@@ -186,7 +203,7 @@ fn sampled_issue_counts_are_windowing_invariant() {
             } else {
                 Ps::from_us(125 * i)
             };
-            k_fine += fine.issue(from, to).len() as f64;
+            k_fine += issued(&mut fine, from, to).len() as f64;
             from = to;
         }
         let probe = prepare(7);

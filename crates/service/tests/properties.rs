@@ -29,7 +29,7 @@ proptest! {
             let arrivals: Vec<Request> = gen
                 .arrivals_until(to)
                 .into_iter()
-                .map(|arrival| Request { arrival, remaining_instrs: 1_000.0, client: None, trace: None })
+                .map(|arrival| Request { arrival, remaining_instrs: 1_000.0, caller: None })
                 .collect();
             prop_assert!(arrivals.iter().all(|r| r.arrival >= t && r.arrival < to));
             fed += arrivals.len() as u64;
