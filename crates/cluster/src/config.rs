@@ -5,6 +5,7 @@ use crate::ctrlplane::RpcConfig;
 use crate::tree::BudgetTree;
 use coscale::SimConfig;
 use simkernel::Ps;
+use std::collections::HashSet;
 
 /// How the coordinator divides the global budget into per-server caps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -411,11 +412,15 @@ impl ClusterConfig {
                 .validate()
                 .map_err(|e| format!("server {}: {e}", s.name))?;
         }
+        // The budget tree binds one leaf per name.
+        let names: Vec<&str> = self.servers.iter().map(|s| s.name.as_str()).collect();
+        let mut seen = HashSet::with_capacity(names.len());
+        if let Some(n) = names.iter().find(|n| !seen.insert(**n)) {
+            return Err(format!("server name '{n}' appears twice in the fleet"));
+        }
         if let Some(tree) = &self.topology {
-            let names: Vec<&str> = self.servers.iter().map(|s| s.name.as_str()).collect();
             tree.validate(&names)?;
         }
-        let names: Vec<&str> = self.servers.iter().map(|s| s.name.as_str()).collect();
         self.rpc.validate(&names).map_err(|e| format!("rpc: {e}"))?;
         self.rpc
             .resolve(self.round_s())
@@ -513,6 +518,18 @@ mod tests {
             let err = c.validate().expect_err("non-finite quantum");
             assert!(err.starts_with(&format!("quantum {bad} ")), "{err}");
         }
+    }
+
+    #[test]
+    fn validation_rejects_a_repeated_server_name() {
+        let fleet = vec![
+            ServerSpec::small("a", "MID1", 1),
+            ServerSpec::small("b", "MID1", 2),
+            ServerSpec::small("a", "ILP1", 3),
+        ];
+        let c = ClusterConfig::new(fleet, 100.0, CapSplit::Uniform);
+        let err = c.validate().unwrap_err();
+        assert_eq!(err, "server name 'a' appears twice in the fleet");
     }
 
     #[test]

@@ -718,10 +718,6 @@ struct Coordinator {
     /// What heartbeats replicate: the view, the ledger and the grant
     /// sequence.
     state: ReplState,
-    suspected: Vec<bool>,
-    /// Per-barrier scratch: the view with suspected servers masked
-    /// inactive (kept allocated across barriers).
-    live: Vec<ServerDemand>,
     last_peer_heard: u64,
     quarantine_until: u64,
     /// Heartbeats this coordinator has sent (the next heartbeat's seq is
@@ -762,8 +758,6 @@ impl Coordinator {
                 ledger: LeaseLedger::new(n, initial_cap_w, lease_rounds),
                 next_seq: 1,
             },
-            suspected: vec![false; n],
-            live: Vec::with_capacity(n),
             last_peer_heard: 0,
             quarantine_until: 0,
             hb_seq: 0,
@@ -1093,7 +1087,8 @@ impl ControlPlane {
     /// jitter and lease, so every grant the dead leader could have
     /// issued, even one still in flight, expires inside the reserved
     /// window) and resets its suspicion clocks so servers get a fresh
-    /// window to reach it.
+    /// window to reach it (`decide` derives suspicion from them
+    /// afresh).
     fn maybe_elect(&mut self, round: u64) {
         if !self.rpc.failover {
             return;
@@ -1118,9 +1113,6 @@ impl ControlPlane {
             for r in &mut co.state.view_round {
                 *r = round;
             }
-            for s in &mut co.suspected {
-                *s = false;
-            }
             self.stats.elections += 1;
         }
     }
@@ -1136,29 +1128,24 @@ impl ControlPlane {
     /// a heartbeat to the peer.
     fn decide(&mut self, c: usize, round: u64, t: Ps) {
         let n = self.n;
-        let desired = {
-            let co = &mut self.coords[c];
-            self.stats.lease_expirations += co.state.ledger.expire(round, co.hb_seq);
-            co.state.ledger.release_confirmed(co.repl_watermark);
-            for i in 0..n {
-                co.suspected[i] = co.state.view[i].active
-                    && round.saturating_sub(co.state.view_round[i]) > self.timing.suspect_after;
-                if co.suspected[i] {
-                    self.stats.suspect_rounds += 1;
-                }
+        let co = &mut self.coords[c];
+        self.stats.lease_expirations += co.state.ledger.expire(round, co.hb_seq);
+        co.state.ledger.release_confirmed(co.repl_watermark);
+        // The split runs over the live view: suspected servers are treated
+        // as inactive (no fresh telemetry to honor).
+        let mut live = co.state.view.clone();
+        let mut suspected = vec![false; n];
+        for i in 0..n {
+            suspected[i] = live[i].active
+                && round.saturating_sub(co.state.view_round[i]) > self.timing.suspect_after;
+            if suspected[i] {
+                live[i].active = false;
+                self.stats.suspect_rounds += 1;
             }
-            // The split runs over the live view: suspected servers are
-            // treated as inactive (no fresh telemetry to honor).
-            co.live.clear();
-            co.live.extend_from_slice(&co.state.view);
-            for (i, entry) in co.live.iter_mut().enumerate() {
-                if co.suspected[i] {
-                    entry.active = false;
-                }
-            }
-            self.splitter
-                .split(self.budget, &co.live, None, self.quantum_w)
-        };
+        }
+        let desired = self
+            .splitter
+            .split(self.budget, &live, None, self.quantum_w);
 
         // Reconcile to fixpoint: at zero latency each pass's acks free the
         // watts the next pass's increases need, and the loop converges to
@@ -1166,7 +1153,7 @@ impl ControlPlane {
         // finds nothing new and the deficit waits for future barriers.
         let mut passes = 0;
         loop {
-            let planned = self.reconcile_pass(c, round, &desired, passes == 0);
+            let planned = self.reconcile_pass(c, round, &desired, &suspected, passes == 0);
             let sent = planned.len() as u64;
             let mut delivered = 0;
             if self.rpc.failover {
@@ -1261,7 +1248,8 @@ impl ControlPlane {
 
     /// One reconcile pass: plan what to send each server given the
     /// ledger's current reservations and the free pool — pure planning,
-    /// `(server, cap)` pairs with no ledger or stats side effects.
+    /// `(server, cap)` pairs with no ledger or stats side effects. A
+    /// `suspected` server gets nothing.
     /// The `first` pass of a barrier renews every lease (decreases and
     /// renewals keep leases alive); a later pass sends only a strict
     /// top-up over the cap this barrier already sent
@@ -1275,6 +1263,7 @@ impl ControlPlane {
         c: usize,
         round: u64,
         desired: &[f64],
+        suspected: &[bool],
         first: bool,
     ) -> Vec<(usize, f64)> {
         let n = self.n;
@@ -1288,7 +1277,7 @@ impl ControlPlane {
         let mut out = Vec::new();
         #[allow(clippy::needless_range_loop)] // `co` fields are indexed alongside `desired`
         for i in 0..n {
-            if co.suspected[i] {
+            if suspected[i] {
                 // Possibly partitioned, not dead: leave its lease alone and
                 // let expiry return the watts.
                 continue;

@@ -11,8 +11,8 @@
 //! its discipline over its children's aggregates and hands every child its
 //! share. Like the paper's controller and FastCap, which recompute their
 //! allocation from fresh counters every epoch, the executor carries
-//! nothing from one split to the next but scratch buffers, so a split is a
-//! pure function of its inputs.
+//! nothing from one split to the next: the aggregates and budgets are
+//! locals of the split, so a split is a pure function of its inputs.
 //!
 //! Correctness anchors:
 //!
@@ -97,15 +97,11 @@ impl SlaAgg {
 pub struct HierSplitter {
     fleet_names: Vec<String>,
     nodes: Vec<Node>,
-    // Per-split scratch, indexed by node id.
-    agg_demand: Vec<ServerDemand>,
-    agg_sla: Vec<SlaAgg>,
-    agg_crit: Vec<f64>,
-    budget: Vec<f64>,
     group_splits: u64,
 }
 
-/// The per-split inputs every interior node's discipline reads.
+/// The per-split inputs every interior node's discipline reads; the
+/// aggregates are indexed by node id.
 struct GroupCtx<'a> {
     agg_demand: &'a [ServerDemand],
     agg_sla: &'a [SlaAgg],
@@ -117,26 +113,29 @@ struct GroupCtx<'a> {
 }
 
 impl HierSplitter {
-    /// Compiles `tree` against the fleet order `names`. The k-th leaf
-    /// naming a server binds the k-th fleet member of that name, so a flat
-    /// tree maps leaf i to server i even when names repeat.
+    /// Compiles `tree` against the fleet order `names`: each leaf binds
+    /// the fleet member of its name.
     ///
     /// # Panics
     ///
-    /// Panics if a leaf names a server absent from the fleet (validate
-    /// the tree first).
+    /// Panics if two fleet members share a name (both fleet configs
+    /// reject that) or a leaf names a server absent from the fleet
+    /// (validate the tree first).
     pub fn new(tree: &BudgetTree, names: &[&str]) -> HierSplitter {
-        let mut s = HierSplitter {
+        let mut index = HashMap::with_capacity(names.len());
+        for (i, &name) in names.iter().enumerate() {
+            assert!(
+                index.insert(name, i).is_none(),
+                "fleet name '{name}' repeats"
+            );
+        }
+        let mut nodes = Vec::new();
+        build(tree.root(), &index, &mut nodes);
+        HierSplitter {
             fleet_names: names.iter().map(|n| n.to_string()).collect(),
-            nodes: Vec::new(),
-            agg_demand: Vec::new(),
-            agg_sla: Vec::new(),
-            agg_crit: Vec::new(),
-            budget: Vec::new(),
+            nodes,
             group_splits: 0,
-        };
-        build(tree.root(), &mut fleet_index(names), &mut s.nodes);
-        s
+        }
     }
 
     /// [`HierSplitter::new`] for the benchmark harness, which still passes
@@ -274,28 +273,20 @@ impl HierSplitter {
         if let Some(c) = signals.crit {
             assert_eq!(demands.len(), c.len(), "one crit share per server");
         }
-        compute_aggregates(
-            &self.nodes,
-            demands,
-            signals,
-            &mut self.agg_demand,
-            &mut self.agg_sla,
-            &mut self.agg_crit,
-        );
+        let (agg_demand, agg_sla, agg_crit) = compute_aggregates(&self.nodes, demands, signals);
         let ctx = GroupCtx {
-            agg_demand: &self.agg_demand,
-            agg_sla: &self.agg_sla,
-            agg_crit: &self.agg_crit,
+            agg_demand: &agg_demand,
+            agg_sla: &agg_sla,
+            agg_crit: &agg_crit,
             sla_present: signals.sla.is_some(),
             crit_present: signals.crit.is_some(),
             tier_floor_frac: signals.tier_floor_frac,
             quantum_w,
         };
-        self.budget.clear();
-        self.budget.resize(self.nodes.len(), 0.0);
-        self.budget[0] = global_cap_w;
+        let mut budget = vec![0.0; self.nodes.len()];
+        budget[0] = global_cap_w;
         for (id, node) in self.nodes.iter().enumerate() {
-            let budget_w = self.budget[id];
+            let budget_w = budget[id];
             match &node.kind {
                 NodeKind::Leaf { fleet_idx } => {
                     caps[*fleet_idx] = if demands[*fleet_idx].active {
@@ -322,7 +313,7 @@ impl HierSplitter {
                     }
                     let shares = group_shares(&ctx, *split, children, budget_w)?;
                     for (&c, share) in children.iter().zip(shares) {
-                        self.budget[c] = share;
+                        budget[c] = share;
                     }
                     self.group_splits += 1;
                 }
@@ -332,18 +323,9 @@ impl HierSplitter {
     }
 }
 
-/// Fleet positions by name, each list reversed so `pop` hands out the
-/// first position not yet bound to a leaf.
-fn fleet_index<'a>(names: &[&'a str]) -> HashMap<&'a str, Vec<usize>> {
-    let mut index: HashMap<&str, Vec<usize>> = HashMap::new();
-    for (i, n) in names.iter().enumerate().rev() {
-        index.entry(n).or_default().push(i);
-    }
-    index
-}
-
 /// Appends the compiled form of `node` (pre-order), returning its id.
-fn build(node: &BudgetNode, index: &mut HashMap<&str, Vec<usize>>, nodes: &mut Vec<Node>) -> usize {
+/// `index` maps each fleet name to its position.
+fn build(node: &BudgetNode, index: &HashMap<&str, usize>, nodes: &mut Vec<Node>) -> usize {
     let id = nodes.len();
     nodes.push(Node {
         kind: NodeKind::Leaf {
@@ -353,9 +335,8 @@ fn build(node: &BudgetNode, index: &mut HashMap<&str, Vec<usize>>, nodes: &mut V
     });
     match node {
         BudgetNode::Server { name } => {
-            let idx = index
-                .get_mut(name.as_str())
-                .and_then(Vec::pop)
+            let idx = *index
+                .get(name.as_str())
                 .unwrap_or_else(|| panic!("budget tree leaf '{name}' not in the fleet"));
             nodes[id] = Node {
                 kind: NodeKind::Leaf { fleet_idx: idx },
@@ -388,32 +369,24 @@ fn build(node: &BudgetNode, index: &mut HashMap<&str, Vec<usize>>, nodes: &mut V
 /// One bottom-up pass computing every node's aggregates from its
 /// children — bit-identical to walking each subtree's leaves, because
 /// sums fold children in order and max/OR are associative selections.
+/// Returns the demand, SLA and critical-path aggregates by node id; the
+/// last two are empty without their signal.
 fn compute_aggregates(
     nodes: &[Node],
     demands: &[ServerDemand],
     signals: &TreeSignals<'_>,
-    agg_demand: &mut Vec<ServerDemand>,
-    agg_sla: &mut Vec<SlaAgg>,
-    agg_crit: &mut Vec<f64>,
-) {
+) -> (Vec<ServerDemand>, Vec<SlaAgg>, Vec<f64>) {
     let n = nodes.len();
-    agg_demand.clear();
-    agg_demand.resize(
-        n,
+    let mut agg_demand = vec![
         ServerDemand {
             demand_w: 0.0,
             min_w: 0.0,
             active: false,
-        },
-    );
-    agg_sla.clear();
-    agg_crit.clear();
-    if signals.sla.is_some() {
-        agg_sla.resize(n, SlaAgg::NONE);
-    }
-    if signals.crit.is_some() {
-        agg_crit.resize(n, 0.0);
-    }
+        };
+        n
+    ];
+    let mut agg_sla = vec![SlaAgg::NONE; if signals.sla.is_some() { n } else { 0 }];
+    let mut agg_crit = vec![0.0; if signals.crit.is_some() { n } else { 0 }];
     // Pre-order puts every child after its parent, so a reverse walk sees
     // children before parents.
     for id in (0..n).rev() {
@@ -482,6 +455,7 @@ fn compute_aggregates(
             }
         }
     }
+    (agg_demand, agg_sla, agg_crit)
 }
 
 /// Runs one group's discipline over its children's aggregates and
@@ -631,13 +605,10 @@ mod tests {
     }
 
     #[test]
-    fn repeated_fleet_names_bind_leaves_in_fleet_order() {
-        let names = ["a", "a", "b"];
-        let t = BudgetTree::flat(CapSplit::DemandProportional, &names);
-        let demands = [d(100.0, 10.0), d(50.0, 10.0), d(80.0, 20.0)];
-        let got = HierSplitter::new(&t, &names).split(150.0, &demands, None, 1.0);
-        let want = split_caps(CapSplit::DemandProportional, 150.0, &demands, 1.0);
-        assert_eq!(bits(&got), bits(&want));
+    #[should_panic(expected = "fleet name 'a' repeats")]
+    fn a_repeated_fleet_name_is_refused() {
+        let names = ["a", "b", "a"];
+        HierSplitter::new(&BudgetTree::parse("f:uniform[a,b]").unwrap(), &names);
     }
 
     #[test]

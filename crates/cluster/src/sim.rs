@@ -243,16 +243,18 @@ impl ClusterSim {
         let mut slots: Vec<Option<Server>> = servers.into_iter().map(Some).collect();
         let done = |slot: &Option<Server>| slot.as_ref().expect("server in its slot").is_done();
         let mut awake: Vec<usize> = (0..slots.len()).filter(|&i| !done(&slots[i])).collect();
-        let mut reports: Vec<(usize, ServerDemand)> = Vec::with_capacity(slots.len());
         let mut cap_timeline: Vec<Vec<f64>> = Vec::new();
         let mut rounds = 0usize;
         while !awake.is_empty() {
             // --- coordinate: telemetry in, leased caps out ---
-            reports.clear();
-            reports.extend(slots.iter_mut().enumerate().map(|(i, slot)| {
-                let s = slot.as_mut().expect("server in its slot");
-                (i, s.status().demand)
-            }));
+            let reports: Vec<(usize, ServerDemand)> = slots
+                .iter_mut()
+                .enumerate()
+                .map(|(i, slot)| {
+                    let s = slot.as_mut().expect("server in its slot");
+                    (i, s.status().demand)
+                })
+                .collect();
             let caps = plane.barrier(rounds as u64, &reports, &config, &names);
             for (slot, &cap) in slots.iter_mut().zip(&caps) {
                 slot.as_mut().expect("server in its slot").set_cap(cap);

@@ -5,6 +5,7 @@ use crate::arrivals::ArrivalKind;
 use cluster::{BalancePolicy, BudgetNode, BudgetTree, CapSplit, ChurnAction, ChurnSchedule};
 use coscale::SimConfig;
 use simkernel::Ps;
+use std::collections::HashSet;
 use topology::TierGraph;
 
 /// One serving server: an engine configuration plus the request stream it
@@ -417,6 +418,15 @@ impl ServiceConfig {
         for s in &self.servers {
             Self::validate_spec(s)?;
         }
+        // Names are unique among the servers in the fleet at any round:
+        // the split binds one leaf per name and departures go by name.
+        let mut live = HashSet::new();
+        if let Some(s) = self.servers.iter().find(|s| !live.insert(s.name.as_str())) {
+            return Err(format!(
+                "server name '{}' appears twice in the fleet",
+                s.name
+            ));
+        }
         let total_epochs = self.rounds.saturating_mul(self.epochs_per_round);
         for s in &self.servers {
             if total_epochs > s.config.max_epochs {
@@ -520,8 +530,12 @@ impl ServiceConfig {
             }
         }
         for event in self.churn.events() {
-            let ChurnAction::Join(spec) = &event.action else {
-                continue;
+            let spec = match &event.action {
+                ChurnAction::Join(spec) => spec,
+                ChurnAction::Leave(name) => {
+                    live.remove(name.as_str());
+                    continue;
+                }
             };
             let fail =
                 |e: String| format!("churn join {} at round {}: {e}", spec.name, event.round);
@@ -532,6 +546,12 @@ impl ServiceConfig {
                 )));
             }
             Self::validate_spec(spec).map_err(fail)?;
+            if !live.insert(spec.name.as_str()) {
+                return Err(fail(format!(
+                    "server '{}' is already in the fleet",
+                    spec.name
+                )));
+            }
             let left = (self.rounds - event.round).saturating_mul(self.epochs_per_round);
             if left > spec.config.max_epochs {
                 return Err(fail(format!(
@@ -738,6 +758,38 @@ mod tests {
             let err = join_error(open_loop_base(), 3, spec).unwrap_err();
             assert!(err.contains("odd") && err.contains("L2"), "{err}");
         }
+    }
+
+    #[test]
+    fn validation_rejects_a_name_already_in_the_fleet() {
+        let spec = |name: &str| ServiceServerSpec::small(name, "ILP1", 2, 1000.0);
+        let mut twice = open_loop_base();
+        twice.servers.push(spec("s0"));
+        let err = twice.validate().unwrap_err();
+        assert_eq!(err, "server name 's0' appears twice in the fleet");
+
+        // A join whose name is live at its round is refused, whether the
+        // name belongs to the initial fleet or to an earlier joiner.
+        let err = join_error(open_loop_base(), 3, spec("s0")).unwrap_err();
+        assert_eq!(
+            err,
+            "churn join s0 at round 3: server 's0' is already in the fleet"
+        );
+        let mut churn = ChurnSchedule::new();
+        churn.join(1, "c", spec("c")).unwrap();
+        churn.join(2, "c", spec("c")).unwrap();
+        let err = open_loop_base().with_churn(churn).validate().unwrap_err();
+        assert!(err.starts_with("churn join c at round 2: "), "{err}");
+
+        // A leave frees its name for a later join.
+        let mut churn = ChurnSchedule::new();
+        churn.join(1, "c", spec("c")).unwrap();
+        churn.leave(2, "c").unwrap();
+        churn.join(3, "c", spec("c")).unwrap();
+        churn.leave(4, "s0").unwrap();
+        churn.join(5, "s0", spec("s0")).unwrap();
+        let ok = open_loop_base().with_churn(churn).validate();
+        assert!(ok.is_ok(), "{ok:?}");
     }
 
     #[test]

@@ -147,8 +147,7 @@ impl RequestQueue {
     /// may differ — that is how a power cap stretches the tail). Appends
     /// the terminal events of every request with a caller resolved in the
     /// window to `events`, in resolution order, leaving its existing
-    /// contents untouched: a fleet barrier advances every server every
-    /// round into buffers it keeps, so a round allocates no event vectors.
+    /// contents untouched.
     ///
     /// # Errors
     ///

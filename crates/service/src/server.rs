@@ -12,7 +12,7 @@
 
 use crate::arrivals::ArrivalGen;
 use crate::config::ServiceServerSpec;
-use crate::queue::{ClientEvent, Request, RequestQueue};
+use crate::queue::{Caller, ClientEvent, Request, RequestQueue};
 use crate::sim::ServiceOutcome;
 use cluster::{Server, ServerSpec, SlaSignal};
 use simkernel::{stats::Histogram, Ps, SimRng};
@@ -29,7 +29,9 @@ const QUEUE_CAPACITY: usize = 512;
 /// telemetry from `server` directly; everything else here is serving state.
 pub(crate) struct ServiceServer {
     pub(crate) server: Server,
-    arrivals: ArrivalGen,
+    /// The spec's arrival process; `None` under a closed loop, whose
+    /// requests the fleet loop pushes.
+    arrivals: Option<ArrivalGen>,
     size_rng: SimRng,
     mean_request_instrs: f64,
     queue: RequestQueue,
@@ -39,23 +41,32 @@ pub(crate) struct ServiceServer {
     /// Most recent per-round histograms (the SLA feedback window).
     window: VecDeque<Histogram>,
     violation_rounds: u64,
-    // Closed-loop state (absent in open-loop mode). The fleet runs on a
-    // global clock; this server's engine started `clock_offset` after it
-    // (zero for the initial fleet, the join time for churn joiners), so
-    // requests arrive with `global - offset` stamps and events leave with
-    // `local + offset` stamps.
-    closed_loop: bool,
+    // Under a closed loop the fleet runs on a global clock; this server's
+    // engine started `clock_offset` after it (zero for the initial fleet,
+    // the join time for churn joiners), so requests arrive with
+    // `global - offset` stamps and events leave with `local + offset`
+    // stamps.
     pub(crate) clock_offset: Ps,
+    /// Requests pushed for the coming round. The round takes the buffer,
+    /// so none of it outlives the round that drains it.
     pending: Vec<Request>,
     /// Terminal events of the last round's requests with a caller, on
-    /// this server's clock. The fleet loop drains them in place at the
-    /// barrier and hands the buffer back, so it keeps its capacity.
+    /// this server's clock. The fleet loop takes them at the barrier and
+    /// drops them once delivered.
     pub(crate) events: Vec<ClientEvent>,
 }
 
 impl ServiceServer {
     /// Builds the server from its spec, initially granted `initial_cap_w`.
-    pub(crate) fn new(spec: &ServiceServerSpec, initial_cap_w: f64) -> ServiceServer {
+    /// With `closed_loop`, requests come from
+    /// [`ServiceServer::push_request`] instead of the spec's arrival
+    /// process, stamped on the fleet-global clock that reads the given
+    /// offset at this server's engine time zero.
+    pub(crate) fn new(
+        spec: &ServiceServerSpec,
+        initial_cap_w: f64,
+        closed_loop: Option<Ps>,
+    ) -> ServiceServer {
         // A serving engine must never finish (the round count ends the
         // run), so the spec's completion target is replaced by one no
         // workload reaches.
@@ -67,7 +78,9 @@ impl ServiceServer {
         let stream_seed = spec.config.seed ^ 0x5e21_1ce0;
         ServiceServer {
             server: Server::new(&engine, initial_cap_w),
-            arrivals: ArrivalGen::new(spec.arrivals, stream_seed),
+            arrivals: closed_loop
+                .is_none()
+                .then(|| ArrivalGen::new(spec.arrivals, stream_seed)),
             size_rng: SimRng::new(stream_seed ^ 0x517e_d00d),
             mean_request_instrs: spec.mean_request_instrs,
             queue: RequestQueue::new(QUEUE_CAPACITY),
@@ -75,20 +88,10 @@ impl ServiceServer {
             cum_hist: Histogram::new(),
             window: VecDeque::new(),
             violation_rounds: 0,
-            closed_loop: false,
-            clock_offset: Ps::ZERO,
+            clock_offset: closed_loop.unwrap_or(Ps::ZERO),
             pending: Vec::new(),
             events: Vec::new(),
         }
-    }
-
-    /// Switches the server to closed-loop serving: arrivals come from
-    /// [`ServiceServer::push_request`] instead of the spec's arrival
-    /// process, stamped on the fleet-global clock that reads `offset` at
-    /// this server's engine time zero.
-    pub(crate) fn set_closed_loop(&mut self, offset: Ps) {
-        self.closed_loop = true;
-        self.clock_offset = offset;
     }
 
     /// Queues one request for the coming round. Its arrival is stamped on
@@ -115,15 +118,13 @@ impl ServiceServer {
             0.0
         };
         // Requests that arrived during the window, with their sizes: the
-        // ones the barrier pushed in closed-loop mode, the spec's arrival
-        // process otherwise. `pending` doubles as the arrivals arena in
-        // both modes (and terminal events append straight into the
-        // retained `events` buffer), so a round allocates no per-server
-        // vectors.
-        if !self.closed_loop {
-            debug_assert!(self.pending.is_empty(), "open-loop servers get no pushes");
-            for arrival in self.arrivals.arrivals_until(t1) {
-                self.pending.push(Request {
+        // ones the barrier pushed under a closed loop, the spec's arrival
+        // process otherwise.
+        let mut requests = std::mem::take(&mut self.pending);
+        if let Some(arrivals) = &mut self.arrivals {
+            debug_assert!(requests.is_empty(), "open-loop servers get no pushes");
+            for arrival in arrivals.arrivals_until(t1) {
+                requests.push(Request {
                     arrival,
                     remaining_instrs: self.mean_request_instrs * (0.5 + self.size_rng.f64()),
                     caller: None,
@@ -136,12 +137,11 @@ impl ServiceServer {
                 t0,
                 t1,
                 rate_ips,
-                &self.pending,
+                &requests,
                 &mut round_hist,
                 &mut self.events,
             )
             .unwrap_or_else(|e| panic!("server {}: {e}", self.server.name));
-        self.pending.clear();
         self.cum_hist.merge(&round_hist);
         self.window.push_back(round_hist);
         while self.window.len() > SLA_WINDOW_ROUNDS {
@@ -177,19 +177,11 @@ impl ServiceServer {
     }
 
     /// Abandons everything still queued (the server is leaving the fleet,
-    /// or the horizon ended), returning the abandoned requests with their
-    /// arrival stamps converted back to the fleet-global clock so
-    /// closed-loop callers can release the issuing clients.
-    pub(crate) fn abandon_queue(&mut self) -> Vec<Request> {
-        let offset = self.clock_offset;
-        self.queue
-            .abandon_all()
-            .into_iter()
-            .map(|r| Request {
-                arrival: r.arrival + offset,
-                ..r
-            })
-            .collect()
+    /// or the horizon ended), returning who waits on each abandoned
+    /// request so the fleet loop can release them.
+    pub(crate) fn abandon_queue(&mut self) -> Vec<Caller> {
+        let abandoned = self.queue.abandon_all();
+        abandoned.into_iter().filter_map(|r| r.caller).collect()
     }
 
     /// Abandons the queue and produces the server's final accounting.
@@ -210,5 +202,30 @@ impl ServiceServer {
             hist: self.cum_hist,
             now: self.server.now(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A flash crowd pushed for one round leaves no capacity behind once
+    /// the round has drained it.
+    #[test]
+    fn a_round_frees_the_requests_it_drains() {
+        let spec = ServiceServerSpec::small("s0", "MID1", 1, 0.0);
+        let mut s = ServiceServer::new(&spec, 60.0, Some(Ps::ZERO));
+        let crowd = 4096;
+        for client in 0..crowd {
+            s.push_request(Request {
+                arrival: Ps::from_ns(u64::from(client)),
+                remaining_instrs: 40_000.0,
+                caller: Some(Caller::Client(client)),
+            });
+        }
+        s.step_round(2);
+        assert_eq!(s.queue.arrived(), u64::from(crowd));
+        assert!(s.queue.shed() >= u64::from(crowd) - QUEUE_CAPACITY as u64);
+        assert_eq!(s.pending.capacity(), 0);
     }
 }

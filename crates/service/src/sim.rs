@@ -340,16 +340,11 @@ impl ServiceSim {
         }
         let n = config.servers.len().max(1);
         let initial = config.global_cap_w / n as f64;
+        let offset = config.closed_loop.as_ref().map(|_| Ps::ZERO);
         let servers = config
             .servers
             .iter()
-            .map(|spec| {
-                let mut s = ServiceServer::new(spec, initial);
-                if config.closed_loop.is_some() {
-                    s.set_closed_loop(Ps::ZERO);
-                }
-                s
-            })
+            .map(|spec| ServiceServer::new(spec, initial, offset))
             .collect();
         ServiceSim { config, servers }
     }
@@ -374,10 +369,10 @@ impl ServiceSim {
 /// (churn → telemetry → split → issue → serve → deliver) lives in
 /// [`FleetRun::barrier`].
 struct FleetRun {
+    // The configuration; its churn schedule drains as the run goes.
     config: ServiceConfig,
     servers: Vec<ServiceServer>,
     workers: WorkerPool<ServiceServer>,
-    churn: cluster::ChurnSchedule<crate::config::ServiceServerSpec>,
     // The budget tree churn reshapes: the configured topology, the tier
     // tree, or the one-group flat tree.
     tree: BudgetTree,
@@ -385,18 +380,20 @@ struct FleetRun {
     topology_spec: Option<String>,
     departures: Vec<ServiceOutcome>,
     cap_timeline: Vec<Vec<f64>>,
-    // Closed-loop machinery: the client population, the front-end
-    // balancer, and the fleet-global clock (round `r` spans
-    // `[r·D, (r+1)·D)` where `D` is the uniform round duration —
-    // validated for the initial fleet, asserted for churn joiners).
-    closed: Option<crate::config::ClosedLoopConfig>,
-    pool: Option<Box<dyn ClientPopulation>>,
-    balancer: Option<LoadBalancer>,
+    // The fleet-global clock: round `r` spans `[r·D, (r+1)·D)` where `D`
+    // is the uniform round duration (validated for the initial fleet and
+    // for churn joiners under a closed loop).
     round_d: Ps,
     // `tree` compiled against the fleet order; recompiled on churn.
     splitter: HierSplitter,
-    // The multi-tier runtime: request DAGs, trace aggregation, the
-    // end-to-end histogram. `None` without a tier topology.
+    closed_loop: Option<ClosedLoop>,
+}
+
+/// A closed loop's moving parts: the client population, the front-end
+/// balancer and, under a tier topology, the multi-tier runtime.
+struct ClosedLoop {
+    pool: Box<dyn ClientPopulation>,
+    balancer: LoadBalancer,
     tiers: Option<TierRuntime>,
 }
 
@@ -405,8 +402,6 @@ struct FleetRun {
 /// latency accounting.
 struct TierRuntime {
     graph: TierGraph,
-    floor_frac: f64,
-    e2e_target_s: f64,
     dag: DagTracker,
     collector: TraceCollector,
     e2e_hist: Histogram,
@@ -431,28 +426,6 @@ impl FleetRun {
         let workers = WorkerPool::new(config.threads, move |s: &mut ServiceServer| {
             s.step_round(epochs)
         });
-        let churn = config.churn.clone();
-        let tiers = config.tiers.as_ref().map(|tc| {
-            let seed = config
-                .closed_loop
-                .as_ref()
-                .map(|cl| cl.seed ^ 0x7134_c0de)
-                .unwrap_or(0x7134_c0de);
-            let base_instrs = config
-                .closed_loop
-                .as_ref()
-                .map(|cl| cl.mean_request_instrs)
-                .unwrap_or(40_000.0);
-            TierRuntime {
-                graph: tc.graph.clone(),
-                floor_frac: tc.floor_frac,
-                e2e_target_s: tc.e2e_target_s,
-                dag: DagTracker::new(&tc.graph, seed),
-                collector: TraceCollector::new(tc.graph.n_tiers(), TRACE_WINDOW_ROUNDS),
-                e2e_hist: Histogram::new(),
-                base_instrs,
-            }
-        });
         let names: Vec<&str> = servers.iter().map(|s| s.server.name.as_str()).collect();
         // `ServiceConfig::validate` checked the tier tree.
         let topology = match &config.tiers {
@@ -462,14 +435,21 @@ impl FleetRun {
         let topology_spec = topology.as_ref().map(|t| t.to_string());
         let tree = topology.unwrap_or_else(|| BudgetTree::flat(config.split, &names));
         let splitter = HierSplitter::new(&tree, &names);
-        let closed = config.closed_loop.clone();
-        let pool = closed.as_ref().map(|cl| -> Box<dyn ClientPopulation> {
-            match cl.model {
+        // `ServiceConfig::validate` gives tiers a closed loop.
+        let closed_loop = config.closed_loop.as_ref().map(|cl| ClosedLoop {
+            pool: match cl.model {
                 ClientModel::Exact => Box::new(ClientPool::new(cl)),
                 ClientModel::Fluid => Box::new(FluidPool::new(cl)),
-            }
+            },
+            balancer: LoadBalancer::new(cl.balance),
+            tiers: config.tiers.as_ref().map(|tc| TierRuntime {
+                graph: tc.graph.clone(),
+                dag: DagTracker::new(&tc.graph, cl.seed ^ 0x7134_c0de),
+                collector: TraceCollector::new(tc.graph.n_tiers(), TRACE_WINDOW_ROUNDS),
+                e2e_hist: Histogram::new(),
+                base_instrs: cl.mean_request_instrs,
+            }),
         });
-        let balancer = closed.as_ref().map(|cl| LoadBalancer::new(cl.balance));
         let round_d = config
             .servers
             .first()
@@ -479,17 +459,13 @@ impl FleetRun {
             config,
             servers,
             workers,
-            churn,
             tree,
             topology_spec,
             departures: Vec::new(),
             cap_timeline: Vec::new(),
-            closed,
-            pool,
-            balancer,
             round_d,
             splitter,
-            tiers,
+            closed_loop,
         }
     }
 
@@ -502,7 +478,7 @@ impl FleetRun {
     fn barrier(&mut self, round: usize) {
         // --- churn: apply fleet changes due at this boundary ---
         let mut churned = false;
-        for action in self.churn.drain_due(round) {
+        for action in self.config.churn.drain_due(round) {
             churned = true;
             match action {
                 ChurnAction::Join(spec) => {
@@ -516,46 +492,32 @@ impl FleetRun {
                     // of the root group; under a tier topology they must
                     // name an existing tier and attach to that tier's
                     // group.
-                    let group = self.tiers.as_ref().map(|t| {
-                        let ti = t
+                    let group = self.config.tiers.as_ref().map(|tc| {
+                        let ti = tc
                             .graph
                             .tier_of(&spec.name)
                             .expect("validated: churn joiners name a tier");
-                        t.graph.tiers()[ti].name.clone()
+                        tc.graph.tiers()[ti].name.clone()
                     });
                     if let Err(e) = self.tree.attach_server(&spec.name, group.as_deref()) {
                         panic!("churn join {}: {e}", spec.name);
                     }
-                    let mut server = ServiceServer::new(&spec, 0.0);
-                    if self.pool.is_some() {
-                        server.set_closed_loop(self.global_time(round));
-                    }
-                    self.servers.push(server);
+                    let offset = self.closed_loop.as_ref().map(|_| self.global_time(round));
+                    self.servers.push(ServiceServer::new(&spec, 0.0, offset));
                 }
                 ChurnAction::Leave(name) => {
                     if let Some(i) = self.servers.iter().position(|s| s.server.name == name) {
                         let mut server = self.servers.remove(i);
                         // Closed loop: the departing server's queued
-                        // requests are lost; their clients learn at
-                        // this barrier and go back to thinking. Traced
-                        // spans fail their DAG (the client learns when
-                        // the root closes).
+                        // requests are lost and released like shed ones,
+                        // at this barrier: a client goes back to
+                        // thinking, a traced span fails its DAG (the
+                        // client learns when the root closes).
                         let orphans = server.abandon_queue();
                         let now = self.global_time(round);
-                        for r in orphans {
-                            match r.caller {
-                                Some(Caller::Span(ctx)) => self
-                                    .tiers
-                                    .as_mut()
-                                    .expect("traced request without tier runtime")
-                                    .dag
-                                    .fail(ctx, now),
-                                Some(Caller::Client(client)) => self
-                                    .pool
-                                    .as_mut()
-                                    .expect("client request without a population")
-                                    .deliver(client, now),
-                                None => {}
+                        if let Some(cl) = self.closed_loop.as_mut() {
+                            for caller in orphans {
+                                cl.release(caller, Resolution::Shed, now, now, &mut self.servers);
                             }
                         }
                         self.departures.push(server.into_outcome(true));
@@ -577,7 +539,9 @@ impl FleetRun {
             // ready clients simply wait for the fleet to refill. DAGs
             // failed by the churn above still close and are delivered.
             self.cap_timeline.push(Vec::new());
-            self.drain_traces();
+            if let Some(cl) = self.closed_loop.as_mut() {
+                cl.drain_traces();
+            }
             return;
         }
 
@@ -597,7 +561,8 @@ impl FleetRun {
         // the discipline degrades to demand-proportional). Shares only
         // cover *sealed* rounds, so the signal — and the split — is
         // identical for any worker-thread count.
-        let crit: Option<Vec<f64>> = self.tiers.as_ref().map(|t| {
+        let tiers = self.closed_loop.as_ref().and_then(|cl| cl.tiers.as_ref());
+        let crit: Option<Vec<f64>> = tiers.map(|t| {
             let shares = t.collector.shares();
             self.servers
                 .iter()
@@ -611,7 +576,7 @@ impl FleetRun {
         let sig = TreeSignals {
             sla: signals.as_deref(),
             crit: crit.as_deref(),
-            tier_floor_frac: self.tiers.as_ref().map_or(0.0, |t| t.floor_frac),
+            tier_floor_frac: self.config.tiers.as_ref().map_or(0.0, |tc| tc.floor_frac),
         };
         let caps = self
             .splitter
@@ -632,7 +597,12 @@ impl FleetRun {
         // population through the router into its server's pending queue.
         // The loads depend only on queue depths, demands and caps, none of
         // which issuing touches, so they are read before the first request.
-        if let (Some(pool), Some(balancer)) = (self.pool.as_mut(), self.balancer.as_mut()) {
+        if let Some(ClosedLoop {
+            pool,
+            balancer,
+            tiers,
+        }) = self.closed_loop.as_mut()
+        {
             let t0 = self.round_d * round as u64;
             let t1 = t0 + self.round_d;
             let loads: Vec<ServerLoad> = self
@@ -647,7 +617,7 @@ impl FleetRun {
                 })
                 .collect();
             let servers = &mut self.servers;
-            if let Some(tr) = self.tiers.as_mut() {
+            if let Some(tr) = tiers {
                 // Multi-tier: every client request opens a DAG and its
                 // root span is routed over the *entry* tier only. The
                 // request carries the span instead of the client — the
@@ -707,105 +677,48 @@ impl FleetRun {
         // spans draw shard picks and sizes from per-span streams, so
         // delivery order cannot leak into the result beyond the (already
         // deterministic) span-id assignment order. Each server's events
-        // drain in place: the buffer is taken out while a completed span
-        // may push its children into any server, this one included, and
-        // handed back with its capacity.
-        if self.pool.is_some() {
-            let next_start = self.global_time(round + 1);
+        // are taken out, so a completed span may push its children into
+        // any server, this one included, and dropped once delivered.
+        let next_start = self.global_time(round + 1);
+        if let Some(cl) = self.closed_loop.as_mut() {
             for i in 0..self.servers.len() {
                 let offset = self.servers[i].clock_offset;
-                let mut events = std::mem::take(&mut self.servers[i].events);
-                for ev in events.drain(..) {
+                for ev in std::mem::take(&mut self.servers[i].events) {
                     let at = ev.at + offset;
-                    match ev.caller {
-                        Caller::Span(ctx) => self.resolve_span(ctx, ev.resolution, at, next_start),
-                        Caller::Client(client) => self
-                            .pool
-                            .as_mut()
-                            .expect("checked above")
-                            .deliver(client, at),
-                    }
-                }
-                self.servers[i].events = events;
-            }
-            self.drain_traces();
-        }
-    }
-
-    /// Handles one traced span's terminal event: completions spawn the
-    /// next tier's fan-out of children (sharded by per-span PRNG streams,
-    /// arriving at the next barrier), sheds fail the DAG.
-    fn resolve_span(&mut self, ctx: topology::SpanCtx, res: Resolution, at: Ps, next_start: Ps) {
-        let tr = self
-            .tiers
-            .as_mut()
-            .expect("traced event without tier runtime");
-        match res {
-            Resolution::Completed => {
-                for child in tr.dag.complete(ctx, at, next_start) {
-                    let ti = child.tier as usize;
-                    let members = tier_members(&tr.graph, &self.servers, ti);
-                    if members.is_empty() {
-                        // The child's whole tier churned away: the span
-                        // cannot be placed, so the DAG fails.
-                        tr.dag.fail(child, next_start);
-                        continue;
-                    }
-                    let mut rng = tr.dag.child_rng(child);
-                    let shard = members[rng.below(members.len() as u64) as usize];
-                    let size = tr.base_instrs * tr.graph.tiers()[ti].work * (0.5 + rng.f64());
-                    self.servers[shard].push_request(Request {
-                        arrival: next_start,
-                        remaining_instrs: size,
-                        caller: Some(Caller::Span(child)),
-                    });
+                    cl.release(ev.caller, ev.resolution, at, next_start, &mut self.servers);
                 }
             }
-            Resolution::Shed => tr.dag.fail(ctx, at),
+            cl.drain_traces();
         }
-    }
-
-    /// Drains DAGs that closed since the last call: releases their clients,
-    /// records end-to-end sojourns and critical-path attributions for
-    /// non-failed closures, and seals the trace collector's round.
-    fn drain_traces(&mut self) {
-        let Some(tr) = self.tiers.as_mut() else {
-            return;
-        };
-        let pool = self.pool.as_mut().expect("tiers require a closed loop");
-        for root in tr.dag.take_closed() {
-            pool.deliver(root.client, root.close);
-            if !root.failed {
-                tr.e2e_hist.record(root.e2e().as_ps().max(1));
-                tr.collector.record(&root.crit_ps);
-            }
-        }
-        tr.collector.end_round();
     }
 
     fn finish(self) -> ServiceResult {
-        let tiers = self.tiers.map(|t| TierSummary {
-            graph: t.graph.to_string(),
-            tier_names: t.graph.tiers().iter().map(|x| x.name.clone()).collect(),
-            stats: t.dag.stats().clone(),
-            crit_total_ps: t.collector.total_ps().to_vec(),
-            slowest_counts: t.collector.slowest_counts().to_vec(),
-            roots_recorded: t.collector.roots_recorded(),
-            e2e_hist: t.e2e_hist,
-            e2e_target_s: t.e2e_target_s,
-        });
-        let closed_loop = match (&self.closed, &self.pool) {
-            (Some(cl), Some(pool)) => Some(ClientSummary {
-                clients: pool.len(),
-                model: cl.model,
-                balance: cl.balance,
-                mean_think: cl.mean_think,
-                generated: pool.generated(),
-                responses: pool.responses(),
-                thinking_at_end: pool.thinking(),
-                waiting_at_end: pool.waiting(),
-            }),
-            _ => None,
+        let (summary, tiers) = match self.closed_loop.zip(self.config.closed_loop.as_ref()) {
+            Some((ClosedLoop { pool, tiers, .. }, cfg)) => (
+                Some(ClientSummary {
+                    clients: pool.len(),
+                    model: cfg.model,
+                    balance: cfg.balance,
+                    mean_think: cfg.mean_think,
+                    generated: pool.generated(),
+                    responses: pool.responses(),
+                    thinking_at_end: pool.thinking(),
+                    waiting_at_end: pool.waiting(),
+                }),
+                tiers
+                    .zip(self.config.tiers.as_ref())
+                    .map(|(t, tc)| TierSummary {
+                        graph: t.graph.to_string(),
+                        tier_names: t.graph.tiers().iter().map(|x| x.name.clone()).collect(),
+                        stats: t.dag.stats().clone(),
+                        crit_total_ps: t.collector.total_ps().to_vec(),
+                        slowest_counts: t.collector.slowest_counts().to_vec(),
+                        roots_recorded: t.collector.roots_recorded(),
+                        e2e_hist: t.e2e_hist,
+                        e2e_target_s: tc.e2e_target_s,
+                    }),
+            ),
+            None => (None, None),
         };
         let mut outcomes = self.departures;
         outcomes.extend(self.servers.into_iter().map(|s| s.into_outcome(false)));
@@ -816,13 +729,107 @@ impl FleetRun {
             outcomes,
             rounds: self.config.rounds,
             cap_timeline: self.cap_timeline,
-            closed_loop,
+            closed_loop: summary,
             tiers,
         }
+    }
+}
+
+impl ClosedLoop {
+    /// Releases whoever waits on one request that reached `resolution` at
+    /// `at`: a client hears at once; a completed span spawns the next
+    /// tier's fan-out of children into `servers` (sharded by per-span
+    /// PRNG streams, arriving at `next_start`); a shed span fails its DAG.
+    /// A request abandoned by a departing server is released as shed.
+    fn release(
+        &mut self,
+        caller: Caller,
+        resolution: Resolution,
+        at: Ps,
+        next_start: Ps,
+        servers: &mut [ServiceServer],
+    ) {
+        let ctx = match caller {
+            Caller::Client(client) => return self.pool.deliver(client, at),
+            Caller::Span(ctx) => ctx,
+        };
+        let tr = self
+            .tiers
+            .as_mut()
+            .expect("spans travel under a tier runtime");
+        if resolution == Resolution::Shed {
+            return tr.dag.fail(ctx, at);
+        }
+        for child in tr.dag.complete(ctx, at, next_start) {
+            let ti = child.tier as usize;
+            let members = tier_members(&tr.graph, servers, ti);
+            if members.is_empty() {
+                // The child's whole tier churned away: the span cannot be
+                // placed, so the DAG fails.
+                tr.dag.fail(child, next_start);
+                continue;
+            }
+            let mut rng = tr.dag.child_rng(child);
+            let shard = members[rng.below(members.len() as u64) as usize];
+            let size = tr.base_instrs * tr.graph.tiers()[ti].work * (0.5 + rng.f64());
+            servers[shard].push_request(Request {
+                arrival: next_start,
+                remaining_instrs: size,
+                caller: Some(Caller::Span(child)),
+            });
+        }
+    }
+
+    /// Drains DAGs that closed since the last call: releases their clients,
+    /// records end-to-end sojourns and critical-path attributions for
+    /// non-failed closures, and seals the trace collector's round.
+    fn drain_traces(&mut self) {
+        let Some(tr) = self.tiers.as_mut() else {
+            return;
+        };
+        for root in tr.dag.take_closed() {
+            self.pool.deliver(root.client, root.close);
+            if !root.failed {
+                tr.e2e_hist.record(root.e2e().as_ps().max(1));
+                tr.collector.record(&root.crit_ps);
+            }
+        }
+        tr.collector.end_round();
     }
 }
 
 /// Convenience: build and run a serving fleet in one call.
 pub fn run_service(config: ServiceConfig) -> ServiceResult {
     ServiceSim::new(config).run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{ClosedLoopConfig, ServiceServerSpec};
+
+    /// The barrier drops each server's events once it has delivered them,
+    /// so round 0's flash crowd leaves no event capacity behind.
+    #[test]
+    fn a_barrier_frees_the_events_it_delivers() {
+        let fleet = (0..2)
+            .map(|i| ServiceServerSpec::small(&format!("s{i}"), "MID1", i, 0.0))
+            .collect();
+        let crowd = 4096;
+        let config = ServiceConfig::new(fleet, 120.0, CapSplit::FastCap)
+            .with_rounds(1)
+            .with_closed_loop(ClosedLoopConfig::new(
+                crowd,
+                Ps::from_us(100),
+                BalancePolicy::RoundRobin,
+            ));
+        let mut run = FleetRun::new(ServiceSim::new(config));
+        run.barrier(0);
+        let closed = run.closed_loop.as_ref().expect("a closed loop");
+        // Each server sheds all but a queue's worth of its half.
+        assert!(closed.pool.responses() >= (crowd - 2 * 512) as u64);
+        for s in &run.servers {
+            assert_eq!(s.events.capacity(), 0, "{}", s.server.name);
+        }
+    }
 }

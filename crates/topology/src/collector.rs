@@ -90,11 +90,6 @@ impl TraceCollector {
             .collect()
     }
 
-    /// True once the window holds at least one attributed trace.
-    pub fn is_warm(&self) -> bool {
-        self.windowed.iter().any(|&w| w > 0)
-    }
-
     /// Lifetime per-tier critical-path totals, in picoseconds.
     pub fn total_ps(&self) -> &[u64] {
         &self.total
@@ -119,12 +114,10 @@ mod tests {
     fn shares_zero_until_first_trace() {
         let mut c = TraceCollector::new(3, 4);
         assert_eq!(c.shares(), vec![0.0; 3]);
-        assert!(!c.is_warm());
         c.end_round();
-        assert!(!c.is_warm());
+        assert_eq!(c.shares(), vec![0.0; 3]);
         c.record(&[10, 30, 60]);
         c.end_round();
-        assert!(c.is_warm());
         let s = c.shares();
         assert!((s[0] - 0.1).abs() < 1e-12);
         assert!((s[2] - 0.6).abs() < 1e-12);
@@ -134,9 +127,13 @@ mod tests {
     fn current_round_not_visible_until_sealed() {
         let mut c = TraceCollector::new(2, 4);
         c.record(&[5, 5]);
-        assert!(!c.is_warm(), "unsealed round must not leak into shares");
+        assert_eq!(
+            c.shares(),
+            vec![0.0; 2],
+            "unsealed round must not leak into shares"
+        );
         c.end_round();
-        assert!(c.is_warm());
+        assert_eq!(c.shares(), vec![0.5; 2]);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub struct TierSpec {
 /// use topology::TierGraph;
 /// let g: TierGraph = "fe[2] -> app[4]*2 -> storage[3]*2@2.5".parse().unwrap();
 /// assert_eq!(g.n_tiers(), 3);
-/// assert_eq!(g.total_servers(), 9);
+/// assert_eq!(g.server_names().len(), 9);
 /// assert_eq!(g.tiers()[2].fanout, 2);
 /// assert_eq!(g.to_string().parse::<TierGraph>().unwrap(), g);
 /// ```
@@ -56,11 +56,6 @@ impl TierGraph {
     /// Number of tiers.
     pub fn n_tiers(&self) -> usize {
         self.tiers.len()
-    }
-
-    /// Total servers across all tiers.
-    pub fn total_servers(&self) -> usize {
-        self.tiers.iter().map(|t| t.servers).sum()
     }
 
     /// Fan-out degree per tier (tier 0 is always 1).
@@ -216,7 +211,7 @@ mod tests {
         assert_eq!(g.n_tiers(), 3);
         assert_eq!(g.tiers()[0].fanout, 1);
         assert_eq!(g.tiers()[1].fanout, 2);
-        assert_eq!(g.total_servers(), 9);
+        assert_eq!(g.server_names().len(), 9);
     }
 
     #[test]

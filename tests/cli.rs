@@ -109,6 +109,27 @@ fn serving_rejects_a_join_past_the_horizon() {
 }
 
 #[test]
+fn batch_rejects_a_repeated_server_name() {
+    assert_rejected(
+        &["--servers", "a=MID1,a=ILP1"],
+        "server name 'a' appears twice in the fleet",
+    );
+}
+
+#[test]
+fn serving_rejects_a_join_whose_name_is_in_the_fleet() {
+    let churn = ["--join", "1:c=MID1", "--join", "2:c=MID2", "--leave", "3:c"];
+    assert_rejected(
+        &[
+            &["--serve", "--servers", "a=MID1,b=ILP1", "--rounds", "5"][..],
+            &churn,
+        ]
+        .concat(),
+        "churn join c at round 2: server 'c' is already in the fleet",
+    );
+}
+
+#[test]
 fn serving_rejects_bad_rates_and_p99_targets() {
     for (flag, value, needle) in [
         ("--rate", "nan", "arrival rate NaN"),
