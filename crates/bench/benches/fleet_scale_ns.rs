@@ -22,7 +22,10 @@
 //!   smoke test; no files, no gate.
 //! * `cargo bench` — the three sizes are measured (best of two runs
 //!   each), a table is printed, `results/fleet_scale_ns.{json,tsv}` are
-//!   written, and the process exits 1 when either gate trips:
+//!   written with each size's ns per server-epoch and the process's peak
+//!   resident set after it (`VmHWM`, reported, not gated; it only rises,
+//!   so the 32k row is the whole run's peak), and the process exits 1
+//!   when either gate trips:
 //!   1. **scaling invariant** — 32k ns/server-epoch must stay within 2× of
 //!      1k (the ISSUE's acceptance bound);
 //!   2. **baseline ratios** — each size's ratio to the 1k figure must stay
@@ -110,6 +113,15 @@ fn measure(n: usize, target_divisor: u64, runs: usize) -> f64 {
     best
 }
 
+/// This process's peak resident set so far, MB (`VmHWM` in
+/// `/proc/self/status`); `None` where the kernel does not report it.
+fn vm_hwm_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 /// Pulls `"<size>": <number>` out of the baseline JSON (hand-rolled: the
 /// workspace is dependency-free, so no serde).
 fn baseline_ns(text: &str, size: usize) -> Option<f64> {
@@ -140,27 +152,31 @@ fn main() {
         return;
     }
 
-    let mut rows: Vec<(usize, f64)> = Vec::new();
+    let mut rows: Vec<(usize, f64, Option<f64>)> = Vec::new();
     for (n, divisor) in SIZES {
         // Best-of-two everywhere: the first run at each size pays
         // allocator warm-up and first-touch page faults that the second
         // run does not, and the gate is about loop scaling, not the
         // OS's lazy-zeroing throughput.
         let ns = measure(n, divisor, 2);
-        println!("fleet_scale_ns/{n}: {ns:10.1} ns/server-epoch");
-        rows.push((n, ns));
+        let peak = vm_hwm_mb();
+        let shown = peak.map_or_else(|| "unknown".into(), |mb| format!("{mb:.1} MB"));
+        println!("fleet_scale_ns/{n}: {ns:10.1} ns/server-epoch, VmHWM {shown}");
+        rows.push((n, ns, peak));
     }
 
     std::fs::create_dir_all(RESULTS_DIR).ok();
-    let mut tsv = String::from("servers\tns_per_server_epoch\n");
+    let mut tsv = String::from("servers\tns_per_server_epoch\tvm_hwm_mb\n");
     let mut json = String::from("{\n");
-    for (i, (n, ns)) in rows.iter().enumerate() {
-        tsv.push_str(&format!("{n}\t{ns:.3}\n"));
+    let mut json_peaks = String::new();
+    for (i, (n, ns, peak)) in rows.iter().enumerate() {
+        let mb = |missing: &str| peak.map_or_else(|| missing.to_string(), |mb| format!("{mb:.1}"));
+        tsv.push_str(&format!("{n}\t{ns:.3}\t{}\n", mb("NA")));
         let comma = if i + 1 < rows.len() { "," } else { "" };
-        json.push_str(&format!("  \"{n}\": {ns:.3}{comma}\n"));
+        json.push_str(&format!("  \"{n}\": {ns:.3},\n"));
+        json_peaks.push_str(&format!("    \"{n}\": {}{comma}\n", mb("null")));
     }
-    json.push('}');
-    json.push('\n');
+    json.push_str(&format!("  \"vm_hwm_mb\": {{\n{json_peaks}  }}\n}}\n"));
     if let Err(e) = std::fs::write(format!("{RESULTS_DIR}/fleet_scale_ns.tsv"), &tsv) {
         eprintln!("fleet_scale_ns: could not write results TSV: {e}");
     }
@@ -186,7 +202,7 @@ fn main() {
     match std::fs::read_to_string(BASELINE) {
         Ok(text) => {
             if let Some(base_1k) = baseline_ns(&text, rows[0].0) {
-                for (n, ns) in &rows[1..] {
+                for (n, ns, _) in &rows[1..] {
                     let Some(base_n) = baseline_ns(&text, *n) else {
                         eprintln!("fleet_scale_ns: baseline missing size {n}; skipping");
                         continue;

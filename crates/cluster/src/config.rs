@@ -72,8 +72,9 @@ impl std::str::FromStr for CapSplit {
 pub enum ChurnAction<S> {
     /// A new server (described by `S`, e.g. a spec) joins the fleet.
     Join(S),
-    /// The named server leaves the fleet. Unknown names are ignored — a
-    /// server may have already left, or never joined.
+    /// The named server leaves the fleet. The serving config's `validate`
+    /// refuses a leave that names no server in the fleet at its round, or
+    /// that falls at or past the horizon.
     Leave(String),
 }
 
@@ -243,10 +244,11 @@ pub fn synthetic_fleet(n: usize, idle_fraction: f64) -> Vec<ServerSpec> {
     (0..n)
         .map(|i| {
             let mut spec = ServerSpec::small(&format!("s{i:04}"), "MID1", 1 + i as u64);
-            // The test default keeps Table 2's 16 MiB L2, whose way array
-            // is 2 MiB (8 bytes a way); at a thousand servers that is
-            // gigabytes and construction drowns in page faults.
-            // Scale-fleet servers model a 1 MiB L2: a 128 KiB way array.
+            // The test default keeps Table 2's 16 MiB L2, whose ways take
+            // 1.25 MiB (a 4-byte tag and a 1-byte rank each); at a
+            // thousand servers that is gigabytes and construction drowns
+            // in page faults. Scale-fleet servers model a 1 MiB L2: 80 KiB
+            // of ways and 4 KiB of per-set fill counts.
             spec.config.cache.size_bytes = 1024 * 1024;
             // Coordination-scale regime: small nodes (2 cores, a coarse
             // 4-step DVFS grid) on epochs an order of magnitude shorter

@@ -1,7 +1,7 @@
 //! Top-level simulation configuration.
 
 use cpusim::{CacheConfig, CoreConfig};
-use memsim::MemConfig;
+use memsim::{LineAddr, MemConfig};
 use powermodel::PowerConfig;
 use simkernel::{Freq, Ps};
 use workloads::Mix;
@@ -183,6 +183,18 @@ impl SimConfig {
             return Err("voltage_domain_cores must be positive".into());
         }
         self.cache.validate()?;
+        // The prefetcher probes one line above the highest a trace
+        // references; a line the L2 cannot tag would panic mid-run.
+        let probe = LineAddr(workloads::max_line(self.cores).0 + 1);
+        if !self.cache.can_tag(probe) {
+            return Err(format!(
+                "L2 of {} sets cannot tag line {:#x}, the prefetch probe above a \
+                 {}-core trace's highest line; it needs more sets",
+                self.cache.sets(),
+                probe.0,
+                self.cores
+            ));
+        }
         self.mem.validate()
     }
 }
@@ -246,6 +258,34 @@ mod tests {
         let mut c = base;
         c.cache.size_bytes = 3 << 20;
         assert!(c.validate().is_err());
+    }
+
+    /// An L2 too small to tag a trace's lines is refused before round 0:
+    /// 16 cores reach past 2^35, which an 8-set cache's 30-bit tags do not.
+    /// The kernel goldens' small-L2 geometries fit any core count.
+    #[test]
+    fn validation_rejects_an_l2_too_small_to_tag_the_traces() {
+        let mut c = SimConfig::for_mix(mix("MEM1").unwrap());
+        c.cache = CacheConfig {
+            size_bytes: 8 * 16 * 64,
+            ways: 16,
+            line_bytes: 64,
+        };
+        let err = c.validate().unwrap_err();
+        assert!(
+            err.starts_with("L2 of 8 sets cannot tag line 0xf21000000"),
+            "{err}"
+        );
+        c.cores = 1;
+        assert_eq!(c.validate(), Ok(()));
+
+        let goldens = [(256 * 1024, 4), (512 * 1024, 32)];
+        for (size_bytes, ways) in goldens {
+            let mut c = SimConfig::for_mix(mix("MEM1").unwrap());
+            c.cache.size_bytes = size_bytes;
+            c.cache.ways = ways;
+            assert_eq!(c.validate(), Ok(()), "{size_bytes} B {ways}-way");
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! next-line-prefetch bookkeeping.
 
 use memsim::LineAddr;
+use std::ops::Range;
 
 /// Shared L2 configuration. Defaults match Table 2: 16 MiB, 16-way, 64-byte
 /// blocks.
@@ -26,9 +27,9 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
-    /// Checks that the geometry describes a cache: at least one way, fewer
-    /// ways than recency stamps, a nonzero line size, and a set count that
-    /// is a nonzero power of two.
+    /// Checks that the geometry describes a cache: at least one way, no
+    /// more ways than a recency rank can order, a nonzero line size, and a
+    /// set count that is a nonzero power of two.
     ///
     /// # Errors
     ///
@@ -37,11 +38,9 @@ impl CacheConfig {
         if self.ways == 0 {
             return Err("L2 needs at least one way".into());
         }
-        // A renumbered set holds ranks `0..ways` and the stamp counter
-        // restarts at `ways`, which must still be a stamp.
-        if self.ways as u64 >= STAMP_LIMIT {
+        if self.ways > MAX_WAYS {
             return Err(format!(
-                "L2 associativity {} must be below {STAMP_LIMIT}, the count of recency stamps",
+                "L2 associativity {} exceeds {MAX_WAYS}, the ways a one-byte recency rank orders",
                 self.ways
             ));
         }
@@ -76,6 +75,18 @@ impl CacheConfig {
             panic!("{e}");
         }
         (self.size_bytes / (self.line_bytes * self.ways as u64)) as usize
+    }
+
+    /// Whether a cache of this geometry can tag `line`: its tag,
+    /// `line >> log2(sets)`, must fit 30 bits.
+    /// [`L2Cache::access`], [`L2Cache::fill`] and [`L2Cache::contains`]
+    /// panic on any other line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`CacheConfig::validate`] rejects the geometry.
+    pub fn can_tag(&self, line: LineAddr) -> bool {
+        fits_tag(line, self.sets().trailing_zeros())
     }
 }
 
@@ -136,36 +147,34 @@ pub enum Access {
     Miss,
 }
 
-/// Way-word flag: the line is dirty.
-const DIRTY: u64 = 0b10;
-/// Way-word flag: the line was installed by the prefetcher and has not
+/// Tag-word flag: the line is dirty.
+const DIRTY: u32 = 0b10;
+/// Tag-word flag: the line was installed by the prefetcher and has not
 /// seen a demand access yet.
-const PREFETCHED: u64 = 0b01;
-/// The line address sits above the two flag bits.
-const LINE_SHIFT: u32 = 2;
-/// Width of the line field: the cache tags lines below `2^40`.
-const LINE_BITS: u32 = 40;
-/// The line field of a way word.
-const LINE_FIELD: u64 = ((1 << LINE_BITS) - 1) << LINE_SHIFT;
-/// The recency stamp fills the bits above the line field.
-const STAMP_SHIFT: u32 = LINE_SHIFT + LINE_BITS;
-/// Stamps run below this bound; reaching it renumbers every set.
-const STAMP_LIMIT: u64 = 1 << (u64::BITS - STAMP_SHIFT);
+const PREFETCHED: u32 = 0b01;
+/// The tag sits above the two flag bits.
+const TAG_SHIFT: u32 = 2;
+/// Width of a way's tag, `line >> log2(sets)`.
+const TAG_BITS: u32 = u32::BITS - TAG_SHIFT;
+/// The most ways a `u8` recency rank can order.
+const MAX_WAYS: usize = 1 << u8::BITS;
+/// The recency byte of a set's most recent way, its rank 0. A way's byte
+/// is `NEWEST - rank`, so a free way's zero lies below every valid one's
+/// in a set that is not full.
+const NEWEST: u8 = u8::MAX;
+/// Each step of the set-index fold shifts the line down this many bits.
+const FOLD_BITS: u32 = 14;
 
-/// `line` placed in a way word's line field.
-///
-/// # Panics
-///
-/// Panics if `line` does not fit the field: a truncated tag would alias
-/// another line.
+/// Whether `line`'s tag in a cache of `2^set_bits` sets fits [`TAG_BITS`].
 #[inline]
-fn line_key(line: LineAddr) -> u64 {
-    assert!(
-        line.0 >> LINE_BITS == 0,
-        "L2 line {:#x} does not fit the {LINE_BITS}-bit tag",
-        line.0
-    );
-    line.0 << LINE_SHIFT
+fn fits_tag(line: LineAddr, set_bits: u32) -> bool {
+    line.0 >> set_bits >> TAG_BITS == 0
+}
+
+/// The high bits a line folds onto its set index.
+#[inline]
+fn fold(x: u64) -> u64 {
+    (x >> FOLD_BITS) ^ (x >> (2 * FOLD_BITS)) ^ (x >> (3 * FOLD_BITS))
 }
 
 /// A set-associative writeback LRU cache over [`LineAddr`]s.
@@ -174,15 +183,20 @@ fn line_key(line: LineAddr) -> u64 {
 /// core's private footprint (cores own disjoint high-order address slices)
 /// spreads over all sets instead of aliasing into the low sets.
 ///
-/// Each way is one word, `stamp << 42 | line << 2 | dirty << 1 |
-/// prefetched`: a 22-bit recency stamp over a 40-bit line address, so
-/// lines must lie below `2^40`. Stamps within a set are unique, so the
-/// least-recent way holds the smallest word. When the stamp counter
-/// reaches `2^22`, every set's valid ways are renumbered by recency rank
-/// and the counter restarts at the associativity, which leaves every
-/// eviction decision unchanged. Lines are never invalidated and a fill
-/// always takes the first free way, so a set's valid ways are a prefix of
-/// the set; `filled` counts them and lookups scan only that prefix.
+/// Each way is a `u32` tag word, `tag << 2 | dirty << 1 | prefetched`,
+/// where the tag is `line >> log2(sets)` in 30 bits, beside a `u8` recency
+/// byte. A line whose tag does not fit panics, naming the line
+/// ([`CacheConfig::can_tag`]). A dirty victim's line is its tag above the
+/// set index with the fold undone.
+///
+/// Lines are never invalidated and a fill always takes the first free
+/// way, so a set's valid ways are a prefix of the set; `filled` counts
+/// them and lookups scan only that prefix. The valid ways' recency bytes
+/// are the set's exact LRU order: a way of rank `r`, 0 the most recent,
+/// holds `255 - r`, and a free way holds 0, which no update changes. A
+/// hit or a merging fill makes its way rank 0 and ages by one every way
+/// that was more recent; a new fill ages every valid way by one and takes
+/// rank 0. A full set evicts its way of rank `ways - 1`.
 ///
 /// # Example
 ///
@@ -198,13 +212,15 @@ fn line_key(line: LineAddr) -> u64 {
 #[derive(Clone, Debug)]
 pub struct L2Cache {
     config: CacheConfig,
-    /// `ways` words per set, zero until filled.
-    ways: Vec<u64>,
+    /// `ways` tag words per set, zero until filled.
+    tags: Vec<u32>,
+    /// `ways` recency bytes per set, `NEWEST - rank`, zero until filled.
+    recency: Vec<u8>,
     /// Valid ways per set.
     filled: Vec<u32>,
+    set_bits: u32,
     set_mask: u64,
     assoc: usize,
-    stamp: u64,
     stats: CacheStats,
 }
 
@@ -218,11 +234,12 @@ impl L2Cache {
         let sets = config.sets();
         L2Cache {
             config,
-            ways: vec![0; sets * config.ways],
+            tags: vec![0; sets * config.ways],
+            recency: vec![0; sets * config.ways],
             filled: vec![0; sets],
+            set_bits: sets.trailing_zeros(),
             set_mask: sets as u64 - 1,
             assoc: config.ways,
-            stamp: 0,
             stats: CacheStats::default(),
         }
     }
@@ -241,44 +258,77 @@ impl L2Cache {
     fn set_index(&self, line: LineAddr) -> usize {
         // Fold the high bits down so disjoint per-core regions spread across
         // all sets.
-        let x = line.0;
-        ((x ^ (x >> 14) ^ (x >> 28) ^ (x >> 42)) & self.set_mask) as usize
+        ((line.0 ^ fold(line.0)) & self.set_mask) as usize
     }
 
-    /// The index of the line keyed `key` in set `idx`, if resident.
+    /// `line`'s tag in place in a tag word, flags clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tag does not fit: a truncated tag would alias another
+    /// line.
     #[inline]
-    fn find(&self, idx: usize, key: u64) -> Option<usize> {
+    fn key(&self, line: LineAddr) -> u32 {
+        assert!(
+            fits_tag(line, self.set_bits),
+            "L2 line {:#x} does not fit the {TAG_BITS}-bit tag of a {}-set cache",
+            line.0,
+            self.set_mask + 1
+        );
+        ((line.0 >> self.set_bits) as u32) << TAG_SHIFT
+    }
+
+    /// The line a tag word holds in set `idx`. The index bits are the set
+    /// index with the fold undone. The fold reads only bits at least
+    /// [`FOLD_BITS`] above each index bit, so one pass recovers up to that
+    /// many index bits from the tag, and each further pass another
+    /// [`FOLD_BITS`] from the ones above them.
+    fn line_of(&self, word: u32, idx: usize) -> LineAddr {
+        let high = u64::from(word >> TAG_SHIFT) << self.set_bits;
+        let mut low = (idx as u64 ^ fold(high)) & self.set_mask;
+        for _ in 1..self.set_bits.div_ceil(FOLD_BITS) {
+            low = (idx as u64 ^ fold(high | low)) & self.set_mask;
+        }
+        LineAddr(high | low)
+    }
+
+    /// The ways of set `idx` that hold lines, a prefix of the set.
+    #[inline]
+    fn valid(&self, idx: usize) -> Range<usize> {
         let base = idx * self.assoc;
-        self.ways[base..base + self.filled[idx] as usize]
+        base..base + self.filled[idx] as usize
+    }
+
+    /// The index of the line keyed `key` among `ways`, if resident.
+    #[inline]
+    fn find(&self, ways: Range<usize>, key: u32) -> Option<usize> {
+        let base = ways.start;
+        self.tags[ways]
             .iter()
-            .position(|&way| way & LINE_FIELD == key)
+            .position(|&word| word & !(DIRTY | PREFETCHED) == key)
             .map(|w| base + w)
     }
 
-    /// The next recency stamp, in place in a way word.
-    #[inline]
-    fn next_stamp(&mut self) -> u64 {
-        self.stamp += 1;
-        if self.stamp == STAMP_LIMIT {
-            self.renumber();
+    /// Applies `f` to every recency byte of the set starting at `base`,
+    /// branch-free and 16 at a time, so that it vectorises with a fixed
+    /// trip count: a 16-way set is one vector operation.
+    #[inline(always)]
+    fn age(&mut self, base: usize, f: impl Fn(&mut u8) + Copy) {
+        let (lanes, rest) = self.recency[base..base + self.assoc].as_chunks_mut::<16>();
+        for lane in lanes {
+            lane.iter_mut().for_each(f);
         }
-        self.stamp << STAMP_SHIFT
+        rest.iter_mut().for_each(f);
     }
 
-    /// Restamps every set's valid ways with their recency ranks `0..n`
-    /// and restarts the counter at the associativity, above every rank.
-    /// Sorting the words sorts the ways by stamp.
-    #[cold]
-    #[inline(never)]
-    fn renumber(&mut self) {
-        for (set, &n) in self.ways.chunks_exact_mut(self.assoc).zip(&self.filled) {
-            let valid = &mut set[..n as usize];
-            valid.sort_unstable();
-            for (rank, way) in (0u64..).zip(valid) {
-                *way = rank << STAMP_SHIFT | (*way & (LINE_FIELD | DIRTY | PREFETCHED));
-            }
-        }
-        self.stamp = self.assoc as u64;
+    /// Makes the valid way `at` of the set starting at `base` the most
+    /// recent: every way more recent than it ages by one. Free ways' zeros
+    /// lie below it, so they stay.
+    #[inline(always)]
+    fn touch(&mut self, base: usize, at: usize) {
+        let recency = self.recency[at];
+        self.age(base, |r| *r -= u8::from(*r > recency));
+        self.recency[at] = NEWEST;
     }
 
     /// Performs a demand access. On a hit the line's LRU position is
@@ -287,19 +337,19 @@ impl L2Cache {
     ///
     /// # Panics
     ///
-    /// Panics if `line` is at or above `2^40`.
+    /// Panics if the cache cannot tag `line` ([`CacheConfig::can_tag`]).
     pub fn access(&mut self, line: LineAddr, is_store: bool) -> Access {
-        let key = line_key(line);
-        let stamp = self.next_stamp();
-        let idx = self.set_index(line);
-        let Some(at) = self.find(idx, key) else {
+        let key = self.key(line);
+        let ways = self.valid(self.set_index(line));
+        let Some(at) = self.find(ways.clone(), key) else {
             self.stats.misses += 1;
             return Access::Miss;
         };
-        let way = self.ways[at];
-        let first_use = way & PREFETCHED != 0;
+        let word = self.tags[at];
+        let first_use = word & PREFETCHED != 0;
         let dirty = if is_store { DIRTY } else { 0 };
-        self.ways[at] = stamp | (way & (LINE_FIELD | DIRTY)) | dirty;
+        self.tags[at] = (word & !PREFETCHED) | dirty;
+        self.touch(ways.start, at);
         self.stats.hits += 1;
         if first_use {
             self.stats.prefetch_useful += 1;
@@ -313,9 +363,10 @@ impl L2Cache {
     ///
     /// # Panics
     ///
-    /// Panics if `line` is at or above `2^40`.
+    /// Panics if the cache cannot tag `line` ([`CacheConfig::can_tag`]).
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.find(self.set_index(line), line_key(line)).is_some()
+        self.find(self.valid(self.set_index(line)), self.key(line))
+            .is_some()
     }
 
     /// Installs `line`, evicting the LRU way if the set is full. Returns the
@@ -326,45 +377,48 @@ impl L2Cache {
     ///
     /// # Panics
     ///
-    /// Panics if `line` is at or above `2^40`.
+    /// Panics if the cache cannot tag `line` ([`CacheConfig::can_tag`]).
     pub fn fill(&mut self, line: LineAddr, dirty: bool, prefetched: bool) -> Option<LineAddr> {
-        let key = line_key(line);
-        let stamp = self.next_stamp();
+        let key = self.key(line);
         let dirty = if dirty { DIRTY } else { 0 };
         let idx = self.set_index(line);
+        let ways = self.valid(idx);
 
         // Already present (e.g. a demand fill racing a prefetch fill):
         // merge flags rather than duplicating the line.
-        if let Some(at) = self.find(idx, key) {
-            let kept = self.ways[at] & (LINE_FIELD | DIRTY | PREFETCHED);
-            self.ways[at] = stamp | kept | dirty;
+        if let Some(at) = self.find(ways.clone(), key) {
+            self.tags[at] |= dirty;
+            self.touch(ways.start, at);
             return None;
         }
 
-        let base = idx * self.assoc;
-        let n = self.filled[idx] as usize;
         let mut writeback = None;
-        let at = if n < self.assoc {
+        let at = if ways.len() < self.assoc {
             self.filled[idx] += 1;
-            base + n
+            ways.end
         } else {
-            // Full: evict the least-recent way, the smallest word.
-            let set = &self.ways[base..base + self.assoc];
-            let (w, &victim) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &way)| way)
-                .expect("ways > 0 by construction");
+            // Full: evict the least-recent way, rank `ways - 1`.
+            let oldest = (MAX_WAYS - self.assoc) as u8;
+            let w = ways.start
+                + self.recency[ways.clone()]
+                    .iter()
+                    .position(|&r| r == oldest)
+                    .expect("a full set ranks its ways 0..ways");
+            let victim = self.tags[w];
             if victim & PREFETCHED != 0 {
                 self.stats.prefetch_unused += 1;
             }
             if victim & DIRTY != 0 {
                 self.stats.writebacks += 1;
-                writeback = Some(LineAddr((victim & LINE_FIELD) >> LINE_SHIFT));
+                writeback = Some(self.line_of(victim, idx));
             }
-            base + w
+            w
         };
-        self.ways[at] = stamp | key | dirty | if prefetched { PREFETCHED } else { 0 };
+        self.tags[at] = key | dirty | if prefetched { PREFETCHED } else { 0 };
+        // Every valid way ages by one, without comparisons: a free way's
+        // zero stays zero, and a victim's byte is overwritten.
+        self.age(ways.start, |r| *r = r.saturating_sub(1));
+        self.recency[at] = NEWEST;
         if prefetched {
             self.stats.prefetch_fills += 1;
         }
@@ -506,79 +560,77 @@ mod tests {
         let c = CacheConfig::default();
         assert_eq!(c.sets(), 16_384);
         let cache = L2Cache::new(c);
-        assert_eq!(cache.ways.len(), 16_384 * 16);
+        assert_eq!(cache.tags.len(), 16_384 * 16);
+        assert_eq!(cache.recency.len(), 16_384 * 16);
         assert_eq!(cache.filled.len(), 16_384);
     }
 
-    /// A run that crosses the stamp limit, and so renumbers every set,
-    /// makes the same decisions as one that stays far below it.
+    /// A set's recency bytes are its exact LRU order: the valid ways hold
+    /// `NEWEST - rank` for the ranks `0..n`, the way touched last rank 0,
+    /// and free ways stay zero. Checked after every call against a
+    /// most-recent-first list, in one set of 8 ways over 12 lines.
     #[test]
-    fn renumbering_at_the_stamp_limit_changes_no_decision() {
-        // 8 sets x 4 ways, over a universe of three times as many lines in
-        // four address regions.
-        let config = CacheConfig {
-            size_bytes: 8 * 4 * 64,
-            ways: 4,
+    fn ranks_order_each_set_by_recency() {
+        let mut c = L2Cache::new(CacheConfig {
+            size_bytes: 8 * 64,
+            ways: 8,
             line_bytes: 64,
-        };
-        let universe = |r: u64, lo: u64| LineAddr(r << 28 | lo);
-        for below in [50, 10_000] {
-            let mut fresh = L2Cache::new(config);
-            let mut crossing = L2Cache::new(config);
-            crossing.stamp = STAMP_LIMIT - below;
-            let mut rng = simkernel::SimRng::new(below);
-            for i in 0..20_000 {
-                let line = universe(rng.below(4), rng.below(24));
-                let dirty = rng.chance(0.3);
-                if rng.chance(0.5) {
-                    let got = crossing.access(line, dirty);
-                    assert_eq!(got, fresh.access(line, dirty), "op {i}");
-                } else {
-                    let prefetched = rng.chance(0.2);
-                    let got = crossing.fill(line, dirty, prefetched);
-                    assert_eq!(got, fresh.fill(line, dirty, prefetched), "op {i}");
+        });
+        let mut order: Vec<LineAddr> = Vec::new();
+        let mut rng = simkernel::SimRng::new(5);
+        for i in 0..2_000 {
+            let line = LineAddr(rng.below(12));
+            let at = order.iter().position(|&l| l == line);
+            if rng.chance(0.5) {
+                let hit = matches!(c.access(line, rng.chance(0.3)), Access::Hit { .. });
+                assert_eq!(hit, at.is_some(), "op {i}");
+                if let Some(at) = at {
+                    order.remove(at);
+                    order.insert(0, line);
                 }
+            } else {
+                c.fill(line, rng.chance(0.3), rng.chance(0.2));
+                match at {
+                    Some(at) => drop(order.remove(at)),
+                    None if order.len() == 8 => drop(order.pop()),
+                    None => {}
+                }
+                order.insert(0, line);
             }
-            assert!(crossing.stamp < fresh.stamp, "never renumbered");
-            assert_eq!(crossing.stats(), fresh.stats());
-            for (r, lo) in (0..4).flat_map(|r| (0..24).map(move |lo| (r, lo))) {
-                let line = universe(r, lo);
-                assert_eq!(crossing.contains(line), fresh.contains(line));
+            let n = c.filled[0] as usize;
+            assert_eq!(n, order.len(), "op {i}");
+            for (w, &recency) in c.recency.iter().enumerate() {
+                let want = if w < n {
+                    let held = c.line_of(c.tags[w], 0);
+                    NEWEST - order.iter().position(|&l| l == held).expect("resident") as u8
+                } else {
+                    0
+                };
+                assert_eq!(recency, want, "op {i} way {w}");
             }
         }
     }
 
-    /// The access that reaches the stamp limit is stamped above every
-    /// renumbered way, so the line it touched outlives the next eviction.
-    /// It touches the lower address, which a tied stamp would evict.
     #[test]
-    fn the_access_that_renumbers_is_the_most_recent() {
-        let mut c = tiny();
-        let lines = same_set_lines(&c, 3);
-        let (low, high) = (lines[0], lines[1]);
-        c.stamp = STAMP_LIMIT - 4;
-        c.fill(high, false, false);
-        c.fill(low, false, false);
-        let _ = c.access(high, false);
-        let _ = c.access(low, false);
-        c.fill(lines[2], false, false);
-        assert!(c.contains(low) && !c.contains(high));
-    }
-
-    #[test]
-    #[should_panic(expected = "L2 line 0x10000000000 does not fit the 40-bit tag")]
+    #[should_panic(expected = "L2 line 0x100000000 does not fit the 30-bit tag of a 4-set cache")]
     fn access_rejects_a_line_past_the_tag() {
-        let _ = tiny().access(LineAddr(1 << 40), false);
+        let mut c = tiny();
+        assert_eq!(c.access(LineAddr((1 << 32) - 1), false), Access::Miss);
+        let _ = c.access(LineAddr(1 << 32), false);
     }
 
     #[test]
-    #[should_panic(expected = "L2 line 0x10000000000 does not fit the 40-bit tag")]
+    #[should_panic(expected = "L2 line 0x100000000 does not fit the 30-bit tag of a 4-set cache")]
     fn fill_rejects_a_line_past_the_tag() {
-        let _ = tiny().fill(LineAddr(1 << 40), false, false);
+        let mut c = tiny();
+        assert_eq!(c.fill(LineAddr((1 << 32) - 1), false, false), None);
+        let _ = c.fill(LineAddr(1 << 32), false, false);
     }
 
     #[test]
-    #[should_panic(expected = "L2 line 0xffffffffffffffff does not fit the 40-bit tag")]
+    #[should_panic(
+        expected = "L2 line 0xffffffffffffffff does not fit the 30-bit tag of a 4-set cache"
+    )]
     fn contains_rejects_a_line_past_the_tag() {
         let _ = tiny().contains(LineAddr(u64::MAX));
     }
@@ -587,15 +639,21 @@ mod tests {
     fn validate_rejects_each_bad_geometry() {
         let ok = CacheConfig::default();
         assert_eq!(ok.validate(), Ok(()));
+        let widest = CacheConfig {
+            size_bytes: 64 * 256,
+            ways: 256,
+            ..ok
+        };
+        assert_eq!(widest.validate(), Ok(()));
         let bad = [
             (CacheConfig { ways: 0, ..ok }, "at least one way"),
             (
                 CacheConfig {
-                    size_bytes: 64 << 22,
-                    ways: 1 << 22,
+                    size_bytes: 64 * 257,
+                    ways: 257,
                     ..ok
                 },
-                "recency stamps",
+                "recency rank",
             ),
             (
                 CacheConfig {

@@ -6,11 +6,12 @@
 //! the CPU side of that second step:
 //!
 //! * [`L2Cache`] — the shared 16 MiB, 16-way LLC with LRU replacement,
-//!   writeback tracking, and prefetch-accuracy bookkeeping. Each way is
-//!   one 8-byte word (recency stamp, a line address below 2^40, and
-//!   flags), and a set's valid ways form a prefix, so lookups scan only
-//!   the filled ways. [`CacheConfig::validate`] rejects geometries it
-//!   cannot build.
+//!   writeback tracking, and prefetch-accuracy bookkeeping. Each way is a
+//!   4-byte tag word (`line >> log2(sets)` in 30 bits, and flags) and a
+//!   1-byte recency rank that orders its set exactly, and a set's valid
+//!   ways form a prefix, so lookups scan only the filled ways.
+//!   [`CacheConfig::validate`] rejects geometries it cannot build, and
+//!   [`CacheConfig::can_tag`] says which lines a geometry can hold.
 //! * [`CoreSim`] — a single-issue core replaying a synthetic trace
 //!   ([`workloads::TraceGen`]), stalling on L2 hits (fixed uncore latency)
 //!   and on L2 misses; per-core DVFS with transition halts. A step reports

@@ -2,7 +2,9 @@
 //! the 16-byte-way rewrite, kept verbatim, driven in lockstep with
 //! [`L2Cache`] by random `access`, `fill` and `contains` calls. Every return
 //! value, the statistics after every call, and the final residency of
-//! every line touched must agree.
+//! every line touched must agree. Its set-index fold also judges the
+//! lines a property test builds to check that a dirty victim is written
+//! back at the line that was filled.
 
 use cpusim::{Access, CacheConfig, CacheStats, L2Cache};
 use memsim::LineAddr;
@@ -183,10 +185,16 @@ enum Op {
 }
 
 /// Maps raw draws onto a line universe three times the cache's capacity,
-/// spread over four address regions so the set-index fold sees high bits.
-fn op_of(raw: (u8, u64, u64, u8), capacity: u64) -> Op {
+/// in four address regions spread below `bound`, the first line whose tag
+/// the geometry cannot hold. The last region ends on the line below it,
+/// so the set-index fold and the tag see every high bit a line can have.
+fn op_of(raw: (u8, u64, u64, u8), capacity: u64, bound: u64) -> Op {
     let (kind, region, lo, flags) = raw;
-    let line = LineAddr(((region % 4) << 28) | (lo % (3 * capacity)));
+    let span = 3 * capacity;
+    let line = match region % 4 {
+        3 => LineAddr(bound - 1 - lo % span),
+        r => LineAddr(r * (bound / 4) + lo % span),
+    };
     match kind {
         0..=3 => Op::Access {
             line,
@@ -201,14 +209,120 @@ fn op_of(raw: (u8, u64, u64, u8), capacity: u64) -> Op {
     }
 }
 
+/// The first line a cache of `2^sets_log2` sets cannot tag: its tags hold
+/// `line >> sets_log2` in 30 bits.
+fn tag_bound(sets_log2: u32) -> u64 {
+    1 << (30 + sets_log2)
+}
+
+/// Drives [`L2Cache`] and the reference in lockstep through `ops`. Every
+/// return value, the statistics after every call, and the final residency
+/// of every line touched must agree.
+fn lockstep(config: CacheConfig, ops: impl IntoIterator<Item = Op>) {
+    let mut l2 = L2Cache::new(config);
+    let mut reference = RefL2::new(config);
+    let mut touched = Vec::new();
+    for (i, op) in ops.into_iter().enumerate() {
+        match op {
+            Op::Access { line, store } => {
+                touched.push(line);
+                prop_assert_eq!(
+                    l2.access(line, store),
+                    reference.access(line, store),
+                    "op {} {:?}",
+                    i,
+                    op
+                );
+            }
+            Op::Fill {
+                line,
+                dirty,
+                prefetched,
+            } => {
+                touched.push(line);
+                prop_assert_eq!(
+                    l2.fill(line, dirty, prefetched),
+                    reference.fill(line, dirty, prefetched),
+                    "op {} {:?}",
+                    i,
+                    op
+                );
+            }
+            Op::Contains(line) => {
+                prop_assert_eq!(
+                    l2.contains(line),
+                    reference.contains(line),
+                    "op {} {:?}",
+                    i,
+                    op
+                );
+            }
+        }
+        prop_assert_eq!(
+            l2.stats(),
+            reference.stats(),
+            "stats after op {} {:?}",
+            i,
+            op
+        );
+    }
+    for line in touched {
+        prop_assert_eq!(
+            l2.contains(line),
+            reference.contains(line),
+            "final residency of {:?}",
+            line
+        );
+    }
+    prop_assert_eq!(l2.config(), reference.config());
+}
+
+/// The line with tag `tag` in set `idx` of a cache of `2^sets_log2`
+/// sets, solved one index bit at a time from the top: each index bit is
+/// the line's bit there XOR its bits 14, 28 and 42 higher, which are
+/// already known.
+fn line_in_set(tag: u64, idx: u64, sets_log2: u32) -> LineAddr {
+    let mut line = tag << sets_log2;
+    for i in (0..sets_log2).rev() {
+        let above = (line >> (i + 14)) ^ (line >> (i + 28)) ^ (line >> (i + 42));
+        line |= (((idx >> i) ^ above) & 1) << i;
+    }
+    LineAddr(line)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn l2_matches_the_way_array_reference(
-        ways in 1usize..33,
+        ways_draw in 1usize..37,
         sets_log2 in 0u32..4,
         raw in prop::collection::vec((0u8..10, any::<u64>(), any::<u64>(), 0u8..4), 1..600),
+    ) {
+        // 1 to 32 ways, then 64, 128 and 256, the most a rank orders.
+        let ways = if ways_draw <= 32 { ways_draw } else { 256 >> (36 - ways_draw) };
+        let sets = 1u64 << sets_log2;
+        let config = CacheConfig {
+            size_bytes: sets * ways as u64 * 64,
+            ways,
+            line_bytes: 64,
+        };
+        let capacity = sets * ways as u64;
+        let bound = tag_bound(sets_log2);
+        lockstep(config, raw.into_iter().map(|r| op_of(r, capacity, bound)));
+    }
+
+    /// A dirty line evicted from a full set is written back at the line
+    /// that was filled, which the cache rebuilds from the way's tag and
+    /// the set index. Set counts run to 2^16, where undoing the index
+    /// fold takes two passes, and tags reach the geometry's bound.
+    #[test]
+    fn a_dirty_victim_is_written_back_at_its_line(
+        sets_log2 in 0u32..17,
+        ways in 1usize..5,
+        idx in any::<u64>(),
+        tag in 0u64..1 << 30,
+        at_bound in any::<bool>(),
     ) {
         let sets = 1u64 << sets_log2;
         let config = CacheConfig {
@@ -216,36 +330,47 @@ proptest! {
             ways,
             line_bytes: 64,
         };
+        let index = RefL2::new(CacheConfig { size_bytes: sets * 64, ways: 1, line_bytes: 64 });
+        let idx = idx & (sets - 1);
+        let tag = if at_bound { (1 << 30) - 1 } else { tag };
         let mut l2 = L2Cache::new(config);
-        let mut reference = RefL2::new(config);
-        let capacity = sets * ways as u64;
-        let mut touched = Vec::new();
-        for (i, r) in raw.into_iter().enumerate() {
-            let op = op_of(r, capacity);
-            match op {
-                Op::Access { line, store } => {
-                    touched.push(line);
-                    prop_assert_eq!(l2.access(line, store), reference.access(line, store), "op {} {:?}", i, op);
-                }
-                Op::Fill { line, dirty, prefetched } => {
-                    touched.push(line);
-                    prop_assert_eq!(
-                        l2.fill(line, dirty, prefetched),
-                        reference.fill(line, dirty, prefetched),
-                        "op {} {:?}", i, op
-                    );
-                }
-                Op::Contains(line) => {
-                    prop_assert_eq!(l2.contains(line), reference.contains(line), "op {} {:?}", i, op);
-                }
-            }
-            prop_assert_eq!(l2.stats(), reference.stats(), "stats after op {} {:?}", i, op);
+        let victim = line_in_set(tag, idx, sets_log2);
+        prop_assert!(victim.0 < tag_bound(sets_log2));
+        prop_assert_eq!(index.set_index(victim) as u64, idx);
+        prop_assert_eq!(l2.fill(victim, true, false), None);
+        for k in 1..=ways as u64 {
+            let other = line_in_set(tag ^ k, idx, sets_log2);
+            prop_assert_eq!(index.set_index(other) as u64, idx);
+            let want = if k == ways as u64 { Some(victim) } else { None };
+            prop_assert_eq!(l2.fill(other, false, false), want, "fill {}", k);
         }
-        for line in touched {
-            prop_assert_eq!(l2.contains(line), reference.contains(line), "final residency of {:?}", line);
-        }
-        prop_assert_eq!(l2.config(), reference.config());
+        prop_assert!(!l2.contains(victim));
+        prop_assert_eq!(l2.stats().writebacks, 1);
     }
+}
+
+/// A set at the rank's cap of 256 ways fills and evicts in lockstep with
+/// the reference: one set, 20,000 calls over 768 lines.
+#[test]
+fn a_set_of_256_ways_matches_the_reference() {
+    let config = CacheConfig {
+        size_bytes: 256 * 64,
+        ways: 256,
+        line_bytes: 64,
+    };
+    let mut rng = simkernel::SimRng::new(256);
+    let ops: Vec<Op> = (0..20_000)
+        .map(|_| {
+            let raw = (
+                rng.below(10) as u8,
+                rng.next_u64(),
+                rng.next_u64(),
+                rng.below(4) as u8,
+            );
+            op_of(raw, 256, tag_bound(0))
+        })
+        .collect();
+    lockstep(config, ops);
 }
 
 /// Filling a line that is already resident merges its flags and refreshes

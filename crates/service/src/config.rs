@@ -530,21 +530,25 @@ impl ServiceConfig {
             }
         }
         for event in self.churn.events() {
-            let spec = match &event.action {
-                ChurnAction::Join(spec) => spec,
-                ChurnAction::Leave(name) => {
-                    live.remove(name.as_str());
-                    continue;
-                }
+            let (verb, name) = match &event.action {
+                ChurnAction::Join(spec) => ("join", &spec.name),
+                ChurnAction::Leave(name) => ("leave", name),
             };
-            let fail =
-                |e: String| format!("churn join {} at round {}: {e}", spec.name, event.round);
+            let fail = |e: String| format!("churn {verb} {name} at round {}: {e}", event.round);
             if event.round >= self.rounds {
                 return Err(fail(format!(
                     "at or past the {}-round horizon, so it would never fire",
                     self.rounds
                 )));
             }
+            let ChurnAction::Join(spec) = &event.action else {
+                if !live.remove(name.as_str()) {
+                    return Err(fail(format!(
+                        "no server '{name}' is in the fleet at that round"
+                    )));
+                }
+                continue;
+            };
             Self::validate_spec(spec).map_err(fail)?;
             if !live.insert(spec.name.as_str()) {
                 return Err(fail(format!(
@@ -790,6 +794,51 @@ mod tests {
         churn.join(5, "s0", spec("s0")).unwrap();
         let ok = open_loop_base().with_churn(churn).validate();
         assert!(ok.is_ok(), "{ok:?}");
+    }
+
+    /// A leave must name a server in the fleet at its round, and fire
+    /// before the horizon, as a join must; before, both mistakes were
+    /// accepted and did nothing.
+    #[test]
+    fn validation_rejects_a_leave_of_no_live_server_or_past_the_horizon() {
+        let leave = |round: usize, name: &str| {
+            let mut churn = ChurnSchedule::new();
+            churn.leave(round, name).unwrap();
+            open_loop_base().with_churn(churn).validate()
+        };
+        assert!(leave(39, "s0").is_ok());
+        assert_eq!(
+            leave(2, "zz").unwrap_err(),
+            "churn leave zz at round 2: no server 'zz' is in the fleet at that round"
+        );
+        for round in [40, 41, 1000] {
+            assert_eq!(
+                leave(round, "s0").unwrap_err(),
+                format!(
+                    "churn leave s0 at round {round}: at or past the 40-round horizon, \
+                     so it would never fire"
+                )
+            );
+        }
+
+        // A name is live only between its join and its leave.
+        let spec = ServiceServerSpec::small("c", "ILP1", 2, 1000.0);
+        let mut early = ChurnSchedule::new();
+        early.leave(2, "c").unwrap();
+        early.join(3, "c", spec.clone()).unwrap();
+        let err = open_loop_base().with_churn(early).validate().unwrap_err();
+        assert!(
+            err.starts_with("churn leave c at round 2: no server 'c'"),
+            "{err}"
+        );
+        let mut twice = ChurnSchedule::new();
+        twice.leave(2, "s0").unwrap();
+        twice.leave(3, "s0").unwrap();
+        let err = open_loop_base().with_churn(twice).validate().unwrap_err();
+        assert!(
+            err.starts_with("churn leave s0 at round 3: no server 's0'"),
+            "{err}"
+        );
     }
 
     #[test]

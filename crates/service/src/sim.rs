@@ -506,23 +506,26 @@ impl FleetRun {
                     self.servers.push(ServiceServer::new(&spec, 0.0, offset));
                 }
                 ChurnAction::Leave(name) => {
-                    if let Some(i) = self.servers.iter().position(|s| s.server.name == name) {
-                        let mut server = self.servers.remove(i);
-                        // Closed loop: the departing server's queued
-                        // requests are lost and released like shed ones,
-                        // at this barrier: a client goes back to
-                        // thinking, a traced span fails its DAG (the
-                        // client learns when the root closes).
-                        let orphans = server.abandon_queue();
-                        let now = self.global_time(round);
-                        if let Some(cl) = self.closed_loop.as_mut() {
-                            for caller in orphans {
-                                cl.release(caller, Resolution::Shed, now, now, &mut self.servers);
-                            }
+                    let i = self
+                        .servers
+                        .iter()
+                        .position(|s| s.server.name == name)
+                        .expect("validated: a leave names a live server");
+                    let mut server = self.servers.remove(i);
+                    // Closed loop: the departing server's queued
+                    // requests are lost and released like shed ones,
+                    // at this barrier: a client goes back to
+                    // thinking, a traced span fails its DAG (the
+                    // client learns when the root closes).
+                    let orphans = server.abandon_queue();
+                    let now = self.global_time(round);
+                    if let Some(cl) = self.closed_loop.as_mut() {
+                        for caller in orphans {
+                            cl.release(caller, Resolution::Shed, now, now, &mut self.servers);
                         }
-                        self.departures.push(server.into_outcome(true));
-                        self.tree.remove_server(&name);
                     }
+                    self.departures.push(server.into_outcome(true));
+                    self.tree.remove_server(&name);
                 }
             }
         }

@@ -49,6 +49,21 @@ impl Layout {
     }
 }
 
+/// The highest line any trace of a `cores`-core configuration can
+/// reference. Each core's slice of the address space lies above the
+/// previous core's, and its stream region is the highest of its three,
+/// so this is the top of the last core's stream region. A shared L2 must
+/// be able to tag this line and the next-line prefetcher's probe one
+/// above it.
+///
+/// # Panics
+///
+/// Panics if `cores` is zero.
+pub fn max_line(cores: usize) -> LineAddr {
+    let last = Layout::for_core(cores.checked_sub(1).expect("at least one core"));
+    LineAddr(last.stream_base + last.stream_lines - 1)
+}
+
 /// An infinite, deterministic generator of [`TraceOp`]s for one application
 /// instance on one core.
 ///
@@ -257,21 +272,33 @@ mod tests {
         }
     }
 
-    /// `cpusim::L2Cache` tags lines below 2^40 and panics on any other.
-    /// The highest line the generator can produce belongs to the last of
-    /// a configuration's 16 cores; the prefetcher probes one line above
-    /// it. All of them lie below 2^36.
+    /// `cpusim::L2Cache` tags `line >> log2(sets)` in 30 bits and panics
+    /// on a line whose tag does not fit, so `SimConfig::validate` checks
+    /// the L2 against `max_line` plus the prefetcher's probe. That bound
+    /// must cover every region of every core, and it is reached: the
+    /// stream region's last line. At the 16 cores `SimConfig` allows it
+    /// and the probe lie below 2^36, so an L2 of 64 sets or more fits
+    /// any configuration.
     #[test]
     fn every_line_fits_the_l2_tag() {
-        let l = Layout::for_core(15);
-        let tops = [
-            l.hot_base + l.hot_lines - 1,
-            l.rand_base + l.rand_lines - 1,
-            l.stream_base + l.stream_lines - 1,
-        ];
-        for top in tops {
-            assert!(top + 1 < 1 << 36, "{top:#x}");
+        for cores in 1..=16 {
+            let bound = max_line(cores).0;
+            for core in 0..cores {
+                let l = Layout::for_core(core);
+                let tops = [
+                    l.hot_base + l.hot_lines - 1,
+                    l.rand_base + l.rand_lines - 1,
+                    l.stream_base + l.stream_lines - 1,
+                ];
+                for top in tops {
+                    assert!(top <= bound, "{cores} cores: core {core} top {top:#x}");
+                }
+            }
+            let mut g = TraceGen::new(flat(20.0, 1.0, 1.0), cores - 1, 3);
+            g.stream_ptr = g.layout.stream_lines - 1;
+            assert_eq!(g.next_op().line.0, bound, "{cores} cores");
         }
+        assert!(max_line(16).0 + 1 < 1 << 36);
     }
 
     #[test]

@@ -39,6 +39,6 @@ mod mixes;
 mod profile;
 
 pub use apps::{app, ALL_APPS};
-pub use gen::{TraceGen, TraceOp};
+pub use gen::{max_line, TraceGen, TraceOp};
 pub use mixes::{all_mixes, mix, mixes_in_class, Mix, MixClass};
 pub use profile::{AppProfile, InstrMix, PhaseProfile};

@@ -109,6 +109,38 @@ fn serving_rejects_a_join_past_the_horizon() {
 }
 
 #[test]
+fn serving_rejects_a_leave_of_no_server_in_the_fleet() {
+    assert_rejected(
+        &[
+            "--serve",
+            "--servers",
+            "a=MID1,b=ILP1",
+            "--leave",
+            "2:zz",
+            "--rounds",
+            "4",
+        ],
+        "churn leave zz at round 2: no server 'zz' is in the fleet at that round",
+    );
+}
+
+#[test]
+fn serving_rejects_a_leave_past_the_horizon() {
+    assert_rejected(
+        &[
+            "--serve",
+            "--servers",
+            "a=MID1,b=ILP1",
+            "--leave",
+            "9:a",
+            "--rounds",
+            "4",
+        ],
+        "churn leave a at round 9: at or past the 4-round horizon",
+    );
+}
+
+#[test]
 fn batch_rejects_a_repeated_server_name() {
     assert_rejected(
         &["--servers", "a=MID1,a=ILP1"],

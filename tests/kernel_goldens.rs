@@ -9,11 +9,12 @@
 //! of [`RunResult::digest`] at `SimConfig::small` with 1 M instructions
 //! per application, computed on the engine before its agenda, read-tag
 //! slab and 16-byte L2 ways replaced the event heap, the tag map and the
-//! way structs. One more pins a full 16-core run long enough to renumber
-//! the L2's recency stamps, computed before the 8-byte ways gave them a
-//! limit. A kernel change that alters any event order, cache decision or
-//! counter moves at least one of them; the fix is in the kernel, never in
-//! the constant.
+//! way structs. One more pins a full 16-core run, computed before the
+//! 8-byte ways gave the L2's recency stamps a limit; those ways renumbered
+//! their stamps during it, and the ways that replaced them, a 4-byte tag
+//! and a 1-byte recency rank each, keep no stamp at all. A kernel change
+//! that alters any event order, cache decision or counter moves at least
+//! one of them; the fix is in the kernel, never in the constant.
 
 use coscale_repro::memsim::{AddrMap, PagePolicy, SchedPolicy};
 use coscale_repro::prelude::*;
@@ -155,9 +156,10 @@ fn mid2_with_a_wide_l2_under_cpu_only() {
     );
 }
 
-/// The only run here long enough to exhaust the L2's 22-bit recency
-/// stamps (about 6.9 M accesses and fills), so the cache renumbers its
-/// ways mid-run. Computed before the stamps had a limit.
+/// The only run here long enough (about 6.9 M accesses and fills) to
+/// exhaust the 22-bit recency stamps the 8-byte L2 ways kept, which
+/// renumbered their ways mid-run. Computed before the stamps had a limit;
+/// the rank-ordered ways that replaced them must match it too.
 #[test]
 fn mem1_16_cores_crosses_the_l2_stamp_limit() {
     let mut c = SimConfig::for_mix(mix("MEM1").expect("known mix"));
