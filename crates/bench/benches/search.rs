@@ -6,7 +6,7 @@ use bench::experiments::synthetic_profile;
 use coscale::{CoScalePolicy, MemScalePolicy, Model, OfflinePolicy, Plan, Policy, SimConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use memsim::MemConfig;
-use powermodel::{MemGeometry, PowerConfig};
+use powermodel::PowerConfig;
 use simkernel::Ps;
 use std::hint::black_box;
 
@@ -14,17 +14,14 @@ struct Fixture {
     core_grid: Vec<simkernel::Freq>,
     mem_cfg: MemConfig,
     power: PowerConfig,
-    geom: MemGeometry,
 }
 
 impl Fixture {
     fn new() -> Fixture {
-        let mem_cfg = MemConfig::default();
         Fixture {
             core_grid: SimConfig::core_grid_with_steps(10),
-            geom: MemGeometry::of(&mem_cfg),
+            mem_cfg: MemConfig::default(),
             power: PowerConfig::default(),
-            mem_cfg,
         }
     }
 }
@@ -40,8 +37,6 @@ fn bench_decision(c: &mut Criterion) {
             &fx.core_grid,
             &fx.mem_cfg.freq_grid,
             &fx.power,
-            fx.geom,
-            &fx.mem_cfg.timings,
             &slack,
             Ps::from_ms(5),
             0.10,
@@ -65,8 +60,6 @@ fn bench_policies_at_16(c: &mut Criterion) {
         &fx.core_grid,
         &fx.mem_cfg.freq_grid,
         &fx.power,
-        fx.geom,
-        &fx.mem_cfg.timings,
         &slack,
         Ps::from_ms(5),
         0.10,
@@ -102,8 +95,6 @@ fn bench_model_primitives(c: &mut Criterion) {
         &fx.core_grid,
         &fx.mem_cfg.freq_grid,
         &fx.power,
-        fx.geom,
-        &fx.mem_cfg.timings,
         &slack,
         Ps::from_ms(5),
         0.10,

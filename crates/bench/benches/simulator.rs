@@ -92,7 +92,6 @@ fn bench_l2(c: &mut Criterion) {
         let mut l2 = L2Cache::new(CacheConfig {
             size_bytes: 256 * 1024,
             ways: 4,
-            line_bytes: 64,
         });
         let mut next = 0u64;
         b.iter(|| {

@@ -13,7 +13,6 @@ use coscale::{
 };
 use cpusim::PipelineMode;
 use memsim::MemConfig;
-use powermodel::MemGeometry;
 use simkernel::Ps;
 use std::time::{Duration, Instant};
 
@@ -697,7 +696,6 @@ pub fn search_cost(ctx: &mut Ctx) {
     let core_grid = SimConfig::core_grid_with_steps(10);
     let mem_cfg = MemConfig::default();
     let power = powermodel::PowerConfig::default();
-    let geom = MemGeometry::of(&mem_cfg);
     let profiles: Vec<_> = CORES.iter().map(|&n| synthetic_profile(n)).collect();
     let mut runs: Vec<_> = CORES
         .iter()
@@ -708,8 +706,6 @@ pub fn search_cost(ctx: &mut Ctx) {
                 &core_grid,
                 &mem_cfg.freq_grid,
                 &power,
-                geom,
-                &mem_cfg.timings,
                 &vec![0.0; n],
                 Ps::from_ms(5),
                 0.10,

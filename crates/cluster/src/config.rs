@@ -490,12 +490,9 @@ mod tests {
 
         // A bad L2 geometry is an error here, not a panic on a
         // construction thread.
-        for (ways, line_bytes, size_bytes) in
-            [(0, 64, 1 << 20), (16, 0, 1 << 20), (16, 64, 3 << 20)]
-        {
+        for (ways, size_bytes) in [(0, 1 << 20), (16, 3 << 20)] {
             let mut c = ok.clone();
             c.servers[0].config.cache.ways = ways;
-            c.servers[0].config.cache.line_bytes = line_bytes;
             c.servers[0].config.cache.size_bytes = size_bytes;
             let err = c.validate().expect_err("bad L2 geometry");
             assert!(err.starts_with("server s0: L2"), "{err}");

@@ -251,10 +251,6 @@ mod tests {
         c.cache.ways = 0;
         assert!(c.validate().is_err());
 
-        let mut c = base.clone();
-        c.cache.line_bytes = 0;
-        assert!(c.validate().is_err());
-
         let mut c = base;
         c.cache.size_bytes = 3 << 20;
         assert!(c.validate().is_err());
@@ -269,7 +265,6 @@ mod tests {
         c.cache = CacheConfig {
             size_bytes: 8 * 16 * 64,
             ways: 16,
-            line_bytes: 64,
         };
         let err = c.validate().unwrap_err();
         assert!(

@@ -6,39 +6,31 @@ use crate::{
     extract_profile, make_policy, EpochProfile, Model, Plan, Policy, PolicyKind, SimConfig,
 };
 use cpusim::{CoreCounters, CoreOutput, CoreSim, L2Cache, Wake};
-use memsim::{LineAddr, MemCounters, MemEvent, MemorySystem, Outcome};
-use powermodel::{system_power, MemGeometry};
+use memsim::{LineAddr, MemCounters, MemEvent, MemorySystem, Outcome, CHANNELS, RANKS_PER_CHANNEL};
+use powermodel::system_power;
 use simkernel::{Freq, Ps};
 
 /// The agenda's memory lanes: channel `c`'s scheduling passes are lane
 /// `c`, and rank `r` of channel `c` refreshes on lane
-/// `channels + c * ranks + r`.
-#[derive(Clone, Copy, Debug)]
-struct MemLanes {
-    channels: usize,
-    ranks: usize,
+/// `CHANNELS + c * RANKS_PER_CHANNEL + r`.
+const MEM_LANES: usize = CHANNELS * (1 + RANKS_PER_CHANNEL);
+
+/// The agenda lane of a memory event.
+fn lane_of(event: MemEvent) -> usize {
+    match event {
+        MemEvent::Schedule { channel } => channel,
+        MemEvent::Refresh { channel, rank } => CHANNELS + channel * RANKS_PER_CHANNEL + rank,
+    }
 }
 
-impl MemLanes {
-    fn count(self) -> usize {
-        self.channels * (1 + self.ranks)
-    }
-
-    fn of(self, event: MemEvent) -> usize {
-        match event {
-            MemEvent::Schedule { channel } => channel,
-            MemEvent::Refresh { channel, rank } => self.channels + channel * self.ranks + rank,
-        }
-    }
-
-    fn event(self, lane: usize) -> MemEvent {
-        match lane.checked_sub(self.channels) {
-            None => MemEvent::Schedule { channel: lane },
-            Some(r) => MemEvent::Refresh {
-                channel: r / self.ranks,
-                rank: r % self.ranks,
-            },
-        }
+/// The memory event a lane carries.
+fn lane_event(lane: usize) -> MemEvent {
+    match lane.checked_sub(CHANNELS) {
+        None => MemEvent::Schedule { channel: lane },
+        Some(r) => MemEvent::Refresh {
+            channel: r / RANKS_PER_CHANNEL,
+            rank: r % RANKS_PER_CHANNEL,
+        },
     }
 }
 
@@ -58,7 +50,6 @@ pub struct System {
     cores: Vec<CoreSim>,
     l2: L2Cache,
     mem: MemorySystem,
-    lanes: MemLanes,
     agenda: Agenda,
     now: Ps,
     /// In-flight reads, indexed by tag. `memsim` only echoes a tag back in
@@ -115,13 +106,9 @@ impl System {
             c.warm_l2(&mut l2);
         }
         let mem = MemorySystem::new(config.mem.clone());
-        let lanes = MemLanes {
-            channels: config.mem.channels,
-            ranks: config.mem.ranks_per_channel(),
-        };
-        let mut agenda = Agenda::new(n, lanes.count());
+        let mut agenda = Agenda::new(n, MEM_LANES);
         for (t, e) in mem.initial_events() {
-            agenda.push_lane(lanes.of(e), t);
+            agenda.push_lane(lane_of(e), t);
         }
         for i in 0..n {
             agenda.wake(i, Ps::ZERO);
@@ -133,7 +120,6 @@ impl System {
             cores,
             l2,
             mem,
-            lanes,
             agenda,
             now: Ps::ZERO,
             reads: Vec::new(),
@@ -195,8 +181,7 @@ impl System {
             match due {
                 Due::Core(id) => self.step_core(id),
                 Due::Lane(lane) => {
-                    self.mem
-                        .handle(t, self.lanes.event(lane), &mut self.mem_out);
+                    self.mem.handle(t, lane_event(lane), &mut self.mem_out);
                     self.absorb_mem_out();
                 }
                 Due::Read(tag) => self.finish_read(tag),
@@ -212,7 +197,7 @@ impl System {
             self.agenda.push_read(c.finish, c.tag);
         }
         for (t, e) in self.mem_out.wakeups.drain(..) {
-            self.agenda.push_lane(self.lanes.of(e), t);
+            self.agenda.push_lane(lane_of(e), t);
         }
     }
 
@@ -523,14 +508,12 @@ pub struct Runner {
     /// and rest of system.
     parts_j: [f64; 4],
     records: Vec<EpochRecord>,
-    geom: MemGeometry,
     epoch: usize,
 }
 
 impl Runner {
     /// Creates a runner for `config` under the given policy kind.
     pub fn new(config: SimConfig, kind: PolicyKind) -> Runner {
-        let geom = MemGeometry::of(&config.mem);
         let n = config.cores;
         Runner {
             sys: System::new(config),
@@ -539,7 +522,6 @@ impl Runner {
             energy_j: -0.0,
             parts_j: [0.0; 4],
             records: Vec::new(),
-            geom,
             epoch: 0,
         }
     }
@@ -592,7 +574,6 @@ impl Runner {
             .collect();
         let power = system_power(
             &cfg.power,
-            &self.geom,
             &cores,
             b.l2_accesses - a.l2_accesses,
             cfg.mem.freq_grid[plan.mem],
@@ -697,8 +678,6 @@ impl Runner {
             &cfg.core_freqs,
             &cfg.mem.freq_grid,
             &cfg.power,
-            self.geom,
-            &cfg.mem.timings,
             &self.slack,
             cfg.epoch,
             cfg.gamma,
@@ -732,8 +711,6 @@ impl Runner {
             &cfg.core_freqs,
             &cfg.mem.freq_grid,
             &cfg.power,
-            self.geom,
-            &cfg.mem.timings,
             &self.slack,
             cfg.epoch,
             cfg.gamma,
@@ -799,10 +776,10 @@ impl Runner {
             mpki: stats.misses as f64 / kinst,
             wpki: stats.writebacks as f64 / kinst,
             prefetch_accuracy: stats.prefetch_accuracy(),
-            bus_utilization: mem_ctr.bus_utilization(makespan, cfg.mem.channels),
+            bus_utilization: mem_ctr.bus_utilization(makespan),
             row_hit_rate: mem_ctr.row_hits as f64 / mem_accesses as f64,
             avg_read_latency_ns: mem_ctr.avg_read_latency().as_ps() as f64 / 1e3,
-            mem_sleep_fraction: mem_ctr.rank_sleep_fraction(makespan, cfg.mem.total_ranks()),
+            mem_sleep_fraction: mem_ctr.rank_sleep_fraction(makespan),
             read_lat_p50_ns: sys.mem().read_latency_histogram().percentile(0.50) as f64 / 1e3,
             read_lat_p95_ns: sys.mem().read_latency_histogram().percentile(0.95) as f64 / 1e3,
             read_lat_p99_ns: sys.mem().read_latency_histogram().percentile(0.99) as f64 / 1e3,

@@ -14,8 +14,8 @@
 //! Every policy uses this same model; they differ only in how they search.
 
 use cpusim::CoreCounters;
-use memsim::{DdrTimings, MemCounters};
-use powermodel::{core_power, system_power, MemGeometry, PowerConfig, SystemPower};
+use memsim::{burst_time, fixed_read_service, MemCounters, RANKS};
+use powermodel::{core_power, system_power, PowerConfig, SystemPower};
 use simkernel::{Freq, Ps};
 
 /// A complete frequency assignment: one grid index per core plus the memory
@@ -159,7 +159,6 @@ pub struct Model<'a> {
     core_grid: &'a [Freq],
     mem_grid: &'a [Freq],
     power_cfg: &'a PowerConfig,
-    geom: MemGeometry,
     /// Frequency-independent read service time, seconds.
     fixed_service_s: f64,
     /// Burst time per memory grid point, seconds.
@@ -182,22 +181,19 @@ impl<'a> Model<'a> {
     /// `slack` is each core's accumulated slack in seconds (positive = the
     /// application is ahead of its bound); `epoch` the upcoming epoch
     /// length; `gamma` the degradation bound.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         profile: &'a EpochProfile,
         core_grid: &'a [Freq],
         mem_grid: &'a [Freq],
         power_cfg: &'a PowerConfig,
-        geom: MemGeometry,
-        timings: &DdrTimings,
         slack: &[f64],
         epoch: Ps,
         gamma: f64,
     ) -> Model<'a> {
-        let fixed_service_s = timings.fixed_read_service().as_secs_f64();
+        let fixed_service_s = fixed_read_service().as_secs_f64();
         let burst_s: Vec<f64> = mem_grid
             .iter()
-            .map(|f| timings.burst_time(*f).as_secs_f64())
+            .map(|f| burst_time(*f).as_secs_f64())
             .collect();
 
         let mut m = Model {
@@ -205,7 +201,6 @@ impl<'a> Model<'a> {
             core_grid,
             mem_grid,
             power_cfg,
-            geom,
             fixed_service_s,
             burst_s,
             allowed_tpi: Vec::new(),
@@ -394,7 +389,7 @@ impl<'a> Model<'a> {
         let p = &self.profile.mem;
         let page_opens = (p.page_opens as f64 * rho) as u64;
         let bus_busy = Ps::from_secs_f64(page_opens as f64 * self.burst_s[plan.mem]);
-        let rank_cap = w.as_secs_f64() * self.geom.ranks as f64;
+        let rank_cap = w.as_secs_f64() * RANKS as f64;
         let mem_ctr = MemCounters {
             reads: (p.reads as f64 * rho) as u64,
             page_opens,
@@ -406,7 +401,6 @@ impl<'a> Model<'a> {
         };
         system_power(
             self.power_cfg,
-            &self.geom,
             &cores,
             (p.l2_accesses as f64 * rho) as u64,
             self.mem_grid[plan.mem],
@@ -534,14 +528,11 @@ mod tests {
         }
     }
 
-    fn fixtures() -> (Vec<Freq>, Vec<Freq>, PowerConfig, MemGeometry, DdrTimings) {
-        let mem_cfg = MemConfig::default();
+    fn fixtures() -> (Vec<Freq>, Vec<Freq>, PowerConfig) {
         (
             crate::SimConfig::core_grid_with_steps(10),
-            mem_cfg.freq_grid.clone(),
+            MemConfig::default_freq_grid(),
             PowerConfig::default(),
-            MemGeometry::of(&mem_cfg),
-            mem_cfg.timings,
         )
     }
 
@@ -550,18 +541,16 @@ mod tests {
         cg: &'a [Freq],
         mg: &'a [Freq],
         pc: &'a PowerConfig,
-        geom: MemGeometry,
-        t: &DdrTimings,
         slack: &[f64],
     ) -> Model<'a> {
-        Model::new(p, cg, mg, pc, geom, t, slack, Ps::from_ms(5), 0.10)
+        Model::new(p, cg, mg, pc, slack, Ps::from_ms(5), 0.10)
     }
 
     #[test]
     fn tpi_increases_as_frequencies_drop() {
         let p = profile();
-        let (cg, mg, pc, geom, t) = fixtures();
-        let m = model(&p, &cg, &mg, &pc, geom, &t, &[0.0, 0.0]);
+        let (cg, mg, pc) = fixtures();
+        let m = model(&p, &cg, &mg, &pc, &[0.0, 0.0]);
         for i in 0..2 {
             let base = m.tpi(i, 9, 9);
             assert!(m.tpi(i, 0, 9) > base);
@@ -573,8 +562,8 @@ mod tests {
     #[test]
     fn memory_bound_core_is_more_sensitive_to_mem_freq() {
         let p = profile();
-        let (cg, mg, pc, geom, t) = fixtures();
-        let m = model(&p, &cg, &mg, &pc, geom, &t, &[0.0, 0.0]);
+        let (cg, mg, pc) = fixtures();
+        let m = model(&p, &cg, &mg, &pc, &[0.0, 0.0]);
         let d0 = m.slowdown(0, 9, 0) - 1.0;
         let d1 = m.slowdown(1, 9, 0) - 1.0;
         assert!(
@@ -586,8 +575,8 @@ mod tests {
     #[test]
     fn compute_bound_core_is_more_sensitive_to_core_freq() {
         let p = profile();
-        let (cg, mg, pc, geom, t) = fixtures();
-        let m = model(&p, &cg, &mg, &pc, geom, &t, &[0.0, 0.0]);
+        let (cg, mg, pc) = fixtures();
+        let m = model(&p, &cg, &mg, &pc, &[0.0, 0.0]);
         let d0 = m.slowdown(0, 0, 9) - 1.0;
         let d1 = m.slowdown(1, 0, 9) - 1.0;
         assert!(
@@ -599,8 +588,8 @@ mod tests {
     #[test]
     fn slowdown_at_max_is_one_and_ser_at_max_is_one() {
         let p = profile();
-        let (cg, mg, pc, geom, t) = fixtures();
-        let m = model(&p, &cg, &mg, &pc, geom, &t, &[0.0, 0.0]);
+        let (cg, mg, pc) = fixtures();
+        let m = model(&p, &cg, &mg, &pc, &[0.0, 0.0]);
         let max = Plan::max(2, cg.len(), mg.len());
         assert!((m.worst_slowdown(&max) - 1.0).abs() < 1e-12);
         assert!((m.ser(&max) - 1.0).abs() < 1e-9);
@@ -609,8 +598,8 @@ mod tests {
     #[test]
     fn lower_frequencies_reduce_predicted_power() {
         let p = profile();
-        let (cg, mg, pc, geom, t) = fixtures();
-        let m = model(&p, &cg, &mg, &pc, geom, &t, &[0.0, 0.0]);
+        let (cg, mg, pc) = fixtures();
+        let m = model(&p, &cg, &mg, &pc, &[0.0, 0.0]);
         let hi = m.power(&Plan::max(2, cg.len(), mg.len())).total();
         let lo = m
             .power(&Plan {
@@ -624,10 +613,10 @@ mod tests {
     #[test]
     fn slack_expands_and_debt_contracts_the_bound() {
         let p = profile();
-        let (cg, mg, pc, geom, t) = fixtures();
-        let neutral = model(&p, &cg, &mg, &pc, geom, &t, &[0.0, 0.0]);
-        let surplus = model(&p, &cg, &mg, &pc, geom, &t, &[1e-3, 1e-3]);
-        let debt = model(&p, &cg, &mg, &pc, geom, &t, &[-1e-3, -1e-3]);
+        let (cg, mg, pc) = fixtures();
+        let neutral = model(&p, &cg, &mg, &pc, &[0.0, 0.0]);
+        let surplus = model(&p, &cg, &mg, &pc, &[1e-3, 1e-3]);
+        let debt = model(&p, &cg, &mg, &pc, &[-1e-3, -1e-3]);
         for i in 0..2 {
             assert!(surplus.allowed_tpi(i) > neutral.allowed_tpi(i));
             assert!(debt.allowed_tpi(i) < neutral.allowed_tpi(i));
@@ -637,8 +626,8 @@ mod tests {
     #[test]
     fn feasibility_respects_bound() {
         let p = profile();
-        let (cg, mg, pc, geom, t) = fixtures();
-        let m = model(&p, &cg, &mg, &pc, geom, &t, &[0.0, 0.0]);
+        let (cg, mg, pc) = fixtures();
+        let m = model(&p, &cg, &mg, &pc, &[0.0, 0.0]);
         assert!(m.plan_ok(&Plan::max(2, cg.len(), mg.len())));
         // Dropping everything to minimum should violate a 10% bound for the
         // compute-bound core (2.2/4.0 alone is a 45% slowdown).
@@ -651,8 +640,8 @@ mod tests {
     #[test]
     fn step_utilities_have_expected_signs() {
         let p = profile();
-        let (cg, mg, pc, geom, t) = fixtures();
-        let m = model(&p, &cg, &mg, &pc, geom, &t, &[0.0, 0.0]);
+        let (cg, mg, pc) = fixtures();
+        let m = model(&p, &cg, &mg, &pc, &[0.0, 0.0]);
         let plan = Plan::max(2, cg.len(), mg.len());
         let cu = m
             .core_step_utility(0, &plan)
@@ -682,20 +671,10 @@ mod tests {
     #[test]
     fn shared_voltage_domains_raise_power_of_mixed_plans() {
         let p = profile();
-        let (cg, mg, pc, geom, t) = fixtures();
-        let per_core = model(&p, &cg, &mg, &pc, geom, &t, &[0.0, 0.0]);
-        let shared = Model::new(
-            &p,
-            &cg,
-            &mg,
-            &pc,
-            geom,
-            &t,
-            &[0.0, 0.0],
-            Ps::from_ms(5),
-            0.10,
-        )
-        .with_voltage_domains(2);
+        let (cg, mg, pc) = fixtures();
+        let per_core = model(&p, &cg, &mg, &pc, &[0.0, 0.0]);
+        let shared = Model::new(&p, &cg, &mg, &pc, &[0.0, 0.0], Ps::from_ms(5), 0.10)
+            .with_voltage_domains(2);
         // One fast + one slow core: with a shared domain the slow core pays
         // the fast core's voltage.
         let plan = Plan {

@@ -6,7 +6,7 @@ use coscale::{
     OfflinePolicy, Plan, Policy, PowerCapPolicy, SimConfig, StaticMaxPolicy,
 };
 use memsim::MemConfig;
-use powermodel::{MemGeometry, PowerConfig};
+use powermodel::PowerConfig;
 use simkernel::{Freq, Ps};
 
 /// A profile where core 0 is strongly compute-bound and core 1 strongly
@@ -48,16 +48,13 @@ struct Fix {
     core_grid: Vec<Freq>,
     mem_cfg: MemConfig,
     power: PowerConfig,
-    geom: MemGeometry,
 }
 
 fn fix() -> Fix {
-    let mem_cfg = MemConfig::default();
     Fix {
         core_grid: SimConfig::core_grid_with_steps(10),
-        geom: MemGeometry::of(&mem_cfg),
+        mem_cfg: MemConfig::default(),
         power: PowerConfig::default(),
-        mem_cfg,
     }
 }
 
@@ -67,8 +64,6 @@ fn model<'a>(f: &'a Fix, p: &'a EpochProfile, slack: &'a [f64], gamma: f64) -> M
         &f.core_grid,
         &f.mem_cfg.freq_grid,
         &f.power,
-        f.geom,
-        &f.mem_cfg.timings,
         slack,
         Ps::from_ms(1),
         gamma,

@@ -1,19 +1,17 @@
 //! The shared last-level (L2) cache: set-associative, LRU, writeback, with
 //! next-line-prefetch bookkeeping.
 
-use memsim::LineAddr;
+use memsim::{LineAddr, LINE_BYTES};
 use std::ops::Range;
 
-/// Shared L2 configuration. Defaults match Table 2: 16 MiB, 16-way, 64-byte
-/// blocks.
+/// Shared L2 configuration. Defaults match Table 2: 16 MiB, 16-way. Blocks
+/// are [`LINE_BYTES`], the memory system's line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
     /// Associativity.
     pub ways: usize,
-    /// Block size in bytes.
-    pub line_bytes: u64,
 }
 
 impl Default for CacheConfig {
@@ -21,15 +19,14 @@ impl Default for CacheConfig {
         CacheConfig {
             size_bytes: 16 * 1024 * 1024,
             ways: 16,
-            line_bytes: 64,
         }
     }
 }
 
 impl CacheConfig {
     /// Checks that the geometry describes a cache: at least one way, no
-    /// more ways than a recency rank can order, a nonzero line size, and a
-    /// set count that is a nonzero power of two.
+    /// more ways than a recency rank can order, and a set count that is a
+    /// nonzero power of two.
     ///
     /// # Errors
     ///
@@ -44,19 +41,7 @@ impl CacheConfig {
                 self.ways
             ));
         }
-        if self.line_bytes == 0 {
-            return Err("L2 line_bytes must be positive".into());
-        }
-        let set_bytes = self
-            .line_bytes
-            .checked_mul(self.ways as u64)
-            .ok_or_else(|| {
-                format!(
-                    "L2 set of {} ways x {} bytes overflows",
-                    self.ways, self.line_bytes
-                )
-            })?;
-        let sets = self.size_bytes / set_bytes;
+        let sets = self.size_bytes / (LINE_BYTES * self.ways as u64);
         if sets == 0 || !sets.is_power_of_two() {
             return Err(format!(
                 "L2 set count {sets} must be a nonzero power of two"
@@ -74,7 +59,7 @@ impl CacheConfig {
         if let Err(e) = self.validate() {
             panic!("{e}");
         }
-        (self.size_bytes / (self.line_bytes * self.ways as u64)) as usize
+        (self.size_bytes / (LINE_BYTES * self.ways as u64)) as usize
     }
 
     /// Whether a cache of this geometry can tag `line`: its tag,
@@ -435,7 +420,6 @@ mod tests {
         L2Cache::new(CacheConfig {
             size_bytes: 512,
             ways: 2,
-            line_bytes: 64,
         })
     }
 
@@ -574,7 +558,6 @@ mod tests {
         let mut c = L2Cache::new(CacheConfig {
             size_bytes: 8 * 64,
             ways: 8,
-            line_bytes: 64,
         });
         let mut order: Vec<LineAddr> = Vec::new();
         let mut rng = simkernel::SimRng::new(5);
@@ -642,7 +625,6 @@ mod tests {
         let widest = CacheConfig {
             size_bytes: 64 * 256,
             ways: 256,
-            ..ok
         };
         assert_eq!(widest.validate(), Ok(()));
         let bad = [
@@ -651,16 +633,8 @@ mod tests {
                 CacheConfig {
                     size_bytes: 64 * 257,
                     ways: 257,
-                    ..ok
                 },
                 "recency rank",
-            ),
-            (
-                CacheConfig {
-                    line_bytes: 0,
-                    ..ok
-                },
-                "line_bytes",
             ),
             (
                 CacheConfig {
@@ -676,13 +650,6 @@ mod tests {
                 },
                 "power of two",
             ),
-            (
-                CacheConfig {
-                    line_bytes: u64::MAX,
-                    ..ok
-                },
-                "overflows",
-            ),
         ];
         for (config, why) in bad {
             let err = config.validate().expect_err(why);
@@ -691,22 +658,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "line_bytes")]
-    fn zero_line_size_panics_in_sets_instead_of_dividing_by_zero() {
-        let _ = CacheConfig {
-            line_bytes: 0,
-            ..CacheConfig::default()
-        }
-        .sets();
-    }
-
-    #[test]
     #[should_panic(expected = "power of two")]
     fn bad_geometry_panics() {
         let _ = L2Cache::new(CacheConfig {
             size_bytes: 3 * 64 * 2,
             ways: 2,
-            line_bytes: 64,
         });
     }
 }

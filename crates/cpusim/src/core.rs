@@ -8,11 +8,17 @@ use memsim::LineAddr;
 use simkernel::{Freq, Ps};
 use workloads::{AppProfile, TraceGen, TraceOp};
 
+/// L2 hit latency in wall-clock time. The L2 sits in a fixed uncore clock
+/// domain (30 cycles at the nominal 4 GHz = 7.5 ns, Table 2), so this does
+/// not scale with core frequency.
+const L2_HIT_TIME: Ps = Ps::new(7_500);
+
 /// Pipeline behavior on L2 misses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PipelineMode {
     /// Stall on every L2 miss (one outstanding miss): the zero-width MLP
     /// window.
+    #[default]
     InOrder,
     /// Emulate out-of-order latency hiding: all memory operations within an
     /// `n`-instruction window are assumed independent, so the core keeps
@@ -21,27 +27,14 @@ pub enum PipelineMode {
     MlpWindow(u64),
 }
 
-/// Static per-core configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Static per-core configuration: the two §4.2.4 extensions. The default
+/// is the paper's in-order core without a prefetcher.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoreConfig {
-    /// L2 hit latency in wall-clock time. The L2 sits in a fixed uncore
-    /// clock domain (30 cycles at the nominal 4 GHz = 7.5 ns), so this does
-    /// not scale with core frequency.
-    pub l2_hit_time: Ps,
     /// Miss-handling behavior.
     pub pipeline: PipelineMode,
     /// Enable the tagged next-line prefetcher.
     pub prefetch: bool,
-}
-
-impl Default for CoreConfig {
-    fn default() -> Self {
-        CoreConfig {
-            l2_hit_time: Ps::new(7_500),
-            pipeline: PipelineMode::InOrder,
-            prefetch: false,
-        }
-    }
 }
 
 /// What the core needs next from its driver.
@@ -283,11 +276,11 @@ impl CoreSim {
                             first_use_of_prefetch,
                         } => {
                             self.counters.tms += 1;
-                            self.counters.l2_stall_time += self.config.l2_hit_time;
+                            self.counters.l2_stall_time += L2_HIT_TIME;
                             if first_use_of_prefetch {
                                 self.maybe_prefetch(LineAddr(op.line.0 + 1), l2, out);
                             }
-                            let stall_end = now + self.config.l2_hit_time;
+                            let stall_end = now + L2_HIT_TIME;
                             if self.window_full() {
                                 self.state = State::L2Stall { end: stall_end };
                                 return Wake::At(stall_end);
@@ -499,7 +492,6 @@ mod tests {
             CoreConfig {
                 pipeline: mode,
                 prefetch,
-                ..CoreConfig::default()
             },
         )
     }

@@ -305,7 +305,6 @@ proptest! {
         let config = CacheConfig {
             size_bytes: sets * ways as u64 * 64,
             ways,
-            line_bytes: 64,
         };
         let capacity = sets * ways as u64;
         let bound = tag_bound(sets_log2);
@@ -328,9 +327,8 @@ proptest! {
         let config = CacheConfig {
             size_bytes: sets * ways as u64 * 64,
             ways,
-            line_bytes: 64,
         };
-        let index = RefL2::new(CacheConfig { size_bytes: sets * 64, ways: 1, line_bytes: 64 });
+        let index = RefL2::new(CacheConfig { size_bytes: sets * 64, ways: 1 });
         let idx = idx & (sets - 1);
         let tag = if at_bound { (1 << 30) - 1 } else { tag };
         let mut l2 = L2Cache::new(config);
@@ -356,7 +354,6 @@ fn a_set_of_256_ways_matches_the_reference() {
     let config = CacheConfig {
         size_bytes: 256 * 64,
         ways: 256,
-        line_bytes: 64,
     };
     let mut rng = simkernel::SimRng::new(256);
     let ops: Vec<Op> = (0..20_000)
@@ -381,7 +378,6 @@ fn merges_refresh_recency_and_keep_dirt() {
     let config = CacheConfig {
         size_bytes: 2 * 64,
         ways: 2,
-        line_bytes: 64,
     };
     let mut l2 = L2Cache::new(config);
     let mut reference = RefL2::new(config);

@@ -10,7 +10,6 @@ fn tiny_cache() -> L2Cache {
     L2Cache::new(CacheConfig {
         size_bytes: 8 * 1024,
         ways: 4,
-        line_bytes: 64,
     })
 }
 

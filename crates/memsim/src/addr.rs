@@ -1,13 +1,36 @@
-//! Physical-address to channel/rank/bank mapping.
+//! The memory geometry (Table 2) and the physical-address to
+//! channel/rank/bank mapping.
 
 use crate::{AddrMap, MemConfig};
 
-/// A cache-line address: the physical byte address divided by the line size.
+/// Cache-line (memory burst) size in bytes, for the L2 and memory alike
+/// (Table 2: 64-byte blocks).
+pub const LINE_BYTES: u64 = 64;
+
+/// A cache-line address: the physical byte address divided by
+/// [`LINE_BYTES`].
 ///
 /// Workload generators and the cache model pass line addresses around; only
 /// the memory system cares how they map onto channels and banks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LineAddr(pub u64);
+
+/// Independent memory channels (Table 2: 4 DDR3 channels).
+pub const CHANNELS: usize = 4;
+/// DIMMs on each channel (Table 2: 2).
+pub(crate) const DIMMS_PER_CHANNEL: usize = 2;
+/// Ranks on each DIMM (Table 2: dual-rank DIMMs).
+pub(crate) const RANKS_PER_DIMM: usize = 2;
+/// Banks in each rank (Table 2: 8).
+pub(crate) const BANKS_PER_RANK: usize = 8;
+/// Cache lines per DRAM row: an 8 KiB row of 64-byte lines.
+pub(crate) const LINES_PER_ROW: u64 = 128;
+/// Ranks on each channel.
+pub const RANKS_PER_CHANNEL: usize = DIMMS_PER_CHANNEL * RANKS_PER_DIMM;
+/// Ranks in the whole system.
+pub const RANKS: usize = CHANNELS * RANKS_PER_CHANNEL;
+/// DIMMs in the whole system.
+pub const DIMMS: usize = CHANNELS * DIMMS_PER_CHANNEL;
 
 impl From<u64> for LineAddr {
     fn from(v: u64) -> Self {
@@ -18,11 +41,11 @@ impl From<u64> for LineAddr {
 /// Where a line lives in the memory system.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Location {
-    /// Channel index, `0..config.channels`.
+    /// Channel index, `0..CHANNELS`.
     pub channel: usize,
-    /// Rank index within the channel, `0..config.ranks_per_channel()`.
+    /// Rank index within the channel, `0..RANKS_PER_CHANNEL`.
     pub rank: usize,
-    /// Bank index within the rank, `0..config.banks_per_rank`.
+    /// Bank index within the rank, `0..BANKS_PER_RANK`.
     pub bank: usize,
     /// Row index (unbounded above; the closed-page policy never reuses it,
     /// but it is kept for address-mapping tests and future open-page work).
@@ -37,10 +60,13 @@ pub struct Location {
 ///   consecutive same-channel lines hit different banks.
 /// * [`AddrMap::RowInterleaved`]: consecutive lines share a DRAM row until
 ///   it is full, maximizing row-buffer locality for open-page systems.
+///
+/// Every divisor is a power-of-two constant, so each step compiles to a
+/// shift and a mask.
 pub fn map_line(config: &MemConfig, line: LineAddr) -> Location {
-    let channels = config.channels as u64;
-    let banks = config.banks_per_rank as u64;
-    let ranks = config.ranks_per_channel() as u64;
+    let channels = CHANNELS as u64;
+    let banks = BANKS_PER_RANK as u64;
+    let ranks = RANKS_PER_CHANNEL as u64;
 
     match config.addr_map {
         AddrMap::ChannelInterleaved => {
@@ -58,7 +84,7 @@ pub fn map_line(config: &MemConfig, line: LineAddr) -> Location {
             }
         }
         AddrMap::RowInterleaved => {
-            let chunk = line.0 / config.lines_per_row;
+            let chunk = line.0 / LINES_PER_ROW;
             let channel = (chunk % channels) as usize;
             let after_ch = chunk / channels;
             let bank = (after_ch % banks) as usize;
@@ -86,14 +112,14 @@ mod tests {
         let mut c = MemConfig::default();
         c.addr_map = AddrMap::RowInterleaved;
         let first = map_line(&c, LineAddr(0));
-        for i in 1..c.lines_per_row {
+        for i in 1..LINES_PER_ROW {
             let loc = map_line(&c, LineAddr(i));
             assert_eq!(
                 (loc.channel, loc.rank, loc.bank, loc.row),
                 (first.channel, first.rank, first.bank, first.row)
             );
         }
-        let next = map_line(&c, LineAddr(c.lines_per_row));
+        let next = map_line(&c, LineAddr(LINES_PER_ROW));
         assert_ne!(next.channel, first.channel);
     }
 
@@ -120,13 +146,13 @@ mod tests {
     #[test]
     fn mapping_is_a_bijection_over_a_window() {
         let c = MemConfig::default();
-        let span = (c.channels * c.ranks_per_channel() * c.banks_per_rank * 4) as u64;
+        let span = (CHANNELS * RANKS_PER_CHANNEL * BANKS_PER_RANK * 4) as u64;
         let mut seen = std::collections::HashSet::new();
         for i in 0..span {
             let loc = map_line(&c, LineAddr(i));
-            assert!(loc.channel < c.channels);
-            assert!(loc.rank < c.ranks_per_channel());
-            assert!(loc.bank < c.banks_per_rank);
+            assert!(loc.channel < CHANNELS);
+            assert!(loc.rank < RANKS_PER_CHANNEL);
+            assert!(loc.bank < BANKS_PER_RANK);
             assert!(seen.insert((loc.channel, loc.rank, loc.bank, loc.row)));
         }
     }

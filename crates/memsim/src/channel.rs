@@ -1,9 +1,17 @@
 //! Per-channel scheduling: queues, bank/rank timing state, and the
 //! closed-page FCFS command issue logic.
 
-use crate::{DdrTimings, Location, MemConfig, MemCounters, PagePolicy, SchedPolicy};
+use crate::addr::BANKS_PER_RANK;
+use crate::config::{
+    burst_time, MC_OVERHEAD, T_CL, T_FAW, T_RAS, T_RCD, T_RFC, T_RP, T_RRD, T_RTP, T_WR,
+};
+use crate::{Location, MemConfig, MemCounters, PagePolicy, SchedPolicy, RANKS_PER_CHANNEL};
 use simkernel::{Freq, Ps};
 use std::collections::VecDeque;
+
+/// Writebacks are serviced ahead of reads once this many are queued on a
+/// channel (the paper: "until the writeback queue is half-full", cap 64).
+const WB_PRIORITY_THRESHOLD: usize = 32;
 
 /// A queued memory request.
 #[derive(Clone, Copy, Debug)]
@@ -83,13 +91,13 @@ impl RankState {
     }
 
     /// Earliest ACT permitted by tRRD and tFAW.
-    fn act_constraint(&self, t: &DdrTimings) -> Ps {
+    fn act_constraint(&self) -> Ps {
         let rrd = match self.last_act {
-            Some(last) => last + t.t_rrd,
+            Some(last) => last + T_RRD,
             None => Ps::ZERO,
         };
         let faw = if self.act_window.len() == 4 {
-            self.act_window[0] + t.t_faw
+            self.act_window[0] + T_FAW
         } else {
             Ps::ZERO
         };
@@ -136,7 +144,6 @@ pub(crate) struct Channel {
     writes: VecDeque<Request>,
     banks: Vec<Bank>,
     ranks: Vec<RankState>,
-    banks_per_rank: usize,
     /// Earliest time the shared data bus is free.
     bus_free: Ps,
     /// Last ACT issue time on this channel; command issue stays FCFS.
@@ -146,16 +153,12 @@ pub(crate) struct Channel {
 }
 
 impl Channel {
-    pub fn new(config: &MemConfig) -> Self {
-        let nbanks = config.ranks_per_channel() * config.banks_per_rank;
+    pub fn new() -> Self {
         Channel {
             reads: VecDeque::new(),
             writes: VecDeque::new(),
-            banks: vec![Bank::default(); nbanks],
-            ranks: (0..config.ranks_per_channel())
-                .map(|_| RankState::new())
-                .collect(),
-            banks_per_rank: config.banks_per_rank,
+            banks: vec![Bank::default(); RANKS_PER_CHANNEL * BANKS_PER_RANK],
+            ranks: (0..RANKS_PER_CHANNEL).map(|_| RankState::new()).collect(),
             bus_free: Ps::ZERO,
             last_act_issue: None,
             next_schedule: None,
@@ -188,13 +191,13 @@ impl Channel {
     /// the writeback queue reaches its threshold (the paper's policy);
     /// under FR-FCFS, the oldest *row-hitting* read bypasses older
     /// conflicting reads.
-    fn pick(&mut self, wb_threshold: usize, sched: SchedPolicy) -> Option<Request> {
-        if self.writes.len() >= wb_threshold {
+    fn pick(&mut self, sched: SchedPolicy) -> Option<Request> {
+        if self.writes.len() >= WB_PRIORITY_THRESHOLD {
             return self.writes.pop_front();
         }
         if sched == SchedPolicy::FrFcfs {
             let hit = self.reads.iter().position(|r| {
-                let bank_idx = r.loc.rank * self.banks_per_rank + r.loc.bank;
+                let bank_idx = r.loc.rank * BANKS_PER_RANK + r.loc.bank;
                 self.banks[bank_idx].open_row == Some(r.loc.row)
             });
             if let Some(i) = hit {
@@ -217,7 +220,7 @@ impl Channel {
         bus: Freq,
         counters: &mut MemCounters,
     ) -> Option<Issued> {
-        let req = self.pick(config.wb_priority_threshold, config.sched)?;
+        let req = self.pick(config.sched)?;
         match config.page_policy {
             PagePolicy::Closed => Some(self.issue_closed(now, req, config, bus, counters)),
             PagePolicy::Open => Some(self.issue_open(now, req, config, bus, counters)),
@@ -233,9 +236,8 @@ impl Channel {
         bus: Freq,
         counters: &mut MemCounters,
     ) -> Issued {
-        let t = &config.timings;
         let rank = req.loc.rank;
-        let bank_idx = rank * self.banks_per_rank + req.loc.bank;
+        let bank_idx = rank * BANKS_PER_RANK + req.loc.bank;
 
         let cmd_cycle = bus.period();
         let act_issue_floor = match self.last_act_issue {
@@ -248,23 +250,23 @@ impl Channel {
         let act_start = now
             .max(req.arrival)
             .max(self.banks[bank_idx].next_free)
-            .max(self.ranks[rank].act_constraint(t))
+            .max(self.ranks[rank].act_constraint())
             .max(act_issue_floor);
         let act_start = self.wake_rank(rank, act_start, config, counters);
 
-        let burst = t.burst_time(bus);
-        let cas_done = act_start + t.t_rcd + t.t_cl;
+        let burst = burst_time(bus);
+        let cas_done = act_start + T_RCD + T_CL;
         let data_start = cas_done.max(self.bus_free);
         let data_end = data_start + burst;
 
         // Closed-page policy: precharge immediately after the access obeying
         // tRAS and read-to-precharge / write-recovery constraints.
         let pre_start = if req.is_write {
-            (act_start + t.t_ras).max(data_end + t.t_wr)
+            (act_start + T_RAS).max(data_end + T_WR)
         } else {
-            (act_start + t.t_ras).max(data_start + t.t_rtp)
+            (act_start + T_RAS).max(data_start + T_RTP)
         };
-        let bank_free = pre_start + t.t_rp;
+        let bank_free = pre_start + T_RP;
 
         self.banks[bank_idx].next_free = bank_free;
         self.ranks[rank].record_act(act_start);
@@ -281,12 +283,12 @@ impl Channel {
             counters.writes += 1;
             None
         } else {
-            let done = data_end + t.mc_overhead;
+            let done = data_end + MC_OVERHEAD;
             counters.reads += 1;
             counters.read_latency_sum += done - req.arrival;
             counters.bank_wait_sum += act_start - req.arrival;
             counters.bus_wait_sum += data_start - cas_done;
-            counters.bank_service_sum += t.t_rcd + t.t_cl + burst + t.mc_overhead;
+            counters.bank_service_sum += T_RCD + T_CL + burst + MC_OVERHEAD;
             Some((req.tag, done, done - req.arrival))
         };
 
@@ -306,11 +308,10 @@ impl Channel {
         bus: Freq,
         counters: &mut MemCounters,
     ) -> Issued {
-        let t = &config.timings;
         let rank = req.loc.rank;
-        let bank_idx = rank * self.banks_per_rank + req.loc.bank;
+        let bank_idx = rank * BANKS_PER_RANK + req.loc.bank;
         let cmd_cycle = bus.period();
-        let burst = t.burst_time(bus);
+        let burst = burst_time(bus);
         let floor = now.max(req.arrival);
         let floor = self.wake_rank(rank, floor, config, counters);
 
@@ -320,7 +321,7 @@ impl Channel {
                 // Row hit: column command as soon as the bank is ready.
                 counters.row_hits += 1;
                 let cas = floor.max(bank.next_free);
-                (cas, t.t_cl, None)
+                (cas, T_CL, None)
             }
             Some(_) => {
                 // Row conflict: precharge (honouring tRAS and read/write
@@ -330,26 +331,26 @@ impl Channel {
                 counters.page_opens += 1;
                 let pre_start = floor
                     .max(bank.next_free)
-                    .max(bank.last_act + t.t_ras)
+                    .max(bank.last_act + T_RAS)
                     .max(bank.earliest_pre);
                 counters.rank_active += self.ranks[rank].row_closed(pre_start);
-                let act = (pre_start + t.t_rp)
-                    .max(self.ranks[rank].act_constraint(t))
+                let act = (pre_start + T_RP)
+                    .max(self.ranks[rank].act_constraint())
                     .max(self.act_issue_floor(cmd_cycle));
-                (act + t.t_rcd, t.t_rp + t.t_rcd + t.t_cl, Some(act))
+                (act + T_RCD, T_RP + T_RCD + T_CL, Some(act))
             }
             None => {
                 // Row empty (initial state or just refreshed): activate.
                 counters.page_opens += 1;
                 let act = floor
                     .max(bank.next_free)
-                    .max(self.ranks[rank].act_constraint(t))
+                    .max(self.ranks[rank].act_constraint())
                     .max(self.act_issue_floor(cmd_cycle));
-                (act + t.t_rcd, t.t_rcd + t.t_cl, Some(act))
+                (act + T_RCD, T_RCD + T_CL, Some(act))
             }
         };
 
-        let cas_done = cas_start + t.t_cl;
+        let cas_done = cas_start + T_CL;
         let data_start = cas_done.max(self.bus_free);
         let data_end = data_start + burst;
 
@@ -362,9 +363,9 @@ impl Channel {
         self.banks[bank_idx].open_row = Some(req.loc.row);
         self.banks[bank_idx].next_free = data_end;
         self.banks[bank_idx].earliest_pre = if req.is_write {
-            data_end + t.t_wr
+            data_end + T_WR
         } else {
-            data_start + t.t_rtp
+            data_start + T_RTP
         };
         self.bus_free = data_end;
         self.touch_rank(rank, data_end);
@@ -375,12 +376,12 @@ impl Channel {
             counters.writes += 1;
             None
         } else {
-            let done = data_end + t.mc_overhead;
+            let done = data_end + MC_OVERHEAD;
             counters.reads += 1;
             counters.read_latency_sum += done - req.arrival;
             // Queue wait: everything before the column/activate sequence
             // could begin.
-            let service = service_floor + burst + t.mc_overhead;
+            let service = service_floor + burst + MC_OVERHEAD;
             counters.bank_wait_sum += (done - req.arrival)
                 .saturating_sub(service)
                 .saturating_sub(data_start - cas_done);
@@ -434,20 +435,14 @@ impl Channel {
 
     /// Blocks every bank in `rank` for one refresh cycle starting no earlier
     /// than `now` (and no earlier than any in-flight access to the rank).
-    pub fn refresh_rank(
-        &mut self,
-        now: Ps,
-        rank: usize,
-        t: &DdrTimings,
-        counters: &mut MemCounters,
-    ) {
-        let base = rank * self.banks_per_rank;
+    pub fn refresh_rank(&mut self, now: Ps, rank: usize, counters: &mut MemCounters) {
+        let base = rank * BANKS_PER_RANK;
         let mut start = now;
-        for b in 0..self.banks_per_rank {
+        for b in 0..BANKS_PER_RANK {
             start = start.max(self.banks[base + b].next_free);
         }
-        let end = start + t.t_rfc;
-        for b in 0..self.banks_per_rank {
+        let end = start + T_RFC;
+        for b in 0..BANKS_PER_RANK {
             let bank = &mut self.banks[base + b];
             bank.next_free = end;
             if bank.open_row.take().is_some() {
@@ -462,8 +457,8 @@ impl Channel {
     /// recalibration implies precharging, §3).
     pub fn close_all_rows(&mut self, now: Ps, counters: &mut MemCounters) {
         for rank in 0..self.ranks.len() {
-            for b in 0..self.banks_per_rank {
-                let bank = &mut self.banks[rank * self.banks_per_rank + b];
+            for b in 0..BANKS_PER_RANK {
+                let bank = &mut self.banks[rank * BANKS_PER_RANK + b];
                 if bank.open_row.take().is_some() {
                     counters.page_closes += 1;
                     counters.rank_active += self.ranks[rank].row_closed(now);
@@ -487,12 +482,14 @@ impl Channel {
 #[allow(clippy::field_reassign_with_default)]
 mod tests {
     use super::*;
+    use crate::addr::LINES_PER_ROW;
     use crate::map_line;
     use crate::LineAddr;
+    use crate::CHANNELS;
 
     fn setup() -> (MemConfig, Channel, MemCounters) {
         let config = MemConfig::default();
-        let ch = Channel::new(&config);
+        let ch = Channel::new();
         (config, ch, MemCounters::default())
     }
 
@@ -549,7 +546,7 @@ mod tests {
         let (config, mut ch, mut c) = setup();
         // Lines 0 and 64 both map to channel 0; make both hit bank 0 rank 0:
         // line k*4*8*4 advances the row only.
-        let stride = (config.channels * config.banks_per_rank * config.ranks_per_channel()) as u64;
+        let stride = (CHANNELS * BANKS_PER_RANK * RANKS_PER_CHANNEL) as u64;
         ch.push_read(read_to(&config, 0, Ps::ZERO));
         ch.push_read(read_to(&config, stride, Ps::ZERO));
         let f = Freq::from_mhz(800);
@@ -557,12 +554,11 @@ mod tests {
         let second = ch
             .issue_next(first.next_decision, &config, f, &mut c)
             .unwrap();
-        let t = &config.timings;
         // Bank is busy until pre_start + tRP; for a read issued at 0:
         // pre = max(tRAS, tRCD+tCL+bus_wait(0)... data_start(30)+tRTP).
-        let pre = (t.t_ras).max(t.t_rcd + t.t_cl + t.t_rtp);
-        let bank_free = pre + t.t_rp;
-        let expected_done = bank_free + t.t_rcd + t.t_cl + t.burst_time(f) + t.mc_overhead;
+        let pre = T_RAS.max(T_RCD + T_CL + T_RTP);
+        let bank_free = pre + T_RP;
+        let expected_done = bank_free + T_RCD + T_CL + burst_time(f) + MC_OVERHEAD;
         assert_eq!(second.completion.unwrap().1, expected_done);
         // The second read observed a bank wait.
         assert!(c.bank_wait_sum > Ps::ZERO);
@@ -583,8 +579,8 @@ mod tests {
         let d2 = second.completion.unwrap().1;
         // Overlapped in the banks: far less than full serialization, but
         // bursts cannot overlap on the bus.
-        let burst = config.timings.burst_time(f);
-        assert!(d2 >= d1 + burst - config.timings.mc_overhead);
+        let burst = burst_time(f);
+        assert!(d2 >= d1 + burst - MC_OVERHEAD);
         assert!(d2 < d1 + Ps::from_ns(20));
     }
 
@@ -605,10 +601,9 @@ mod tests {
 
     #[test]
     fn writeback_priority_kicks_in_at_threshold() {
-        let (mut config, mut ch, mut c) = setup();
-        config.wb_priority_threshold = 2;
+        let (config, mut ch, mut c) = setup();
         ch.push_read(read_to(&config, 0, Ps::ZERO));
-        for k in 0..2u64 {
+        for k in 0..WB_PRIORITY_THRESHOLD as u64 {
             ch.push_write(Request {
                 tag: 100 + k,
                 loc: map_line(&config, LineAddr(4 * k)),
@@ -662,17 +657,17 @@ mod tests {
             now = i.next_decision;
         }
         // The fifth ACT must start at least tFAW after the first.
-        assert!(acts[4] >= acts[0] + config.timings.t_faw);
+        assert!(acts[4] >= acts[0] + T_FAW);
         // And consecutive ACTs obey tRRD.
         for w in acts.windows(2) {
-            assert!(w[1] >= w[0] + config.timings.t_rrd);
+            assert!(w[1] >= w[0] + T_RRD);
         }
     }
 
     #[test]
     fn refresh_blocks_all_banks_of_rank() {
         let (config, mut ch, mut c) = setup();
-        ch.refresh_rank(Ps::from_ns(100), 0, &config.timings, &mut c);
+        ch.refresh_rank(Ps::from_ns(100), 0, &mut c);
         assert_eq!(c.refreshes, 1);
         ch.push_read(read_to(&config, 0, Ps::from_ns(100)));
         let done = ch
@@ -709,7 +704,7 @@ mod tests {
     #[test]
     fn open_page_row_hit_skips_activation() {
         let config = open_config();
-        let mut ch = Channel::new(&config);
+        let mut ch = Channel::new();
         let mut c = MemCounters::default();
         let f = Freq::from_mhz(800);
         // Two consecutive lines share a row under row interleaving.
@@ -735,13 +730,12 @@ mod tests {
     #[test]
     fn open_page_conflict_pays_precharge() {
         let config = open_config();
-        let mut ch = Channel::new(&config);
+        let mut ch = Channel::new();
         let mut c = MemCounters::default();
         let f = Freq::from_mhz(800);
-        // Same channel+bank, different row: lines 0 and lines_per_row*chunk
+        // Same channel+bank, different row: lines 0 and LINES_PER_ROW*chunk
         // where chunk advances past all channels/banks/ranks.
-        let stride = config.lines_per_row
-            * (config.channels * config.banks_per_rank * config.ranks_per_channel()) as u64;
+        let stride = LINES_PER_ROW * (CHANNELS * BANKS_PER_RANK * RANKS_PER_CHANNEL) as u64;
         ch.push_read(read_to(&config, 0, Ps::ZERO));
         ch.push_read(read_to(&config, stride, Ps::ZERO));
         let first = ch.issue_next(Ps::ZERO, &config, f, &mut c).unwrap();
@@ -763,11 +757,10 @@ mod tests {
     fn frfcfs_promotes_row_hits() {
         let mut config = open_config();
         config.sched = crate::SchedPolicy::FrFcfs;
-        let mut ch = Channel::new(&config);
+        let mut ch = Channel::new();
         let mut c = MemCounters::default();
         let f = Freq::from_mhz(800);
-        let stride = config.lines_per_row
-            * (config.channels * config.banks_per_rank * config.ranks_per_channel()) as u64;
+        let stride = LINES_PER_ROW * (CHANNELS * BANKS_PER_RANK * RANKS_PER_CHANNEL) as u64;
         // Open row 0 with the first request, then queue a conflicting
         // request followed by a row hit: FR-FCFS services the hit first.
         ch.push_read(read_to(&config, 0, Ps::ZERO));
@@ -784,12 +777,12 @@ mod tests {
     #[test]
     fn open_page_refresh_closes_rows() {
         let config = open_config();
-        let mut ch = Channel::new(&config);
+        let mut ch = Channel::new();
         let mut c = MemCounters::default();
         let f = Freq::from_mhz(800);
         ch.push_read(read_to(&config, 0, Ps::ZERO));
         let first = ch.issue_next(Ps::ZERO, &config, f, &mut c).unwrap();
-        ch.refresh_rank(first.completion.unwrap().1, 0, &config.timings, &mut c);
+        ch.refresh_rank(first.completion.unwrap().1, 0, &mut c);
         assert_eq!(c.page_closes, 1);
         // The next access to the same row must re-activate.
         ch.push_read(read_to(&config, 1, Ps::from_us(1)));
@@ -801,7 +794,7 @@ mod tests {
     #[test]
     fn open_page_rank_active_tracks_open_rows() {
         let config = open_config();
-        let mut ch = Channel::new(&config);
+        let mut ch = Channel::new();
         let mut c = MemCounters::default();
         let f = Freq::from_mhz(800);
         ch.push_read(read_to(&config, 0, Ps::ZERO));
@@ -822,7 +815,7 @@ mod tests {
             threshold: Ps::from_us(1),
             mode: crate::IdleMode::SelfRefresh,
         });
-        let mut ch = Channel::new(&config);
+        let mut ch = Channel::new();
         let mut c = MemCounters::default();
         let f = Freq::from_mhz(800);
         // Rank idle since t=0; access at t = 10 µs: slept 9 µs, pays exit.
@@ -847,7 +840,7 @@ mod tests {
             threshold: Ps::from_us(1),
             mode: crate::IdleMode::Powerdown,
         });
-        let mut ch = Channel::new(&config);
+        let mut ch = Channel::new();
         let mut c = MemCounters::default();
         let f = Freq::from_mhz(800);
         // Back-to-back accesses to rank 0 (banks 0..8), gaps far under the
@@ -872,7 +865,7 @@ mod tests {
                 threshold: Ps::from_us(1),
                 mode,
             });
-            let mut ch = Channel::new(&config);
+            let mut ch = Channel::new();
             let mut c = MemCounters::default();
             let at = Ps::from_us(50);
             ch.push_read(read_to(&config, 0, at));

@@ -1,75 +1,52 @@
-//! Memory-system geometry, DDR3 timing parameters and the DVFS grid.
+//! The DDR3 timing constants (Table 2), the memory system's policies and
+//! the DVFS grid.
 
 use simkernel::{Freq, Ps};
 
-/// DDR3 device timing constraints.
-///
-/// DRAM-core timings (`t_rcd`, `t_rp`, `t_cl`, `t_ras`, `t_rrd`, `t_rtp`,
-/// `t_faw`, `t_wr`, `t_rfc`) are **fixed in absolute time**: when the bus is
-/// frequency-scaled, a real controller reprograms the corresponding cycle
-/// counts so that the analog constraints stay constant, exactly as MemScale
-/// assumes. Only data-burst time (`burst_cycles` bus cycles) scales with bus
-/// frequency. Values follow Table 2 of the paper (converted from cycles at
-/// 800 MHz where the paper lists cycles).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DdrTimings {
-    /// Row-activate to column command (15 ns in the paper).
-    pub t_rcd: Ps,
-    /// Precharge latency (15 ns).
-    pub t_rp: Ps,
-    /// Column-access (CAS) latency (15 ns).
-    pub t_cl: Ps,
-    /// Minimum row-active time; 28 bus cycles at 800 MHz = 35 ns.
-    pub t_ras: Ps,
-    /// Activate-to-activate, same rank; 4 cycles at 800 MHz = 5 ns.
-    pub t_rrd: Ps,
-    /// Read-to-precharge; 5 cycles at 800 MHz = 6.25 ns.
-    pub t_rtp: Ps,
-    /// Four-activate window, per rank; 20 cycles at 800 MHz = 25 ns.
-    pub t_faw: Ps,
-    /// Write recovery before precharge (15 ns, DDR3 typical).
-    pub t_wr: Ps,
-    /// Data burst length in bus clock cycles (BL8 on a DDR bus = 4 cycles).
-    pub burst_cycles: u64,
-    /// Average refresh-command interval per rank (7.8 µs for 64 ms/8192).
-    pub t_refi: Ps,
-    /// Refresh cycle time, rank blocked (110 ns for 1 Gb devices).
-    pub t_rfc: Ps,
-    /// Fixed memory-controller pipeline overhead added to every read's
-    /// completion (command decode, response queueing).
-    pub mc_overhead: Ps,
+// DDR3 device timing constraints, Table 2 of the paper (converted from
+// cycles at 800 MHz where the paper lists cycles). The DRAM-core timings are
+// fixed in absolute time: when the bus is frequency-scaled, a real
+// controller reprograms the corresponding cycle counts so that the analog
+// constraints stay constant, exactly as MemScale assumes. Only the data
+// burst (`BURST_CYCLES` bus cycles) scales with bus frequency.
+
+/// Row-activate to column command, tRCD (15 ns in the paper).
+pub(crate) const T_RCD: Ps = Ps::from_ns(15);
+/// Precharge latency, tRP (15 ns).
+pub const T_RP: Ps = Ps::from_ns(15);
+/// Column-access (CAS) latency, tCL (15 ns).
+pub const T_CL: Ps = Ps::from_ns(15);
+/// Minimum row-active time, tRAS: 28 bus cycles at 800 MHz = 35 ns.
+pub const T_RAS: Ps = Ps::from_ns(35);
+/// Activate-to-activate on one rank, tRRD: 4 cycles at 800 MHz = 5 ns.
+pub(crate) const T_RRD: Ps = Ps::from_ns(5);
+/// Read-to-precharge, tRTP: 5 cycles at 800 MHz = 6.25 ns.
+pub(crate) const T_RTP: Ps = Ps::new(6_250);
+/// Four-activate window per rank, tFAW: 20 cycles at 800 MHz = 25 ns.
+pub(crate) const T_FAW: Ps = Ps::from_ns(25);
+/// Write recovery before precharge, tWR (15 ns, DDR3 typical).
+pub(crate) const T_WR: Ps = Ps::from_ns(15);
+/// Data burst length in bus clock cycles (BL8 on a DDR bus = 4 cycles).
+pub(crate) const BURST_CYCLES: u64 = 4;
+/// Average refresh-command interval per rank, tREFI (7.8 µs for
+/// 64 ms / 8192).
+pub(crate) const T_REFI: Ps = Ps::from_ns(7_800);
+/// Refresh cycle time with the rank blocked, tRFC (110 ns for 1 Gb
+/// devices).
+pub const T_RFC: Ps = Ps::from_ns(110);
+/// Fixed memory-controller pipeline overhead added to every read's
+/// completion (command decode, response queueing).
+pub const MC_OVERHEAD: Ps = Ps::from_ns(5);
+
+/// Duration of one data burst at bus frequency `bus`.
+pub fn burst_time(bus: Freq) -> Ps {
+    bus.cycles_to_ps(BURST_CYCLES)
 }
 
-impl Default for DdrTimings {
-    fn default() -> Self {
-        DdrTimings {
-            t_rcd: Ps::from_ns(15),
-            t_rp: Ps::from_ns(15),
-            t_cl: Ps::from_ns(15),
-            t_ras: Ps::from_ns(35),
-            t_rrd: Ps::from_ns(5),
-            t_rtp: Ps::new(6_250),
-            t_faw: Ps::from_ns(25),
-            t_wr: Ps::from_ns(15),
-            burst_cycles: 4,
-            t_refi: Ps::from_ns(7_800),
-            t_rfc: Ps::from_ns(110),
-            mc_overhead: Ps::from_ns(5),
-        }
-    }
-}
-
-impl DdrTimings {
-    /// Duration of one data burst at bus frequency `bus`.
-    pub fn burst_time(&self, bus: Freq) -> Ps {
-        bus.cycles_to_ps(self.burst_cycles)
-    }
-
-    /// The frequency-independent part of a closed-page read's service time:
-    /// ACT→CAS→data-start plus controller overhead (tRCD + tCL + overhead).
-    pub fn fixed_read_service(&self) -> Ps {
-        self.t_rcd + self.t_cl + self.mc_overhead
-    }
+/// The frequency-independent part of a closed-page read's service time:
+/// ACT→CAS→data-start plus controller overhead (tRCD + tCL + overhead).
+pub fn fixed_read_service() -> Ps {
+    T_RCD + T_CL + MC_OVERHEAD
 }
 
 /// Row-buffer management policy.
@@ -144,44 +121,24 @@ impl IdleMode {
     }
 }
 
-/// Geometry and policy parameters of the simulated memory subsystem.
+/// The memory subsystem's policies and DVFS grid: what an experiment
+/// varies. The geometry and timings are the paper's constants (see the
+/// crate docs).
 ///
-/// Defaults mirror the paper: 4 DDR3 channels, two dual-rank DIMMs per
-/// channel, 8 banks per rank, 64-byte lines, bus frequencies 800 MHz down to
-/// 200 MHz in ~66 MHz steps.
+/// Defaults mirror the paper: closed page, FCFS, channel-interleaved lines,
+/// no idle-state management, and bus frequencies 800 MHz down to 200 MHz in
+/// ~66 MHz steps.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MemConfig {
-    /// Number of independent memory channels.
-    pub channels: usize,
-    /// DIMMs on each channel.
-    pub dimms_per_channel: usize,
-    /// Ranks on each DIMM.
-    pub ranks_per_dimm: usize,
-    /// Banks in each rank.
-    pub banks_per_rank: usize,
-    /// Cache-line (memory burst) size in bytes.
-    pub line_bytes: u64,
     /// Available bus frequencies, ascending. The memory controller runs at
     /// twice the bus frequency; DIMM clocks lock to the bus frequency.
     pub freq_grid: Vec<Freq>,
-    /// Device timing constraints.
-    pub timings: DdrTimings,
-    /// Writebacks are serviced ahead of reads once this many are queued on a
-    /// channel (the paper: "until the writeback queue is half-full", cap 64).
-    pub wb_priority_threshold: usize,
-    /// Extra penalty added on top of the 512-cycle DLL resync when changing
-    /// bus frequency (28 ns in the paper: fast-exit precharge powerdown).
-    pub recal_extra: Ps,
-    /// DLL re-lock time in bus cycles (tDLLK ≈ 512).
-    pub recal_cycles: u64,
     /// Row-buffer management.
     pub page_policy: PagePolicy,
     /// Request scheduling.
     pub sched: SchedPolicy,
     /// Physical address mapping.
     pub addr_map: AddrMap,
-    /// Cache lines per DRAM row (8 KiB row / 64 B line = 128).
-    pub lines_per_row: u64,
     /// Optional idle low-power state management (off in the paper's
     /// CoScale configuration; used by the idle-states ablation).
     pub idle_policy: Option<IdleMemPolicy>,
@@ -213,21 +170,6 @@ impl MemConfig {
             .collect()
     }
 
-    /// Total ranks per channel.
-    pub fn ranks_per_channel(&self) -> usize {
-        self.dimms_per_channel * self.ranks_per_dimm
-    }
-
-    /// Total ranks in the system.
-    pub fn total_ranks(&self) -> usize {
-        self.channels * self.ranks_per_channel()
-    }
-
-    /// Total DIMMs in the system.
-    pub fn total_dimms(&self) -> usize {
-        self.channels * self.dimms_per_channel
-    }
-
     /// Index of the highest (nominal) frequency in the grid.
     pub fn max_freq_idx(&self) -> usize {
         self.freq_grid.len() - 1
@@ -237,26 +179,14 @@ impl MemConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first problem found: empty/unsorted
-    /// frequency grid or zero-sized geometry.
+    /// Returns a description of the first problem found: an empty or
+    /// unsorted frequency grid.
     pub fn validate(&self) -> Result<(), String> {
-        if self.channels == 0 || self.dimms_per_channel == 0 || self.ranks_per_dimm == 0 {
-            return Err("geometry dimensions must be non-zero".into());
-        }
-        if self.banks_per_rank == 0 {
-            return Err("banks_per_rank must be non-zero".into());
-        }
         if self.freq_grid.is_empty() {
             return Err("frequency grid is empty".into());
         }
         if self.freq_grid.windows(2).any(|w| w[0] >= w[1]) {
             return Err("frequency grid must be strictly ascending".into());
-        }
-        if !self.line_bytes.is_power_of_two() {
-            return Err("line_bytes must be a power of two".into());
-        }
-        if self.lines_per_row == 0 {
-            return Err("lines_per_row must be non-zero".into());
         }
         Ok(())
     }
@@ -265,20 +195,10 @@ impl MemConfig {
 impl Default for MemConfig {
     fn default() -> Self {
         MemConfig {
-            channels: 4,
-            dimms_per_channel: 2,
-            ranks_per_dimm: 2,
-            banks_per_rank: 8,
-            line_bytes: 64,
             freq_grid: Self::default_freq_grid(),
-            timings: DdrTimings::default(),
-            wb_priority_threshold: 32,
-            recal_extra: Ps::from_ns(28),
-            recal_cycles: 512,
             page_policy: PagePolicy::default(),
             sched: SchedPolicy::default(),
             addr_map: AddrMap::default(),
-            lines_per_row: 128,
             idle_policy: None,
         }
     }
@@ -313,8 +233,6 @@ mod tests {
     fn default_config_is_valid() {
         let c = MemConfig::default();
         assert!(c.validate().is_ok());
-        assert_eq!(c.total_ranks(), 16);
-        assert_eq!(c.total_dimms(), 8);
         assert_eq!(c.max_freq_idx(), 9);
     }
 
@@ -327,30 +245,16 @@ mod tests {
         let mut c = MemConfig::default();
         c.freq_grid = vec![Freq::from_mhz(800), Freq::from_mhz(200)];
         assert!(c.validate().is_err());
-
-        let mut c = MemConfig::default();
-        c.line_bytes = 48;
-        assert!(c.validate().is_err());
-
-        let mut c = MemConfig::default();
-        c.channels = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = MemConfig::default();
-        c.banks_per_rank = 0;
-        assert!(c.validate().is_err());
     }
 
     #[test]
     fn burst_time_scales_with_frequency() {
-        let t = DdrTimings::default();
-        assert_eq!(t.burst_time(Freq::from_mhz(800)), Ps::new(5_000));
-        assert_eq!(t.burst_time(Freq::from_mhz(200)), Ps::new(20_000));
+        assert_eq!(burst_time(Freq::from_mhz(800)), Ps::new(5_000));
+        assert_eq!(burst_time(Freq::from_mhz(200)), Ps::new(20_000));
     }
 
     #[test]
     fn fixed_service_excludes_burst() {
-        let t = DdrTimings::default();
-        assert_eq!(t.fixed_read_service(), Ps::from_ns(35));
+        assert_eq!(fixed_read_service(), Ps::from_ns(35));
     }
 }

@@ -9,6 +9,7 @@
 //! times they queue behind. They also hold the busy/idle and page-event
 //! counts the memory power model consumes.
 
+use crate::{CHANNELS, RANKS};
 use simkernel::Ps;
 
 /// Cumulative memory-subsystem counters. All fields are monotonically
@@ -83,12 +84,13 @@ impl MemCounters {
         }
     }
 
-    /// Fraction of rank-time spent in a managed idle state over `window`.
-    pub fn rank_sleep_fraction(&self, window: Ps, ranks: usize) -> f64 {
+    /// Fraction of rank-time spent in a managed idle state over `window`,
+    /// across all [`RANKS`] ranks.
+    pub fn rank_sleep_fraction(&self, window: Ps) -> f64 {
         if window == Ps::ZERO {
             return 0.0;
         }
-        (self.rank_sleep.as_secs_f64() / (window.as_secs_f64() * ranks as f64)).min(1.0)
+        (self.rank_sleep.as_secs_f64() / (window.as_secs_f64() * RANKS as f64)).min(1.0)
     }
 
     /// Mean read latency; zero when no reads completed.
@@ -119,21 +121,21 @@ impl MemCounters {
     }
 
     /// Data-bus utilization over a window of `window` per channel-second,
-    /// given `channels` channels.
-    pub fn bus_utilization(&self, window: Ps, channels: usize) -> f64 {
+    /// across all [`CHANNELS`] channels.
+    pub fn bus_utilization(&self, window: Ps) -> f64 {
         if window == Ps::ZERO {
             return 0.0;
         }
-        (self.bus_busy.as_secs_f64() / (window.as_secs_f64() * channels as f64)).min(1.0)
+        (self.bus_busy.as_secs_f64() / (window.as_secs_f64() * CHANNELS as f64)).min(1.0)
     }
 
-    /// Average fraction of time a rank had at least one bank open, given
-    /// `ranks` total ranks observed over `window`.
-    pub fn rank_active_fraction(&self, window: Ps, ranks: usize) -> f64 {
+    /// Average fraction of time a rank had at least one bank open over
+    /// `window`, across all [`RANKS`] ranks.
+    pub fn rank_active_fraction(&self, window: Ps) -> f64 {
         if window == Ps::ZERO {
             return 0.0;
         }
-        (self.rank_active.as_secs_f64() / (window.as_secs_f64() * ranks as f64)).min(1.0)
+        (self.rank_active.as_secs_f64() / (window.as_secs_f64() * RANKS as f64)).min(1.0)
     }
 }
 
@@ -174,7 +176,7 @@ mod tests {
     fn empty_counters_have_zero_averages() {
         let c = MemCounters::default();
         assert_eq!(c.avg_read_latency(), Ps::ZERO);
-        assert_eq!(c.bus_utilization(Ps::ZERO, 4), 0.0);
+        assert_eq!(c.bus_utilization(Ps::ZERO), 0.0);
     }
 
     #[test]
@@ -195,8 +197,8 @@ mod tests {
     fn utilization_fractions() {
         let c = sample();
         // 75ns busy over 100ns * 4 channels = 18.75%.
-        assert!((c.bus_utilization(Ps::from_ns(100), 4) - 0.1875).abs() < 1e-12);
+        assert!((c.bus_utilization(Ps::from_ns(100)) - 0.1875).abs() < 1e-12);
         // 600ns rank-active over 100ns * 16 ranks = 37.5%.
-        assert!((c.rank_active_fraction(Ps::from_ns(100), 16) - 0.375).abs() < 1e-12);
+        assert!((c.rank_active_fraction(Ps::from_ns(100)) - 0.375).abs() < 1e-12);
     }
 }

@@ -1,8 +1,16 @@
 //! The top-level memory system: channels, refresh generation, DVFS.
 
 use crate::channel::{Channel, Request};
-use crate::{map_line, LineAddr, MemConfig, MemCounters};
+use crate::config::T_REFI;
+use crate::{map_line, LineAddr, MemConfig, MemCounters, CHANNELS, RANKS, RANKS_PER_CHANNEL};
 use simkernel::{stats::Histogram, Freq, Ps};
+
+/// DLL re-lock time in bus cycles when the bus frequency changes
+/// (tDLLK ≈ 512).
+const RECAL_CYCLES: u64 = 512;
+/// Penalty on top of the DLL re-lock when changing bus frequency (28 ns in
+/// the paper: fast-exit precharge powerdown).
+const RECAL_EXTRA: Ps = Ps::from_ns(28);
 
 /// Events the memory system asks the simulation driver to deliver back.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,9 +102,7 @@ impl MemorySystem {
         if let Err(e) = config.validate() {
             panic!("invalid memory config: {e}");
         }
-        let channels = (0..config.channels)
-            .map(|_| Channel::new(&config))
-            .collect();
+        let channels = (0..CHANNELS).map(|_| Channel::new()).collect();
         let freq_idx = config.max_freq_idx();
         MemorySystem {
             config,
@@ -113,11 +119,10 @@ impl MemorySystem {
     /// staggered across ranks so refreshes do not align system-wide.
     pub fn initial_events(&self) -> Vec<(Ps, MemEvent)> {
         let mut evs = Vec::new();
-        let total = self.config.channels * self.config.ranks_per_channel();
         let mut i = 0u64;
-        for channel in 0..self.config.channels {
-            for rank in 0..self.config.ranks_per_channel() {
-                let offset = self.config.timings.t_refi * i / total as u64;
+        for channel in 0..CHANNELS {
+            for rank in 0..RANKS_PER_CHANNEL {
+                let offset = T_REFI * i / RANKS as u64;
                 evs.push((offset, MemEvent::Refresh { channel, rank }));
                 i += 1;
             }
@@ -220,16 +225,9 @@ impl MemorySystem {
             MemEvent::Schedule { channel } => self.handle_schedule(channel, now, out),
             MemEvent::Refresh { channel, rank } => {
                 let at = now.max(self.recal_until);
-                self.channels[channel].refresh_rank(
-                    at,
-                    rank,
-                    &self.config.timings,
-                    &mut self.counters,
-                );
-                out.wakeups.push((
-                    now + self.config.timings.t_refi,
-                    MemEvent::Refresh { channel, rank },
-                ));
+                self.channels[channel].refresh_rank(at, rank, &mut self.counters);
+                out.wakeups
+                    .push((now + T_REFI, MemEvent::Refresh { channel, rank }));
             }
         }
     }
@@ -282,7 +280,7 @@ impl MemorySystem {
             return now;
         }
         let old = self.bus_freq();
-        let stall = old.cycles_to_ps(self.config.recal_cycles) + self.config.recal_extra;
+        let stall = old.cycles_to_ps(RECAL_CYCLES) + RECAL_EXTRA;
         let until = now + stall;
         self.freq_idx = idx;
         self.recal_until = self.recal_until.max(until);
@@ -407,13 +405,12 @@ mod tests {
         let evs = mem.initial_events();
         assert_eq!(evs.len(), 16); // 4 channels x 4 ranks
                                    // Staggered within one tREFI.
-        let t_refi = mem.config().timings.t_refi;
-        assert!(evs.iter().all(|(t, _)| *t < t_refi));
+        assert!(evs.iter().all(|(t, _)| *t < T_REFI));
         let mut mem = mem;
         let mut out = Outcome::default();
         mem.handle(evs[0].0, evs[0].1, &mut out);
         assert_eq!(out.wakeups.len(), 1);
-        assert_eq!(out.wakeups[0].0, evs[0].0 + t_refi);
+        assert_eq!(out.wakeups[0].0, evs[0].0 + T_REFI);
         assert_eq!(mem.counters().refreshes, 1);
     }
 

@@ -2,8 +2,9 @@
 //! conservation of requests, and frequency-scaling monotonicity.
 
 use memsim::{
-    AddrMap, Completion, IdleMemPolicy, IdleMode, LineAddr, MemConfig, MemEvent, MemorySystem,
-    Outcome, PagePolicy, SchedPolicy,
+    burst_time, fixed_read_service, AddrMap, Completion, IdleMemPolicy, IdleMode, LineAddr,
+    MemConfig, MemEvent, MemorySystem, Outcome, PagePolicy, SchedPolicy, CHANNELS, MC_OVERHEAD,
+    T_CL,
 };
 use proptest::prelude::*;
 use simkernel::{EventQueue, Ps};
@@ -49,10 +50,10 @@ struct EventLoop {
 }
 
 impl EventLoop {
-    fn new(mem: &MemorySystem, latest_only: bool) -> Self {
+    fn new(latest_only: bool) -> Self {
         EventLoop {
             queue: EventQueue::new(),
-            schedules: vec![0; mem.config().channels],
+            schedules: vec![0; CHANNELS],
             latest_only,
             done: Vec::new(),
         }
@@ -98,7 +99,7 @@ impl EventLoop {
 /// Drives the memory system until every queued request has been serviced,
 /// delivering every wakeup.
 fn drain(mem: &mut MemorySystem, mut seed_out: Outcome) -> Vec<Completion> {
-    let mut events = EventLoop::new(mem, false);
+    let mut events = EventLoop::new(false);
     events.absorb(&mut seed_out);
     events.run_until(mem, Ps::MAX);
     events.done
@@ -121,7 +122,7 @@ fn serve(
     fidx: usize,
     latest_only: bool,
 ) -> Vec<Completion> {
-    let mut events = EventLoop::new(mem, latest_only);
+    let mut events = EventLoop::new(latest_only);
     let mut out = Outcome::default();
     for (i, &(at, line, tag)) in requests.iter().enumerate() {
         let dvfs = i == requests.len() / 2;
@@ -187,11 +188,10 @@ proptest! {
             now += Ps::from_ns(gap);
             requests.push((now, LineAddr(line), Some(i as u64)));
         }
-        let t = &mem.config().timings;
         let unloaded = if open {
-            t.t_cl + t.burst_time(mem.bus_freq()) + t.mc_overhead
+            T_CL + burst_time(mem.bus_freq()) + MC_OVERHEAD
         } else {
-            t.fixed_read_service() + t.burst_time(mem.bus_freq())
+            fixed_read_service() + burst_time(mem.bus_freq())
         };
         let done = serve(&mut mem, &requests, fidx, latest_only);
         for c in &done {
@@ -243,8 +243,7 @@ proptest! {
         }
         let done = drain(&mut mem, out);
         let end = done.iter().map(|c| c.finish).max().unwrap();
-        let channels = mem.config().channels as u64;
-        prop_assert!(mem.counters().bus_busy <= end * channels);
+        prop_assert!(mem.counters().bus_busy <= end * CHANNELS as u64);
     }
 
     /// Lowering the bus frequency never reduces any individual completion

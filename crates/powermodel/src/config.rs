@@ -14,111 +14,88 @@
 
 use simkernel::Freq;
 
-/// All calibration constants for the power models.
+/// Lowest core frequency, where the core runs at its minimum voltage.
+pub(crate) const CORE_FMIN: Freq = Freq::from_hz(2_200_000_000);
+/// Highest core frequency, where the core runs at [`CORE_VMAX`].
+pub const CORE_FMAX: Freq = Freq::from_hz(4_000_000_000);
+/// Core voltage at the lowest core frequency (2.2 GHz) unless
+/// [`PowerConfig::with_core_vmin`] raises it.
+pub const CORE_VMIN: f64 = 0.65;
+/// Core voltage at [`CORE_FMAX`].
+pub const CORE_VMAX: f64 = 1.2;
+/// One core's power at [`CORE_FMAX`] and [`CORE_VMAX`] with typical
+/// activity.
+pub const CORE_MAX_POWER_W: f64 = 7.5;
+/// Fraction of [`CORE_MAX_POWER_W`] that is static (leakage) at
+/// [`CORE_VMAX`].
+pub const CORE_LEAK_FRAC: f64 = 0.30;
+/// Activity factor of a stalled but clocked pipeline, relative to the
+/// typical active factor of 1.0.
+pub(crate) const CORE_IDLE_ACTIVITY: f64 = 0.30;
+
+/// Shared-L2 leakage (uncore domain, never scaled).
+pub const L2_LEAKAGE_W: f64 = 2.5;
+/// Dynamic energy per L2 access, joules.
+pub(crate) const L2_ACCESS_ENERGY_J: f64 = 2.0e-9;
+
+/// Memory bus frequency at the top of the DVFS grid, where the device
+/// currents are specified.
+pub(crate) const MEM_FMAX: Freq = Freq::from_hz(800_000_000);
+/// DRAM supply voltage (fixed; commercial parts lack DIMM DVFS, §3.4).
+pub(crate) const DRAM_VDD: f64 = 1.5;
+/// DRAM chips per rank (x8 devices with ECC → 9).
+pub(crate) const CHIPS_PER_RANK: f64 = 9.0;
+/// Global scale on per-chip currents calibrating DIMM power to the paper's
+/// CPU:memory budget.
+pub(crate) const RANK_CURRENT_SCALE: f64 = 1.5;
+/// Per-chip precharge-powerdown current, mA (idle ranks power down).
+pub(crate) const IDD_PRE_PDN_MA: f64 = 45.0;
+/// Per-chip active-standby current, mA.
+pub(crate) const IDD_ACT_STBY_MA: f64 = 67.0;
+/// Per-chip activate-precharge current, mA (IDD0-like).
+pub(crate) const IDD_ACT_PRE_MA: f64 = 120.0;
+/// Per-chip burst read/write current, mA (IDD4-like).
+pub(crate) const IDD_BURST_MA: f64 = 250.0;
+/// Per-chip refresh current, mA.
+pub(crate) const IDD_REFRESH_MA: f64 = 240.0;
+/// Per-chip self-refresh current, mA (managed idle sleep; IDD6-class).
+pub(crate) const IDD_SLEEP_MA: f64 = 10.0;
+/// Fraction of background current that persists at the lowest device
+/// frequency (the rest scales linearly with frequency).
+pub(crate) const IDD_FREQ_FLOOR: f64 = 0.35;
+
+/// Memory-controller power at zero utilization and full MC frequency.
+pub(crate) const MC_MIN_W: f64 = 4.5;
+/// Memory-controller power at full utilization and full MC frequency.
+pub(crate) const MC_MAX_W: f64 = 15.0;
+/// MC voltage at the highest MC frequency. The MC shares the core's
+/// voltage technology in a domain of its own (§3), so its lowest voltage
+/// is the core's.
+pub(crate) const MC_VMAX: f64 = 1.2;
+
+/// Per-DIMM PLL/register power at zero utilization.
+pub(crate) const PLLREG_MIN_W: f64 = 0.1;
+/// Per-DIMM PLL/register power at full utilization.
+pub(crate) const PLLREG_MAX_W: f64 = 0.5;
+
+/// The power models' calibration: the paper's constants above, plus the
+/// three axes §4.2.4 varies, each set through its own `with_` method.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PowerConfig {
-    /// Lowest core frequency (V = `core_vmin` here).
-    pub core_fmin: Freq,
-    /// Highest core frequency (V = `core_vmax` here).
-    pub core_fmax: Freq,
-    /// Core voltage at `core_fmin`.
-    pub core_vmin: f64,
-    /// Core voltage at `core_fmax`.
-    pub core_vmax: f64,
-    /// One core's power at `core_fmax`/`core_vmax` with typical activity.
-    pub core_max_power_w: f64,
-    /// Fraction of `core_max_power_w` that is static/leakage at `core_vmax`.
-    pub core_leak_frac: f64,
-    /// Activity factor attributed to a stalled (but clocked) pipeline,
-    /// relative to the typical active factor of 1.0.
-    pub core_idle_activity: f64,
-
-    /// Shared-L2 leakage (uncore domain, never scaled).
-    pub l2_leakage_w: f64,
-    /// Dynamic energy per L2 access, joules.
-    pub l2_access_energy_j: f64,
-
-    /// Memory bus frequency at the top of the DVFS grid (device currents are
-    /// specified at this point).
-    pub mem_fmax: Freq,
-    /// DRAM supply voltage (fixed; commercial parts lack DIMM DVFS, §3.4).
-    pub dram_vdd: f64,
-    /// DRAM chips per rank (x8 devices with ECC → 9).
-    pub chips_per_rank: f64,
-    /// Global scale on per-chip currents calibrating DIMM power to the
-    /// paper's CPU:memory budget.
-    pub rank_current_scale: f64,
-    /// Per-chip precharge-powerdown current, mA (idle ranks powerdown).
-    pub idd_pre_pdn_ma: f64,
-    /// Per-chip active-standby current, mA.
-    pub idd_act_stby_ma: f64,
-    /// Per-chip activate-precharge current, mA (IDD0-like).
-    pub idd_act_pre_ma: f64,
-    /// Per-chip burst read/write current, mA (IDD4-like).
-    pub idd_burst_ma: f64,
-    /// Per-chip refresh current, mA.
-    pub idd_refresh_ma: f64,
-    /// Per-chip self-refresh current, mA (managed idle sleep; IDD6-class).
-    pub idd_sleep_ma: f64,
-    /// Fraction of background current that persists at the lowest device
-    /// frequency (the rest scales linearly with frequency).
-    pub idd_freq_floor: f64,
-
-    /// Memory-controller power at zero utilization, full MC frequency.
-    pub mc_min_w: f64,
-    /// Memory-controller power at full utilization, full MC frequency.
-    pub mc_max_w: f64,
-    /// MC voltage at the lowest MC frequency (MC shares the core voltage
-    /// technology but has its own domain, §3).
-    pub mc_vmin: f64,
-    /// MC voltage at the highest MC frequency.
-    pub mc_vmax: f64,
-
-    /// Per-DIMM PLL/register power at zero utilization.
-    pub pllreg_min_w: f64,
-    /// Per-DIMM PLL/register power at full utilization.
-    pub pllreg_max_w: f64,
-
-    /// Fixed rest-of-system power (everything except cores, L2, memory
-    /// subsystem). Derived from the baseline fraction via
-    /// [`PowerConfig::with_rest_fraction`].
-    pub rest_power_w: f64,
+    /// Core and MC voltage at the lowest frequency.
+    pub(crate) vmin: f64,
+    /// Scale on memory-side power: DRAM currents, MC and PLL/register.
+    pub(crate) mem_scale: f64,
+    /// Fixed rest-of-system power (everything except cores, L2 and the
+    /// memory subsystem).
+    pub(crate) rest_power_w: f64,
 }
 
 impl Default for PowerConfig {
     fn default() -> Self {
         PowerConfig {
-            core_fmin: Freq::from_ghz(2.2),
-            core_fmax: Freq::from_ghz(4.0),
-            core_vmin: 0.65,
-            core_vmax: 1.2,
-            core_max_power_w: 7.5,
-            core_leak_frac: 0.30,
-            core_idle_activity: 0.30,
-
-            l2_leakage_w: 2.5,
-            l2_access_energy_j: 2.0e-9,
-
-            mem_fmax: Freq::from_mhz(800),
-            dram_vdd: 1.5,
-            chips_per_rank: 9.0,
-            rank_current_scale: 1.5,
-            idd_pre_pdn_ma: 45.0,
-            idd_act_stby_ma: 67.0,
-            idd_act_pre_ma: 120.0,
-            idd_burst_ma: 250.0,
-            idd_refresh_ma: 240.0,
-            idd_sleep_ma: 10.0,
-            idd_freq_floor: 0.35,
-
-            mc_min_w: 4.5,
-            mc_max_w: 15.0,
-            mc_vmin: 0.65,
-            mc_vmax: 1.2,
-
-            pllreg_min_w: 0.1,
-            pllreg_max_w: 0.5,
-
+            vmin: CORE_VMIN,
+            mem_scale: 1.0,
             // 10% of baseline total given ~120 W CPU + ~60 W memory:
             // rest = 180 * 0.1/0.9 = 20 W.
             rest_power_w: 20.0,
@@ -147,23 +124,19 @@ impl PowerConfig {
     }
 
     /// Scales memory-side power by `ratio` relative to the default
-    /// calibration (Figures 12–13 vary the CPU:memory power ratio).
+    /// calibration (Figures 12–13 vary the CPU:memory power ratio): the
+    /// DRAM currents, the MC range and the PLL/register range.
     pub fn with_memory_power_scale(mut self, ratio: f64) -> Self {
         assert!(ratio > 0.0, "memory power scale must be positive");
-        self.rank_current_scale *= ratio;
-        self.mc_min_w *= ratio;
-        self.mc_max_w *= ratio;
-        self.pllreg_min_w *= ratio;
-        self.pllreg_max_w *= ratio;
+        self.mem_scale *= ratio;
         self
     }
 
     /// Narrows the core (and MC) voltage range by raising the minimum
     /// voltage (Figure 14 uses 0.95–1.2 V).
     pub fn with_core_vmin(mut self, vmin: f64) -> Self {
-        assert!(vmin > 0.0 && vmin <= self.core_vmax, "bad vmin {vmin}");
-        self.core_vmin = vmin;
-        self.mc_vmin = vmin;
+        assert!(vmin > 0.0 && vmin <= CORE_VMAX, "bad vmin {vmin}");
+        self.vmin = vmin;
         self
     }
 
@@ -171,27 +144,15 @@ impl PowerConfig {
     /// endpoints, clamped at the ends (matches the i7 measurement cited in
     /// §4.1).
     pub fn core_voltage(&self, f: Freq) -> f64 {
-        linear_v(
-            f,
-            self.core_fmin,
-            self.core_fmax,
-            self.core_vmin,
-            self.core_vmax,
-        )
+        linear_v(f, CORE_FMIN, CORE_FMAX, self.vmin, CORE_VMAX)
     }
 
     /// MC voltage at MC frequency `f_mc` (the MC runs at twice the bus
     /// frequency; its voltage map spans the doubled grid).
     pub fn mc_voltage(&self, f_mc: Freq) -> f64 {
         let lo = Freq::from_hz(2 * 200_000_000);
-        let hi = Freq::from_hz(2 * self.mem_fmax.as_hz());
-        linear_v(f_mc, lo, hi, self.mc_vmin, self.mc_vmax)
-    }
-
-    /// Frequency-scaling factor for DRAM background currents.
-    pub fn dram_freq_factor(&self, bus: Freq) -> f64 {
-        let r = bus.as_hz() as f64 / self.mem_fmax.as_hz() as f64;
-        self.idd_freq_floor + (1.0 - self.idd_freq_floor) * r.min(1.0)
+        let hi = Freq::from_hz(2 * MEM_FMAX.as_hz());
+        linear_v(f_mc, lo, hi, self.vmin, MC_VMAX)
     }
 }
 
@@ -240,17 +201,9 @@ mod tests {
     #[test]
     fn scale_builders() {
         let c = PowerConfig::default().with_memory_power_scale(2.0);
-        assert!((c.mc_max_w - 30.0).abs() < 1e-9);
+        assert!((MC_MAX_W * c.mem_scale - 30.0).abs() < 1e-9);
         let c = PowerConfig::default().with_core_vmin(0.95);
         assert!((c.core_voltage(Freq::from_ghz(2.2)) - 0.95).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dram_freq_factor_bounds() {
-        let c = PowerConfig::default();
-        assert!((c.dram_freq_factor(Freq::from_mhz(800)) - 1.0).abs() < 1e-9);
-        let f200 = c.dram_freq_factor(Freq::from_mhz(200));
-        assert!(f200 > 0.35 && f200 < 0.6);
     }
 
     #[test]

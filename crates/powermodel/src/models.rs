@@ -6,9 +6,9 @@
 //! policies' what-if predictions), exactly as the paper's controller uses
 //! one model for both.
 
-use crate::PowerConfig;
+use crate::config::*;
 use cpusim::CoreCounters;
-use memsim::MemCounters;
+use memsim::{MemCounters, DIMMS, RANKS, T_RAS, T_RFC, T_RP};
 use simkernel::{Freq, Ps};
 
 /// Relative switching cost of each instruction class, normalized so that a
@@ -45,11 +45,11 @@ pub fn core_power(
     if window == Ps::ZERO {
         return 0.0;
     }
-    let v = cfg.core_voltage(vfreq.max(freq)) / cfg.core_vmax;
-    let f = freq.as_hz() as f64 / cfg.core_fmax.as_hz() as f64;
+    let v = cfg.core_voltage(vfreq.max(freq)) / CORE_VMAX;
+    let f = freq.as_hz() as f64 / CORE_FMAX.as_hz() as f64;
 
     let af_busy = if ctr.tic == 0 {
-        cfg.core_idle_activity
+        CORE_IDLE_ACTIVITY
     } else {
         let weighted = W_ALU * ctr.cac_alu
             + W_FPU * ctr.cac_fpu
@@ -58,20 +58,20 @@ pub fn core_power(
         (weighted / ctr.tic as f64) / AF_REFERENCE
     };
     let busy_frac = (ctr.busy_time.as_secs_f64() / window.as_secs_f64()).min(1.0);
-    let af_eff = af_busy * busy_frac + cfg.core_idle_activity * (1.0 - busy_frac);
+    let af_eff = af_busy * busy_frac + CORE_IDLE_ACTIVITY * (1.0 - busy_frac);
 
-    let k_dyn = cfg.core_max_power_w * (1.0 - cfg.core_leak_frac);
-    let k_leak = cfg.core_max_power_w * cfg.core_leak_frac;
+    let k_dyn = CORE_MAX_POWER_W * (1.0 - CORE_LEAK_FRAC);
+    let k_leak = CORE_MAX_POWER_W * CORE_LEAK_FRAC;
     k_dyn * af_eff * v * v * f + k_leak * v
 }
 
 /// Average power of the shared L2 over a window: fixed uncore leakage plus
 /// per-access dynamic energy.
-pub fn l2_power(cfg: &PowerConfig, accesses: u64, window: Ps) -> f64 {
+pub fn l2_power(accesses: u64, window: Ps) -> f64 {
     if window == Ps::ZERO {
-        return cfg.l2_leakage_w;
+        return L2_LEAKAGE_W;
     }
-    cfg.l2_leakage_w + accesses as f64 * cfg.l2_access_energy_j / window.as_secs_f64()
+    L2_LEAKAGE_W + accesses as f64 * L2_ACCESS_ENERGY_J / window.as_secs_f64()
 }
 
 /// Memory-subsystem power split into its components.
@@ -92,32 +92,10 @@ impl MemPower {
     }
 }
 
-/// Geometry the memory power model needs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemGeometry {
-    /// Total ranks in the system.
-    pub ranks: usize,
-    /// Total DIMMs in the system.
-    pub dimms: usize,
-    /// Number of channels.
-    pub channels: usize,
-    /// Row cycle time (tRAS + tRP), for per-activation energy.
-    pub t_rc: Ps,
-    /// Refresh cycle time, for refresh energy.
-    pub t_rfc: Ps,
-}
-
-impl MemGeometry {
-    /// Geometry of a [`memsim::MemConfig`].
-    pub fn of(config: &memsim::MemConfig) -> Self {
-        MemGeometry {
-            ranks: config.total_ranks(),
-            dimms: config.total_dimms(),
-            channels: config.channels,
-            t_rc: config.timings.t_ras + config.timings.t_rp,
-            t_rfc: config.timings.t_rfc,
-        }
-    }
+/// Frequency-scaling factor for DRAM background currents.
+fn dram_freq_factor(bus: Freq) -> f64 {
+    let r = bus.as_hz() as f64 / MEM_FMAX.as_hz() as f64;
+    IDD_FREQ_FLOOR + (1.0 - IDD_FREQ_FLOOR) * r.min(1.0)
 }
 
 /// Average memory-subsystem power over a window at bus frequency `bus`.
@@ -127,75 +105,62 @@ impl MemGeometry {
 /// state residency (active standby vs precharge powerdown), per-activation
 /// energy, burst power proportional to data-bus occupancy, and refresh
 /// energy — plus the paper's MC (4.5–15 W, utilization- and DVFS-scaled)
-/// and per-DIMM PLL/register (0.1–0.5 W) components.
-pub fn memory_power(
-    cfg: &PowerConfig,
-    geom: &MemGeometry,
-    bus: Freq,
-    ctr: &MemCounters,
-    window: Ps,
-) -> MemPower {
+/// and per-DIMM PLL/register (0.1–0.5 W) components, over the Table 2
+/// geometry ([`memsim::RANKS`] ranks on [`memsim::DIMMS`] DIMMs).
+pub fn memory_power(cfg: &PowerConfig, bus: Freq, ctr: &MemCounters, window: Ps) -> MemPower {
     if window == Ps::ZERO {
         return MemPower::default();
     }
     let w = window.as_secs_f64();
-    let v = cfg.dram_vdd;
-    let chips = cfg.chips_per_rank * cfg.rank_current_scale;
+    let v = DRAM_VDD;
+    let chips = CHIPS_PER_RANK * (RANK_CURRENT_SCALE * cfg.mem_scale);
     let ma = 1e-3;
-    let ff = cfg.dram_freq_factor(bus);
+    let ff = dram_freq_factor(bus);
 
     // Background: each rank is "some bank active" (active standby), idle
     // (fast-exit precharge powerdown, the mode MemScale/CoScale assume), or
     // — when an idle-state manager is configured — asleep in self-refresh.
-    let act_frac = ctr.rank_active_fraction(window, geom.ranks);
-    let sleep_frac = ctr
-        .rank_sleep_fraction(window, geom.ranks)
-        .min(1.0 - act_frac);
+    let act_frac = ctr.rank_active_fraction(window);
+    let sleep_frac = ctr.rank_sleep_fraction(window).min(1.0 - act_frac);
     let idle_frac = (1.0 - act_frac - sleep_frac).max(0.0);
     let bg_per_rank = chips
         * v
         * ff
-        * (act_frac * cfg.idd_act_stby_ma
-            + idle_frac * cfg.idd_pre_pdn_ma
-            + sleep_frac * cfg.idd_sleep_ma)
+        * (act_frac * IDD_ACT_STBY_MA + idle_frac * IDD_PRE_PDN_MA + sleep_frac * IDD_SLEEP_MA)
         * ma;
-    let background = bg_per_rank * geom.ranks as f64;
+    let background = bg_per_rank * RANKS as f64;
 
-    // Activate/precharge energy per page open.
-    let e_act = (cfg.idd_act_pre_ma - cfg.idd_act_stby_ma).max(0.0)
-        * ma
-        * v
-        * chips
-        * geom.t_rc.as_secs_f64();
+    // Activate/precharge energy per page open, over one row cycle
+    // (tRC = tRAS + tRP).
+    let e_act =
+        (IDD_ACT_PRE_MA - IDD_ACT_STBY_MA).max(0.0) * ma * v * chips * (T_RAS + T_RP).as_secs_f64();
     let activate = ctr.page_opens as f64 * e_act / w;
 
     // Burst power while the data bus is occupied.
-    let p_burst = (cfg.idd_burst_ma - cfg.idd_act_stby_ma).max(0.0) * ma * v * chips * ff;
+    let p_burst = (IDD_BURST_MA - IDD_ACT_STBY_MA).max(0.0) * ma * v * chips * ff;
     let burst = p_burst * ctr.bus_busy.as_secs_f64() / w;
 
     // Refresh.
-    let e_ref = (cfg.idd_refresh_ma - cfg.idd_pre_pdn_ma).max(0.0)
-        * ma
-        * v
-        * chips
-        * geom.t_rfc.as_secs_f64();
+    let e_ref = (IDD_REFRESH_MA - IDD_PRE_PDN_MA).max(0.0) * ma * v * chips * T_RFC.as_secs_f64();
     let refresh = ctr.refreshes as f64 * e_ref / w;
 
     let dimm_w = background + activate + burst + refresh;
 
     // Memory controller: linear in utilization, scaled by its own V²f.
-    let util = ctr.bus_utilization(window, geom.channels);
+    // Each endpoint is scaled on its own and the range is their
+    // difference; `(max - min) * scale` would round differently.
+    let util = ctr.bus_utilization(window);
     let f_mc = Freq::from_hz(2 * bus.as_hz());
-    let v_mc = cfg.mc_voltage(f_mc) / cfg.mc_vmax;
-    let f_rel = bus.as_hz() as f64 / cfg.mem_fmax.as_hz() as f64;
-    let mc_w = (cfg.mc_min_w + (cfg.mc_max_w - cfg.mc_min_w) * util) * v_mc * v_mc * f_rel;
+    let v_mc = cfg.mc_voltage(f_mc) / MC_VMAX;
+    let f_rel = bus.as_hz() as f64 / MEM_FMAX.as_hz() as f64;
+    let (mc_min_w, mc_max_w) = (MC_MIN_W * cfg.mem_scale, MC_MAX_W * cfg.mem_scale);
+    let mc_w = (mc_min_w + (mc_max_w - mc_min_w) * util) * v_mc * v_mc * f_rel;
 
     // PLL/register per DIMM: register part scales with utilization, PLL part
     // with frequency.
     let pll_scale = 0.5 + 0.5 * f_rel;
-    let pllreg_w = (cfg.pllreg_min_w + (cfg.pllreg_max_w - cfg.pllreg_min_w) * util)
-        * pll_scale
-        * geom.dimms as f64;
+    let (pllreg_min_w, pllreg_max_w) = (PLLREG_MIN_W * cfg.mem_scale, PLLREG_MAX_W * cfg.mem_scale);
+    let pllreg_w = (pllreg_min_w + (pllreg_max_w - pllreg_min_w) * util) * pll_scale * DIMMS as f64;
 
     MemPower {
         dimm_w,
@@ -241,7 +206,6 @@ impl SystemPower {
 /// the L2 access count in the window.
 pub fn system_power(
     cfg: &PowerConfig,
-    geom: &MemGeometry,
     core_windows: &[(Freq, Freq, CoreCounters)],
     l2_accesses: u64,
     bus: Freq,
@@ -253,8 +217,8 @@ pub fn system_power(
             .iter()
             .map(|(f, v, c)| core_power(cfg, *f, *v, c, window))
             .collect(),
-        l2_w: l2_power(cfg, l2_accesses, window),
-        mem: memory_power(cfg, geom, bus, mem_ctr, window),
+        l2_w: l2_power(l2_accesses, window),
+        mem: memory_power(cfg, bus, mem_ctr, window),
         rest_w: cfg.rest_power_w,
     }
 }
@@ -277,15 +241,11 @@ mod tests {
         }
     }
 
-    fn geom() -> MemGeometry {
-        MemGeometry::of(&memsim::MemConfig::default())
-    }
-
     #[test]
     fn core_power_at_max_matches_calibration() {
         let cfg = PowerConfig::default();
         let w = Ps::from_ms(1);
-        let fmax = cfg.core_fmax;
+        let fmax = CORE_FMAX;
         let p = core_power(&cfg, fmax, fmax, &busy_counters(w, 1.0, 1_000_000), w);
         // Typical INT mix AF ≈ 1.0 → close to the calibrated 7.5 W.
         assert!((p - 7.5).abs() < 0.3, "power {p}");
@@ -309,12 +269,12 @@ mod tests {
     fn stalled_core_draws_less_than_busy_core() {
         let cfg = PowerConfig::default();
         let w = Ps::from_ms(1);
-        let fmax = cfg.core_fmax;
+        let fmax = CORE_FMAX;
         let busy = core_power(&cfg, fmax, fmax, &busy_counters(w, 1.0, 1_000_000), w);
         let stalled = core_power(&cfg, fmax, fmax, &busy_counters(w, 0.1, 100_000), w);
         assert!(stalled < busy * 0.7, "stalled {stalled}, busy {busy}");
         // But never below leakage.
-        assert!(stalled > cfg.core_max_power_w * cfg.core_leak_frac * 0.9);
+        assert!(stalled > CORE_MAX_POWER_W * CORE_LEAK_FRAC * 0.9);
     }
 
     #[test]
@@ -328,7 +288,7 @@ mod tests {
         fp_mix.cac_branch = 80_000.0;
         fp_mix.cac_loadstore = 320_000.0;
         int_mix.cac_fpu = 20_000.0;
-        let fmax = cfg.core_fmax;
+        let fmax = CORE_FMAX;
         let p_int = core_power(&cfg, fmax, fmax, &int_mix, w);
         let p_fp = core_power(&cfg, fmax, fmax, &fp_mix, w);
         assert!(p_fp > p_int);
@@ -345,13 +305,13 @@ mod tests {
         loaded.bus_busy = Ps::from_us(500) * 4;
         loaded.rank_active = Ps::from_us(700) * 16;
         loaded.refreshes = 2000;
-        let p_idle = memory_power(&cfg, &geom(), Freq::from_mhz(800), &idle, w);
-        let p_load = memory_power(&cfg, &geom(), Freq::from_mhz(800), &loaded, w);
+        let p_idle = memory_power(&cfg, Freq::from_mhz(800), &idle, w);
+        let p_load = memory_power(&cfg, Freq::from_mhz(800), &loaded, w);
         assert!(p_load.total() > p_idle.total() * 1.5);
         // MC spans its configured range.
-        assert!(p_idle.mc_w >= cfg.mc_min_w * 0.99);
+        assert!(p_idle.mc_w >= MC_MIN_W * 0.99);
         assert!(p_load.mc_w > p_idle.mc_w);
-        assert!(p_load.mc_w <= cfg.mc_max_w + 1e-9);
+        assert!(p_load.mc_w <= MC_MAX_W + 1e-9);
     }
 
     #[test]
@@ -359,8 +319,8 @@ mod tests {
         let cfg = PowerConfig::default();
         let w = Ps::from_ms(1);
         let idle = MemCounters::default();
-        let hi = memory_power(&cfg, &geom(), Freq::from_mhz(800), &idle, w).total();
-        let lo = memory_power(&cfg, &geom(), Freq::from_mhz(200), &idle, w).total();
+        let hi = memory_power(&cfg, Freq::from_mhz(800), &idle, w).total();
+        let lo = memory_power(&cfg, Freq::from_mhz(200), &idle, w).total();
         assert!(lo < hi * 0.6, "lo {lo}, hi {hi}");
     }
 
@@ -371,28 +331,14 @@ mod tests {
         let cfg = PowerConfig::default();
         let w = Ps::from_ms(1);
         let cores: Vec<(Freq, Freq, CoreCounters)> = (0..16)
-            .map(|_| {
-                (
-                    cfg.core_fmax,
-                    cfg.core_fmax,
-                    busy_counters(w, 0.85, 3_000_000),
-                )
-            })
+            .map(|_| (CORE_FMAX, CORE_FMAX, busy_counters(w, 0.85, 3_000_000)))
             .collect();
         let mut mem = MemCounters::default();
         mem.page_opens = 400_000;
         mem.bus_busy = Ps::from_us(350) * 4;
         mem.rank_active = Ps::from_us(600) * 16;
         mem.refreshes = 2048;
-        let sys = system_power(
-            &cfg,
-            &geom(),
-            &cores,
-            2_000_000,
-            Freq::from_mhz(800),
-            &mem,
-            w,
-        );
+        let sys = system_power(&cfg, &cores, 2_000_000, Freq::from_mhz(800), &mem, w);
         let total = sys.total();
         let cpu_frac = sys.cpu_total() / total;
         let mem_frac = sys.mem.total() / total;
@@ -410,14 +356,21 @@ mod tests {
         let mut sleeping = MemCounters::default();
         // All 16 ranks asleep 90% of the window.
         sleeping.rank_sleep = Ps::from_us(900) * 16;
-        let p_idle = memory_power(&cfg, &geom(), Freq::from_mhz(800), &idle, w);
-        let p_sleep = memory_power(&cfg, &geom(), Freq::from_mhz(800), &sleeping, w);
+        let p_idle = memory_power(&cfg, Freq::from_mhz(800), &idle, w);
+        let p_sleep = memory_power(&cfg, Freq::from_mhz(800), &sleeping, w);
         assert!(
             p_sleep.dimm_w < p_idle.dimm_w * 0.6,
             "self-refresh should cut background: {} vs {}",
             p_sleep.dimm_w,
             p_idle.dimm_w
         );
+    }
+
+    #[test]
+    fn dram_freq_factor_bounds() {
+        assert!((dram_freq_factor(Freq::from_mhz(800)) - 1.0).abs() < 1e-9);
+        let f200 = dram_freq_factor(Freq::from_mhz(200));
+        assert!(f200 > 0.35 && f200 < 0.6);
     }
 
     #[test]
@@ -442,20 +395,14 @@ mod tests {
         assert_eq!(
             core_power(
                 &cfg,
-                cfg.core_fmax,
-                cfg.core_fmax,
+                CORE_FMAX,
+                CORE_FMAX,
                 &CoreCounters::default(),
                 Ps::ZERO
             ),
             0.0
         );
-        let mp = memory_power(
-            &cfg,
-            &geom(),
-            Freq::from_mhz(800),
-            &MemCounters::default(),
-            Ps::ZERO,
-        );
+        let mp = memory_power(&cfg, Freq::from_mhz(800), &MemCounters::default(), Ps::ZERO);
         assert_eq!(mp.total(), 0.0);
     }
 }

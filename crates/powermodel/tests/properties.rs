@@ -3,7 +3,10 @@
 
 use cpusim::CoreCounters;
 use memsim::MemCounters;
-use powermodel::{core_power, l2_power, memory_power, MemGeometry, PowerConfig};
+use powermodel::{
+    core_power, l2_power, memory_power, PowerConfig, CORE_FMAX, CORE_LEAK_FRAC, CORE_MAX_POWER_W,
+    CORE_VMAX, CORE_VMIN, L2_LEAKAGE_W,
+};
 use proptest::prelude::*;
 use simkernel::{Freq, Ps};
 
@@ -17,10 +20,6 @@ fn counters(window: Ps, busy_frac: f64, tic: u64) -> CoreCounters {
         cac_loadstore: tic as f64 * 0.35,
         ..CoreCounters::default()
     }
-}
-
-fn geom() -> MemGeometry {
-    MemGeometry::of(&memsim::MemConfig::default())
 }
 
 proptest! {
@@ -48,10 +47,10 @@ proptest! {
         let cfg = PowerConfig::default();
         let w = Ps::from_ms(1);
         let c = counters(w, busy, tic);
-        let p = core_power(&cfg, cfg.core_fmax, cfg.core_fmax, &c, w);
-        let leak_floor = cfg.core_max_power_w * cfg.core_leak_frac * 0.9;
+        let p = core_power(&cfg, CORE_FMAX, CORE_FMAX, &c, w);
+        let leak_floor = CORE_MAX_POWER_W * CORE_LEAK_FRAC * 0.9;
         prop_assert!(p >= leak_floor, "below leakage: {p}");
-        prop_assert!(p <= cfg.core_max_power_w * 2.0, "implausibly high: {p}");
+        prop_assert!(p <= CORE_MAX_POWER_W * 2.0, "implausibly high: {p}");
     }
 
     /// A shared voltage domain never reduces a core's power, and equals the
@@ -87,18 +86,17 @@ proptest! {
             refreshes: 2048,
             ..MemCounters::default()
         };
-        let lo = memory_power(&cfg, &geom(), Freq::from_mhz(800), &mk(scale), w);
-        let hi = memory_power(&cfg, &geom(), Freq::from_mhz(800), &mk(scale + 1), w);
+        let lo = memory_power(&cfg, Freq::from_mhz(800), &mk(scale), w);
+        let hi = memory_power(&cfg, Freq::from_mhz(800), &mk(scale + 1), w);
         prop_assert!(hi.total() >= lo.total() - 1e-9);
     }
 
     /// L2 power grows linearly with access count.
     #[test]
     fn l2_power_linear_in_accesses(a in 0u64..10_000_000, b in 0u64..10_000_000) {
-        let cfg = PowerConfig::default();
         let w = Ps::from_ms(1);
-        let pa = l2_power(&cfg, a, w) - cfg.l2_leakage_w;
-        let pb = l2_power(&cfg, b, w) - cfg.l2_leakage_w;
+        let pa = l2_power(a, w) - L2_LEAKAGE_W;
+        let pb = l2_power(b, w) - L2_LEAKAGE_W;
         if a > 0 && b > 0 {
             let ratio = (pa / a as f64) / (pb / b as f64);
             prop_assert!((ratio - 1.0).abs() < 1e-9);
@@ -112,7 +110,7 @@ proptest! {
     fn voltage_map_monotone(mhz in 1_000u64..6_000) {
         let cfg = PowerConfig::default();
         let v = cfg.core_voltage(Freq::from_mhz(mhz));
-        prop_assert!((cfg.core_vmin..=cfg.core_vmax).contains(&v));
+        prop_assert!((CORE_VMIN..=CORE_VMAX).contains(&v));
         let v2 = cfg.core_voltage(Freq::from_mhz(mhz + 100));
         prop_assert!(v2 >= v - 1e-12);
     }
@@ -125,8 +123,8 @@ proptest! {
         let awake = MemCounters::default();
         let mut sleeping = awake;
         sleeping.rank_sleep = Ps::from_us(sleep_us) * 16;
-        let p_awake = memory_power(&cfg, &geom(), Freq::from_mhz(800), &awake, w);
-        let p_sleep = memory_power(&cfg, &geom(), Freq::from_mhz(800), &sleeping, w);
+        let p_awake = memory_power(&cfg, Freq::from_mhz(800), &awake, w);
+        let p_sleep = memory_power(&cfg, Freq::from_mhz(800), &sleeping, w);
         prop_assert!(p_sleep.dimm_w <= p_awake.dimm_w + 1e-9);
     }
 }

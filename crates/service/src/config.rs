@@ -21,10 +21,9 @@ pub struct ServiceServerSpec {
     pub config: SimConfig,
     /// The arrival process. Its stream and the request sizes are seeded
     /// from `config.seed`, independently of the engine's workload stream.
+    /// Each request costs 40 k instructions on average, uniform in
+    /// `[0.5, 1.5] ×` that.
     pub arrivals: ArrivalKind,
-    /// Mean instructions a request costs; actual sizes are uniform in
-    /// `[0.5, 1.5] ×` this.
-    pub mean_request_instrs: f64,
     /// The server's p99 sojourn-time SLO, seconds.
     pub p99_target_s: f64,
 }
@@ -49,7 +48,6 @@ impl ServiceServerSpec {
             name: name.to_string(),
             config,
             arrivals: ArrivalKind::Poisson { rate_hz },
-            mean_request_instrs: 40_000.0,
             p99_target_s: 1e-3,
         }
     }
@@ -586,9 +584,6 @@ impl ServiceConfig {
         s.config
             .validate()
             .map_err(|e| format!("server {}: {e}", s.name))?;
-        if !s.mean_request_instrs.is_finite() || s.mean_request_instrs <= 0.0 {
-            return Err(format!("server {}: request size must be positive", s.name));
-        }
         if !s.p99_target_s.is_finite() || s.p99_target_s <= 0.0 {
             return Err(format!(
                 "server {}: p99 target {} s must be finite and positive",
@@ -681,7 +676,7 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_bad_arrivals_request_sizes_and_p99_targets() {
+    fn validation_rejects_bad_arrivals_and_p99_targets() {
         let mmpp =
             |rate_hz, burst_factor, (mean_calm, mean_burst), diurnal_depth| ArrivalKind::Mmpp {
                 rate_hz,
@@ -729,12 +724,6 @@ mod tests {
             let err = join_error(open_loop_base(), 3, spec).unwrap_err();
             assert!(err.contains("odd") && err.contains(needle), "{err}");
         }
-        for size in [f64::NAN, f64::INFINITY, 0.0] {
-            let mut c = open_loop_base();
-            c.servers[0].mean_request_instrs = size;
-            let err = c.validate().unwrap_err();
-            assert!(err.contains("request size"), "{err}");
-        }
         for target in [f64::NAN, f64::INFINITY, 0.0, -1e-3] {
             let spec = ServiceServerSpec::small("odd", "ILP1", 2, 1000.0).with_p99_target_s(target);
             let mut c = open_loop_base();
@@ -749,11 +738,9 @@ mod tests {
     #[test]
     fn validation_rejects_a_bad_l2_geometry() {
         // Each of these used to panic inside `L2Cache::new`, mid-build.
-        let geometries = [(0, 64, 1 << 20), (16, 0, 1 << 20), (16, 64, 3 << 20)];
-        for (ways, line_bytes, size_bytes) in geometries {
+        for (ways, size_bytes) in [(0, 1 << 20), (16, 3 << 20)] {
             let mut spec = ServiceServerSpec::small("odd", "ILP1", 2, 1000.0);
             spec.config.cache.ways = ways;
-            spec.config.cache.line_bytes = line_bytes;
             spec.config.cache.size_bytes = size_bytes;
             let mut c = open_loop_base();
             c.servers.push(spec.clone());

@@ -25,15 +25,22 @@ const SLA_WINDOW_ROUNDS: usize = 4;
 /// service).
 const QUEUE_CAPACITY: usize = 512;
 
+/// Mean instructions an open-loop request costs; actual sizes are uniform
+/// in `[0.5, 1.5] ×` this. A closed loop sets its own
+/// ([`crate::ClosedLoopConfig::mean_request_instrs`]).
+const MEAN_REQUEST_INSTRS: f64 = 40_000.0;
+
 /// One serving server: the fleet loop writes caps to and reads power
 /// telemetry from `server` directly; everything else here is serving state.
 pub(crate) struct ServiceServer {
     pub(crate) server: Server,
+    /// The index of the tier this server serves under a tier topology,
+    /// looked up from its name once, when it is built.
+    pub(crate) tier: Option<usize>,
     /// The spec's arrival process; `None` under a closed loop, whose
     /// requests the fleet loop pushes.
     arrivals: Option<ArrivalGen>,
     size_rng: SimRng,
-    mean_request_instrs: f64,
     queue: RequestQueue,
     p99_target_s: f64,
     /// All sojourns since the server joined.
@@ -61,11 +68,13 @@ impl ServiceServer {
     /// With `closed_loop`, requests come from
     /// [`ServiceServer::push_request`] instead of the spec's arrival
     /// process, stamped on the fleet-global clock that reads the given
-    /// offset at this server's engine time zero.
+    /// offset at this server's engine time zero. `tier` is the tier it
+    /// serves under a tier topology.
     pub(crate) fn new(
         spec: &ServiceServerSpec,
         initial_cap_w: f64,
         closed_loop: Option<Ps>,
+        tier: Option<usize>,
     ) -> ServiceServer {
         // A serving engine must never finish (the round count ends the
         // run), so the spec's completion target is replaced by one no
@@ -78,11 +87,11 @@ impl ServiceServer {
         let stream_seed = spec.config.seed ^ 0x5e21_1ce0;
         ServiceServer {
             server: Server::new(&engine, initial_cap_w),
+            tier,
             arrivals: closed_loop
                 .is_none()
                 .then(|| ArrivalGen::new(spec.arrivals, stream_seed)),
             size_rng: SimRng::new(stream_seed ^ 0x517e_d00d),
-            mean_request_instrs: spec.mean_request_instrs,
             queue: RequestQueue::new(QUEUE_CAPACITY),
             p99_target_s: spec.p99_target_s,
             cum_hist: Histogram::new(),
@@ -126,7 +135,7 @@ impl ServiceServer {
             for arrival in arrivals.arrivals_until(t1) {
                 requests.push(Request {
                     arrival,
-                    remaining_instrs: self.mean_request_instrs * (0.5 + self.size_rng.f64()),
+                    remaining_instrs: MEAN_REQUEST_INSTRS * (0.5 + self.size_rng.f64()),
                     caller: None,
                 });
             }
@@ -214,7 +223,7 @@ mod tests {
     #[test]
     fn a_round_frees_the_requests_it_drains() {
         let spec = ServiceServerSpec::small("s0", "MID1", 1, 0.0);
-        let mut s = ServiceServer::new(&spec, 60.0, Some(Ps::ZERO));
+        let mut s = ServiceServer::new(&spec, 60.0, Some(Ps::ZERO), None);
         let crowd = 4096;
         for client in 0..crowd {
             s.push_request(Request {

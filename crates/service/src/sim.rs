@@ -344,7 +344,13 @@ impl ServiceSim {
         let servers = config
             .servers
             .iter()
-            .map(|spec| ServiceServer::new(spec, initial, offset))
+            .map(|spec| {
+                let tier = config
+                    .tiers
+                    .as_ref()
+                    .and_then(|tc| tc.graph.tier_of(&spec.name));
+                ServiceServer::new(spec, initial, offset, tier)
+            })
             .collect();
         ServiceSim { config, servers }
     }
@@ -406,17 +412,6 @@ struct TierRuntime {
     collector: TraceCollector,
     e2e_hist: Histogram,
     base_instrs: f64,
-}
-
-/// Fleet indices of the servers currently serving `tier`, in fleet order
-/// (shard picks index into this list).
-fn tier_members(graph: &TierGraph, servers: &[ServiceServer], tier: usize) -> Vec<usize> {
-    servers
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| graph.tier_of(&s.server.name) == Some(tier))
-        .map(|(i, _)| i)
-        .collect()
 }
 
 impl FleetRun {
@@ -492,18 +487,21 @@ impl FleetRun {
                     // of the root group; under a tier topology they must
                     // name an existing tier and attach to that tier's
                     // group.
-                    let group = self.config.tiers.as_ref().map(|tc| {
+                    let tier = self.config.tiers.as_ref().map(|tc| {
                         let ti = tc
                             .graph
                             .tier_of(&spec.name)
                             .expect("validated: churn joiners name a tier");
-                        tc.graph.tiers()[ti].name.clone()
+                        (ti, tc.graph.tiers()[ti].name.as_str())
                     });
-                    if let Err(e) = self.tree.attach_server(&spec.name, group.as_deref()) {
+                    let group = tier.map(|(_, name)| name);
+                    if let Err(e) = self.tree.attach_server(&spec.name, group) {
                         panic!("churn join {}: {e}", spec.name);
                     }
                     let offset = self.closed_loop.as_ref().map(|_| self.global_time(round));
-                    self.servers.push(ServiceServer::new(&spec, 0.0, offset));
+                    let tier = tier.map(|(ti, _)| ti);
+                    self.servers
+                        .push(ServiceServer::new(&spec, 0.0, offset, tier));
                 }
                 ChurnAction::Leave(name) => {
                     let i = self
@@ -569,7 +567,7 @@ impl FleetRun {
             let shares = t.collector.shares();
             self.servers
                 .iter()
-                .map(|s| t.graph.tier_of(&s.server.name).map_or(0.0, |ti| shares[ti]))
+                .map(|s| s.tier.map_or(0.0, |ti| shares[ti]))
                 .collect()
         });
         // The budget flows down the tree with power, latency and
@@ -626,7 +624,9 @@ impl FleetRun {
                 // request carries the span instead of the client — the
                 // client lives in the DAG record and is released when the
                 // root closes.
-                let entry = tier_members(&tr.graph, servers, 0);
+                let entry: Vec<usize> = (0..servers.len())
+                    .filter(|&i| servers[i].tier == Some(0))
+                    .collect();
                 let work0 = tr.graph.tiers()[0].work;
                 let mut targets = balancer.route_within(&loads, &entry);
                 pool.issue(t0, t1, &mut |req| {
@@ -765,7 +765,9 @@ impl ClosedLoop {
         }
         for child in tr.dag.complete(ctx, at, next_start) {
             let ti = child.tier as usize;
-            let members = tier_members(&tr.graph, servers, ti);
+            let members: Vec<usize> = (0..servers.len())
+                .filter(|&i| servers[i].tier == Some(ti))
+                .collect();
             if members.is_empty() {
                 // The child's whole tier churned away: the span cannot be
                 // placed, so the DAG fails.

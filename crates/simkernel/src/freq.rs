@@ -27,13 +27,13 @@ impl Freq {
     ///
     /// Panics if `hz` is zero — a zero frequency has no period and would
     /// poison every downstream conversion.
-    pub fn from_hz(hz: u64) -> Self {
+    pub const fn from_hz(hz: u64) -> Self {
         assert!(hz > 0, "frequency must be positive");
         Freq(hz)
     }
 
     /// Creates a frequency from megahertz.
-    pub fn from_mhz(mhz: u64) -> Self {
+    pub const fn from_mhz(mhz: u64) -> Self {
         Self::from_hz(mhz * 1_000_000)
     }
 

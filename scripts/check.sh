@@ -37,6 +37,8 @@ step "perf goldens (seed 0)" \
 step "cargo doc (deny warnings)" \
     env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 step "fleet-scale-ns gate" ./scripts/fleet_scale_gate.sh
+# The non-test line count is reported for the record; it gates nothing.
+step "non-test lines (informational)" sh -c './scripts/loc.sh || true'
 
 echo
 echo "== wall-clock per gate =="

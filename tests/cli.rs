@@ -388,6 +388,50 @@ fn numbers_inside_flag_values_name_the_parse_error() {
     }
 }
 
+/// Malformed serving and plane flag values exit 2 before round 0 with a
+/// message that names the flag or the value, and nothing panics.
+#[test]
+fn malformed_serving_and_plane_values_exit_2_naming_them() {
+    let plane = ["--fleet-size", "8"];
+    let fluid = [&CLOSED[..], &["--client-model", "fluid"]].concat();
+    let serve = [
+        "--serve",
+        "--rounds",
+        "4",
+        "--servers",
+        "light1=ILP1,b=MID1",
+    ];
+    #[rustfmt::skip]
+    let cases: [(&[&str], &str, &str, &str); 19] = [
+        (&plane, "--partition", "10:5:primary", "partition rounds 10..5 are empty"),
+        (&plane, "--partition", "1:2:", "--partition '1:2:' names no nodes"),
+        (&plane, "--partition", "1:2", "--partition value '1:2' must look like"),
+        (&plane, "--partition", "a:2:primary", "bad FROM round in --partition 'a:2:primary'"),
+        (&plane, "--partition", "1:2:nosuch", "unknown node 'nosuch'"),
+        (&fluid, "--think-diurnal", "5", "--think-diurnal wants PERIOD_MS:DEPTH"),
+        (&fluid, "--think-diurnal", "5:2", "diurnal depth 2 must be in [0, 1]"),
+        (&fluid, "--think-diurnal", "x:0.5", "bad --think-diurnal period 'x'"),
+        (&fluid, "--think-diurnal", "0:0.5", "diurnal depth needs a positive period"),
+        (&fluid, "--think-diurnal", "5:nan", "diurnal depth NaN must be in [0, 1]"),
+        (&serve, "--join", "3", "--join value '3' must look like ROUND:"),
+        (&serve, "--join", "x:a=MID1", "bad round number in --join 'x:a=MID1'"),
+        (&serve, "--join", "3:a", "server entry 'a' must look like name=mix"),
+        (&serve, "--join", "3:a=NOPE", "unknown mix 'NOPE' in server entry 'a=NOPE'"),
+        (&serve, "--join", "3:=MID1", "empty server name in entry '=MID1'"),
+        (&serve, "--join", "3:a=MID1:0", "churn join a at round 3: server a: cores 0"),
+        (&serve, "--leave", "3", "--leave value '3' must look like ROUND:"),
+        (&serve, "--leave", ":light1", "bad round number in --leave ':light1'"),
+        (&serve, "--leave", "3:", "churn leave  at round 3: no server ''"),
+    ];
+    for (base, flag, value, needle) in cases {
+        let args = [base, &[flag, value]].concat();
+        let out = cluster(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_exits_2(out, &args, needle);
+    }
+}
+
 #[test]
 fn a_repeated_flag_is_rejected() {
     let args = [

@@ -6,7 +6,7 @@ use coscale::{
     SemiCoordinatedPolicy, SimConfig, StaticMaxPolicy, UncoordinatedPolicy,
 };
 use memsim::MemConfig;
-use powermodel::{MemGeometry, PowerConfig};
+use powermodel::PowerConfig;
 use proptest::prelude::*;
 use simkernel::Ps;
 
@@ -52,16 +52,13 @@ struct Fixture {
     core_grid: Vec<simkernel::Freq>,
     mem_cfg: MemConfig,
     power: PowerConfig,
-    geom: MemGeometry,
 }
 
 fn fixture() -> Fixture {
-    let mem_cfg = MemConfig::default();
     Fixture {
         core_grid: SimConfig::core_grid_with_steps(10),
-        geom: MemGeometry::of(&mem_cfg),
+        mem_cfg: MemConfig::default(),
         power: PowerConfig::default(),
-        mem_cfg,
     }
 }
 
@@ -71,8 +68,6 @@ fn build_model<'a>(fx: &'a Fixture, p: &'a EpochProfile, slack: &[f64]) -> Model
         &fx.core_grid,
         &fx.mem_cfg.freq_grid,
         &fx.power,
-        fx.geom,
-        &fx.mem_cfg.timings,
         slack,
         Ps::from_ms(5),
         0.10,
