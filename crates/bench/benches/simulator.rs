@@ -1,14 +1,15 @@
 //! Criterion benchmarks of the simulation substrates: DDR3 request
 //! throughput, L2 access rate, warm-up and eviction cost, trace generation,
-//! and whole runs through the engine.
+//! whole runs through the engine, and the fleet worker pool's handoff.
 
-use cluster::synthetic_fleet;
+use cluster::{synthetic_fleet, WorkerPool};
 use coscale::{run_policy, PolicyKind, SimConfig};
 use cpusim::{CacheConfig, CoreSim, L2Cache};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use memsim::{LineAddr, MemConfig, MemEvent, MemorySystem, Outcome};
 use simkernel::{EventQueue, Ps, SimRng};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 use workloads::{app, TraceGen};
 
 fn bench_memsim(c: &mut Criterion) {
@@ -159,11 +160,45 @@ fn bench_full_epochs(c: &mut Criterion) {
     group.finish();
 }
 
+/// The pool's cost per job: 512 jobs, each a 2 KiB payload (a fleet
+/// server's size), at 2 threads, crossing the pool from takeable slots as a
+/// fleet's servers do. With a trivial step the time is the pool's own
+/// copying and locking; a step that spins 20 µs, the scale of a fleet
+/// server's round, adds the wakes a worker or the caller waits on.
+fn bench_worker_pool(c: &mut Criterion) {
+    let mut group = c.benchmark_group("worker_pool");
+    let n = 512;
+    group.throughput(Throughput::Elements(n as u64));
+    for spin_us in [0, 20] {
+        let id = format!("handoff_512x2kib_step{spin_us}us_2_threads");
+        group.bench_function(&id, |b| {
+            let spin = Duration::from_micros(spin_us);
+            let pool = WorkerPool::new(2, move |p: &mut [u64; 256]| {
+                let t = Instant::now();
+                while t.elapsed() < spin {}
+                p[0] += 1;
+            });
+            let mut slots: Vec<Option<[u64; 256]>> = vec![Some([0; 256]); n];
+            b.iter(|| {
+                let jobs = slots
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, s)| (i, s.take().expect("payload in its slot")))
+                    .collect();
+                pool.run(jobs, |i, p| slots[i] = Some(p));
+                black_box(slots[n - 1].as_ref().map(|p| p[0]))
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_memsim,
     bench_l2,
     bench_tracegen,
-    bench_full_epochs
+    bench_full_epochs,
+    bench_worker_pool
 );
 criterion_main!(benches);

@@ -25,7 +25,10 @@
 //! Servers only exchange state at round barriers, so each round's
 //! unfinished servers are stepped on a persistent [`WorkerPool`] with
 //! **bit-identical results for any thread count** — see
-//! `ClusterResult::digest`.
+//! `ClusterResult::digest`. The thread running the loop is one of the
+//! pool's workers, and each round's servers are dispatched longest first
+//! by the host time of their last step, which orders dispatch and never
+//! reaches a result.
 //!
 //! Budgets can also be split **hierarchically** (fleet → pod → rack →
 //! server) through a [`BudgetTree`]: each interior node runs its own split

@@ -50,7 +50,9 @@
 //!
 //! Servers exchange state only at round barriers, so each round steps the
 //! fleet on a persistent [`WorkerPool`] with bit-identical results for any
-//! thread count — see [`ServiceResult::digest`].
+//! thread count — see [`ServiceResult::digest`]. The thread running the
+//! loop steps servers too, and the servers whose last round took longest
+//! go first; those host times order dispatch and never reach a result.
 //!
 //! # Example
 //!

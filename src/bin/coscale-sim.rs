@@ -66,6 +66,15 @@
 
 use coscale_repro::prelude::*;
 
+/// Writes one line to stderr and ignores a write error, so that a reader
+/// who closed stderr cannot turn an exit 2 into a panic's exit 101.
+macro_rules! to_stderr {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
+
 struct Args {
     mix: String,
     policy: String,
@@ -82,7 +91,7 @@ struct Args {
 }
 
 fn usage() -> ! {
-    eprintln!(
+    to_stderr!(
         "usage: coscale-sim [--mix NAME] [--policy NAME] [--gamma PCT] \
          [--instrs N] [--cores N] [--prefetch] [--ooo] [--open-page] \
          [--cap WATTS] [--seed N] [--timeline FILE] [--compare]"
@@ -219,7 +228,7 @@ const PLANE_FLAGS: [&str; 9] = [
 ];
 
 fn cluster_usage() -> ! {
-    eprintln!(
+    to_stderr!(
         "usage: coscale-sim cluster [--servers LIST] [--fleet-size N] [--idle-fraction F] \
          [--cap WATTS] [--quantum W] [--epochs-per-round N] [--split NAME] \
          [--topology SPEC] [--threads N] [--serve] [--rounds N] [--rate HZ] \
@@ -278,7 +287,7 @@ fn cluster_usage() -> ! {
 
 /// Prints `msg` and the usage of the command being parsed, and exits 2.
 fn fail(msg: &str) -> ! {
-    eprintln!("{msg}");
+    to_stderr!("{msg}");
     if cluster_command() {
         cluster_usage()
     } else {
@@ -557,7 +566,7 @@ fn parse_cluster_args() -> ClusterArgs {
         fail("--idle-fraction must be in [0, 1]");
     }
     if !a.serve && a.split == CapSplit::SlaAware {
-        eprintln!(
+        to_stderr!(
             "note: sla-aware without --serve has no latency signal; every server bids its full \
              demand and leftover budget goes unspent"
         );
@@ -602,7 +611,7 @@ fn cluster_batch_main(args: &ClusterArgs) {
         fail(&format!("invalid cluster configuration: {e}"));
     }
 
-    eprintln!(
+    to_stderr!(
         "running {}-server batch fleet / {} @ {} W ...",
         cfg.servers.len(),
         args.discipline(),
@@ -781,7 +790,7 @@ fn cluster_serve_main(args: &ClusterArgs) {
         fail(&format!("invalid service configuration: {e}"));
     }
 
-    eprintln!(
+    to_stderr!(
         "running {}-server serving fleet / {} @ {} W for {} rounds ...",
         cfg.servers.len(),
         args.discipline(),
@@ -892,7 +901,7 @@ fn main() {
     }
     let args = parse_args();
     let Some(m) = mix(&args.mix) else {
-        eprintln!(
+        to_stderr!(
             "unknown mix '{}'; known: {:?}",
             args.mix,
             all_mixes().iter().map(|m| m.name).collect::<Vec<_>>()
@@ -916,7 +925,7 @@ fn main() {
         cfg.seed = seed;
     }
     if let Err(e) = cfg.validate() {
-        eprintln!("invalid configuration: {e}");
+        to_stderr!("invalid configuration: {e}");
         std::process::exit(2);
     }
 
@@ -930,12 +939,12 @@ fn main() {
         "offline" => PolicyKind::Offline,
         "powercap" => PolicyKind::PowerCap,
         other => {
-            eprintln!("unknown policy '{other}'");
+            to_stderr!("unknown policy '{other}'");
             usage();
         }
     };
 
-    eprintln!("running {} / {kind} ...", args.mix);
+    to_stderr!("running {} / {kind} ...", args.mix);
     let mut runner = Runner::new(cfg.clone(), kind);
     runner.set_power_cap(args.cap);
     let r = runner.run();
@@ -970,7 +979,7 @@ fn main() {
     );
 
     if args.compare {
-        eprintln!("running {} / baseline ...", args.mix);
+        to_stderr!("running {} / baseline ...", args.mix);
         let base = coscale::run_policy(cfg, PolicyKind::StaticMax);
         let d = r.degradation_vs(&base);
         let worst = d.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -983,12 +992,12 @@ fn main() {
 
     if let Some(path) = args.timeline {
         let f = std::fs::File::create(&path).unwrap_or_else(|e| {
-            eprintln!("cannot create {path}: {e}");
+            to_stderr!("cannot create {path}: {e}");
             std::process::exit(1);
         });
         r.write_timeline(std::io::BufWriter::new(f))
             .unwrap_or_else(|e| {
-                eprintln!("cannot write timeline: {e}");
+                to_stderr!("cannot write timeline: {e}");
                 std::process::exit(1);
             });
         println!("timeline       : {path}");

@@ -2,7 +2,7 @@
 //! repeated flag, or a configuration that could only fail mid-run, exits 2
 //! with a message before any simulation starts.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn sim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_coscale-sim"))
@@ -199,9 +199,12 @@ fn batch_rejects_an_infinite_lease_floor() {
     );
 }
 
+/// The command line of [`a_tiny_batch_run_succeeds`].
+const TINY_BATCH: [&str; 6] = ["--servers", "a=ILP1:2", "--cap", "60", "--threads", "2"];
+
 #[test]
 fn a_tiny_batch_run_succeeds() {
-    let out = cluster(&["--servers", "a=ILP1:2", "--cap", "60", "--threads", "2"]);
+    let out = cluster(&TINY_BATCH);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
@@ -209,6 +212,38 @@ fn a_tiny_batch_run_succeeds() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("fleet energy"), "{stdout}");
+}
+
+/// A reader that closed stderr changes no exit status: the usage text,
+/// the error messages and the progress lines go unwritten, without a panic.
+#[test]
+fn a_closed_stderr_keeps_the_exit_status() {
+    let serve_bad_join = [
+        "cluster",
+        "--serve",
+        "--rounds",
+        "4",
+        "--servers",
+        "b=ILP1",
+        "--join",
+        "3",
+    ];
+    let tiny_batch = [&["cluster"][..], &TINY_BATCH].concat();
+    for (args, code) in [
+        (&["--bogus"][..], 2),
+        (&serve_bad_join[..], 2),
+        (&tiny_batch[..], 0),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let status = Command::new(env!("CARGO_BIN_EXE_coscale-sim"))
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(writer)
+            .status()
+            .expect("coscale-sim runs");
+        assert_eq!(status.code(), Some(code), "{args:?}");
+    }
 }
 
 #[test]
